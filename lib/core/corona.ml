@@ -754,14 +754,7 @@ let rollback_statement t =
         match Catalog.find_table t.catalog table with
         | None -> ()
         | Some tab ->
-          let find_rid row =
-            Seq.find_map
-              (fun (rid, r) ->
-                if Tuple.equal ~registry:tab.Table_store.registry r row then
-                  Some rid
-                else None)
-              (Table_store.scan tab)
-          in
+          let find_rid = Table_store.find_rid tab in
           (match (before, after) with
           | None, Some row -> (
             (* inserted: delete it back out *)

@@ -52,17 +52,16 @@ let append_cols b (row : Tuple.t) (cols : int array) =
   b.b_len <- phys + 1;
   b.b_live <- b.b_live + 1
 
-(* the column-only-projection fast path: append the [cols.(k)] columns
-   of [src]'s [i]th live row, batch to batch *)
-let append_select b (src : t) i (cols : int array) =
-  let phys = b.b_len in
-  let sphys = src.b_sel.(i) in
-  for k = 0 to b.b_width - 1 do
-    b.b_cols.(k).(phys) <- src.b_cols.(cols.(k)).(sphys)
-  done;
-  b.b_sel.(b.b_live) <- phys;
-  b.b_len <- phys + 1;
-  b.b_live <- b.b_live + 1
+(* the column-only-projection fast path: no value moves; the new batch
+   shares [b]'s column chunks and its selection vector *)
+let select b (cols : int array) =
+  {
+    b_width = Array.length cols;
+    b_cols = Array.map (fun c -> b.b_cols.(c)) cols;
+    b_sel = b.b_sel;
+    b_len = b.b_len;
+    b_live = b.b_live;
+  }
 
 (* appends [n] blank rows — the degenerate width-0 projection, where
    only the row count carries information *)
@@ -144,4 +143,9 @@ let of_seq ~width (s : Tuple.t Seq.t) : t Seq.t =
 let of_rows ~width rows = of_seq ~width (List.to_seq rows)
 
 let to_seq (bs : t Seq.t) : Tuple.t Seq.t =
-  Seq.concat_map (fun b -> Seq.init (count b) (fun i -> get b i)) bs
+  let rec rows b i rest () =
+    if i < b.b_live then Seq.Cons (get b i, rows b (i + 1) rest) else next rest ()
+  and next bs () =
+    match bs () with Seq.Nil -> Seq.Nil | Seq.Cons (b, rest) -> rows b 0 rest ()
+  in
+  next bs

@@ -6,8 +6,9 @@
     indices of the rows still live.  Filters refine the selection in
     place instead of copying rows; materializing operators read through
     it.  A batch is owned by its consumer — each operator either
-    mutates the batch it received (selection refinement, truncation) or
-    builds fresh ones; batches are never shared between consumers.
+    mutates the batch it received (selection refinement, truncation),
+    takes it over ({!select}), or builds fresh ones; batches are never
+    shared between consumers.
 
     [Tuple.t Seq.t] remains the lingua franca at the plan root and at
     operators that are not vectorized; {!of_seq} and {!to_seq} are the
@@ -47,9 +48,11 @@ val append_concat : t -> Tuple.t -> Tuple.t -> unit
     projection) without a per-row closure. *)
 val append_cols : t -> Tuple.t -> int array -> unit
 
-(** [append_select b src i cols] appends the [cols] columns of [src]'s
-    [i]th live row — the column-only projection, batch to batch. *)
-val append_select : t -> t -> int -> int array -> unit
+(** [select b cols] is the column-only projection of [b] onto its
+    [cols] columns, without copying: the result shares [b]'s column
+    chunks and selection vector, so it takes [b] over — the caller must
+    not use [b] again. *)
+val select : t -> int array -> t
 
 (** [pad b n] appends [n] blank rows (the width-0 projection: only the
     row count carries information).  [n] must fit the batch. *)

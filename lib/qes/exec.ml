@@ -685,6 +685,47 @@ and probe_search ectx am probe =
   Sb_resil.Faults.guard (Catalog.faults ectx.db.x_cat) ~site:"qes.probe"
     (fun () -> am.Access_method.am_search probe)
 
+(* Scan and Filter predicates, compiled once per operator instance into
+   a conjunction of row tests.  [RCol c <cmp> k], with [k] a literal,
+   host variable or parameter resolved on first use, compares unboxed
+   when the runtime tags agree — Int/Int, Float/Float (through
+   [Float.compare], keeping [Value.compare]'s NaN order) and
+   String/String — and NULL on either side fails; every other predicate,
+   and every other pair of tags, goes through {!eval}. *)
+and compile_preds ectx ~params (preds : rexpr list) : Tuple.t -> bool =
+  let generic e row = bool3 (eval ectx ~row ~params e) = Some true in
+  let compile e =
+    match e with
+    | RBin
+        ( ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
+          RCol c,
+          ((RLit _ | RHost _ | RParam _) as k) ) ->
+      let k = lazy (eval ectx ~row:[||] ~params k) in
+      let holds c =
+        match op with
+        | Ast.Eq -> c = 0
+        | Ast.Neq -> c <> 0
+        | Ast.Lt -> c < 0
+        | Ast.Le -> c <= 0
+        | Ast.Gt -> c > 0
+        | _ -> c >= 0
+      in
+      fun row ->
+        if c >= Array.length row then generic e row
+        else (
+          match (row.(c), Lazy.force k) with
+          | Value.Int a, Value.Int b -> holds (Int.compare a b)
+          | Value.Float a, Value.Float b -> holds (Float.compare a b)
+          | Value.String a, Value.String b -> holds (String.compare a b)
+          | Value.Null, _ | _, Value.Null -> false
+          | _ -> generic e row)
+    | e -> generic e
+  in
+  match List.map compile preds with
+  | [] -> fun _ -> true
+  | [ test ] -> test
+  | tests -> fun row -> List.for_all (fun test -> test row) tests
+
 (* ------------------------------------------------------------------ *)
 (* Vectorized operator bodies                                          *)
 (* ------------------------------------------------------------------ *)
@@ -703,28 +744,52 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
   else
     match p.op with
     | Scan { sc_table; sc_cols; sc_preds } ->
+      (* page at a time through the storage manager's scan primitive,
+         decoding only the projected and predicate columns *)
       let tab = find_table ectx sc_table in
       let cols = Array.of_list sc_cols in
-      let src = Seq.to_dispenser (Table_store.scan tab) in
-      let finished = ref false in
+      let ncols = Array.length tab.Table_store.schema in
+      let needed = Array.make ncols false in
+      List.iter
+        (fun c -> if c < ncols then needed.(c) <- true)
+        (sc_cols @ List.concat_map slots_used sc_preds);
+      let row = Array.make ncols Value.Null in
+      let test = compile_preds ectx ~params sc_preds in
+      (* a subquery predicate runs after its page is unpinned, as the
+         inner plan may itself scan *)
+      let defer = List.exists rexpr_has_sub sc_preds in
+      let npages = Table_store.page_count tab and next_page = ref 0 in
+      (* decoded rows not yet tested: the tail of a page that overflowed
+         the previous batch, so batch boundaries fall where a row-at-a-time
+         fill would put them *)
+      let held = Queue.create () in
+      let take out r =
+        ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
+        if test r then Batch.append_cols out r cols
+      in
+      let drain out =
+        while not (Batch.full out || Queue.is_empty held) do
+          take out (Queue.pop held)
+        done
+      in
       Seq.of_dispenser (fun () ->
-          if !finished then None
+          (* once exhausted, answer without allocating a batch *)
+          if Queue.is_empty held && !next_page >= npages then None
           else begin
             let out = Batch.create (Array.length cols) in
-            let rec fill () =
-              if not (Batch.full out) then
-                match src () with
-                | None -> finished := true
-                | Some (_, row) ->
-                  ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
-                  if conj ectx ~row ~params sc_preds then
-                    Batch.append_cols out row cols;
-                  fill ()
-            in
-            fill ();
+            drain out;
+            while (not (Batch.full out)) && !next_page < npages do
+              tab.Table_store.storage.Storage_manager.scan_page !next_page ~needed
+                ~row (fun _ ->
+                  if defer || Batch.full out then Queue.push (Array.copy row) held
+                  else take out row);
+              incr next_page;
+              drain out
+            done;
             if Batch.count out > 0 then Some out else None
           end)
     | Filter preds ->
+      let test = compile_preds ectx ~params preds in
       let scratch = Array.make (width p) Value.Null in
       (* predicates typically read a few slots of a wide row: copy only
          those before evaluating *)
@@ -737,7 +802,7 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
            (fun b ->
              Batch.keep b (fun i ->
                  Batch.blit_slots b i scratch used;
-                 conj ectx ~row:scratch ~params preds);
+                 test scratch);
              b)
            (input_batches ectx ~params p 0))
     | Or_filter disjuncts ->
@@ -764,8 +829,8 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
     | Project exprs ->
       let exprs = Array.of_list exprs in
       let cols_only =
-        (* a pure column selection (every expression an [RCol]) moves
-           values batch to batch without a scratch row *)
+        (* a pure column selection (every expression an [RCol]) re-views
+           its input batch: no value moves *)
         let rec go k acc =
           if k < 0 then Some (Array.of_list acc)
           else
@@ -786,14 +851,7 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
             out)
           (input_batches ectx ~params p 0)
       | Some cols ->
-        Seq.map
-          (fun b ->
-            let out = Batch.create (Array.length cols) in
-            for i = 0 to Batch.count b - 1 do
-              Batch.append_select out b i cols
-            done;
-            out)
-          (input_batches ectx ~params p 0)
+        Seq.map (fun b -> Batch.select b cols) (input_batches ectx ~params p 0)
       | None ->
         let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
         Seq.map
@@ -1505,3 +1563,10 @@ let eval_row ?(hosts = []) (db : db) ~(row : Tuple.t) (e : rexpr) : Value.t =
       caches = []; deltas = []; instr = None }
   in
   eval ectx ~row ~params:[||] e
+
+let row_test ?(hosts = []) ?(params = [||]) (db : db) (preds : rexpr list) =
+  let ectx =
+    { db; hosts; counters = fresh_counters (); gov = default_gov ();
+      caches = []; deltas = []; instr = None }
+  in
+  compile_preds ectx ~params preds

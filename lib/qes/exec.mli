@@ -114,3 +114,18 @@ val eval_row :
   row:Tuple.t ->
   Sb_optimizer.Plan.rexpr ->
   Value.t
+
+(** The row test a batch Scan or Filter compiles once per instance from
+    its conjunction of predicates: [true] exactly when every predicate
+    evaluates to TRUE under {!eval_row}.  [RCol c <cmp> k], with [k] a
+    literal, host variable or parameter, compares unboxed when the
+    runtime tags agree (Int/Int, Float/Float under [Float.compare],
+    String/String); [k] is resolved on the first row tested, so an
+    unbound host variable raises only once a row reaches the test. *)
+val row_test :
+  ?hosts:(string * Value.t) list ->
+  ?params:Value.t array ->
+  db ->
+  Sb_optimizer.Plan.rexpr list ->
+  Tuple.t ->
+  bool

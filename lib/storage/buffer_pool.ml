@@ -28,11 +28,16 @@ type stats = {
   mutable evictions : int;
 }
 
+(* Cached frames sit on an intrusive doubly-linked recency list, oldest
+   first: a touch relinks a frame at the new end in O(1), and eviction
+   walks from the old end to the first unpinned frame. *)
 type frame = {
   page : Page.t;
   f_file : file_id;
+  f_page_no : int;
   mutable pins : int;
-  mutable last_used : int;
+  mutable older : frame;
+  mutable newer : frame;
 }
 
 type file = {
@@ -43,11 +48,13 @@ type file = {
 
 type t = {
   capacity : int;
-  lock : Sb_conc.Lock.t;  (** guards files, cache, tick and stats *)
+  lock : Sb_conc.Lock.t;  (** guards files, cache, recency list and stats *)
   files : (file_id, file) Hashtbl.t;
   cache : (file_id * int, frame) Hashtbl.t;
+  lru : frame;
+      (** sentinel of the recency list: [lru.newer] is the oldest
+          cached frame, [lru.older] the most recently used *)
   mutable next_file : file_id;
-  mutable tick : int;
   stats : stats;
   mutable faults : Sb_resil.Faults.t;
   mutable lsn_source : unit -> int;
@@ -61,6 +68,27 @@ type t = {
           are written back at eviction and at checkpoints) *)
 }
 
+let sentinel () =
+  let rec s =
+    { page = Page.create ~size:0 (-1); f_file = -1; f_page_no = -1; pins = 0;
+      older = s; newer = s }
+  in
+  s
+
+let unlink f =
+  f.older.newer <- f.newer;
+  f.newer.older <- f.older;
+  f.older <- f;
+  f.newer <- f
+
+(* makes [f] the most recently used frame *)
+let push_newest t f =
+  let last = t.lru.older in
+  f.older <- last;
+  f.newer <- t.lru;
+  last.newer <- f;
+  t.lru.older <- f
+
 let create ?(capacity = 256) () =
   {
     capacity;
@@ -69,8 +97,8 @@ let create ?(capacity = 256) () =
         ~level:Sb_conc.Level.buffer_pool;
     files = Hashtbl.create 16;
     cache = Hashtbl.create (2 * capacity);
+    lru = sentinel ();
     next_file = 0;
-    tick = 0;
     stats = { logical_reads = 0; physical_reads = 0; physical_writes = 0; evictions = 0 };
     faults = Sb_resil.Faults.none;
     lsn_source = (fun () -> 0);
@@ -116,9 +144,14 @@ let drop_file t id =
   locked t @@ fun () ->
   watch_frames ~site:"Buffer_pool.drop_file" ~write:true;
   Hashtbl.remove t.files id;
-  Hashtbl.iter
-    (fun key frame -> if frame.f_file = id then Hashtbl.remove t.cache key)
-    (Hashtbl.copy t.cache)
+  Hashtbl.filter_map_inplace
+    (fun _ frame ->
+      if frame.f_file = id then begin
+        unlink frame;
+        None
+      end
+      else Some frame)
+    t.cache
 
 (* callers hold the lock *)
 let get_file t id =
@@ -132,43 +165,49 @@ let page_count t id =
       watch_frames ~site:"Buffer_pool.page_count" ~write:false;
       (get_file t id).npages)
 
-(* Evict the least-recently-used unpinned frame, if the pool is over
-   capacity.  Dirty pages are "written back" (they already live in the
-   file array; we just count the write and clear the flag).  Runs under
-   the lock. *)
+(* Evict the least-recently-used unpinned frame while the pool is over
+   capacity; when every frame is pinned, give up silently.  Dirty pages
+   are "written back" (they already live in the file array; we just
+   count the write and clear the flag).  Runs under the lock. *)
 let maybe_evict t =
-  while Hashtbl.length t.cache > t.capacity do
-    let victim = ref None in
-    Hashtbl.iter
-      (fun key frame ->
-        if frame.pins = 0 then
-          match !victim with
-          | Some (_, best) when best.last_used <= frame.last_used -> ()
-          | _ -> victim := Some (key, frame))
-      t.cache;
-    match !victim with
-    | None -> raise Exit (* everything pinned: give up silently *)
-    | Some (key, frame) ->
-      if frame.page.Page.dirty then begin
-        t.stats.physical_writes <- t.stats.physical_writes + 1;
-        frame.page.Page.dirty <- false
-      end;
-      t.stats.evictions <- t.stats.evictions + 1;
-      Hashtbl.remove t.cache key
-  done
+  let rec oldest_unpinned f =
+    if f == t.lru then None
+    else if f.pins = 0 then Some f
+    else oldest_unpinned f.newer
+  in
+  let rec go () =
+    if Hashtbl.length t.cache > t.capacity then
+      match oldest_unpinned t.lru.newer with
+      | None -> ()
+      | Some frame ->
+        if frame.page.Page.dirty then begin
+          t.stats.physical_writes <- t.stats.physical_writes + 1;
+          frame.page.Page.dirty <- false
+        end;
+        t.stats.evictions <- t.stats.evictions + 1;
+        unlink frame;
+        Hashtbl.remove t.cache (frame.f_file, frame.f_page_no);
+        go ()
+  in
+  go ()
 
-let maybe_evict t = try maybe_evict t with Exit -> ()
+(* caches [page] as the most recently used frame *)
+let new_frame t page file_id page_no ~pins =
+  let rec f = { page; f_file = file_id; f_page_no = page_no; pins; older = f; newer = f } in
+  push_newest t f;
+  Hashtbl.replace t.cache (file_id, page_no) f;
+  f
 
 let pin_raw t file_id page_no =
   locked t @@ fun () ->
   watch_frames ~site:"Buffer_pool.pin" ~write:true;
   watch_stats ~site:"Buffer_pool.pin" ~write:true;
-  t.tick <- t.tick + 1;
   t.stats.logical_reads <- t.stats.logical_reads + 1;
   match Hashtbl.find_opt t.cache (file_id, page_no) with
   | Some frame ->
     frame.pins <- frame.pins + 1;
-    frame.last_used <- t.tick;
+    unlink frame;
+    push_newest t frame;
     frame.page
   | None ->
     let f = get_file t file_id in
@@ -176,10 +215,7 @@ let pin_raw t file_id page_no =
       Sb_resil.Err.fail Sb_resil.Err.Storage
         "Buffer_pool.pin: page %d/%d out of range" file_id page_no;
     t.stats.physical_reads <- t.stats.physical_reads + 1;
-    let frame =
-      { page = f.pages.(page_no); f_file = file_id; pins = 1; last_used = t.tick }
-    in
-    Hashtbl.replace t.cache (file_id, page_no) frame;
+    let frame = new_frame t f.pages.(page_no) file_id page_no ~pins:1 in
     maybe_evict t;
     frame.page
 
@@ -202,6 +238,14 @@ let unpin t file_id page_no =
 let with_page t file_id page_no f =
   let page = pin t file_id page_no in
   Fun.protect ~finally:(fun () -> unpin t file_id page_no) (fun () -> f page)
+
+let resident t =
+  locked t @@ fun () ->
+  watch_frames ~site:"Buffer_pool.resident" ~write:false;
+  let rec walk f acc =
+    if f == t.lru then acc else walk f.older ((f.f_file, f.f_page_no) :: acc)
+  in
+  walk t.lru.older []
 
 (** Writes back every dirty page whose LSN does not run ahead of the
     stable log (the WAL rule); returns how many pages were written.
@@ -248,7 +292,8 @@ let discard_all t =
   watch_frames ~site:"Buffer_pool.discard_all" ~write:true;
   Hashtbl.reset t.files;
   Hashtbl.reset t.cache;
-  t.tick <- 0
+  t.lru.older <- t.lru;
+  t.lru.newer <- t.lru
 
 (** Appends a fresh page to [file_id] and returns its page number. *)
 let alloc_page t file_id =
@@ -266,8 +311,6 @@ let alloc_page t file_id =
   end;
   f.pages.(page_no) <- page;
   f.npages <- f.npages + 1;
-  t.tick <- t.tick + 1;
-  let frame = { page; f_file = file_id; pins = 0; last_used = t.tick } in
-  Hashtbl.replace t.cache (file_id, page_no) frame;
+  ignore (new_frame t page file_id page_no ~pins:0 : frame);
   maybe_evict t;
   page_no

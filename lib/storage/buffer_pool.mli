@@ -43,6 +43,10 @@ val unpin : t -> file_id -> int -> unit
 (** Pin, use, unpin (exception-safe). *)
 val with_page : t -> file_id -> int -> (Page.t -> 'a) -> 'a
 
+(** Cached pages as [(file, page)], least recently used first: the
+    order in which unpinned frames are evicted. *)
+val resident : t -> (file_id * int) list
+
 (** Appends a fresh page to the file and returns its page number. *)
 val alloc_page : t -> file_id -> int
 

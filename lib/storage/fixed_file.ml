@@ -92,32 +92,20 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
         (Row_codec.encode_fixed ~schema tuple)
     else false
   in
-  let scan () =
-    (* page-at-a-time: one page read amortized over all its cells *)
-    let total = !next_free in
-    let rec page_seq page () =
-      let base = page * per_page in
-      if base >= total then Seq.Nil
-      else begin
-        let rows = ref [] in
-        Buffer_pool.with_page pool file page (fun p ->
-            match Page.get p 0 with
-            | None -> ()
-            | Some bytes ->
-              let cells = min per_page (total - base) in
-              for cell_no = cells - 1 downto 0 do
-                let off = cell_no * cell in
-                if bytes.[off] = '\001' then
-                  rows :=
-                    ( { rid_page = page; rid_slot = cell_no },
-                      Row_codec.decode_fixed ~schema
-                        (String.sub bytes (off + 1) width) )
-                    :: !rows
-              done);
-        Seq.append (List.to_seq !rows) (page_seq (page + 1)) ()
-      end
-    in
-    page_seq 0
+  (* one pin per page, amortized over all its cells; cells at or past
+     the cursor were never written since the last truncate *)
+  let scan_page page ~needed ~row k =
+    let base = page * per_page and total = !next_free in
+    if base < total then
+      Buffer_pool.with_page pool file page (fun p ->
+          Page.iter_in_place p (fun _ data off _ ->
+              for cell_no = 0 to min per_page (total - base) - 1 do
+                let at = off + (cell_no * cell) in
+                if Bytes.get data at = '\001' then begin
+                  Row_codec.decode_fixed_into ~schema ~needed data (at + 1) row;
+                  k cell_no
+                end
+              done))
   in
   let truncate () =
     next_free := 0;
@@ -133,7 +121,7 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
     delete;
     update;
     fetch;
-    scan;
+    scan_page;
     tuple_count = (fun () -> !tuples);
     page_count = (fun () -> Buffer_pool.page_count pool file);
     truncate;

@@ -72,32 +72,19 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
               Page.compact p;
               Page.update p rid.rid_slot record)
   in
-  let scan () =
-    let npages = Buffer_pool.page_count pool file in
-    let rec page_seq page_no () =
-      if page_no >= npages then Seq.Nil
-      else begin
-        let rows = ref [] in
-        Sb_resil.Faults.guard (Buffer_pool.faults pool) ~site:"heap.page"
-          (fun () ->
-            rows := [];
-            Buffer_pool.with_page pool file page_no (fun p ->
-                Page.iter p (fun slot record ->
-                    rows :=
-                      ({ rid_page = page_no; rid_slot = slot },
-                       Row_codec.decode record)
-                      :: !rows)));
-        let rows = List.rev !rows in
-        Seq.append (List.to_seq rows) (page_seq (page_no + 1)) ()
-      end
-    in
-    page_seq 0
+  (* decodes straight from the pinned page's bytes *)
+  let scan_page page_no ~needed ~row k =
+    Sb_resil.Faults.guard (Buffer_pool.faults pool) ~site:"heap.page" (fun () ->
+        Buffer_pool.with_page pool file page_no (fun p ->
+            Page.iter_in_place p (fun slot data off len ->
+                Row_codec.decode_into ~needed data ~off ~len row;
+                k slot)))
   in
   let truncate () =
     let npages = Buffer_pool.page_count pool file in
     for i = 0 to npages - 1 do
       Buffer_pool.with_page pool file i (fun p ->
-          Page.iter p (fun slot _ -> Page.delete p slot);
+          Page.iter_in_place p (fun slot _ _ _ -> Page.delete p slot);
           Page.compact p)
     done;
     tuples := 0;
@@ -109,7 +96,7 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
     delete;
     update;
     fetch;
-    scan;
+    scan_page;
     tuple_count = (fun () -> !tuples);
     page_count = (fun () -> Buffer_pool.page_count pool file);
     truncate;

@@ -135,28 +135,28 @@ let write_sub t slot_no ~pos (src : string) : bool =
     end
     else false
 
-(** Iterates live records as [(slot, record)]. *)
-let iter t f =
+(** Iterates live records in place as [(slot, data, off, len)]: the
+    record is the [len] bytes at offset [off] of [data], the page's own
+    buffer, which is only valid for the duration of the call. *)
+let iter_in_place t f =
   for i = 0 to t.nslots - 1 do
     let s = t.slots.(i) in
-    if s.live then f i (Bytes.sub_string t.data s.off s.len)
+    if s.live then f i t.data s.off s.len
   done
 
 (** Rewrites the page with only its live records, reclaiming dead space.
     Slot numbers are preserved (dead slots stay dead). *)
 let compact t =
-  let live = ref [] in
-  iter t (fun i r -> live := (i, r) :: !live);
   let data = Bytes.create t.size in
   let free = ref t.size in
-  List.iter
-    (fun (i, r) ->
-      let len = String.length r in
-      free := !free - len;
-      Bytes.blit_string r 0 data !free len;
-      t.slots.(i).off <- !free;
-      t.slots.(i).len <- len)
-    !live;
+  for i = t.nslots - 1 downto 0 do
+    let s = t.slots.(i) in
+    if s.live then begin
+      free := !free - s.len;
+      Bytes.blit t.data s.off data !free s.len;
+      s.off <- !free
+    end
+  done;
   t.data <- data;
   t.free_low <- !free;
   t.dirty <- true

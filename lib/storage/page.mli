@@ -50,8 +50,10 @@ val read_sub : t -> int -> pos:int -> len:int -> string option
 (** Overwrites bytes at offset [pos] inside a live record in place. *)
 val write_sub : t -> int -> pos:int -> string -> bool
 
-(** Iterates live records as [(slot, record)]. *)
-val iter : t -> (int -> string -> unit) -> unit
+(** Iterates live records in place as [(slot, data, off, len)], without
+    copying: the record is the [len] bytes at offset [off] of [data],
+    the page's own buffer, valid only for the duration of the call. *)
+val iter_in_place : t -> (int -> Bytes.t -> int -> int -> unit) -> unit
 
 (** Rewrites the page with only its live records, reclaiming dead
     space; slot numbers are preserved. *)

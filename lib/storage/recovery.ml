@@ -45,13 +45,6 @@ let crash ~(catalog : Catalog.t) : unit =
   Catalog.reset_storage catalog;
   Wal.crash catalog.Catalog.wal
 
-let find_rid tab (row : Tuple.t) =
-  Seq.find_map
-    (fun (rid, t) ->
-      if Tuple.equal ~registry:tab.Table_store.registry t row then Some rid
-      else None)
-    (Table_store.scan tab)
-
 let redo_update ~catalog ~table ~before ~after =
   let tab =
     match Catalog.find_table catalog table with
@@ -62,12 +55,12 @@ let redo_update ~catalog ~table ~before ~after =
   match (before, after) with
   | None, Some row -> ignore (Table_store.insert tab row)
   | Some row, None -> (
-    match find_rid tab row with
+    match Table_store.find_rid tab row with
     | Some rid -> ignore (Table_store.delete tab rid)
     | None ->
       Err.fail Err.Storage "recovery: delete image not found in %s" table)
   | Some b, Some a -> (
-    match find_rid tab b with
+    match Table_store.find_rid tab b with
     | Some rid -> ignore (Table_store.update tab rid a)
     | None ->
       Err.fail Err.Storage "recovery: update image not found in %s" table)
@@ -94,17 +87,19 @@ let run ?metrics ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) () :
   @@ fun () ->
   (* analysis: readable prefix, winners, last checkpoint *)
   let records, truncated = Wal.stable_records wal in
-  let winners =
-    List.filter_map
-      (function _, Wal.Commit txn -> Some txn | _ -> None)
-      records
-  in
+  let winners = Hashtbl.create 64 and commits = ref 0 in
+  List.iter
+    (function
+      | _, Wal.Commit txn ->
+        Hashtbl.replace winners txn ();
+        incr commits
+      | _ -> ())
+    records;
+  let won txn = Hashtbl.mem winners txn in
   let losers =
-    List.filter_map
-      (function
-        | _, Wal.Begin txn when not (List.mem txn winners) -> Some txn
-        | _ -> None)
-      records
+    List.fold_left
+      (fun n -> function _, Wal.Begin txn when not (won txn) -> n + 1 | _ -> n)
+      0 records
   in
   let after_checkpoint =
     (* replay from the LAST readable checkpoint; everything before it
@@ -145,7 +140,7 @@ let run ?metrics ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) () :
         replay_ddl text;
         incr ddl
       | Wal.Update { u_txn; u_table; u_before; u_after }
-        when List.mem u_txn winners ->
+        when won u_txn ->
         redo_update ~catalog ~table:u_table ~before:u_before ~after:u_after;
         incr redone
       | Wal.Update _ | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ())
@@ -158,8 +153,8 @@ let run ?metrics ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) () :
     {
       r_records = List.length records;
       r_truncated = truncated;
-      r_winners = List.length winners;
-      r_losers = List.length losers;
+      r_winners = !commits;
+      r_losers = losers;
       r_redone = !redone;
       r_ddl = !ddl;
       r_from_checkpoint = from_checkpoint;

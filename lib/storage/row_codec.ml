@@ -15,13 +15,6 @@ let buf_add_int64 buf (x : int64) =
     Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical x (i * 8)) land 0xff))
   done
 
-let get_int64 (s : string) off =
-  let r = ref 0L in
-  for i = 7 downto 0 do
-    r := Int64.logor (Int64.shift_left !r 8) (Int64.of_int (Char.code s.[off + i]))
-  done;
-  !r
-
 let buf_add_varint buf (x : int) =
   (* LEB128-ish, for non-negative lengths *)
   let rec go x =
@@ -31,14 +24,6 @@ let buf_add_varint buf (x : int) =
       go (x lsr 7))
   in
   go x
-
-let get_varint (s : string) off =
-  let rec go off shift acc =
-    let b = Char.code s.[off] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then (acc, off + 1) else go (off + 1) (shift + 7) acc
-  in
-  go off 0 0
 
 (* --- variable-length codec --- *)
 
@@ -69,42 +54,85 @@ let encode (t : Tuple.t) : string =
     t;
   Buffer.contents buf
 
-let decode (s : string) : Tuple.t =
-  let n, off = get_varint s 0 in
-  let off = ref off in
-  let read_string () =
-    let len, o = get_varint s !off in
-    off := o;
-    let str = String.sub s !off len in
-    off := !off + len;
-    str
+(* Corrupt record bytes (an unknown tag, a field running past the
+   record, more fields than the caller's row) are a structured,
+   non-retryable storage error rather than a bare [Failure] or
+   [Invalid_argument], so the run boundary classifies them. *)
+let corrupt fmt =
+  Sb_resil.Err.fail Sb_resil.Err.Storage ("Row_codec.decode: " ^^ fmt ^^ " (corrupt record)")
+
+(* a varint that must end before [stop] *)
+let get_varint (b : Bytes.t) off stop =
+  let rec go off shift acc =
+    if off >= stop || shift > 56 then corrupt "length runs past the record";
+    let b' = Char.code (Bytes.get b off) in
+    let acc = acc lor ((b' land 0x7f) lsl shift) in
+    if b' land 0x80 = 0 then (acc, off + 1) else go (off + 1) (shift + 7) acc
   in
-  Array.init n (fun _ ->
-      let tag = s.[!off] in
+  go off 0 0
+
+(* the offset after a field of [width] bytes starting at [o], which must
+   end by [stop] *)
+let past stop o width =
+  if width < 0 || o + width > stop then corrupt "field runs past the record";
+  o + width
+
+let decode_into ~(needed : bool array) (b : Bytes.t) ~off ~len (row : Tuple.t) =
+  let stop = off + len in
+  let off = ref off in
+  let n =
+    (* a field count below 128 is one varint byte: read it without the
+       pair [get_varint] allocates *)
+    let c = if !off < stop then Char.code (Bytes.get b !off) else 0x80 in
+    if c < 0x80 then begin
       incr off;
-      match tag with
-      | '\000' -> Value.Null
-      | '\001' ->
-        let x = get_int64 s !off in
-        off := !off + 8;
-        Value.Int (Int64.to_int x)
-      | '\002' ->
-        let x = get_int64 s !off in
-        off := !off + 8;
-        Value.Float (Int64.float_of_bits x)
-      | '\003' -> Value.Bool false
-      | '\004' -> Value.Bool true
-      | '\005' -> Value.String (read_string ())
-      | '\006' ->
-        let n = read_string () in
-        let p = read_string () in
-        Value.Ext (n, p)
-      | c ->
-        (* an unknown tag means the record bytes are corrupt: a
-           structured, non-retryable storage error rather than a bare
-           [Failure], so the run boundary classifies it *)
-        Sb_resil.Err.fail Sb_resil.Err.Storage
-          "Row_codec.decode: bad tag %C (corrupt record)" c)
+      c
+    end
+    else begin
+      let n, o = get_varint b !off stop in
+      off := o;
+      n
+    end
+  in
+  if n > Array.length needed || n > Array.length row then
+    corrupt "%d fields, %d expected" n (min (Array.length needed) (Array.length row));
+  for i = 0 to n - 1 do
+    if !off >= stop then corrupt "field runs past the record";
+    let tag = Bytes.get b !off in
+    incr off;
+    let want = needed.(i) in
+    match tag with
+    | '\000' -> if want then row.(i) <- Value.Null
+    | '\001' ->
+      let o = !off in
+      off := past stop o 8;
+      if want then row.(i) <- Value.Int (Int64.to_int (Bytes.get_int64_le b o))
+    | '\002' ->
+      let o = !off in
+      off := past stop o 8;
+      if want then row.(i) <- Value.Float (Int64.float_of_bits (Bytes.get_int64_le b o))
+    | '\003' -> if want then row.(i) <- Value.Bool false
+    | '\004' -> if want then row.(i) <- Value.Bool true
+    | '\005' ->
+      let slen, o = get_varint b !off stop in
+      off := past stop o slen;
+      if want then row.(i) <- Value.String (Bytes.sub_string b o slen)
+    | '\006' ->
+      let nlen, o = get_varint b !off stop in
+      let plen, o' = get_varint b (past stop o nlen) stop in
+      off := past stop o' plen;
+      if want then
+        row.(i) <- Value.Ext (Bytes.sub_string b o nlen, Bytes.sub_string b o' plen)
+    | c -> corrupt "bad tag %C" c
+  done
+
+let decode (s : string) : Tuple.t =
+  let b = Bytes.unsafe_of_string s in
+  let len = String.length s in
+  let n, _ = get_varint b 0 len in
+  let row = Array.make n Value.Null in
+  decode_into ~needed:(Array.make n true) b ~off:0 ~len row;
+  row
 
 (* --- fixed-length codec --- *)
 
@@ -152,25 +180,41 @@ let encode_fixed ~(schema : Schema.t) (t : Tuple.t) : string =
     schema;
   Buffer.contents buf
 
+let decode_fixed_into ~(schema : Schema.t) ~(needed : bool array) (b : Bytes.t)
+    (off : int) (row : Tuple.t) =
+  let n = Array.length schema in
+  (* field offsets follow from the schema: each column's width is fixed *)
+  let pos = ref (off + ((n + 7) / 8)) in
+  for i = 0 to n - 1 do
+    let want = needed.(i) in
+    let null =
+      want && Char.code (Bytes.get b (off + (i / 8))) land (1 lsl (i mod 8)) <> 0
+    in
+    match schema.(i).Schema.col_type with
+    | Datatype.Int ->
+      if want then
+        row.(i) <-
+          (if null then Value.Null
+           else Value.Int (Int64.to_int (Bytes.get_int64_le b !pos)));
+      pos := !pos + 8
+    | Datatype.Float ->
+      if want then
+        row.(i) <-
+          (if null then Value.Null
+           else Value.Float (Int64.float_of_bits (Bytes.get_int64_le b !pos)));
+      pos := !pos + 8
+    | Datatype.Bool ->
+      if want then
+        row.(i) <-
+          (if null then Value.Null else Value.Bool (Bytes.get b !pos = '\001'));
+      incr pos
+    | Datatype.String | Datatype.Ext _ ->
+      Sb_resil.Err.fail Sb_resil.Err.Storage
+        "Row_codec.decode_fixed: variable-length column"
+  done
+
 let decode_fixed ~(schema : Schema.t) (s : string) : Tuple.t =
   let n = Array.length schema in
-  let bitmap_len = (n + 7) / 8 in
-  let off = ref bitmap_len in
-  Array.init n (fun i ->
-      let null = Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0 in
-      match schema.(i).Schema.col_type with
-      | Datatype.Int ->
-        let x = get_int64 s !off in
-        off := !off + 8;
-        if null then Value.Null else Value.Int (Int64.to_int x)
-      | Datatype.Float ->
-        let x = get_int64 s !off in
-        off := !off + 8;
-        if null then Value.Null else Value.Float (Int64.float_of_bits x)
-      | Datatype.Bool ->
-        let c = s.[!off] in
-        incr off;
-        if null then Value.Null else Value.Bool (c = '\001')
-      | Datatype.String | Datatype.Ext _ ->
-        Sb_resil.Err.fail Sb_resil.Err.Storage
-          "Row_codec.decode_fixed: variable-length column")
+  let row = Array.make n Value.Null in
+  decode_fixed_into ~schema ~needed:(Array.make n true) (Bytes.unsafe_of_string s) 0 row;
+  row

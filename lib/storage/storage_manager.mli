@@ -21,7 +21,14 @@ type instance = {
       (** [false] when the record could not be updated in place (the
           caller deletes and reinserts) or does not exist *)
   fetch : rid -> Tuple.t option;
-  scan : unit -> (rid * Tuple.t) Seq.t;
+  scan_page : int -> needed:bool array -> row:Tuple.t -> (int -> unit) -> unit;
+      (** [scan_page i ~needed ~row k] is the one scan primitive: for
+          each live record of page [i] (in [0, page_count ())), in slot
+          order, decode the columns [c] with [needed.(c)] straight from
+          the page's bytes into [row] and call [k slot].  Other slots of
+          [row] are left untouched; [row] is overwritten by the next
+          record, so [k] copies what it keeps.  [k] runs while the page
+          is pinned and must not modify the table. *)
   tuple_count : unit -> int;
   page_count : unit -> int;
   truncate : unit -> unit;

@@ -69,11 +69,32 @@ let update t rid (tuple : Tuple.t) =
     end
 
 let fetch t rid = t.storage.Storage_manager.fetch rid
-
-let scan t = t.storage.Storage_manager.scan ()
-
 let tuple_count t = t.storage.Storage_manager.tuple_count ()
 let page_count t = t.storage.Storage_manager.page_count ()
+
+(* every column of every live record, page by page: each page's rows
+   are copied out before its successor is pinned *)
+let scan t =
+  let width = Array.length t.schema in
+  let needed = Array.make width true and row = Array.make width Value.Null in
+  let npages = page_count t in
+  let rec page_seq i () =
+    if i >= npages then Seq.Nil
+    else begin
+      let rows = ref [] in
+      t.storage.Storage_manager.scan_page i ~needed ~row (fun slot ->
+          rows :=
+            ({ Storage_manager.rid_page = i; rid_slot = slot }, Array.copy row)
+            :: !rows);
+      Seq.append (List.to_seq (List.rev !rows)) (page_seq (i + 1)) ()
+    end
+  in
+  page_seq 0
+
+let find_rid t (row : Tuple.t) =
+  Seq.find_map
+    (fun (rid, r) -> if Tuple.equal ~registry:t.registry r row then Some rid else None)
+    (scan t)
 
 let truncate t =
   (* purge attachments of every live entry before dropping the base

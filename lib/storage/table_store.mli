@@ -36,9 +36,16 @@ val delete : t -> Storage_manager.rid -> bool
 val update : t -> Storage_manager.rid -> Tuple.t -> bool
 
 val fetch : t -> Storage_manager.rid -> Tuple.t option
-val scan : t -> (Storage_manager.rid * Tuple.t) Seq.t
 val tuple_count : t -> int
 val page_count : t -> int
+
+(** Every live record with every column, in page and slot order, built
+    on the storage manager's [scan_page]; the page count is fixed when
+    the scan starts. *)
+val scan : t -> (Storage_manager.rid * Tuple.t) Seq.t
+
+(** The first record equal to [row] under the table's type registry. *)
+val find_rid : t -> Tuple.t -> Storage_manager.rid option
 val truncate : t -> unit
 
 (** Attaches an access method and back-fills it from existing records.

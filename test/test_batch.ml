@@ -9,7 +9,8 @@
     sort-merge methods, duplicate sort keys spanning a batch boundary,
     the governor's row ceiling tripping inside a batch, and a
     structured Exec error thrown mid-batch rolling back the implicit
-    transaction. *)
+    transaction.  The predicates batch scans and filters compile are
+    checked row for row against [eval]. *)
 
 open Test_util
 module Plan = Sb_optimizer.Plan
@@ -231,6 +232,97 @@ let test_explain_analyze_rows_vectorized () =
     (contains (Printf.sprintf "rows=%d" n));
   Alcotest.(check bool) "batch counts reported" true (contains "batches=")
 
+(* --- compiled scan/filter predicates agree with eval --- *)
+
+module Ast = Sb_hydrogen.Ast
+module Exec = Sb_qes.Exec
+
+let test_compiled_predicates () =
+  let catalog = Sb_storage.Catalog.create () in
+  (* an external type whose order is not its payload's string order *)
+  Sb_storage.Datatype.register catalog.Sb_storage.Catalog.datatypes
+    {
+      Sb_storage.Datatype.ext_name = "MOD7";
+      ext_parse = (fun p -> Ok p);
+      ext_compare = (fun a b -> compare (int_of_string a mod 7) (int_of_string b mod 7));
+      ext_print = Fun.id;
+    };
+  let db = Exec.make_db ~catalog ~functions:(Sb_hydrogen.Functions.create ()) in
+  let values =
+    [ nul; i 0; i 1; i 2; i (-1); f 0.0; f (-0.0); f 1.0; f 1.5; f nan; f infinity;
+      s ""; s "a"; s "b"; b true; Sb_storage.Value.Ext ("MOD7", "8");
+      Sb_storage.Value.Ext ("MOD7", "1"); Sb_storage.Value.Ext ("MOD7", "2") ]
+  in
+  let ops = [ Ast.Eq; Ast.Neq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
+  let checked = ref 0 in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun k ->
+          let reference = Plan.RBin (op, Plan.RCol 0, Plan.RLit k) in
+          (* the constant as a literal, a host variable and a parameter,
+             on the right (the fast path) and on the left (eval) *)
+          let forms =
+            [ Exec.row_test db [ reference ];
+              Exec.row_test ~hosts:[ ("k", k) ] db [ Plan.RBin (op, Plan.RCol 0, Plan.RHost "k") ];
+              Exec.row_test ~params:[| k |] db [ Plan.RBin (op, Plan.RCol 0, Plan.RParam 0) ];
+              Exec.row_test ~params:[| k |] db [ Plan.RBin (op, Plan.RParam 0, Plan.RCol 0) ] ]
+          in
+          List.iter
+            (fun v ->
+              let r = [| v |] in
+              let expect = Exec.eval_row db ~row:r reference = Sb_storage.Value.Bool true in
+              let expect_flipped =
+                Exec.eval_row db ~row:r (Plan.RBin (op, Plan.RLit k, Plan.RCol 0))
+                = Sb_storage.Value.Bool true
+              in
+              List.iteri
+                (fun form test ->
+                  incr checked;
+                  let want = if form = 3 then expect_flipped else expect in
+                  if test r <> want then
+                    Alcotest.failf "form %d: %s %s %s compiled to %b, eval says %b" form
+                      (Sb_storage.Value.to_string v)
+                      (match op with
+                      | Ast.Eq -> "=" | Ast.Neq -> "<>" | Ast.Lt -> "<" | Ast.Le -> "<="
+                      | Ast.Gt -> ">" | _ -> ">=")
+                      (Sb_storage.Value.to_string k) (test r) want)
+                forms)
+            values)
+        values)
+    ops;
+  Alcotest.(check int) "fixture size" (6 * 18 * 18 * 4) !checked;
+  (* a conjunction is the AND of its members, NULL failing *)
+  let both_bounds =
+    Exec.row_test db
+      [ Plan.RBin (Ast.Gt, Plan.RCol 0, Plan.RLit (i 1)); Plan.RBin (Ast.Lt, Plan.RCol 1, Plan.RLit (f 2.0)) ]
+  in
+  Alcotest.(check (list bool)) "conjunction" [ true; false; false; false ]
+    (List.map both_bounds [ [| i 2; f 1.0 |]; [| i 1; f 1.0 |]; [| i 2; f 2.0 |]; [| i 2; nul |] ]);
+  (* the constant is resolved on the first row tested: compiling over an
+     unbound host variable is fine, testing a row is an Exec error *)
+  let unbound = Exec.row_test db [ Plan.RBin (Ast.Eq, Plan.RCol 0, Plan.RHost "missing") ] in
+  (match unbound [| i 1 |] with
+  | _ -> Alcotest.fail "expected an unbound host variable error"
+  | exception Sb_resil.Err.Error e ->
+    Alcotest.(check string) "stage" "exec" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage))
+
+let test_unbound_host_over_empty_table () =
+  let db = Starburst.create () in
+  run db "CREATE TABLE e (x INT, y STRING)";
+  List.iter
+    (fun on ->
+      set_vec db on;
+      Alcotest.(check int) "no rows, no error" 0
+        (List.length (q db "SELECT x FROM e WHERE x = :missing")))
+    [ true; false ];
+  run db "INSERT INTO e VALUES (1, 'a')";
+  set_vec db true;
+  match Starburst.run db "SELECT x FROM e WHERE x = :missing" with
+  | _ -> Alcotest.fail "expected an unbound host variable error"
+  | exception Starburst.Error e ->
+    Alcotest.(check string) "stage" "exec" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+
 let suite =
   ( "batch-engine",
     [
@@ -243,4 +335,6 @@ let suite =
       case "exec error mid-batch is structured" test_exec_error_mid_batch;
       case "mid-statement error rolls back" test_mid_statement_error_rolls_back;
       case "EXPLAIN ANALYZE rows under batches" test_explain_analyze_rows_vectorized;
+      case "compiled predicates agree with eval" test_compiled_predicates;
+      case "unbound host variable over an empty table" test_unbound_host_over_empty_table;
     ] )

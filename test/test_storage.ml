@@ -92,6 +92,108 @@ let prop_fixed_codec =
         t
       = 0)
 
+(* Partial decode: for every [needed] mask over a 5-column schema, the
+   needed slots of [decode_into] / [decode_fixed_into] equal the full
+   decoders' and the others are left untouched.  Each record is decoded
+   at an offset inside a larger buffer, as it sits in a page. *)
+
+(* same constructor and, for floats, the same bits (NaN, -0.0) *)
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.compare a b = 0 && Value.type_of a = Value.type_of b
+
+let untouched = Value.String "untouched"
+
+let in_page record =
+  let pad = 13 in
+  let b = Bytes.make (String.length record + (2 * pad)) '\255' in
+  Bytes.blit_string record 0 b pad (String.length record);
+  (b, pad)
+
+let check_partial ~name ~full ~into record =
+  let expected = full record in
+  let b, off = in_page record in
+  for mask = 0 to 31 do
+    let needed = Array.init 5 (fun c -> mask land (1 lsl c) <> 0) in
+    let got = Array.make 5 untouched in
+    into ~needed b ~off ~len:(String.length record) got;
+    Array.iteri
+      (fun c want ->
+        let ok = if want then same_value got.(c) expected.(c) else got.(c) == untouched in
+        if not ok then
+          Alcotest.failf "%s mask %d col %d: got %s, expected %s" name mask c
+            (Value.to_string got.(c))
+            (if want then Value.to_string expected.(c) else "untouched"))
+      needed
+  done
+
+let test_partial_decode () =
+  let long = String.init 200 (fun k -> Char.chr (65 + (k mod 26))) in
+  let ext = Value.Ext ("MOD7", "12") in
+  let var_rows =
+    [
+      row [ nul; i 0; f nan; b true; s "" ];
+      row [ i (-7); f (-0.0); s long; ext; nul ];
+      row [ s "x"; ext; nul; f infinity; b false ];
+      row [ i max_int; i min_int; f 1.5; s ""; Value.Ext ("T", "") ];
+      row [ b false; nul; nul; nul; s long ];
+    ]
+  in
+  List.iteri
+    (fun k t ->
+      check_partial ~name:(Printf.sprintf "var row %d" k) ~full:Row_codec.decode
+        ~into:Row_codec.decode_into (Row_codec.encode t))
+    var_rows;
+  let schema =
+    [| Schema.column "a" Datatype.Int; Schema.column "b" Datatype.Float;
+       Schema.column "c" Datatype.Bool; Schema.column "d" Datatype.Float;
+       Schema.column "e" Datatype.Int |]
+  in
+  let fixed_rows =
+    [
+      row [ i 1; f nan; b true; f (-0.0); nul ];
+      row [ nul; nul; nul; nul; nul ];
+      row [ i min_int; f 0.0; b false; f neg_infinity; i max_int ];
+      row [ i 0; nul; b true; f 2.5; i (-3) ];
+    ]
+  in
+  List.iteri
+    (fun k t ->
+      check_partial ~name:(Printf.sprintf "fixed row %d" k)
+        ~full:(Row_codec.decode_fixed ~schema)
+        ~into:(fun ~needed b ~off ~len:_ row ->
+          Row_codec.decode_fixed_into ~schema ~needed b off row)
+        (Row_codec.encode_fixed ~schema t))
+    fixed_rows;
+  (* a corrupt record is a structured Storage error whether or not the
+     corrupt field is needed *)
+  let corrupt_case what record ~len =
+    for mask = 0 to 31 do
+      let needed = Array.init 5 (fun c -> mask land (1 lsl c) <> 0) in
+      match Row_codec.decode_into ~needed record ~off:0 ~len (Array.make 5 nul) with
+      | () -> Alcotest.failf "%s, mask %d: decoded" what mask
+      | exception Sb_resil.Err.Error e ->
+        Alcotest.(check string) what "storage" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+    done
+  in
+  let record = Bytes.of_string (Row_codec.encode (row [ i 1; i 2; i 3; i 4; i 5 ])) in
+  (* varint field count, then tag + 8 bytes per INT: the third tag *)
+  Bytes.set record (1 + (2 * 9)) '\042';
+  corrupt_case "bad tag" record ~len:(Bytes.length record);
+  (* a record cut short anywhere: the bytes past [len] still hold the
+     whole record, so only the length check can catch it *)
+  List.iter
+    (fun t ->
+      let record = Bytes.of_string (Row_codec.encode t) in
+      for len = 0 to Bytes.length record - 1 do
+        corrupt_case (Printf.sprintf "truncated to %d" len) record ~len
+      done)
+    [ row [ i 1; f 2.5; s long; ext; b true ]; row [ s ""; nul; ext; s "xy"; i 3 ] ];
+  (* more fields than the schema's five *)
+  let wide = Bytes.of_string (Row_codec.encode (row [ i 1; i 2; i 3; i 4; i 5; i 6 ])) in
+  corrupt_case "six fields" wide ~len:(Bytes.length wide)
+
 (* ------------------------------------------------------------------ *)
 (* Pages                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -161,9 +263,188 @@ let test_buffer_pool_eviction () =
   Alcotest.(check bool) "physical reads happened" true (stats.Buffer_pool.physical_reads > 0);
   Alcotest.(check int) "logical reads" 10 stats.Buffer_pool.logical_reads
 
+(* The recency list against a reference model of the min-[last_used]
+   rule it replaced: every pin and allocation stamps its frame with a
+   fresh tick, and eviction removes the unpinned frame with the smallest
+   stamp.  A seeded trace of pins (some held across later steps),
+   writes, allocations and a file drop runs over more pages than the
+   pool holds; after every step the resident pages (in recency order)
+   and the counters must match the model exactly. *)
+module Lru_model = struct
+  type frame = { mutable pins : int; mutable stamp : int }
+
+  type t = {
+    cap : int;
+    frames : (int * int, frame) Hashtbl.t;
+    dirty : (int * int, unit) Hashtbl.t;
+    mutable tick : int;
+    mutable logical : int;
+    mutable physical : int;
+    mutable writes : int;
+    mutable evictions : int;
+  }
+
+  let create cap =
+    { cap; frames = Hashtbl.create 16; dirty = Hashtbl.create 16; tick = 0;
+      logical = 0; physical = 0; writes = 0; evictions = 0 }
+
+  let rec evict m =
+    if Hashtbl.length m.frames > m.cap then begin
+      let victim =
+        Hashtbl.fold
+          (fun key fr best ->
+            if fr.pins > 0 then best
+            else
+              match best with
+              | Some (_, b) when b.stamp <= fr.stamp -> best
+              | _ -> Some (key, fr))
+          m.frames None
+      in
+      match victim with
+      | None -> ()
+      | Some (key, _) ->
+        if Hashtbl.mem m.dirty key then begin
+          Hashtbl.remove m.dirty key;
+          m.writes <- m.writes + 1
+        end;
+        m.evictions <- m.evictions + 1;
+        Hashtbl.remove m.frames key;
+        evict m
+    end
+
+  let pin m key =
+    m.tick <- m.tick + 1;
+    m.logical <- m.logical + 1;
+    (match Hashtbl.find_opt m.frames key with
+    | Some fr ->
+      fr.pins <- fr.pins + 1;
+      fr.stamp <- m.tick
+    | None ->
+      m.physical <- m.physical + 1;
+      Hashtbl.replace m.frames key { pins = 1; stamp = m.tick });
+    evict m
+
+  let unpin m key =
+    match Hashtbl.find_opt m.frames key with
+    | Some fr when fr.pins > 0 -> fr.pins <- fr.pins - 1
+    | _ -> ()
+
+  let alloc m key =
+    m.tick <- m.tick + 1;
+    Hashtbl.replace m.frames key { pins = 0; stamp = m.tick };
+    evict m
+
+  let drop_file m file =
+    Hashtbl.filter_map_inplace
+      (fun (f, _) fr -> if f = file then None else Some fr)
+      m.frames
+
+  let resident m =
+    Hashtbl.fold (fun key fr acc -> (fr.stamp, key) :: acc) m.frames []
+    |> List.sort compare |> List.map snd
+end
+
+let test_buffer_pool_lru_model () =
+  let cap = 6 in
+  let pool = Buffer_pool.create ~capacity:cap () in
+  let m = Lru_model.create cap in
+  let rng = Random.State.make [| 42 |] in
+  let files = ref [] and held = ref [] in
+  let new_file () =
+    let file = Buffer_pool.create_file pool in
+    files := !files @ [ file ];
+    for _ = 1 to 8 do
+      Lru_model.alloc m (file, Buffer_pool.alloc_page pool file)
+    done
+  in
+  let check step =
+    let st = Buffer_pool.stats pool in
+    let msg what = Printf.sprintf "step %d: %s" step what in
+    Alcotest.(check (list (pair int int)))
+      (msg "resident, oldest first") (Lru_model.resident m) (Buffer_pool.resident pool);
+    Alcotest.(check (list int)) (msg "logical/physical reads, writes, evictions")
+      [ m.logical; m.physical; m.writes; m.evictions ]
+      [ st.Buffer_pool.logical_reads; st.physical_reads; st.physical_writes; st.evictions ]
+  in
+  let random_page () =
+    let file = List.nth !files (Random.State.int rng (List.length !files)) in
+    (file, Random.State.int rng (Buffer_pool.page_count pool file))
+  in
+  new_file ();
+  new_file ();
+  for step = 1 to 2000 do
+    if step mod 500 = 0 then begin
+      (* drop the oldest file, holds and all, and start a new one *)
+      let file = List.hd !files in
+      Buffer_pool.drop_file pool file;
+      Lru_model.drop_file m file;
+      files := List.tl !files;
+      held := List.filter (fun (f, _) -> f <> file) !held;
+      new_file ()
+    end
+    else (match Random.State.int rng 20 with
+    | 0 when List.length !held < cap - 1 ->
+      (* pin and hold across later steps *)
+      let ((file, page_no) as key) = random_page () in
+      ignore (Buffer_pool.pin pool file page_no);
+      Lru_model.pin m key;
+      held := key :: !held
+    | 1 | 2 -> (
+      match !held with
+      | (file, page_no) as key :: rest ->
+        Buffer_pool.unpin pool file page_no;
+        Lru_model.unpin m key;
+        held := rest
+      | [] -> ())
+    | 3 ->
+      (* a write: the page is written back when evicted *)
+      let ((file, page_no) as key) = random_page () in
+      Buffer_pool.with_page pool file page_no (fun p -> p.Page.dirty <- true);
+      Lru_model.pin m key;
+      Lru_model.unpin m key;
+      Hashtbl.replace m.Lru_model.dirty key ()
+    | 4 ->
+      let file = List.nth !files (Random.State.int rng (List.length !files)) in
+      Lru_model.alloc m (file, Buffer_pool.alloc_page pool file)
+    | _ ->
+      let ((file, page_no) as key) = random_page () in
+      Buffer_pool.with_page pool file page_no ignore;
+      Lru_model.pin m key;
+      Lru_model.unpin m key);
+    check step
+  done;
+  Alcotest.(check bool) "the trace evicted" true (m.Lru_model.evictions > 100);
+  (* a simulated crash empties the list; the pool works on afterwards *)
+  Buffer_pool.discard_all pool;
+  Alcotest.(check (list (pair int int))) "discarded" [] (Buffer_pool.resident pool);
+  let m = Lru_model.create cap in
+  Buffer_pool.reset_stats pool;
+  let file = Buffer_pool.create_file pool in
+  for k = 0 to (2 * cap) - 1 do
+    Lru_model.alloc m (file, Buffer_pool.alloc_page pool file);
+    Buffer_pool.with_page pool file (k / 2) ignore;
+    Lru_model.pin m (file, k / 2);
+    Lru_model.unpin m (file, k / 2)
+  done;
+  Alcotest.(check (list (pair int int)))
+    "after discard" (Lru_model.resident m) (Buffer_pool.resident pool);
+  Alcotest.(check int) "evictions after discard" m.Lru_model.evictions
+    (Buffer_pool.stats pool).Buffer_pool.evictions
+
 (* ------------------------------------------------------------------ *)
 (* Storage managers                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* every live record through the scan primitive, as (rid, row) *)
+let sm_scan (sm : Storage_manager.instance) ~width =
+  let needed = Array.make width true and row = Array.make width Value.Null in
+  List.concat_map
+    (fun page ->
+      let rows = ref [] in
+      sm.Storage_manager.scan_page page ~needed ~row (fun slot ->
+          rows := ({ Storage_manager.rid_page = page; rid_slot = slot }, Array.copy row) :: !rows);
+      List.rev !rows)
+    (List.init (sm.Storage_manager.page_count ()) Fun.id)
 
 let exercise_storage_manager make_instance =
   let sm : Storage_manager.instance = make_instance () in
@@ -191,7 +472,7 @@ let exercise_storage_manager make_instance =
         ignore (sm.Storage_manager.update rid (row [ i (-k); f 0.0; b false ])))
     rids;
   (* scan agrees *)
-  let scanned = List.of_seq (sm.Storage_manager.scan ()) in
+  let scanned = sm_scan sm ~width:3 in
   Alcotest.(check int) "scan count" (500 - 167) (List.length scanned);
   List.iter
     (fun (rid, t) ->
@@ -205,7 +486,7 @@ let exercise_storage_manager make_instance =
   sm.Storage_manager.truncate ();
   Alcotest.(check int) "truncated" 0 (sm.Storage_manager.tuple_count ());
   Alcotest.(check int) "truncated scan" 0
-    (List.length (List.of_seq (sm.Storage_manager.scan ())))
+    (List.length (sm_scan sm ~width:3))
 
 let sm_schema =
   [| Schema.column "a" Datatype.Int;
@@ -670,9 +951,11 @@ let suite =
       case "schema validation" test_schema_validate;
       qcheck prop_codec_roundtrip;
       qcheck prop_fixed_codec;
+      case "partial decode" test_partial_decode;
       case "page basic" test_page_basic;
       case "page compact" test_page_compact;
       case "buffer pool eviction" test_buffer_pool_eviction;
+      case "buffer pool lru matches the min-stamp rule" test_buffer_pool_lru_model;
       case "heap storage manager" test_heap_manager;
       case "fixed storage manager" test_fixed_manager;
       case "fixed rejects varlen" test_fixed_rejects_varlen;
