@@ -7,11 +7,13 @@
     the comparison isolates execution (no parse/rewrite/optimize noise)
     and both engines interpret byte-identical plans.  Every point is
     also cross-checked for bag equality before it is timed.  Writes
-    [BENCH_qes.json] and checks two claims, each a ratio taken in the
+    [BENCH_qes.json] and checks three claims, each a ratio taken in the
     same process: the vectorized hash-join micro-benchmark runs at
-    >= 2x the tuple-engine throughput, and the vectorized filter — a
+    >= 2x the tuple-engine throughput, the vectorized filter — a
     page-at-a-time scan decoding only the columns it needs, with a
-    compiled predicate — at >= 1.3x. *)
+    compiled predicate — at >= 1.3x, and the vectorized hash
+    aggregation — one scratch-key lookup per row, aggregate arguments
+    read straight from the batch — at >= 1.6x. *)
 
 let qes_db ~big_rows ~dim_rows () =
   let db = Starburst.create () in
@@ -126,6 +128,7 @@ let run ?(out = "BENCH_qes.json") ?(big_rows = 60_000) ?(dim_rows = 10_000)
   in
   let hj, hj_ok = gate "hash-join" 2.0 in
   let filter, filter_ok = gate "filter" 1.3 in
+  let agg, agg_ok = gate "aggregate" 1.6 in
   let oc = open_out out in
   Printf.fprintf oc
     "{\n\
@@ -138,12 +141,14 @@ let run ?(out = "BENCH_qes.json") ?(big_rows = 60_000) ?(dim_rows = 10_000)
     \    \"hash_join_speedup\": %.2f,\n\
     \    \"hash_join_ok\": %b,\n\
     \    \"filter_speedup\": %.2f,\n\
-    \    \"filter_ok\": %b\n\
+    \    \"filter_ok\": %b,\n\
+    \    \"aggregate_speedup\": %.2f,\n\
+    \    \"aggregate_ok\": %b\n\
     \  }\n\
      }\n"
     big_rows dim_rows reps
     (String.concat ",\n" (List.map json_of_point points))
-    hj hj_ok filter filter_ok;
+    hj hj_ok filter filter_ok agg agg_ok;
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  if not (hj_ok && filter_ok) then exit 1
+  if not (hj_ok && filter_ok && agg_ok) then exit 1

@@ -26,7 +26,7 @@ let stddev_fn : Functions.aggregate_fn =
     Functions.af_name = "stddev";
     af_type = numeric_type;
     af_make =
-      (fun () ->
+      (fun _ ->
         let n, _, m2, step = make_moments () in
         {
           Functions.agg_step = step;
@@ -42,7 +42,7 @@ let variance_fn : Functions.aggregate_fn =
     Functions.af_name = "variance";
     af_type = numeric_type;
     af_make =
-      (fun () ->
+      (fun _ ->
         let n, _, m2, step = make_moments () in
         {
           Functions.agg_step = step;
@@ -58,7 +58,7 @@ let median_fn : Functions.aggregate_fn =
     Functions.af_name = "median";
     af_type = numeric_type;
     af_make =
-      (fun () ->
+      (fun _ ->
         let values = ref [] in
         {
           Functions.agg_step = (fun v -> values := Value.as_float v :: !values);

@@ -39,7 +39,9 @@ type agg_instance = {
 type aggregate_fn = {
   af_name : string;
   af_type : Datatype.t option -> (Datatype.t option, string) result;
-  af_make : unit -> agg_instance;
+  af_make : Datatype.registry -> agg_instance;
+      (** a fresh accumulator; the catalog's datatype registry orders
+          extension values *)
 }
 
 (* --- set-predicate functions --- *)
@@ -351,29 +353,41 @@ let builtin_scalars =
     };
   ]
 
-let make_sum () =
-  let acc = ref None in
+(* int and float accumulators: a step allocates nothing.  The sum stays
+   an Int until the first non-Int value, then continues in float from
+   the int total so far. *)
+type float_acc = { mutable fsum : float }
+
+let make_sum _registry =
+  let seen = ref false and floating = ref false and isum = ref 0 in
+  let facc = { fsum = 0.0 } in
   {
     agg_step =
       (fun v ->
-        acc :=
-          Some
-            (match !acc with
-            | None -> v
-            | Some (Value.Int a) ->
-              (match v with
-              | Value.Int b -> Value.Int (a + b)
-              | v -> Value.Float (float_of_int a +. Value.as_float v))
-            | Some a -> Value.Float (Value.as_float a +. Value.as_float v)));
-    agg_result = (fun () -> Option.value ~default:Value.Null !acc);
+        (match v with
+        | Value.Int b when not !floating -> isum := !isum + b
+        | v ->
+          let x = Value.as_float v in
+          if !floating then facc.fsum <- facc.fsum +. x
+          else begin
+            floating := true;
+            facc.fsum <- (if !seen then float_of_int !isum +. x else x)
+          end);
+        seen := true);
+    agg_result =
+      (fun () ->
+        if not !seen then Value.Null
+        else if !floating then Value.Float facc.fsum
+        else Value.Int !isum);
   }
 
-let make_extreme better =
+(* [Value.compare] under the catalog's datatype registry, so extension
+   types order by their [ext_compare], as ORDER BY does *)
+let make_extreme registry better =
+  let cmp = Value.compare ~registry in
   let acc = ref Value.Null in
   {
-    agg_step =
-      (fun v ->
-        if Value.is_null !acc || better (Value.compare v !acc) then acc := v);
+    agg_step = (fun v -> if Value.is_null !acc || better (cmp v !acc) then acc := v);
     agg_result = (fun () -> !acc);
   }
 
@@ -389,7 +403,7 @@ let builtin_aggregates =
       af_name = "count";
       af_type = (fun _ -> Ok (Some Datatype.Int));
       af_make =
-        (fun () ->
+        (fun _ ->
           let n = ref 0 in
           {
             agg_step = (fun _ -> incr n);
@@ -404,27 +418,27 @@ let builtin_aggregates =
         | Some (Datatype.Int | Datatype.Float) | None -> Ok (Some Datatype.Float)
         | Some t -> Error (Fmt.str "avg over %a" Datatype.pp t));
       af_make =
-        (fun () ->
-          let n = ref 0 and s = ref 0.0 in
+        (fun _ ->
+          let n = ref 0 and s = { fsum = 0.0 } in
           {
             agg_step =
               (fun v ->
                 incr n;
-                s := !s +. Value.as_float v);
+                s.fsum <- s.fsum +. Value.as_float v);
             agg_result =
               (fun () ->
-                if !n = 0 then Value.Null else Value.Float (!s /. float_of_int !n));
+                if !n = 0 then Value.Null else Value.Float (s.fsum /. float_of_int !n));
           });
     };
     {
       af_name = "min";
       af_type = (fun t -> Ok t);
-      af_make = (fun () -> make_extreme (fun c -> c < 0));
+      af_make = (fun registry -> make_extreme registry (fun c -> c < 0));
     };
     {
       af_name = "max";
       af_type = (fun t -> Ok t);
-      af_make = (fun () -> make_extreme (fun c -> c > 0));
+      af_make = (fun registry -> make_extreme registry (fun c -> c > 0));
     };
   ]
 

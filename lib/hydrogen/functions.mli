@@ -32,7 +32,9 @@ type agg_instance = {
 type aggregate_fn = {
   af_name : string;
   af_type : Datatype.t option -> (Datatype.t option, string) result;
-  af_make : unit -> agg_instance;
+  af_make : Datatype.registry -> agg_instance;
+      (** a fresh accumulator; the catalog's datatype registry orders
+          extension values (as [min] and [max] do) *)
 }
 
 (** Decides a comparison's truth over a whole set: [spf_combine] folds

@@ -19,6 +19,22 @@ let create ?(cap = capacity) w =
     b_live = 0;
   }
 
+let reset b =
+  b.b_len <- 0;
+  b.b_live <- 0
+
+let owner w =
+  let own = ref None in
+  fun () ->
+    match !own with
+    | Some b ->
+      reset b;
+      b
+    | None ->
+      let b = create w in
+      own := Some b;
+      b
+
 let width b = b.b_width
 let count b = b.b_live
 let full b = b.b_len >= Array.length b.b_sel
@@ -123,11 +139,12 @@ let truncate b n = if n < b.b_live then b.b_live <- max n 0
 
 let of_seq ~width (s : Tuple.t Seq.t) : t Seq.t =
   let src = Seq.to_dispenser s in
+  let out = owner width in
   let finished = ref false in
   Seq.of_dispenser (fun () ->
       if !finished then None
       else begin
-        let b = create width in
+        let b = out () in
         let rec fill () =
           if not (full b) then
             match src () with

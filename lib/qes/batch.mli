@@ -5,10 +5,15 @@
     of {!Sb_storage.Value.t}), plus a {e selection vector}: the physical
     indices of the rows still live.  Filters refine the selection in
     place instead of copying rows; materializing operators read through
-    it.  A batch is owned by its consumer — each operator either
-    mutates the batch it received (selection refinement, truncation),
-    takes it over ({!select}), or builds fresh ones; batches are never
-    shared between consumers.
+    it.
+
+    {b Lifetime.}  A producer owns the batches it emits and refills them
+    ({!reset}): a batch is valid until its consumer pulls the next one,
+    and a consumer that keeps rows past that point copies them.  While
+    it holds a batch, the consumer may mutate it (selection refinement,
+    truncation) or take it over ({!select}) and pass it on; batches are
+    never shared between consumers.  So a stream of batches costs one
+    batch per operator instance, not one per batch.
 
     [Tuple.t Seq.t] remains the lingua franca at the plan root and at
     operators that are not vectorized; {!of_seq} and {!to_seq} are the
@@ -24,6 +29,14 @@ val capacity : int
 val create : ?cap:int -> int -> t
 
 val width : t -> int
+
+(** Empties [b] for refilling: no rows, no live rows.  Views taken
+    over from [b] ({!select}) are invalidated with it. *)
+val reset : t -> unit
+
+(** [owner w] is a producer's one batch of width [w]: every call empties
+    and returns the same batch, created on the first call. *)
+val owner : int -> unit -> t
 
 (** Live rows (after selection refinement). *)
 val count : t -> int
@@ -85,7 +98,7 @@ val keep : t -> (int -> bool) -> unit
 val truncate : t -> int -> unit
 
 (** Chunks a tuple stream into batches (lazily; empty batches are never
-    produced). *)
+    produced).  One batch is refilled for every pull. *)
 val of_seq : width:int -> Tuple.t Seq.t -> t Seq.t
 
 val of_rows : width:int -> Tuple.t list -> t Seq.t

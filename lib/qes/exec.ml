@@ -129,6 +129,12 @@ type hash_side = {
   hs_mask : int;
 }
 
+(* a combined key hash, scrambled so that the low bits the bucket masks
+   keep depend on every bit ([Value.hash] of an int is the int) *)
+let mix h =
+  let h = h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
 (* combined hash of one row's key columns; -1 when any column is NULL
    (SQL: NULL never joins).  Equal ints and floats hash alike, matching
    [Value.compare] equality on the probe. *)
@@ -141,7 +147,84 @@ let join_key_hash (row : Tuple.t) (slots : int array) =
       (* FNV-style mix: no tuple allocation per combine step *)
       acc := (!acc * 0x01000193) lxor Value.hash v
   done;
-  if !ok then !acc land max_int else -1
+  if !ok then mix !acc else -1
+
+(* [arr] at twice its length (at least 16), new slots [fill] *)
+let grown arr fill =
+  let bigger = Array.make (max 16 (2 * Array.length arr)) fill in
+  Array.blit arr 0 bigger 0 (Array.length arr);
+  bigger
+
+(* The key directory of hash GROUP BY and DISTINCT: one entry per
+   distinct key, numbered in arrival order, found or added in a single
+   chained lookup.  The probe key is a caller's scratch array, copied
+   only when it opens an entry.  Two keys are equal when every column
+   is structurally equal ([Stdlib.compare] = 0), the equality of the
+   polymorphic [Hashtbl] over key lists this replaces; [Value.hash]
+   agrees with it. *)
+type key_dir = {
+  mutable kd_keys : Value.t array array;  (* entry -> its key *)
+  mutable kd_hashes : int array;
+  mutable kd_next : int array;  (* bucket chain links *)
+  mutable kd_heads : int array;  (* power-of-two bucket directory *)
+  mutable kd_count : int;
+}
+
+let key_dir () =
+  { kd_keys = [||]; kd_hashes = [||]; kd_next = [||];
+    kd_heads = Array.make 16 (-1); kd_count = 0 }
+
+let same_value (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Value.Int x, Value.Int y -> x = y
+  | Value.String x, Value.String y -> String.equal x y
+  | _ -> Stdlib.compare a b = 0
+
+let same_key (a : Value.t array) (b : Value.t array) =
+  let k = ref 0 in
+  while !k < Array.length a && same_value a.(!k) b.(!k) do
+    incr k
+  done;
+  !k = Array.length a
+
+(* the entry of [key]; a new one (numbered [kd_count] before the call)
+   if [key] is absent *)
+let find_or_add d (key : Value.t array) =
+  let acc = ref 0x331 in
+  for k = 0 to Array.length key - 1 do
+    acc := (!acc * 0x01000193) lxor Value.hash key.(k)
+  done;
+  let h = mix !acc in
+  let idx = ref d.kd_heads.(h land (Array.length d.kd_heads - 1)) in
+  while !idx >= 0 && not (d.kd_hashes.(!idx) = h && same_key d.kd_keys.(!idx) key) do
+    idx := d.kd_next.(!idx)
+  done;
+  if !idx >= 0 then !idx
+  else begin
+    let e = d.kd_count in
+    if e = Array.length d.kd_keys then begin
+      d.kd_keys <- grown d.kd_keys [||];
+      d.kd_hashes <- grown d.kd_hashes 0;
+      d.kd_next <- grown d.kd_next (-1)
+    end;
+    if e >= Array.length d.kd_heads then begin
+      (* load factor 1: double the directory and rethread the chains *)
+      d.kd_heads <- Array.make (2 * Array.length d.kd_heads) (-1);
+      let mask = Array.length d.kd_heads - 1 in
+      for i = 0 to e - 1 do
+        let b = d.kd_hashes.(i) land mask in
+        d.kd_next.(i) <- d.kd_heads.(b);
+        d.kd_heads.(b) <- i
+      done
+    end;
+    let b = h land (Array.length d.kd_heads - 1) in
+    d.kd_keys.(e) <- Array.copy key;
+    d.kd_hashes.(e) <- h;
+    d.kd_next.(e) <- d.kd_heads.(b);
+    d.kd_heads.(b) <- e;
+    d.kd_count <- e + 1;
+    e
+  end
 
 type ectx = {
   db : db;
@@ -772,11 +855,12 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
           take out (Queue.pop held)
         done
       in
+      let next_out = Batch.owner (Array.length cols) in
       Seq.of_dispenser (fun () ->
-          (* once exhausted, answer without allocating a batch *)
+          (* once exhausted, answer without touching the batch *)
           if Queue.is_empty held && !next_page >= npages then None
           else begin
-            let out = Batch.create (Array.length cols) in
+            let out = next_out () in
             drain out;
             while (not (Batch.full out)) && !next_page < npages do
               tab.Table_store.storage.Storage_manager.scan_page !next_page ~needed
@@ -844,9 +928,10 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
       | Some [||] ->
         (* width-0 projection (e.g. under a bare count): only the row count
            survives *)
+        let next_out = Batch.owner 0 in
         Seq.map
           (fun b ->
-            let out = Batch.create 0 in
+            let out = next_out () in
             Batch.pad out (Batch.count b);
             out)
           (input_batches ectx ~params p 0)
@@ -854,9 +939,10 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
         Seq.map (fun b -> Batch.select b cols) (input_batches ectx ~params p 0)
       | None ->
         let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
+        let next_out = Batch.owner (Array.length exprs) in
         Seq.map
           (fun b ->
-            let out = Batch.create (Array.length exprs) in
+            let out = next_out () in
             for i = 0 to Batch.count b - 1 do
               Batch.blit_row b i scratch;
               Batch.append_init out (fun k ->
@@ -864,34 +950,20 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
             done;
             out)
           (input_batches ectx ~params p 0))
-    | Sort keys ->
-      let rows = collect ectx ~params (List.nth p.inputs 0) in
-      ectx.counters.c_sorted <- ectx.counters.c_sorted + List.length rows;
-      let cmp a b =
-        let rec go = function
-          | [] -> 0
-          | (i, dir) :: rest ->
-            let c = Value.compare ~registry:(registry ectx) a.(i) b.(i) in
-            let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
-            if c <> 0 then c else go rest
-        in
-        go keys
-      in
-      Batch.of_rows ~width:(width p) (List.stable_sort cmp rows)
+    | Sort keys -> sort_batches ectx ~params p keys
     | Join _ -> join_batches ectx ~params p
     | Group _ -> group_batches ectx ~params p
     | Distinct_op ->
-      let seen = Hashtbl.create 64 in
+      (* a row survives iff it opens a new directory entry *)
+      let seen = key_dir () in
+      let key = Array.make (width p) Value.Null in
       nonempty
         (Seq.map
            (fun b ->
              Batch.keep b (fun i ->
-                 let key = Batch.row_list b i in
-                 if Hashtbl.mem seen key then false
-                 else begin
-                   Hashtbl.replace seen key ();
-                   true
-                 end);
+                 Batch.blit_row b i key;
+                 let fresh = seen.kd_count in
+                 find_or_add seen key = fresh);
              b)
            (input_batches ectx ~params p 0))
     | Union_all ->
@@ -949,59 +1021,156 @@ and setop_batches ectx ~params (p : plan) ~all ~intersect : Batch.t Seq.t =
          b)
        left)
 
+(* Lazy SORT.  The input is gathered at instantiation, as the tuple
+   engine does, into an array; the output order is the tuple engine's
+   stable sort: by the keys, then by arrival.  The first pull selects
+   the first [Batch.capacity] rows with a bounded max-heap and sorts only
+   those; the remaining rows are sorted only if a second batch is
+   pulled.  So [LIMIT n <= capacity] over [ORDER BY] sorts n log n rows
+   past one linear pass, and any prefix equals the full sort's. *)
+and sort_batches ectx ~params (p : plan) keys : Batch.t Seq.t =
+  let rows = ref (Array.make 64 [||]) and n = ref 0 in
+  Seq.iter
+    (fun b ->
+      for i = 0 to Batch.count b - 1 do
+        if !n = Array.length !rows then rows := grown !rows [||];
+        (!rows).(!n) <- Batch.get b i;
+        incr n
+      done)
+    (input_batches ectx ~params p 0);
+  let rows = !rows and n = !n in
+  ectx.counters.c_sorted <- ectx.counters.c_sorted + n;
+  let cmp = Value.compare ~registry:(registry ectx) in
+  let kslots = Array.of_list (List.map fst keys) in
+  let kdesc = Array.of_list (List.map (fun (_, dir) -> dir = Ast.Desc) keys) in
+  (* the total order on row indices: keys, then arrival *)
+  let order a b =
+    let c = ref 0 and k = ref 0 in
+    while !c = 0 && !k < Array.length kslots do
+      let s = kslots.(!k) in
+      let x = cmp rows.(a).(s) rows.(b).(s) in
+      c := if kdesc.(!k) then -x else x;
+      incr k
+    done;
+    if !c <> 0 then !c else Int.compare a b
+  in
+  let first_batch () =
+    let k = min n Batch.capacity in
+    let heap = Array.init k Fun.id in
+    if n > k then begin
+      (* a max-heap of the k least rows seen so far *)
+      let rec sift i =
+        let l = (2 * i) + 1 in
+        if l < k then begin
+          let c = if l + 1 < k && order heap.(l + 1) heap.(l) > 0 then l + 1 else l in
+          if order heap.(c) heap.(i) > 0 then begin
+            let t = heap.(i) in
+            heap.(i) <- heap.(c);
+            heap.(c) <- t;
+            sift c
+          end
+        end
+      in
+      for i = (k / 2) - 1 downto 0 do
+        sift i
+      done;
+      for idx = k to n - 1 do
+        if order idx heap.(0) < 0 then begin
+          heap.(0) <- idx;
+          sift 0
+        end
+      done
+    end;
+    Array.sort order heap;
+    heap
+  in
+  let rest first =
+    let taken = Bytes.make n '\000' in
+    Array.iter (fun idx -> Bytes.set taken idx '\001') first;
+    let rest = Array.make (n - Array.length first) 0 and j = ref 0 in
+    for idx = 0 to n - 1 do
+      if Bytes.get taken idx = '\000' then begin
+        rest.(!j) <- idx;
+        incr j
+      end
+    done;
+    Array.stable_sort order rest;
+    rest
+  in
+  let next_out = Batch.owner (width p) in
+  let run = ref [||] and pos = ref 0 and pulls = ref 0 in
+  Seq.of_dispenser (fun () ->
+      incr pulls;
+      if !pulls = 1 then run := first_batch ()
+      else if !pulls = 2 then begin
+        run := rest !run;
+        pos := 0
+      end;
+      if !pos >= Array.length !run then None
+      else begin
+        let out = next_out () in
+        while !pos < Array.length !run && not (Batch.full out) do
+          Batch.append out rows.((!run).(!pos));
+          incr pos
+        done;
+        Some out
+      end)
+
+(* Hash aggregation: each row's key columns are copied into one scratch
+   key for a single directory lookup, and its aggregate arguments are
+   read straight from the batch; a group's key is copied only when the
+   group opens. *)
 and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
   let g_keys, g_aggs =
     match p.op with
     | Group { g_keys; g_aggs; _ } -> (g_keys, g_aggs)
     | _ -> assert false
   in
-  let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
+  let aslots = agg_slots g_aggs in
+  let step_aggs bank b i =
+    for j = 0 to Array.length bank - 1 do
+      let s = aslots.(j) in
+      if s < 0 then bank.(j).Functions.agg_step Value.Null
+      else
+        let v = Batch.value b ~col:s i in
+        if not (Value.is_null v) then bank.(j).Functions.agg_step v
+    done
+  in
   if g_keys = [] then begin
-    (* keyless aggregation: one bank, no per-row group lookup; skip the
-       row copy too when no aggregate reads a slot (count of rows) *)
-    let need_row = List.exists (fun (_, _, slot) -> slot <> None) g_aggs in
-    let bank = lazy (make_agg_bank ectx g_aggs) in
-    Seq.iter
-      (fun b ->
-        match Lazy.force bank with
-        | [ (step, _) ] when not need_row ->
-          (* single row-blind aggregate, e.g. a bare count: tightest loop *)
-          for _ = 1 to Batch.count b do
-            step scratch
-          done
-        | aggs ->
-          for i = 0 to Batch.count b - 1 do
-            if need_row then Batch.blit_row b i scratch;
-            List.iter (fun (step, _) -> step scratch) aggs
-          done)
-      (input_batches ectx ~params p 0);
-    (* aggregating an empty input still yields one row *)
-    Batch.of_rows ~width:(width p) [ agg_result_row [] (Lazy.force bank) ]
-  end
-  else begin
-    let groups : (Value.t list, _) Hashtbl.t = Hashtbl.create 64 in
-    let order = ref [] in
+    (* keyless aggregation: one bank, no group lookup *)
+    let bank = make_agg_bank ectx g_aggs in
     Seq.iter
       (fun b ->
         for i = 0 to Batch.count b - 1 do
-          Batch.blit_row b i scratch;
-          let key = List.map (fun s -> scratch.(s)) g_keys in
-          let aggs =
-            match Hashtbl.find_opt groups key with
-            | Some aggs -> aggs
-            | None ->
-              let aggs = make_agg_bank ectx g_aggs in
-              Hashtbl.replace groups key aggs;
-              order := key :: !order;
-              aggs
-          in
-          List.iter (fun (step, _) -> step scratch) aggs
+          step_aggs bank b i
         done)
       (input_batches ectx ~params p 0);
-    Batch.of_rows ~width:(width p)
-      (List.map
-         (fun key -> agg_result_row key (Hashtbl.find groups key))
-         (List.rev !order))
+    (* aggregating an empty input still yields one row *)
+    Batch.of_rows ~width:(width p) [ agg_result_row [||] bank ]
+  end
+  else begin
+    let kslots = Array.of_list g_keys in
+    let key = Array.make (Array.length kslots) Value.Null in
+    let groups = key_dir () in
+    let banks = ref [||] in
+    Seq.iter
+      (fun b ->
+        for i = 0 to Batch.count b - 1 do
+          for k = 0 to Array.length kslots - 1 do
+            key.(k) <- Batch.value b ~col:kslots.(k) i
+          done;
+          let fresh = groups.kd_count in
+          let g = find_or_add groups key in
+          if g = fresh then begin
+            if g = Array.length !banks then banks := grown !banks [||];
+            (!banks).(g) <- make_agg_bank ectx g_aggs
+          end;
+          step_aggs (!banks).(g) b i
+        done)
+      (input_batches ectx ~params p 0);
+    Batch.of_seq ~width:(width p)
+      (Seq.init groups.kd_count (fun g ->
+           agg_result_row groups.kd_keys.(g) (!banks).(g)))
   end
 
 (* --- vectorized hash/merge join --- *)
@@ -1112,12 +1281,23 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
     | None -> Some true
     | Some e -> bool3 (eval ectx ~row ~params e)
   in
+  (* output batches: the one lent to the consumer comes back on its next
+     pull and is refilled, so a fan-out of k batches per input batch costs
+     k + 1 batches per join instance *)
   let ready = Queue.create () in
-  let out = ref (Batch.create out_width) in
+  let spare = ref [] and lent = ref None in
+  let fresh () =
+    match !spare with
+    | b :: rest ->
+      spare := rest;
+      b
+    | [] -> Batch.create out_width
+  in
+  let out = ref (fresh ()) in
   let roll () =
     if Batch.full !out then begin
       Queue.push !out ready;
-      out := Batch.create out_width
+      out := fresh ()
     end
   in
   let push row =
@@ -1164,17 +1344,25 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
   in
   let src = Seq.to_dispenser (input_batches ectx ~params p 0) in
   let finished = ref false in
+  let lend b =
+    lent := Some b;
+    Some b
+  in
   Seq.of_dispenser (fun () ->
+      (match !lent with
+      | Some b ->
+        Batch.reset b;
+        spare := b :: !spare;
+        lent := None
+      | None -> ());
       let rec loop () =
-        if not (Queue.is_empty ready) then Some (Queue.pop ready)
+        if not (Queue.is_empty ready) then lend (Queue.pop ready)
         else if !finished then None
         else
           match src () with
           | None ->
             finished := true;
-            let b = !out in
-            out := Batch.create out_width;
-            if Batch.count b > 0 then Some b else None
+            if Batch.count !out > 0 then lend !out else None
           | Some b ->
             probe_batch b;
             loop ()
@@ -1321,37 +1509,39 @@ and join_emit ectx ~params ~j_kind ~j_pred ~j_kind_pred ~inner_width
 
 (* --- grouping --- *)
 
-(* a fresh bank of aggregate instances: (step, result) per aggregate.
-   [step] reads its argument slot immediately, so scratch rows are safe *)
-and make_agg_bank ectx g_aggs =
-  List.map
-    (fun (name, distinct, slot) ->
-      match Functions.find_aggregate ectx.db.x_fns name with
-      | None -> error "unknown aggregate %s" name
-      | Some f ->
-        let inst = f.Functions.af_make () in
-        let seen = if distinct then Some (Hashtbl.create 16) else None in
-        let step (row : Tuple.t) =
-          match slot with
-          | None -> inst.Functions.agg_step Value.Null |> ignore
-          | Some s ->
-            let v = row.(s) in
-            if not (Value.is_null v) then begin
-              match seen with
-              | Some table ->
-                if not (Hashtbl.mem table v) then begin
-                  Hashtbl.replace table v ();
-                  inst.Functions.agg_step v
-                end
-              | None -> inst.Functions.agg_step v
-            end
-        in
-        (step, inst.Functions.agg_result))
-    g_aggs
+(* a fresh bank of aggregate instances, one per aggregate.  A step takes
+   the argument value: [Null] for a row count, which steps on every row;
+   callers skip NULL arguments of the others.  DISTINCT aggregates step
+   on a value's first occurrence only. *)
+and make_agg_bank ectx g_aggs : Functions.agg_instance array =
+  Array.of_list
+    (List.map
+       (fun (name, distinct, _) ->
+         match Functions.find_aggregate ectx.db.x_fns name with
+         | None -> error "unknown aggregate %s" name
+         | Some f ->
+           let inst = f.Functions.af_make (registry ectx) in
+           if not distinct then inst
+           else
+             let seen = Hashtbl.create 16 in
+             {
+               inst with
+               Functions.agg_step =
+                 (fun v ->
+                   if not (Hashtbl.mem seen v) then begin
+                     Hashtbl.replace seen v ();
+                     inst.Functions.agg_step v
+                   end);
+             })
+       g_aggs)
 
-and agg_result_row key aggs =
-  Array.append (Array.of_list key)
-    (Array.of_list (List.map (fun (_, result) -> result ()) aggs))
+(* each aggregate's argument slot; -1 for a row count *)
+and agg_slots g_aggs =
+  Array.of_list
+    (List.map (fun (_, _, slot) -> Option.value ~default:(-1) slot) g_aggs)
+
+and agg_result_row (key : Value.t array) (bank : Functions.agg_instance array) =
+  Array.append key (Array.map (fun a -> a.Functions.agg_result ()) bank)
 
 and group_stream ectx ~params (p : plan) : Tuple.t Seq.t =
   let g_keys, g_aggs, g_sorted =
@@ -1361,7 +1551,16 @@ and group_stream ectx ~params (p : plan) : Tuple.t Seq.t =
   in
   let input = List.nth p.inputs 0 in
   let make_aggs () = make_agg_bank ectx g_aggs in
-  let result_row = agg_result_row in
+  let aslots = agg_slots g_aggs in
+  let step aggs (row : Tuple.t) =
+    Array.iteri
+      (fun j a ->
+        let s = aslots.(j) in
+        if s < 0 then a.Functions.agg_step Value.Null
+        else if not (Value.is_null row.(s)) then a.Functions.agg_step row.(s))
+      aggs
+  in
+  let result_row key aggs = agg_result_row (Array.of_list key) aggs in
   if g_sorted && g_keys <> [] then
     (* streaming aggregation over key-ordered input *)
     Seq.of_dispenser
@@ -1385,16 +1584,16 @@ and group_stream ectx ~params (p : plan) : Tuple.t Seq.t =
                  when List.for_all2
                         (fun a b -> Value.compare ~registry:(registry ectx) a b = 0)
                         k key ->
-                 List.iter (fun (step, _) -> step row) aggs;
+                 step aggs row;
                  loop ()
                | Some (k, aggs) ->
                  let aggs' = make_aggs () in
-                 List.iter (fun (step, _) -> step row) aggs';
+                 step aggs' row;
                  current := Some (key, aggs');
                  Some (result_row k aggs)
                | None ->
                  let aggs = make_aggs () in
-                 List.iter (fun (step, _) -> step row) aggs;
+                 step aggs row;
                  current := Some (key, aggs);
                  loop ())
            in
@@ -1415,7 +1614,7 @@ and group_stream ectx ~params (p : plan) : Tuple.t Seq.t =
             order := key :: !order;
             aggs
         in
-        List.iter (fun (step, _) -> step row) aggs)
+        step aggs row)
       (stream ectx ~params input);
     if g_keys = [] && Hashtbl.length groups = 0 then
       (* aggregate over an empty input still yields one row *)

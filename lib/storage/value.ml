@@ -58,11 +58,20 @@ let compare ?registry a b =
 
 let equal ?registry a b = compare ?registry a b = 0
 
+(* an integral float in int range ([-2^62, 2^62)) hashes as that int,
+   with no boxing; any other float through [Hashtbl.hash] *)
+let hash_float x =
+  if Float.is_integer x && x >= -0x1p62 && x < 0x1p62 then int_of_float x
+  else Hashtbl.hash x
+
 let hash = function
   | Null -> 0
-  | Int x -> Hashtbl.hash (float_of_int x)
-  (* ints and floats that are [equal] must hash alike *)
-  | Float x -> Hashtbl.hash x
+  (* ints and floats that are [equal] must hash alike: an Int hashes as
+     the float it compares as, which up to 2^53 is the int itself *)
+  | Int x ->
+    if x >= -0x20_0000_0000_0000 && x <= 0x20_0000_0000_0000 then x
+    else hash_float (float_of_int x)
+  | Float x -> hash_float x
   | Bool b -> Hashtbl.hash b
   | String s -> Hashtbl.hash s
   | Ext (n, p) -> Hashtbl.hash (n, p)

@@ -29,7 +29,9 @@ val compare : ?registry:Datatype.registry -> t -> t -> int
 val equal : ?registry:Datatype.registry -> t -> t -> bool
 
 (** Hash consistent with {!equal}: values that compare equal (e.g.
-    [Int 3] and [Float 3.0]) hash alike. *)
+    [Int 3] and [Float 3.0]) hash alike.  An [Int] up to 2^53 in
+    magnitude hashes as itself, and so does a [Float] holding it; the
+    hash is not mixed, so bucketed tables mix it themselves. *)
 val hash : t -> int
 
 val to_string : ?registry:Datatype.registry -> t -> string

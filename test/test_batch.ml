@@ -9,8 +9,11 @@
     sort-merge methods, duplicate sort keys spanning a batch boundary,
     the governor's row ceiling tripping inside a batch, and a
     structured Exec error thrown mid-batch rolling back the implicit
-    transaction.  The predicates batch scans and filters compile are
-    checked row for row against [eval]. *)
+    transaction.  Two cases pin what recycling and laziness must keep:
+    the batch lifetime contract across a join that fans out past one
+    output batch, and every SORT prefix with and without LIMIT.  The
+    predicates batch scans and filters compile are checked row for row
+    against [eval]. *)
 
 open Test_util
 module Plan = Sb_optimizer.Plan
@@ -232,6 +235,92 @@ let test_explain_analyze_rows_vectorized () =
     (contains (Printf.sprintf "rows=%d" n));
   Alcotest.(check bool) "batch counts reported" true (contains "batches=")
 
+(* --- the batch lifetime contract --- *)
+
+let rec has_hash_join (p : Plan.plan) =
+  (match p.Plan.op with
+  | Plan.Join { j_method = Plan.Hash_join; _ } -> true
+  | _ -> false)
+  || List.exists has_hash_join p.Plan.inputs
+
+(* Producers refill one batch per pull, and the hash join takes back the
+   batch it lent on the next pull: a consumer that kept a batch, or a
+   producer that refilled one too early, would show as a wrong row.
+   bt is three scan batches (1024 + 1024 + 52 rows); the self-join on v
+   emits 3 rows per probe, so each outer batch overflows into several
+   output batches. *)
+let test_batch_lifetime () =
+  let db = batch_db () in
+  let join = "FROM bt a, bt b WHERE a.v = b.v" in
+  Alcotest.(check bool) "the fan-out join is a hash join" true
+    (has_hash_join (Starburst.compile_text db ("SELECT a.k, b.k " ^ join)));
+  List.iter
+    (fun (what, text, n) ->
+      let t, v = both db text in
+      Alcotest.(check int) (what ^ ": row count") n (List.length t);
+      check_rows (what ^ ": same rows, same order") t v)
+    [
+      ("scan", "SELECT k, v, tag FROM bt", rows_total);
+      ("computed projection", "SELECT k + 1, v * 2, tag FROM bt", rows_total);
+      ("fan-out join", "SELECT a.k, b.k, b.tag " ^ join, 3 * rows_total);
+      ("projection over the join", "SELECT (a.k * 10000) + b.k " ^ join, 3 * rows_total);
+      ( "GROUP BY over the join",
+        "SELECT a.v, count(*), sum(b.k), min(b.tag) " ^ join ^ " GROUP BY a.v",
+        rows_total / 3 );
+      ("DISTINCT over the join", "SELECT DISTINCT a.v, b.v " ^ join, rows_total / 3);
+      ( "SORT over the join",
+        "SELECT a.k, b.k " ^ join ^ " ORDER BY b.k DESC",
+        3 * rows_total );
+      ( "SORT over a computed projection",
+        "SELECT k, v * 2 AS w FROM bt ORDER BY w DESC",
+        rows_total );
+    ]
+
+(* --- lazy SORT: every prefix is the stable sort's --- *)
+
+(* ORDER BY t with t = k mod 7 (ties everywhere) over 0 .. 3000 rows,
+   with and without LIMIT: both engines, and a stable sort of the rows
+   in arrival order, agree exactly, and c_sorted counts every input
+   row *)
+let test_sort_prefixes () =
+  List.iter
+    (fun n ->
+      let db = Starburst.create () in
+      run db "CREATE TABLE st (k INT NOT NULL, t INT)";
+      let chunk = 500 in
+      for c = 0 to (n - 1) / chunk do
+        let lo = c * chunk in
+        let vals =
+          List.init (min chunk (n - lo)) (fun j ->
+              Printf.sprintf "(%d, %d)" (lo + j) ((lo + j) mod 7))
+        in
+        if vals <> [] then run db ("INSERT INTO st VALUES " ^ String.concat ", " vals)
+      done;
+      run db "ANALYZE";
+      let arrival = List.init n (fun k -> row [ i k; i (k mod 7) ]) in
+      List.iter
+        (fun (dir, by) ->
+          let sorted = List.stable_sort (fun a b -> by a.(1) b.(1)) arrival in
+          List.iter
+            (fun limit ->
+              let text =
+                Printf.sprintf "SELECT k, t FROM st ORDER BY t %s%s" dir
+                  (match limit with None -> "" | Some l -> Printf.sprintf " LIMIT %d" l)
+              in
+              let expect = List.filteri (fun j _ -> j < Option.value ~default:n limit) sorted in
+              List.iter
+                (fun on ->
+                  set_vec db on;
+                  let what = Printf.sprintf "%d rows, %s, vectorized %b" n text on in
+                  check_rows what expect (q db text);
+                  Alcotest.(check int) (what ^ ": c_sorted") n
+                    (Starburst.counters db).Sb_qes.Exec.c_sorted)
+                [ true; false ])
+            [ None; Some 10; Some 1024; Some 1025 ])
+        [ ("ASC", Sb_storage.Value.compare ?registry:None);
+          ("DESC", fun a b -> Sb_storage.Value.compare b a) ])
+    [ 0; 1; 1023; 1024; 1025; 3000 ]
+
 (* --- compiled scan/filter predicates agree with eval --- *)
 
 module Ast = Sb_hydrogen.Ast
@@ -335,6 +424,8 @@ let suite =
       case "exec error mid-batch is structured" test_exec_error_mid_batch;
       case "mid-statement error rolls back" test_mid_statement_error_rolls_back;
       case "EXPLAIN ANALYZE rows under batches" test_explain_analyze_rows_vectorized;
+      case "batch lifetime: recycled batches" test_batch_lifetime;
+      case "lazy SORT prefixes" test_sort_prefixes;
       case "compiled predicates agree with eval" test_compiled_predicates;
       case "unbound host variable over an empty table" test_unbound_host_over_empty_table;
     ] )

@@ -149,6 +149,37 @@ let test_box_literal_validation () =
      make_box with NULL yields NULL, filtered by NOT NULL check *)
   check_bag "null box" [ row [ nul ] ] (q db "SELECT make_box(NULL, 1, 2, 3) FROM places WHERE name = 'a'")
 
+(* MIN and MAX order extension values by the type's [ext_compare], as
+   ORDER BY does.  The payloads' string order would make (9,0,10,1) the
+   maximum and (10,0,11,1) the minimum. *)
+let test_extremes_use_ext_compare () =
+  let db = sample_db ~extensions:true () in
+  List.iter
+    (fun stmt -> ignore (Starburst.run db stmt))
+    [ "CREATE TABLE fps (g INT, fp BOX)";
+      "INSERT INTO fps VALUES (1, make_box(9,0,10,1)), (1, make_box(10,0,11,1)), \
+       (1, make_box(2,0,3,1))" ];
+  let least, greatest =
+    match q db "SELECT make_box(2,0,3,1), make_box(10,0,11,1) FROM fps LIMIT 1" with
+    | [ [| lo; hi |] ] -> (lo, hi)
+    | _ -> Alcotest.fail "expected one row of two boxes"
+  in
+  List.iter
+    (fun vectorized ->
+      ignore
+        (Starburst.run db
+           (if vectorized then "SET vectorized = on" else "SET vectorized = off"));
+      let ordered = q db "SELECT fp FROM fps ORDER BY fp" in
+      check_rows "ORDER BY puts (2,0,3,1) first"
+        [ row [ least ] ] [ List.hd ordered ];
+      check_rows "ORDER BY puts (10,0,11,1) last"
+        [ row [ greatest ] ] [ List.nth ordered 2 ];
+      check_rows "min and max" [ row [ least; greatest ] ]
+        (q db "SELECT min(fp), max(fp) FROM fps");
+      check_rows "grouped min and max" [ row [ i 1; least; greatest ] ]
+        (q db "SELECT g, min(fp), max(fp) FROM fps GROUP BY g"))
+    [ true; false ]
+
 (* --- sampling --- *)
 
 let test_sample () =
@@ -224,6 +255,7 @@ let suite =
       case "spatial functions" test_spatial_functions;
       case "rtree index used and correct" test_rtree_index_used_and_correct;
       case "box null handling" test_box_literal_validation;
+      case "min/max use the type's ext_compare" test_extremes_use_ext_compare;
       case "sampling table function" test_sample;
       case "majority semantics" test_majority_semantics;
       case "statistics aggregates" test_stats_aggregates;

@@ -233,12 +233,65 @@ let test_builtin_scalars () =
   Alcotest.check value_testable "mod" (i 1) (eval "mod" [ i 7; i 3 ]);
   Alcotest.check value_testable "mod by zero" nul (eval "mod" [ i 7; i 0 ])
 
+(* sum: Int over ints, Float once any input is a float (in either
+   order, continuing from the int total), NULL over no non-NULL input *)
+let test_sum_fixture () =
+  let fns = Functions.create () in
+  let shown = function
+    | Sb_storage.Value.Int x -> Printf.sprintf "Int %d" x
+    | Sb_storage.Value.Float x -> Printf.sprintf "Float %h" x
+    | v -> Sb_storage.Value.to_string v
+  in
+  let sum values =
+    match Functions.find_aggregate fns "sum" with
+    | Some f ->
+      let inst = f.Functions.af_make (Sb_storage.Datatype.create_registry ()) in
+      (* the executor steps non-NULL arguments only *)
+      List.iter
+        (fun v -> if not (Sb_storage.Value.is_null v) then inst.Functions.agg_step v)
+        values;
+      inst.Functions.agg_result ()
+    | None -> Alcotest.fail "missing aggregate sum"
+  in
+  List.iter
+    (fun (what, input, expect) ->
+      Alcotest.(check string) what (shown expect) (shown (sum input)))
+    [
+      ("ints", [ i 1; i 2; i 3 ], i 6);
+      ("ints cancelling", [ i (-4); i 4 ], i 0);
+      ("int then float", [ i 1; f 2.5 ], f 3.5);
+      ("float then int", [ f 2.5; i 1 ], f 3.5);
+      ("float between ints", [ i 1; f 0.5; i 2 ], f 3.5);
+      ("floats", [ f 0.25; f 0.5 ], f 0.75);
+      ("one -0.0 keeps its sign", [ f (-0.0) ], f (-0.0));
+      ("NULLs among ints", [ nul; i 2; nul; i 3 ], i 5);
+      ("all NULL", [ nul; nul ], nul);
+      ("empty", [], nul);
+    ];
+  (* and through the executor, grouped and keyless, under both engines *)
+  let db = Starburst.create () in
+  List.iter
+    (fun stmt -> ignore (Starburst.run db stmt))
+    [ "CREATE TABLE sn (g INT, x INT, y FLOAT)";
+      "INSERT INTO sn VALUES (1, NULL, NULL), (2, 3, NULL), (2, 4, 0.5)" ];
+  List.iter
+    (fun setting ->
+      ignore (Starburst.run db ("SET vectorized = " ^ setting));
+      let rows text = List.map (fun r -> List.map shown (Array.to_list r)) (q db text) in
+      Alcotest.(check (list (list string))) ("grouped, vectorized " ^ setting)
+        [ [ "Int 1"; "NULL"; "NULL" ]; [ "Int 2"; "Int 7"; "Float 0x1p-1" ] ]
+        (rows "SELECT g, sum(x), sum(y) FROM sn GROUP BY g ORDER BY g");
+      Alcotest.(check (list (list string))) ("empty input, vectorized " ^ setting)
+        [ [ "NULL"; "NULL" ] ]
+        (rows "SELECT sum(x), sum(y) FROM sn WHERE g > 2"))
+    [ "on"; "off" ]
+
 let test_builtin_aggregates () =
   let fns = Functions.create () in
   let run name values =
     match Functions.find_aggregate fns name with
     | Some f ->
-      let inst = f.Functions.af_make () in
+      let inst = f.Functions.af_make (Sb_storage.Datatype.create_registry ()) in
       List.iter inst.Functions.agg_step values;
       inst.Functions.agg_result ()
     | None -> Alcotest.failf "missing aggregate %s" name
@@ -276,5 +329,6 @@ let suite =
       case "conjuncts" test_conjuncts;
       case "builtin scalars" test_builtin_scalars;
       case "builtin aggregates" test_builtin_aggregates;
+      case "sum result types" test_sum_fixture;
       case "function typing" test_function_typing;
     ] )

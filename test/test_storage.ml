@@ -16,6 +16,35 @@ let test_value_compare () =
   Alcotest.(check bool) "bool order" true (Value.compare (b false) (b true) < 0);
   Alcotest.(check bool) "equal hash" true (Value.hash (i 3) = Value.hash (f 3.0))
 
+(* every pair here compares equal, so it must hash alike: the int/float
+   seams (signed zero, 2^53, where ints stop being exact floats, and
+   the ends of the int range) and NaN *)
+let test_value_hash_fixture () =
+  let p53 = 1 lsl 53 in
+  let pairs =
+    [
+      ("0 / -0.0", i 0, f (-0.0));
+      ("0.0 / -0.0", f 0.0, f (-0.0));
+      ("1 / 1.0", i 1, f 1.0);
+      ("-1 / -1.0", i (-1), f (-1.0));
+      ("2^53", i p53, f 0x1p53);
+      ("-2^53", i (-p53), f (-0x1p53));
+      ("2^53 + 1 rounds to 2^53", i (p53 + 1), f 0x1p53);
+      ("-2^62 (min_int)", i min_int, f (-0x1p62));
+      ("max_int rounds to 2^62", i max_int, f 0x1p62);
+      ("NaN / NaN", f nan, f nan);
+      ("NaN / -NaN", f nan, f (-.nan));
+      ("1.5", f 1.5, f 1.5);
+      ("infinity", f infinity, f infinity);
+      ("string", s "abc", s "abc");
+    ]
+  in
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check int) (what ^ ": compare equal") 0 (Value.compare a b);
+      Alcotest.(check int) (what ^ ": hash") (Value.hash a) (Value.hash b))
+    pairs
+
 let test_value_ext_registry () =
   let reg = Datatype.create_registry () in
   Datatype.register reg
@@ -947,6 +976,7 @@ let suite =
   ( "storage",
     [
       case "value compare" test_value_compare;
+      case "value hash agrees with compare" test_value_hash_fixture;
       case "external datatype registry" test_value_ext_registry;
       case "schema validation" test_schema_validate;
       qcheck prop_codec_roundtrip;
