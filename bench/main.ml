@@ -320,40 +320,38 @@ let crash_bench () =
   print_endline
     "  (checkpoint every 256 commits bounds redo to the tail of the log)"
 
+let banner = "Starburst experiment harness (paper: SIGMOD 1989, pp. 377-388)"
+
+(* Standalone modes, independent of the experiment list: the first flag
+   present (in this order) runs alone, then the harness exits.
+   [--server [--server-stmts N] [--server-workers N]] is the concurrent
+   multi-session sweep, [--crash] the recovery-time experiment, [--qes]
+   the executor sweep against hand-written floors. *)
+let standalone_modes =
+  let rec intflag_of name = function
+    | flag :: n :: _ when flag = name -> int_of_string_opt n
+    | _ :: rest -> intflag_of name rest
+    | [] -> None
+  in
+  [
+    ( "--server",
+      fun argv ->
+        Bench_server.run
+          ?stmts:(intflag_of "--server-stmts" argv)
+          ?workers:(intflag_of "--server-workers" argv)
+          () );
+    ("--crash", fun _ -> crash_bench ());
+    ("--qes", fun _ -> Bench_qes.run ());
+  ]
+
 let () =
-  (* --server [--server-stmts N]: the concurrent multi-session sweep;
-     independent of the experiment list, so it dispatches first *)
   (let argv = Array.to_list Sys.argv |> List.tl in
-   if List.mem "--server" argv then begin
-     let rec intflag_of name = function
-       | flag :: n :: _ when flag = name -> int_of_string_opt n
-       | _ :: rest -> intflag_of name rest
-       | [] -> None
-     in
-     print_endline
-       "Starburst experiment harness (paper: SIGMOD 1989, pp. 377-388)";
-     Bench_server.run
-       ?stmts:(intflag_of "--server-stmts" argv)
-       ?workers:(intflag_of "--server-workers" argv)
-       ();
+   match List.find_opt (fun (flag, _) -> List.mem flag argv) standalone_modes with
+   | Some (_, run) ->
+     print_endline banner;
+     run argv;
      exit 0
-   end);
-  (* --crash: the recovery-time experiment, likewise standalone *)
-  (let argv = Array.to_list Sys.argv |> List.tl in
-   if List.mem "--crash" argv then begin
-     print_endline
-       "Starburst experiment harness (paper: SIGMOD 1989, pp. 377-388)";
-     crash_bench ();
-     exit 0
-   end);
-  (* --qes: the tuple-vs-vectorized engine sweep, likewise standalone *)
-  (let argv = Array.to_list Sys.argv |> List.tl in
-   if List.mem "--qes" argv then begin
-     print_endline
-       "Starburst experiment harness (paper: SIGMOD 1989, pp. 377-388)";
-     Bench_qes.run ();
-     exit 0
-   end);
+   | None -> ());
   let rec split_flags acc trace verify_only analyze_only chaos_seed fz sd =
     function
     | [] -> (List.rev acc, trace, verify_only, analyze_only, chaos_seed, fz, sd)
@@ -394,7 +392,7 @@ let () =
   Option.iter (fun cases -> fuzz ~cases ~seed; exit 0) fuzz_cases;
   let args = List.map String.lowercase_ascii args in
   let wanted name = args = [] || List.mem name args in
-  print_endline "Starburst experiment harness (paper: SIGMOD 1989, pp. 377-388)";
+  print_endline banner;
   if (verify_only || analyze_only || chaos_seed <> None) && args = [] then begin
     if verify_only then verify ();
     if analyze_only then analyze_sweep ();

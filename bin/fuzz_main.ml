@@ -10,10 +10,10 @@
     oracle; [--races N] hammers N concurrent sessions with a mixed
     DML / DDL / ANALYZE workload under the armed lock-discipline
     checker and fails on any diagnosis; [--qes] narrows the oracle
-    matrix to the vectorized-engine differential (budget-0
-    tuple-at-a-time reference vs. the batch-at-a-time engine on the
-    same plans).  Exit status is the number of discrepancies (capped
-    at 125), so CI can gate on it directly. *)
+    matrix to the reference-vs-engine differential (the QGM reference
+    evaluator vs. the engine at rewrite budget 0, so a divergence is an
+    optimizer or executor bug).  Exit status is the number of
+    discrepancies (capped at 125), so CI can gate on it directly. *)
 
 let usage () =
   prerr_endline
@@ -130,6 +130,9 @@ let show_verdict path = function
     0
   | Sb_fuzz.Oracle.Rejected msg ->
     Printf.printf "REJECT %s (%s)\n" path msg;
+    1
+  | Sb_fuzz.Oracle.Unsupported msg ->
+    Printf.printf "UNSUPPORTED %s (%s)\n" path msg;
     1
   | Sb_fuzz.Oracle.Fail { config; detail } ->
     Printf.printf "FAIL  %s [%s] %s\n" path config detail;
@@ -375,8 +378,7 @@ let () =
     if o.rules <> Sb_fuzz.Oracle.Native_rules then
       Printf.printf "rules mode: %s\n" (Sb_fuzz.Oracle.rules_mode_name o.rules);
     if o.qes then
-      print_endline
-        "qes differential: tuple-at-a-time reference vs vectorized engine";
+      print_endline "qes differential: QGM reference vs the unrewritten engine";
     let stats =
       Sb_fuzz.Harness.run ~rules:o.rules ~qes:o.qes ~metrics ~out_dir:o.out
         ~log:print_endline ~seed:o.seed ~n:o.cases ()

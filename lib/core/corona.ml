@@ -1006,7 +1006,6 @@ let do_set t key value : result =
       | _ -> error "wal_checkpoint expects a commit count (0 = off)")
   | "wal_force_pages" ->
     Buffer_pool.set_force_policy t.catalog.Catalog.pool (on_off value)
-  | "vectorized" -> t.exec_db.Exec.x_vectorized <- on_off value
   | "demand_cache" -> t.exec_db.Exec.x_demand_cache <- on_off value
   | k when String.length k > 6 && String.sub k 0 6 = "limit_" -> (
     match int_of_string_opt value with

@@ -161,6 +161,14 @@ let cols_of_type bindings ty =
         b.b_cols)
     bindings
 
+(* INT and FLOAT compare as numbers, so a numeric operand, join key or
+   set-operation column may draw on either *)
+let comparable_cols bindings ty =
+  match ty with
+  | Datatype.Int | Datatype.Float ->
+    cols_of_type bindings Datatype.Int @ cols_of_type bindings Datatype.Float
+  | ty -> cols_of_type bindings ty
+
 let col_expr (alias, name) = Ast.Col (Some alias, name)
 
 let lit_int st = Ast.Lit (Value.Int (Sprng.range st.rng (-5) 15))
@@ -175,6 +183,13 @@ let lit_of_type st = function
   | Datatype.String | Datatype.Ext _ -> lit_string st
 
 let cmp_ops = [ Ast.Eq; Ast.Neq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ]
+
+(* the other numeric type, a quarter of the time *)
+let mix st ty =
+  match ty with
+  | Datatype.Int when Sprng.chance st.rng 0.25 -> Datatype.Float
+  | Datatype.Float when Sprng.chance st.rng 0.25 -> Datatype.Int
+  | ty -> ty
 
 (* a typed scalar expression over [bindings]; columns dominate *)
 let rec gen_expr st bindings ty ~depth =
@@ -233,9 +248,10 @@ and gen_pred st bindings ~outer ~depth =
     let ty = pick_typed () in
     let ops = match ty with Datatype.Bool -> [ Ast.Eq; Ast.Neq ] | _ -> cmp_ops in
     let lhs = gen_expr st all ty ~depth:1 in
+    let rty = mix st ty in
     let rhs =
-      if Sprng.chance st.rng 0.5 then gen_expr st all ty ~depth:0
-      else lit_of_type st ty
+      if Sprng.chance st.rng 0.5 then gen_expr st all rty ~depth:0
+      else lit_of_type st rty
     in
     Ast.Bin (Sprng.choose st.rng ops, lhs, rhs)
   | `Null_test -> (
@@ -274,7 +290,7 @@ and gen_pred st bindings ~outer ~depth =
   | `In_query ->
     let ty = pick_typed () in
     let lhs = gen_expr st all ty ~depth:0 in
-    let q = gen_subselect st ~outer:all ~want:(Some ty) in
+    let q = gen_subselect st ~outer:all ~want:(Some (mix st ty)) in
     let e = Ast.In_query (lhs, q) in
     (* NOT IN: universal semantics, NULL-sensitive — prime oracle bait *)
     if Sprng.chance st.rng 0.35 then Ast.Un (Ast.Not, e) else e
@@ -282,7 +298,7 @@ and gen_pred st bindings ~outer ~depth =
     let ty = if Sprng.bool st.rng then Datatype.Int else Datatype.Float in
     let lhs = gen_expr st all ty ~depth:0 in
     let kind = if Sprng.bool st.rng then Ast.Q_all else Ast.Q_any in
-    let q = gen_subselect st ~outer:all ~want:(Some ty) in
+    let q = gen_subselect st ~outer:all ~want:(Some (mix st ty)) in
     Ast.Quant_cmp (lhs, Sprng.choose st.rng cmp_ops, kind, q)
   | `Scalar ->
     let ty = if Sprng.bool st.rng then Datatype.Int else Datatype.Float in
@@ -386,10 +402,10 @@ and join_cond st (lhs : binding list) (rhs : binding list) : Ast.expr =
   let pairs =
     List.concat_map
       (fun ty ->
-        match (cols_of_type lhs ty, cols_of_type rhs ty) with
+        match (comparable_cols lhs ty, comparable_cols rhs ty) with
         | [], _ | _, [] -> []
         | ls, rs -> List.concat_map (fun l -> List.map (fun r -> (l, r)) rs) ls)
-      [ Datatype.Int; Datatype.Float; Datatype.String ]
+      [ Datatype.Int; Datatype.String ]
   in
   match pairs with
   | [] -> Ast.Lit (Value.Bool true)
@@ -536,7 +552,8 @@ and gen_grouped_select st ~depth : Ast.select =
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* a select whose output is exactly [want]-typed (set-operation arms) *)
+(* a select whose output columns are [want]-comparable (set-operation
+   arms; a numeric column may be INT in one arm and FLOAT in the other) *)
 let gen_typed_select st (want : Datatype.t list) : Ast.select =
   let tname, tcols = Sprng.choose st.rng (avail_tables st) in
   let alias = fresh_alias st "q" in
@@ -545,7 +562,7 @@ let gen_typed_select st (want : Datatype.t list) : Ast.select =
     List.map
       (fun ty ->
         let e =
-          match cols_of_type [ b ] ty with
+          match comparable_cols [ b ] ty with
           | [] -> lit_of_type st ty
           | cols -> col_expr (Sprng.choose st.rng cols)
         in

@@ -3,8 +3,10 @@
     Everything is drawn from a {!Sprng} stream, so a catalog or query is
     a pure function of its seed.  Generated queries are {e typed}
     (arithmetic only over numeric columns, comparisons between
-    same-typed operands, aggregate arguments matched to their
-    signatures) so that semantic failures stay rare and every
+    comparable operands — INT and FLOAT mix in comparisons, join keys
+    and set-operation columns, so key equality across numeric types is
+    exercised — aggregate arguments matched to their signatures) so
+    that semantic failures stay rare and every
     discrepancy the oracle reports is interesting.  Two more contracts
     the test suite enforces for every generated query:
 

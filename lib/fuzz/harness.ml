@@ -9,6 +9,7 @@ type stats = {
   st_cases : int;
   st_passed : int;
   st_rejected : int;
+  st_unsupported : int;
   st_failures : Repro.t list;
   st_shrink_steps : int;
 }
@@ -52,6 +53,7 @@ let run ?inject ?rules ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
   let root = Sprng.create seed in
   let passed = ref 0 in
   let rejected = ref 0 in
+  let unsupported = ref 0 in
   let failures = ref [] in
   let shrink_steps = ref 0 in
   for case = 1 to n do
@@ -67,6 +69,7 @@ let run ?inject ?rules ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
     | Oracle.Rejected _ ->
       incr rejected;
       bump c_rejected
+    | Oracle.Unsupported _ -> incr unsupported
     | Oracle.Fail { config; detail } ->
       bump c_discrepancies;
       log
@@ -75,7 +78,7 @@ let run ?inject ?rules ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
       let still_fails c q =
         match full_verdict ?inject ?rules ?qes ~chaos_seed c q with
         | Oracle.Fail _ -> true
-        | Oracle.Pass | Oracle.Rejected _ -> false
+        | Oracle.Pass | Oracle.Rejected _ | Oracle.Unsupported _ -> false
       in
       let cat', query', steps = Shrink.shrink ~still_fails cat query in
       shrink_steps := !shrink_steps + steps;
@@ -85,7 +88,7 @@ let run ?inject ?rules ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
       let config, detail =
         match full_verdict ?inject ?rules ?qes ~chaos_seed cat' query' with
         | Oracle.Fail { config; detail } -> (config, detail)
-        | Oracle.Pass | Oracle.Rejected _ -> (config, detail)
+        | Oracle.Pass | Oracle.Rejected _ | Oracle.Unsupported _ -> (config, detail)
       in
       let repro =
         {
@@ -110,14 +113,17 @@ let run ?inject ?rules ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
     st_cases = n;
     st_passed = !passed;
     st_rejected = !rejected;
+    st_unsupported = !unsupported;
     st_failures = List.rev !failures;
     st_shrink_steps = !shrink_steps;
   }
 
 let report st =
   let b = Buffer.create 256 in
-  Printf.bprintf b "fuzz: seed=%d cases=%d passed=%d rejected=%d failures=%d shrink-steps=%d\n"
-    st.st_seed st.st_cases st.st_passed st.st_rejected
+  Printf.bprintf b
+    "fuzz: seed=%d cases=%d passed=%d rejected=%d unsupported=%d failures=%d \
+     shrink-steps=%d\n"
+    st.st_seed st.st_cases st.st_passed st.st_rejected st.st_unsupported
     (List.length st.st_failures) st.st_shrink_steps;
   List.iter
     (fun (r : Repro.t) ->

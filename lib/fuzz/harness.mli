@@ -14,6 +14,8 @@ type stats = {
   st_passed : int;  (** every oracle configuration agreed *)
   st_rejected : int;
       (** the reference refused the query (generator imperfection) *)
+  st_unsupported : int;
+      (** the reference does not interpret the query's QGM (not checked) *)
   st_failures : Repro.t list;  (** shrunk discrepancies, in case order *)
   st_shrink_steps : int;  (** committed reductions across all failures *)
 }
@@ -30,7 +32,7 @@ type stats = {
     [log] receives one line per failure as it is found.  [rules]
     selects the rewrite-rule implementation under test
     ({!Oracle.rules_mode}; default native); [qes] narrows the oracle
-    matrix to the vectorized-engine differential ([fuzz_main --qes]). *)
+    matrix to the reference-vs-engine leg ([fuzz_main --qes]). *)
 val run :
   ?inject:(Starburst.t -> unit) ->
   ?rules:Oracle.rules_mode ->

@@ -16,7 +16,7 @@ type config =
   | Greedy
   | Paranoid
   | Chaos of int
-  | Vectorized
+  | Unrewritten
 
 let config_name = function
   | Reference -> "reference"
@@ -24,10 +24,10 @@ let config_name = function
   | Greedy -> "greedy"
   | Paranoid -> "paranoid"
   | Chaos seed -> Printf.sprintf "chaos[%d]" seed
-  | Vectorized -> "vectorized"
+  | Unrewritten -> "unrewritten"
 
 let configs ~chaos_seed =
-  [ Reference; Rewritten; Greedy; Paranoid; Chaos chaos_seed; Vectorized ]
+  [ Reference; Rewritten; Greedy; Paranoid; Chaos chaos_seed; Unrewritten ]
 
 type outcome = Rows of Tuple.t list | Failed of Err.t
 
@@ -49,17 +49,11 @@ let fresh_db ?inject ?(dsl = false) ~(ddl : string list) (config : config) :
   if dsl then Starburst.use_dsl_builtins db;
   ignore (Starburst.run_script db (String.concat ";\n" ddl));
   (match config with
-  | Reference ->
-    (* budget 0 *and* the tuple-at-a-time engine: neither rewrite bugs
-       nor vectorization bugs can reach the reference answer *)
-    db.Starburst.rewrite_budget <- Some 0;
-    db.Starburst.exec_db.Starburst.Exec.x_vectorized <- false
-  | Vectorized ->
-    (* same budget-0 plan as the reference; the only moving part is the
-       batch-at-a-time engine, so a divergence is an engine bug *)
-    db.Starburst.rewrite_budget <- Some 0;
-    db.Starburst.exec_db.Starburst.Exec.x_vectorized <- true
-  | Rewritten -> ()
+  | Reference | Rewritten -> ()
+  | Unrewritten ->
+    (* the canonical QGM straight to the optimizer: a divergence from
+       the reference is an optimizer or executor bug, not a rewrite one *)
+    db.Starburst.rewrite_budget <- Some 0
   | Greedy ->
     db.Starburst.optimizer.Generator.sctx.Star.strategy <-
       Star.greedy_strategy
@@ -189,6 +183,7 @@ let strip_limit (wq : Ast.with_query) : Ast.with_query * int option =
 type verdict =
   | Pass
   | Rejected of string
+  | Unsupported of string
   | Fail of { config : string; detail : string }
 
 let lenient_vs_rows (config : config) (e : Err.t) =
@@ -202,19 +197,19 @@ let lenient_vs_rows (config : config) (e : Err.t) =
 
 let check_case ?inject ?(rules = Native_rules) ?(qes = false)
     ~(ddl : string list) ~chaos_seed (query : Ast.with_query) : verdict =
-  (* --qes: a focused engine differential — only the vectorized leg
-     (and the metamorphic checks, re-run on it) against the tuple
-     reference, both at rewrite budget 0, so every divergence is an
-     executor bug rather than a rewrite or planning one *)
+  (* --qes: a focused engine differential — only the unrewritten leg
+     (and the metamorphic checks, re-run on it) against the reference,
+     so every divergence is an optimizer or executor bug rather than a
+     rewrite one *)
   let matrix =
-    if qes then [ Vectorized ]
-    else [ Rewritten; Greedy; Paranoid; Chaos chaos_seed; Vectorized ]
+    if qes then [ Unrewritten ]
+    else [ Rewritten; Greedy; Paranoid; Chaos chaos_seed; Unrewritten ]
   in
-  let meta_config = if qes then Vectorized else Rewritten in
+  let meta_config = if qes then Unrewritten else Rewritten in
   let core, limit = strip_limit query in
   let core_text = Gen.query_text core in
   (* Dsl_rules runs the whole matrix on DSL-compiled rule sets (the
-     reference, at rewrite budget 0, never fires a rule either way) *)
+     reference never rewrites) *)
   let dsl = rules = Dsl_rules in
   let run config text =
     run_outcome (fresh_db ?inject ~dsl ~ddl config) text
@@ -263,10 +258,17 @@ let check_case ?inject ?(rules = Native_rules) ?(qes = false)
              (Err.to_string e))
     end
   in
-  match run Reference core_text with
-  | Failed { Err.err_stage = Err.Parse | Err.Semantic; err_msg; _ } ->
-    Rejected err_msg
-  | reference -> (
+  let reference =
+    match Reference.run (fresh_db ~ddl Reference) core_text with
+    | Reference.Rows rows -> Ok (Rows rows)
+    | Reference.Failed { Err.err_stage = Err.Parse | Err.Semantic; err_msg; _ } ->
+      Error (Rejected err_msg)
+    | Reference.Failed e -> Ok (Failed e)
+    | Reference.Unsupported msg -> Error (Unsupported msg)
+  in
+  match reference with
+  | Error verdict -> verdict
+  | Ok reference -> (
     let fail config detail = Fail { config = config_name config; detail } in
     let check_config config =
       match (reference, run config core_text) with

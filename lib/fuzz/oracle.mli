@@ -2,10 +2,12 @@
 
     One fuzz case runs a single generated query through a matrix of
     independently configured databases (each a fresh {!Starburst.create}
-    with the generated catalog replayed) and cross-checks the results:
+    with the generated catalog replayed) and cross-checks every result
+    against the {e reference}:
 
-    - {e reference}: rewrite budget 0 — the canonical QGM goes straight
-      to the optimizer, so rewrite bugs cannot reach it;
+    - {e reference}: {!Reference.run}, an interpreter of the canonical
+      QGM that shares no rewrite, STAR, QES or hashing code with the
+      engine, so none of their bugs can reach the expected answer;
     - {e rewritten}: the full rule set and default cost-based search;
     - {e greedy}: full rewrite but the degraded greedy STAR strategy the
       pipeline falls back to under optimizer failures;
@@ -15,13 +17,19 @@
     - {e chaos}: a seeded fault-injection plan on storage; the run must
       either match the reference or fail with a structured, retryable
       {!Sb_resil.Err.t} — never a wrong answer, never a raw exception;
-    - {e vectorized}: rewrite budget 0 with the batch-at-a-time engine,
-      against the reference's budget-0 {e tuple-at-a-time} engine — the
-      same plan on both sides, so a divergence (row bags, NULL
-      semantics, the LIMIT sub-bag oracle) is an executor bug.  The
-      [qes] flag of {!check_case} narrows the matrix to this leg (plus
-      the metamorphic checks, re-run on it) for a fast engine-focused
-      sweep ([fuzz_main --qes]).
+    - {e unrewritten}: rewrite budget 0 — the canonical QGM goes
+      straight to the optimizer, so a divergence (row bags, NULL
+      semantics, the LIMIT sub-bag oracle) is an optimizer or executor
+      bug.  The [qes] flag of {!check_case} narrows the matrix to this
+      leg (plus the metamorphic checks, re-run on it) for a fast
+      reference-vs-engine sweep ([fuzz_main --qes]).
+
+    An error in the reference alone — a runtime error (the reference
+    tests every row, so it can reach one a plan legitimately avoids) or
+    a resource limit — while a configuration answers is not a
+    discrepancy; the reverse is, except for resource limits and chaos's
+    retryable errors.  A query the reference does not interpret is
+    counted as {!Unsupported} and not checked.
 
     Results are compared as bags ({!Sb_verify.Rule_audit.compare_results}),
     so plan-dependent row order is never a false positive.  Queries with
@@ -36,12 +44,12 @@
 module Ast = Sb_hydrogen.Ast
 
 type config =
-  | Reference  (** rewrite budget 0 *)
+  | Reference  (** {!Reference.run} over a plain database *)
   | Rewritten  (** full rewrite, cost-based search *)
   | Greedy  (** full rewrite, forced degraded greedy strategy *)
   | Paranoid  (** sanitizer mode: audits + plan checks + differential *)
   | Chaos of int  (** fault injection at the given seed *)
-  | Vectorized  (** rewrite budget 0, batch-at-a-time engine *)
+  | Unrewritten  (** rewrite budget 0 *)
 
 val config_name : config -> string
 
@@ -67,7 +75,7 @@ val rules_mode_name : rules_mode -> string
     script for corpus cases) and configured as [config]; [inject] (used
     by the rule-soundness acceptance test to plant a deliberately broken
     rewrite rule) is applied to every configuration {e except}
-    [Reference] and [Vectorized], whose budgets of 0 keep them sound.  [dsl] swaps the
+    [Reference] and [Unrewritten], which fire no rule.  [dsl] swaps the
     predicate/redundant rule families for their DSL-compiled ports
     before the DDL replays. *)
 val fresh_db :
@@ -86,10 +94,13 @@ type verdict =
   | Rejected of string
       (** the reference itself refused the query (parse/semantic): a
           generator imperfection, counted but not a discrepancy *)
+  | Unsupported of string
+      (** the reference does not interpret the query's QGM: counted,
+          not checked *)
   | Fail of { config : string; detail : string }
 
 (** Runs the full matrix plus the metamorphic checks for one case.
-    [qes] narrows the matrix to the vectorized engine differential.
+    [qes] narrows the matrix to the unrewritten leg.
     Pure in its arguments — the shrinker re-invokes it verbatim. *)
 val check_case :
   ?inject:(Starburst.t -> unit) ->

@@ -121,8 +121,6 @@ let blit_slots b i dst (slots : int array) =
     dst.(s) <- b.b_cols.(s).(phys)
   done
 
-let row_list b i = List.init b.b_width (fun k -> b.b_cols.(k).(b.b_sel.(i)))
-
 (* compaction writes only at positions <= the index being tested, so
    [pred] always sees the pre-refinement selection entry *)
 let keep b pred =

@@ -86,9 +86,6 @@ val blit_row : t -> int -> Value.t array -> unit
     nothing else. *)
 val blit_slots : t -> int -> Value.t array -> int array -> unit
 
-(** The [i]th live row as a list (hash-table keys). *)
-val row_list : t -> int -> Value.t list
-
 (** [keep b pred] refines the selection in place: live row [i] survives
     iff [pred i].  [pred] is called in order with the pre-refinement
     live indices. *)

@@ -1,25 +1,31 @@
 (** The Query Evaluation System (section 7).
 
     Plans are interpreted against the database through an algebraic,
-    stream-based interface.  The hot operators — base scans, filters,
-    projections, sorts, hash aggregation, set operations and hash/merge
-    joins — execute {e batch-at-a-time}: they exchange columnar row
-    batches of up to {!Batch.capacity} rows with per-batch selection
-    vectors (see {!Batch}), charged to the governor and accounted at
-    batch granularity.  Operators without a vectorized body — and the
-    plan root — keep the original lazy [Tuple.t Seq.t] interface;
-    {!Batch.of_seq} / {!Batch.to_seq} adapt at every boundary, chosen
-    node by node via {!Sb_optimizer.Plan.batch_capable}, so the two
-    engines compose freely within one plan and the tuple-at-a-time
-    engine survives as a differential oracle ([SET vectorized = off]).
+    stream-based interface, with one body per operator.  The hot
+    operators — base scans, filters, projections, sorts, hash
+    aggregation, DISTINCT, set operations and hash/merge joins — are
+    batch-at-a-time: they exchange columnar row batches of up to
+    {!Batch.capacity} rows with per-batch selection vectors (see
+    {!Batch}), charged to the governor and accounted at batch
+    granularity.  The operators where row-at-a-time is inherent —
+    index access, nested-loop and parameter-bound joins (evaluate-on-
+    demand), streaming aggregation over sorted input, Bloom filters,
+    table functions and fixpoints — and the plan root keep the lazy
+    [Tuple.t Seq.t] interface; {!Batch.of_seq} / {!Batch.to_seq} adapt
+    at every boundary, chosen node by node via
+    {!Sb_optimizer.Plan.batch_capable}.
+
+    Every keyed structure (hash joins, GROUP BY, DISTINCT, DISTINCT
+    aggregates, set operations and fixpoints) decides key equality by
+    [Value.compare] under the catalog's datatype registry, so [1] and
+    [1.0] are one key, as they are one value to a comparison.
 
     Join {e methods} (nested-loop, sort-merge, hash) are control
     structures; join {e kinds} (regular, exists, op-ALL, scalar,
     DBC set-predicates, and extension kinds such as left-outer) are the
     functions performed during the join — a single operator handles many
     kinds, and new kinds register in {!register_join_kind}.  Extension
-    kinds see materialized [Tuple.t]s under both engines, so existing
-    registrations run unchanged.
+    kinds always see materialized [Tuple.t]s.
 
     Subqueries — correlated or not — run through a single uniform
     {e evaluate-on-demand} mechanism: an inner plan is (re)evaluated
@@ -85,15 +91,11 @@ type db = {
   mutable x_demand_cache : bool;
       (** evaluate-on-demand correlation caching (on by default; the
           bench harness turns it off to measure its effect) *)
-  mutable x_vectorized : bool;
-      (** batch-at-a-time execution of capable operators (on by
-          default; [SET vectorized = off] selects the tuple-at-a-time
-          engine, the differential-testing oracle) *)
 }
 
 let make_db ~catalog ~functions =
   { x_cat = catalog; x_fns = functions; x_kinds = Hashtbl.create 4;
-    x_demand_cache = true; x_vectorized = true }
+    x_demand_cache = true }
 
 let register_join_kind db name impl = Hashtbl.replace db.x_kinds name impl
 
@@ -106,7 +108,7 @@ type cache_entry = {
 (** Per-operator runtime accounting for EXPLAIN ANALYZE: rows produced
     (across all re-evaluations, e.g. of a join's inner), batches
     emitted (0 for tuple-at-a-time operators), and inclusive elapsed
-    time.  Row counts are exact under both engines. *)
+    time.  Row counts are exact at either granularity. *)
 type op_stats = {
   mutable os_rows : int;
   mutable os_batches : int;
@@ -155,14 +157,17 @@ let grown arr fill =
   Array.blit arr 0 bigger 0 (Array.length arr);
   bigger
 
-(* The key directory of hash GROUP BY and DISTINCT: one entry per
-   distinct key, numbered in arrival order, found or added in a single
-   chained lookup.  The probe key is a caller's scratch array, copied
-   only when it opens an entry.  Two keys are equal when every column
-   is structurally equal ([Stdlib.compare] = 0), the equality of the
-   polymorphic [Hashtbl] over key lists this replaces; [Value.hash]
-   agrees with it. *)
+(* The key directory of every keyed QES structure but the join build
+   (GROUP BY, DISTINCT, DISTINCT aggregates, set operations, fixpoints):
+   one entry per distinct key, numbered in arrival order, found or added
+   in a single chained lookup.  The probe key is a caller's scratch
+   array, copied only when it opens an entry.  Two keys are equal when
+   every column is equal under [Value.compare] with the catalog's
+   datatype registry — the equality of comparisons and of the hash join
+   — with unboxed fast paths for Int/Int, Float/Float and String/String;
+   [Value.hash] agrees with it. *)
 type key_dir = {
+  kd_cmp : Value.t -> Value.t -> int;
   mutable kd_keys : Value.t array array;  (* entry -> its key *)
   mutable kd_hashes : int array;
   mutable kd_next : int array;  (* bucket chain links *)
@@ -170,19 +175,20 @@ type key_dir = {
   mutable kd_count : int;
 }
 
-let key_dir () =
-  { kd_keys = [||]; kd_hashes = [||]; kd_next = [||];
-    kd_heads = Array.make 16 (-1); kd_count = 0 }
+let key_dir registry =
+  { kd_cmp = Value.compare ~registry; kd_keys = [||]; kd_hashes = [||];
+    kd_next = [||]; kd_heads = Array.make 16 (-1); kd_count = 0 }
 
-let same_value (a : Value.t) (b : Value.t) =
+let same_value cmp (a : Value.t) (b : Value.t) =
   match a, b with
   | Value.Int x, Value.Int y -> x = y
+  | Value.Float x, Value.Float y -> Float.equal x y
   | Value.String x, Value.String y -> String.equal x y
-  | _ -> Stdlib.compare a b = 0
+  | _ -> cmp a b = 0
 
-let same_key (a : Value.t array) (b : Value.t array) =
+let same_key cmp (a : Value.t array) (b : Value.t array) =
   let k = ref 0 in
-  while !k < Array.length a && same_value a.(!k) b.(!k) do
+  while !k < Array.length a && same_value cmp a.(!k) b.(!k) do
     incr k
   done;
   !k = Array.length a
@@ -196,7 +202,9 @@ let find_or_add d (key : Value.t array) =
   done;
   let h = mix !acc in
   let idx = ref d.kd_heads.(h land (Array.length d.kd_heads - 1)) in
-  while !idx >= 0 && not (d.kd_hashes.(!idx) = h && same_key d.kd_keys.(!idx) key) do
+  while
+    !idx >= 0 && not (d.kd_hashes.(!idx) = h && same_key d.kd_cmp d.kd_keys.(!idx) key)
+  do
     idx := d.kd_next.(!idx)
   done;
   if !idx >= 0 then !idx
@@ -224,6 +232,42 @@ let find_or_add d (key : Value.t array) =
     d.kd_heads.(b) <- e;
     d.kd_count <- e + 1;
     e
+  end
+
+(* whether [key] opened a new entry (it is in the directory either way) *)
+let is_new d key =
+  let fresh = d.kd_count in
+  find_or_add d key = fresh
+
+(* A built hash side's probe: the build indices of the inner rows whose
+   key columns [islots] equal the probe row's [oslots] under [cmp], in
+   chain (reverse build) order, into [mbuf] (grown as needed); returns
+   their count. *)
+let probe_side s ~cmp (oslots : int array) (islots : int array) mbuf
+    (o : Tuple.t) =
+  let h = join_key_hash o oslots in
+  if h < 0 then 0
+  else begin
+    let nk = Array.length oslots in
+    let cnt = ref 0 in
+    let idx = ref s.hs_heads.(h land s.hs_mask) in
+    while !idx >= 0 do
+      let i = !idx in
+      if s.hs_hashes.(i) = h then begin
+        let irow = s.hs_rows.(i) in
+        let k = ref 0 in
+        while !k < nk && cmp o.(oslots.(!k)) irow.(islots.(!k)) = 0 do
+          incr k
+        done;
+        if !k = nk then begin
+          if !cnt >= Array.length !mbuf then mbuf := grown !mbuf 0;
+          (!mbuf).(!cnt) <- i;
+          incr cnt
+        end
+      end;
+      idx := s.hs_next.(i)
+    done;
+    !cnt
   end
 
 type ectx = {
@@ -469,15 +513,14 @@ and demand_rows ectx (key : Obj.t) (plan : plan) (bound : Value.t list) :
 and collect ectx ~params (plan : plan) : Tuple.t list =
   List.of_seq (stream ectx ~params plan)
 
-(** Interprets [plan] as a lazy tuple sequence — the engine boundary.
-    Batch-capable nodes route through the vectorized engine (their
-    whole capable subtree runs batched; this adapter unchunks at the
-    top); the rest take the tuple-at-a-time path, whose {e inputs}
-    recurse through here and so vectorize again where they can.  When
-    analyzing, every operator is wrapped to count rows (and batches)
-    and accumulate inclusive elapsed time. *)
+(** Interprets [plan] as a lazy tuple sequence.  Batch-capable nodes
+    run batch-at-a-time (their whole capable subtree runs batched; this
+    adapter unchunks at the top); the rest take their row-at-a-time
+    body, whose {e inputs} recurse through here and so run batched
+    again where they can.  When analyzing, every operator is wrapped to
+    count rows (and batches) and accumulate inclusive elapsed time. *)
 and stream ectx ~params (p : plan) : Tuple.t Seq.t =
-  if ectx.db.x_vectorized && Sb_optimizer.Plan.batch_capable p then
+  if Sb_optimizer.Plan.batch_capable p then
     Batch.to_seq (batches ectx ~params p)
   else begin
     (* cooperative governor checks: one operator-invocation charge per
@@ -547,15 +590,6 @@ and instr_stream ectx ~params (p : plan) : Tuple.t Seq.t =
 
 and op_stream ectx ~params (p : plan) : Tuple.t Seq.t =
   match p.op with
-  | Scan { sc_table; sc_cols; sc_preds } ->
-    let tab = find_table ectx sc_table in
-    Seq.filter_map
-      (fun (_, row) ->
-        ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
-        if conj ectx ~row ~params sc_preds then
-          Some (Array.of_list (List.map (fun c -> row.(c)) sc_cols))
-        else None)
-      (Table_store.scan tab)
   | Idx_access { ix_table; ix_index; ix_probe; ix_cols; ix_preds } ->
     let tab = find_table ectx ix_table in
     let am =
@@ -563,20 +597,8 @@ and op_stream ectx ~params (p : plan) : Tuple.t Seq.t =
       | Some am -> am
       | None -> error "index %s on %s disappeared" ix_index ix_table
     in
-    let v e = eval ectx ~row:[||] ~params e in
-    let probe =
-      match ix_probe with
-      | Pr_eq es -> Access_method.Key_eq (Array.of_list (List.map v es))
-      | Pr_range (lo, hi) ->
-        Access_method.Key_range
-          {
-            lo = Option.map (fun (e, incl) -> ([| v e |], incl)) lo;
-            hi = Option.map (fun (e, incl) -> ([| v e |], incl)) hi;
-          }
-      | Pr_custom (name, es) -> Access_method.Custom (name, List.map v es)
-    in
     ectx.counters.c_index_probes <- ectx.counters.c_index_probes + 1;
-    let rids = probe_search ectx am probe in
+    let rids = probe_search ectx am (index_probe ectx ~params ix_probe) in
     Seq.filter_map
       (fun rid ->
         match Table_store.fetch tab rid with
@@ -589,17 +611,6 @@ and op_stream ectx ~params (p : plan) : Tuple.t Seq.t =
       rids
   | Idx_and { ia_table; ia_probes; ia_cols; ia_preds } ->
     let tab = find_table ectx ia_table in
-    let v e = eval ectx ~row:[||] ~params e in
-    let probe_of = function
-      | Pr_eq es -> Access_method.Key_eq (Array.of_list (List.map v es))
-      | Pr_range (lo, hi) ->
-        Access_method.Key_range
-          {
-            lo = Option.map (fun (e, incl) -> ([| v e |], incl)) lo;
-            hi = Option.map (fun (e, incl) -> ([| v e |], incl)) hi;
-          }
-      | Pr_custom (name, es) -> Access_method.Custom (name, List.map v es)
-    in
     let rid_sets =
       List.map
         (fun (index, probe) ->
@@ -609,7 +620,7 @@ and op_stream ectx ~params (p : plan) : Tuple.t Seq.t =
             | None -> error "index %s on %s disappeared" index ia_table
           in
           ectx.counters.c_index_probes <- ectx.counters.c_index_probes + 1;
-          List.of_seq (probe_search ectx am (probe_of probe)))
+          List.of_seq (probe_search ectx am (index_probe ectx ~params probe)))
         ia_probes
     in
     let intersection =
@@ -631,76 +642,8 @@ and op_stream ectx ~params (p : plan) : Tuple.t Seq.t =
             Some (Array.of_list (List.map (fun c -> row.(c)) ia_cols))
           else None)
       (List.to_seq intersection)
-  | Filter preds ->
-    Seq.filter (fun row -> conj ectx ~row ~params preds) (input_stream ectx ~params p 0)
-  | Or_filter disjuncts ->
-    Seq.filter
-      (fun row ->
-        (* disjuncts are tried left to right; a tuple rejected by one
-           branch is handed to the next (the paper's OR operator) *)
-        let rec go = function
-          | [] -> false
-          | d :: rest ->
-            ectx.counters.c_or_branch_evals <- ectx.counters.c_or_branch_evals + 1;
-            (match bool3 (eval ectx ~row ~params d) with
-            | Some true -> true
-            | _ -> go rest)
-        in
-        go disjuncts)
-      (input_stream ectx ~params p 0)
-  | Project exprs ->
-    Seq.map
-      (fun row ->
-        Array.of_list (List.map (fun e -> eval ectx ~row ~params e) exprs))
-      (input_stream ectx ~params p 0)
-  | Sort keys ->
-    let rows = collect ectx ~params (List.nth p.inputs 0) in
-    ectx.counters.c_sorted <- ectx.counters.c_sorted + List.length rows;
-    let cmp a b =
-      let rec go = function
-        | [] -> 0
-        | (i, dir) :: rest ->
-          let c = Value.compare ~registry:(registry ectx) a.(i) b.(i) in
-          let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
-          if c <> 0 then c else go rest
-      in
-      go keys
-    in
-    List.to_seq (List.stable_sort cmp rows)
   | Join _ -> join_stream ectx ~params p
   | Group _ -> group_stream ectx ~params p
-  | Distinct_op ->
-    let seen = Hashtbl.create 64 in
-    Seq.filter
-      (fun row ->
-        let key = Array.to_list row in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      (input_stream ectx ~params p 0)
-  | Union_all ->
-    Seq.append (input_stream ectx ~params p 0) (input_stream ectx ~params p 1)
-  | Intersect_op all -> setop_stream ectx ~params p ~all ~intersect:true
-  | Except_op all -> setop_stream ectx ~params p ~all ~intersect:false
-  | Temp ->
-    let rows =
-      demand_rows ectx (Obj.repr p) (List.nth p.inputs 0) (Array.to_list params)
-    in
-    List.to_seq rows
-  | Ship _ ->
-    Seq.map
-      (fun row ->
-        ectx.counters.c_shipped <- ectx.counters.c_shipped + 1;
-        row)
-      (input_stream ectx ~params p 0)
-  | Limit_op n ->
-    Seq.take n (input_stream ectx ~params p 0)
-  | Values_scan rows ->
-    List.to_seq rows
-    |> Seq.map (fun row ->
-           Array.of_list (List.map (fun e -> eval ectx ~row:[||] ~params e) row))
   | Table_fn_scan { tf_name; tf_args } -> (
     match Functions.find_table_fn ectx.db.x_fns tf_name with
     | None -> error "unknown table function %s" tf_name
@@ -750,7 +693,11 @@ and op_stream ectx ~params (p : plan) : Tuple.t Seq.t =
     match ectx.deltas with
     | delta :: _ -> List.to_seq delta
     | [] -> error "recursive reference outside a fixpoint")
-  | Choose_op -> input_stream ectx ~params p 0
+  | Scan _ | Filter _ | Or_filter _ | Project _ | Sort _ | Distinct_op | Union_all
+  | Intersect_op _ | Except_op _ | Temp | Ship _ | Limit_op _ | Values_scan _
+  | Choose_op ->
+    (* batch-capable: {!stream} routes these to {!op_batches} *)
+    Batch.to_seq (op_batches ectx ~params p)
 
 and input_stream ectx ~params p i = stream ectx ~params (List.nth p.inputs i)
 
@@ -761,6 +708,14 @@ and find_table ectx name =
   match Catalog.find_table ectx.db.x_cat name with
   | Some tab -> tab
   | None -> error "no such table %s" name
+
+(* an index probe with its key expressions evaluated *)
+and index_probe ectx ~params = function
+  | Pr_eq es -> Access_method.Key_eq (Array.of_list (List.map (eval ectx ~row:[||] ~params) es))
+  | Pr_range (lo, hi) ->
+    let bound = Option.map (fun (e, incl) -> ([| eval ectx ~row:[||] ~params e |], incl)) in
+    Access_method.Key_range { lo = bound lo; hi = bound hi }
+  | Pr_custom (name, es) -> Access_method.Custom (name, List.map (eval ectx ~row:[||] ~params) es)
 
 (* fault site "qes.probe": an index search as seen from the executor
    (distinct from the access method's own "<kind>.search" site) *)
@@ -955,15 +910,14 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
     | Group _ -> group_batches ectx ~params p
     | Distinct_op ->
       (* a row survives iff it opens a new directory entry *)
-      let seen = key_dir () in
+      let seen = key_dir (registry ectx) in
       let key = Array.make (width p) Value.Null in
       nonempty
         (Seq.map
            (fun b ->
              Batch.keep b (fun i ->
                  Batch.blit_row b i key;
-                 let fresh = seen.kd_count in
-                 find_or_add seen key = fresh);
+                 is_new seen key);
              b)
            (input_batches ectx ~params p 0))
     | Union_all ->
@@ -1014,16 +968,18 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
 and setop_batches ectx ~params (p : plan) ~all ~intersect : Batch.t Seq.t =
   let left = input_batches ectx ~params p 0 in
   let decide = setop_decider ectx ~params p ~all ~intersect in
+  let key = Array.make (width p) Value.Null in
   nonempty
     (Seq.map
        (fun b ->
-         Batch.keep b (fun i -> decide (Batch.row_list b i));
+         Batch.keep b (fun i ->
+             Batch.blit_row b i key;
+             decide key);
          b)
        left)
 
-(* Lazy SORT.  The input is gathered at instantiation, as the tuple
-   engine does, into an array; the output order is the tuple engine's
-   stable sort: by the keys, then by arrival.  The first pull selects
+(* Lazy SORT.  The input is gathered at instantiation into an array;
+   the output order is a stable sort: by the keys, then by arrival.  The first pull selects
    the first [Batch.capacity] rows with a bounded max-heap and sorts only
    those; the remaining rows are sorted only if a second batch is
    pulled.  So [LIMIT n <= capacity] over [ORDER BY] sorts n log n rows
@@ -1151,7 +1107,7 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
   else begin
     let kslots = Array.of_list g_keys in
     let key = Array.make (Array.length kslots) Value.Null in
-    let groups = key_dir () in
+    let groups = key_dir (registry ectx) in
     let banks = ref [||] in
     Seq.iter
       (fun b ->
@@ -1203,10 +1159,9 @@ and join_build ectx ~params inner (islots : int array) : hash_side =
     hs_mask = mask;
   }
 
-(* Batch-at-a-time probe.  The sort-merge method shares this body: the
-   tuple engine, too, executes it as a keyed lookup over the grouped
-   inner, so both methods agree on semantics and differ only in the
-   optimizer's cost model. *)
+(* Batch-at-a-time probe.  The sort-merge method shares this body: it
+   executes as a keyed lookup over the grouped inner, so both methods
+   agree on semantics and differ only in the optimizer's cost model. *)
 and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
   let j_kind, j_equi, j_pred, j_kind_pred =
     match p.op with
@@ -1220,8 +1175,8 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
   let oslots = Array.of_list (List.map fst j_equi) in
   let islots = Array.of_list (List.map snd j_equi) in
   let reg = registry ectx in
-  (* built on the first outer batch, like the tuple engine builds on
-     the first outer tuple: an empty outer never evaluates the inner *)
+  (* built on the first outer batch: an empty outer never evaluates
+     the inner *)
   let side = ref None in
   let force_side () =
     match !side with
@@ -1233,44 +1188,9 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
   in
   (* partial application shares one [Some reg] across all probes *)
   let cmp = Value.compare ~registry:reg in
-  let equal_keys =
-    match oslots, islots with
-    | [| os |], [| is |] ->
-      (* single-key equi-join fast path *)
-      fun (o : Tuple.t) (irow : Tuple.t) -> cmp o.(os) irow.(is) = 0
-    | _ ->
-      fun (o : Tuple.t) (irow : Tuple.t) ->
-        let rec go k =
-          k >= Array.length oslots
-          || (cmp o.(oslots.(k)) irow.(islots.(k)) = 0 && go (k + 1))
-        in
-        go 0
-  in
   (* per-probe match buffer, reused across rows; holds build indices in
      chain (reverse build) order *)
   let mbuf = ref (Array.make 64 0) in
-  let collect_matches s (o : Tuple.t) =
-    let h = join_key_hash o oslots in
-    if h < 0 then 0
-    else begin
-      let cnt = ref 0 in
-      let idx = ref s.hs_heads.(h land s.hs_mask) in
-      while !idx >= 0 do
-        let i = !idx in
-        if s.hs_hashes.(i) = h && equal_keys o s.hs_rows.(i) then begin
-          if !cnt >= Array.length !mbuf then begin
-            let bigger = Array.make (2 * Array.length !mbuf) 0 in
-            Array.blit !mbuf 0 bigger 0 !cnt;
-            mbuf := bigger
-          end;
-          (!mbuf).(!cnt) <- i;
-          incr cnt
-        end;
-        idx := s.hs_next.(i)
-      done;
-      !cnt
-    end
-  in
   let pred_true row =
     match j_pred with
     | None -> true
@@ -1313,10 +1233,10 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
     let s = force_side () in
     for i = 0 to Batch.count b - 1 do
       Batch.blit_row b i scratch;
-      let m = collect_matches s scratch in
+      let m = probe_side s ~cmp oslots islots mbuf scratch in
       match j_kind with
       (* chain order is reverse build order: emit backwards to
-         reproduce the tuple engine's build-order inner emission *)
+         emit in build order *)
       | J_regular when no_preds ->
         (* the hot path: no residual predicate, so the concatenated row
            goes straight into the output columns *)
@@ -1380,7 +1300,8 @@ and join_stream ectx ~params (p : plan) : Tuple.t Seq.t =
   in
   let outer = List.nth p.inputs 0 and inner = List.nth p.inputs 1 in
   let inner_width = Array.length inner.props.p_slots in
-  (* fetch matching inner rows for one outer tuple *)
+  let cmp = Value.compare ~registry:(registry ectx) in
+  (* the equi-matched inner rows for one outer tuple *)
   let inner_rows_for =
     match j_method with
     | Nested_loop ->
@@ -1392,62 +1313,36 @@ and join_stream ectx ~params (p : plan) : Tuple.t Seq.t =
           if j_bound then List.map (fun e -> eval ectx ~row:o ~params e) j_corr
           else Array.to_list params
         in
-        demand_rows ectx (Obj.repr p) inner bound
-    | Hash_join ->
-      let table = Hashtbl.create 256 in
-      let built = ref false in
+        List.filter
+          (fun i ->
+            List.for_all
+              (fun (oslot, islot) ->
+                (not (Value.is_null o.(oslot)))
+                && (not (Value.is_null i.(islot)))
+                && cmp o.(oslot) i.(islot) = 0)
+              j_equi)
+          (demand_rows ectx (Obj.repr p) inner bound)
+    | Hash_join | Sort_merge ->
+      (* a parameter-bound hash or merge join (STAR offers these methods
+         only for an uncorrelated inner): the batch join's build side,
+         built on the first outer tuple and probed per outer tuple *)
+      let oslots = Array.of_list (List.map fst j_equi) in
+      let islots = Array.of_list (List.map snd j_equi) in
+      let side = lazy (join_build ectx ~params inner islots) in
+      let mbuf = ref (Array.make 64 0) in
       fun o ->
-        if not !built then begin
-          built := true;
-          List.iter
-            (fun i ->
-              let key =
-                List.map (fun (_, islot) -> i.(islot)) j_equi
-              in
-              Hashtbl.add table key i)
-            (collect ectx ~params inner)
-        end;
-        let key = List.map (fun (oslot, _) -> o.(oslot)) j_equi in
-        if List.exists Value.is_null key then []
-        else List.rev (Hashtbl.find_all table key)
-    | Sort_merge ->
-      (* both inputs are sorted on the equi keys; group the inner by key
-         once, then look up groups (a merge with random access stands in
-         for cursor regression on duplicate outer keys) *)
-      let groups = Hashtbl.create 256 in
-      let built = ref false in
-      fun o ->
-        if not !built then begin
-          built := true;
-          List.iter
-            (fun i ->
-              let key = List.map (fun (_, islot) -> i.(islot)) j_equi in
-              Hashtbl.add groups key i)
-            (collect ectx ~params inner)
-        end;
-        let key = List.map (fun (oslot, _) -> o.(oslot)) j_equi in
-        if List.exists Value.is_null key then []
-        else List.rev (Hashtbl.find_all groups key)
+        let s = Lazy.force side in
+        let m = probe_side s ~cmp oslots islots mbuf o in
+        List.init m (fun k -> s.hs_rows.((!mbuf).(m - 1 - k)))
   in
-  let equi_match o i =
-    match j_method with
-    | Nested_loop ->
-      List.for_all
-        (fun (oslot, islot) ->
-          (not (Value.is_null o.(oslot)))
-          && (not (Value.is_null i.(islot)))
-          && Value.compare ~registry:(registry ectx) o.(oslot) i.(islot) = 0)
-        j_equi
-    | Hash_join | Sort_merge -> true (* established by the lookup *)
-  in
-  let outer_seq = stream ectx ~params outer in
-  let emit_for o : Tuple.t list =
-    let inners = List.filter (equi_match o) (inner_rows_for o) in
-    join_emit ectx ~params ~j_kind ~j_pred ~j_kind_pred ~inner_width o inners
-  in
-  Seq.concat_map (fun o -> List.to_seq (emit_for o)) outer_seq
+  Seq.concat_map
+    (fun o ->
+      List.to_seq
+        (join_emit ectx ~params ~j_kind ~j_pred ~j_kind_pred ~inner_width o
+           (inner_rows_for o)))
+    (stream ectx ~params outer)
 
-(** The join-kind dispatch, shared by both engines: given one outer
+(** The join-kind dispatch, shared by both join bodies: given one outer
     tuple and its (equi-matched) inner tuples, produce the output rows.
     Kinds always see materialized tuples, so extension kinds are
     engine-agnostic. *)
@@ -1523,15 +1418,13 @@ and make_agg_bank ectx g_aggs : Functions.agg_instance array =
            let inst = f.Functions.af_make (registry ectx) in
            if not distinct then inst
            else
-             let seen = Hashtbl.create 16 in
+             let seen = key_dir (registry ectx) and key = [| Value.Null |] in
              {
                inst with
                Functions.agg_step =
                  (fun v ->
-                   if not (Hashtbl.mem seen v) then begin
-                     Hashtbl.replace seen v ();
-                     inst.Functions.agg_step v
-                   end);
+                   key.(0) <- v;
+                   if is_new seen key then inst.Functions.agg_step v);
              })
        g_aggs)
 
@@ -1543,13 +1436,14 @@ and agg_slots g_aggs =
 and agg_result_row (key : Value.t array) (bank : Functions.agg_instance array) =
   Array.append key (Array.map (fun a -> a.Functions.agg_result ()) bank)
 
+(* streaming aggregation over key-ordered input (the hash variant is
+   batch-capable: {!group_batches}) *)
 and group_stream ectx ~params (p : plan) : Tuple.t Seq.t =
-  let g_keys, g_aggs, g_sorted =
+  let g_keys, g_aggs =
     match p.op with
-    | Group { g_keys; g_aggs; g_sorted } -> (g_keys, g_aggs, g_sorted)
+    | Group { g_keys; g_aggs; _ } -> (g_keys, g_aggs)
     | _ -> assert false
   in
-  let input = List.nth p.inputs 0 in
   let make_aggs () = make_agg_bank ectx g_aggs in
   let aslots = agg_slots g_aggs in
   let step aggs (row : Tuple.t) =
@@ -1561,140 +1455,92 @@ and group_stream ectx ~params (p : plan) : Tuple.t Seq.t =
       aggs
   in
   let result_row key aggs = agg_result_row (Array.of_list key) aggs in
-  if g_sorted && g_keys <> [] then
-    (* streaming aggregation over key-ordered input *)
-    Seq.of_dispenser
-      (let src = Seq.to_dispenser (stream ectx ~params input) in
-       let current = ref None in
-       let finished = ref false in
-       fun () ->
-         if !finished then None
-         else
-           let rec loop () =
-             match src () with
+  let cmp = Value.compare ~registry:(registry ectx) in
+  Seq.of_dispenser
+    (let src = Seq.to_dispenser (input_stream ectx ~params p 0) in
+     let current = ref None in
+     let finished = ref false in
+     fun () ->
+       if !finished then None
+       else
+         let rec loop () =
+           match src () with
+           | None ->
+             finished := true;
+             (match !current with
+             | Some (key, aggs) -> Some (result_row key aggs)
+             | None -> None)
+           | Some row -> (
+             let key = List.map (fun s -> row.(s)) g_keys in
+             match !current with
+             | Some (k, aggs) when List.for_all2 (fun a b -> cmp a b = 0) k key ->
+               step aggs row;
+               loop ()
+             | Some (k, aggs) ->
+               let aggs' = make_aggs () in
+               step aggs' row;
+               current := Some (key, aggs');
+               Some (result_row k aggs)
              | None ->
-               finished := true;
-               (match !current with
-               | Some (key, aggs) -> Some (result_row key aggs)
-               | None -> None)
-             | Some row -> (
-               let key = List.map (fun s -> row.(s)) g_keys in
-               match !current with
-               | Some (k, aggs)
-                 when List.for_all2
-                        (fun a b -> Value.compare ~registry:(registry ectx) a b = 0)
-                        k key ->
-                 step aggs row;
-                 loop ()
-               | Some (k, aggs) ->
-                 let aggs' = make_aggs () in
-                 step aggs' row;
-                 current := Some (key, aggs');
-                 Some (result_row k aggs)
-               | None ->
-                 let aggs = make_aggs () in
-                 step aggs row;
-                 current := Some (key, aggs);
-                 loop ())
-           in
-           loop ())
-  else begin
-    (* hash aggregation *)
-    let groups : (Value.t list, _) Hashtbl.t = Hashtbl.create 64 in
-    let order = ref [] in
-    Seq.iter
-      (fun row ->
-        let key = List.map (fun s -> row.(s)) g_keys in
-        let aggs =
-          match Hashtbl.find_opt groups key with
-          | Some aggs -> aggs
-          | None ->
-            let aggs = make_aggs () in
-            Hashtbl.replace groups key aggs;
-            order := key :: !order;
-            aggs
-        in
-        step aggs row)
-      (stream ectx ~params input);
-    if g_keys = [] && Hashtbl.length groups = 0 then
-      (* aggregate over an empty input still yields one row *)
-      Seq.return (result_row [] (make_aggs ()))
-    else
-      List.to_seq (List.rev !order)
-      |> Seq.map (fun key -> result_row key (Hashtbl.find groups key))
-  end
+               let aggs = make_aggs () in
+               step aggs row;
+               current := Some (key, aggs);
+               loop ())
+         in
+         loop ())
 
 (* --- set operations --- *)
 
 (* counts the right input into a multiset and returns the left-row
-   admission test, shared by both engines (stateful: ALL variants
-   consume right counts, non-ALL variants dedup what they emit) *)
-and setop_decider ectx ~params (p : plan) ~all ~intersect :
-    Value.t list -> bool =
-  let right_counts = Hashtbl.create 64 in
+   admission test (stateful: ALL variants consume right counts, non-ALL
+   variants emit each key once).  One directory holds every key seen on
+   either side; an entry's count is its remaining right-side
+   multiplicity, or -1 once a non-ALL variant has emitted it. *)
+and setop_decider ectx ~params (p : plan) ~all ~intersect : Tuple.t -> bool =
+  let dir = key_dir (registry ectx) and counts = ref [||] in
+  let entry row =
+    let e = find_or_add dir row in
+    if e >= Array.length !counts then counts := grown !counts 0;
+    e
+  in
   List.iter
     (fun row ->
-      let key = Array.to_list row in
-      Hashtbl.replace right_counts key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt right_counts key)))
+      let e = entry row in
+      (!counts).(e) <- (!counts).(e) + 1)
     (collect ectx ~params (List.nth p.inputs 1));
-  let emitted = Hashtbl.create 64 in
-  fun key ->
-    let rc = Option.value ~default:0 (Hashtbl.find_opt right_counts key) in
-    if intersect then
-      if all then
-        if rc > 0 then begin
-          Hashtbl.replace right_counts key (rc - 1);
-          true
-        end
-        else false
-      else if rc > 0 && not (Hashtbl.mem emitted key) then begin
-        Hashtbl.replace emitted key ();
-        true
-      end
-      else false
-    else if all then
-      if rc > 0 then begin
-        Hashtbl.replace right_counts key (rc - 1);
-        false
-      end
-      else true
-    else if rc = 0 && not (Hashtbl.mem emitted key) then begin
-      Hashtbl.replace emitted key ();
-      true
+  fun row ->
+    let e = entry row in
+    let rc = (!counts).(e) in
+    if all then begin
+      if rc > 0 then (!counts).(e) <- rc - 1;
+      (rc > 0) = intersect
     end
-    else false
-
-and setop_stream ectx ~params (p : plan) ~all ~intersect : Tuple.t Seq.t =
-  let left = input_stream ectx ~params p 0 in
-  let decide = setop_decider ectx ~params p ~all ~intersect in
-  Seq.filter (fun row -> decide (Array.to_list row)) left
+    else begin
+      let keep = rc >= 0 && (rc > 0) = intersect in
+      if keep then (!counts).(e) <- -1;
+      keep
+    end
 
 (* --- recursion --- *)
 
+(* Semi-naive evaluation: each round runs the step over the previous
+   round's new rows.  UNION ([distinct]) keeps a row only on its first
+   appearance; UNION ALL keeps every row.  A cycle under UNION ALL never
+   runs dry: the governor's per-row charge bounds it. *)
 and fixpoint_stream ectx ~params (p : plan) ~distinct : Tuple.t Seq.t =
-  ignore distinct;
   let seed = List.nth p.inputs 0 and step = List.nth p.inputs 1 in
-  let seen = Hashtbl.create 256 in
+  let seen = key_dir (registry ectx) in
   let acc = ref [] in
   let add rows =
     List.filter
       (fun row ->
-        let key = Array.to_list row in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          acc := row :: !acc;
-          true
-        end)
+        let keep = (not distinct) || is_new seen row in
+        if keep then acc := row :: !acc;
+        keep)
       rows
   in
-  let max_rounds = 100_000 in
   let delta = ref (add (collect ectx ~params seed)) in
-  let rounds = ref 0 in
   while !delta <> [] do
-    incr rounds;
-    if !rounds > max_rounds then error "recursion exceeded %d rounds" max_rounds;
     ectx.counters.c_fixpoint_rounds <- ectx.counters.c_fixpoint_rounds + 1;
     ectx.deltas <- !delta :: ectx.deltas;
     let produced = collect ectx ~params step in

@@ -1,19 +1,22 @@
 (** The Query Evaluation System (section 7).
 
     Plans are interpreted against the database through an algebraic,
-    stream-based interface.  Hot operators (scans, filters,
-    projections, sorts, hash aggregation, set operations, hash/merge
-    joins) execute batch-at-a-time over columnar row batches with
-    selection vectors ({!Batch}); the remaining operators — and the
-    plan root — keep the lazy tuple-stream interface, with adapters at
-    every boundary (per-node routing via
-    {!Sb_optimizer.Plan.batch_capable}).  Join {e methods} are control
-    structures; join {e kinds} are the functions performed during the
-    join — one operator handles many kinds, new kinds register here,
-    and kind implementations always see materialized tuples, so they
-    are engine-agnostic.  Subqueries run through a single uniform
-    {e evaluate-on-demand} mechanism with a cache keyed on correlation
-    values.
+    stream-based interface, one body per operator.  Hot operators
+    (scans, filters, projections, sorts, hash aggregation, DISTINCT,
+    set operations, hash/merge joins) execute batch-at-a-time over
+    columnar row batches with selection vectors ({!Batch}); the
+    operators where row-at-a-time is inherent (index access,
+    nested-loop and parameter-bound joins, streaming aggregation,
+    fixpoints) — and the plan root — keep the lazy tuple-stream
+    interface, with adapters at every boundary (per-node routing via
+    {!Sb_optimizer.Plan.batch_capable}).  Every keyed structure decides
+    key equality by [Value.compare] under the catalog's datatype
+    registry.  Join {e methods} are control structures; join {e kinds}
+    are the functions performed during the join — one operator handles
+    many kinds, new kinds register here, and kind implementations
+    always see materialized tuples.  Subqueries run through a single
+    uniform {e evaluate-on-demand} mechanism with a cache keyed on
+    correlation values.
 
     Runtime failures raise structured {!Sb_resil.Err} values with
     stage [Exec]. *)
@@ -53,10 +56,6 @@ type db = {
   mutable x_demand_cache : bool;
       (** evaluate-on-demand correlation caching (on by default; the
           bench harness turns it off to measure its effect) *)
-  mutable x_vectorized : bool;
-      (** batch-at-a-time execution of capable operators (on by
-          default; turning it off selects the tuple-at-a-time engine,
-          which doubles as the differential-testing oracle) *)
 }
 
 val make_db : catalog:Catalog.t -> functions:Functions.t -> db
@@ -79,7 +78,7 @@ val run :
 (** Per-operator runtime accounting for EXPLAIN ANALYZE: rows produced
     (across all re-evaluations, e.g. of a join's inner), batches
     emitted (0 for tuple-at-a-time operators), and inclusive elapsed
-    time.  Row counts are exact under both engines. *)
+    time.  Row counts are exact at either granularity. *)
 type op_stats = {
   mutable os_rows : int;
   mutable os_batches : int;

@@ -384,7 +384,7 @@ and build_outer_join ctx ~box ~scope outer inner on : binding list =
       "LEFT OUTER JOIN requires the outer-join extension (register it via \
        Extension.enable_outer_join)";
   let oj = Qgm.new_box ctx.g ~label:"OJ" Qgm.Select in
-  let bl = build_from ctx ~box:oj ~scope outer in
+  let bl = build_oj_side ctx ~oj ~scope outer in
   (* the preserved side's setformers become PF *)
   let preserved =
     List.concat_map
@@ -395,53 +395,66 @@ and build_outer_join ctx ~box ~scope outer inner on : binding list =
   List.iter
     (fun q -> if q.Qgm.q_type = Qgm.F then q.Qgm.q_type <- Qgm.Ext "PF")
     preserved;
-  let br = build_from ctx ~box:oj ~scope inner in
+  let br = build_oj_side ctx ~oj ~scope inner in
   let bindings = bl @ br in
   let jscope = { sc_bindings = bindings; sc_extra = None; sc_parent = Some scope } in
   let cond = convert_expr ctx ~box:oj ~scope:jscope on in
   check_boolean ctx.cfg ctx.g "ON condition" cond;
   oj.Qgm.b_preds <-
     List.map (fun e -> Qgm.pred e) (Qgm.conjuncts cond);
-  (* head: every column of every side, in binding order *)
+  wrap_bindings ctx ~box ~label:"OJq" oj bindings
+
+(* One side of an outer join.  A side that is itself an inner join
+   becomes a SELECT box of its own, so each side is one setformer and
+   the inner join's ON predicates stay with its own quantifiers instead
+   of joining the outer join's conditions. *)
+and build_oj_side ctx ~oj ~scope item : binding list =
+  match item with
+  | Ast.From_join (_, Ast.Inner, _, _) ->
+    let sb = Qgm.new_box ctx.g ~label:"J" Qgm.Select in
+    let bindings = build_from ctx ~box:sb ~scope item in
+    wrap_bindings ctx ~box:oj ~label:"Jq" sb bindings
+  | item -> build_from ctx ~box:oj ~scope item
+
+(* Gives [sub] a head of every column of every binding, in binding
+   order, and ranges one F quantifier of [box] over it; each original
+   alias resolves into a slice of that quantifier. *)
+and wrap_bindings ctx ~box ~label (sub : Qgm.box) bindings : binding list =
   let head, rebound =
     let cols = ref [] and rebound = ref [] in
     List.iter
       (fun b ->
         let start = List.length !cols in
         let input = Qgm.box ctx.g b.bind_quant.Qgm.q_input in
-        List.iteri
-          (fun i hc ->
+        (* the binding's own columns: a binding may itself be a slice *)
+        let names = List.sort (fun (_, i) (_, j) -> Int.compare i j) b.bind_cols in
+        List.iter
+          (fun (name, i) ->
+            let hc = List.nth input.Qgm.b_head i in
             cols :=
               !cols
               @ [
                   {
-                    Qgm.hc_name = Fmt.str "%s_%s" b.bind_alias hc.Qgm.hc_name;
+                    Qgm.hc_name = Fmt.str "%s_%s" b.bind_alias name;
                     hc_type = hc.Qgm.hc_type;
                     hc_expr = Some (Qgm.Col (b.bind_quant.Qgm.q_id, i));
                   };
                 ])
-          input.Qgm.b_head;
-        rebound :=
-          !rebound
-          @ [
-              (b.bind_alias, start,
-               List.map (fun hc -> hc.Qgm.hc_name) input.Qgm.b_head);
-            ])
+          names;
+        rebound := !rebound @ [ (b.bind_alias, start, List.map fst names) ])
       bindings;
     (!cols, !rebound)
   in
-  oj.Qgm.b_head <- head;
-  (* the parent box ranges over the OJ box with one F quantifier; each
-     original alias resolves into slices of that quantifier *)
+  sub.Qgm.b_head <- head;
   let q =
-    Qgm.new_quant ctx.g ~label:"OJq" ~parent:box.Qgm.b_id ~input:oj.Qgm.b_id Qgm.F
+    Qgm.new_quant ctx.g ~label ~parent:box.Qgm.b_id ~input:sub.Qgm.b_id Qgm.F
   in
   List.map
     (fun (alias, start, names) ->
       {
         bind_alias = alias;
         bind_quant = q;
-        bind_cols = List.mapi (fun i n -> (norm n, start + i)) names;
+        bind_cols = List.mapi (fun i n -> (n, start + i)) names;
       })
     rebound
 

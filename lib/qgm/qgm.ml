@@ -354,13 +354,16 @@ let conjoin = function
 (* ------------------------------------------------------------------ *)
 
 (** Copies the subgraph rooted at [root] into [g], returning the new
-    root id.  Quantifier references in expressions are remapped.
-    Correlated references to quantifiers outside the subgraph are kept
-    as-is.  [share] lists box ids to share rather than copy (e.g. base
-    tables). *)
+    root id.  Quantifier references in expressions are remapped — after
+    every box and quantifier is copied, so a correlated reference to a
+    quantifier copied later (a sibling of the referencing subquery) is
+    remapped too.  References to quantifiers outside the subgraph are
+    kept as-is.  [share] lists box ids to share rather than copy (e.g.
+    base tables). *)
 let copy_subgraph g ?(share = fun (b : box) -> match b.b_kind with Base_table _ -> true | _ -> false) root =
   let box_map = Hashtbl.create 8 in
   let quant_map = Hashtbl.create 8 in
+  let copied = ref [] in
   let rec copy_box id =
     match Hashtbl.find_opt box_map id with
     | Some nid -> nid
@@ -375,7 +378,6 @@ let copy_subgraph g ?(share = fun (b : box) -> match b.b_kind with Base_table _ 
         Hashtbl.replace box_map id nb.b_id;
         nb.b_distinct <- b.b_distinct;
         nb.b_limit <- b.b_limit;
-        (* copy quantifiers first so references can be remapped *)
         List.iter
           (fun q ->
             let input = copy_box q.q_input in
@@ -384,34 +386,37 @@ let copy_subgraph g ?(share = fun (b : box) -> match b.b_kind with Base_table _ 
             in
             Hashtbl.replace quant_map q.q_id nq.q_id)
           b.b_quants;
-        let remap e =
-          map_expr
-            (fun e ->
-              match e with
-              | Col (q, i) ->
-                (match Hashtbl.find_opt quant_map q with
-                | Some nq -> Col (nq, i)
-                | None -> e)
-              | Quantified (q, inner) ->
-                (match Hashtbl.find_opt quant_map q with
-                | Some nq -> Quantified (nq, inner)
-                | None -> e)
-              | _ -> e)
-            e
-        in
-        nb.b_head <-
-          List.map
-            (fun hc -> { hc with hc_expr = Option.map remap hc.hc_expr })
-            b.b_head;
-        nb.b_preds <- List.map (fun p -> { p with p_expr = remap p.p_expr }) b.b_preds;
-        nb.b_order <- List.map (fun (e, d) -> (remap e, d)) b.b_order;
-        nb.b_kind <-
-          (match b.b_kind with
-          | Group_by exprs -> Group_by (List.map remap exprs)
-          | Values_box rows -> Values_box (List.map (List.map remap) rows)
-          | Table_fn (name, args) -> Table_fn (name, List.map remap args)
-          | k -> k);
+        copied := (b, nb) :: !copied;
         nb.b_id
       end
   in
-  copy_box root
+  let root' = copy_box root in
+  let remap e =
+    map_expr
+      (fun e ->
+        match e with
+        | Col (q, i) ->
+          (match Hashtbl.find_opt quant_map q with
+          | Some nq -> Col (nq, i)
+          | None -> e)
+        | Quantified (q, inner) ->
+          (match Hashtbl.find_opt quant_map q with
+          | Some nq -> Quantified (nq, inner)
+          | None -> e)
+        | _ -> e)
+      e
+  in
+  List.iter
+    (fun (b, nb) ->
+      nb.b_head <-
+        List.map (fun hc -> { hc with hc_expr = Option.map remap hc.hc_expr }) b.b_head;
+      nb.b_preds <- List.map (fun p -> { p with p_expr = remap p.p_expr }) b.b_preds;
+      nb.b_order <- List.map (fun (e, d) -> (remap e, d)) b.b_order;
+      nb.b_kind <-
+        (match b.b_kind with
+        | Group_by exprs -> Group_by (List.map remap exprs)
+        | Values_box rows -> Values_box (List.map (List.map remap) rows)
+        | Table_fn (name, args) -> Table_fn (name, List.map remap args)
+        | k -> k))
+    !copied;
+  root'

@@ -42,16 +42,11 @@ let eliminate_redundant_join ~catalog : Rule.t =
         (* both iterators denote the same row: redirect and remove *)
         subst_everywhere g (fun qid i ->
             if qid = drop.Qgm.q_id then Some (Qgm.Col (keep.Qgm.q_id, i)) else None);
-        (* predicates that became trivially reflexive can go *)
+        (* predicates that became [c = c] over a NOT NULL column are
+           TRUE and can go; over a nullable column they still filter *)
         b.Qgm.b_preds <-
           List.filter
-            (fun (p : Qgm.pred) ->
-              match p.Qgm.p_expr with
-              | Qgm.Bin (Ast.Eq, a, c) when a = c && Qgm.col_refs a <> [] ->
-                (* e = e is TRUE for non-null e; sound because the join
-                   column was NOT NULL *)
-                false
-              | _ -> true)
+            (fun (p : Qgm.pred) -> not (reflexive_not_null g p.Qgm.p_expr ~catalog))
             b.Qgm.b_preds;
         Qgm.remove_quant g drop
       | None -> ())

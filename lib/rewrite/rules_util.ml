@@ -128,6 +128,15 @@ let derives_unique g (q : Qgm.quant) i ~catalog =
 let derives_not_null g (q : Qgm.quant) i ~catalog =
   Sb_analysis.Infer.col_not_null (infer g ~catalog) g q.Qgm.q_id i
 
+(** Is [e] a reflexive equality [c = c] over one column that can never
+    be NULL?  Only then is it TRUE on every row: on a NULL row [c = c]
+    is NULL and filters the row. *)
+let reflexive_not_null g (e : Qgm.expr) ~catalog =
+  match e with
+  | Qgm.Bin (Ast.Eq, (Qgm.Col (q, i) as a), c) when a = c ->
+    derives_not_null g (Qgm.quant g q) i ~catalog
+  | _ -> false
+
 (** Does the head-column set [cols] cover a derived key of box [id]
     (equal values in [cols] imply the same row)?  The empty set covers
     exactly the boxes with a single-row guarantee (per binding of any

@@ -40,6 +40,10 @@ val derives_unique :
 val derives_not_null :
   Qgm.t -> Qgm.quant -> int -> catalog:Sb_storage.Catalog.t -> bool
 
+(** Is the expression a reflexive equality [c = c] over one column
+    that can never be NULL (so TRUE on every row)? *)
+val reflexive_not_null : Qgm.t -> Qgm.expr -> catalog:Sb_storage.Catalog.t -> bool
+
 (** Does the head-column set cover a derived key of the box?  The empty
     set covers exactly the boxes with a single-row guarantee (per
     binding of any correlated outer quantifier). *)

@@ -249,9 +249,7 @@ let exec ctx env = function
     ctx.b.Qgm.b_preds <-
       List.filter
         (fun (p : Qgm.pred) ->
-          match p.Qgm.p_expr with
-          | Qgm.Bin (Ast.Eq, a, c) when a = c && Qgm.col_refs a <> [] -> false
-          | _ -> true)
+          not (Util.reflexive_not_null ctx.g p.Qgm.p_expr ~catalog:ctx.catalog))
         ctx.b.Qgm.b_preds
   | Remove_quant q -> Qgm.remove_quant ctx.g (quant_v env q)
   | Remove_preds_matching ep ->

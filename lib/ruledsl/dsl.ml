@@ -137,7 +137,8 @@ type action =
   | Redirect_refs of { drop : var; keep : var }
       (** rewrite every reference to [drop]'s columns into [keep]'s *)
   | Drop_reflexive_eqs
-      (** drop predicates of the current box that became [e = e] *)
+      (** drop predicates of the current box that became [c = c] over a
+          column that can never be NULL *)
   | Remove_quant of var
   | Remove_preds_matching of epat
 

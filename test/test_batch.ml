@@ -1,25 +1,25 @@
-(** Batch-engine edge cases: the seams of the vectorized QES.
+(** Batch-engine edge cases: the seams of the batch-at-a-time QES.
 
-    Everything here runs the same query (or the same compiled plan)
-    under both engines — [SET vectorized] flips between the
-    batch-at-a-time implementation and the tuple-at-a-time reference —
-    and checks they agree exactly at the places batches can crack:
-    empty inputs, batches the filter empties entirely, LIMIT straddling
-    the 1024-row batch capacity, NULL join keys under the hash and
-    sort-merge methods, duplicate sort keys spanning a batch boundary,
-    the governor's row ceiling tripping inside a batch, and a
-    structured Exec error thrown mid-batch rolling back the implicit
-    transaction.  Two cases pin what recycling and laziness must keep:
-    the batch lifetime contract across a join that fans out past one
-    output batch, and every SORT prefix with and without LIMIT.  The
-    predicates batch scans and filters compile are checked row for row
-    against [eval]. *)
+    Everything here runs a query (or a compiled plan) through the
+    engine and checks it against {!Sb_fuzz.Reference} — the QGM
+    reference evaluator, which shares no QES code — or against literal
+    rows, at the places batches can crack: empty inputs, batches the
+    filter empties entirely, LIMIT straddling the 1024-row batch
+    capacity, NULL join keys under the hash and sort-merge methods,
+    duplicate sort keys spanning a batch boundary, the governor's row
+    ceiling tripping inside a batch, and a structured Exec error thrown
+    mid-batch rolling back the implicit transaction.  Two cases pin
+    what recycling and laziness must keep: the batch lifetime contract
+    across a join that fans out past one output batch, and every SORT
+    prefix with and without LIMIT.  The predicates batch scans and
+    filters compile are checked row for row against [eval].  The last
+    cases pin one key equality — [1] and [1.0] are one key in every
+    keyed operator — and recursive UNION ALL. *)
 
 open Test_util
 module Plan = Sb_optimizer.Plan
 
 let run db s = ignore (Starburst.run db s)
-let set_vec db on = run db (if on then "SET vectorized = on" else "SET vectorized = off")
 
 (* 2100 rows (just over two batches): k = 0..2099 unique, v = k / 3
    (duplicate groups of three, one of which spans rows 1023..1025 —
@@ -43,24 +43,19 @@ let batch_db () =
   run db "ANALYZE";
   db
 
-(* run [text] under both engines; returns (tuple rows, vectorized rows) *)
-let both db text =
-  set_vec db false;
-  let t = q db text in
-  set_vec db true;
-  let v = q db text in
-  (t, v)
+(* returns (reference rows, engine rows) for [text] *)
+let both db text = (reference_rows db text, q db text)
 
-let check_engines_agree msg db text =
+let check_reference msg db text =
   let t, v = both db text in
   check_bag msg t v;
   (t, v)
 
 (* rebuilds a plan with every hash join flipped to the sort-merge
-   method: both engines execute Sort_merge through the same keyed-probe
-   body, so the flip is semantics-preserving and lets the test drive
-   the merge path deterministically (the optimizer would otherwise pick
-   the method by cost) *)
+   method: Sort_merge executes through the same keyed-probe body, so the
+   flip is semantics-preserving and lets the test drive the merge path
+   deterministically (the optimizer would otherwise pick the method by
+   cost) *)
 let rec to_merge (p : Plan.plan) : Plan.plan =
   let inputs = List.map to_merge p.Plan.inputs in
   let op =
@@ -71,26 +66,20 @@ let rec to_merge (p : Plan.plan) : Plan.plan =
   in
   { p with Plan.op; inputs }
 
-let both_plan db (plan : Plan.plan) =
-  set_vec db false;
-  let t = Starburst.run_plan db plan in
-  set_vec db true;
-  let v = Starburst.run_plan db plan in
-  (t, v)
 
 (* --- empty inputs and emptied batches --- *)
 
 let test_empty_input () =
   let db = batch_db () in
-  let t, v = check_engines_agree "empty scan" db "SELECT k FROM bt WHERE k < 0" in
-  Alcotest.(check int) "no rows" 0 (List.length t);
-  Alcotest.(check int) "no rows vectorized" 0 (List.length v);
+  let t, v = check_reference "empty scan" db "SELECT k FROM bt WHERE k < 0" in
+  Alcotest.(check int) "no rows, reference" 0 (List.length t);
+  Alcotest.(check int) "no rows" 0 (List.length v);
   (* keyless aggregation over an empty input still produces its one row *)
-  let t, _ = check_engines_agree "count over empty" db
+  let t, _ = check_reference "count over empty" db
       "SELECT count(*) FROM bt WHERE k < 0" in
   check_bag "count is 0" [ row [ i 0 ] ] t;
   (* a join whose outer is empty must never evaluate the inner *)
-  let t, _ = check_engines_agree "empty outer join" db
+  let t, _ = check_reference "empty outer join" db
       "SELECT a.k FROM bt a, bt b WHERE a.k = b.k AND a.k < 0" in
   Alcotest.(check int) "empty join" 0 (List.length t)
 
@@ -121,13 +110,12 @@ let test_null_join_keys () =
   (* k = 1 twice, k = 2 once, two NULLs that must match nothing (not
      even each other): 2*2 + 1 = 5 pairs *)
   let text = "SELECT a.v, b.v FROM nk a, nk b WHERE a.k = b.k" in
-  let t, v = check_engines_agree "null keys, hash" db text in
-  Alcotest.(check int) "5 pairs" 5 (List.length t);
-  Alcotest.(check int) "5 pairs vectorized" 5 (List.length v);
+  let t, v = check_reference "null keys, hash" db text in
+  Alcotest.(check int) "5 pairs, reference" 5 (List.length t);
+  Alcotest.(check int) "5 pairs" 5 (List.length v);
   let merged = to_merge (Starburst.compile_text db text) in
-  let tm, vm = both_plan db merged in
-  check_bag "null keys, merge: engines agree" tm vm;
-  check_bag "merge agrees with hash" t tm
+  check_bag "null keys, merge agrees with the reference" t
+    (Starburst.run_plan db merged)
 
 (* --- duplicate sort-merge keys across a batch boundary --- *)
 
@@ -137,16 +125,16 @@ let test_merge_ties_at_batch_boundary () =
      1023..1025, so its tie group straddles the first batch boundary *)
   let text = "SELECT a.k, b.k FROM bt a, bt b WHERE a.v = b.v" in
   let merged = to_merge (Starburst.compile_text db text) in
-  let tm, vm = both_plan db merged in
+  let tm = Starburst.run_plan db merged in
   Alcotest.(check int) "3 matches per row" (rows_total * 3) (List.length tm);
-  check_bag "merge ties agree across engines" tm vm;
+  check_bag "merge ties agree with the reference" (reference_rows db text) tm;
   (* and the boundary group itself is intact: rows 1023..1025 pair 9 ways *)
   let t, v =
-    check_engines_agree "boundary group" db
+    check_reference "boundary group" db
       "SELECT a.k, b.k FROM bt a, bt b WHERE a.v = b.v AND a.v = 341"
   in
-  Alcotest.(check int) "9 pairs" 9 (List.length t);
-  Alcotest.(check int) "9 pairs vectorized" 9 (List.length v)
+  Alcotest.(check int) "9 pairs, reference" 9 (List.length t);
+  Alcotest.(check int) "9 pairs" 9 (List.length v)
 
 (* --- governor: row ceiling exhausted inside a batch --- *)
 
@@ -154,7 +142,7 @@ let test_governor_ceiling_mid_batch () =
   let db = batch_db () in
   run db "SET limit_intermediate_rows = 100";
   (* the ceiling (100) is below one batch (1024): the charge for the
-     first batch must trip it, under either engine *)
+     first batch must trip it *)
   let expect_resource () =
     match Starburst.run db "SELECT k FROM bt" with
     | _ -> Alcotest.fail "expected a resource error"
@@ -162,13 +150,9 @@ let test_governor_ceiling_mid_batch () =
       Alcotest.(check string) "stage" "resource"
         (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
   in
-  set_vec db true;
-  expect_resource ();
-  set_vec db false;
   expect_resource ();
   (* lifting the ceiling restores the query *)
   run db "SET limit_intermediate_rows = 0";
-  set_vec db true;
   Alcotest.(check int) "recovers" rows_total (List.length (q db "SELECT k FROM bt"))
 
 (* --- structured Exec error mid-batch; implicit-transaction rollback --- *)
@@ -213,9 +197,8 @@ let test_mid_statement_error_rolls_back () =
 
 (* --- EXPLAIN ANALYZE actual rows under the batch engine --- *)
 
-let test_explain_analyze_rows_vectorized () =
+let test_explain_analyze_rows_batched () =
   let db = batch_db () in
-  set_vec db true;
   let text = "SELECT a.k FROM bt a, bt b WHERE a.v = b.v AND a.k < 50" in
   let n = List.length (q db text) in
   Alcotest.(check int) "50 outer rows, 3 matches each" 150 n;
@@ -248,40 +231,56 @@ let rec has_hash_join (p : Plan.plan) =
    producer that refilled one too early, would show as a wrong row.
    bt is three scan batches (1024 + 1024 + 52 rows); the self-join on v
    emits 3 rows per probe, so each outer batch overflows into several
-   output batches. *)
+   output batches.  Each result is checked against the reference as a
+   bag; a sorted result is also checked for order on its sort key
+   ([sorted_on], descending). *)
 let test_batch_lifetime () =
   let db = batch_db () in
   let join = "FROM bt a, bt b WHERE a.v = b.v" in
   Alcotest.(check bool) "the fan-out join is a hash join" true
     (has_hash_join (Starburst.compile_text db ("SELECT a.k, b.k " ^ join)));
   List.iter
-    (fun (what, text, n) ->
+    (fun (what, text, n, sorted_on) ->
       let t, v = both db text in
-      Alcotest.(check int) (what ^ ": row count") n (List.length t);
-      check_rows (what ^ ": same rows, same order") t v)
+      Alcotest.(check int) (what ^ ": row count") n (List.length v);
+      check_bag (what ^ ": same rows as the reference") t v;
+      Option.iter
+        (fun c ->
+          let rec descending = function
+            | a :: (b :: _ as rest) ->
+              Sb_storage.Value.compare a.(c) b.(c) >= 0 && descending rest
+            | _ -> true
+          in
+          Alcotest.(check bool) (what ^ ": sorted") true (descending v))
+        sorted_on)
     [
-      ("scan", "SELECT k, v, tag FROM bt", rows_total);
-      ("computed projection", "SELECT k + 1, v * 2, tag FROM bt", rows_total);
-      ("fan-out join", "SELECT a.k, b.k, b.tag " ^ join, 3 * rows_total);
-      ("projection over the join", "SELECT (a.k * 10000) + b.k " ^ join, 3 * rows_total);
+      ("scan", "SELECT k, v, tag FROM bt", rows_total, None);
+      ("computed projection", "SELECT k + 1, v * 2, tag FROM bt", rows_total, None);
+      ("fan-out join", "SELECT a.k, b.k, b.tag " ^ join, 3 * rows_total, None);
+      ( "projection over the join",
+        "SELECT (a.k * 10000) + b.k " ^ join,
+        3 * rows_total,
+        None );
       ( "GROUP BY over the join",
         "SELECT a.v, count(*), sum(b.k), min(b.tag) " ^ join ^ " GROUP BY a.v",
-        rows_total / 3 );
-      ("DISTINCT over the join", "SELECT DISTINCT a.v, b.v " ^ join, rows_total / 3);
+        rows_total / 3,
+        None );
+      ("DISTINCT over the join", "SELECT DISTINCT a.v, b.v " ^ join, rows_total / 3, None);
       ( "SORT over the join",
         "SELECT a.k, b.k " ^ join ^ " ORDER BY b.k DESC",
-        3 * rows_total );
+        3 * rows_total,
+        Some 1 );
       ( "SORT over a computed projection",
         "SELECT k, v * 2 AS w FROM bt ORDER BY w DESC",
-        rows_total );
+        rows_total,
+        Some 1 );
     ]
 
 (* --- lazy SORT: every prefix is the stable sort's --- *)
 
 (* ORDER BY t with t = k mod 7 (ties everywhere) over 0 .. 3000 rows,
-   with and without LIMIT: both engines, and a stable sort of the rows
-   in arrival order, agree exactly, and c_sorted counts every input
-   row *)
+   with and without LIMIT: the engine and a stable sort of the rows in
+   arrival order agree exactly, and c_sorted counts every input row *)
 let test_sort_prefixes () =
   List.iter
     (fun n ->
@@ -308,14 +307,10 @@ let test_sort_prefixes () =
                   (match limit with None -> "" | Some l -> Printf.sprintf " LIMIT %d" l)
               in
               let expect = List.filteri (fun j _ -> j < Option.value ~default:n limit) sorted in
-              List.iter
-                (fun on ->
-                  set_vec db on;
-                  let what = Printf.sprintf "%d rows, %s, vectorized %b" n text on in
-                  check_rows what expect (q db text);
-                  Alcotest.(check int) (what ^ ": c_sorted") n
-                    (Starburst.counters db).Sb_qes.Exec.c_sorted)
-                [ true; false ])
+              let what = Printf.sprintf "%d rows, %s" n text in
+              check_rows what expect (q db text);
+              Alcotest.(check int) (what ^ ": c_sorted") n
+                (Starburst.counters db).Sb_qes.Exec.c_sorted)
             [ None; Some 10; Some 1024; Some 1025 ])
         [ ("ASC", Sb_storage.Value.compare ?registry:None);
           ("DESC", fun a b -> Sb_storage.Value.compare b a) ])
@@ -399,18 +394,106 @@ let test_compiled_predicates () =
 let test_unbound_host_over_empty_table () =
   let db = Starburst.create () in
   run db "CREATE TABLE e (x INT, y STRING)";
-  List.iter
-    (fun on ->
-      set_vec db on;
-      Alcotest.(check int) "no rows, no error" 0
-        (List.length (q db "SELECT x FROM e WHERE x = :missing")))
-    [ true; false ];
+  Alcotest.(check int) "no rows, no error" 0
+    (List.length (q db "SELECT x FROM e WHERE x = :missing"));
   run db "INSERT INTO e VALUES (1, 'a')";
-  set_vec db true;
   match Starburst.run db "SELECT x FROM e WHERE x = :missing" with
   | _ -> Alcotest.fail "expected an unbound host variable error"
   | exception Starburst.Error e ->
     Alcotest.(check string) "stage" "exec" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+
+(* --- one key equality: 1 and 1.0 are one key everywhere --- *)
+
+(* a(x INT) = {1, 2}, b(y FLOAT) = {1.0, 3.0}: [1 = 1.0] holds, so every
+   keyed operator must treat them as one key, as the reference does *)
+let mixed_db () =
+  let db = Starburst.create () in
+  List.iter (run db)
+    [ "CREATE TABLE a (x INT)"; "CREATE TABLE b (y FLOAT)";
+      "INSERT INTO a VALUES (1), (2)"; "INSERT INTO b VALUES (1.0), (3.0)";
+      "ANALYZE" ];
+  db
+
+(* [text]'s rows (sorted) equal [expect], and so do the reference's *)
+let check_answer db text expect =
+  check_bag text expect (q db text);
+  check_bag (text ^ " (reference)") expect (reference_rows db text)
+
+let test_key_equality_subquery () =
+  let db = mixed_db () in
+  (* the uncorrelated IN is a parameter-bound join; the correlated
+     EXISTS is evaluated on demand: both find 1 = 1.0 *)
+  check_answer db "SELECT x FROM a WHERE x IN (SELECT y FROM b)" [ row [ i 1 ] ];
+  check_answer db "SELECT x FROM a WHERE EXISTS (SELECT y FROM b WHERE b.y = a.x)"
+    [ row [ i 1 ] ];
+  check_answer db "SELECT x FROM a WHERE NOT (x IN (SELECT y FROM b))" [ row [ i 2 ] ];
+  check_answer db "SELECT x, y FROM a, b WHERE x = y" [ row [ i 1; f 1.0 ] ]
+
+let test_key_equality_set_ops () =
+  let db = mixed_db () in
+  (* the left branch's value survives *)
+  check_answer db "SELECT x FROM a UNION SELECT y FROM b" [ row [ i 1 ]; row [ i 2 ]; row [ f 3.0 ] ];
+  check_answer db "SELECT x FROM a INTERSECT SELECT y FROM b" [ row [ i 1 ] ];
+  check_answer db "SELECT x FROM a EXCEPT SELECT y FROM b" [ row [ i 2 ] ];
+  check_answer db "SELECT y FROM b EXCEPT SELECT x FROM a" [ row [ f 3.0 ] ];
+  check_answer db "SELECT x FROM a UNION ALL SELECT y FROM b"
+    [ row [ i 1 ]; row [ i 2 ]; row [ f 1.0 ]; row [ f 3.0 ] ]
+
+let test_key_equality_grouping () =
+  let db = mixed_db () in
+  let both = "(SELECT x FROM a UNION ALL SELECT y FROM b) AS t(u)" in
+  (* 1 and 1.0 form one group, keyed by its first value *)
+  check_answer db ("SELECT u, count(*) FROM " ^ both ^ " GROUP BY u")
+    [ row [ i 1; i 2 ]; row [ i 2; i 1 ]; row [ f 3.0; i 1 ] ];
+  check_answer db ("SELECT DISTINCT u FROM " ^ both) [ row [ i 1 ]; row [ i 2 ]; row [ f 3.0 ] ];
+  check_answer db ("SELECT count(DISTINCT u) FROM " ^ both) [ row [ i 3 ] ]
+
+(* --- recursion --- *)
+
+(* edges (1,2), (1,3), (2,4), (3,4), (4,5): two paths reach 4 and 5 *)
+let diamond_db () =
+  let db = Starburst.create () in
+  List.iter (run db)
+    [ "CREATE TABLE e (s INT, d INT)";
+      "INSERT INTO e VALUES (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)"; "ANALYZE" ];
+  db
+
+let test_recursive_union_all () =
+  let db = diamond_db () in
+  let reach ~all ~seed =
+    Printf.sprintf
+      "WITH RECURSIVE r(n) AS (%s UNION%s SELECT e.d FROM r, e WHERE e.s = r.n) \
+       SELECT n FROM r"
+      seed (if all then " ALL" else "")
+  in
+  let ints = List.map (fun n -> row [ i n ]) in
+  (* the seed is 1 twice (two edges leave 1): every path is a row *)
+  check_answer db (reach ~all:true ~seed:"SELECT s FROM e WHERE s = 1")
+    (ints [ 1; 1; 2; 3; 2; 3; 4; 4; 4; 4; 5; 5; 5; 5 ]);
+  check_answer db (reach ~all:true ~seed:"SELECT DISTINCT s FROM e WHERE s = 1")
+    (ints [ 1; 2; 3; 4; 4; 5; 5 ]);
+  check_answer db (reach ~all:false ~seed:"SELECT s FROM e WHERE s = 1") (ints [ 1; 2; 3; 4; 5 ])
+
+let test_cyclic_union_all_is_bounded () =
+  let db = diamond_db () in
+  run db "INSERT INTO e VALUES (5, 1)";
+  run db "SET limit_intermediate_rows = 5000";
+  let text =
+    "WITH RECURSIVE r(n) AS (SELECT s FROM e WHERE s = 1 UNION ALL SELECT e.d \
+     FROM r, e WHERE e.s = r.n) SELECT n FROM r"
+  in
+  let stage (e : Sb_resil.Err.t) = Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage in
+  (match Starburst.run db text with
+  | _ -> Alcotest.fail "expected a resource error"
+  | exception Starburst.Error e -> Alcotest.(check string) "stage" "resource" (stage e));
+  (match Sb_fuzz.Reference.run db text with
+  | Sb_fuzz.Reference.Failed e -> Alcotest.(check string) "reference stage" "resource" (stage e)
+  | _ -> Alcotest.fail "expected the reference to run out of rows");
+  (* UNION terminates on the same cycle *)
+  check_answer db
+    "WITH RECURSIVE r(n) AS (SELECT s FROM e WHERE s = 1 UNION SELECT e.d FROM r, \
+     e WHERE e.s = r.n) SELECT n FROM r"
+    (List.map (fun n -> row [ i n ]) [ 1; 2; 3; 4; 5 ])
 
 let suite =
   ( "batch-engine",
@@ -423,9 +506,14 @@ let suite =
       case "governor ceiling trips mid-batch" test_governor_ceiling_mid_batch;
       case "exec error mid-batch is structured" test_exec_error_mid_batch;
       case "mid-statement error rolls back" test_mid_statement_error_rolls_back;
-      case "EXPLAIN ANALYZE rows under batches" test_explain_analyze_rows_vectorized;
+      case "EXPLAIN ANALYZE rows under batches" test_explain_analyze_rows_batched;
       case "batch lifetime: recycled batches" test_batch_lifetime;
       case "lazy SORT prefixes" test_sort_prefixes;
       case "compiled predicates agree with eval" test_compiled_predicates;
       case "unbound host variable over an empty table" test_unbound_host_over_empty_table;
+      case "key equality: subqueries and joins, INT vs FLOAT" test_key_equality_subquery;
+      case "key equality: set operations, INT vs FLOAT" test_key_equality_set_ops;
+      case "key equality: GROUP BY and DISTINCT, INT vs FLOAT" test_key_equality_grouping;
+      case "recursive UNION ALL keeps every path" test_recursive_union_all;
+      case "cyclic recursive UNION ALL hits the governor" test_cyclic_union_all_is_bounded;
     ] )

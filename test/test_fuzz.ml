@@ -1,8 +1,10 @@
 (** lib/fuzz tests: the checked-in repro corpus stays green, the harness
     is byte-for-byte deterministic, a deliberately broken rewrite rule
-    is caught by the differential oracle and shrunk to a tiny repro, and
-    a NULL-semantics fixture table agrees between the un-rewritten
-    reference pipeline and fully optimized plans. *)
+    is caught by the differential oracle and shrunk to a tiny repro, a
+    NULL-semantics fixture table agrees between the un-rewritten
+    pipeline, fully optimized plans and the QGM reference evaluator, and
+    the reference evaluator agrees with the engine on one query per QGM
+    shape it interprets. *)
 
 open Test_util
 module Sprng = Sb_fuzz.Sprng
@@ -30,6 +32,7 @@ let test_corpus () =
       match verdict with
       | Oracle.Pass -> ()
       | Oracle.Rejected msg -> Alcotest.failf "%s: rejected (%s)" path msg
+      | Oracle.Unsupported msg -> Alcotest.failf "%s: unsupported (%s)" path msg
       | Oracle.Fail { config; detail } ->
         Alcotest.failf "%s: regressed [%s] %s" path config detail)
     results
@@ -146,15 +149,19 @@ let null_db budget =
   | None -> ());
   db
 
+let agree text a b =
+  match Rule_audit.compare_results ~ordered:false a b with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s\n  %s" text msg
+
 let test_null_semantics () =
   let reference = null_db (Some 0) in
   let optimized = null_db None in
   List.iter
     (fun text ->
       let a = q reference text and b = q optimized text in
-      match Rule_audit.compare_results ~ordered:false a b with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s\n  %s" text msg)
+      agree text a b;
+      agree text (reference_rows reference text) b)
     null_fixtures;
   (* a few hand-computed anchors so both pipelines can't agree on a
      shared wrong answer *)
@@ -188,6 +195,75 @@ let test_null_semantics () =
           "SELECT t.k FROM nt t WHERE t.a >= ALL (SELECT u.a FROM nu u WHERE \
            u.k > 5)"))
 
+(* --- the reference evaluator -------------------------------------- *)
+
+(* One query per QGM shape the reference interprets, over the standard
+   test schema: the reference and the engine (fully rewritten and
+   optimized) agree as bags, and a few anchors pin literal answers. *)
+let reference_fixtures =
+  [
+    "SELECT q.partno, i.type FROM quotations q, inventory i WHERE q.partno = \
+     i.partno AND q.price > 10.0";
+    "SELECT d.dname, e.eid FROM dept d LEFT OUTER JOIN emp e ON d.id = e.dept";
+    "SELECT d.dname, e.eid FROM emp e RIGHT OUTER JOIN dept d ON d.id = e.dept \
+     AND e.salary > 99.0";
+    "SELECT d.dname FROM dept d WHERE EXISTS (SELECT e.eid FROM emp e WHERE \
+     e.dept = d.id AND e.salary > 100.0)";
+    "SELECT d.dname FROM dept d WHERE NOT (d.id IN (SELECT e.dept FROM emp e))";
+    "SELECT e.eid FROM emp e WHERE e.salary >= ALL (SELECT x.salary FROM emp x \
+     WHERE x.dept = e.dept)";
+    "SELECT e.eid, (SELECT d.dname FROM dept d WHERE d.id = e.dept) FROM emp e";
+    "SELECT id FROM dept d WHERE d.id = MAJORITY (SELECT dept FROM emp)";
+    "SELECT e.dept, count(*), sum(e.salary), min(e.eid) FROM emp e GROUP BY \
+     e.dept HAVING count(*) > 1";
+    "SELECT count(DISTINCT q.supplier), max(q.price) FROM quotations q";
+    "SELECT count(*) FROM emp e WHERE e.salary > 1000.0";
+    "SELECT DISTINCT q.supplier FROM quotations q";
+    "SELECT q.partno FROM quotations q UNION SELECT i.partno FROM inventory i";
+    "SELECT q.partno FROM quotations q INTERSECT ALL SELECT i.partno FROM \
+     inventory i";
+    "SELECT q.partno FROM quotations q EXCEPT ALL SELECT i.partno FROM \
+     inventory i WHERE i.partno > 2";
+    "SELECT * FROM (VALUES (1, 'a'), (2, 'b')) AS v(n, s) WHERE v.n > 1";
+    "WITH RECURSIVE r(a, b) AS (SELECT src, dst FROM edges UNION SELECT r.a, \
+     e.dst FROM r, edges e WHERE r.b = e.src) SELECT a, b FROM r";
+    "SELECT e.eid, e.salary * 2, e.salary / 0, -e.eid, e.eid % 3 FROM emp e \
+     WHERE e.eid BETWEEN 11 AND 13 OR e.eid IN (14, 99)";
+    "SELECT d.dname || '!' FROM dept d WHERE d.dname LIKE '%a%' AND NOT (d.region \
+     LIKE 'e_st')";
+    "SELECT x.partno FROM (SELECT q.partno, q.price FROM quotations q WHERE \
+     q.order_qty > 10) AS x WHERE x.price < 20.0";
+  ]
+
+let test_reference_evaluator () =
+  let db = sample_db ~extensions:true () in
+  List.iter
+    (fun text -> agree text (reference_rows db text) (q db text))
+    reference_fixtures;
+  check_bag "ORDER BY and LIMIT"
+    [ row [ i 14 ]; row [ i 11 ] ]
+    (reference_rows db "SELECT e.eid FROM emp e ORDER BY e.salary DESC LIMIT 2");
+  check_bag "left outer join pads the unmatched dept"
+    [ row [ s "empty"; nul ] ]
+    (reference_rows db
+       "SELECT d.dname, e.eid FROM dept d LEFT OUTER JOIN emp e ON d.id = \
+        e.dept WHERE e.eid IS NULL");
+  check_bag "transitive closure of edges" [ row [ i 7 ] ]
+    (reference_rows db
+       "WITH RECURSIVE r(a, b) AS (SELECT src, dst FROM edges UNION SELECT r.a, \
+        e.dst FROM r, edges e WHERE r.b = e.src) SELECT count(*) FROM r");
+  (* failures are classified as the engine classifies them *)
+  (match Sb_fuzz.Reference.run db "SELECT nope FROM emp" with
+  | Sb_fuzz.Reference.Failed e ->
+    Alcotest.(check string) "unknown column" "semantic"
+      (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+  | _ -> Alcotest.fail "expected a semantic error");
+  match Sb_fuzz.Reference.run db "SELECT (SELECT e.eid FROM emp e) FROM dept" with
+  | Sb_fuzz.Reference.Failed e ->
+    Alcotest.(check string) "scalar subquery of several rows" "exec"
+      (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+  | _ -> Alcotest.fail "expected an exec error"
+
 let suite =
   ( "fuzz",
     [
@@ -196,4 +272,5 @@ let suite =
       case "generator is deterministic" test_generator_determinism;
       case "broken rule caught and shrunk" test_broken_rule_caught;
       case "NULL semantics: reference vs optimized" test_null_semantics;
+      case "reference evaluator agrees with the engine" test_reference_evaluator;
     ] )

@@ -268,23 +268,23 @@ let test_sum_fixture () =
       ("all NULL", [ nul; nul ], nul);
       ("empty", [], nul);
     ];
-  (* and through the executor, grouped and keyless, under both engines *)
+  (* and through the executor and the reference evaluator, grouped and
+     keyless *)
   let db = Starburst.create () in
   List.iter
     (fun stmt -> ignore (Starburst.run db stmt))
     [ "CREATE TABLE sn (g INT, x INT, y FLOAT)";
       "INSERT INTO sn VALUES (1, NULL, NULL), (2, 3, NULL), (2, 4, 0.5)" ];
+  let shown_rows rows = List.map (fun r -> List.map shown (Array.to_list r)) rows in
   List.iter
-    (fun setting ->
-      ignore (Starburst.run db ("SET vectorized = " ^ setting));
-      let rows text = List.map (fun r -> List.map shown (Array.to_list r)) (q db text) in
-      Alcotest.(check (list (list string))) ("grouped, vectorized " ^ setting)
-        [ [ "Int 1"; "NULL"; "NULL" ]; [ "Int 2"; "Int 7"; "Float 0x1p-1" ] ]
-        (rows "SELECT g, sum(x), sum(y) FROM sn GROUP BY g ORDER BY g");
-      Alcotest.(check (list (list string))) ("empty input, vectorized " ^ setting)
-        [ [ "NULL"; "NULL" ] ]
-        (rows "SELECT sum(x), sum(y) FROM sn WHERE g > 2"))
-    [ "on"; "off" ]
+    (fun (what, text, expect) ->
+      Alcotest.(check (list (list string))) what expect (shown_rows (q db text));
+      Alcotest.(check (list (list string))) (what ^ ", reference") expect
+        (shown_rows (reference_rows db text)))
+    [ ( "grouped",
+        "SELECT g, sum(x), sum(y) FROM sn GROUP BY g ORDER BY g",
+        [ [ "Int 1"; "NULL"; "NULL" ]; [ "Int 2"; "Int 7"; "Float 0x1p-1" ] ] );
+      ("empty input", "SELECT sum(x), sum(y) FROM sn WHERE g > 2", [ [ "NULL"; "NULL" ] ]) ]
 
 let test_builtin_aggregates () =
   let fns = Functions.create () in

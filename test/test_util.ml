@@ -61,6 +61,16 @@ let sample_db ?(extensions = false) () =
 
 let q db text = Starburst.query db text
 
+(** The reference evaluator's rows for [text] ({!Sb_fuzz.Reference});
+    fails the test when it errs or does not interpret the query. *)
+let reference_rows db text =
+  match Sb_fuzz.Reference.run db text with
+  | Sb_fuzz.Reference.Rows rows -> rows
+  | Sb_fuzz.Reference.Failed e ->
+    Alcotest.failf "%s\n  reference failed: %s" text (Sb_resil.Err.to_string e)
+  | Sb_fuzz.Reference.Unsupported msg ->
+    Alcotest.failf "%s\n  reference: unsupported %s" text msg
+
 (** Expects a query to raise any Starburst-stack error. *)
 let expect_error db text =
   match Starburst.run db text with
