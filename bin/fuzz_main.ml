@@ -17,8 +17,7 @@
 
 let usage () =
   prerr_endline
-    "usage: fuzz_main [--fuzz N] [--seed S] [--out DIR] [--metrics]\n\
-    \                 [--rules native|dsl|both] [--qes]\n\
+    "usage: fuzz_main [--fuzz N] [--seed S] [--out DIR] [--metrics] [--qes]\n\
     \       fuzz_main --server N [--fuzz CASES] [--seed S]\n\
     \       fuzz_main --crash [--fuzz CASES] [--seed S] [--out DIR]\n\
     \       fuzz_main --races N [--fuzz CASES] [--seed S] [--graph FILE]\n\
@@ -34,7 +33,6 @@ type opts = {
   mutable metrics : bool;
   mutable replay : string option;
   mutable server : int option;
-  mutable rules : Sb_fuzz.Oracle.rules_mode;
   mutable qes : bool;
   mutable rules_status : bool;
   mutable crash : bool;
@@ -45,9 +43,8 @@ type opts = {
 let parse_args () =
   let o =
     { cases = 100; seed = 42; out = "_fuzz_failures"; metrics = false;
-      replay = None; server = None; rules = Sb_fuzz.Oracle.Native_rules;
-      qes = false; rules_status = false; crash = false; races = None;
-      graph = None }
+      replay = None; server = None; qes = false; rules_status = false;
+      crash = false; races = None; graph = None }
   in
   let rec go = function
     | [] -> o
@@ -73,13 +70,6 @@ let parse_args () =
       | Some n when n > 0 -> o.server <- Some n
       | _ -> usage ());
       go rest
-    | "--rules" :: mode :: rest ->
-      (match mode with
-      | "native" -> o.rules <- Sb_fuzz.Oracle.Native_rules
-      | "dsl" -> o.rules <- Sb_fuzz.Oracle.Dsl_rules
-      | "both" -> o.rules <- Sb_fuzz.Oracle.Both_rules
-      | _ -> usage ());
-      go rest
     | "--qes" :: rest ->
       o.qes <- true;
       go rest
@@ -101,28 +91,28 @@ let parse_args () =
   in
   go (List.tl (Array.to_list Sys.argv))
 
-(* --rules-status: strict-mode verification of the builtin DSL rules.
-   Every port must come out of the static verifier Verified or
-   Conditional (with its guards inserted); a Rejected builtin — or a
-   verdict drifting to Rejected after a verifier change — fails the
-   build.  Exit status is the number of rejected builtins. *)
+(* --rules-status: strict-mode report of the builtin DSL rules' verdicts
+   (the ones every database compiles its predicate and redundant-join
+   rules from).  Every builtin must come out of the static verifier
+   Verified or Conditional (with its guards inserted); a Rejected
+   builtin — or a verdict drifting to Rejected after a verifier change —
+   fails the build.  Exit status is the number of rejected builtins. *)
 let rules_status () =
-  let module Dsl = Sb_ruledsl.Dsl in
   let module Verify = Sb_ruledsl.Verify in
-  let rejected = ref 0 in
+  let statuses = Sb_ruledsl.Base_rules.builtin_statuses in
   List.iter
-    (fun (r : Dsl.rule) ->
-      let v = Verify.verify r in
-      (match v.Verify.v_status with
-      | Verify.Rejected _ -> incr rejected
-      | Verify.Verified | Verify.Conditional _ -> ());
-      Printf.printf "%-28s %s\n" r.Dsl.name
-        (Verify.status_to_string v.Verify.v_status))
-    Sb_ruledsl.Builtin.all;
-  Printf.printf "builtin DSL rules: %d, rejected: %d\n"
-    (List.length Sb_ruledsl.Builtin.all)
-    !rejected;
-  !rejected
+    (fun (name, status) ->
+      Printf.printf "%-28s %s\n" name (Verify.status_to_string status))
+    statuses;
+  let rejected =
+    List.length
+      (List.filter
+         (function _, Verify.Rejected _ -> true | _ -> false)
+         statuses)
+  in
+  Printf.printf "builtin DSL rules: %d, rejected: %d\n" (List.length statuses)
+    rejected;
+  rejected
 
 let show_verdict path = function
   | Sb_fuzz.Oracle.Pass ->
@@ -375,12 +365,10 @@ let () =
     exit (min 125 (replay path))
   | None ->
     let metrics = Sb_obs.Metrics.create () in
-    if o.rules <> Sb_fuzz.Oracle.Native_rules then
-      Printf.printf "rules mode: %s\n" (Sb_fuzz.Oracle.rules_mode_name o.rules);
     if o.qes then
       print_endline "qes differential: QGM reference vs the unrewritten engine";
     let stats =
-      Sb_fuzz.Harness.run ~rules:o.rules ~qes:o.qes ~metrics ~out_dir:o.out
+      Sb_fuzz.Harness.run ~qes:o.qes ~metrics ~out_dir:o.out
         ~log:print_endline ~seed:o.seed ~n:o.cases ()
     in
     print_string (Sb_fuzz.Harness.report stats);

@@ -22,11 +22,10 @@ module Check = Sb_qgm.Check
 module Qgm_print = Sb_qgm.Print
 module Rule = Sb_rewrite.Rule
 module Engine = Sb_rewrite.Engine
-module Base_rules = Sb_rewrite.Base_rules
+module Base_rules = Sb_ruledsl.Base_rules
 module Rule_dsl = Sb_ruledsl.Dsl
 module Rule_compile = Sb_ruledsl.Compile
 module Rule_verify = Sb_ruledsl.Verify
-module Rule_builtin = Sb_ruledsl.Builtin
 module Plan = Sb_optimizer.Plan
 module Star = Sb_optimizer.Star
 module Generator = Sb_optimizer.Generator
@@ -136,7 +135,7 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     builder_cfg;
     rules = Base_rules.default_set ~catalog;
     rule_stats = Hashtbl.create 32;
-    dsl_statuses = [];
+    dsl_statuses = Base_rules.builtin_statuses;
     optimizer = Generator.create ~catalog ~functions ();
     exec_db = Exec.make_db ~catalog ~functions;
     rewrite_enabled = true;
@@ -297,39 +296,6 @@ let register_dsl_rule t (r : Rule_dsl.rule) : Rule_verify.status =
       (r.Rule_dsl.name, status)
       :: List.remove_assoc r.Rule_dsl.name t.dsl_statuses;
     status
-
-(** Replaces the native predicate/redundant rule families with their
-    DSL-compiled ports, in place (registration order, priorities and
-    rewrite behavior are unchanged — the ports rewrite byte-identically,
-    which the fuzz oracle's [--rules both] mode checks).  A builtin the
-    verifier rejects is an internal error: the build's strict mode
-    ([fuzz_main --rules-status]) fails on it. *)
-let use_dsl_builtins t : unit =
-  let compiled =
-    List.map
-      (fun (r : Rule_dsl.rule) ->
-        match Rule_compile.compile ~catalog:t.catalog r with
-        | Ok (rule, status) -> (r.Rule_dsl.name, (rule, status))
-        | Error status ->
-          raise
-            (Error
-               (Err.make Err.Internal
-                  (Fmt.str "builtin rule %s rejected: %s" r.Rule_dsl.name
-                     (Rule_verify.status_to_string status)))))
-      Rule_builtin.all
-  in
-  t.rules.Rule.rules <-
-    List.map
-      (fun (r : Rule.t) ->
-        match List.assoc_opt r.Rule.rule_name compiled with
-        | Some (rule, _) -> rule
-        | None -> r)
-      t.rules.Rule.rules;
-  List.iter
-    (fun (name, (_, status)) ->
-      t.dsl_statuses <-
-        (name, status) :: List.remove_assoc name t.dsl_statuses)
-    compiled
 
 (** The EXPLAIN RULES / [\rules] report: every registered rule with its
     class, priority, origin, verification status (DSL rules only —

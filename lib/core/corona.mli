@@ -17,11 +17,10 @@ module Check = Sb_qgm.Check
 module Qgm_print = Sb_qgm.Print
 module Rule = Sb_rewrite.Rule
 module Engine = Sb_rewrite.Engine
-module Base_rules = Sb_rewrite.Base_rules
+module Base_rules = Sb_ruledsl.Base_rules
 module Rule_dsl = Sb_ruledsl.Dsl
 module Rule_compile = Sb_ruledsl.Compile
 module Rule_verify = Sb_ruledsl.Verify
-module Rule_builtin = Sb_ruledsl.Builtin
 module Plan = Sb_optimizer.Plan
 module Star = Sb_optimizer.Star
 module Generator = Sb_optimizer.Generator
@@ -143,11 +142,6 @@ val last_rewrite : t -> Engine.stats option
     @raise Error (semantic) when the verifier rejects the rule — the
     message names the failed obligation and the counterexample sketch. *)
 val register_dsl_rule : t -> Rule_dsl.rule -> Rule_verify.status
-
-(** Replaces the native predicate/redundant rule families with their
-    DSL-compiled ports, in place; rewrite behavior is byte-identical
-    (checked differentially by the fuzz oracle's [--rules both] mode). *)
-val use_dsl_builtins : t -> unit
 
 (** Cumulative per-rule [(name, (fires, attempts))] rows, sorted by
     name — the input to {!Sb_verify.Lint.lint_rules}. *)

@@ -31,22 +31,9 @@ let configs ~chaos_seed =
 
 type outcome = Rows of Tuple.t list | Failed of Err.t
 
-(** Which rewrite-rule implementation the databases under test run:
-    the native closures, their DSL-compiled ports, or both — native
-    everywhere plus an extra DSL-vs-native differential (result bags
-    and the rewritten QGM, byte for byte). *)
-type rules_mode = Native_rules | Dsl_rules | Both_rules
-
-let rules_mode_name = function
-  | Native_rules -> "native"
-  | Dsl_rules -> "dsl"
-  | Both_rules -> "both"
-
-let fresh_db ?inject ?(dsl = false) ~(ddl : string list) (config : config) :
-    Starburst.t =
+let fresh_db ?inject ~(ddl : string list) (config : config) : Starburst.t =
   let db = Starburst.create () in
   Sb_extensions.Outer_join.install db;
-  if dsl then Starburst.use_dsl_builtins db;
   ignore (Starburst.run_script db (String.concat ";\n" ddl));
   (match config with
   | Reference | Rewritten -> ()
@@ -195,7 +182,7 @@ let lenient_vs_rows (config : config) (e : Err.t) =
   | _, Err.Resource -> true
   | _ -> false
 
-let check_case ?inject ?(rules = Native_rules) ?(qes = false)
+let check_case ?inject ?(qes = false)
     ~(ddl : string list) ~chaos_seed (query : Ast.with_query) : verdict =
   (* --qes: a focused engine differential — only the unrewritten leg
      (and the metamorphic checks, re-run on it) against the reference,
@@ -208,56 +195,7 @@ let check_case ?inject ?(rules = Native_rules) ?(qes = false)
   let meta_config = if qes then Unrewritten else Rewritten in
   let core, limit = strip_limit query in
   let core_text = Gen.query_text core in
-  (* Dsl_rules runs the whole matrix on DSL-compiled rule sets (the
-     reference never rewrites) *)
-  let dsl = rules = Dsl_rules in
-  let run config text =
-    run_outcome (fresh_db ?inject ~dsl ~ddl config) text
-  in
-  (* Both_rules: one extra differential leg — native vs DSL rule sets
-     must agree on the result bag, the rewritten QGM rendering (byte
-     for byte) and the per-rule firing counts *)
-  let dsl_check () =
-    if rules <> Both_rules then None
-    else begin
-      let rewritten_qgm db =
-        match
-          let wq = Starburst.parse db core_text in
-          let g = Starburst.build_qgm db wq in
-          let stats = Starburst.rewrite db g in
-          ( Sb_qgm.Print.to_string g,
-            List.sort compare stats.Sb_rewrite.Engine.firings )
-        with
-        | v -> Some v
-        | exception _ -> None
-      in
-      let ndb = fresh_db ?inject ~ddl Rewritten in
-      let ddb = fresh_db ?inject ~dsl:true ~ddl Rewritten in
-      let fail detail = Some (Fail { config = "dsl-differential"; detail }) in
-      match (run_outcome ndb core_text, run_outcome ddb core_text) with
-      | Rows a, Rows b -> (
-        match bag_equal a b with
-        | Error msg -> fail ("DSL rules changed the result: " ^ msg)
-        | Ok () -> (
-          match (rewritten_qgm ndb, rewritten_qgm ddb) with
-          | Some (ga, fa), Some (gb, fb) ->
-            if ga <> gb then
-              fail "rewritten QGM differs between native and DSL rules"
-            else if fa <> fb then
-              fail "per-rule firings differ between native and DSL rules"
-            else None
-          | _ -> None))
-      | Failed _, Failed _ -> None
-      | Failed e, Rows _ ->
-        fail
-          (Printf.sprintf "native rules failed (%s) but DSL rules answered"
-             (Err.to_string e))
-      | Rows _, Failed e ->
-        fail
-          (Printf.sprintf "native rules answered but DSL rules failed: %s"
-             (Err.to_string e))
-    end
-  in
+  let run config text = run_outcome (fresh_db ?inject ~ddl config) text in
   let reference =
     match Reference.run (fresh_db ~ddl Reference) core_text with
     | Reference.Rows rows -> Ok (Rows rows)
@@ -304,9 +242,6 @@ let check_case ?inject ?(rules = Native_rules) ?(qes = false)
     match first_failure matrix with
     | Some f -> f
     | None -> (
-      match dsl_check () with
-      | Some f -> f
-      | None -> (
       (* metamorphic 1: LIMIT n output is a sub-bag of the unlimited
          output and respects the bound *)
       let limit_check =
@@ -370,4 +305,4 @@ let check_case ?inject ?(rules = Native_rules) ?(qes = false)
                   config = "tautology";
                   detail = "tautology changed the result: " ^ msg;
                 }))
-        | _ -> Pass))))
+        | _ -> Pass)))

@@ -8,7 +8,9 @@
     - {e reference}: {!Reference.run}, an interpreter of the canonical
       QGM that shares no rewrite, STAR, QES or hashing code with the
       engine, so none of their bugs can reach the expected answer;
-    - {e rewritten}: the full rule set and default cost-based search;
+    - {e rewritten}: the full rule set — hand-written closures plus the
+      verified DSL ports of the predicate and redundant-join classes —
+      and default cost-based search;
     - {e greedy}: full rewrite but the degraded greedy STAR strategy the
       pipeline falls back to under optimizer failures;
     - {e paranoid}: sanitizer mode — per-firing rule audits, plan
@@ -60,27 +62,14 @@ type outcome =
   | Rows of Sb_storage.Tuple.t list
   | Failed of Sb_resil.Err.t
 
-(** Which rewrite-rule implementation the databases under test run:
-    [Native_rules] (the hand-written closures), [Dsl_rules] (the whole
-    matrix on {!Starburst.use_dsl_builtins}), or [Both_rules] — native
-    everywhere, plus an extra [dsl-differential] leg requiring the two
-    rule sets to agree on the result bag, the rewritten QGM rendering
-    (byte for byte), and the per-rule firing counts. *)
-type rules_mode = Native_rules | Dsl_rules | Both_rules
-
-val rules_mode_name : rules_mode -> string
-
 (** A fresh database loaded with the DDL script (one statement per list
     element — {!Gen.ddl_of_catalog} for generated cases, the replayed
     script for corpus cases) and configured as [config]; [inject] (used
     by the rule-soundness acceptance test to plant a deliberately broken
     rewrite rule) is applied to every configuration {e except}
-    [Reference] and [Unrewritten], which fire no rule.  [dsl] swaps the
-    predicate/redundant rule families for their DSL-compiled ports
-    before the DDL replays. *)
+    [Reference] and [Unrewritten], which fire no rule. *)
 val fresh_db :
   ?inject:(Starburst.t -> unit) ->
-  ?dsl:bool ->
   ddl:string list ->
   config ->
   Starburst.t
@@ -104,7 +93,6 @@ type verdict =
     Pure in its arguments — the shrinker re-invokes it verbatim. *)
 val check_case :
   ?inject:(Starburst.t -> unit) ->
-  ?rules:rules_mode ->
   ?qes:bool ->
   ddl:string list ->
   chaos_seed:int ->

@@ -41,19 +41,9 @@ let fresh_stats () =
     attempts = [];
   }
 
-let bump assoc name =
-  let count = try List.assoc name !assoc with Not_found -> 0 in
-  assoc := (name, count + 1) :: List.remove_assoc name !assoc
-
 let record_firing stats name =
-  let l = ref stats.firings in
-  bump l name;
-  stats.firings <- !l
-
-let record_attempt stats name =
-  let l = ref stats.attempts in
-  bump l name;
-  stats.attempts <- !l
+  let count = Option.value ~default:0 (List.assoc_opt name stats.firings) in
+  stats.firings <- (name, count + 1) :: List.remove_assoc name stats.firings
 
 (** Per-rule [(name, fires, attempts)] rows, most-fired first. *)
 let per_rule stats =
@@ -144,6 +134,14 @@ let run ?(strategy = Sequential) ?(search = Depth_first) ?budget
     ?(check_each = false) ?(tracer = Sb_obs.Trace.noop) ~(rules : Rule.t list)
     (g : Qgm.t) : stats =
   let stats = fresh_stats () in
+  (* condition tests are counted in a table, once per rule and box, and
+     become [stats.attempts] when the run ends *)
+  let attempts : (string, int ref) Hashtbl.t = Hashtbl.create 32 in
+  let attempt name =
+    match Hashtbl.find_opt attempts name with
+    | Some n -> incr n
+    | None -> Hashtbl.add attempts name (ref 1)
+  in
   match budget with
   | Some b when b <= 0 ->
     (* a zero budget cannot fire anything: return before examining any
@@ -205,7 +203,7 @@ let run ?(strategy = Sequential) ?(search = Depth_first) ?budget
              List.iter
                (fun rule ->
                  stats.rules_examined <- stats.rules_examined + 1;
-                 record_attempt stats rule.Rule.rule_name;
+                 attempt rule.Rule.rule_name;
                  if
                    Hashtbl.mem g.Qgm.boxes b.Qgm.b_id
                    && rule.Rule.condition ctx
@@ -218,5 +216,6 @@ let run ?(strategy = Sequential) ?(search = Depth_first) ?budget
          boxes
      done
    with Budget_exhausted -> ());
+  stats.attempts <- Hashtbl.fold (fun name n acc -> (name, !n) :: acc) attempts [];
   Qgm.garbage_collect g;
   stats

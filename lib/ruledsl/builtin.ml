@@ -1,20 +1,18 @@
-(** The built-in rule families ported to the DSL.
-
-    These are declarative re-statements of [Rules_predicate] and
-    [Rules_redundant]; compiled, they rewrite byte-identically to the
-    native originals (same candidate selection, same mutations, same
-    fresh-id allocation).  Note what is {e missing} from
-    [eliminate_redundant_join]: the hand-written
-    [derives_unique]/[derives_not_null] prover checks.  The verifier
-    derives those obligations from the [Redirect_refs]/[Remove_quant]
-    actions and auto-inserts equivalent runtime guards in the same
-    position — the rule registers as [Conditional(key,strict)], and the
-    guard an author could forget is exactly the one the system now
-    writes for them. *)
+(** The built-in predicate-migration and redundant-join rules, written
+    as DSL data.  They are the only implementation of these two rule
+    classes: {!Base_rules.default_set} compiles them into every rule set.
+    Note what is {e missing} from [eliminate_redundant_join]: the
+    uniqueness/NOT NULL prover checks a hand-written version must
+    remember.  The verifier derives those obligations from the
+    [Redirect_refs]/[Remove_quant] actions and auto-inserts equivalent
+    runtime guards — the rule registers as [Conditional(key,strict)], and
+    the guard an author could forget is exactly the one the system writes
+    for them. *)
 
 open Dsl
 
-(** Native: [Rules_predicate.push_into_select]. *)
+(** Push a single-quantifier predicate down into the plain SELECT box
+    below it. *)
 let push_into_select =
   {
     name = "push_into_select";
@@ -38,7 +36,7 @@ let push_into_select =
     actions = [ Remove_pred "p"; Add_pred_to { box = "l"; expr = "e" } ];
   }
 
-(** Native: [Rules_predicate.push_through_group_by]. *)
+(** Push a predicate over pass-through group keys below a GROUP BY. *)
 let push_through_group_by =
   {
     name = "push_through_group_by";
@@ -61,7 +59,9 @@ let push_through_group_by =
     actions = [ Remove_pred "p"; Add_pred_to { box = "l"; expr = "e" } ];
   }
 
-(** Native: [Rules_predicate.push_through_set_op]. *)
+(** Replicate a predicate into every arm of a set operation
+    (σ(A ∪ B) = σA ∪ σB, likewise for ∩ and −); the original is marked
+    so it is not replicated again. *)
 let push_through_set_op =
   {
     name = "push_through_set_op";
@@ -87,7 +87,8 @@ let push_through_set_op =
       ];
   }
 
-(** Native: [Rules_predicate.replicate_restriction]. *)
+(** From [a = c] and [a op v], derive [c op v] — unless the replica is
+    already here or has already been pushed below its quantifier. *)
 let replicate_restriction =
   {
     name = "replicate_restriction";
@@ -107,7 +108,7 @@ let replicate_restriction =
     actions = [ Add_pred_here "e" ];
   }
 
-(** Native: [Rules_predicate.drop_true]. *)
+(** Drop TRUE conjuncts. *)
 let drop_true_predicate =
   {
     name = "drop_true_predicate";
@@ -117,9 +118,10 @@ let drop_true_predicate =
     actions = [ Remove_preds_matching E_true ];
   }
 
-(** Native: [Rules_redundant.eliminate_redundant_join] — written {e
-    without} its uniqueness/NOT NULL safety checks; the verifier
-    re-derives them as obligations and guards the rule. *)
+(** Redundant-join elimination [OTT82]: two iterators over one table
+    joined on a UNIQUE NOT NULL column denote the same row, so one is
+    removed.  Written {e without} its uniqueness/NOT NULL safety checks;
+    the verifier re-derives them as obligations and guards the rule. *)
 let eliminate_redundant_join =
   {
     name = "eliminate_redundant_join";
@@ -143,8 +145,7 @@ let eliminate_redundant_join =
       ];
   }
 
-(** Every ported rule, in the order the native families register them
-    ([Base_rules.default_set] order within each class). *)
+(** Every built-in rule, in registration order within its class. *)
 let all =
   [
     push_into_select;
@@ -154,6 +155,3 @@ let all =
     drop_true_predicate;
     eliminate_redundant_join;
   ]
-
-(** The rule classes the DSL ports replace. *)
-let classes = [ "predicate"; "redundant" ]

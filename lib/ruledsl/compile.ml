@@ -1,17 +1,16 @@
 (** Compiling a verified DSL rule into an ordinary {!Rule.t}.
 
     The matcher is backtracking first-solution over the pattern's atom
-    list: generators enumerate candidates in the exact order the
-    hand-written closures traverse them ([b_preds] list order,
-    equality-major for replication), tests filter, and a failing test —
-    including an auto-inserted runtime guard — backtracks to the next
-    candidate.  The compiled condition asks whether a solution exists;
-    the action re-solves and interprets the action templates against the
-    winning binding.  Because the same candidate is selected and the
-    same primitive mutations run in the same order (including fresh
-    box/quantifier allocation), a compiled rule's rewrites are
-    byte-identical to its native original's — which the fuzz oracle's
-    DSL-vs-native configuration checks on generated workloads. *)
+    list: generators enumerate candidates in document order ([b_preds]
+    list order, equality-major for replication), tests filter, and a
+    failing test — including an auto-inserted runtime guard —
+    backtracks to the next candidate.  The compiled condition asks
+    whether a solution exists; the action re-solves and interprets the
+    action templates against the winning binding, running the primitive
+    mutations in template order (including fresh box/quantifier
+    allocation), so a rule's rewrites are deterministic.  The built-in
+    ports' renderings are pinned by golden tests, and every fuzz leg
+    checks their answers against the QGM reference evaluator. *)
 
 module Qgm = Sb_qgm.Qgm
 module Ast = Sb_hydrogen.Ast
@@ -67,12 +66,17 @@ let epat_matches (e : Qgm.expr) = function
       Ast.is_comparison op
     | _ -> false)
 
-(* the movability test of the native predicate rules *)
+(* a predicate may migrate if it consumes no subquery and computes no
+   aggregate *)
 let movable (p : Qgm.pred) =
   (not (Qgm.contains_quantified p.Qgm.p_expr))
   && not (Qgm.contains_agg p.Qgm.p_expr)
 
-(* the recursive anti-ping-pong check of the native replicate rule *)
+(* anti-ping-pong for replication: a replica already pushed below its
+   quantifier must not be derived again.  The check recurses, since
+   push-down may carry a predicate several levels deep (e.g. through an
+   outer join onto its preserved side); fuel bounds the descent on
+   cyclic (recursive-query) graphs. *)
 let already_pushed g (e : Qgm.expr) =
   let rec pushed fuel (e : Qgm.expr) =
     fuel > 0

@@ -1,8 +1,8 @@
 (** A declarative language for QGM rewrite rules.
 
-    The paper's rules are C condition/action function pairs; ours so far
-    are OCaml closures — and three of the four fuzz-found bugs (PR 5)
-    were hand-rolled safety guards the closure author forgot.  This
+    The paper's rules are C condition/action function pairs; OCaml
+    closures would be the direct translation — and the classic bug in
+    such rules is a hand-rolled safety guard the author forgot.  This
     module makes the rule {e data}: a [pattern] — an ordered list of
     atoms, each either a {e generator} (enumerating candidates from the
     box the rule engine is visiting, in document order) or a {e test} —
@@ -13,13 +13,10 @@
     side-conditions must hold for the rewrite to be sound.
 
     Matching is backtracking first-solution: atoms are tried in order,
-    a generator's candidates are enumerated in the same order the native
-    closures traverse them ([b_preds] list order, equality-major for
-    replication), and a failed test backtracks to the next candidate.
-    A compiled DSL rule therefore selects the {e same} candidate as its
-    hand-written original and performs the same mutations in the same
-    order — rewrites are byte-identical, which the fuzz oracle checks
-    differentially. *)
+    a generator's candidates are enumerated in document order
+    ([b_preds] list order, equality-major for replication), and a failed
+    test backtracks to the next candidate, so a rule's choice of
+    candidate — and therefore its rewrite — is deterministic. *)
 
 module Qgm = Sb_qgm.Qgm
 module Ast = Sb_hydrogen.Ast
@@ -122,8 +119,7 @@ type atom =
       (** prover query: the predicate is null-intolerant in every column
           it references *)
 
-(** Action templates.  Each mutates the matched graph exactly as the
-    corresponding native-rule fragment does. *)
+(** Action templates: the primitive mutations of the matched graph. *)
 type action =
   | Remove_pred of var
   | Add_pred_to of { box : var; expr : var }

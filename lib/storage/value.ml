@@ -74,7 +74,10 @@ let hash = function
   | Float x -> hash_float x
   | Bool b -> Hashtbl.hash b
   | String s -> Hashtbl.hash s
-  | Ext (n, p) -> Hashtbl.hash (n, p)
+  (* payloads that differ may still be equal under the type's
+     [ext_compare] (a BOX of -0 and one of 0), so only the type name is
+     hashed *)
+  | Ext (n, _) -> Hashtbl.hash n
 
 let to_string ?registry = function
   | Null -> "NULL"

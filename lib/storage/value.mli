@@ -31,7 +31,9 @@ val equal : ?registry:Datatype.registry -> t -> t -> bool
 (** Hash consistent with {!equal}: values that compare equal (e.g.
     [Int 3] and [Float 3.0]) hash alike.  An [Int] up to 2^53 in
     magnitude hashes as itself, and so does a [Float] holding it; the
-    hash is not mixed, so bucketed tables mix it themselves. *)
+    hash is not mixed, so bucketed tables mix it themselves.  An [Ext]
+    value hashes by its type name alone, since equality is the type's
+    [ext_compare], which may equate different payloads. *)
 val hash : t -> int
 
 val to_string : ?registry:Datatype.registry -> t -> string

@@ -204,6 +204,30 @@ let test_extremes_use_ext_compare () =
         (run "SELECT g, min(fp), max(fp) FROM fps GROUP BY g"))
     [ ("engine", q db); ("reference", reference_rows db) ]
 
+(* Hashing agrees with the type's [ext_compare]: BOX compares parsed
+   floats, so (-0,0,1,1) equals (0,0,1,1) although the payloads differ.
+   Hash join, DISTINCT and GROUP BY must then treat the two as one key,
+   as the comparison-based join does. *)
+let test_ext_hash_agrees_with_compare () =
+  let db = sample_db ~extensions:true () in
+  List.iter
+    (fun stmt -> ignore (Starburst.run db stmt))
+    [ "CREATE TABLE p (name STRING, loc BOX)";
+      "INSERT INTO p VALUES ('neg', make_box(-0.0,0,1,1)), \
+       ('pos', make_box(0,0,1,1))" ];
+  List.iter
+    (fun (engine, run) ->
+      check_rows (engine ^ ": equi-join on BOX") [ row [ i 4 ] ]
+        (run "SELECT count(*) FROM p a, p b WHERE a.loc = b.loc");
+      check_rows (engine ^ ": range join on BOX") [ row [ i 4 ] ]
+        (run
+           "SELECT count(*) FROM p a, p b WHERE a.loc <= b.loc AND a.loc >= b.loc");
+      Alcotest.(check int) (engine ^ ": DISTINCT BOX") 1
+        (List.length (run "SELECT DISTINCT loc FROM p"));
+      check_rows (engine ^ ": GROUP BY BOX") [ row [ i 2 ] ]
+        (run "SELECT count(*) FROM p GROUP BY loc"))
+    [ ("engine", q db); ("reference", reference_rows db) ]
+
 (* --- sampling --- *)
 
 let test_sample () =
@@ -281,6 +305,7 @@ let suite =
       case "rtree index used and correct" test_rtree_index_used_and_correct;
       case "box null handling" test_box_literal_validation;
       case "min/max use the type's ext_compare" test_extremes_use_ext_compare;
+      case "BOX hash agrees with ext_compare" test_ext_hash_agrees_with_compare;
       case "sampling table function" test_sample;
       case "majority semantics" test_majority_semantics;
       case "statistics aggregates" test_stats_aggregates;

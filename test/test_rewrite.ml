@@ -8,7 +8,7 @@ module Builder = Sb_qgm.Builder
 module Check = Sb_qgm.Check
 module Rule = Sb_rewrite.Rule
 module Engine = Sb_rewrite.Engine
-module Base_rules = Sb_rewrite.Base_rules
+module Base_rules = Sb_ruledsl.Base_rules
 open Test_util
 
 let setup () =

@@ -1,7 +1,7 @@
 (** Tests for the declarative rewrite-rule DSL: the registration-time
     static verifier (sound rules verify, unsound fixtures are rejected
-    naming the failed obligation), byte-identical behavior of the
-    ported built-in families against their native originals, and the
+    naming the failed obligation), golden renderings of what the
+    built-in predicate and redundant-join rules rewrite, and the
     registration/report surface through Corona. *)
 
 open Sb_storage
@@ -11,10 +11,9 @@ module Builder = Sb_qgm.Builder
 module Check = Sb_qgm.Check
 module Rule = Sb_rewrite.Rule
 module Engine = Sb_rewrite.Engine
-module Base_rules = Sb_rewrite.Base_rules
+module Base_rules = Sb_ruledsl.Base_rules
 module Dsl = Sb_ruledsl.Dsl
 module Verify = Sb_ruledsl.Verify
-module Compile = Sb_ruledsl.Compile
 module Builtin = Sb_ruledsl.Builtin
 open Test_util
 
@@ -292,89 +291,193 @@ let test_guardable_fixtures () =
              ())
           push_actions))
 
-(* --- byte-identical differential: ported families vs native --- *)
+(* --- golden renderings: the rewritten QGM and the per-rule firings of
+       each query, recorded from the hand-written predicate and
+       redundant-join rules the DSL ports replaced --- *)
 
-(** The default rule set with the predicate/redundant families replaced
-    in place by their DSL-compiled ports (registration order kept). *)
-let dsl_rules ~catalog =
-  let compiled =
-    List.map
-      (fun (r : Dsl.rule) ->
-        match Compile.compile ~catalog r with
-        | Ok (cr, _) -> (cr.Rule.rule_name, cr)
-        | Error st ->
-          Alcotest.failf "builtin %s rejected: %s" r.Dsl.name
-            (Verify.status_to_string st))
-      Builtin.all
-  in
-  List.map
-    (fun (r : Rule.t) ->
-      match List.assoc_opt r.Rule.rule_name compiled with
-      | Some d -> d
-      | None -> r)
-    (Rule.all (Base_rules.default_set ~catalog))
-
-let differential_queries =
+let golden =
   [
-    (* figure 2: subquery-to-join + merge + predicate push *)
-    "SELECT partno, price, order_qty FROM quotations Q1 WHERE Q1.partno IN \
-     (SELECT partno FROM inventory Q3 WHERE Q3.onhand_qty < Q1.order_qty \
-     AND Q3.type = 'CPU')";
+    (* figure 2: subquery-to-join + merge *)
+    ( "SELECT partno, price, order_qty FROM quotations Q1 WHERE Q1.partno IN \
+      (SELECT partno FROM inventory Q3 WHERE Q3.onhand_qty < Q1.order_qty \
+      AND Q3.type = 'CPU')",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=Q1.c0, price=Q1.c1, order_qty=Q1.c2
+  quant Q1:F over Box 2 [quotations]
+  quant Q3:F over Box 4 [inventory]
+  pred: (Q1.c0 = Q3.c0)
+  pred: (Q3.c1 < Q1.c2)
+  pred: (Q3.c2 = 'CPU')
+Box 2 [quotations] TABLE quotations
+  head: partno, price, order_qty
+Box 4 [inventory] TABLE inventory
+  head: partno, onhand_qty, type
+|},
+      [ ("merge_select", 1); ("subquery_to_join", 1) ] );
     (* push into a merged view / plain select *)
-    "SELECT v.partno FROM (SELECT partno, price FROM quotations) v WHERE \
-     v.price > 10";
+    ( "SELECT v.partno FROM (SELECT partno, price FROM quotations) v WHERE \
+      v.price > 10",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=quotations.c0
+  quant quotations:F over Box 3 [quotations]
+  pred: (quotations.c1 > 10)
+Box 3 [quotations] TABLE quotations
+  head: partno, price, order_qty
+|},
+      [ ("merge_select", 1) ] );
     (* push through GROUP BY on a pass-through key *)
-    "SELECT g.partno, g.n FROM (SELECT partno, count(*) AS n FROM \
-     quotations GROUP BY partno) g WHERE g.partno = 3";
+    ( "SELECT g.partno, g.n FROM (SELECT partno, count(*) AS n FROM \
+      quotations GROUP BY partno) g WHERE g.partno = 3",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=Qt.c0, n=Qt.c1
+  quant Qt:F over Box 4 [GB]
+Box 4 [GB] GROUP BY
+  head: g1=Qg.c0, agg1=count(*)
+  group: Qg.c0
+  quant Qg:F over Box 2 [B2]
+Box 2 [B2] SELECT
+  head: g1=quotations.c0
+  quant quotations:F over Box 3 [quotations]
+  pred: (quotations.c0 = 3)
+Box 3 [quotations] TABLE quotations
+  head: partno, price, order_qty
+|},
+      [ ("merge_select", 1);
+        ("push_into_select", 1);
+        ("push_through_group_by", 1) ] );
     (* push through a set operation, replicating *)
-    "SELECT u.partno FROM (SELECT partno FROM quotations UNION ALL SELECT \
-     partno FROM parts) u WHERE u.partno < 5";
+    ( "SELECT u.partno FROM (SELECT partno FROM quotations UNION ALL SELECT \
+      partno FROM parts) u WHERE u.partno < 5",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=u.c0
+  quant u:F over Box 6 [B6]
+  pred: (u.c0 < 5)
+Box 6 [B6] UNION ALL
+  head: partno
+  quant Q3:F over Box 7 [B2']
+  quant Q4:F over Box 8 [B4']
+Box 7 [B2'] SELECT
+  head: partno=quotations.c0
+  quant quotations:F over Box 3 [quotations]
+  pred: (quotations.c0 < 5)
+Box 3 [quotations] TABLE quotations
+  head: partno, price, order_qty
+Box 8 [B4'] SELECT
+  head: partno=parts.c0
+  quant parts:F over Box 5 [parts]
+  pred: (parts.c0 < 5)
+Box 5 [parts] TABLE parts
+  head: partno, descr
+|},
+      [ ("merge_select", 2); ("push_through_set_op", 1) ] );
     (* replicate a restriction across an equality *)
-    "SELECT q.partno FROM quotations q, parts p WHERE q.partno = p.partno \
-     AND q.partno > 2";
+    ( "SELECT q.partno FROM quotations q, parts p WHERE q.partno = p.partno \
+      AND q.partno > 2",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=q.c0
+  quant q:F over Box 2 [quotations]
+  quant p:F over Box 3 [parts]
+  pred: (q.c0 = p.c0)
+  pred: (q.c0 > 2)
+  pred: (p.c0 > 2)
+Box 2 [quotations] TABLE quotations
+  head: partno, price, order_qty
+Box 3 [parts] TABLE parts
+  head: partno, descr
+|},
+      [ ("replicate_restriction", 1) ] );
     (* redundant self-join on a unique NOT NULL key *)
-    "SELECT a.partno, b.onhand_qty FROM inventory a, inventory b WHERE \
-     a.partno = b.partno AND a.type = 'CPU'";
+    ( "SELECT a.partno, b.onhand_qty FROM inventory a, inventory b WHERE \
+      a.partno = b.partno AND a.type = 'CPU'",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=a.c0, onhand_qty=a.c1
+  quant a:F over Box 2 [inventory]
+  pred: (a.c2 = 'CPU')
+Box 2 [inventory] TABLE inventory
+  head: partno, onhand_qty, type
+|},
+      [ ("eliminate_redundant_join", 1) ] );
     (* redundant-join guard must block: parts.partno is not unique *)
-    "SELECT a.partno, b.descr FROM parts a, parts b WHERE a.partno = \
-     b.partno";
-    (* TRUE-predicate drop *)
-    "SELECT partno FROM quotations WHERE 1 = 1 AND price > 0";
+    ( "SELECT a.partno, b.descr FROM parts a, parts b WHERE a.partno = \
+      b.partno",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=a.c0, descr=b.c1
+  quant a:F over Box 2 [parts]
+  quant b:F over Box 2 [parts]
+  pred: (a.c0 = b.c0)
+Box 2 [parts] TABLE parts
+  head: partno, descr
+|},
+      [] );
+    (* [1 = 1] is not the TRUE literal, so drop_true_predicate stays
+       off *)
+    ( "SELECT partno FROM quotations WHERE 1 = 1 AND price > 0",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=quotations.c0
+  quant quotations:F over Box 2 [quotations]
+  pred: (1 = 1)
+  pred: (quotations.c1 > 0)
+Box 2 [quotations] TABLE quotations
+  head: partno, price, order_qty
+|},
+      [] );
     (* HAVING + grouped subquery *)
-    "SELECT t.partno FROM (SELECT partno FROM inventory GROUP BY partno \
-     HAVING count(*) > 0) t WHERE t.partno = 7";
+    ( "SELECT t.partno FROM (SELECT partno FROM inventory GROUP BY partno \
+      HAVING count(*) > 0) t WHERE t.partno = 7",
+      {|
+Box 1 [B1] SELECT (top)
+  head: partno=Qt.c0
+  quant Qt:F over Box 4 [GB]
+  pred: (Qt.c1 > 0)
+Box 4 [GB] GROUP BY
+  head: g1=Qg.c0, agg1=count(*)
+  group: Qg.c0
+  quant Qg:F over Box 2 [B2]
+Box 2 [B2] SELECT
+  head: g1=inventory.c0
+  quant inventory:F over Box 3 [inventory]
+  pred: (inventory.c0 = 7)
+Box 3 [inventory] TABLE inventory
+  head: partno, onhand_qty, type
+|},
+      [ ("merge_select", 1);
+        ("push_into_select", 1);
+        ("push_through_group_by", 1) ] );
   ]
 
-let test_differential_byte_identical () =
+let test_golden_renderings () =
   let cat, cfg = setup () in
-  let native = Rule.all (Base_rules.default_set ~catalog:cat) in
-  let dsl = dsl_rules ~catalog:cat in
+  let rules = Rule.all (Base_rules.default_set ~catalog:cat) in
   List.iter
-    (fun query ->
-      let g_native = Builder.build_text cfg query in
-      let g_dsl = Builder.build_text cfg query in
-      let s_native =
-        Engine.run ~check_each:true ~rules:native g_native
-      in
-      let s_dsl = Engine.run ~check_each:true ~rules:dsl g_dsl in
+    (fun (query, rendering, firings) ->
+      let g = Builder.build_text cfg query in
+      let stats = Engine.run ~check_each:true ~rules g in
       Alcotest.(check string)
-        ("rewritten QGM identical: " ^ query)
-        (Print.to_string g_native) (Print.to_string g_dsl);
+        ("rewritten QGM: " ^ query)
+        rendering
+        ("\n" ^ Print.to_string g);
       Alcotest.(check (list (pair string int)))
-        ("firing counts identical: " ^ query)
-        (List.sort compare s_native.Engine.firings)
-        (List.sort compare s_dsl.Engine.firings);
-      Alcotest.(check (list string))
-        ("consistent: " ^ query) [] (Check.check g_dsl))
-    differential_queries
+        ("firing counts: " ^ query)
+        firings
+        (List.sort compare stats.Engine.firings);
+      Alcotest.(check (list string)) ("consistent: " ^ query) [] (Check.check g))
+    golden
 
 let test_dsl_rules_fire () =
   (* the ported rules actually fire through the DSL matcher *)
   let cat, cfg = setup () in
-  let dsl = dsl_rules ~catalog:cat in
+  let rules = Rule.all (Base_rules.default_set ~catalog:cat) in
   let fired query name =
     let g = Builder.build_text cfg query in
-    let stats = Engine.run ~check_each:true ~rules:dsl g in
+    let stats = Engine.run ~check_each:true ~rules g in
     List.mem_assoc name stats.Engine.firings
   in
   Alcotest.(check bool) "push_through_group_by" true
@@ -452,7 +555,6 @@ let test_corona_registration () =
 
 let test_corona_explain_rules () =
   let db = Starburst.create () in
-  Starburst.use_dsl_builtins db;
   ignore
     (Starburst.run db
        "CREATE TABLE inventory (partno INT NOT NULL UNIQUE, onhand_qty INT, \
@@ -515,7 +617,7 @@ let suite =
       case "auto-inserted guards" test_builtin_guards_inserted;
       case "unsound fixtures rejected" test_unsound_fixtures;
       case "guardable fixtures conditional" test_guardable_fixtures;
-      case "DSL vs native byte-identical" test_differential_byte_identical;
+      case "golden rewrite renderings" test_golden_renderings;
       case "DSL rules fire" test_dsl_rules_fire;
       case "registration through Corona" test_corona_registration;
       case "EXPLAIN RULES report" test_corona_explain_rules;
