@@ -229,15 +229,19 @@ let e13 () =
 (* ------------------------------------------------------------------ *)
 
 let e14 () =
-  header "E14. Distributed join: SHIP whole inner vs Bloom-reduced inner [MACK86]";
+  header "E14. Distributed join: best base plan vs Bloom-reduced inner [MACK86]";
   let make_db () =
     let db = Starburst.create () in
     ignore (Starburst.run db "CREATE TABLE local_small (k INT NOT NULL, tag STRING)");
     ignore (Starburst.run db "CREATE TABLE remote_big (k INT NOT NULL, payload INT)");
+    (* 50 local rows over 2 keys, each matching 20 remote rows: the
+       1,000-row answer outgrows the 40 remote rows the filter keeps,
+       which is when shipping keys and survivors beats shipping the
+       local rows and delivering the answer *)
     insert_batch db "local_small"
-      (List.init 50 (fun i -> Printf.sprintf "(%d, 't%d')" (i * 100) i));
+      (List.init 50 (fun i -> Printf.sprintf "(%d, 't%d')" (i mod 2 * 100) i));
     insert_batch db "remote_big"
-      (List.init 20000 (fun i -> Printf.sprintf "(%d, %d)" i (i * 3)));
+      (List.init 20000 (fun i -> Printf.sprintf "(%d, %d)" (i mod 1000) (i * 3)));
     ignore (Starburst.run db "ANALYZE");
     Starburst.Extension.set_site_map db (fun t ->
         if t = "remote_big" then "east" else "local");
@@ -260,7 +264,7 @@ let e14 () =
   table
     ~cols:[ "plan"; "time (ms)"; "tuples shipped" ]
     [
-      [ "ship whole inner"; ms t_base; itos shipped_base ];
+      [ "base plan"; ms t_base; itos shipped_base ];
       [ "bloom-reduced inner"; ms t_bloom; itos shipped_bloom ];
     ];
   check "bloom ships (far) fewer tuples" (shipped_bloom * 10 < shipped_base);

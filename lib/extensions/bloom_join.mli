@@ -3,7 +3,10 @@
     table is at a different site, ship the outer's join keys there,
     reduce the inner with a Bloom filter, and ship only survivors; the
     hash join above re-verifies, so false positives cost bandwidth,
-    never correctness. *)
+    never correctness.  The survivors are estimated from the distinct
+    counts of the two join keys, so the alternative wins by cost only
+    where it ships less than the base plans, which pay to deliver their
+    answer to the query site. *)
 
 val install : Starburst.t -> unit
 

@@ -19,7 +19,7 @@ let cpu_pred = 0.004
 let hash_tuple = 0.02
 let sort_tuple_log = 0.015
 let ship_tuple = 0.08
-let temp_tuple = 0.005
+let temp_tuple = 0.01
 (* root-to-leaf descent / fetching one row through an index *)
 let index_probe = 2.5
 let fetch_row = 0.3
@@ -399,15 +399,15 @@ let mk_join ?(bound = false) ~method_ ~kind ~equi ~pred ~kind_pred ~corr ~sel (o
     match method_ with
     | Nested_loop ->
       if corr = [] then
-        (* inner materialized once (TEMP is the caller's business; the
-           stream is re-scanned per outer tuple) *)
-        inner.props.p_cost +. (no *. ni *. cpu_pred)
+        (* inner produced once (TEMP is the caller's business), then
+           re-read once per outer tuple *)
+        inner.props.p_cost +. (no *. cpu_tuple) +. (no *. ni *. cpu_pred)
       else
         (* evaluate-on-demand: re-open the inner per distinct binding;
            assume half the openings hit the correlation cache *)
         no *. 0.5 *. inner.props.p_cost
-    | Sort_merge -> (no +. ni) *. cpu_tuple *. 2.0
-    | Hash_join -> (ni *. hash_tuple) +. (no *. cpu_tuple)
+    | Sort_merge -> inner.props.p_cost +. ((no +. ni) *. cpu_tuple *. 2.0)
+    | Hash_join -> inner.props.p_cost +. (ni *. hash_tuple) +. (no *. cpu_tuple)
   in
   let out_slots =
     match kind with

@@ -502,15 +502,22 @@ and enumerate_joins t ~g ~env ~(quants : Qgm.quant list)
     done;
     try Hashtbl.find memo full with Not_found -> []
   in
-  if n = 1 then List.assoc (List.hd quants).Qgm.q_id accesses
-  else
-    match run t.allow_cartesian with
-    | [] -> (
-      (* disconnected join graph: retry allowing Cartesian products *)
-      match run true with
-      | [] -> unsupported "join enumeration produced no plan"
-      | plans -> plans)
-    | plans -> plans
+  let plans =
+    if n = 1 then List.assoc (List.hd quants).Qgm.q_id accesses
+    else
+      match run t.allow_cartesian with
+      | [] -> (
+        (* disconnected join graph: retry allowing Cartesian products *)
+        match run true with
+        | [] -> unsupported "join enumeration produced no plan"
+        | plans -> plans)
+      | plans -> plans
+  in
+  (* the answer is delivered to the query site: a plan left at a remote
+     site pays to ship its result back, which can reorder the prune's
+     cost ranking, and the caller takes the head *)
+  List.map (Cost.mk_ship "local") plans
+  |> List.stable_sort (fun (a : plan) b -> Float.compare a.props.p_cost b.props.p_cost)
 
 (* ------------------------------------------------------------------ *)
 (* Subquery application (joins with special kinds)                     *)

@@ -61,15 +61,20 @@ let encode (t : Tuple.t) : string =
 let corrupt fmt =
   Sb_resil.Err.fail Sb_resil.Err.Storage ("Row_codec.decode: " ^^ fmt ^^ " (corrupt record)")
 
-(* a varint that must end before [stop] *)
-let get_varint (b : Bytes.t) off stop =
-  let rec go off shift acc =
-    if off >= stop || shift > 56 then corrupt "length runs past the record";
-    let b' = Char.code (Bytes.get b off) in
-    let acc = acc lor ((b' land 0x7f) lsl shift) in
-    if b' land 0x80 = 0 then (acc, off + 1) else go (off + 1) (shift + 7) acc
-  in
-  go off 0 0
+(* The offset just past the varint that starts at [start], which must
+   end before [stop] within nine bytes; [o] is the byte being examined.
+   The value is read by [varint_value] once this has checked the bytes:
+   two passes rather than one returning a pair, so that reading a length
+   allocates nothing. *)
+let rec varint_end (b : Bytes.t) ~start o stop =
+  if o >= stop || o - start > 8 then corrupt "length runs past the record";
+  if Char.code (Bytes.get b o) land 0x80 = 0 then o + 1
+  else varint_end b ~start (o + 1) stop
+
+let rec varint_value (b : Bytes.t) o shift acc =
+  let c = Char.code (Bytes.get b o) in
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c land 0x80 = 0 then acc else varint_value b (o + 1) (shift + 7) acc
 
 (* the offset after a field of [width] bytes starting at [o], which must
    end by [stop] *)
@@ -81,18 +86,10 @@ let decode_into ~(needed : bool array) (b : Bytes.t) ~off ~len (row : Tuple.t) =
   let stop = off + len in
   let off = ref off in
   let n =
-    (* a field count below 128 is one varint byte: read it without the
-       pair [get_varint] allocates *)
-    let c = if !off < stop then Char.code (Bytes.get b !off) else 0x80 in
-    if c < 0x80 then begin
-      incr off;
-      c
-    end
-    else begin
-      let n, o = get_varint b !off stop in
-      off := o;
-      n
-    end
+    let o = varint_end b ~start:!off !off stop in
+    let n = varint_value b !off 0 0 in
+    off := o;
+    n
   in
   if n > Array.length needed || n > Array.length row then
     corrupt "%d fields, %d expected" n (min (Array.length needed) (Array.length row));
@@ -114,12 +111,16 @@ let decode_into ~(needed : bool array) (b : Bytes.t) ~off ~len (row : Tuple.t) =
     | '\003' -> if want then row.(i) <- Value.Bool false
     | '\004' -> if want then row.(i) <- Value.Bool true
     | '\005' ->
-      let slen, o = get_varint b !off stop in
+      let o = varint_end b ~start:!off !off stop in
+      let slen = varint_value b !off 0 0 in
       off := past stop o slen;
       if want then row.(i) <- Value.String (Bytes.sub_string b o slen)
     | '\006' ->
-      let nlen, o = get_varint b !off stop in
-      let plen, o' = get_varint b (past stop o nlen) stop in
+      let o = varint_end b ~start:!off !off stop in
+      let nlen = varint_value b !off 0 0 in
+      let p = past stop o nlen in
+      let o' = varint_end b ~start:p p stop in
+      let plen = varint_value b p 0 0 in
       off := past stop o' plen;
       if want then
         row.(i) <- Value.Ext (Bytes.sub_string b o nlen, Bytes.sub_string b o' plen)
@@ -129,7 +130,8 @@ let decode_into ~(needed : bool array) (b : Bytes.t) ~off ~len (row : Tuple.t) =
 let decode (s : string) : Tuple.t =
   let b = Bytes.unsafe_of_string s in
   let len = String.length s in
-  let n, _ = get_varint b 0 len in
+  ignore (varint_end b ~start:0 0 len);
+  let n = varint_value b 0 0 0 in
   let row = Array.make n Value.Null in
   decode_into ~needed:(Array.make n true) b ~off:0 ~len row;
   row

@@ -223,6 +223,28 @@ let test_partial_decode () =
   let wide = Bytes.of_string (Row_codec.encode (row [ i 1; i 2; i 3; i 4; i 5; i 6 ])) in
   corrupt_case "six fields" wide ~len:(Bytes.length wide)
 
+(* skipping an unneeded STRING field reads its length in place: a
+   decode that materializes nothing allocates nothing *)
+let test_partial_decode_allocation () =
+  let record = Bytes.of_string (Row_codec.encode (row [ b true; s "skipped"; nul ])) in
+  let len = Bytes.length record in
+  let needed = [| true; false; true |] in
+  let into = Array.make 3 nul in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words ignore in
+  let decoding =
+    words (fun () ->
+        for _ = 1 to 1000 do
+          Row_codec.decode_into ~needed record ~off:0 ~len into
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words per 1000 decodes" 0.0 (decoding -. overhead);
+  check_rows "decoded" [ row [ b true; nul; nul ] ] [ into ]
+
 (* ------------------------------------------------------------------ *)
 (* Pages                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -982,6 +1004,7 @@ let suite =
       qcheck prop_codec_roundtrip;
       qcheck prop_fixed_codec;
       case "partial decode" test_partial_decode;
+      case "partial decode allocates nothing" test_partial_decode_allocation;
       case "page basic" test_page_basic;
       case "page compact" test_page_compact;
       case "buffer pool eviction" test_buffer_pool_eviction;
