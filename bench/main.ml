@@ -181,21 +181,7 @@ let chaos seed =
   let faults = Starburst.Faults.create ~seed () in
   Starburst.Faults.fail_prob faults 0.05;
   Starburst.Corona.set_faults db faults;
-  let corpus =
-    [
-      "SELECT q.partno, q.price FROM quotations q WHERE q.partno IN (SELECT \
-       partno FROM inventory WHERE type = 'CPU') AND q.price < 50";
-      "SELECT partno FROM inventory WHERE type = 'CPU' OR onhand_qty > 80";
-      "SELECT i.type, count(*), min(q.price) FROM quotations q, inventory i \
-       WHERE q.partno = i.partno GROUP BY i.type";
-      "SELECT partno FROM quotations WHERE price > (SELECT min(price) FROM \
-       quotations) ORDER BY partno";
-      "SELECT DISTINCT supplier FROM quotations WHERE order_qty > 10";
-      "SELECT partno FROM inventory UNION SELECT partno FROM quotations";
-      "SELECT q.supplier FROM quotations q WHERE EXISTS (SELECT partno FROM \
-       inventory i WHERE i.partno = q.partno AND i.onhand_qty < q.order_qty)";
-    ]
-  in
+  let corpus = sweep_corpus in
   let abbrev s = if String.length s <= 66 then s else String.sub s 0 63 ^ "..." in
   let ok = ref 0 and degraded = ref 0 and failed = ref 0 in
   List.iter
@@ -250,23 +236,6 @@ let trace_json path =
   | exception Sys_error msg ->
     Printf.eprintf "error: cannot write trace file: %s\n" msg;
     exit 1
-
-(** [--fuzz N --seed S]: N deterministic differential fuzz cases (see
-    lib/fuzz); prints the harness report plus its metrics and exits
-    non-zero on any discrepancy, so CI can gate on the sweep. *)
-let fuzz ~cases ~seed =
-  Bench_util.header
-    (Printf.sprintf "Fuzz sweep: %d cases, seed %d, differential + \
-                     metamorphic oracles" cases seed);
-  let metrics = Sb_obs.Metrics.create () in
-  let stats =
-    Sb_fuzz.Harness.run ~metrics ~out_dir:"_fuzz_failures"
-      ~log:print_endline ~seed ~n:cases ()
-  in
-  print_string (Sb_fuzz.Harness.report stats);
-  print_string (Sb_obs.Metrics.dump metrics);
-  if stats.Sb_fuzz.Harness.st_failures <> [] then
-    exit (min 125 (List.length stats.Sb_fuzz.Harness.st_failures))
 
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery bench (--crash)                                      *)
@@ -352,44 +321,23 @@ let () =
      run argv;
      exit 0
    | None -> ());
-  let rec split_flags acc trace verify_only analyze_only chaos_seed fz sd =
-    function
-    | [] -> (List.rev acc, trace, verify_only, analyze_only, chaos_seed, fz, sd)
+  let rec split_flags acc trace verify_only analyze_only chaos_seed = function
+    | [] -> (List.rev acc, trace, verify_only, analyze_only, chaos_seed)
     | "--trace-json" :: path :: rest ->
-      split_flags acc (Some path) verify_only analyze_only chaos_seed fz sd rest
-    | "--verify" :: rest ->
-      split_flags acc trace true analyze_only chaos_seed fz sd rest
-    | "--analyze" :: rest ->
-      split_flags acc trace verify_only true chaos_seed fz sd rest
+      split_flags acc (Some path) verify_only analyze_only chaos_seed rest
+    | "--verify" :: rest -> split_flags acc trace true analyze_only chaos_seed rest
+    | "--analyze" :: rest -> split_flags acc trace verify_only true chaos_seed rest
     | "--chaos" :: seed :: rest -> (
       match int_of_string_opt seed with
-      | Some s ->
-        split_flags acc trace verify_only analyze_only (Some s) fz sd rest
+      | Some s -> split_flags acc trace verify_only analyze_only (Some s) rest
       | None ->
         Printf.eprintf "error: --chaos expects an integer seed, got %s\n" seed;
         exit 2)
-    | "--fuzz" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n > 0 ->
-        split_flags acc trace verify_only analyze_only chaos_seed (Some n) sd rest
-      | _ ->
-        Printf.eprintf "error: --fuzz expects a positive case count, got %s\n" n;
-        exit 2)
-    | "--seed" :: s :: rest -> (
-      match int_of_string_opt s with
-      | Some s ->
-        split_flags acc trace verify_only analyze_only chaos_seed fz s rest
-      | None ->
-        Printf.eprintf "error: --seed expects an integer, got %s\n" s;
-        exit 2)
-    | a :: rest ->
-      split_flags (a :: acc) trace verify_only analyze_only chaos_seed fz sd rest
+    | a :: rest -> split_flags (a :: acc) trace verify_only analyze_only chaos_seed rest
   in
-  let args, trace_path, verify_only, analyze_only, chaos_seed, fuzz_cases, seed =
-    split_flags [] None false false None None 42
-      (Array.to_list Sys.argv |> List.tl)
+  let args, trace_path, verify_only, analyze_only, chaos_seed =
+    split_flags [] None false false None (Array.to_list Sys.argv |> List.tl)
   in
-  Option.iter (fun cases -> fuzz ~cases ~seed; exit 0) fuzz_cases;
   let args = List.map String.lowercase_ascii args in
   let wanted name = args = [] || List.mem name args in
   print_endline banner;

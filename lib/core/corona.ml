@@ -75,7 +75,6 @@ type t = {
   mutable rewrite_strategy : Engine.strategy;
   mutable rewrite_search : Engine.search;
   mutable rewrite_budget : int option;
-  mutable check_qgm : bool;  (** verify QGM consistency after each rule *)
   mutable paranoid : bool;
       (** sanitizer mode ([STARBURST_PARANOID=1] / [SET paranoid = on]):
           per-firing rule audits, plan validation after optimization,
@@ -142,7 +141,6 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     rewrite_strategy = Engine.Sequential;
     rewrite_search = Engine.Depth_first;
     rewrite_budget = None;
-    check_qgm = false;
     paranoid = Rule_audit.paranoid_env ();
     hosts = [];
     last_counters = Exec.fresh_counters ();
@@ -368,7 +366,7 @@ let rewrite t (g : Qgm.t) : Engine.stats =
     stage t "rewrite" (fun () ->
         Engine.run ~strategy:t.rewrite_strategy ~search:t.rewrite_search
           ?budget:t.rewrite_budget
-          ~check_each:(t.check_qgm || t.paranoid)
+          ~check_each:t.paranoid
           ~tracer:t.tracer ~rules g)
   in
   t.last_rewrite <- Some stats;
@@ -620,16 +618,19 @@ let plan_cache_key t (text : string) : string =
     catalog/statistics epoch they were compiled at, so DDL and ANALYZE
     (from this session or any other sharing the catalog) invalidate
     them; eviction is LRU.  A degraded compilation is executed but never
-    cached. *)
-let cached_query t (text : string) : Tuple.t list =
+    cached.  Returns the plan's column names with its rows. *)
+let cached_query t (text : string) : string list * Tuple.t list =
   let key = plan_cache_key t text in
   let epoch = Catalog.epoch t.catalog in
-  match Plan_cache.find t.plan_cache ~epoch key with
-  | Some p -> execute_prepared t p
-  | None ->
-    let p = prepare t text in
-    if t.last_degraded = None then Plan_cache.add t.plan_cache ~epoch key p;
-    execute_prepared t p
+  let p =
+    match Plan_cache.find t.plan_cache ~epoch key with
+    | Some p -> p
+    | None ->
+      let p = prepare t text in
+      if t.last_degraded = None then Plan_cache.add t.plan_cache ~epoch key p;
+      p
+  in
+  (p.prep_columns, execute_prepared t p)
 
 let clear_plan_cache t = Plan_cache.clear t.plan_cache
 let plan_cache_stats t = Plan_cache.stats t.plan_cache
@@ -944,7 +945,6 @@ let do_set t key value : result =
        else Trace.noop)
   | "bushy" -> t.optimizer.Generator.allow_bushy <- on_off value
   | "cartesian" -> t.optimizer.Generator.allow_cartesian <- on_off value
-  | "check_qgm" -> t.check_qgm <- on_off value
   | "paranoid" -> t.paranoid <- on_off value
   | "rewrite_budget" ->
     t.rewrite_budget <-

@@ -68,7 +68,6 @@ type t = {
   mutable rewrite_strategy : Engine.strategy;
   mutable rewrite_search : Engine.search;
   mutable rewrite_budget : int option;
-  mutable check_qgm : bool;  (** verify QGM consistency after each rule *)
   mutable paranoid : bool;
       (** sanitizer mode ([STARBURST_PARANOID=1] / [SET paranoid = on]):
           per-firing rule audits ({!Rule_audit.instrument}), plan
@@ -245,8 +244,8 @@ val plan_cache_key : t -> string -> string
     catalog/statistics epoch they were compiled at, so DDL and ANALYZE —
     from this session or any other sharing the catalog — invalidate them
     lazily; eviction is LRU.  A degraded compilation runs but is never
-    cached. *)
-val cached_query : t -> string -> Tuple.t list
+    cached.  Returns the plan's column names with its rows. *)
+val cached_query : t -> string -> string list * Tuple.t list
 
 val clear_plan_cache : t -> unit
 

@@ -366,29 +366,6 @@ let to_string p =
 (** Counts operators in a plan (used by tests and the bench harness). *)
 let rec size (p : plan) = 1 + List.fold_left (fun a c -> a + size c) 0 p.inputs
 
-(** Whether this operator (not its inputs) has a vectorized
-    batch-at-a-time implementation in the QES.  The executor consults
-    this to route each node through the batch engine or the
-    tuple-at-a-time fallback; a node is never half-batched, so the two
-    engines compose freely within one plan. *)
-let batch_capable (p : plan) =
-  match p.op with
-  | Scan _ | Filter _ | Or_filter _ | Project _ | Sort _ | Distinct_op
-  | Union_all | Intersect_op _ | Except_op _ | Temp | Ship _ | Limit_op _
-  | Values_scan _ | Choose_op ->
-    true
-  (* streaming (pre-sorted) aggregation stays tuple-at-a-time *)
-  | Group { g_keys; g_sorted; _ } -> not (g_sorted && g_keys <> [])
-  (* hash and merge joins vectorize when the inner shares the enclosing
-     parameter space; parameter-bound inners re-evaluate per outer
-     binding and stay on the demand-driven tuple path, as do
-     nested-loop joins *)
-  | Join { j_method = Hash_join | Sort_merge; j_bound; _ } -> not j_bound
-  | Join _ -> false
-  | Idx_access _ | Idx_and _ | Table_fn_scan _ | Bloom_filter _ | Fixpoint _
-  | Rec_delta _ ->
-    false
-
 (** Rewrites every runtime expression of a plan in the {e current}
     parameter space: descends through inputs but not into the inner
     plans of parameter-bound joins nor into embedded subplans (both own

@@ -181,15 +181,6 @@ val to_string : plan -> string
 (** Operator count. *)
 val size : plan -> int
 
-(** Whether this operator (not its inputs) has a vectorized
-    batch-at-a-time implementation in the QES: scans, filters,
-    projections, sorts, hash aggregation, set operations, LIMIT, TEMP,
-    SHIP, and hash/merge joins whose inner shares the enclosing
-    parameter space.  Nested-loop and parameter-bound joins, streaming
-    aggregation, index access, table functions, Bloom filters and the
-    recursion operators stay tuple-at-a-time. *)
-val batch_capable : plan -> bool
-
 (** Rewrites every runtime expression of a plan in the {e current}
     parameter space: descends through inputs but not into the inner
     plans of parameter-bound joins nor into embedded subplans. *)

@@ -35,7 +35,6 @@ let owner w =
       own := Some b;
       b
 
-let width b = b.b_width
 let count b = b.b_live
 let full b = b.b_len >= Array.length b.b_sel
 
@@ -135,25 +134,87 @@ let keep b pred =
 
 let truncate b n = if n < b.b_live then b.b_live <- max n 0
 
+(* A producer's output: rows are appended to [e_cur]; a batch that
+   fills queues in [e_ready] and the next row opens a spare one.  The
+   batch lent to the consumer comes back on its next pull. *)
+type emitter = {
+  e_width : int;
+  mutable e_cur : t;  (* the batch being filled; [idle] when none *)
+  e_ready : t Queue.t;  (* full batches, oldest first *)
+  mutable e_spare : t list;
+  mutable e_lent : t option;
+}
+
+(* zero capacity: always full, so the first append opens a real batch *)
+let idle = create ~cap:0 0
+
+let emitter w =
+  { e_width = w; e_cur = idle; e_ready = Queue.create (); e_spare = [];
+    e_lent = None }
+
+(* the current batch is full (or [idle]): queue it and open a spare
+   or new one *)
+let roll em =
+  if em.e_cur != idle then Queue.push em.e_cur em.e_ready;
+  em.e_cur <-
+    (match em.e_spare with
+    | b :: rest ->
+      em.e_spare <- rest;
+      b
+    | [] -> create em.e_width)
+
+let push em row =
+  if full em.e_cur then roll em;
+  append em.e_cur row
+
+let push_cols em row cols =
+  if full em.e_cur then roll em;
+  append_cols em.e_cur row cols
+
+let push_concat em a c =
+  if full em.e_cur then roll em;
+  append_concat em.e_cur a c
+
+let filled em =
+  (not (Queue.is_empty em.e_ready)) || (full em.e_cur && em.e_cur.b_len > 0)
+
+let produce em step =
+  let finished = ref false in
+  let lend b =
+    em.e_lent <- Some b;
+    Some b
+  in
+  let rec pull () =
+    if not (Queue.is_empty em.e_ready) then lend (Queue.pop em.e_ready)
+    else if (!finished || full em.e_cur) && em.e_cur.b_len > 0 then begin
+      let b = em.e_cur in
+      em.e_cur <- idle;
+      lend b
+    end
+    else if !finished then None
+    else begin
+      if not (step ()) then finished := true;
+      pull ()
+    end
+  in
+  Seq.of_dispenser (fun () ->
+      Option.iter
+        (fun b ->
+          reset b;
+          em.e_spare <- b :: em.e_spare;
+          em.e_lent <- None)
+        em.e_lent;
+      pull ())
+
 let of_seq ~width (s : Tuple.t Seq.t) : t Seq.t =
   let src = Seq.to_dispenser s in
-  let out = owner width in
-  let finished = ref false in
-  Seq.of_dispenser (fun () ->
-      if !finished then None
-      else begin
-        let b = out () in
-        let rec fill () =
-          if not (full b) then
-            match src () with
-            | None -> finished := true
-            | Some row ->
-              append b row;
-              fill ()
-        in
-        fill ();
-        if count b > 0 then Some b else None
-      end)
+  let em = emitter width in
+  produce em (fun () ->
+      match src () with
+      | None -> false
+      | Some row ->
+        push em row;
+        true)
 
 let of_rows ~width rows = of_seq ~width (List.to_seq rows)
 

@@ -1,5 +1,5 @@
-(** Columnar row batches with selection vectors — the unit of exchange
-    between vectorized QES operators.
+(** Columnar row batches with selection vectors — the one interface
+    between QES operators.
 
     A batch holds up to {!capacity} rows column-chunked ([width] arrays
     of {!Sb_storage.Value.t}), plus a {e selection vector}: the physical
@@ -7,17 +7,18 @@
     place instead of copying rows; materializing operators read through
     it.
 
-    {b Lifetime.}  A producer owns the batches it emits and refills them
-    ({!reset}): a batch is valid until its consumer pulls the next one,
+    {b Lifetime.}  A producer owns the batches it emits and refills them:
+    a batch is valid until its consumer pulls the next one,
     and a consumer that keeps rows past that point copies them.  While
     it holds a batch, the consumer may mutate it (selection refinement,
     truncation) or take it over ({!select}) and pass it on; batches are
     never shared between consumers.  So a stream of batches costs one
-    batch per operator instance, not one per batch.
+    batch per operator instance (a few when one step of a producer fills
+    several; see {!produce}), not one per batch.
 
-    [Tuple.t Seq.t] remains the lingua franca at the plan root and at
-    operators that are not vectorized; {!of_seq} and {!to_seq} are the
-    adapters between the two worlds. *)
+    Rows leave batches ({!to_seq}) only where they are materialized:
+    at the plan root, in subquery and build-side materializations, and
+    as table-function arguments. *)
 
 open Sb_storage
 
@@ -26,14 +27,6 @@ type t
 (** Rows per batch (1024). *)
 val capacity : int
 
-val create : ?cap:int -> int -> t
-
-val width : t -> int
-
-(** Empties [b] for refilling: no rows, no live rows.  Views taken
-    over from [b] ({!select}) are invalidated with it. *)
-val reset : t -> unit
-
 (** [owner w] is a producer's one batch of width [w]: every call empties
     and returns the same batch, created on the first call. *)
 val owner : int -> unit -> t
@@ -41,25 +34,9 @@ val owner : int -> unit -> t
 (** Live rows (after selection refinement). *)
 val count : t -> int
 
-(** No more physical rows fit. *)
-val full : t -> bool
-
-(** Appends a row (copied into the columns).  The row becomes live. *)
-val append : t -> Tuple.t -> unit
-
 (** [append_init b f] appends the row [f 0 .. f (width-1)] without an
     intermediate array. *)
 val append_init : t -> (int -> Value.t) -> unit
-
-(** [append_concat b a c] appends the row [a @ c] (a join's outer and
-    inner halves) without materializing the concatenation;
-    [length a + length c] must equal [width b]. *)
-val append_concat : t -> Tuple.t -> Tuple.t -> unit
-
-(** [append_cols b row cols] appends the row
-    [row.(cols.(0)) .. row.(cols.(width-1))] (the scan's base-column
-    projection) without a per-row closure. *)
-val append_cols : t -> Tuple.t -> int array -> unit
 
 (** [select b cols] is the column-only projection of [b] onto its
     [cols] columns, without copying: the result shares [b]'s column
@@ -94,8 +71,40 @@ val keep : t -> (int -> bool) -> unit
 (** Keeps only the first [n] live rows. *)
 val truncate : t -> int -> unit
 
-(** Chunks a tuple stream into batches (lazily; empty batches are never
-    produced).  One batch is refilled for every pull. *)
+(** {1 Producers} *)
+
+(** A producer's output batches: rows are pushed one at a time and
+    leave in batches of exactly {!capacity} rows (the last may be
+    short).  Rows pushed past a full batch open the next one, so a
+    producer may push any number of rows per step. *)
+type emitter
+
+val emitter : int -> emitter
+
+val push : emitter -> Tuple.t -> unit
+
+(** [push_cols em row cols] pushes the projection
+    [row.(cols.(0)) .. row.(cols.(k-1))] (the scan's base-column
+    projection) without a per-row closure. *)
+val push_cols : emitter -> Tuple.t -> int array -> unit
+
+(** [push_concat em a c] pushes the row [a @ c] (a join's outer and
+    inner halves) without materializing the concatenation. *)
+val push_concat : emitter -> Tuple.t -> Tuple.t -> unit
+
+(** [filled em]: [em] holds a full batch, so the next pull will not
+    step again; a step that can stop between rows stops here. *)
+val filled : emitter -> bool
+
+(** [produce em step] is [em]'s batches: each pull calls [step] (which
+    pushes rows into [em] and returns [false] once its input is
+    exhausted) until a batch is full or the input is exhausted.  Empty
+    batches are never produced.  The batch lent to the consumer is
+    refilled on its next pull, so a step that pushes k batches' worth of
+    rows costs at most k + 1 batches. *)
+val produce : emitter -> (unit -> bool) -> t Seq.t
+
+(** Chunks a tuple stream into batches (lazily, through an emitter). *)
 val of_seq : width:int -> Tuple.t Seq.t -> t Seq.t
 
 val of_rows : width:int -> Tuple.t list -> t Seq.t

@@ -1,19 +1,15 @@
 (** The Query Evaluation System (section 7).
 
     Plans are interpreted against the database through an algebraic,
-    stream-based interface, with one body per operator.  The hot
-    operators — base scans, filters, projections, sorts, hash
-    aggregation, DISTINCT, set operations and hash/merge joins — are
-    batch-at-a-time: they exchange columnar row batches of up to
-    {!Batch.capacity} rows with per-batch selection vectors (see
+    stream-based interface, with one body per operator.  Every operator
+    is batch-at-a-time: operators exchange columnar row batches of up
+    to {!Batch.capacity} rows with per-batch selection vectors (see
     {!Batch}), charged to the governor and accounted at batch
-    granularity.  The operators where row-at-a-time is inherent —
-    index access, nested-loop and parameter-bound joins (evaluate-on-
-    demand), streaming aggregation over sorted input, Bloom filters,
-    table functions and fixpoints — and the plan root keep the lazy
-    [Tuple.t Seq.t] interface; {!Batch.of_seq} / {!Batch.to_seq} adapt
-    at every boundary, chosen node by node via
-    {!Sb_optimizer.Plan.batch_capable}.
+    granularity.  Producers that emit rows one at a time (index access,
+    joins, SORT, streaming aggregation, table functions) fill their
+    batches through a {!Batch.emitter}.  Rows leave batches only where
+    they are materialized: the plan root, evaluate-on-demand and hash
+    build sides, and table-function arguments.
 
     Every keyed structure (hash joins, GROUP BY, DISTINCT, DISTINCT
     aggregates, set operations and fixpoints) decides key equality by
@@ -23,9 +19,10 @@
     Join {e methods} (nested-loop, sort-merge, hash) are control
     structures; join {e kinds} (regular, exists, op-ALL, scalar,
     DBC set-predicates, and extension kinds such as left-outer) are the
-    functions performed during the join — a single operator handles many
-    kinds, and new kinds register in {!register_join_kind}.  Extension
-    kinds always see materialized [Tuple.t]s.
+    functions performed during the join.  One join body serves every
+    method — a method only decides which inner rows match an outer row
+    — and every kind; new kinds register in {!register_join_kind}.
+    Extension kinds always see materialized [Tuple.t]s.
 
     Subqueries — correlated or not — run through a single uniform
     {e evaluate-on-demand} mechanism: an inner plan is (re)evaluated
@@ -56,7 +53,7 @@ type counters = {
   mutable c_sub_cache_hits : int;
   mutable c_or_branch_evals : int;
   mutable c_fixpoint_rounds : int;
-  mutable c_batches : int;  (** batches emitted by vectorized operators *)
+  mutable c_batches : int;  (** batches emitted by operators *)
   mutable c_output : int;
 }
 
@@ -106,9 +103,8 @@ type cache_entry = {
 }
 
 (** Per-operator runtime accounting for EXPLAIN ANALYZE: rows produced
-    (across all re-evaluations, e.g. of a join's inner), batches
-    emitted (0 for tuple-at-a-time operators), and inclusive elapsed
-    time.  Row counts are exact at either granularity. *)
+    and batches emitted (across all re-evaluations, e.g. of a join's
+    inner), and inclusive elapsed time. *)
 type op_stats = {
   mutable os_rows : int;
   mutable os_batches : int;
@@ -119,7 +115,7 @@ type op_stats = {
    demand so subplans embedded in expressions are covered too *)
 type analysis = (Sb_optimizer.Plan.plan * op_stats) list ref
 
-(* The build side of a vectorized hash/merge join: every inner row in
+(* The build side of a hash/merge join: every inner row in
    build order, its key prehashed into a flat int array, and bucket
    chains threaded through a power-of-two partition directory.  Two
    passes, a fixed number of allocations, no per-key boxing. *)
@@ -513,31 +509,15 @@ and demand_rows ectx (key : Obj.t) (plan : plan) (bound : Value.t list) :
 and collect ectx ~params (plan : plan) : Tuple.t list =
   List.of_seq (stream ectx ~params plan)
 
-(** Interprets [plan] as a lazy tuple sequence.  Batch-capable nodes
-    run batch-at-a-time (their whole capable subtree runs batched; this
-    adapter unchunks at the top); the rest take their row-at-a-time
-    body, whose {e inputs} recurse through here and so run batched
-    again where they can.  When analyzing, every operator is wrapped to
-    count rows (and batches) and accumulate inclusive elapsed time. *)
+(** Interprets [plan] as a lazy tuple sequence: its batches, unchunked
+    into fresh rows. *)
 and stream ectx ~params (p : plan) : Tuple.t Seq.t =
-  if Sb_optimizer.Plan.batch_capable p then
-    Batch.to_seq (batches ectx ~params p)
-  else begin
-    (* cooperative governor checks: one operator-invocation charge per
-       stream instantiation, one intermediate-row charge per tuple any
-       operator produces *)
-    Sb_resil.Limits.charge_op ectx.gov;
-    let s = instr_stream ectx ~params p in
-    Seq.map
-      (fun row ->
-        Sb_resil.Limits.charge_row ectx.gov;
-        row)
-      s
-  end
+  Batch.to_seq (batches ectx ~params p)
 
-(** The batch-granularity face of {!stream}: one operator-invocation
-    charge per instantiation, one bulk intermediate-row charge per
-    batch. *)
+(** Every operator instance: one operator-invocation charge per
+    instantiation, one bulk intermediate-row charge per batch.  When
+    analyzing, every operator is wrapped to count rows and batches and
+    accumulate inclusive elapsed time. *)
 and batches ectx ~params (p : plan) : Batch.t Seq.t =
   Sb_resil.Limits.charge_op ectx.gov;
   Seq.map
@@ -567,139 +547,6 @@ and instr_batches ectx ~params (p : plan) : Batch.t Seq.t =
         Seq.Cons (b, timed rest)
     in
     timed s
-
-and instr_stream ectx ~params (p : plan) : Tuple.t Seq.t =
-  match ectx.instr with
-  | None -> op_stream ectx ~params p
-  | Some tbl ->
-    let st = stats_for tbl p in
-    let t0 = Sb_obs.Trace.now_ns () in
-    let s = op_stream ectx ~params p in
-    st.os_ns <- Int64.add st.os_ns (Int64.sub (Sb_obs.Trace.now_ns ()) t0);
-    let rec timed s () =
-      let t0 = Sb_obs.Trace.now_ns () in
-      let node = s () in
-      st.os_ns <- Int64.add st.os_ns (Int64.sub (Sb_obs.Trace.now_ns ()) t0);
-      match node with
-      | Seq.Nil -> Seq.Nil
-      | Seq.Cons (x, rest) ->
-        st.os_rows <- st.os_rows + 1;
-        Seq.Cons (x, timed rest)
-    in
-    timed s
-
-and op_stream ectx ~params (p : plan) : Tuple.t Seq.t =
-  match p.op with
-  | Idx_access { ix_table; ix_index; ix_probe; ix_cols; ix_preds } ->
-    let tab = find_table ectx ix_table in
-    let am =
-      match Table_store.find_attachment tab ix_index with
-      | Some am -> am
-      | None -> error "index %s on %s disappeared" ix_index ix_table
-    in
-    ectx.counters.c_index_probes <- ectx.counters.c_index_probes + 1;
-    let rids = probe_search ectx am (index_probe ectx ~params ix_probe) in
-    Seq.filter_map
-      (fun rid ->
-        match Table_store.fetch tab rid with
-        | None -> None
-        | Some row ->
-          ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
-          if conj ectx ~row ~params ix_preds then
-            Some (Array.of_list (List.map (fun c -> row.(c)) ix_cols))
-          else None)
-      rids
-  | Idx_and { ia_table; ia_probes; ia_cols; ia_preds } ->
-    let tab = find_table ectx ia_table in
-    let rid_sets =
-      List.map
-        (fun (index, probe) ->
-          let am =
-            match Table_store.find_attachment tab index with
-            | Some am -> am
-            | None -> error "index %s on %s disappeared" index ia_table
-          in
-          ectx.counters.c_index_probes <- ectx.counters.c_index_probes + 1;
-          List.of_seq (probe_search ectx am (index_probe ectx ~params probe)))
-        ia_probes
-    in
-    let intersection =
-      match List.sort (fun a b -> compare (List.length a) (List.length b)) rid_sets with
-      | [] -> []
-      | smallest :: rest ->
-        let member set rid =
-          List.exists (fun r -> Storage_manager.compare_rid r rid = 0) set
-        in
-        List.filter (fun rid -> List.for_all (fun set -> member set rid) rest) smallest
-    in
-    Seq.filter_map
-      (fun rid ->
-        match Table_store.fetch tab rid with
-        | None -> None
-        | Some row ->
-          ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
-          if conj ectx ~row ~params ia_preds then
-            Some (Array.of_list (List.map (fun c -> row.(c)) ia_cols))
-          else None)
-      (List.to_seq intersection)
-  | Join _ -> join_stream ectx ~params p
-  | Group _ -> group_stream ectx ~params p
-  | Table_fn_scan { tf_name; tf_args } -> (
-    match Functions.find_table_fn ectx.db.x_fns tf_name with
-    | None -> error "unknown table function %s" tf_name
-    | Some tf ->
-      let arg_tables =
-        List.map
-          (fun child ->
-            let w = Array.length child.props.p_slots in
-            let schema =
-              Array.init w (fun i ->
-                  Schema.column (Fmt.str "c%d" i) Datatype.String)
-            in
-            (schema, stream ectx ~params child))
-          p.inputs
-      in
-      let arg_values =
-        List.map (fun e -> eval ectx ~row:[||] ~params e) tf_args
-      in
-      tf.Functions.tf_eval ~arg_tables ~arg_values)
-  | Bloom_filter { bl_subject_key; bl_source_key; bl_bits } ->
-    let bits = Bytes.make (bl_bits / 8) '\000' in
-    let set h =
-      let h = h land (bl_bits - 1) in
-      Bytes.set bits (h / 8)
-        (Char.chr (Char.code (Bytes.get bits (h / 8)) lor (1 lsl (h mod 8))))
-    in
-    let test h =
-      let h = h land (bl_bits - 1) in
-      Char.code (Bytes.get bits (h / 8)) land (1 lsl (h mod 8)) <> 0
-    in
-    let h1 v = Value.hash v and h2 v = Hashtbl.hash (Value.hash v, 0x9e3779b9) in
-    List.iter
-      (fun row ->
-        let v = row.(bl_source_key) in
-        if not (Value.is_null v) then begin
-          set (h1 v);
-          set (h2 v)
-        end)
-      (collect ectx ~params (List.nth p.inputs 1));
-    Seq.filter
-      (fun row ->
-        let v = row.(bl_subject_key) in
-        (not (Value.is_null v)) && test (h1 v) && test (h2 v))
-      (input_stream ectx ~params p 0)
-  | Fixpoint { fx_distinct } -> fixpoint_stream ectx ~params p ~distinct:fx_distinct
-  | Rec_delta _ -> (
-    match ectx.deltas with
-    | delta :: _ -> List.to_seq delta
-    | [] -> error "recursive reference outside a fixpoint")
-  | Scan _ | Filter _ | Or_filter _ | Project _ | Sort _ | Distinct_op | Union_all
-  | Intersect_op _ | Except_op _ | Temp | Ship _ | Limit_op _ | Values_scan _
-  | Choose_op ->
-    (* batch-capable: {!stream} routes these to {!op_batches} *)
-    Batch.to_seq (op_batches ectx ~params p)
-
-and input_stream ectx ~params p i = stream ectx ~params (List.nth p.inputs i)
 
 and conj ectx ~row ~params preds =
   List.for_all (fun e -> bool3 (eval ectx ~row ~params e) = Some true) preds
@@ -765,7 +612,7 @@ and compile_preds ectx ~params (preds : rexpr list) : Tuple.t -> bool =
   | tests -> fun row -> List.for_all (fun test -> test row) tests
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized operator bodies                                          *)
+(* Operator bodies                                                     *)
 (* ------------------------------------------------------------------ *)
 
 and input_batches ectx ~params p i = batches ectx ~params (List.nth p.inputs i)
@@ -775,195 +622,274 @@ and nonempty (s : Batch.t Seq.t) : Batch.t Seq.t =
   Seq.filter (fun b -> Batch.count b > 0) s
 
 and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
-  if not (Sb_optimizer.Plan.batch_capable p) then
-    (* tuple-at-a-time operator body behind the batch interface; its
-       inputs recurse through {!stream} and vectorize where capable *)
-    Batch.of_seq ~width:(width p) (op_stream ectx ~params p)
-  else
-    match p.op with
-    | Scan { sc_table; sc_cols; sc_preds } ->
-      (* page at a time through the storage manager's scan primitive,
-         decoding only the projected and predicate columns *)
-      let tab = find_table ectx sc_table in
-      let cols = Array.of_list sc_cols in
-      let ncols = Array.length tab.Table_store.schema in
-      let needed = Array.make ncols false in
-      List.iter
-        (fun c -> if c < ncols then needed.(c) <- true)
-        (sc_cols @ List.concat_map slots_used sc_preds);
-      let row = Array.make ncols Value.Null in
-      let test = compile_preds ectx ~params sc_preds in
-      (* a subquery predicate runs after its page is unpinned, as the
-         inner plan may itself scan *)
-      let defer = List.exists rexpr_has_sub sc_preds in
-      let npages = Table_store.page_count tab and next_page = ref 0 in
-      (* decoded rows not yet tested: the tail of a page that overflowed
-         the previous batch, so batch boundaries fall where a row-at-a-time
-         fill would put them *)
-      let held = Queue.create () in
-      let take out r =
-        ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
-        if test r then Batch.append_cols out r cols
+  match p.op with
+  | Scan { sc_table; sc_cols; sc_preds } ->
+    (* page at a time through the storage manager's scan primitive,
+       decoding only the projected and predicate columns *)
+    let tab = find_table ectx sc_table in
+    let cols = Array.of_list sc_cols in
+    let ncols = Array.length tab.Table_store.schema in
+    let needed = Array.make ncols false in
+    List.iter
+      (fun c -> if c < ncols then needed.(c) <- true)
+      (sc_cols @ List.concat_map slots_used sc_preds);
+    let row = Array.make ncols Value.Null in
+    let test = compile_preds ectx ~params sc_preds in
+    let em = Batch.emitter (Array.length cols) in
+    let take r =
+      ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
+      if test r then Batch.push_cols em r cols
+    in
+    (* a subquery predicate runs after its page is unpinned, as the
+       inner plan may itself scan *)
+    let defer = List.exists rexpr_has_sub sc_preds in
+    let held = ref [] in
+    let on_row _ = if defer then held := Array.copy row :: !held else take row in
+    let npages = Table_store.page_count tab and next_page = ref 0 in
+    Batch.produce em (fun () ->
+        if !next_page >= npages then false
+        else begin
+          tab.Table_store.storage.Storage_manager.scan_page !next_page ~needed ~row on_row;
+          List.iter take (List.rev !held);
+          held := [];
+          incr next_page;
+          true
+        end)
+  | Filter preds ->
+    let test = compile_preds ectx ~params preds in
+    let scratch = Array.make (width p) Value.Null in
+    (* predicates typically read a few slots of a wide row: copy only
+       those before evaluating *)
+    let used =
+      Array.of_list
+        (List.sort_uniq compare (List.concat_map slots_used preds))
+    in
+    nonempty
+      (Seq.map
+         (fun b ->
+           Batch.keep b (fun i ->
+               Batch.blit_slots b i scratch used;
+               test scratch);
+           b)
+         (input_batches ectx ~params p 0))
+  | Or_filter disjuncts ->
+    let scratch = Array.make (width p) Value.Null in
+    nonempty
+      (Seq.map
+         (fun b ->
+           Batch.keep b (fun i ->
+               Batch.blit_row b i scratch;
+               (* disjuncts are tried left to right; a row rejected by
+                  one branch is handed to the next *)
+               let rec go = function
+                 | [] -> false
+                 | d :: rest ->
+                   ectx.counters.c_or_branch_evals <-
+                     ectx.counters.c_or_branch_evals + 1;
+                   (match bool3 (eval ectx ~row:scratch ~params d) with
+                   | Some true -> true
+                   | _ -> go rest)
+               in
+               go disjuncts);
+           b)
+         (input_batches ectx ~params p 0))
+  | Project exprs ->
+    let exprs = Array.of_list exprs in
+    let cols_only =
+      (* a pure column selection (every expression an [RCol]) re-views
+         its input batch: no value moves *)
+      let rec go k acc =
+        if k < 0 then Some (Array.of_list acc)
+        else
+          match exprs.(k) with
+          | RCol c -> go (k - 1) (c :: acc)
+          | _ -> None
       in
-      let drain out =
-        while not (Batch.full out || Queue.is_empty held) do
-          take out (Queue.pop held)
-        done
-      in
-      let next_out = Batch.owner (Array.length cols) in
-      Seq.of_dispenser (fun () ->
-          (* once exhausted, answer without touching the batch *)
-          if Queue.is_empty held && !next_page >= npages then None
-          else begin
-            let out = next_out () in
-            drain out;
-            while (not (Batch.full out)) && !next_page < npages do
-              tab.Table_store.storage.Storage_manager.scan_page !next_page ~needed
-                ~row (fun _ ->
-                  if defer || Batch.full out then Queue.push (Array.copy row) held
-                  else take out row);
-              incr next_page;
-              drain out
-            done;
-            if Batch.count out > 0 then Some out else None
-          end)
-    | Filter preds ->
-      let test = compile_preds ectx ~params preds in
-      let scratch = Array.make (width p) Value.Null in
-      (* predicates typically read a few slots of a wide row: copy only
-         those before evaluating *)
-      let used =
-        Array.of_list
-          (List.sort_uniq compare (List.concat_map slots_used preds))
-      in
-      nonempty
-        (Seq.map
-           (fun b ->
-             Batch.keep b (fun i ->
-                 Batch.blit_slots b i scratch used;
-                 test scratch);
-             b)
-           (input_batches ectx ~params p 0))
-    | Or_filter disjuncts ->
-      let scratch = Array.make (width p) Value.Null in
-      nonempty
-        (Seq.map
-           (fun b ->
-             Batch.keep b (fun i ->
-                 Batch.blit_row b i scratch;
-                 (* disjuncts are tried left to right; a row rejected by
-                    one branch is handed to the next *)
-                 let rec go = function
-                   | [] -> false
-                   | d :: rest ->
-                     ectx.counters.c_or_branch_evals <-
-                       ectx.counters.c_or_branch_evals + 1;
-                     (match bool3 (eval ectx ~row:scratch ~params d) with
-                     | Some true -> true
-                     | _ -> go rest)
-                 in
-                 go disjuncts);
-             b)
-           (input_batches ectx ~params p 0))
-    | Project exprs ->
-      let exprs = Array.of_list exprs in
-      let cols_only =
-        (* a pure column selection (every expression an [RCol]) re-views
-           its input batch: no value moves *)
-        let rec go k acc =
-          if k < 0 then Some (Array.of_list acc)
-          else
-            match exprs.(k) with
-            | RCol c -> go (k - 1) (c :: acc)
-            | _ -> None
-        in
-        go (Array.length exprs - 1) []
-      in
-      (match cols_only with
-      | Some [||] ->
-        (* width-0 projection (e.g. under a bare count): only the row count
-           survives *)
-        let next_out = Batch.owner 0 in
-        Seq.map
-          (fun b ->
-            let out = next_out () in
-            Batch.pad out (Batch.count b);
-            out)
-          (input_batches ectx ~params p 0)
-      | Some cols ->
-        Seq.map (fun b -> Batch.select b cols) (input_batches ectx ~params p 0)
-      | None ->
-        let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
-        let next_out = Batch.owner (Array.length exprs) in
-        Seq.map
-          (fun b ->
-            let out = next_out () in
-            for i = 0 to Batch.count b - 1 do
-              Batch.blit_row b i scratch;
-              Batch.append_init out (fun k ->
-                  eval ectx ~row:scratch ~params exprs.(k))
-            done;
-            out)
-          (input_batches ectx ~params p 0))
-    | Sort keys -> sort_batches ectx ~params p keys
-    | Join _ -> join_batches ectx ~params p
-    | Group _ -> group_batches ectx ~params p
-    | Distinct_op ->
-      (* a row survives iff it opens a new directory entry *)
-      let seen = key_dir (registry ectx) in
-      let key = Array.make (width p) Value.Null in
-      nonempty
-        (Seq.map
-           (fun b ->
-             Batch.keep b (fun i ->
-                 Batch.blit_row b i key;
-                 is_new seen key);
-             b)
-           (input_batches ectx ~params p 0))
-    | Union_all ->
-      Seq.append (input_batches ectx ~params p 0) (input_batches ectx ~params p 1)
-    | Intersect_op all -> setop_batches ectx ~params p ~all ~intersect:true
-    | Except_op all -> setop_batches ectx ~params p ~all ~intersect:false
-    | Temp ->
-      let rows =
-        demand_rows ectx (Obj.repr p) (List.nth p.inputs 0)
-          (Array.to_list params)
-      in
-      Batch.of_rows ~width:(width p) rows
-    | Ship _ ->
+      go (Array.length exprs - 1) []
+    in
+    (match cols_only with
+    | Some [||] ->
+      (* width-0 projection (e.g. under a bare count): only the row count
+         survives *)
+      let next_out = Batch.owner 0 in
       Seq.map
         (fun b ->
-          ectx.counters.c_shipped <- ectx.counters.c_shipped + Batch.count b;
-          b)
+          let out = next_out () in
+          Batch.pad out (Batch.count b);
+          out)
         (input_batches ectx ~params p 0)
-    | Limit_op n ->
-      let src = Seq.to_dispenser (input_batches ectx ~params p 0) in
-      let remaining = ref n in
-      Seq.of_dispenser (fun () ->
-          if !remaining <= 0 then None
-          else
-            match src () with
-            | None -> None
-            | Some b ->
-              let c = Batch.count b in
-              if c <= !remaining then remaining := !remaining - c
-              else begin
-                Batch.truncate b !remaining;
-                remaining := 0
-              end;
-              Some b)
-    | Values_scan rows ->
-      Batch.of_seq ~width:(width p)
-        (Seq.map
-           (fun row ->
-             Array.of_list
-               (List.map (fun e -> eval ectx ~row:[||] ~params e) row))
-           (List.to_seq rows))
-    | Choose_op -> input_batches ectx ~params p 0
-    | Idx_access _ | Idx_and _ | Table_fn_scan _ | Bloom_filter _ | Fixpoint _
-    | Rec_delta _ ->
-      (* never batch_capable; kept for exhaustiveness *)
-      Batch.of_seq ~width:(width p) (op_stream ectx ~params p)
+    | Some cols ->
+      Seq.map (fun b -> Batch.select b cols) (input_batches ectx ~params p 0)
+    | None ->
+      let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
+      let next_out = Batch.owner (Array.length exprs) in
+      Seq.map
+        (fun b ->
+          let out = next_out () in
+          for i = 0 to Batch.count b - 1 do
+            Batch.blit_row b i scratch;
+            Batch.append_init out (fun k ->
+                eval ectx ~row:scratch ~params exprs.(k))
+          done;
+          out)
+        (input_batches ectx ~params p 0))
+  | Sort keys -> sort_batches ectx ~params p keys
+  | Join _ -> join_batches ectx ~params p
+  | Group _ -> group_batches ectx ~params p
+  | Distinct_op ->
+    (* a row survives iff it opens a new directory entry *)
+    let seen = key_dir (registry ectx) in
+    let key = Array.make (width p) Value.Null in
+    nonempty
+      (Seq.map
+         (fun b ->
+           Batch.keep b (fun i ->
+               Batch.blit_row b i key;
+               is_new seen key);
+           b)
+         (input_batches ectx ~params p 0))
+  | Union_all ->
+    Seq.append (input_batches ectx ~params p 0) (input_batches ectx ~params p 1)
+  | Intersect_op all -> setop_batches ectx ~params p ~all ~intersect:true
+  | Except_op all -> setop_batches ectx ~params p ~all ~intersect:false
+  | Temp ->
+    let rows =
+      demand_rows ectx (Obj.repr p) (List.nth p.inputs 0)
+        (Array.to_list params)
+    in
+    Batch.of_rows ~width:(width p) rows
+  | Ship _ ->
+    Seq.map
+      (fun b ->
+        ectx.counters.c_shipped <- ectx.counters.c_shipped + Batch.count b;
+        b)
+      (input_batches ectx ~params p 0)
+  | Limit_op n ->
+    let src = Seq.to_dispenser (input_batches ectx ~params p 0) in
+    let remaining = ref n in
+    Seq.of_dispenser (fun () ->
+        if !remaining <= 0 then None
+        else
+          match src () with
+          | None -> None
+          | Some b ->
+            let c = Batch.count b in
+            if c <= !remaining then remaining := !remaining - c
+            else begin
+              Batch.truncate b !remaining;
+              remaining := 0
+            end;
+            Some b)
+  | Values_scan rows ->
+    Batch.of_seq ~width:(width p)
+      (Seq.map
+         (fun row ->
+           Array.of_list
+             (List.map (fun e -> eval ectx ~row:[||] ~params e) row))
+         (List.to_seq rows))
+  | Choose_op -> input_batches ectx ~params p 0
+  | Idx_access { ix_table; ix_index; ix_probe; ix_cols; ix_preds } ->
+    let tab = find_table ectx ix_table in
+    ectx.counters.c_index_probes <- ectx.counters.c_index_probes + 1;
+    fetch_batches ectx ~params tab ix_cols ix_preds
+      (probe_search ectx (attachment tab ix_table ix_index)
+         (index_probe ectx ~params ix_probe))
+  | Idx_and { ia_table; ia_probes; ia_cols; ia_preds } ->
+    let tab = find_table ectx ia_table in
+    let rid_sets =
+      List.map
+        (fun (index, probe) ->
+          ectx.counters.c_index_probes <- ectx.counters.c_index_probes + 1;
+          List.of_seq
+            (probe_search ectx (attachment tab ia_table index)
+               (index_probe ectx ~params probe)))
+        ia_probes
+    in
+    let intersection =
+      match List.sort (fun a b -> compare (List.length a) (List.length b)) rid_sets with
+      | [] -> []
+      | smallest :: rest ->
+        let member set rid =
+          List.exists (fun r -> Storage_manager.compare_rid r rid = 0) set
+        in
+        List.filter (fun rid -> List.for_all (fun set -> member set rid) rest) smallest
+    in
+    fetch_batches ectx ~params tab ia_cols ia_preds (List.to_seq intersection)
+  | Table_fn_scan { tf_name; tf_args } -> (
+    match Functions.find_table_fn ectx.db.x_fns tf_name with
+    | None -> error "unknown table function %s" tf_name
+    | Some tf ->
+      let arg_tables =
+        List.map
+          (fun child ->
+            let w = Array.length child.props.p_slots in
+            let schema =
+              Array.init w (fun i ->
+                  Schema.column (Fmt.str "c%d" i) Datatype.String)
+            in
+            (schema, stream ectx ~params child))
+          p.inputs
+      in
+      let arg_values =
+        List.map (fun e -> eval ectx ~row:[||] ~params e) tf_args
+      in
+      Batch.of_seq ~width:(width p) (tf.Functions.tf_eval ~arg_tables ~arg_values))
+  | Bloom_filter { bl_subject_key; bl_source_key; bl_bits } ->
+    let bits = Bytes.make (bl_bits / 8) '\000' in
+    let set h =
+      let h = h land (bl_bits - 1) in
+      Bytes.set bits (h / 8)
+        (Char.chr (Char.code (Bytes.get bits (h / 8)) lor (1 lsl (h mod 8))))
+    in
+    let test h =
+      let h = h land (bl_bits - 1) in
+      Char.code (Bytes.get bits (h / 8)) land (1 lsl (h mod 8)) <> 0
+    in
+    let h1 v = Value.hash v and h2 v = Hashtbl.hash (Value.hash v, 0x9e3779b9) in
+    List.iter
+      (fun row ->
+        let v = row.(bl_source_key) in
+        if not (Value.is_null v) then begin
+          set (h1 v);
+          set (h2 v)
+        end)
+      (collect ectx ~params (List.nth p.inputs 1));
+    nonempty
+      (Seq.map
+         (fun b ->
+           Batch.keep b (fun i ->
+               let v = Batch.value b ~col:bl_subject_key i in
+               (not (Value.is_null v)) && test (h1 v) && test (h2 v));
+           b)
+         (input_batches ectx ~params p 0))
+  | Fixpoint { fx_distinct } ->
+    Batch.of_rows ~width:(width p) (fixpoint_rows ectx ~params p ~distinct:fx_distinct)
+  | Rec_delta _ -> (
+    match ectx.deltas with
+    | delta :: _ -> Batch.of_rows ~width:(width p) delta
+    | [] -> error "recursive reference outside a fixpoint")
+
+and attachment tab table index =
+  match Table_store.find_attachment tab index with
+  | Some am -> am
+  | None -> error "index %s on %s disappeared" index table
+
+(* Idx_access and Idx_and: fetch each rid's row, test the residual
+   predicates and project the [cols] *)
+and fetch_batches ectx ~params tab cols preds (rids : Storage_manager.rid Seq.t) =
+  let cols = Array.of_list cols in
+  let em = Batch.emitter (Array.length cols) in
+  let next = Seq.to_dispenser rids in
+  Batch.produce em (fun () ->
+      match next () with
+      | None -> false
+      | Some rid ->
+        (match Table_store.fetch tab rid with
+        | None -> ()
+        | Some row ->
+          ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
+          if conj ectx ~row ~params preds then Batch.push_cols em row cols);
+        true)
 
 and setop_batches ectx ~params (p : plan) ~all ~intersect : Batch.t Seq.t =
   let left = input_batches ectx ~params p 0 in
@@ -1053,33 +979,35 @@ and sort_batches ectx ~params (p : plan) keys : Batch.t Seq.t =
     Array.stable_sort order rest;
     rest
   in
-  let next_out = Batch.owner (width p) in
-  let run = ref [||] and pos = ref 0 and pulls = ref 0 in
-  Seq.of_dispenser (fun () ->
-      incr pulls;
-      if !pulls = 1 then run := first_batch ()
-      else if !pulls = 2 then begin
-        run := rest !run;
-        pos := 0
-      end;
-      if !pos >= Array.length !run then None
+  (* stage 1 emits [first_batch], stage 2 (only if pulled) the rest *)
+  let em = Batch.emitter (width p) in
+  let run = ref [||] and pos = ref 0 and stage = ref 0 in
+  Batch.produce em (fun () ->
+      if !pos < Array.length !run then begin
+        Batch.push em rows.((!run).(!pos));
+        incr pos;
+        true
+      end
       else begin
-        let out = next_out () in
-        while !pos < Array.length !run && not (Batch.full out) do
-          Batch.append out rows.((!run).(!pos));
-          incr pos
-        done;
-        Some out
+        incr stage;
+        if !stage = 1 then run := first_batch ()
+        else if !stage = 2 then begin
+          run := rest !run;
+          pos := 0
+        end;
+        !stage <= 2
       end)
 
-(* Hash aggregation: each row's key columns are copied into one scratch
-   key for a single directory lookup, and its aggregate arguments are
-   read straight from the batch; a group's key is copied only when the
-   group opens. *)
+(* Aggregation.  Each row's aggregate arguments are read straight from
+   the batch.  Hash aggregation copies a row's key columns into one
+   scratch key for a single directory lookup; a group's key is copied
+   only when the group opens.  Over key-ordered input ([g_sorted])
+   one group is open at a time: a row with a new key closes it, so
+   output keeps the input's order and O(1) groups are held. *)
 and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
-  let g_keys, g_aggs =
+  let g_keys, g_aggs, g_sorted =
     match p.op with
-    | Group { g_keys; g_aggs; _ } -> (g_keys, g_aggs)
+    | Group { g_keys; g_aggs; g_sorted } -> (g_keys, g_aggs, g_sorted)
     | _ -> assert false
   in
   let aslots = agg_slots g_aggs in
@@ -1090,6 +1018,13 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
       else
         let v = Batch.value b ~col:s i in
         if not (Value.is_null v) then bank.(j).Functions.agg_step v
+    done
+  in
+  let kslots = Array.of_list g_keys in
+  let key = Array.make (Array.length kslots) Value.Null in
+  let read_key b i =
+    for k = 0 to Array.length kslots - 1 do
+      key.(k) <- Batch.value b ~col:kslots.(k) i
     done
   in
   if g_keys = [] then begin
@@ -1104,17 +1039,41 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
     (* aggregating an empty input still yields one row *)
     Batch.of_rows ~width:(width p) [ agg_result_row [||] bank ]
   end
+  else if g_sorted then begin
+    let cmp = Value.compare ~registry:(registry ectx) in
+    let em = Batch.emitter (width p) in
+    let src = Seq.to_dispenser (input_batches ectx ~params p 0) in
+    (* the open group: its key and bank *)
+    let current = ref None in
+    let close () =
+      Option.iter (fun (k, bank) -> Batch.push em (agg_result_row k bank)) !current
+    in
+    Batch.produce em (fun () ->
+        match src () with
+        | None ->
+          close ();
+          false
+        | Some b ->
+          for i = 0 to Batch.count b - 1 do
+            read_key b i;
+            match !current with
+            | Some (k, bank) when Array.for_all2 (fun a v -> cmp a v = 0) k key ->
+              step_aggs bank b i
+            | _ ->
+              close ();
+              let bank = make_agg_bank ectx g_aggs in
+              step_aggs bank b i;
+              current := Some (Array.copy key, bank)
+          done;
+          true)
+  end
   else begin
-    let kslots = Array.of_list g_keys in
-    let key = Array.make (Array.length kslots) Value.Null in
     let groups = key_dir (registry ectx) in
     let banks = ref [||] in
     Seq.iter
       (fun b ->
         for i = 0 to Batch.count b - 1 do
-          for k = 0 to Array.length kslots - 1 do
-            key.(k) <- Batch.value b ~col:kslots.(k) i
-          done;
+          read_key b i;
           let fresh = groups.kd_count in
           let g = find_or_add groups key in
           if g = fresh then begin
@@ -1129,7 +1088,7 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
            agg_result_row groups.kd_keys.(g) (!banks).(g)))
   end
 
-(* --- vectorized hash/merge join --- *)
+(* --- joins --- *)
 
 and join_build ectx ~params inner (islots : int array) : hash_side =
   let rows = Array.of_list (collect ectx ~params inner) in
@@ -1159,153 +1118,30 @@ and join_build ectx ~params inner (islots : int array) : hash_side =
     hs_mask = mask;
   }
 
-(* Batch-at-a-time probe.  The sort-merge method shares this body: it
-   executes as a keyed lookup over the grouped inner, so both methods
-   agree on semantics and differ only in the optimizer's cost model. *)
+(* The join: the outer a batch at a time, and per outer row the
+   method's equi-matching inner rows, handed to the kind.  Hash and
+   sort-merge probe one prebuilt hash side (sort-merge executes as a
+   keyed lookup over the grouped inner, so the two methods agree on
+   semantics and differ only in the optimizer's cost model); nested
+   loop filters the inner's demand-driven materialization, re-evaluated
+   per outer binding when the inner is parameter-bound. *)
 and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
-  let j_kind, j_equi, j_pred, j_kind_pred =
-    match p.op with
-    | Join { j_kind; j_equi; j_pred; j_kind_pred; _ } ->
-      (j_kind, j_equi, j_pred, j_kind_pred)
-    | _ -> assert false
-  in
-  let inner = List.nth p.inputs 1 in
-  let inner_width = Array.length inner.props.p_slots in
-  let out_width = width p in
-  let oslots = Array.of_list (List.map fst j_equi) in
-  let islots = Array.of_list (List.map snd j_equi) in
-  let reg = registry ectx in
-  (* built on the first outer batch: an empty outer never evaluates
-     the inner *)
-  let side = ref None in
-  let force_side () =
-    match !side with
-    | Some s -> s
-    | None ->
-      let s = join_build ectx ~params inner islots in
-      side := Some s;
-      s
-  in
-  (* partial application shares one [Some reg] across all probes *)
-  let cmp = Value.compare ~registry:reg in
-  (* per-probe match buffer, reused across rows; holds build indices in
-     chain (reverse build) order *)
-  let mbuf = ref (Array.make 64 0) in
-  let pred_true row =
-    match j_pred with
-    | None -> true
-    | Some e -> bool3 (eval ectx ~row ~params e) = Some true
-  in
-  let kind_truth row =
-    match j_kind_pred with
-    | None -> Some true
-    | Some e -> bool3 (eval ectx ~row ~params e)
-  in
-  (* output batches: the one lent to the consumer comes back on its next
-     pull and is refilled, so a fan-out of k batches per input batch costs
-     k + 1 batches per join instance *)
-  let ready = Queue.create () in
-  let spare = ref [] and lent = ref None in
-  let fresh () =
-    match !spare with
-    | b :: rest ->
-      spare := rest;
-      b
-    | [] -> Batch.create out_width
-  in
-  let out = ref (fresh ()) in
-  let roll () =
-    if Batch.full !out then begin
-      Queue.push !out ready;
-      out := fresh ()
-    end
-  in
-  let push row =
-    Batch.append !out row;
-    roll ()
-  in
-  (* reused per-probe outer row: every consumer below copies its values
-     out before the next probe overwrites it *)
-  let outer_w = width (List.nth p.inputs 0) in
-  let scratch = Array.make outer_w Value.Null in
-  let no_preds = j_pred = None && j_kind_pred = None in
-  let probe_batch b =
-    let s = force_side () in
-    for i = 0 to Batch.count b - 1 do
-      Batch.blit_row b i scratch;
-      let m = probe_side s ~cmp oslots islots mbuf scratch in
-      match j_kind with
-      (* chain order is reverse build order: emit backwards to
-         emit in build order *)
-      | J_regular when no_preds ->
-        (* the hot path: no residual predicate, so the concatenated row
-           goes straight into the output columns *)
-        for k = m - 1 downto 0 do
-          Batch.append_concat !out scratch s.hs_rows.((!mbuf).(k));
-          roll ()
-        done
-      | J_regular ->
-        for k = m - 1 downto 0 do
-          let row = Array.append scratch s.hs_rows.((!mbuf).(k)) in
-          if pred_true row && kind_truth row = Some true then push row
-        done
-      | _ ->
-        (* quantified/extension kinds may emit the outer tuple itself:
-           hand them a tuple they can own *)
-        let o = Batch.get b i in
-        let inners = ref [] in
-        for k = 0 to m - 1 do
-          inners := s.hs_rows.((!mbuf).(k)) :: !inners
-        done;
-        List.iter push
-          (join_emit ectx ~params ~j_kind:j_kind ~j_pred:j_pred
-             ~j_kind_pred:j_kind_pred ~inner_width o !inners)
-    done
-  in
-  let src = Seq.to_dispenser (input_batches ectx ~params p 0) in
-  let finished = ref false in
-  let lend b =
-    lent := Some b;
-    Some b
-  in
-  Seq.of_dispenser (fun () ->
-      (match !lent with
-      | Some b ->
-        Batch.reset b;
-        spare := b :: !spare;
-        lent := None
-      | None -> ());
-      let rec loop () =
-        if not (Queue.is_empty ready) then lend (Queue.pop ready)
-        else if !finished then None
-        else
-          match src () with
-          | None ->
-            finished := true;
-            if Batch.count !out > 0 then lend !out else None
-          | Some b ->
-            probe_batch b;
-            loop ()
-      in
-      loop ())
-
-(* --- joins --- *)
-
-and join_stream ectx ~params (p : plan) : Tuple.t Seq.t =
   let j_method, j_kind, j_equi, j_pred, j_corr, j_bound, j_kind_pred =
     match p.op with
     | Join { j_method; j_kind; j_equi; j_pred; j_corr; j_bound; j_kind_pred } ->
       (j_method, j_kind, j_equi, j_pred, j_corr, j_bound, j_kind_pred)
     | _ -> assert false
   in
-  let outer = List.nth p.inputs 0 and inner = List.nth p.inputs 1 in
+  let inner = List.nth p.inputs 1 in
   let inner_width = Array.length inner.props.p_slots in
+  (* partial application shares one [Some reg] across all probes *)
   let cmp = Value.compare ~registry:(registry ectx) in
-  (* the equi-matched inner rows for one outer tuple *)
-  let inner_rows_for =
+  (* [iter_matches o f] calls [f] on the inner rows whose equi-columns
+     match [o]'s, in emission (build) order *)
+  let iter_matches =
     match j_method with
     | Nested_loop ->
-      fun o ->
+      fun (o : Tuple.t) f ->
         (* a parameter-bound inner owns its parameter space: bind its
            params positionally from the correlation sources; an unbound
            inner shares the enclosing parameter space *)
@@ -1313,42 +1149,41 @@ and join_stream ectx ~params (p : plan) : Tuple.t Seq.t =
           if j_bound then List.map (fun e -> eval ectx ~row:o ~params e) j_corr
           else Array.to_list params
         in
-        List.filter
+        List.iter
           (fun i ->
-            List.for_all
-              (fun (oslot, islot) ->
-                (not (Value.is_null o.(oslot)))
-                && (not (Value.is_null i.(islot)))
-                && cmp o.(oslot) i.(islot) = 0)
-              j_equi)
+            if
+              List.for_all
+                (fun (oslot, islot) ->
+                  (not (Value.is_null o.(oslot)))
+                  && (not (Value.is_null i.(islot)))
+                  && cmp o.(oslot) i.(islot) = 0)
+                j_equi
+            then f i)
           (demand_rows ectx (Obj.repr p) inner bound)
     | Hash_join | Sort_merge ->
-      (* a parameter-bound hash or merge join (STAR offers these methods
-         only for an uncorrelated inner): the batch join's build side,
-         built on the first outer tuple and probed per outer tuple *)
       let oslots = Array.of_list (List.map fst j_equi) in
       let islots = Array.of_list (List.map snd j_equi) in
+      (* built on the first outer row: an empty outer never evaluates
+         the inner.  A parameter-bound inner (STAR offers these methods
+         only for an uncorrelated one) is built once too. *)
       let side = lazy (join_build ectx ~params inner islots) in
+      (* per-probe match buffer, reused across rows; holds build indices
+         in chain (reverse build) order *)
       let mbuf = ref (Array.make 64 0) in
-      fun o ->
+      fun o f ->
         let s = Lazy.force side in
         let m = probe_side s ~cmp oslots islots mbuf o in
-        List.init m (fun k -> s.hs_rows.((!mbuf).(m - 1 - k)))
+        for k = m - 1 downto 0 do
+          f s.hs_rows.((!mbuf).(k))
+        done
   in
-  Seq.concat_map
-    (fun o ->
-      List.to_seq
-        (join_emit ectx ~params ~j_kind ~j_pred ~j_kind_pred ~inner_width o
-           (inner_rows_for o)))
-    (stream ectx ~params outer)
-
-(** The join-kind dispatch, shared by both join bodies: given one outer
-    tuple and its (equi-matched) inner tuples, produce the output rows.
-    Kinds always see materialized tuples, so extension kinds are
-    engine-agnostic. *)
-and join_emit ectx ~params ~j_kind ~j_pred ~j_kind_pred ~inner_width
-    (o : Tuple.t) (inners : Tuple.t list) : Tuple.t list =
-  let combined i = Array.append o i in
+  let em = Batch.emitter (width p) in
+  (* reused per-probe outer row: every consumer below copies its values
+     out before the next probe overwrites it *)
+  let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
+  let concat i = Batch.push_concat em scratch i in
+  let inners = ref [] in
+  let gather i = inners := i :: !inners in
   let pred_true row =
     match j_pred with
     | None -> true
@@ -1359,13 +1194,63 @@ and join_emit ectx ~params ~j_kind ~j_pred ~j_kind_pred ~inner_width
     | None -> Some true
     | Some e -> bool3 (eval ectx ~row ~params e)
   in
+  let no_preds = j_pred = None && j_kind_pred = None in
+  let filtered i =
+    let row = Array.append scratch i in
+    if pred_true row && kind_truth row = Some true then Batch.push em row
+  in
+  let probe_row b i =
+    Batch.blit_row b i scratch;
+    match j_kind with
+    | J_regular when no_preds ->
+      (* the hot path: no residual predicate, so the concatenated row
+         goes straight into the output columns *)
+      iter_matches scratch concat
+    | J_regular -> iter_matches scratch filtered
+    | _ ->
+      (* the kind sees materialized tuples, and quantified/extension
+         kinds may emit the outer tuple itself: hand them one they can
+         own *)
+      inners := [];
+      iter_matches scratch gather;
+      List.iter (Batch.push em)
+        (join_emit ectx ~j_kind ~pred_true ~kind_truth ~inner_width
+           (Batch.get b i) (List.rev !inners))
+  in
+  (* a step probes outer rows until a batch is full, so at most one
+     outer row's matches are buffered past it and the governor's
+     per-batch charge bounds a fan-out join *)
+  let src = Seq.to_dispenser (input_batches ectx ~params p 0) in
+  let cur = ref None and pos = ref 0 in
+  let rec step () =
+    match !cur with
+    | Some b when !pos < Batch.count b ->
+      let n = Batch.count b in
+      while !pos < n && not (Batch.filled em) do
+        probe_row b !pos;
+        incr pos
+      done;
+      true
+    | _ -> (
+      match src () with
+      | None -> false
+      | Some b ->
+        cur := Some b;
+        pos := 0;
+        step ())
+  in
+  Batch.produce em step
+
+(** The join-kind dispatch: given one outer tuple and its equi-matched
+    inner tuples, produce the output rows.  Kinds always see
+    materialized tuples, so extension kinds never see a batch.  The
+    regular kind never gets here: {!join_batches} pushes its rows
+    directly. *)
+and join_emit ectx ~j_kind ~pred_true ~kind_truth ~inner_width
+    (o : Tuple.t) (inners : Tuple.t list) : Tuple.t list =
+  let combined i = Array.append o i in
   match j_kind with
-  | J_regular ->
-    List.filter_map
-      (fun i ->
-        let row = combined i in
-        if pred_true row && kind_truth row = Some true then Some row else None)
-      inners
+  | J_regular -> assert false
   | J_exists ->
     let rec go = function
       | [] -> []
@@ -1436,59 +1321,6 @@ and agg_slots g_aggs =
 and agg_result_row (key : Value.t array) (bank : Functions.agg_instance array) =
   Array.append key (Array.map (fun a -> a.Functions.agg_result ()) bank)
 
-(* streaming aggregation over key-ordered input (the hash variant is
-   batch-capable: {!group_batches}) *)
-and group_stream ectx ~params (p : plan) : Tuple.t Seq.t =
-  let g_keys, g_aggs =
-    match p.op with
-    | Group { g_keys; g_aggs; _ } -> (g_keys, g_aggs)
-    | _ -> assert false
-  in
-  let make_aggs () = make_agg_bank ectx g_aggs in
-  let aslots = agg_slots g_aggs in
-  let step aggs (row : Tuple.t) =
-    Array.iteri
-      (fun j a ->
-        let s = aslots.(j) in
-        if s < 0 then a.Functions.agg_step Value.Null
-        else if not (Value.is_null row.(s)) then a.Functions.agg_step row.(s))
-      aggs
-  in
-  let result_row key aggs = agg_result_row (Array.of_list key) aggs in
-  let cmp = Value.compare ~registry:(registry ectx) in
-  Seq.of_dispenser
-    (let src = Seq.to_dispenser (input_stream ectx ~params p 0) in
-     let current = ref None in
-     let finished = ref false in
-     fun () ->
-       if !finished then None
-       else
-         let rec loop () =
-           match src () with
-           | None ->
-             finished := true;
-             (match !current with
-             | Some (key, aggs) -> Some (result_row key aggs)
-             | None -> None)
-           | Some row -> (
-             let key = List.map (fun s -> row.(s)) g_keys in
-             match !current with
-             | Some (k, aggs) when List.for_all2 (fun a b -> cmp a b = 0) k key ->
-               step aggs row;
-               loop ()
-             | Some (k, aggs) ->
-               let aggs' = make_aggs () in
-               step aggs' row;
-               current := Some (key, aggs');
-               Some (result_row k aggs)
-             | None ->
-               let aggs = make_aggs () in
-               step aggs row;
-               current := Some (key, aggs);
-               loop ())
-         in
-         loop ())
-
 (* --- set operations --- *)
 
 (* counts the right input into a multiset and returns the left-row
@@ -1527,7 +1359,7 @@ and setop_decider ectx ~params (p : plan) ~all ~intersect : Tuple.t -> bool =
    round's new rows.  UNION ([distinct]) keeps a row only on its first
    appearance; UNION ALL keeps every row.  A cycle under UNION ALL never
    runs dry: the governor's per-row charge bounds it. *)
-and fixpoint_stream ectx ~params (p : plan) ~distinct : Tuple.t Seq.t =
+and fixpoint_rows ectx ~params (p : plan) ~distinct : Tuple.t list =
   let seed = List.nth p.inputs 0 and step = List.nth p.inputs 1 in
   let seen = key_dir (registry ectx) in
   let acc = ref [] in
@@ -1550,7 +1382,7 @@ and fixpoint_stream ectx ~params (p : plan) ~distinct : Tuple.t Seq.t =
     ectx.caches <- [];
     delta := add produced
   done;
-  List.to_seq (List.rev !acc)
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

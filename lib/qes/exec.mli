@@ -1,22 +1,22 @@
 (** The Query Evaluation System (section 7).
 
     Plans are interpreted against the database through an algebraic,
-    stream-based interface, one body per operator.  Hot operators
-    (scans, filters, projections, sorts, hash aggregation, DISTINCT,
-    set operations, hash/merge joins) execute batch-at-a-time over
-    columnar row batches with selection vectors ({!Batch}); the
-    operators where row-at-a-time is inherent (index access,
-    nested-loop and parameter-bound joins, streaming aggregation,
-    fixpoints) — and the plan root — keep the lazy tuple-stream
-    interface, with adapters at every boundary (per-node routing via
-    {!Sb_optimizer.Plan.batch_capable}).  Every keyed structure decides
-    key equality by [Value.compare] under the catalog's datatype
-    registry.  Join {e methods} are control structures; join {e kinds}
-    are the functions performed during the join — one operator handles
-    many kinds, new kinds register here, and kind implementations
-    always see materialized tuples.  Subqueries run through a single
-    uniform {e evaluate-on-demand} mechanism with a cache keyed on
-    correlation values.
+    stream-based interface, one body per operator, and every operator
+    yields columnar row batches with selection vectors ({!Batch}); rows
+    leave batches only at the plan root, in materializations
+    (evaluate-on-demand, hash build sides) and as table-function
+    arguments.  Every keyed structure decides key equality by
+    [Value.compare] under the catalog's datatype registry.  Join
+    {e methods} are control structures — one join body serves them
+    all, each method only deciding which inner rows match an outer row
+    — and join {e kinds} are the functions performed during the join:
+    one operator handles many kinds, new kinds register here, and kind
+    implementations always see materialized tuples.  Subqueries run
+    through a single uniform {e evaluate-on-demand} mechanism with a
+    cache keyed on correlation values.  The join stops probing outer
+    rows once an output batch is full, so past it it buffers at most
+    one outer row's matches; a LIMIT above a join or a scan may read up to one
+    batch of the outer input, or one page, past the rows it returns.
 
     Runtime failures raise structured {!Sb_resil.Err} values with
     stage [Exec]. *)
@@ -33,7 +33,7 @@ type counters = {
   mutable c_sub_cache_hits : int;
   mutable c_or_branch_evals : int;
   mutable c_fixpoint_rounds : int;
-  mutable c_batches : int;  (** batches emitted by vectorized operators *)
+  mutable c_batches : int;  (** batches emitted by operators *)
   mutable c_output : int;
 }
 
@@ -76,9 +76,8 @@ val run :
   Tuple.t list
 
 (** Per-operator runtime accounting for EXPLAIN ANALYZE: rows produced
-    (across all re-evaluations, e.g. of a join's inner), batches
-    emitted (0 for tuple-at-a-time operators), and inclusive elapsed
-    time.  Row counts are exact at either granularity. *)
+    and batches emitted (across all re-evaluations, e.g. of a join's
+    inner), and inclusive elapsed time. *)
 type op_stats = {
   mutable os_rows : int;
   mutable os_batches : int;

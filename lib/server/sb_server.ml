@@ -353,26 +353,6 @@ let classify_error text exn : Err.t =
       Err.with_query text (Err.of_lock_diag d)
     | exn -> Err.make ~query:text Err.Internal (Printexc.to_string exn))
 
-(* the cached fast path: like [Corona.cached_query], but returning a
-   full [Corona.result] (the prepared plan carries its column names) *)
-let run_query_cached db text : Corona.result =
-  let key = Corona.plan_cache_key db text in
-  let epoch = Catalog.epoch db.Corona.catalog in
-  let p =
-    match Plan_cache.find db.Corona.plan_cache ~epoch key with
-    | Some p -> p
-    | None ->
-      let p = Corona.prepare db text in
-      if Corona.last_degraded db = None then
-        Plan_cache.add db.Corona.plan_cache ~epoch key p;
-      p
-  in
-  Corona.Rows
-    {
-      columns = p.Corona.prep_columns;
-      rows = Corona.execute_prepared db p;
-    }
-
 (* runs [f] with the session's compiler flipped to its cheapest
    settings; the settings fingerprint keys shed plans separately, so a
    shed compilation never masquerades as a fully optimized one *)
@@ -396,7 +376,9 @@ let execute t s ~shed ~use_cache text : (Corona.result, Err.t) result =
     Lock.with_lock s.s_lock (fun () ->
         let go () =
           match kind with
-          | `Query when use_cache -> run_query_cached s.s_db text
+          | `Query when use_cache ->
+            let columns, rows = Corona.cached_query s.s_db text in
+            Corona.Rows { columns; rows }
           | _ -> Corona.run s.s_db text
         in
         if shed then with_shed s.s_db go else go ())

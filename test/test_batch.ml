@@ -197,6 +197,14 @@ let test_mid_statement_error_rolls_back () =
 
 (* --- EXPLAIN ANALYZE actual rows under the batch engine --- *)
 
+(* [sub] occurs in [s] *)
+let contains s sub =
+  let rec mem i =
+    i + String.length sub <= String.length s
+    && (String.sub s i (String.length sub) = sub || mem (i + 1))
+  in
+  mem 0
+
 let test_explain_analyze_rows_batched () =
   let db = batch_db () in
   let text = "SELECT a.k FROM bt a, bt b WHERE a.v = b.v AND a.k < 50" in
@@ -207,16 +215,9 @@ let test_explain_analyze_rows_batched () =
     | Starburst.Message m -> m
     | _ -> Alcotest.fail "expected explain output"
   in
-  let contains sub =
-    let rec mem i =
-      i + String.length sub <= String.length report
-      && (String.sub report i (String.length sub) = sub || mem (i + 1))
-    in
-    mem 0
-  in
   Alcotest.(check bool) "root actual rows exact" true
-    (contains (Printf.sprintf "rows=%d" n));
-  Alcotest.(check bool) "batch counts reported" true (contains "batches=")
+    (contains report (Printf.sprintf "rows=%d" n));
+  Alcotest.(check bool) "batch counts reported" true (contains report "batches=")
 
 (* --- the batch lifetime contract --- *)
 
@@ -230,8 +231,8 @@ let rec has_hash_join (p : Plan.plan) =
    batch it lent on the next pull: a consumer that kept a batch, or a
    producer that refilled one too early, would show as a wrong row.
    bt is three scan batches (1024 + 1024 + 52 rows); the self-join on v
-   emits 3 rows per probe, so each outer batch overflows into several
-   output batches.  Each result is checked against the reference as a
+   emits 3 rows per probe, so probes straddle output batch
+   boundaries.  Each result is checked against the reference as a
    bag; a sorted result is also checked for order on its sort key
    ([sorted_on], descending). *)
 let test_batch_lifetime () =
@@ -495,6 +496,63 @@ let test_cyclic_union_all_is_bounded () =
      e WHERE e.s = r.n) SELECT n FROM r"
     (List.map (fun n -> row [ i n ]) [ 1; 2; 3; 4; 5 ])
 
+(* --- the producer helper --- *)
+
+(* a step that pushes 2.5 batches' worth of rows per call: the rows
+   come out in order, in full batches but the last, never in an empty
+   batch, and through at most k + 1 batch objects (k = 3 batches touched
+   per step) *)
+let test_produce () =
+  let module Batch = Sb_qes.Batch in
+  let cap = Batch.capacity in
+  let per_step = 5 * cap / 2 and steps = 4 in
+  let em = Batch.emitter 1 in
+  let next = ref 0 and calls = ref 0 in
+  let out =
+    Batch.produce em (fun () ->
+        if !calls = steps then false
+        else begin
+          incr calls;
+          for _ = 1 to per_step do
+            Batch.push em [| i !next |];
+            incr next
+          done;
+          true
+        end)
+  in
+  let objects = ref [] and got = ref [] and sizes = ref [] in
+  Seq.iter
+    (fun b ->
+      if not (List.memq b !objects) then objects := b :: !objects;
+      sizes := Batch.count b :: !sizes;
+      for j = 0 to Batch.count b - 1 do
+        got := Batch.value b ~col:0 j :: !got
+      done)
+    out;
+  let total = per_step * steps in
+  check_rows "every row, in order"
+    (List.init total (fun k -> row [ i k ]))
+    (List.rev_map (fun v -> row [ v ]) !got);
+  Alcotest.(check bool) "no empty batch" true (List.for_all (fun n -> n > 0) !sizes);
+  Alcotest.(check (list int)) "full batches but the last"
+    (List.init (total / cap) (fun _ -> cap))
+    (List.rev !sizes);
+  Alcotest.(check bool) "at most k + 1 batches" true (List.length !objects <= 4)
+
+(* --- index access yields batches --- *)
+
+let test_index_access_batched () =
+  let db = key_join_db () in
+  Starburst.bind_host db "k" (i 17);
+  let report =
+    match Starburst.run db ("EXPLAIN ANALYZE " ^ key_join_query) with
+    | Starburst.Message m -> m
+    | _ -> Alcotest.fail "expected explain output"
+  in
+  match List.filter (fun l -> contains l "IXSCAN(account") (String.split_on_char '\n' report) with
+  | [ line ] -> Alcotest.(check bool) ("batches on " ^ line) true (contains line "batches=1")
+  | _ -> Alcotest.failf "expected one IXSCAN(account...) line in\n%s" report
+
 let suite =
   ( "batch-engine",
     [
@@ -516,4 +574,6 @@ let suite =
       case "key equality: GROUP BY and DISTINCT, INT vs FLOAT" test_key_equality_grouping;
       case "recursive UNION ALL keeps every path" test_recursive_union_all;
       case "cyclic recursive UNION ALL hits the governor" test_cyclic_union_all_is_bounded;
+      case "produce: rows in order through k + 1 batches" test_produce;
+      case "index access yields batches" test_index_access_batched;
     ] )

@@ -229,30 +229,10 @@ let test_hash_builds_on_filtered_dim () =
   | _ -> Alcotest.fail "expected a hash join"
 
 let test_key_join_keeps_hash () =
-  let db = Starburst.create () in
-  ignore
-    (Starburst.run db
-       "CREATE TABLE account (k INT NOT NULL UNIQUE, owner STRING, balance INT, branch INT)");
-  ignore (Starburst.run db "CREATE TABLE branch (b INT NOT NULL UNIQUE, bname STRING, city STRING)");
-  ignore
-    (Starburst.run db
-       ("INSERT INTO account VALUES "
-       ^ String.concat ","
-           (List.init 2000 (fun k -> Printf.sprintf "(%d, 'o%d', %d, %d)" k k (k * 3) (k mod 100)))));
-  ignore
-    (Starburst.run db
-       ("INSERT INTO branch VALUES "
-       ^ String.concat "," (List.init 100 (fun b -> Printf.sprintf "(%d, 'b%d', 'c%d')" b b (b mod 5)))));
-  ignore (Starburst.run db "CREATE INDEX account_k ON account (k)");
-  ignore (Starburst.run db "CREATE INDEX branch_b ON branch (b)");
-  ignore (Starburst.run db "ANALYZE");
+  let db = key_join_db () in
   (* a unique-key probe joined to a 100-row table: building the hash
      table on the one probed row beats re-reading a TEMP per outer row *)
-  let p =
-    plan_of db
-      "SELECT a.balance, b.bname, b.city FROM account a, branch b WHERE a.k = :k \
-       AND a.branch = b.b"
-  in
+  let p = plan_of db key_join_query in
   match find_join p with
   | Some (Plan.Hash_join, [ outer; inner ]) ->
     Alcotest.(check bool) "probes with the branch" true (scans_table "branch" outer);

@@ -113,6 +113,82 @@ let test_division_by_zero_is_null () =
   let db = sample_db () in
   check_bag "div0" [ row [ nul ] ] (q db "SELECT 1 / (partno - partno) FROM quotations WHERE partno = 2 AND supplier = 'acme'")
 
+(* --- nested-loop joins through the one join body --- *)
+
+(* 1100 rows, k = 0..1099 unique, v = k / 2: every row has one partner *)
+let pairs_db () =
+  let db = Starburst.create () in
+  let run s = ignore (Starburst.run db s) in
+  run "CREATE TABLE pr (k INT NOT NULL, v INT)";
+  for c = 0 to 3 do
+    run
+      ("INSERT INTO pr VALUES "
+      ^ String.concat ", "
+          (List.init 275 (fun j ->
+               let k = (c * 275) + j in
+               Printf.sprintf "(%d, %d)" k (k / 2))))
+  done;
+  run "ANALYZE";
+  db
+
+(* the kind, boundness and residual predicate of the plan's first
+   nested-loop join *)
+let rec nl_join (p : Sb_optimizer.Plan.plan) =
+  match p.op with
+  | Sb_optimizer.Plan.Join { j_method = Sb_optimizer.Plan.Nested_loop; j_kind; j_bound; j_pred; _ } ->
+    Some (j_kind, j_bound, j_pred <> None)
+  | _ -> List.find_map nl_join p.inputs
+
+let test_nl_exists_spans_batches () =
+  let db = pairs_db () in
+  let text =
+    "SELECT k FROM pr a WHERE EXISTS (SELECT * FROM pr b WHERE b.v = a.v AND b.k <> a.k)"
+  in
+  (match nl_join (Starburst.compile_text db text) with
+  | Some (Sb_optimizer.Plan.J_exists, true, _) -> ()
+  | _ -> Alcotest.fail "expected a correlated nested-loop EXISTS join");
+  let rows = q db text in
+  Alcotest.(check int) "every row has a partner" 1100 (List.length rows);
+  check_bag "agrees with the reference" (reference_rows db text) rows
+
+let test_nl_residual_predicate () =
+  let db = pairs_db () in
+  let text = "SELECT a.k, b.k FROM pr a, pr b WHERE a.k < b.k AND a.k < 40 AND b.k < 60" in
+  (match nl_join (Starburst.compile_text db text) with
+  | Some (Sb_optimizer.Plan.J_regular, _, true) -> ()
+  | _ -> Alcotest.fail "expected a nested-loop join with a residual predicate");
+  let rows = q db text in
+  (* a = 0..39 pairs with b = a+1..59 *)
+  Alcotest.(check int) "pairs" 1580 (List.length rows);
+  check_bag "agrees with the reference" (reference_rows db text) rows
+
+(* A cartesian nested-loop join fans every outer row out to 1100 rows.
+   The join stops probing once an output batch is full, so the
+   per-batch row charge trips the ceiling a few probes in, not after a
+   whole outer batch (1024 probes, 1.1M rows) is already buffered.  With an unbound inner
+   every probe is one evaluate-on-demand lookup (an evaluation or a
+   cache hit), which counts the probes. *)
+let test_nl_fanout_hits_ceiling () =
+  let db = pairs_db () in
+  let text = "SELECT a.k, b.k FROM pr a, pr b" in
+  (match nl_join (Starburst.compile_text db text) with
+  | Some (Sb_optimizer.Plan.J_regular, false, false) -> ()
+  | _ -> Alcotest.fail "expected an unbound cartesian nested-loop join");
+  ignore (Starburst.run db "SET limit_intermediate_rows = 5000");
+  (match Starburst.run db text with
+  | _ -> Alcotest.fail "expected a resource error"
+  | exception Starburst.Error e ->
+    Alcotest.(check string) "stage" "resource"
+      (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage));
+  let c = Starburst.counters db in
+  let probes = c.Exec.c_sub_evals + c.Exec.c_sub_cache_hits in
+  (* 5000 rows of ceiling over a fan-out of 1100, plus the probe that
+     fills the tripping batch *)
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one row's fan-out past the ceiling (%d probes)" probes)
+    true
+    (probes >= 1 && probes <= (5000 / 1100) + 1)
+
 let suite =
   ( "qes",
     [
@@ -126,4 +202,7 @@ let suite =
       case "uncorrelated inner evaluated once" test_temp_rescan;
       case "LIKE matching" test_like_matching;
       case "division by zero yields NULL" test_division_by_zero_is_null;
+      case "nested-loop EXISTS join past one batch" test_nl_exists_spans_batches;
+      case "nested-loop join with a residual predicate" test_nl_residual_predicate;
+      case "nested-loop fan-out stops at the row ceiling" test_nl_fanout_hits_ceiling;
     ] )

@@ -61,6 +61,31 @@ let sample_db ?(extensions = false) () =
 
 let q db text = Starburst.query db text
 
+(** The benchmark's oltp key join in small: [account] (2000 rows, k
+    unique, 100 branches) and [branch] (100 rows), each indexed on its
+    key, and {!key_join_query} joining one probed account to its
+    branch. *)
+let key_join_db () =
+  let db = Starburst.create () in
+  let run s = ignore (Starburst.run db s) in
+  run "CREATE TABLE account (k INT NOT NULL UNIQUE, owner STRING, balance INT, branch INT)";
+  run "CREATE TABLE branch (b INT NOT NULL UNIQUE, bname STRING, city STRING)";
+  run
+    ("INSERT INTO account VALUES "
+    ^ String.concat ","
+        (List.init 2000 (fun k -> Printf.sprintf "(%d, 'o%d', %d, %d)" k k (k * 3) (k mod 100))));
+  run
+    ("INSERT INTO branch VALUES "
+    ^ String.concat "," (List.init 100 (fun b -> Printf.sprintf "(%d, 'b%d', 'c%d')" b b (b mod 5))));
+  run "CREATE INDEX account_k ON account (k)";
+  run "CREATE INDEX branch_b ON branch (b)";
+  run "ANALYZE";
+  db
+
+let key_join_query =
+  "SELECT a.balance, b.bname, b.city FROM account a, branch b WHERE a.k = :k \
+   AND a.branch = b.b"
+
 (** The reference evaluator's rows for [text] ({!Sb_fuzz.Reference});
     fails the test when it errs or does not interpret the query. *)
 let reference_rows db text =
