@@ -9,15 +9,12 @@
     fault site, recovers, and compares against a committed-prefix
     oracle; [--races N] hammers N concurrent sessions with a mixed
     DML / DDL / ANALYZE workload under the armed lock-discipline
-    checker and fails on any diagnosis; [--qes] narrows the oracle
-    matrix to the reference-vs-engine differential (the QGM reference
-    evaluator vs. the engine at rewrite budget 0, so a divergence is an
-    optimizer or executor bug).  Exit status is the number of
+    checker and fails on any diagnosis.  Exit status is the number of
     discrepancies (capped at 125), so CI can gate on it directly. *)
 
 let usage () =
   prerr_endline
-    "usage: fuzz_main [--fuzz N] [--seed S] [--out DIR] [--metrics] [--qes]\n\
+    "usage: fuzz_main [--fuzz N] [--seed S] [--out DIR] [--metrics]\n\
     \       fuzz_main --server N [--fuzz CASES] [--seed S]\n\
     \       fuzz_main --crash [--fuzz CASES] [--seed S] [--out DIR]\n\
     \       fuzz_main --races N [--fuzz CASES] [--seed S] [--graph FILE]\n\
@@ -33,7 +30,6 @@ type opts = {
   mutable metrics : bool;
   mutable replay : string option;
   mutable server : int option;
-  mutable qes : bool;
   mutable rules_status : bool;
   mutable crash : bool;
   mutable races : int option;
@@ -43,7 +39,7 @@ type opts = {
 let parse_args () =
   let o =
     { cases = 100; seed = 42; out = "_fuzz_failures"; metrics = false;
-      replay = None; server = None; qes = false; rules_status = false;
+      replay = None; server = None; rules_status = false;
       crash = false; races = None; graph = None }
   in
   let rec go = function
@@ -69,9 +65,6 @@ let parse_args () =
       (match int_of_string_opt n with
       | Some n when n > 0 -> o.server <- Some n
       | _ -> usage ());
-      go rest
-    | "--qes" :: rest ->
-      o.qes <- true;
       go rest
     | "--rules-status" :: rest ->
       o.rules_status <- true;
@@ -365,10 +358,8 @@ let () =
     exit (min 125 (replay path))
   | None ->
     let metrics = Sb_obs.Metrics.create () in
-    if o.qes then
-      print_endline "qes differential: QGM reference vs the unrewritten engine";
     let stats =
-      Sb_fuzz.Harness.run ~qes:o.qes ~metrics ~out_dir:o.out
+      Sb_fuzz.Harness.run ~metrics ~out_dir:o.out
         ~log:print_endline ~seed:o.seed ~n:o.cases ()
     in
     print_string (Sb_fuzz.Harness.report stats);

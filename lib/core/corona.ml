@@ -72,8 +72,6 @@ type t = {
   optimizer : Generator.t;
   exec_db : Exec.db;
   mutable rewrite_enabled : bool;
-  mutable rewrite_strategy : Engine.strategy;
-  mutable rewrite_search : Engine.search;
   mutable rewrite_budget : int option;
   mutable paranoid : bool;
       (** sanitizer mode ([STARBURST_PARANOID=1] / [SET paranoid = on]):
@@ -84,6 +82,8 @@ type t = {
   mutable last_rewrite : Engine.stats option;
   metrics : Metrics.t;
   mutable tracer : Trace.t;  (** {!Trace.noop} unless tracing is on *)
+  stage_ns : (string, int64) Hashtbl.t;
+      (** elapsed time of each pipeline stage's most recent run *)
   limits : Limits.t;  (** per-query resource limits (SET limit_<name>) *)
   mutable last_gov : Limits.gov;  (** governor of the current/last query *)
   mutable last_degraded : string option;
@@ -138,8 +138,6 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     optimizer = Generator.create ~catalog ~functions ();
     exec_db = Exec.make_db ~catalog ~functions;
     rewrite_enabled = true;
-    rewrite_strategy = Engine.Sequential;
-    rewrite_search = Engine.Depth_first;
     rewrite_budget = None;
     paranoid = Rule_audit.paranoid_env ();
     hosts = [];
@@ -147,6 +145,7 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     last_rewrite = None;
     metrics;
     tracer = Trace.noop;
+    stage_ns = Hashtbl.create 8;
     limits;
     last_gov = Limits.start limits;
     last_degraded = None;
@@ -212,17 +211,22 @@ let set_tracer t (tr : Trace.t) =
   t.tracer <- tr;
   t.optimizer.Generator.sctx.Star.tracer <- tr
 
-(** Wraps one pipeline stage: a [stage.<name>] span plus a latency
-    observation in the [sb_stage_duration_ns] histogram.  Free when
-    tracing is disabled. *)
+(** Wraps one pipeline stage: its elapsed time is always recorded in
+    [t.stage_ns] (two clock reads, also when the stage raises); with
+    tracing on, it is also a [stage.<name>] span and a latency
+    observation in the [sb_stage_duration_ns] histogram. *)
 let stage t name f =
-  if not (Trace.enabled t.tracer) then f ()
+  let t0 = Trace.now_ns () in
+  let finish () = Hashtbl.replace t.stage_ns name (Int64.sub (Trace.now_ns ()) t0) in
+  if not (Trace.enabled t.tracer) then Fun.protect ~finally:finish f
   else begin
-    let t0 = Trace.now_ns () in
-    let v = Trace.with_span t.tracer ("stage." ^ name) f in
+    let v =
+      Fun.protect ~finally:finish (fun () ->
+          Trace.with_span t.tracer ("stage." ^ name) f)
+    in
     Metrics.observe_ns
       (Metrics.histogram ~label:("stage", name) t.metrics "sb_stage_duration_ns")
-      (Int64.sub (Trace.now_ns ()) t0);
+      (Hashtbl.find t.stage_ns name);
     v
   end
 
@@ -364,9 +368,7 @@ let rewrite t (g : Qgm.t) : Engine.stats =
   in
   let stats =
     stage t "rewrite" (fun () ->
-        Engine.run ~strategy:t.rewrite_strategy ~search:t.rewrite_search
-          ?budget:t.rewrite_budget
-          ~check_each:t.paranoid
+        Engine.run ?budget:t.rewrite_budget ~check_each:t.paranoid
           ~tracer:t.tracer ~rules g)
   in
   t.last_rewrite <- Some stats;
@@ -445,12 +447,13 @@ let degrade t ~stage:stage_name ~reason =
       ~attrs:[ ("stage", stage_name); ("reason", reason) ]
       (fun () -> ())
 
-(** Rewrite with fallback: if the engine (or a paranoid audit) fails,
-    the half-transformed graph is discarded and the canonical QGM is
-    rebuilt from the AST — the query still runs, un-rewritten, with a
-    degradation span + metric recorded.  Returns the graph to continue
-    compiling. *)
-let rewrite_degradable t (wq : Ast.with_query) (g : Qgm.t) : Qgm.t =
+(** The rewritten QGM of [wq] — the one place a graph is rewritten.
+    If the engine (or a paranoid audit) fails, the half-transformed
+    graph is discarded and the canonical QGM is rebuilt from the AST:
+    the query still runs, un-rewritten, with a degradation span + metric
+    recorded.  Under [SET rewrite = off] the canonical QGM. *)
+let rewritten t (wq : Ast.with_query) : Qgm.t =
+  let g = build_qgm t wq in
   if not t.rewrite_enabled then g
   else
     match rewrite t g with
@@ -488,11 +491,13 @@ let optimize_degradable t (g : Qgm.t) : Plan.plan =
       plan
     | exception _ -> raise exn)
 
-let compile ?(rewrite_enabled = true) t (wq : Ast.with_query) : Plan.plan =
+(** The executable plan of a (rewritten) graph: optimization with its
+    greedy fallback, then refinement. *)
+let plan_of t (g : Qgm.t) : Plan.plan = refine_plan t (optimize_degradable t g)
+
+let compile t (wq : Ast.with_query) : Plan.plan =
   ignore (begin_statement t);
-  let g = build_qgm t wq in
-  let g = if rewrite_enabled then rewrite_degradable t wq g else g in
-  refine_plan t (optimize_degradable t g)
+  plan_of t (rewritten t wq)
 
 let compile_text t (text : string) : Plan.plan = compile t (parse t text)
 
@@ -500,15 +505,17 @@ let compile_text t (text : string) : Plan.plan = compile t (parse t text)
 (* Query execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let exec_plan t (gov : Limits.gov) (plan : Plan.plan) : Tuple.t list =
+(* the execute stage: [run] gets the statement's fresh counters, which
+   land in {!counters} and the metrics registry *)
+let execute t (run : Exec.counters -> 'a) : 'a =
   let counters = Exec.fresh_counters () in
   t.last_counters <- counters;
-  let rows =
-    stage t "execute" (fun () ->
-        Exec.run ~hosts:t.hosts ~counters ~gov t.exec_db plan)
-  in
+  let v = stage t "execute" (fun () -> run counters) in
   record_exec_counters t counters;
-  rows
+  v
+
+let exec_plan t (gov : Limits.gov) (plan : Plan.plan) : Tuple.t list =
+  execute t (fun counters -> Exec.run ~hosts:t.hosts ~counters ~gov t.exec_db plan)
 
 let run_plan t (plan : Plan.plan) : Tuple.t list =
   exec_plan t (begin_statement t) plan
@@ -538,37 +545,44 @@ let audit_sort_keys (g : Qgm.t) : int list =
       idx 0 tb.Qgm.b_head)
     tb.Qgm.b_order
 
+(** The differential oracle of rewriting: compiles [wq]'s canonical QGM
+    without rewriting it, runs that plan, and compares its result with
+    [rows] (the rewritten compilation's answer).  The baseline runs
+    without counters and outside the statement's plan budget — it must
+    not be observable as a second query.  [None] when the result is not
+    deterministic (a LIMIT over an unordered stream), so both sides may
+    rightly keep different rows. *)
+let against_unrewritten t (wq : Ast.with_query) (rows : Tuple.t list) :
+    (unit, string) Stdlib.result option =
+  let g0 = build_qgm t wq in
+  if not (deterministic_results g0) then None
+  else
+    let baseline =
+      without_opt_governor t (fun () ->
+          Exec.run ~hosts:t.hosts t.exec_db (refine_plan t (optimize t g0)))
+    in
+    Some
+      (Rule_audit.compare_results ~registry:t.catalog.Catalog.datatypes
+         ~ordered:((Qgm.top_box g0).Qgm.b_order <> [])
+         ~sort_keys:(audit_sort_keys g0) baseline rows)
+
+(* paranoid mode: every SELECT's rows must match the oracle's *)
+let check_paranoid t (wq : Ast.with_query) (rows : Tuple.t list) =
+  if t.paranoid && t.rewrite_enabled then
+    match against_unrewritten t wq rows with
+    | Some (Error msg) ->
+      raise (Rule_audit.Unsound ("rewrite changed query results: " ^ msg))
+    | Some (Ok ()) | None -> ()
+
+let columns_of (g : Qgm.t) : string list =
+  List.map (fun hc -> hc.Qgm.hc_name) (Qgm.top_box g).Qgm.b_head
+
 let query_ast t (wq : Ast.with_query) : string list * Tuple.t list =
   let gov = begin_statement t in
-  let g = build_qgm t wq in
-  (* paranoid: execute the un-rewritten compilation first; the rewritten
-     one must return the same rows.  The baseline is rebuilt from the
-     AST (the engine garbage-collects unreachable copies). *)
-  let baseline =
-    if t.paranoid && t.rewrite_enabled && deterministic_results g then begin
-      let g0 = build_qgm t wq in
-      (* executed without counter/metrics recording, and outside the
-         statement's plan budget: the oracle run must not be observable
-         as a second query *)
-      Some
-        (without_opt_governor t (fun () ->
-             Exec.run ~hosts:t.hosts t.exec_db (refine_plan t (optimize t g0))))
-    end
-    else None
-  in
-  let g = rewrite_degradable t wq g in
-  let columns =
-    List.map (fun hc -> hc.Qgm.hc_name) (Qgm.top_box g).Qgm.b_head
-  in
-  let plan = refine_plan t (optimize_degradable t g) in
-  let rows = exec_plan t gov plan in
-  Option.iter
-    (fun before ->
-      Rule_audit.assert_equivalent ~registry:t.catalog.Catalog.datatypes
-        ~ordered:((Qgm.top_box g).Qgm.b_order <> [])
-        ~sort_keys:(audit_sort_keys g) ~what:"rewrite" before rows)
-    baseline;
-  (columns, rows)
+  let g = rewritten t wq in
+  let rows = exec_plan t gov (plan_of t g) in
+  check_paranoid t wq rows;
+  (columns_of g, rows)
 
 (** Runs a query text, returning its rows. *)
 let query t (text : string) : Tuple.t list = snd (query_ast t (parse t text))
@@ -580,12 +594,8 @@ let query t (text : string) : Tuple.t list = snd (query_ast t (parse t text))
 (** Compiles [text] once; see {!execute_prepared}. *)
 let prepare t (text : string) : prepared =
   ignore (begin_statement t);
-  let wq = parse t text in
-  let g = build_qgm t wq in
-  let g = rewrite_degradable t wq g in
-  let columns = List.map (fun hc -> hc.Qgm.hc_name) (Qgm.top_box g).Qgm.b_head in
-  let plan = refine_plan t (optimize_degradable t g) in
-  { prep_text = text; prep_columns = columns; prep_plan = plan }
+  let g = rewritten t (parse t text) in
+  { prep_text = text; prep_columns = columns_of g; prep_plan = plan_of t g }
 
 (** Executes a prepared query under the current host-variable bindings. *)
 let execute_prepared t (p : prepared) : Tuple.t list = run_plan t p.prep_plan
@@ -595,17 +605,7 @@ let execute_prepared t (p : prepared) : Tuple.t list = run_plan t p.prep_plan
    a shed (greedy-strategy) compilation from being served to sessions
    running at full optimization, and vice versa. *)
 let settings_fingerprint t : string =
-  let strategy =
-    match t.rewrite_strategy with
-    | Engine.Sequential -> "seq"
-    | Engine.Priority -> "pri"
-    | Engine.Statistical { seed; _ } -> Fmt.str "stat:%d" seed
-  in
-  Fmt.str "rw=%b,%s,%s,%s;opt=%s,%b,%b"
-    t.rewrite_enabled strategy
-    (match t.rewrite_search with
-    | Engine.Depth_first -> "dfs"
-    | Engine.Breadth_first -> "bfs")
+  Fmt.str "rw=%b,%s;opt=%s,%b,%b" t.rewrite_enabled
     (match t.rewrite_budget with None -> "-" | Some n -> string_of_int n)
     t.optimizer.Generator.sctx.Star.strategy.Star.st_name
     t.optimizer.Generator.allow_bushy t.optimizer.Generator.allow_cartesian
@@ -618,7 +618,8 @@ let plan_cache_key t (text : string) : string =
     catalog/statistics epoch they were compiled at, so DDL and ANALYZE
     (from this session or any other sharing the catalog) invalidate
     them; eviction is LRU.  A degraded compilation is executed but never
-    cached.  Returns the plan's column names with its rows. *)
+    cached.  Returns the plan's column names with its rows.  Paranoid
+    mode re-parses [text] to check the rows against the oracle. *)
 let cached_query t (text : string) : string list * Tuple.t list =
   let key = plan_cache_key t text in
   let epoch = Catalog.epoch t.catalog in
@@ -630,7 +631,9 @@ let cached_query t (text : string) : string list * Tuple.t list =
       if t.last_degraded = None then Plan_cache.add t.plan_cache ~epoch key p;
       p
   in
-  (p.prep_columns, execute_prepared t p)
+  let rows = execute_prepared t p in
+  if t.paranoid then check_paranoid t (parse t text) rows;
+  (p.prep_columns, rows)
 
 let clear_plan_cache t = Plan_cache.clear t.plan_cache
 let plan_cache_stats t = Plan_cache.stats t.plan_cache
@@ -640,20 +643,22 @@ let plan_cache_stats t = Plan_cache.stats t.plan_cache
 (* ------------------------------------------------------------------ *)
 
 (** Compiles an expression over a single table's row (no subqueries) for
-    UPDATE/DELETE; columns resolve against the table schema. *)
-let compile_row_expr t ~(schema : Schema.t) ~alias (e : Ast.expr) : Plan.rexpr =
+    UPDATE/DELETE; columns resolve against the table schema, and a
+    qualifier must name the table or its alias. *)
+let compile_row_expr t ~table ~(schema : Schema.t) ~alias (e : Ast.expr) :
+    Plan.rexpr =
+  let names_row q =
+    List.exists
+      (fun n -> String.lowercase_ascii n = String.lowercase_ascii q)
+      (table :: Option.to_list alias)
+  in
   let rec go (e : Ast.expr) : Plan.rexpr =
     match e with
     | Ast.Lit v -> Plan.RLit v
     | Ast.Host v -> Plan.RHost v
-    | Ast.Col (qual, name) -> (
-      (match qual with
-      | Some q when Option.map String.lowercase_ascii alias
-                    <> Some (String.lowercase_ascii q)
-                    && String.lowercase_ascii q
-                       <> String.lowercase_ascii (Option.value ~default:q alias) ->
-        ()
-      | _ -> ());
+    | Ast.Col (Some q, name) when not (names_row q) ->
+      error "unknown column %s.%s" q name
+    | Ast.Col (_, name) -> (
       match Schema.find_index schema name with
       | Some i -> Plan.RCol i
       | None -> error "unknown column %s" name)
@@ -840,7 +845,7 @@ let do_insert t ~table ~columns (wq : Ast.with_query) : result =
 let do_delete t ~table ~alias ~where : result =
   let tab = find_table t table in
   let pred =
-    Option.map (compile_row_expr t ~schema:tab.Table_store.schema ~alias) where
+    Option.map (compile_row_expr t ~table ~schema:tab.Table_store.schema ~alias) where
   in
   let victims =
     Seq.filter_map
@@ -864,12 +869,12 @@ let do_delete t ~table ~alias ~where : result =
 let do_update t ~table ~alias ~sets ~where : result =
   let tab = find_table t table in
   let schema = tab.Table_store.schema in
-  let pred = Option.map (compile_row_expr t ~schema ~alias) where in
+  let pred = Option.map (compile_row_expr t ~table ~schema ~alias) where in
   let compiled_sets =
     List.map
       (fun (col, e) ->
         match Schema.find_index schema col with
-        | Some i -> (i, compile_row_expr t ~schema ~alias e)
+        | Some i -> (i, compile_row_expr t ~table ~schema ~alias e)
         | None -> error "no column %s in %s" col table)
       sets
   in
@@ -943,27 +948,7 @@ let do_set t key value : result =
       (if on_off value then
          if Trace.enabled t.tracer then t.tracer else Trace.create ()
        else Trace.noop)
-  | "bushy" -> t.optimizer.Generator.allow_bushy <- on_off value
-  | "cartesian" -> t.optimizer.Generator.allow_cartesian <- on_off value
   | "paranoid" -> t.paranoid <- on_off value
-  | "rewrite_budget" ->
-    t.rewrite_budget <-
-      (match int_of_string_opt value with
-      | Some n when n >= 0 -> Some n
-      | _ -> error "rewrite_budget expects an integer")
-  | "rewrite_strategy" ->
-    t.rewrite_strategy <-
-      (match value with
-      | "sequential" -> Engine.Sequential
-      | "priority" -> Engine.Priority
-      | "statistical" -> Engine.Statistical { weights = []; seed = 42 }
-      | v -> error "unknown rewrite strategy %s" v)
-  | "rewrite_search" ->
-    t.rewrite_search <-
-      (match value with
-      | "depth" | "depth_first" -> Engine.Depth_first
-      | "breadth" | "breadth_first" -> Engine.Breadth_first
-      | v -> error "unknown search strategy %s" v)
   | "wal" -> Wal.set_enabled t.catalog.Catalog.wal (on_off value)
   | "wal_checkpoint" ->
     t.wal_checkpoint_every <-
@@ -972,7 +957,6 @@ let do_set t key value : result =
       | _ -> error "wal_checkpoint expects a commit count (0 = off)")
   | "wal_force_pages" ->
     Buffer_pool.set_force_policy t.catalog.Catalog.pool (on_off value)
-  | "demand_cache" -> t.exec_db.Exec.x_demand_cache <- on_off value
   | k when String.length k > 6 && String.sub k 0 6 = "limit_" -> (
     match int_of_string_opt value with
     | None -> error "%s expects an integer (0 = unlimited)" k
@@ -1014,51 +998,38 @@ let pp_analyzed_plan buf (lookup : Plan.plan -> Exec.op_stats option) plan =
   in
   render 0 plan
 
-(** EXPLAIN ANALYZE: compiles with per-stage wall-clock timings, runs
-    the plan with per-operator accounting, and prints the LOLEPOP tree
-    with estimated vs. actual rows and time. *)
+(** EXPLAIN ANALYZE: compiles the query, runs the plan with per-operator
+    accounting, and prints the statement's stage times (as {!stage}
+    recorded them) and the LOLEPOP tree with estimated vs. actual rows
+    and time. *)
 let explain_analyze t (wq : Ast.with_query) : string =
   let gov = begin_statement t in
-  let time f =
-    let t0 = Trace.now_ns () in
-    let v = f () in
-    (v, Int64.sub (Trace.now_ns ()) t0)
-  in
-  let g, build_ns = time (fun () -> build_qgm t wq) in
-  let (g, rewrite_stats), rewrite_ns =
-    if t.rewrite_enabled then
-      let g', ns = time (fun () -> rewrite_degradable t wq g) in
-      ((g', t.last_rewrite), ns)
-    else ((g, None), 0L)
-  in
-  let raw_plan, optimize_ns = time (fun () -> optimize_degradable t g) in
-  let plan, refine_ns = time (fun () -> refine raw_plan) in
-  let counters = Exec.fresh_counters () in
-  t.last_counters <- counters;
-  let (rows, lookup), execute_ns =
-    time (fun () ->
+  let plan = plan_of t (rewritten t wq) in
+  let rows, lookup =
+    execute t (fun counters ->
         Exec.run_analyzed ~hosts:t.hosts ~counters ~gov t.exec_db plan)
   in
-  record_exec_counters t counters;
   let buf = Buffer.create 1024 in
   (match t.last_degraded with
   | Some reason -> Buffer.add_string buf (Fmt.str "degraded: %s\n" reason)
   | None -> ());
   Buffer.add_string buf "== STAGE TIMINGS ==\n";
-  let stage_line name ns extra =
+  let stage_line ?(extra = "") name ns =
     Buffer.add_string buf
       (Fmt.str "  %-10s %10s%s\n" name (Trace.dur_string ns) extra)
   in
-  stage_line "build" build_ns "";
-  (match rewrite_stats with
+  let recorded name = Option.value ~default:0L (Hashtbl.find_opt t.stage_ns name) in
+  stage_line "build" (recorded "build");
+  (match t.last_rewrite with
   | Some stats ->
-    stage_line "rewrite" rewrite_ns
-      (Fmt.str "  (%d rules fired in %d passes)" stats.Engine.rules_fired
-         stats.Engine.passes)
-  | None -> stage_line "rewrite" 0L "  (disabled)");
-  stage_line "optimize" optimize_ns "";
-  stage_line "refine" refine_ns "";
-  stage_line "execute" execute_ns "";
+    stage_line "rewrite" (recorded "rewrite")
+      ~extra:
+        (Fmt.str "  (%d rules fired in %d passes)" stats.Engine.rules_fired
+           stats.Engine.passes)
+  | None when t.rewrite_enabled ->
+    stage_line "rewrite" (recorded "rewrite") ~extra:"  (failed)"
+  | None -> stage_line "rewrite" 0L ~extra:"  (disabled)");
+  List.iter (fun name -> stage_line name (recorded name)) [ "optimize"; "refine"; "execute" ];
   Buffer.add_string buf "== PLAN (estimated vs. actual) ==\n";
   pp_analyzed_plan buf lookup plan;
   Buffer.add_string buf (Fmt.str "%d row(s)\n" (List.length rows));
@@ -1067,8 +1038,9 @@ let explain_analyze t (wq : Ast.with_query) : string =
 (** EXPLAIN VERIFY (and the shell's [\check]): one report from the whole
     {!Sb_verify} suite — QGM consistency before and after rewriting
     (with every firing audited), lints, plan validation against the
-    catalog, and differential execution of the un-rewritten vs.
-    rewritten compilation. *)
+    catalog, and the differential oracle ({!against_unrewritten}).
+    Unlike a query, it reports an unsound firing or an invalid plan
+    instead of degrading around it. *)
 let explain_verify t (wq : Ast.with_query) : string =
   ignore (begin_statement t);
   let buf = Buffer.create 512 in
@@ -1087,24 +1059,12 @@ let explain_verify t (wq : Ast.with_query) : string =
   | diags ->
     add "%-26s %d diagnostic(s)" "lint" (List.length diags);
     List.iter (fun d -> add "    %s" (Lint.diag_to_string d)) diags);
-  (* baseline: the un-rewritten compilation, executed (when its result
-     is deterministic) as the differential oracle *)
-  let baseline =
-    if t.rewrite_enabled && deterministic_results g then
-      Some
-        (Exec.run ~hosts:t.hosts t.exec_db
-           (refine_plan t
-              (stage t "optimize" (fun () ->
-                   Generator.optimize t.optimizer (build_qgm t wq)))))
-    else None
-  in
   (if t.rewrite_enabled then begin
      let audited = Rule_audit.instrument (Rule.all t.rules) in
      match
        stage t "rewrite" (fun () ->
-           Engine.run ~strategy:t.rewrite_strategy ~search:t.rewrite_search
-             ?budget:t.rewrite_budget ~check_each:true ~tracer:t.tracer
-             ~rules:audited g)
+           Engine.run ?budget:t.rewrite_budget ~check_each:true
+             ~tracer:t.tracer ~rules:audited g)
      with
      | stats ->
        add "%-26s ok (%d firing(s) audited)" "rule audit" stats.Engine.rules_fired
@@ -1120,19 +1080,14 @@ let explain_verify t (wq : Ast.with_query) : string =
   report "plan (refined)"
     (List.map Plan_check.violation_to_string
        (Plan_check.check ~catalog:t.catalog refined));
-  (match baseline with
-  | None ->
-    add "%-26s skipped (%s)" "differential"
-      (if t.rewrite_enabled then "LIMIT without ORDER BY" else "rewrite disabled")
-  | Some before -> (
-    let after = run_plan t refined in
-    match
-      Rule_audit.compare_results ~registry:t.catalog.Catalog.datatypes
-        ~ordered:((Qgm.top_box g).Qgm.b_order <> [])
-        ~sort_keys:(audit_sort_keys g) before after
-    with
-    | Ok () -> add "%-26s ok (%d row(s))" "differential" (List.length after)
-    | Error msg -> add "%-26s DIVERGED: %s" "differential" msg));
+  (if not t.rewrite_enabled then
+     add "%-26s skipped (rewrite disabled)" "differential"
+   else
+     let after = run_plan t refined in
+     match against_unrewritten t wq after with
+     | None -> add "%-26s skipped (LIMIT without ORDER BY)" "differential"
+     | Some (Ok ()) -> add "%-26s ok (%d row(s))" "differential" (List.length after)
+     | Some (Error msg) -> add "%-26s DIVERGED: %s" "differential" msg);
   Buffer.contents buf
 
 (** EXPLAIN ANALYSIS (and the shell's [\infer]): the semantic analysis
@@ -1143,8 +1098,7 @@ let explain_verify t (wq : Ast.with_query) : string =
 let explain_analysis t (wq : Ast.with_query) : string =
   ignore (begin_statement t);
   let buf = Buffer.create 1024 in
-  let g = build_qgm t wq in
-  if t.rewrite_enabled then ignore (rewrite_degradable t wq g);
+  let g = rewritten t wq in
   let t0 = Trace.now_ns () in
   let inf = Infer.analyze ~trust_stats:true ~catalog:t.catalog g in
   let infer_ns = Int64.sub (Trace.now_ns ()) t0 in
@@ -1159,7 +1113,7 @@ let explain_analysis t (wq : Ast.with_query) : string =
     List.iter
       (fun d -> Buffer.add_string buf ("  " ^ Lint.diag_to_string d ^ "\n"))
       diags);
-  (match refine (optimize_degradable t g) with
+  (match plan_of t g with
   | plan ->
     Buffer.add_string buf "== PLAN (inference-tightened estimates) ==\n";
     Buffer.add_string buf (Plan.to_string plan)
@@ -1168,58 +1122,58 @@ let explain_analysis t (wq : Ast.with_query) : string =
   Buffer.contents buf
 
 let explain t mode (wq : Ast.with_query) : string =
-  if mode = Ast.Explain_rules then rules_report t
-  else if mode = Ast.Explain_analyze then explain_analyze t wq
-  else if mode = Ast.Explain_analysis then explain_analysis t wq
-  else if mode = Ast.Explain_verify then explain_verify t wq
-  else begin
-  ignore (begin_statement t);
-  let buf = Buffer.create 512 in
-  let g = build_qgm t wq in
-  (match mode with
-  | Ast.Explain_qgm | Ast.Explain_all ->
-    Buffer.add_string buf "== QGM ==\n";
-    Buffer.add_string buf (Qgm_print.to_string g)
-  | _ -> ());
-  let g =
-    if t.rewrite_enabled then begin
-      let g' = rewrite_degradable t wq g in
-      (match mode with
-      | Ast.Explain_rewrite | Ast.Explain_all ->
-        let fired =
-          match t.last_rewrite with
-          | Some stats -> stats.Engine.rules_fired
-          | None -> 0
-        in
-        Buffer.add_string buf
-          (Fmt.str "== QGM after rewrite (%d rules fired) ==\n" fired);
-        Buffer.add_string buf (Qgm_print.to_string g')
-      | _ -> ());
-      g'
-    end
-    else g
-  in
-  (match mode with
-  | Ast.Explain_dot ->
-    (* Graphviz rendering of the (rewritten) QGM, drawn with the
-       paper's Figure 2 conventions *)
-    Buffer.add_string buf (Qgm_print.to_dot g)
-  | _ -> ());
-  (match mode with
-  | Ast.Explain_plan | Ast.Explain_all ->
-    let plan = refine (optimize_degradable t g) in
-    Buffer.add_string buf "== PLAN ==\n";
-    Buffer.add_string buf (Plan.to_string plan)
-  | _ -> ());
-  (match t.last_degraded with
-  | Some reason -> Buffer.add_string buf (Fmt.str "degraded: %s\n" reason)
-  | None -> ());
-  Buffer.contents buf
-  end
+  match mode with
+  | Ast.Explain_rules -> rules_report t
+  | Ast.Explain_analyze -> explain_analyze t wq
+  | Ast.Explain_analysis -> explain_analysis t wq
+  | Ast.Explain_verify -> explain_verify t wq
+  | Ast.Explain_qgm | Ast.Explain_rewrite | Ast.Explain_plan | Ast.Explain_dot
+  | Ast.Explain_all ->
+    ignore (begin_statement t);
+    let buf = Buffer.create 512 in
+    let shows m = mode = m || mode = Ast.Explain_all in
+    if shows Ast.Explain_qgm then begin
+      Buffer.add_string buf "== QGM ==\n";
+      Buffer.add_string buf (Qgm_print.to_string (build_qgm t wq))
+    end;
+    let g = rewritten t wq in
+    if t.rewrite_enabled && shows Ast.Explain_rewrite then begin
+      let fired =
+        match t.last_rewrite with
+        | Some stats -> stats.Engine.rules_fired
+        | None -> 0
+      in
+      Buffer.add_string buf
+        (Fmt.str "== QGM after rewrite (%d rules fired) ==\n" fired);
+      Buffer.add_string buf (Qgm_print.to_string g)
+    end;
+    (* Graphviz rendering of the (rewritten) QGM, drawn with the paper's
+       Figure 2 conventions *)
+    if mode = Ast.Explain_dot then Buffer.add_string buf (Qgm_print.to_dot g);
+    if shows Ast.Explain_plan then begin
+      Buffer.add_string buf "== PLAN ==\n";
+      Buffer.add_string buf (Plan.to_string (plan_of t g))
+    end;
+    (match t.last_degraded with
+    | Some reason -> Buffer.add_string buf (Fmt.str "degraded: %s\n" reason)
+    | None -> ());
+    Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Statement dispatch                                                  *)
 (* ------------------------------------------------------------------ *)
+
+(** Does [stmt] leave shared state alone?  A query, EXPLAIN of a query
+    (ANALYZE included), EXPLAIN RULES and SET do — SET changes the
+    handle, apart from the [wal] and [wal_force_pages] flags, which only
+    writers read.  EXPLAIN of DML or DDL runs it, so it writes. *)
+let read_only (stmt : Ast.statement) : bool =
+  match stmt with
+  | Ast.Stmt_query _ | Ast.Stmt_set _
+  | Ast.Stmt_explain (Ast.Explain_rules, _)
+  | Ast.Stmt_explain (_, Ast.Stmt_query _) ->
+    true
+  | _ -> false
 
 (* No wholesale cache clearing here: DDL and ANALYZE bump the catalog
    epoch (inside Catalog, plus {!Catalog.bump_epoch} for the single-table
@@ -1362,38 +1316,38 @@ let classify_exn (text : string) (exn : exn) : exn option =
   | Invalid_argument msg -> mk Err.Internal msg
   | _ -> None
 
-(* A simulated crash escaping a statement IS the process death: all
-   volatile state — tables, views, buffered pages, the WAL's unflushed
-   tail — is discarded atomically, and the failure surfaces as a
-   structured Storage error.  Only recovery can bring the instance
-   back. *)
-let handle_crash t (text : string) (site : string) : exn =
-  t.txn_current <- 0;
-  t.txn_undo <- [];
-  Recovery.crash ~catalog:t.catalog;
-  Metrics.incr (Metrics.counter t.metrics "sb_wal_crashes_total");
-  Error
-    (Err.make ~query:text Err.Storage
-       (Fmt.str "simulated crash at %s: volatile state lost, recovery required"
-          site))
+(* The statement boundary of {!run} and {!run_script}.  A simulated
+   crash escaping a statement IS the process death: all volatile state
+   — tables, views, buffered pages, the WAL's unflushed tail — is
+   discarded atomically, and the failure surfaces as a structured
+   Storage error; only recovery can bring the instance back.  Every
+   other failure is classified by {!classify_exn}. *)
+let at_boundary t (text : string) f =
+  try f () with
+  | Faults.Crashed site ->
+    t.txn_current <- 0;
+    t.txn_undo <- [];
+    Recovery.crash ~catalog:t.catalog;
+    Metrics.incr (Metrics.counter t.metrics "sb_wal_crashes_total");
+    raise
+      (Error
+         (Err.make ~query:text Err.Storage
+            (Fmt.str
+               "simulated crash at %s: volatile state lost, recovery required"
+               site)))
+  | exn -> (
+    match classify_exn text exn with
+    | Some classified -> raise classified
+    | None -> raise exn)
 
 (** Parses and runs one statement. *)
 let run t (text : string) : result =
-  try run_statement t (stage t "parse" (fun () -> Parser.statement text)) with
-  | Faults.Crashed site -> raise (handle_crash t text site)
-  | exn -> (
-    match classify_exn text exn with
-    | Some classified -> raise classified
-    | None -> raise exn)
+  at_boundary t text (fun () ->
+      run_statement t (stage t "parse" (fun () -> Parser.statement text)))
 
 (** Parses and runs a [;]-separated script, returning each result. *)
 let run_script t (text : string) : result list =
-  try List.map (run_statement t) (Parser.script text) with
-  | Faults.Crashed site -> raise (handle_crash t text site)
-  | exn -> (
-    match classify_exn text exn with
-    | Some classified -> raise classified
-    | None -> raise exn)
+  at_boundary t text (fun () -> List.map (run_statement t) (Parser.script text))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)

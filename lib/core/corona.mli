@@ -65,19 +65,20 @@ type t = {
   optimizer : Generator.t;
   exec_db : Exec.db;
   mutable rewrite_enabled : bool;
-  mutable rewrite_strategy : Engine.strategy;
-  mutable rewrite_search : Engine.search;
   mutable rewrite_budget : int option;
   mutable paranoid : bool;
       (** sanitizer mode ([STARBURST_PARANOID=1] / [SET paranoid = on]):
           per-firing rule audits ({!Rule_audit.instrument}), plan
           validation after optimization ({!Plan_check.assert_valid}),
-          and differential execution of rewritten queries *)
+          and the differential oracle on every SELECT, cached or not *)
   mutable hosts : (string * Value.t) list;  (** host-variable bindings *)
   mutable last_counters : Exec.counters;
   mutable last_rewrite : Engine.stats option;
   metrics : Metrics.t;
   mutable tracer : Trace.t;  (** {!Trace.noop} unless tracing is on *)
+  stage_ns : (string, int64) Hashtbl.t;
+      (** elapsed time of each pipeline stage's most recent run, by stage
+          name — recorded whether or not tracing is on *)
   limits : Limits.t;  (** per-query resource limits (SET limit_<name>) *)
   mutable last_gov : Limits.gov;  (** governor of the current/last query *)
   mutable last_degraded : string option;
@@ -180,12 +181,14 @@ val faults : t -> Faults.t
 
 (** {1 Observability}
 
-    The pipeline is instrumented with {!Sb_obs} spans and metrics:
-    each stage (parse, build, rewrite, optimize, refine, execute) is a
-    span and a latency-histogram observation, the rewrite engine records
-    one span per rule firing, and the optimizer one per STAR expansion.
-    The default tracer is {!Trace.noop}, which costs one branch per
-    stage; install a real one with {!set_tracer} or [SET trace = on]. *)
+    Each pipeline stage (parse, build, rewrite, optimize, refine,
+    execute) always records its elapsed time in the handle's [stage_ns]
+    (two clock reads per stage; EXPLAIN ANALYZE prints them).  With
+    tracing on, each stage is also a span and a latency-histogram
+    observation, the rewrite engine records one span per rule firing,
+    and the optimizer one per STAR expansion.  The default tracer is
+    {!Trace.noop}; install a real one with {!set_tracer} or
+    [SET trace = on]. *)
 
 val tracer : t -> Trace.t
 
@@ -215,8 +218,10 @@ val optimize : t -> Qgm.t -> Plan.plan
 
 val refine_plan : t -> Plan.plan -> Plan.plan
 
-(** The full compile pipeline (without executing). *)
-val compile : ?rewrite_enabled:bool -> t -> Ast.with_query -> Plan.plan
+(** The full compile pipeline (without executing): the one path every
+    query takes — build and rewrite the QGM (the canonical QGM if the
+    rewrite fails), then optimize (greedily if that fails) and refine. *)
+val compile : t -> Ast.with_query -> Plan.plan
 
 val compile_text : t -> string -> Plan.plan
 val run_plan : t -> Plan.plan -> Tuple.t list
@@ -255,13 +260,13 @@ val plan_cache_stats : t -> Plan_cache.stats
 
 (** {1 Statements} *)
 
-(** Renders EXPLAIN output for a query at the given stage(s).
-    [Explain_analyze] additionally executes the plan and prints
-    per-operator estimated vs. actual rows and inclusive time, plus
-    per-stage wall-clock timings. *)
+(** Renders EXPLAIN output for a query at the given stage(s). *)
 val explain : t -> Ast.explain_mode -> Ast.with_query -> string
 
-(** The [EXPLAIN ANALYZE] renderer (also reachable via {!explain}). *)
+(** The [EXPLAIN ANALYZE] renderer (also reachable via {!explain}):
+    compiles and executes the query, then prints the stage times this
+    statement recorded in [stage_ns] and the plan with per-operator
+    estimated vs. actual rows and inclusive time. *)
 val explain_analyze : t -> Ast.with_query -> string
 
 (** The [EXPLAIN ANALYSIS] renderer (also reachable via {!explain} and
@@ -274,11 +279,19 @@ val explain_analysis : t -> Ast.with_query -> string
 (** The [EXPLAIN VERIFY] renderer (also reachable via {!explain} and the
     shell's [\check]): QGM consistency before/after rewrite with every
     firing audited, lints, plan validation against the catalog, and
-    differential execution of the un-rewritten vs. rewritten
-    compilation. *)
+    the differential oracle paranoid mode applies to every SELECT (the
+    un-rewritten compilation, run outside the plan budget, against the
+    rewritten one). *)
 val explain_verify : t -> Ast.with_query -> string
 
 val run_statement : t -> Ast.statement -> result
+
+(** Does the statement leave shared state alone?  True for a query,
+    EXPLAIN of a query (ANALYZE included), EXPLAIN RULES and SET; false
+    for DML, DDL, ANALYZE and EXPLAIN of any of them (which runs the
+    inner statement).  The multi-session server picks its reader or
+    writer lock with it. *)
+val read_only : Ast.statement -> bool
 
 (** The exception classifier used at the {!run} boundary: [Some (Error e)]
     with the pipeline stage and statement text filled in, or [None] for

@@ -16,7 +16,7 @@ type stats = {
 
 (* round-trip first, then the full oracle matrix: this one predicate is
    both the case check and the shrinker's [still_fails] *)
-let full_verdict ?inject ?qes ~chaos_seed (cat : Gen.catalog)
+let full_verdict ?inject ~chaos_seed (cat : Gen.catalog)
     (q : Ast.with_query) : Oracle.verdict =
   let text = Gen.query_text q in
   match Parser.query_text text with
@@ -35,10 +35,10 @@ let full_verdict ?inject ?qes ~chaos_seed (cat : Gen.catalog)
         detail = "pretty-printed query reparsed to a different AST";
       }
   | _ ->
-    Oracle.check_case ?inject ?qes ~ddl:(Gen.ddl_of_catalog cat)
+    Oracle.check_case ?inject ~ddl:(Gen.ddl_of_catalog cat)
       ~chaos_seed q
 
-let run ?inject ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
+let run ?inject ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
     =
   let counter name =
     match metrics with
@@ -64,7 +64,7 @@ let run ?inject ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
     let cat = Gen.gen_catalog cat_rng in
     let query = Gen.gen_query q_rng cat in
     bump c_cases;
-    match full_verdict ?inject ?qes ~chaos_seed cat query with
+    match full_verdict ?inject ~chaos_seed cat query with
     | Oracle.Pass -> incr passed
     | Oracle.Rejected _ ->
       incr rejected;
@@ -76,7 +76,7 @@ let run ?inject ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
         (Printf.sprintf "case %d: %s diverged (%s); shrinking..." case config
            detail);
       let still_fails c q =
-        match full_verdict ?inject ?qes ~chaos_seed c q with
+        match full_verdict ?inject ~chaos_seed c q with
         | Oracle.Fail _ -> true
         | Oracle.Pass | Oracle.Rejected _ | Oracle.Unsupported _ -> false
       in
@@ -86,7 +86,7 @@ let run ?inject ?qes ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
       (* the shrunk case may surface under a different configuration
          name; record what it fails as now *)
       let config, detail =
-        match full_verdict ?inject ?qes ~chaos_seed cat' query' with
+        match full_verdict ?inject ~chaos_seed cat' query' with
         | Oracle.Fail { config; detail } -> (config, detail)
         | Oracle.Pass | Oracle.Rejected _ | Oracle.Unsupported _ -> (config, detail)
       in

@@ -29,12 +29,9 @@ type stats = {
     there as [.sbf] repros.  Counters land in [metrics] as
     [sb_fuzz_cases_total], [sb_fuzz_rejected_total],
     [sb_fuzz_discrepancies_total] and [sb_fuzz_shrink_steps_total].
-    [log] receives one line per failure as it is found.  [qes] narrows
-    the oracle matrix to the reference-vs-engine leg
-    ([fuzz_main --qes]). *)
+    [log] receives one line per failure as it is found. *)
 val run :
   ?inject:(Starburst.t -> unit) ->
-  ?qes:bool ->
   ?metrics:Metrics.t ->
   ?out_dir:string ->
   ?log:(string -> unit) ->

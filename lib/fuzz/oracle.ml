@@ -182,17 +182,9 @@ let lenient_vs_rows (config : config) (e : Err.t) =
   | _, Err.Resource -> true
   | _ -> false
 
-let check_case ?inject ?(qes = false)
-    ~(ddl : string list) ~chaos_seed (query : Ast.with_query) : verdict =
-  (* --qes: a focused engine differential — only the unrewritten leg
-     (and the metamorphic checks, re-run on it) against the reference,
-     so every divergence is an optimizer or executor bug rather than a
-     rewrite one *)
-  let matrix =
-    if qes then [ Unrewritten ]
-    else [ Rewritten; Greedy; Paranoid; Chaos chaos_seed; Unrewritten ]
-  in
-  let meta_config = if qes then Unrewritten else Rewritten in
+let check_case ?inject ~(ddl : string list) ~chaos_seed
+    (query : Ast.with_query) : verdict =
+  let matrix = [ Rewritten; Greedy; Paranoid; Chaos chaos_seed; Unrewritten ] in
   let core, limit = strip_limit query in
   let core_text = Gen.query_text core in
   let run config text = run_outcome (fresh_db ?inject ~ddl config) text in
@@ -206,14 +198,14 @@ let check_case ?inject ?(qes = false)
   in
   match reference with
   | Error verdict -> verdict
-  | Ok reference -> (
-    let fail config detail = Fail { config = config_name config; detail } in
+  | Ok reference ->
+    let fail config detail = Some (Fail { config = config_name config; detail }) in
     let check_config config =
       match (reference, run config core_text) with
       | Rows a, Rows b -> (
         match bag_equal a b with
         | Ok () -> None
-        | Error msg -> Some (fail config msg))
+        | Error msg -> fail config msg)
       | Failed _, Failed _ -> None
       | Failed { Err.err_stage = Err.Exec | Err.Storage | Err.Resource; _ },
         Rows _ ->
@@ -221,88 +213,74 @@ let check_case ?inject ?(qes = false)
            legitimately avoided (or ran out of resources) *)
         None
       | Failed e, Rows _ ->
-        Some
-          (fail config
-             (Printf.sprintf
-                "reference failed (%s) but %s answered" (Err.to_string e)
-                (config_name config)))
+        fail config
+          (Printf.sprintf "reference failed (%s) but %s answered"
+             (Err.to_string e) (config_name config))
       | Rows _, Failed e ->
         if lenient_vs_rows config e then None
         else
-          Some
-            (fail config
-               (Printf.sprintf "reference answered but %s failed: %s"
-                  (config_name config) (Err.to_string e)))
+          fail config
+            (Printf.sprintf "reference answered but %s failed: %s"
+               (config_name config) (Err.to_string e))
+    in
+    (* the metamorphic checks run on both engine legs — the full rule
+       set and the canonical QGM — and name the leg that broke *)
+    let meta_fail check leg detail =
+      Some (Fail { config = check; detail = config_name leg ^ ": " ^ detail })
+    in
+    (* metamorphic 1: LIMIT n output is a sub-bag of the unlimited
+       output and respects the bound *)
+    let limit_check leg =
+      match (limit, reference) with
+      | Some n, Rows unlimited -> (
+        match run leg (Gen.query_text query) with
+        | Failed e ->
+          if lenient_vs_rows leg e then None
+          else
+            meta_fail "limit" leg
+              (Printf.sprintf "limited query failed: %s" (Err.to_string e))
+        | Rows limited ->
+          if List.length limited > n then
+            meta_fail "limit" leg
+              (Printf.sprintf "LIMIT %d returned %d rows" n
+                 (List.length limited))
+          else (
+            match bag_sub limited unlimited with
+            | Ok () -> None
+            | Error msg -> meta_fail "limit" leg msg))
+      | _ -> None
+    in
+    (* metamorphic 2: a proved tautology conjoined onto WHERE must not
+       change the result bag *)
+    let taut =
+      List.nth taut_templates (abs chaos_seed mod List.length taut_templates)
+    in
+    let tautology_check leg =
+      match (reference, with_tautology core taut) with
+      | Rows expected, Some mutated when proved_tautology taut -> (
+        match run leg (Gen.query_text mutated) with
+        | Failed e ->
+          if lenient_vs_rows leg e then None
+          else
+            meta_fail "tautology" leg
+              (Printf.sprintf "tautology-augmented query failed: %s"
+                 (Err.to_string e))
+        | Rows got -> (
+          match bag_equal expected got with
+          | Ok () -> None
+          | Error msg ->
+            meta_fail "tautology" leg ("tautology changed the result: " ^ msg)))
+      | _ -> None
+    in
+    let checks =
+      List.map (fun config () -> check_config config) matrix
+      @ List.concat_map
+          (fun leg -> [ (fun () -> limit_check leg); (fun () -> tautology_check leg) ])
+          [ Rewritten; Unrewritten ]
     in
     let rec first_failure = function
-      | [] -> None
-      | c :: rest -> (
-        match check_config c with Some f -> Some f | None -> first_failure rest)
+      | [] -> Pass
+      | check :: rest -> (
+        match check () with Some f -> f | None -> first_failure rest)
     in
-    match first_failure matrix with
-    | Some f -> f
-    | None -> (
-      (* metamorphic 1: LIMIT n output is a sub-bag of the unlimited
-         output and respects the bound *)
-      let limit_check =
-        match (limit, reference) with
-        | Some n, Rows unlimited -> (
-          match run meta_config (Gen.query_text query) with
-          | Failed e ->
-            if lenient_vs_rows meta_config e then None
-            else
-              Some
-                (Fail
-                   {
-                     config = "limit";
-                     detail =
-                       Printf.sprintf "limited query failed: %s"
-                         (Err.to_string e);
-                   })
-          | Rows limited ->
-            if List.length limited > n then
-              Some
-                (Fail
-                   {
-                     config = "limit";
-                     detail =
-                       Printf.sprintf "LIMIT %d returned %d rows" n
-                         (List.length limited);
-                   })
-            else (
-              match bag_sub limited unlimited with
-              | Ok () -> None
-              | Error msg -> Some (Fail { config = "limit"; detail = msg })))
-        | _ -> None
-      in
-      match limit_check with
-      | Some f -> f
-      | None -> (
-        (* metamorphic 2: a proved tautology conjoined onto WHERE must
-           not change the result bag *)
-        let taut =
-          List.nth taut_templates (abs chaos_seed mod List.length taut_templates)
-        in
-        match (reference, with_tautology core taut) with
-        | Rows expected, Some mutated when proved_tautology taut -> (
-          match run meta_config (Gen.query_text mutated) with
-          | Failed e ->
-            if lenient_vs_rows meta_config e then Pass
-            else
-              Fail
-                {
-                  config = "tautology";
-                  detail =
-                    Printf.sprintf "tautology-augmented query failed: %s"
-                      (Err.to_string e);
-                }
-          | Rows got -> (
-            match bag_equal expected got with
-            | Ok () -> Pass
-            | Error msg ->
-              Fail
-                {
-                  config = "tautology";
-                  detail = "tautology changed the result: " ^ msg;
-                }))
-        | _ -> Pass)))
+    first_failure checks

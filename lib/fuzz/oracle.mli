@@ -21,10 +21,8 @@
       {!Sb_resil.Err.t} — never a wrong answer, never a raw exception;
     - {e unrewritten}: rewrite budget 0 — the canonical QGM goes
       straight to the optimizer, so a divergence (row bags, NULL
-      semantics, the LIMIT sub-bag oracle) is an optimizer or executor
-      bug.  The [qes] flag of {!check_case} narrows the matrix to this
-      leg (plus the metamorphic checks, re-run on it) for a fast
-      reference-vs-engine sweep ([fuzz_main --qes]).
+      semantics, the metamorphic checks below) is an optimizer or
+      executor bug.
 
     An error in the reference alone — a runtime error (the reference
     tests every row, so it can reach one a plan legitimately avoids) or
@@ -41,7 +39,8 @@
     be a sub-bag of the unlimited output and respect the bound.  A
     second metamorphic check conjoins a literal-only tautology (proved
     TRUE by {!Sb_analysis.Prover.const_truth}) onto the WHERE clause and
-    requires the result bag to be unchanged. *)
+    requires the result bag to be unchanged.  Both metamorphic checks
+    run on the rewritten and the unrewritten leg. *)
 
 module Ast = Sb_hydrogen.Ast
 
@@ -89,11 +88,9 @@ type verdict =
   | Fail of { config : string; detail : string }
 
 (** Runs the full matrix plus the metamorphic checks for one case.
-    [qes] narrows the matrix to the unrewritten leg.
     Pure in its arguments — the shrinker re-invokes it verbatim. *)
 val check_case :
   ?inject:(Starburst.t -> unit) ->
-  ?qes:bool ->
   ddl:string list ->
   chaos_seed:int ->
   Ast.with_query ->

@@ -1404,19 +1404,6 @@ let run ?(hosts = []) ?(counters = fresh_counters ()) ?gov (db : db)
   counters.c_output <- counters.c_output + List.length rows;
   rows
 
-(** Streams a plan's results (lazy, single pass). *)
-let run_seq ?(hosts = []) ?(counters = fresh_counters ()) ?gov (db : db)
-    (plan : plan) : Tuple.t Seq.t =
-  let gov = match gov with Some g -> g | None -> default_gov () in
-  let ectx =
-    { db; hosts; counters; gov; caches = []; deltas = []; instr = None }
-  in
-  Seq.map
-    (fun row ->
-      Sb_resil.Limits.charge_output gov;
-      row)
-    (stream ectx ~params:[||] plan)
-
 (** Like {!run}, but with per-operator accounting: also returns a lookup
     from plan node (by physical identity, including subplans embedded in
     expressions) to its rows-produced and inclusive elapsed time. *)

@@ -95,15 +95,6 @@ val run_analyzed :
   Sb_optimizer.Plan.plan ->
   Tuple.t list * (Sb_optimizer.Plan.plan -> op_stats option)
 
-(** Streams a plan's results (lazy, single pass). *)
-val run_seq :
-  ?hosts:(string * Value.t) list ->
-  ?counters:counters ->
-  ?gov:Sb_resil.Limits.gov ->
-  db ->
-  Sb_optimizer.Plan.plan ->
-  Tuple.t Seq.t
-
 (** Evaluates a standalone runtime expression over one row (used by the
     facade for UPDATE/DELETE predicates and SET expressions). *)
 val eval_row :

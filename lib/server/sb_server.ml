@@ -331,12 +331,18 @@ let first_word text =
 
 (* [`Query] goes through the shared plan cache; [`Read] runs without
    caching but still under the reader lock; [`Write] may mutate shared
-   state (DML, DDL, ANALYZE) and takes the writer lock.  SET only
-   mutates the session handle, so it reads. *)
+   state (DML, DDL, ANALYZE) and takes the writer lock.  The first word
+   settles all but EXPLAIN and SET, which are parsed: EXPLAIN of DML or
+   DDL runs the inner statement, so it writes ({!Corona.read_only}).
+   Text that does not parse fails the same way under either lock. *)
 let classify text =
   match first_word text with
   | "select" | "with" -> `Query
-  | "explain" | "set" -> `Read
+  | "explain" | "set" -> (
+    match Corona.Parser.statement text with
+    | stmt -> if Corona.read_only stmt then `Read else `Write
+    | exception (Corona.Parser.Parse_error _ | Sb_hydrogen.Lexer.Lex_error _) ->
+      `Write)
   | _ -> `Write
 
 (* ------------------------------------------------------------------ *)

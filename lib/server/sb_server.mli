@@ -10,9 +10,10 @@
     error.
 
     Within a session, statements execute in submission order.  Across
-    sessions, SELECT / EXPLAIN run concurrently; statements that may
-    mutate shared state (DML, DDL, ANALYZE) are serialized behind a
-    writer lock.  DDL bumps the catalog epoch, lazily invalidating
+    sessions, queries, EXPLAIN of a query, EXPLAIN RULES and SET run
+    concurrently; statements that may mutate shared state (DML, DDL,
+    ANALYZE, and EXPLAIN of any of them, which runs the inner
+    statement) are serialized behind a writer lock.  DDL bumps the catalog epoch, lazily invalidating
     stale entries of the shared plan cache. *)
 
 type t

@@ -480,6 +480,43 @@ let test_explain_analysis_parses () =
       (contains "EXPLAIN ANALYSIS" s)
   | _ -> Alcotest.fail "EXPLAIN ANALYSIS did not parse"
 
+(** A rewrite that fails after mutating the graph degrades to the
+    canonical QGM; EXPLAIN ANALYSIS must analyse and plan that graph, not
+    the half-rewritten one. *)
+let test_analysis_after_failed_rewrite () =
+  let db = sample_db () in
+  let text = "EXPLAIN ANALYSIS SELECT partno FROM quotations WHERE price < 20" in
+  let plan_section () =
+    match Starburst.run db text with
+    | Starburst.Corona.Message s ->
+      let marker = "== PLAN" in
+      let rec find i =
+        if i + String.length marker > String.length s then
+          Alcotest.fail "no plan section"
+        else if String.sub s i (String.length marker) = marker then i
+        else find (i + 1)
+      in
+      let start = find 0 in
+      String.sub s start (String.length s - start)
+    | _ -> Alcotest.fail "EXPLAIN ANALYSIS did not return a message"
+  in
+  ignore (Starburst.run db "SET rewrite = off");
+  let unrewritten = plan_section () in
+  ignore (Starburst.run db "SET rewrite = on");
+  Rule.add db.Starburst.Corona.rules
+    (Rule.make ~name:"half_done" ~rule_class:"test"
+       ~condition:(fun ctx ->
+         ctx.Rule.box.Qgm.b_id = ctx.Rule.graph.Qgm.top
+         && ctx.Rule.box.Qgm.b_preds <> [])
+       ~action:(fun ctx ->
+         ctx.Rule.box.Qgm.b_preds <- [];
+         failwith "half_done gave up")
+       ());
+  Alcotest.(check string) "plan of the canonical QGM" unrewritten
+    (plan_section ());
+  Alcotest.(check bool) "the rewrite degraded" true
+    (Starburst.last_degraded db <> None)
+
 let suite =
   ( "analysis",
     [
@@ -496,4 +533,6 @@ let suite =
       case "lint: examples query" test_lint_examples_query;
       case "optimizer uses inference" test_optimizer_tighter_estimates;
       case "EXPLAIN ANALYSIS parses" test_explain_analysis_parses;
+      case "EXPLAIN ANALYSIS after a failed rewrite"
+        test_analysis_after_failed_rewrite;
     ] )

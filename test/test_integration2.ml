@@ -353,8 +353,26 @@ let test_explain_dot () =
     Alcotest.(check bool) "digraph" true (String.length m > 20 && String.sub m 0 7 = "digraph")
   | _ -> Alcotest.fail "expected message"
 
+(* a qualifier in UPDATE/DELETE must name the table or its alias, as
+   it must in a SELECT *)
+let test_dml_unknown_qualifier () =
+  let db = t () in
+  let count () = q db "SELECT count(*) FROM quotations" in
+  let before = count () in
+  expect_error db "DELETE FROM quotations WHERE zz.partno = 1";
+  expect_error db "UPDATE quotations SET price = 0.0 WHERE zz.partno = 1";
+  expect_error db "DELETE FROM quotations q WHERE quotes.partno = 1";
+  check_bag "no row deleted" before (count ());
+  check_bag "no row updated" [ row [ i 0 ] ]
+    (q db "SELECT count(*) FROM quotations WHERE price = 0.0");
+  (* the table name and the alias both qualify *)
+  ignore (Starburst.run db "DELETE FROM quotations q WHERE q.partno = 4");
+  ignore (Starburst.run db "DELETE FROM quotations WHERE quotations.partno = 3");
+  check_bag "qualified deletes ran" [ row [ i 3 ] ] (count ())
+
 let suite =
   ( fst suite,
     snd suite
     @ [ case "CREATE TABLE AS" test_create_table_as;
-        case "EXPLAIN DOT" test_explain_dot ] )
+        case "EXPLAIN DOT" test_explain_dot;
+        case "DML rejects an unknown qualifier" test_dml_unknown_qualifier ] )

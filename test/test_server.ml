@@ -441,6 +441,68 @@ let test_session_lifecycle () =
   | exception _ -> ()
   | _ -> Alcotest.fail "a shut-down server must not open sessions"
 
+(* --- reader/writer classification --------------------------------- *)
+
+let test_read_only_predicate () =
+  let read_only text = Starburst.Corona.read_only (Sb_hydrogen.Parser.statement text) in
+  Alcotest.(check bool) "EXPLAIN INSERT writes" false
+    (read_only "EXPLAIN INSERT INTO t VALUES (1)");
+  Alcotest.(check bool) "EXPLAIN ANALYZE SELECT reads" true
+    (read_only "EXPLAIN ANALYZE SELECT a FROM t");
+  Alcotest.(check bool) "SET reads" true (read_only "SET rewrite = off");
+  Alcotest.(check bool) "EXPLAIN RULES reads" true (read_only "EXPLAIN RULES");
+  Alcotest.(check bool) "EXPLAIN CREATE TABLE writes" false
+    (read_only "EXPLAIN CREATE TABLE u (a INT)")
+
+(* EXPLAIN INSERT runs the INSERT, so concurrent sessions must serialize
+   on the writer lock: under the reader lock their inserts race on the
+   table's pages and its UNIQUE index *)
+let test_explain_insert_writes () =
+  let server = Server.create () in
+  let boot = Server.session server in
+  List.iter
+    (fun stmt -> ignore (ok_exn (Server.submit server boot stmt)))
+    [ "CREATE TABLE t (k INT NOT NULL UNIQUE, v STRING)"; "CREATE INDEX t_k ON t (k)" ];
+  let sessions = 4 and per_session = 400 in
+  let worker i () =
+    let s = Server.session server in
+    let failed = ref 0 in
+    for j = 0 to per_session - 1 do
+      let k = (i * per_session) + j in
+      match
+        Server.submit server s
+          (Printf.sprintf "EXPLAIN INSERT INTO t VALUES (%d, 'row %d')" k k)
+      with
+      | Ok _ -> ()
+      | Error _ -> incr failed
+    done;
+    Server.close_session server s;
+    !failed
+  in
+  let domains = Array.init sessions (fun i -> Domain.spawn (worker i)) in
+  let failed = Array.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  Alcotest.(check int) "every EXPLAIN INSERT succeeded" 0 failed;
+  let total = sessions * per_session in
+  Alcotest.(check int) "exact row count" total
+    (match rows_exn (Server.submit server boot "SELECT count(*) FROM t") with
+    | [ [| Value.Int n |] ] -> n
+    | _ -> -1);
+  ignore (ok_exn (Server.submit server boot "ANALYZE t"));
+  let db = Server.session_db boot in
+  let p = Starburst.prepare db "SELECT v FROM t WHERE k = :k" in
+  Alcotest.(check bool) "the probe uses the index" true
+    (contains "IXSCAN" (Starburst.Plan.to_string p.Starburst.prep_plan));
+  let found = ref 0 in
+  for k = 0 to total - 1 do
+    Starburst.bind_host db "k" (Value.Int k);
+    match Starburst.execute_prepared db p with
+    | [ [| Value.String v |] ] when v = Printf.sprintf "row %d" k -> incr found
+    | _ -> ()
+  done;
+  Alcotest.(check int) "every key found through the index" total !found;
+  Server.close_session server boot;
+  Server.shutdown server
+
 let suite =
   ( "server",
     [
@@ -464,4 +526,7 @@ let suite =
       case "injected faults surface as structured errors"
         test_injected_fault_surfaces_structured;
       case "session lifecycle and shutdown" test_session_lifecycle;
+      case "EXPLAIN of DML is a writer" test_read_only_predicate;
+      case "concurrent EXPLAIN INSERT keeps the index whole"
+        test_explain_insert_writes;
     ] )

@@ -303,18 +303,19 @@ let test_instrument_catches_bad_rule () =
     Alcotest.(check bool) "names the rule" true (contains "graph_smasher" msg);
     Alcotest.(check bool) "after the firing" true (contains "after" msg)
 
+(* keeps QGM consistent but changes semantics *)
+let predicate_dropper () =
+  Rule.make ~name:"predicate_dropper" ~rule_class:"test"
+    ~condition:(fun ctx ->
+      ctx.Rule.box.Qgm.b_kind = Qgm.Select && ctx.Rule.box.Qgm.b_preds <> [])
+    ~action:(fun ctx -> ctx.Rule.box.Qgm.b_preds <- [])
+    ()
+
 (** A rule that keeps QGM consistent but changes semantics is caught by
     the differential oracle under paranoid mode. *)
 let test_differential_catches_unsound_rule () =
   let db = sample_db () in
-  let evil =
-    Rule.make ~name:"predicate_dropper" ~rule_class:"test"
-      ~condition:(fun ctx ->
-        ctx.Rule.box.Qgm.b_kind = Qgm.Select && ctx.Rule.box.Qgm.b_preds <> [])
-      ~action:(fun ctx -> ctx.Rule.box.Qgm.b_preds <- [])
-      ()
-  in
-  Rule.add db.Starburst.Corona.rules evil;
+  Rule.add db.Starburst.Corona.rules (predicate_dropper ());
   db.Starburst.Corona.paranoid <- true;
   (match q db "SELECT partno FROM quotations WHERE price < 20" with
   | _ -> Alcotest.fail "semantic divergence not detected"
@@ -418,6 +419,23 @@ let test_parser_roundtrip () =
       (contains "EXPLAIN VERIFY" (Sb_hydrogen.Pretty.statement_to_string stmt))
   | _ -> Alcotest.fail "EXPLAIN VERIFY did not parse"
 
+(** The oracle also guards the plan-cached path every server SELECT
+    takes, on a cache miss and on a hit. *)
+let test_cached_query_paranoid () =
+  let db = sample_db () in
+  Rule.add db.Starburst.Corona.rules (predicate_dropper ());
+  db.Starburst.Corona.paranoid <- true;
+  let text = "SELECT partno FROM quotations WHERE price < 20" in
+  List.iter
+    (fun what ->
+      match Starburst.cached_query db text with
+      | _ -> Alcotest.failf "%s: semantic divergence not detected" what
+      | exception Rule_audit.Unsound msg ->
+        Alcotest.(check bool) (what ^ ": divergence reported") true
+          (contains "changed query results" msg))
+    [ "cache miss"; "cache hit" ];
+  db.Starburst.Corona.paranoid <- false
+
 let suite =
   ( "verify",
     [
@@ -435,4 +453,5 @@ let suite =
       case "constant folding" test_const_truth;
       case "EXPLAIN VERIFY report" test_explain_verify;
       case "EXPLAIN VERIFY parses" test_parser_roundtrip;
+      case "paranoid mode checks cached queries" test_cached_query_paranoid;
     ] )
