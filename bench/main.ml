@@ -4,7 +4,6 @@
     {v
     dune exec bench/main.exe            # all experiments
     dune exec bench/main.exe -- e6 e8   # a subset
-    dune exec bench/main.exe -- micro   # Bechamel micro-benchmarks only
     dune exec bench/main.exe -- --analyze  # property-inference timing sweep
     v} *)
 
@@ -28,61 +27,6 @@ let experiments =
     ("e14", "distributed Bloom-join", Experiments_exec.e14);
     ("e15", "rule-class ablation", Experiments_rewrite.e15);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: compiler-side throughput                 *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  Bench_util.header "Micro-benchmarks (Bechamel): compiler phases, ns/run";
-  let db = Bench_util.parts_db ~n_parts:300 ~fanout:3 () in
-  let text =
-    "SELECT q.partno, q.price FROM quotations q WHERE q.partno IN (SELECT \
-     partno FROM inventory WHERE type = 'CPU') AND q.price < 50"
-  in
-  let ast = Sb_hydrogen.Parser.query_text text in
-  let tests =
-    Test.make_grouped ~name:"corona"
-      [
-        Test.make ~name:"parse"
-          (Staged.stage (fun () -> Sb_hydrogen.Parser.query_text text));
-        Test.make ~name:"build-qgm"
-          (Staged.stage (fun () -> Starburst.build_qgm db ast));
-        Test.make ~name:"rewrite"
-          (Staged.stage (fun () ->
-               let g = Starburst.build_qgm db ast in
-               Starburst.rewrite db g));
-        Test.make ~name:"optimize"
-          (Staged.stage (fun () ->
-               let g = Starburst.build_qgm db ast in
-               ignore (Starburst.rewrite db g);
-               Sb_optimizer.Generator.optimize db.Starburst.Corona.optimizer g));
-        Test.make ~name:"execute"
-          (Staged.stage
-             (let plan = Starburst.compile_text db text in
-              fun () -> Starburst.run_plan db plan));
-      ]
-  in
-  let benchmark () =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-    Benchmark.all cfg instances tests
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let results = analyze (benchmark ()) in
-  Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, result) ->
-         match Analyze.OLS.estimates result with
-         | Some [ est ] -> Printf.printf "  %-24s %12.0f ns/run\n" name est
-         | _ -> Printf.printf "  %-24s (no estimate)\n" name)
 
 (* ------------------------------------------------------------------ *)
 (* Verification sweep (--verify)                                       *)
@@ -208,94 +152,13 @@ let chaos seed =
     (Starburst.Faults.injected faults)
     (Starburst.Faults.retried faults)
 
-(* ------------------------------------------------------------------ *)
-(* Stage-level trace export (--trace-json FILE)                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Runs the standard pipeline query with tracing enabled and writes the
-    span buffer as JSON, so BENCH_*.json runs carry stage-level timings
-    (parse, build, rewrite with per-rule firings, optimize with STAR
-    expansion counts, refine, execute). *)
-let trace_json path =
-  let db = Bench_util.parts_db ~n_parts:300 ~fanout:3 () in
-  let tracer = Sb_obs.Trace.create () in
-  Starburst.set_tracer db tracer;
-  let text =
-    "SELECT q.partno, q.price FROM quotations q WHERE q.partno IN (SELECT \
-     partno FROM inventory WHERE type = 'CPU') AND q.price < 50"
-  in
-  ignore (Starburst.query db text);
-  match open_out path with
-  | oc ->
-    output_string oc (Sb_obs.Trace.to_json tracer);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %d spans to %s\n"
-      (List.length (Sb_obs.Trace.spans tracer))
-      path
-  | exception Sys_error msg ->
-    Printf.eprintf "error: cannot write trace file: %s\n" msg;
-    exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Crash-recovery bench (--crash)                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** [--crash]: redo time as the committed log grows.  Recovery replays
-    every record since the last checkpoint, so with checkpointing off
-    the time scales with transaction count, while [SET wal_checkpoint]
-    keeps it flat — the experiment shows both columns side by side. *)
-let crash_bench () =
-  Bench_util.header
-    "Crash recovery: redo time vs committed transactions (WAL replay)";
-  let case ~txns ~checkpoint =
-    let db = Starburst.create () in
-    let run s = ignore (Starburst.run db s) in
-    run "CREATE TABLE account (k INT UNIQUE, balance INT)";
-    if checkpoint > 0 then
-      run (Printf.sprintf "SET wal_checkpoint = %d" checkpoint);
-    for i = 1 to txns do
-      run (Printf.sprintf "INSERT INTO account VALUES (%d, %d)" i (i mod 97))
-    done;
-    let catalog = db.Starburst.Corona.catalog in
-    let stable = (Sb_storage.Wal.stats catalog.Sb_storage.Catalog.wal).Sb_storage.Wal.s_stable in
-    (* one untimed run for the redo counters, then median-of-3 timing *)
-    Sb_storage.Recovery.crash ~catalog;
-    let st = Starburst.Corona.recover db in
-    let ms =
-      Bench_util.time_ms ~reps:3 (fun () ->
-          Sb_storage.Recovery.crash ~catalog;
-          Starburst.Corona.recover db)
-    in
-    (match Starburst.run db "SELECT count(*) FROM account" with
-    | Starburst.Rows { rows = [ [| Sb_storage.Value.Int n |] ]; _ } when n = txns -> ()
-    | _ -> Printf.printf "  [DEVIATION] %d txns: wrong row count after recovery\n" txns);
-    (stable, st.Sb_storage.Recovery.r_redone, ms)
-  in
-  let rows =
-    List.map
-      (fun txns ->
-        let stable, redone, ms = case ~txns ~checkpoint:0 in
-        let _, redone_ck, ms_ck = case ~txns ~checkpoint:256 in
-        [ Bench_util.itos txns; Bench_util.itos stable;
-          Bench_util.itos redone; Bench_util.ms ms;
-          Bench_util.itos redone_ck; Bench_util.ms ms_ck ])
-      [ 200; 800; 3200 ]
-  in
-  Bench_util.table
-    ~cols:[ "txns"; "log records"; "redone"; "recover ms";
-            "redone (ckpt)"; "recover ms (ckpt)" ]
-    rows;
-  print_endline
-    "  (checkpoint every 256 commits bounds redo to the tail of the log)"
-
 let banner = "Starburst experiment harness (paper: SIGMOD 1989, pp. 377-388)"
 
 (* Standalone modes, independent of the experiment list: the first flag
    present (in this order) runs alone, then the harness exits.
    [--server [--server-stmts N] [--server-workers N]] is the concurrent
-   multi-session sweep, [--crash] the recovery-time experiment, [--qes]
-   the executor sweep against hand-written floors. *)
+   multi-session sweep, [--qes] the executor sweep against hand-written
+   floors. *)
 let standalone_modes =
   let rec intflag_of name = function
     | flag :: n :: _ when flag = name -> int_of_string_opt n
@@ -309,7 +172,6 @@ let standalone_modes =
           ?stmts:(intflag_of "--server-stmts" argv)
           ?workers:(intflag_of "--server-workers" argv)
           () );
-    ("--crash", fun _ -> crash_bench ());
     ("--qes", fun _ -> Bench_qes.run ());
   ]
 
@@ -321,22 +183,20 @@ let () =
      run argv;
      exit 0
    | None -> ());
-  let rec split_flags acc trace verify_only analyze_only chaos_seed = function
-    | [] -> (List.rev acc, trace, verify_only, analyze_only, chaos_seed)
-    | "--trace-json" :: path :: rest ->
-      split_flags acc (Some path) verify_only analyze_only chaos_seed rest
-    | "--verify" :: rest -> split_flags acc trace true analyze_only chaos_seed rest
-    | "--analyze" :: rest -> split_flags acc trace verify_only true chaos_seed rest
+  let rec split_flags acc verify_only analyze_only chaos_seed = function
+    | [] -> (List.rev acc, verify_only, analyze_only, chaos_seed)
+    | "--verify" :: rest -> split_flags acc true analyze_only chaos_seed rest
+    | "--analyze" :: rest -> split_flags acc verify_only true chaos_seed rest
     | "--chaos" :: seed :: rest -> (
       match int_of_string_opt seed with
-      | Some s -> split_flags acc trace verify_only analyze_only (Some s) rest
+      | Some s -> split_flags acc verify_only analyze_only (Some s) rest
       | None ->
         Printf.eprintf "error: --chaos expects an integer seed, got %s\n" seed;
         exit 2)
-    | a :: rest -> split_flags (a :: acc) trace verify_only analyze_only chaos_seed rest
+    | a :: rest -> split_flags (a :: acc) verify_only analyze_only chaos_seed rest
   in
-  let args, trace_path, verify_only, analyze_only, chaos_seed =
-    split_flags [] None false false None (Array.to_list Sys.argv |> List.tl)
+  let args, verify_only, analyze_only, chaos_seed =
+    split_flags [] false false None (Array.to_list Sys.argv |> List.tl)
   in
   let args = List.map String.lowercase_ascii args in
   let wanted name = args = [] || List.mem name args in
@@ -350,9 +210,7 @@ let () =
     List.iter
       (fun (name, _descr, f) -> if wanted name then f ())
       experiments;
-    if args = [] || List.mem "micro" args then micro ();
     if verify_only then verify ();
     if analyze_only then analyze_sweep ();
     Option.iter chaos chaos_seed
-  end;
-  Option.iter trace_json trace_path
+  end

@@ -1,8 +1,13 @@
 (* starburst-server: a line-protocol TCP front end over Sb_server.
    One connection = one session.  Statements are terminated by a line
    ending in ';' (or a lone ';'); each response is the rendered result
-   followed by a line containing a single '.'.  Meta-commands:
-   \cache (shared plan-cache counters), \sessions, \stats, \wal, \quit.
+   followed by a line containing a single '.'.  A line starting with a
+   backslash is a meta-command, answered by Sb_server.meta — the same
+   table the shell uses (\stats is the connection's own session,
+   \sessions lists sessions and the admission counters, \metrics dumps
+   the database's one registry) — except \quit, which closes the
+   connection.  Every session has the bundled extensions
+   (Sb_extensions.Bundled), as the shell's do.
 
    With --wal-file the stable log persists across restarts: the server
    loads it on boot, runs crash recovery when it holds records, and
@@ -25,46 +30,6 @@ let send out lines =
   output_string out ".\n";
   flush out
 
-let pc_lines (c : Starburst.Plan_cache.stats) =
-  [
-    Fmt.str "hits          %d" c.Starburst.Plan_cache.hits;
-    Fmt.str "misses        %d" c.Starburst.Plan_cache.misses;
-    Fmt.str "evictions     %d" c.Starburst.Plan_cache.evictions;
-    Fmt.str "invalidations %d" c.Starburst.Plan_cache.invalidations;
-    Fmt.str "resident      %d" c.Starburst.Plan_cache.resident;
-  ]
-
-let meta server line =
-  match String.trim line with
-  | "\\cache" -> Some (pc_lines (Server.cache_stats server))
-  | "\\sessions" ->
-    Some
-      (List.map
-         (fun (id, inflight) -> Fmt.str "session %d  inflight %d" id inflight)
-         (Server.list_sessions server))
-  | "\\stats" ->
-    let st = Server.stats server in
-    Some
-      [
-        Fmt.str "sessions %d  inflight %d  admitted %d  shed %d  rejected %d  epoch %d"
-          st.Server.st_sessions st.Server.st_inflight st.Server.st_admitted
-          st.Server.st_shed st.Server.st_rejected st.Server.st_epoch;
-      ]
-  | "\\wal" ->
-    let s = Server.wal_stats server in
-    Some
-      [
-        Fmt.str "enabled %b  needs_recovery %b" s.Wal.s_enabled
-          s.Wal.s_needs_recovery;
-        Fmt.str "lsn %d  stable %d  pending %d  next_txn %d" s.Wal.s_lsn
-          s.Wal.s_stable s.Wal.s_pending s.Wal.s_next_txn;
-        Fmt.str "appends %d  flushes %d  flushed_records %d  checkpoints %d"
-          s.Wal.s_appends s.Wal.s_flushes s.Wal.s_flushed_records
-          s.Wal.s_checkpoints;
-        Fmt.str "commits %d  aborts %d" s.Wal.s_commits s.Wal.s_aborts;
-      ]
-  | _ -> None
-
 let handle_connection server fd =
   let inp = Unix.in_channel_of_descr fd in
   let out = Unix.out_channel_of_descr fd in
@@ -84,8 +49,12 @@ let handle_connection server fd =
        let trimmed = String.trim line in
        if Buffer.length buf = 0 && trimmed = "\\quit" then quit := true
        else
-         match if Buffer.length buf = 0 then meta server line else None with
-         | Some lines -> send out lines
+         match
+           if Buffer.length buf = 0 then Server.meta server session line
+           else None
+         with
+         | Some "" -> send out []
+         | Some text -> send out (String.split_on_char '\n' text)
          | None ->
            Buffer.add_string buf line;
            Buffer.add_char buf '\n';
@@ -114,18 +83,8 @@ let drain_inflight server =
   wait ()
 
 let serve ~host ~port ~workers ~once ~wal_file =
-  let config =
-    match workers with
-    | None -> Server.default_config ()
-    | Some w ->
-      {
-        (Server.default_config ()) with
-        Server.workers = w;
-        max_inflight = 4 * w;
-        degrade_inflight = 2 * w;
-      }
-  in
-  let server = Server.create ~config () in
+  let config = Server.default_config ?workers () in
+  let server = Server.create ~config ~install:Sb_extensions.Bundled.install () in
   (* durable log: load + recover on boot, save after every flush *)
   (match wal_file with
   | None -> ()

@@ -6,248 +6,44 @@
     starburst_shell -e "SELECT 1"   # one statement   (not valid: needs FROM)
     v}
 
-    All bundled extensions (outer join, spatial, sampling, MAJORITY,
-    statistics aggregates) are installed unless [--bare] is given.
+    The bundled extensions ({!Sb_extensions.Bundled}: outer join,
+    spatial, sampling, MAJORITY, statistics aggregates) are installed
+    unless [--bare] is given, as [starburst-server] installs them.
 
-    Meta-commands: [\stats] (execution counters and per-rule rewrite
-    firings of the last query), [\rules] (registered rewrite rules with
-    origin, verification status and cumulative fire/attempt counts —
-    same as [EXPLAIN RULES]), [\limits] (session resource limits and
-    the last statement's consumption), [\metrics] (Prometheus-style dump),
-    [\trace] (span tree of the current tracer; enable with
-    [SET trace = on]), [\check [query]] (catalog lints, or the full
-    verification report of a query — same as [EXPLAIN VERIFY]),
-    [\infer query] (inferred semantic properties — same as
-    [EXPLAIN ANALYSIS]), [\cache] (plan-cache counters), [\sessions]
-    (open server sessions), [\q].
+    Every statement runs through an embedded {!Sb_server}: with
+    [--server N] its pool has [N] worker domains, otherwise none (the
+    shell's own domain runs each statement).  Meta-commands ([\stats],
+    [\rules], [\limits], [\metrics], [\trace], [\check], [\infer],
+    [\cache], [\sessions], [\wal], [\locks]) are answered by
+    {!Sb_server.meta}, the same table [starburst-server] serves; [\q]
+    quits.  [--connect HOST:PORT] talks to a running [starburst-server]
+    over its line protocol instead. *)
 
-    [--server N] runs the REPL through an embedded {!Sb_server} with [N]
-    worker domains (statements pass the admission controller and the
-    shared plan cache); [--connect HOST:PORT] talks to a running
-    [starburst-server] over its line protocol instead. *)
+(* the commands Sb_server.meta answers, for both banners *)
+let meta_help =
+  "\\stats \\rules \\limits \\metrics \\trace \\check \\infer \\cache \\sessions \\wal \\locks"
 
-let install_extensions db =
-  Sb_extensions.Outer_join.install db;
-  Sb_extensions.Spatial.install db;
-  Sb_extensions.Sampling.install db;
-  Sb_extensions.Majority.install db;
-  Sb_extensions.Stats_fns.install db
+let run_one server session text =
+  match Sb_server.submit server session text with
+  | Ok r ->
+    print_endline
+      (Starburst.render_result
+         ~registry:(Sb_server.catalog server).Sb_storage.Catalog.datatypes r)
+  | Error e -> Printf.printf "error: %s\n" (Starburst.Err.to_string e)
 
-let print_result db r =
-  print_endline
-    (Starburst.render_result
-       ~registry:db.Starburst.Corona.catalog.Sb_storage.Catalog.datatypes r)
-
-(* --- meta-commands --- *)
-
-let print_stats db =
-  let c = Starburst.counters db in
-  let open Sb_qes.Exec in
-  Printf.printf "execution counters (last query):\n";
-  Printf.printf "  scanned=%d index_probes=%d shipped=%d sorted=%d output=%d\n"
-    c.c_scanned c.c_index_probes c.c_shipped c.c_sorted c.c_output;
-  Printf.printf
-    "  sub_evals=%d sub_cache_hits=%d or_branch_evals=%d fixpoint_rounds=%d\n"
-    c.c_sub_evals c.c_sub_cache_hits c.c_or_branch_evals c.c_fixpoint_rounds;
-  match Starburst.last_rewrite db with
-  | None -> print_endline "rewrite: (no rewritten query yet)"
-  | Some stats ->
-    let module Engine = Sb_rewrite.Engine in
-    Printf.printf "rewrite: %d fired / %d examined in %d passes%s\n"
-      stats.Engine.rules_fired stats.Engine.rules_examined stats.Engine.passes
-      (if stats.Engine.budget_exhausted then " (budget exhausted)" else "");
-    Printf.printf "  %-32s %7s %9s\n" "rule" "fires" "attempts";
+let run_script server session text =
+  try
     List.iter
-      (fun (name, fires, attempts) ->
-        if fires > 0 then
-          Printf.printf "  %-32s %7d %9d\n" name fires attempts)
-      (Engine.per_rule stats)
+      (fun stmt ->
+        run_one server session (Sb_hydrogen.Pretty.statement_to_string stmt))
+      (Sb_hydrogen.Parser.script text)
+  with
+  | Sb_hydrogen.Parser.Parse_error (msg, _) -> Printf.printf "parse error: %s\n" msg
+  | Sb_hydrogen.Lexer.Lex_error (msg, _) -> Printf.printf "lex error: %s\n" msg
 
-let print_limits db =
-  let module Limits = Sb_resil.Limits in
-  print_endline "session limits (SET limit_<name> = n, 0 = unlimited):";
-  List.iter
-    (fun (name, value) -> Printf.printf "  %-20s %s\n" name value)
-    (Limits.describe (Starburst.limits db));
-  print_endline "consumption (last statement):";
-  List.iter
-    (fun (name, used, limit) ->
-      Printf.printf "  %-20s %d%s\n" name used
-        (if limit = 0 then "" else Printf.sprintf " / %d" limit))
-    (Limits.consumption (Starburst.last_gov db));
-  (match Starburst.last_degraded db with
-  | None -> ()
-  | Some reason -> Printf.printf "degraded: %s\n" reason)
-
-(* \check            — lint the catalog
-   \check SELECT ...  — full verification report for the query *)
-let print_check db rest =
-  let module Lint = Sb_verify.Lint in
-  match String.trim (String.concat " " rest) with
-  | "" -> (
-    match Lint.lint_catalog db.Starburst.Corona.catalog with
-    | [] -> print_endline "catalog: no lint findings"
-    | diags -> List.iter (fun d -> print_endline (Lint.diag_to_string d)) diags)
-  | text -> (
-    let text =
-      match String.rindex_opt text ';' with
-      | Some i -> String.sub text 0 i
-      | None -> text
-    in
-    match Sb_hydrogen.Parser.query_text text with
-    | wq -> (
-      try print_string (Starburst.Corona.explain_verify db wq) with
-      | Starburst.Error e ->
-        Printf.printf "error: %s\n" (Starburst.Err.to_string e)
-      | Sb_qgm.Builder.Semantic_error msg -> Printf.printf "error: %s\n" msg
-      | Sb_optimizer.Generator.Unsupported msg ->
-        Printf.printf "unsupported: %s\n" msg)
-    | exception Sb_hydrogen.Parser.Parse_error (msg, _) ->
-      Printf.printf "parse error: %s\n" msg
-    | exception Sb_hydrogen.Lexer.Lex_error (msg, _) ->
-      Printf.printf "lex error: %s\n" msg)
-
-(* \infer SELECT ...  — inferred properties, prover lints and the
-   inference-tightened plan (EXPLAIN ANALYSIS) *)
-let print_infer db rest =
-  match String.trim (String.concat " " rest) with
-  | "" -> print_endline "usage: \\infer SELECT ..."
-  | text -> (
-    let text =
-      match String.rindex_opt text ';' with
-      | Some i -> String.sub text 0 i
-      | None -> text
-    in
-    match Sb_hydrogen.Parser.query_text text with
-    | wq -> (
-      try print_string (Starburst.Corona.explain_analysis db wq) with
-      | Starburst.Error e ->
-        Printf.printf "error: %s\n" (Starburst.Err.to_string e)
-      | Sb_qgm.Builder.Semantic_error msg -> Printf.printf "error: %s\n" msg
-      | Sb_optimizer.Generator.Unsupported msg ->
-        Printf.printf "unsupported: %s\n" msg)
-    | exception Sb_hydrogen.Parser.Parse_error (msg, _) ->
-      Printf.printf "parse error: %s\n" msg
-    | exception Sb_hydrogen.Lexer.Lex_error (msg, _) ->
-      Printf.printf "lex error: %s\n" msg)
-
-(* The shell runs either on a plain database handle or through an
-   embedded multi-session server (one interactive session; statements
-   pass the admission controller and the shared plan cache). *)
-type backend =
-  | Local of Starburst.t
-  | Server of Sb_server.t * Sb_server.session
-
-let backend_db = function
-  | Local db -> db
-  | Server (_, session) -> Sb_server.session_db session
-
-let print_cache_stats (c : Starburst.Plan_cache.stats) =
-  Printf.printf "plan cache:\n";
-  Printf.printf "  hits          %d\n" c.Starburst.Plan_cache.hits;
-  Printf.printf "  misses        %d\n" c.Starburst.Plan_cache.misses;
-  Printf.printf "  evictions     %d\n" c.Starburst.Plan_cache.evictions;
-  Printf.printf "  invalidations %d\n" c.Starburst.Plan_cache.invalidations;
-  Printf.printf "  resident      %d\n" c.Starburst.Plan_cache.resident
-
-let print_cache backend =
-  (match backend with
-  | Local db -> print_cache_stats (Starburst.plan_cache_stats db)
-  | Server (server, _) -> print_cache_stats (Sb_server.cache_stats server));
-  let db = backend_db backend in
-  Printf.printf "  epoch         %d\n"
-    (Sb_storage.Catalog.epoch db.Starburst.Corona.catalog)
-
-let print_sessions backend =
-  match backend with
-  | Local _ ->
-    print_endline "not in server mode (one implicit session); try --server N"
-  | Server (server, session) ->
-    List.iter
-      (fun (id, inflight) ->
-        Printf.printf "session %d  inflight %d%s\n" id inflight
-          (if id = Sb_server.session_id session then "  (this shell)" else ""))
-      (Sb_server.list_sessions server);
-    let st = Sb_server.stats server in
-    Printf.printf "admitted %d  shed %d  rejected %d\n" st.Sb_server.st_admitted
-      st.Sb_server.st_shed st.Sb_server.st_rejected
-
-let meta_command backend line =
-  let db = backend_db backend in
-  match String.split_on_char ' ' (String.trim line) with
-  | "\\stats" :: _ -> print_stats db
-  | "\\rules" :: _ ->
-    (* same report as EXPLAIN RULES: every registered rule with origin,
-       verification status and cumulative fire/attempt counts *)
-    print_string (Starburst.rules_report db)
-  | "\\limits" :: _ -> print_limits db
-  | "\\check" :: rest -> print_check db rest
-  | "\\infer" :: rest -> print_infer db rest
-  | "\\cache" :: _ -> print_cache backend
-  | "\\sessions" :: _ -> print_sessions backend
-  | "\\wal" :: _ ->
-    let s = Starburst.Corona.wal_stats db in
-    Printf.printf "  enabled         %b\n" s.Sb_storage.Wal.s_enabled;
-    Printf.printf "  needs_recovery  %b\n" s.Sb_storage.Wal.s_needs_recovery;
-    Printf.printf "  lsn             %d\n" s.Sb_storage.Wal.s_lsn;
-    Printf.printf "  stable records  %d\n" s.Sb_storage.Wal.s_stable;
-    Printf.printf "  pending records %d\n" s.Sb_storage.Wal.s_pending;
-    Printf.printf "  appends         %d\n" s.Sb_storage.Wal.s_appends;
-    Printf.printf "  flushes         %d\n" s.Sb_storage.Wal.s_flushes;
-    Printf.printf "  checkpoints     %d\n" s.Sb_storage.Wal.s_checkpoints;
-    Printf.printf "  commits         %d\n" s.Sb_storage.Wal.s_commits;
-    Printf.printf "  aborts          %d\n" s.Sb_storage.Wal.s_aborts;
-    Printf.printf "  next txn        %d\n" s.Sb_storage.Wal.s_next_txn
-  | "\\metrics" :: _ ->
-    print_string (Starburst.metrics_dump db);
-    (match backend with
-    | Server (server, _) ->
-      (* the server keeps its own registry (admission, plan cache, and
-         the sb_lock / sb_race counters) separate from the session's *)
-      Sb_server.sync_lock_metrics server;
-      print_string (Sb_obs.Metrics.dump (Sb_server.metrics server))
-    | Local _ -> ())
-  | "\\locks" :: _ ->
-    (match backend with
-    | Server (server, _) -> Sb_server.sync_lock_metrics server
-    | Local _ -> ());
-    print_string (Sb_conc.Discipline.report_text ());
-    if not (Sb_conc.Discipline.armed ()) then
-      print_endline "  (checker disarmed; arm with STARBURST_LOCKCHECK=1)"
-  | "\\trace" :: rest ->
-    let tr = Starburst.tracer db in
-    if not (Sb_obs.Trace.enabled tr) then
-      print_endline "tracing is off; enable with SET trace = on"
-    else if rest = [ "json" ] then print_endline (Sb_obs.Trace.to_json tr)
-    else if rest = [ "clear" ] then Sb_obs.Trace.clear tr
-    else print_string (Sb_obs.Trace.to_tree tr)
-  | cmd :: _ -> Printf.printf "unknown meta-command %s\n" cmd
-  | [] -> ()
-
-let run_one backend text =
-  match backend with
-  | Server (server, session) -> (
-    match Sb_server.submit server session text with
-    | Ok r -> print_result (backend_db backend) r
-    | Error e -> Printf.printf "error: %s\n" (Starburst.Err.to_string e))
-  | Local db -> (
-    match Starburst.run db text with
-    | r -> print_result db r
-    | exception Starburst.Error e ->
-      Printf.printf "error: %s\n" (Starburst.Err.to_string e)
-    | exception Sb_qgm.Builder.Semantic_error msg -> Printf.printf "error: %s\n" msg
-    | exception Sb_optimizer.Generator.Unsupported msg ->
-      Printf.printf "unsupported: %s\n" msg
-    | exception Sb_storage.Value.Type_error msg -> Printf.printf "type error: %s\n" msg)
-
-let run_script backend text =
-  List.iter
-    (fun stmt -> run_one backend (Sb_hydrogen.Pretty.statement_to_string stmt))
-    (Sb_hydrogen.Parser.script text)
-
-let repl backend =
-  print_endline
-    "Starburst shell — end statements with ';', \\stats \\rules \\limits \\metrics \\trace \\check \\infer \\cache \\sessions \\wal \\locks, \\q to quit.";
+let repl server session =
+  Printf.printf "Starburst shell — end statements with ';', %s, \\q to quit.\n"
+    meta_help;
   let buf = Buffer.create 256 in
   let rec loop () =
     print_string (if Buffer.length buf = 0 then "starburst> " else "       ...> ");
@@ -255,18 +51,17 @@ let repl backend =
     | exception End_of_file -> ()
     | "\\q" | "\\quit" -> ()
     | line when Buffer.length buf = 0 && String.length line > 0 && line.[0] = '\\' ->
-      meta_command backend line;
+      (match Sb_server.meta server session line with
+      | Some "" | None -> ()
+      | Some text -> print_endline text);
       loop ()
     | line ->
       Buffer.add_string buf line;
       Buffer.add_char buf '\n';
-      let text = Buffer.contents buf in
       if String.contains line ';' then begin
+        let text = Buffer.contents buf in
         Buffer.clear buf;
-        (try run_script backend text
-         with
-        | Sb_hydrogen.Parser.Parse_error (msg, _) -> Printf.printf "parse error: %s\n" msg
-        | Sb_hydrogen.Lexer.Lex_error (msg, _) -> Printf.printf "lex error: %s\n" msg)
+        run_script server session text
       end;
       loop ()
   in
@@ -280,9 +75,8 @@ let connect_repl host port =
   Unix.connect fd addr;
   let inp = Unix.in_channel_of_descr fd in
   let out = Unix.out_channel_of_descr fd in
-  Printf.printf
-    "connected to %s:%d — end statements with ';', \\cache \\sessions \\stats \\wal, \\q to quit.\n"
-    host port;
+  Printf.printf "connected to %s:%d — end statements with ';', %s, \\q to quit.\n"
+    host port meta_help;
   let read_response () =
     let rec go () =
       match input_line inp with
@@ -351,44 +145,27 @@ let () =
       | [] -> (None, List.rev acc)
     in
     let server_workers, args = extract_server [] args in
-    let backend =
-      match server_workers with
-      | Some workers ->
-        let config =
-          {
-            (Sb_server.default_config ()) with
-            Sb_server.workers;
-            max_inflight = 4 * workers;
-            degrade_inflight = 2 * workers;
-          }
-        in
-        let server =
-          Sb_server.create ~config
-            ~install:(if bare then fun _ -> () else install_extensions)
-            ()
-        in
-        Server (server, Sb_server.session server)
-      | None ->
-        let db = Starburst.create () in
-        if not bare then install_extensions db;
-        Local db
+    let server =
+      Sb_server.create
+        ~config:
+          (Sb_server.default_config
+             ~workers:(Option.value server_workers ~default:0)
+             ())
+        ~install:(if bare then fun _ -> () else Sb_extensions.Bundled.install)
+        ()
     in
+    let session = Sb_server.session server in
     (match args with
-    | [] -> repl backend
-    | [ "-e"; stmt ] -> run_one backend stmt
+    | [] -> repl server session
+    | [ "-e"; stmt ] -> run_one server session stmt
     | [ path ] ->
       let ic = open_in path in
       let n = in_channel_length ic in
       let text = really_input_string ic n in
       close_in ic;
-      (try run_script backend text
-       with
-      | Sb_hydrogen.Parser.Parse_error (msg, _) -> Printf.printf "parse error: %s\n" msg
-      | Sb_hydrogen.Lexer.Lex_error (msg, _) -> Printf.printf "lex error: %s\n" msg)
+      run_script server session text
     | _ ->
       prerr_endline
         "usage: starburst_shell [--bare] [--server N | --connect HOST:PORT] [script.sql | -e STATEMENT]";
       exit 2);
-    match backend with
-    | Server (server, _) -> Sb_server.shutdown server
-    | Local _ -> ()
+    Sb_server.shutdown server

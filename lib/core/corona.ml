@@ -80,7 +80,6 @@ type t = {
   mutable hosts : (string * Value.t) list;  (** host-variable bindings *)
   mutable last_counters : Exec.counters;
   mutable last_rewrite : Engine.stats option;
-  metrics : Metrics.t;
   mutable tracer : Trace.t;  (** {!Trace.noop} unless tracing is on *)
   stage_ns : (string, int64) Hashtbl.t;
       (** elapsed time of each pipeline stage's most recent run *)
@@ -120,13 +119,11 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     | Some l -> l
     | None -> Limits.apply_env (Limits.default ())
   in
-  let metrics = Metrics.create () in
   let plan_cache =
     match plan_cache with
     | Some pc -> pc
-    | None -> Plan_cache.create ~metrics ()
+    | None -> Plan_cache.create ~metrics:catalog.Catalog.metrics ()
   in
-  Wal.set_metrics catalog.Catalog.wal metrics;
   {
     catalog;
     plan_cache;
@@ -143,7 +140,6 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     hosts = [];
     last_counters = Exec.fresh_counters ();
     last_rewrite = None;
-    metrics;
     tracer = Trace.noop;
     stage_ns = Hashtbl.create 8;
     limits;
@@ -162,6 +158,9 @@ let bind_host t name value =
 
 let counters t = t.last_counters
 let last_rewrite t = t.last_rewrite
+
+(* every session over one catalog records into the catalog's registry *)
+let metrics t = t.catalog.Catalog.metrics
 
 (* ------------------------------------------------------------------ *)
 (* Resilience                                                          *)
@@ -184,7 +183,7 @@ let begin_statement t : Limits.gov =
 (** Installs a fault-injection plan on storage (catalog lookups, buffer
     pool, index searches); injections and retries land in {!metrics}. *)
 let set_faults t (f : Faults.t) =
-  Faults.set_metrics f t.metrics;
+  Faults.set_metrics f (metrics t);
   Catalog.set_faults t.catalog f
 
 let faults t = Catalog.faults t.catalog
@@ -202,7 +201,6 @@ let without_opt_governor t f =
 (* ------------------------------------------------------------------ *)
 
 let tracer t = t.tracer
-let metrics t = t.metrics
 
 (** Installs [tr] on the pipeline: Corona's stage spans, the rewrite
     engine's per-firing spans, and the optimizer's STAR expansion spans
@@ -212,45 +210,43 @@ let set_tracer t (tr : Trace.t) =
   t.optimizer.Generator.sctx.Star.tracer <- tr
 
 (** Wraps one pipeline stage: its elapsed time is always recorded in
-    [t.stage_ns] (two clock reads, also when the stage raises); with
-    tracing on, it is also a [stage.<name>] span and a latency
-    observation in the [sb_stage_duration_ns] histogram. *)
+    [t.stage_ns] and observed in the [sb_stage_duration_ns] histogram
+    (two clock reads and one registry lock, also when the stage
+    raises); with tracing on, the stage is also a [stage.<name>]
+    span. *)
 let stage t name f =
   let t0 = Trace.now_ns () in
-  let finish () = Hashtbl.replace t.stage_ns name (Int64.sub (Trace.now_ns ()) t0) in
-  if not (Trace.enabled t.tracer) then Fun.protect ~finally:finish f
-  else begin
-    let v =
-      Fun.protect ~finally:finish (fun () ->
-          Trace.with_span t.tracer ("stage." ^ name) f)
-    in
-    Metrics.observe_ns
-      (Metrics.histogram ~label:("stage", name) t.metrics "sb_stage_duration_ns")
-      (Hashtbl.find t.stage_ns name);
-    v
-  end
+  let finish () =
+    let ns = Int64.sub (Trace.now_ns ()) t0 in
+    Hashtbl.replace t.stage_ns name ns;
+    Metrics.observe_named ~label:("stage", name) (metrics t)
+      "sb_stage_duration_ns" (Int64.to_float ns)
+  in
+  Fun.protect ~finally:finish (fun () ->
+      if Trace.enabled t.tracer then
+        Trace.with_span t.tracer ("stage." ^ name) f
+      else f ())
 
 (* one output path for execution counters: fold each run's Exec.counters
-   into the metrics registry (satellite: c_* and the per-operator
-   metrics share the dump) *)
+   into the metrics registry in one locked pass *)
 let record_exec_counters t (c : Exec.counters) =
-  let add name v =
-    if v > 0 then Metrics.incr ~by:v (Metrics.counter t.metrics name)
-  in
-  add "sb_exec_scanned_total" c.Exec.c_scanned;
-  add "sb_exec_index_probes_total" c.Exec.c_index_probes;
-  add "sb_exec_shipped_total" c.Exec.c_shipped;
-  add "sb_exec_sorted_total" c.Exec.c_sorted;
-  add "sb_exec_sub_evals_total" c.Exec.c_sub_evals;
-  add "sb_exec_sub_cache_hits_total" c.Exec.c_sub_cache_hits;
-  add "sb_exec_or_branch_evals_total" c.Exec.c_or_branch_evals;
-  add "sb_exec_fixpoint_rounds_total" c.Exec.c_fixpoint_rounds;
-  add "sb_exec_batches_total" c.Exec.c_batches;
-  add "sb_exec_output_total" c.Exec.c_output
+  Metrics.add_counters (metrics t)
+    [
+      ("sb_exec_scanned_total", None, c.Exec.c_scanned);
+      ("sb_exec_index_probes_total", None, c.Exec.c_index_probes);
+      ("sb_exec_shipped_total", None, c.Exec.c_shipped);
+      ("sb_exec_sorted_total", None, c.Exec.c_sorted);
+      ("sb_exec_sub_evals_total", None, c.Exec.c_sub_evals);
+      ("sb_exec_sub_cache_hits_total", None, c.Exec.c_sub_cache_hits);
+      ("sb_exec_or_branch_evals_total", None, c.Exec.c_or_branch_evals);
+      ("sb_exec_fixpoint_rounds_total", None, c.Exec.c_fixpoint_rounds);
+      ("sb_exec_batches_total", None, c.Exec.c_batches);
+      ("sb_exec_output_total", None, c.Exec.c_output);
+    ]
 
 let record_rewrite_stats t (stats : Engine.stats) =
   (* cumulative per-rule accounting backs EXPLAIN RULES, the shell's
-     [\rules] and the dead-rule lint — always on, unlike the metrics *)
+     [\rules] and the dead-rule lint *)
   let bump fires attempts name =
     let f0, a0 =
       Option.value ~default:(0, 0) (Hashtbl.find_opt t.rule_stats name)
@@ -259,13 +255,10 @@ let record_rewrite_stats t (stats : Engine.stats) =
   in
   List.iter (fun (rule, n) -> bump 0 n rule) stats.Engine.attempts;
   List.iter (fun (rule, n) -> bump n 0 rule) stats.Engine.firings;
-  if Trace.enabled t.tracer then
-    List.iter
-      (fun (rule, n) ->
-        Metrics.incr ~by:n
-          (Metrics.counter ~label:("rule", rule) t.metrics
-             "sb_rewrite_rule_fires_total"))
-      stats.Engine.firings
+  Metrics.add_counters (metrics t)
+    (List.map
+       (fun (rule, n) -> ("sb_rewrite_rule_fires_total", Some ("rule", rule), n))
+       stats.Engine.firings)
 
 (** Cumulative per-rule [(name, (fires, attempts))] rows, sorted by
     name. *)
@@ -341,7 +334,7 @@ let rules_report t : string =
 
 (** The Prometheus-style text dump of the database's metrics registry:
     stage latencies, per-rule firings, and execution counters. *)
-let metrics_dump t = Metrics.dump t.metrics
+let metrics_dump t = Metrics.dump (metrics t)
 
 (* ------------------------------------------------------------------ *)
 (* The compilation pipeline                                            *)
@@ -361,7 +354,8 @@ let rewrite t (g : Qgm.t) : Engine.stats =
     if t.paranoid then
       Rule_audit.instrument_inference ~catalog:t.catalog
         ~on_regression:(fun msg ->
-          Metrics.incr (Metrics.counter t.metrics "sb_analysis_regressions_total");
+          Metrics.add_counters (metrics t)
+            [ ("sb_analysis_regressions_total", None, 1) ];
           Logs.warn (fun m -> m "analysis regression: %s" msg))
         (Rule_audit.instrument rules)
     else rules
@@ -440,8 +434,8 @@ let exn_message = function
 
 let degrade t ~stage:stage_name ~reason =
   t.last_degraded <- Some reason;
-  Metrics.incr
-    (Metrics.counter ~label:("stage", stage_name) t.metrics "sb_degraded_total");
+  Metrics.add_counters (metrics t)
+    [ ("sb_degraded_total", Some ("stage", stage_name), 1) ];
   if Trace.enabled t.tracer then
     Trace.with_span t.tracer "degraded"
       ~attrs:[ ("stage", stage_name); ("reason", reason) ]
@@ -623,19 +617,19 @@ let plan_cache_key t (text : string) : string =
 let cached_query t (text : string) : string list * Tuple.t list =
   let key = plan_cache_key t text in
   let epoch = Catalog.epoch t.catalog in
-  let p =
+  let p, rows =
     match Plan_cache.find t.plan_cache ~epoch key with
-    | Some p -> p
+    | Some p -> (p, execute_prepared t p)
     | None ->
+      (* a miss compiles and runs as one statement under one governor,
+         so its rewrite and any degradation stay visible afterwards *)
       let p = prepare t text in
       if t.last_degraded = None then Plan_cache.add t.plan_cache ~epoch key p;
-      p
+      (p, exec_plan t t.last_gov p.prep_plan)
   in
-  let rows = execute_prepared t p in
   if t.paranoid then check_paranoid t (parse t text) rows;
   (p.prep_columns, rows)
 
-let clear_plan_cache t = Plan_cache.clear t.plan_cache
 let plan_cache_stats t = Plan_cache.stats t.plan_cache
 
 (* ------------------------------------------------------------------ *)
@@ -1328,7 +1322,7 @@ let at_boundary t (text : string) f =
     t.txn_current <- 0;
     t.txn_undo <- [];
     Recovery.crash ~catalog:t.catalog;
-    Metrics.incr (Metrics.counter t.metrics "sb_wal_crashes_total");
+    Metrics.add_counters (metrics t) [ ("sb_wal_crashes_total", None, 1) ];
     raise
       (Error
          (Err.make ~query:text Err.Storage
@@ -1366,7 +1360,7 @@ let recover t : Recovery.stats =
   t.txn_replaying <- true;
   Fun.protect ~finally:(fun () -> t.txn_replaying <- false) @@ fun () ->
   try
-    Recovery.run ~metrics:t.metrics ~catalog:t.catalog
+    Recovery.run ~metrics:(metrics t) ~catalog:t.catalog
       ~replay_ddl:(fun text ->
         ignore (run_statement t (Parser.statement text)))
       ()

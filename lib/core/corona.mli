@@ -74,7 +74,6 @@ type t = {
   mutable hosts : (string * Value.t) list;  (** host-variable bindings *)
   mutable last_counters : Exec.counters;
   mutable last_rewrite : Engine.stats option;
-  metrics : Metrics.t;
   mutable tracer : Trace.t;  (** {!Trace.noop} unless tracing is on *)
   stage_ns : (string, int64) Hashtbl.t;
       (** elapsed time of each pipeline stage's most recent run, by stage
@@ -183,10 +182,11 @@ val faults : t -> Faults.t
 
     Each pipeline stage (parse, build, rewrite, optimize, refine,
     execute) always records its elapsed time in the handle's [stage_ns]
-    (two clock reads per stage; EXPLAIN ANALYZE prints them).  With
-    tracing on, each stage is also a span and a latency-histogram
-    observation, the rewrite engine records one span per rule firing,
-    and the optimizer one per STAR expansion.  The default tracer is
+    (two clock reads per stage; EXPLAIN ANALYZE prints them) and
+    observes it in the [sb_stage_duration_ns{stage}] histogram.  With
+    tracing on, each stage is also a span, the rewrite engine records
+    one span per rule firing, and the optimizer one per STAR
+    expansion.  The default tracer is
     {!Trace.noop}; install a real one with {!set_tracer} or
     [SET trace = on]. *)
 
@@ -196,8 +196,9 @@ val tracer : t -> Trace.t
     engine, STAR evaluator). *)
 val set_tracer : t -> Trace.t -> unit
 
-(** The database's metrics registry (stage latencies, per-rule firings,
-    execution counters). *)
+(** The database's metrics registry — the catalog's, shared by every
+    session over it (stage latencies, per-rule firings, execution
+    counters, the WAL and the plan cache). *)
 val metrics : t -> Metrics.t
 
 (** Prometheus-style text dump of {!metrics}. *)
@@ -249,10 +250,11 @@ val plan_cache_key : t -> string -> string
     catalog/statistics epoch they were compiled at, so DDL and ANALYZE —
     from this session or any other sharing the catalog — invalidate them
     lazily; eviction is LRU.  A degraded compilation runs but is never
-    cached.  Returns the plan's column names with its rows. *)
+    cached.  A miss compiles and executes as one statement under one
+    governor, so {!last_rewrite} and {!last_degraded} describe it
+    afterwards; a hit executes the cached plan alone.  Returns the
+    plan's column names with its rows. *)
 val cached_query : t -> string -> string list * Tuple.t list
-
-val clear_plan_cache : t -> unit
 
 (** Hit/miss/eviction/invalidation counters and resident-entry count of
     the session's (possibly shared) plan cache. *)

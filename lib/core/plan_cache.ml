@@ -154,7 +154,7 @@ let shard_of t key =
 let count t name =
   match t.metrics with
   | None -> ()
-  | Some m -> Metrics.incr (Metrics.counter m name)
+  | Some m -> Metrics.add_counters m [ (name, None, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)

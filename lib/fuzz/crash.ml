@@ -256,10 +256,13 @@ let run ?metrics ?(log = fun _ -> ()) ~seed ~n () : stats =
   (match metrics with
   | None -> ()
   | Some m ->
-    Metrics.incr ~by:stats.cs_cases (Metrics.counter m "sb_crash_cases_total");
-    Metrics.incr
-      ~by:(List.length stats.cs_mismatches)
-      (Metrics.counter m "sb_crash_mismatches_total"));
+    (* registered first, so a clean sweep reports 0 mismatches *)
+    ignore (Metrics.counter m "sb_crash_mismatches_total");
+    Metrics.add_counters m
+      [
+        ("sb_crash_cases_total", None, stats.cs_cases);
+        ("sb_crash_mismatches_total", None, List.length stats.cs_mismatches);
+      ]);
   stats
 
 let report (s : stats) : string =

@@ -40,16 +40,20 @@ let full_verdict ?inject ~chaos_seed (cat : Gen.catalog)
 
 let run ?inject ?metrics ?out_dir ?(log = fun _ -> ()) ~seed ~n ()
     =
-  let counter name =
-    match metrics with
-    | None -> None
-    | Some m -> Some (Metrics.counter m name)
+  (* registered up front, so the report lists the zero counts too *)
+  let c_cases = "sb_fuzz_cases_total" in
+  let c_rejected = "sb_fuzz_rejected_total" in
+  let c_discrepancies = "sb_fuzz_discrepancies_total" in
+  let c_shrink = "sb_fuzz_shrink_steps_total" in
+  Option.iter
+    (fun m ->
+      List.iter
+        (fun name -> ignore (Metrics.counter m name))
+        [ c_cases; c_rejected; c_discrepancies; c_shrink ])
+    metrics;
+  let bump ?(by = 1) name =
+    Option.iter (fun m -> Metrics.add_counters m [ (name, None, by) ]) metrics
   in
-  let bump ?(by = 1) c = Option.iter (fun c -> Metrics.incr ~by c) c in
-  let c_cases = counter "sb_fuzz_cases_total" in
-  let c_rejected = counter "sb_fuzz_rejected_total" in
-  let c_discrepancies = counter "sb_fuzz_discrepancies_total" in
-  let c_shrink = counter "sb_fuzz_shrink_steps_total" in
   let root = Sprng.create seed in
   let passed = ref 0 in
   let rejected = ref 0 in

@@ -1,8 +1,8 @@
 (** The metrics registry: named counters and log-scale latency
     histograms with a Prometheus-style text dump.
 
-    Counters and histograms are created on demand ({!counter} /
-    {!histogram} get-or-create by name) so independent subsystems —
+    Counters and histograms are created on demand ({!add_counters} /
+    {!observe_named} get-or-create by name) so independent subsystems —
     the rewrite engine, the plan optimizer, the query evaluation
     system — share one registry and one output path.  Metric names
     follow Prometheus conventions ([a-z_] with a unit suffix);
@@ -43,8 +43,8 @@ let create ?(n_buckets = 32) () =
 
 let same_key name label (n, l) = String.equal name n && label = l
 
-let counter ?label t name : counter =
-  locked @@ fun () ->
+(* get-or-create; the caller holds [lock] *)
+let counter_unlocked t name label =
   match
     List.find_opt (fun c -> same_key name label (c.c_name, c.c_label)) t.counters
   with
@@ -54,7 +54,19 @@ let counter ?label t name : counter =
     t.counters <- c :: t.counters;
     c
 
-let incr ?(by = 1) c = locked (fun () -> c.c_value <- c.c_value + by)
+let counter ?label t name : counter =
+  locked (fun () -> counter_unlocked t name label)
+
+(** Adds every [(name, label, n)] with [n > 0] in one locked pass: a
+    statement's worth of counters costs one lock round-trip. *)
+let add_counters t entries =
+  locked @@ fun () ->
+  List.iter
+    (fun (name, label, n) ->
+      if n > 0 then
+        let c = counter_unlocked t name label in
+        c.c_value <- c.c_value + n)
+    entries
 
 (** Sets a counter to an absolute value — for mirroring an externally
     maintained monotone count (e.g. the lock-discipline counters). *)
@@ -62,8 +74,8 @@ let set c v = locked (fun () -> c.c_value <- v)
 
 let counter_value c = c.c_value
 
-let histogram ?label t name : histogram =
-  locked @@ fun () ->
+(* get-or-create; the caller holds [lock] *)
+let histogram_unlocked t name label =
   match
     List.find_opt
       (fun h -> same_key name label (h.h_name, h.h_label))
@@ -83,6 +95,9 @@ let histogram ?label t name : histogram =
     t.histograms <- h :: t.histograms;
     h
 
+let histogram ?label t name : histogram =
+  locked (fun () -> histogram_unlocked t name label)
+
 (** Bucket index for [v]: log2-scaled, clamped to the bucket range.
     Bucket [i] has upper bound [2^i] (the last bucket is +Inf). *)
 let bucket_index h (v : float) =
@@ -91,15 +106,14 @@ let bucket_index h (v : float) =
     let i = int_of_float (ceil (Float.log2 v)) in
     min i (Array.length h.h_buckets - 1)
 
-let observe h v =
+(** Looks up (or creates) a histogram and records [v] under one lock. *)
+let observe_named ?label t name v =
   locked @@ fun () ->
+  let h = histogram_unlocked t name label in
   let i = bucket_index h v in
   h.h_buckets.(i) <- h.h_buckets.(i) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. v
-
-(** Observes a span duration in nanoseconds. *)
-let observe_ns h (ns : int64) = observe h (Int64.to_float ns)
 
 let histogram_count h = h.h_count
 let histogram_sum h = h.h_sum

@@ -11,11 +11,13 @@ type t
 
 val create : ?n_buckets:int -> unit -> t
 
-(** Get-or-create a counter.  [label] renders as
-    [name{key="value"}]. *)
+(** Get-or-create a counter, registering it at 0 so the dump lists it
+    before anything is added.  [label] renders as [name{key="value"}]. *)
 val counter : ?label:string * string -> t -> string -> counter
 
-val incr : ?by:int -> counter -> unit
+(** Adds every [(name, label, n)] with [n > 0], get-or-creating each
+    counter, under one lock acquisition — the one way to count. *)
+val add_counters : t -> (string * (string * string) option * int) list -> unit
 
 (** Sets a counter to an absolute value — for mirroring an externally
     maintained monotone count (e.g. the lock-discipline counters). *)
@@ -23,13 +25,13 @@ val set : counter -> int -> unit
 
 val counter_value : counter -> int
 
-(** Get-or-create a log-scale (base 2) histogram. *)
+(** Get-or-create a log-scale (base 2) histogram, for reading. *)
 val histogram : ?label:string * string -> t -> string -> histogram
 
-(** Records one observation ([observe_ns] for span durations). *)
-val observe : histogram -> float -> unit
+(** Get-or-create the histogram and record one observation, under one
+    lock acquisition — the one way to observe. *)
+val observe_named : ?label:string * string -> t -> string -> float -> unit
 
-val observe_ns : histogram -> int64 -> unit
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 

@@ -98,7 +98,7 @@ let set_metrics t m = t.f_metrics <- Some m
 let bump t name site =
   match t.f_metrics with
   | None -> ()
-  | Some m -> Sb_obs.Metrics.incr (Sb_obs.Metrics.counter ~label:("site", site) m name)
+  | Some m -> Sb_obs.Metrics.add_counters m [ (name, Some ("site", site), 1) ]
 
 (* Each consult advances the per-site ordinal, so a retried call is a
    fresh consult: a probability plan can fail the retry again, and an

@@ -162,11 +162,16 @@ type config = {
   cache_capacity : int;
 }
 
-(* Sized to the hardware: every extra domain makes the stop-the-world
-   minor-GC barrier wider, so on a single-core box the pool is empty
-   and help-first callers do all the driving. *)
-let default_config () =
-  let workers = max 0 (min 8 (Domain.recommended_domain_count () - 1)) in
+(* Sized to the hardware unless [workers] is given: every extra domain
+   makes the stop-the-world minor-GC barrier wider, so on a single-core
+   box the pool is empty and help-first callers do all the driving. *)
+let default_config ?workers () =
+  let workers =
+    max 0
+      (match workers with
+      | Some w -> w
+      | None -> min 8 (Domain.recommended_domain_count () - 1))
+  in
   {
     workers;
     (* floors keep an empty pool admitting: help-first callers still
@@ -189,7 +194,6 @@ type session = {
 type t = {
   catalog : Catalog.t;
   cache : Corona.prepared Plan_cache.t;
-  metrics : Metrics.t;
   config : config;
   limits_template : Limits.t;  (** copied into each new session *)
   install : (Corona.t -> unit) option;
@@ -224,13 +228,12 @@ let create ?config ?limits ?install () =
   let limits_template =
     match limits with Some l -> l | None -> Limits.apply_env (Limits.default ())
   in
-  let metrics = Metrics.create () in
+  let catalog = Catalog.create () in
   {
-    catalog = Catalog.create ();
+    catalog;
     cache =
       Plan_cache.create ~shards:config.cache_shards
-        ~capacity:config.cache_capacity ~metrics ();
-    metrics;
+        ~capacity:config.cache_capacity ~metrics:catalog.Catalog.metrics ();
     config;
     limits_template;
     install;
@@ -251,7 +254,6 @@ let create ?config ?limits ?install () =
     pool = pool_create config.workers;
   }
 
-let metrics t = t.metrics
 let catalog t = t.catalog
 let set_cache_enabled t on =
   locked t (fun () ->
@@ -374,7 +376,7 @@ let with_shed db f =
       db.Corona.rewrite_enabled <- saved_rewrite)
     f
 
-let bump t name = Metrics.incr (Metrics.counter t.metrics name)
+let bump t name = Metrics.add_counters t.catalog.Catalog.metrics [ (name, None, 1) ]
 
 let execute t s ~shed ~use_cache text : (Corona.result, Err.t) result =
   let kind = classify text in
@@ -511,21 +513,185 @@ let recover t : Sb_storage.Recovery.stats =
 (* ------------------------------------------------------------------ *)
 
 (** Mirrors the discipline checker's counters ([sb_lock_*] /
-    [sb_race_*]) into this server's metrics registry, so [\metrics]
+    [sb_race_*]) into the database's metrics registry, so [\metrics]
     and the Prometheus dump include them. *)
 let sync_lock_metrics t =
   List.iter
-    (fun (name, v) -> Metrics.set (Metrics.counter t.metrics name) v)
+    (fun (name, v) ->
+      Metrics.set (Metrics.counter t.catalog.Catalog.metrics name) v)
     (Sb_conc.Discipline.metric_counters ())
 
-(** Every diagnosis the checker has recorded, as structured errors. *)
-let lock_diags () =
-  List.map Err.of_lock_diag (Sb_conc.Discipline.diags ())
-
 (** The deterministic lock-discipline report (hierarchy, acquisition
-    graph, cycles, instrumented fields, diagnoses) — the shell's
-    [\locks].  Also syncs the checker's counters into the metrics
+    graph, cycles, instrumented fields, diagnoses) — [\locks].  Also syncs the checker's counters into the metrics
     registry. *)
 let lock_report t =
   sync_lock_metrics t;
   Sb_conc.Discipline.report_text ()
+
+(* ------------------------------------------------------------------ *)
+(* Meta-commands                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let stats_lines db =
+  let c = Corona.counters db in
+  let open Corona.Exec in
+  [
+    "execution counters (last query):";
+    Fmt.str "  scanned=%d index_probes=%d shipped=%d sorted=%d output=%d"
+      c.c_scanned c.c_index_probes c.c_shipped c.c_sorted c.c_output;
+    Fmt.str "  sub_evals=%d sub_cache_hits=%d or_branch_evals=%d fixpoint_rounds=%d"
+      c.c_sub_evals c.c_sub_cache_hits c.c_or_branch_evals c.c_fixpoint_rounds;
+  ]
+  @
+  match Corona.last_rewrite db with
+  | None -> [ "rewrite: (none for the last statement; a cached plan skips it)" ]
+  | Some st ->
+    let module Engine = Corona.Engine in
+    Fmt.str "rewrite: %d fired / %d examined in %d passes%s"
+      st.Engine.rules_fired st.Engine.rules_examined st.Engine.passes
+      (if st.Engine.budget_exhausted then " (budget exhausted)" else "")
+    :: Fmt.str "  %-32s %7s %9s" "rule" "fires" "attempts"
+    :: List.filter_map
+         (fun (name, fires, attempts) ->
+           if fires > 0 then Some (Fmt.str "  %-32s %7d %9d" name fires attempts)
+           else None)
+         (Engine.per_rule st)
+
+let limits_lines db =
+  ("session limits (SET limit_<name> = n, 0 = unlimited):"
+   :: List.map
+        (fun (name, value) -> Fmt.str "  %-20s %s" name value)
+        (Limits.describe (Corona.limits db)))
+  @ ("consumption (last statement):"
+    :: List.map
+         (fun (name, used, limit) ->
+           Fmt.str "  %-20s %d%s" name used
+             (if limit = 0 then "" else Fmt.str " / %d" limit))
+         (Limits.consumption (Corona.last_gov db)))
+  @
+  match Corona.last_degraded db with
+  | None -> []
+  | Some reason -> [ "degraded: " ^ reason ]
+
+let cache_lines t =
+  let c = cache_stats t in
+  [
+    "plan cache:";
+    Fmt.str "  hits          %d" c.Plan_cache.hits;
+    Fmt.str "  misses        %d" c.Plan_cache.misses;
+    Fmt.str "  evictions     %d" c.Plan_cache.evictions;
+    Fmt.str "  invalidations %d" c.Plan_cache.invalidations;
+    Fmt.str "  resident      %d" c.Plan_cache.resident;
+    Fmt.str "  epoch         %d" (Catalog.epoch t.catalog);
+  ]
+
+let sessions_lines t s =
+  let st = stats t in
+  List.map
+    (fun (id, inflight) ->
+      Fmt.str "session %d  inflight %d%s" id inflight
+        (if id = s.s_id then "  (this session)" else ""))
+    (list_sessions t)
+  @ [
+      Fmt.str "admitted %d  shed %d  rejected %d  epoch %d" st.st_admitted
+        st.st_shed st.st_rejected st.st_epoch;
+    ]
+
+let wal_lines t =
+  let module Wal = Sb_storage.Wal in
+  let w = wal_stats t in
+  [
+    "write-ahead log:";
+    Fmt.str "  enabled          %b" w.Wal.s_enabled;
+    Fmt.str "  needs_recovery   %b" w.Wal.s_needs_recovery;
+    Fmt.str "  lsn              %d" w.Wal.s_lsn;
+    Fmt.str "  stable records   %d" w.Wal.s_stable;
+    Fmt.str "  pending records  %d" w.Wal.s_pending;
+    Fmt.str "  appends          %d" w.Wal.s_appends;
+    Fmt.str "  flushes          %d" w.Wal.s_flushes;
+    Fmt.str "  flushed records  %d" w.Wal.s_flushed_records;
+    Fmt.str "  checkpoints      %d" w.Wal.s_checkpoints;
+    Fmt.str "  commits          %d" w.Wal.s_commits;
+    Fmt.str "  aborts           %d" w.Wal.s_aborts;
+    Fmt.str "  next txn         %d" w.Wal.s_next_txn;
+  ]
+
+let trace_text db arg =
+  let tr = Corona.tracer db in
+  if not (Sb_obs.Trace.enabled tr) then "tracing is off; enable with SET trace = on"
+  else
+    match arg with
+    | "json" -> Sb_obs.Trace.to_json tr
+    | "clear" ->
+      Sb_obs.Trace.clear tr;
+      ""
+    | _ -> Sb_obs.Trace.to_tree tr
+
+let check_catalog_lines t =
+  let module Lint = Corona.Lint in
+  match Rwlock.with_read t.rw (fun () -> Lint.lint_catalog t.catalog) with
+  | [] -> [ "catalog: no lint findings" ]
+  | diags -> List.map Lint.diag_to_string diags
+
+(* a meta-command that names a statement runs as that statement, so its
+   errors are classified like any other *)
+let submitted t s text =
+  match submit t s text with
+  | Ok r -> Corona.render_result ~registry:t.catalog.Catalog.datatypes r
+  | Error e -> "error: " ^ Err.to_string e
+
+(* [\check Q] and [\infer Q] explain a query; the argument must parse as
+   one, because EXPLAIN of DML or DDL runs the inner statement *)
+let explained_query t s mode query =
+  match Corona.Parser.query_text query with
+  | _ -> submitted t s (mode ^ " " ^ query)
+  | exception exn -> "error: " ^ Err.to_string (classify_error query exn)
+
+let rec drop_trailing_newlines text =
+  let n = String.length text in
+  if n > 0 && text.[n - 1] = '\n' then
+    drop_trailing_newlines (String.sub text 0 (n - 1))
+  else text
+
+(** The meta-command table shared by the shell and the TCP server. *)
+let meta t s line =
+  let line = String.trim line in
+  if line = "" || line.[0] <> '\\' then None
+  else
+    let cmd, arg =
+      match String.index_opt line ' ' with
+      | None -> (line, "")
+      | Some i ->
+        (String.sub line 0 i, String.trim (String.sub line i (String.length line - i)))
+    in
+    let query =
+      (* [\check q;] and [\infer q;]: the query without its terminator *)
+      let n = String.length arg in
+      if n > 0 && arg.[n - 1] = ';' then String.sub arg 0 (n - 1) else arg
+    in
+    let lines = String.concat "\n" in
+    let in_session f = Lock.with_lock s.s_lock (fun () -> f s.s_db) in
+    let text =
+      match cmd with
+      | "\\stats" -> lines (in_session stats_lines)
+      | "\\limits" -> lines (in_session limits_lines)
+      | "\\cache" -> lines (cache_lines t)
+      | "\\sessions" -> lines (sessions_lines t s)
+      | "\\wal" -> lines (wal_lines t)
+      | "\\metrics" ->
+        sync_lock_metrics t;
+        Metrics.dump t.catalog.Catalog.metrics
+      | "\\locks" ->
+        lock_report t
+        ^
+        if Sb_conc.Discipline.armed () then ""
+        else "  (checker disarmed; arm with STARBURST_LOCKCHECK=1)"
+      | "\\trace" -> in_session (fun db -> trace_text db arg)
+      | "\\rules" -> submitted t s "EXPLAIN RULES"
+      | "\\check" when query = "" -> lines (check_catalog_lines t)
+      | "\\check" -> explained_query t s "EXPLAIN VERIFY" query
+      | "\\infer" when query = "" -> "usage: \\infer SELECT ..."
+      | "\\infer" -> explained_query t s "EXPLAIN ANALYSIS" query
+      | _ -> "unknown meta-command " ^ cmd
+    in
+    Some (drop_trailing_newlines text)

@@ -2,7 +2,8 @@
 
     Each {!session} is an isolated {!Starburst.Corona.t} handle — its own
     SET options, host-variable bindings and resource limits — while all
-    sessions of a server share one catalog and one compiled-plan cache.
+    sessions of a server share one catalog, one compiled-plan cache and
+    the catalog's one metrics registry.
     Statements run on a pool of OCaml domains behind an admission
     controller: under load, compilation degrades to greedy plans before
     anything queues without bound, and past the high-water mark
@@ -13,8 +14,14 @@
     sessions, queries, EXPLAIN of a query, EXPLAIN RULES and SET run
     concurrently; statements that may mutate shared state (DML, DDL,
     ANALYZE, and EXPLAIN of any of them, which runs the inner
-    statement) are serialized behind a writer lock.  DDL bumps the catalog epoch, lazily invalidating
-    stale entries of the shared plan cache. *)
+    statement) are serialized behind a writer lock.  DDL bumps the
+    catalog epoch, lazily invalidating stale entries of the shared plan
+    cache.
+
+    Both front ends — the shell and the [starburst_server] line
+    protocol — answer meta-commands from one table, {!meta}, and both
+    pass [Sb_extensions.Bundled.install] as [install] (the shell unless
+    [--bare]), so they serve the same statements. *)
 
 type t
 type session
@@ -37,10 +44,12 @@ type config = {
   cache_capacity : int;
 }
 
-(** Sized from [Domain.recommended_domain_count]: [workers] pool
-    domains, shedding past [2*workers] in flight, rejecting past
-    [4*workers]. *)
-val default_config : unit -> config
+(** [workers] pool domains (default: sized from
+    [Domain.recommended_domain_count]), shedding past [max 6 (2*workers)]
+    in flight and rejecting past [max 8 (4*workers)] — the floors keep a
+    zero-worker server admitting, since blocking callers run their own
+    statements. *)
+val default_config : ?workers:int -> unit -> config
 
 (** A fresh server (own catalog, shared plan cache, worker pool).
     [limits] is the template copied into each new session's governor.
@@ -100,7 +109,6 @@ val clear_cache : t -> unit
     read nor written (the bench's cache-off arm). *)
 val set_cache_enabled : t -> bool -> unit
 
-val metrics : t -> Sb_obs.Metrics.t
 val catalog : t -> Sb_storage.Catalog.t
 
 (** Stops accepting work and joins the worker domains. *)
@@ -137,14 +145,29 @@ val recover : t -> Sb_storage.Recovery.stats
     the instrumented shared fields, and reports cycles in the observed
     lock-acquisition graph. *)
 
-(** Mirrors the checker's [sb_lock_*]/[sb_race_*] counters into this
-    server's metrics registry. *)
+(** Mirrors the checker's [sb_lock_*]/[sb_race_*] counters into the
+    database's metrics registry. *)
 val sync_lock_metrics : t -> unit
 
-(** Every diagnosis recorded so far, as structured [Concurrency]
-    errors. *)
-val lock_diags : unit -> Sb_resil.Err.t list
-
-(** The deterministic discipline report (the shell's [\locks]); also
-    syncs the checker's counters into the metrics registry. *)
+(** The deterministic discipline report ([\locks]); also syncs the
+    checker's counters into the metrics registry. *)
 val lock_report : t -> string
+
+(** {1 Meta-commands} *)
+
+(** [meta t s line] answers a backslash command for session [s], or
+    [None] when [line] is not one.  The table: [\stats] (the session's
+    last statement: execution counters and rewrite firings), [\limits]
+    (the session's limits and last consumption), [\cache] (plan cache
+    and epoch), [\sessions] (open sessions with their in-flight counts;
+    admitted, shed, rejected, epoch), [\wal], [\metrics] (the
+    database's one registry, lock counters synced first), [\locks],
+    [\trace [json|clear]] (the session's tracer), [\check] (catalog
+    lints).  [\rules], [\check QUERY] and [\infer QUERY] are
+    submitted as [EXPLAIN RULES], [EXPLAIN VERIFY QUERY] and
+    [EXPLAIN ANALYSIS QUERY]; QUERY must parse as a query, so a
+    diagnostic never runs DML or DDL (anything else answers a parse
+    error).  Anything else is
+    [unknown meta-command \x].  Quitting is the front end's business.
+    The answer carries no trailing newline. *)
+val meta : t -> session -> string -> string option

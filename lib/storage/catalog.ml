@@ -40,11 +40,13 @@ type t = {
   wal : Wal.t;
       (** the instance's write-ahead log; sessions sharing a catalog
           share the log, which is what makes group commit work *)
+  metrics : Sb_obs.Metrics.t;  (** the database's one metrics registry *)
 }
 
 let norm = String.lowercase_ascii
 
 let create ?(pool_capacity = 256) () =
+  let metrics = Sb_obs.Metrics.create () in
   let t =
     {
       pool = Buffer_pool.create ~capacity:pool_capacity ();
@@ -57,7 +59,8 @@ let create ?(pool_capacity = 256) () =
       epoch = 0;
       site_of = (fun _ -> "local");
       faults = Sb_resil.Faults.none;
-      wal = Wal.create ();
+      wal = Wal.create ~metrics;
+      metrics;
     }
   in
   Storage_manager.register t.storage_managers Heap_file.factory;

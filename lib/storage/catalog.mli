@@ -32,6 +32,9 @@ type t = {
   wal : Wal.t;
       (** the instance's write-ahead log; sessions sharing a catalog
           share the log (group commit) *)
+  metrics : Sb_obs.Metrics.t;
+      (** the database's one metrics registry: the WAL, every session
+          sharing the catalog and a server over it all record here *)
 }
 
 exception Catalog_error of string

@@ -163,12 +163,11 @@ let run ?metrics ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) () :
   (match metrics with
   | None -> ()
   | Some m ->
-    Metrics.incr (Metrics.counter m "sb_recovery_runs_total");
-    Metrics.incr ~by:stats.r_records
-      (Metrics.counter m "sb_recovery_records_scanned_total");
-    Metrics.incr ~by:stats.r_redone
-      (Metrics.counter m "sb_recovery_records_redone_total");
-    if stats.r_truncated > 0 then
-      Metrics.incr ~by:stats.r_truncated
-        (Metrics.counter m "sb_recovery_torn_records_total"));
+    Metrics.add_counters m
+      [
+        ("sb_recovery_runs_total", None, 1);
+        ("sb_recovery_records_scanned_total", None, stats.r_records);
+        ("sb_recovery_records_redone_total", None, stats.r_redone);
+        ("sb_recovery_torn_records_total", None, stats.r_truncated);
+      ]);
   stats

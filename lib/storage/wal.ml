@@ -87,7 +87,7 @@ type t = {
   mutable needs_recovery : bool;
   mutable ddl_history : string list;  (** newest first *)
   mutable faults : Faults.t;
-  mutable metrics : Metrics.t option;
+  metrics : Metrics.t;
   mutable sink : (unit -> unit) option;
       (** called after every successful flush/checkpoint, outside the
           log's lock — the server's file-persistence hook *)
@@ -99,7 +99,7 @@ type t = {
   mutable n_aborts : int;
 }
 
-let create () =
+let create ~metrics =
   {
     lock = Sb_conc.Lock.create ~name:"storage.wal" ~level:Sb_conc.Level.wal;
     enabled = true;
@@ -110,7 +110,7 @@ let create () =
     needs_recovery = false;
     ddl_history = [];
     faults = Faults.none;
-    metrics = None;
+    metrics;
     sink = None;
     n_appends = 0;
     n_flushes = 0;
@@ -127,7 +127,6 @@ let locked t f = Sb_conc.Lock.with_lock t.lock f
    held at the access site. *)
 let watch ~site ~write = Sb_conc.Discipline.access ~field:"wal.log" ~site ~write
 let set_faults t f = locked t (fun () -> t.faults <- f)
-let set_metrics t m = locked t (fun () -> t.metrics <- Some m)
 let set_sink t sink = locked t (fun () -> t.sink <- sink)
 
 let enabled t =
@@ -164,15 +163,7 @@ let stable_lsn t =
   if not t.enabled then max_int
   else List.fold_left (fun m l -> max m l.l_lsn) 0 t.stable
 
-let bump t name =
-  match t.metrics with
-  | None -> ()
-  | Some m -> Metrics.incr (Metrics.counter m name)
-
-let bump_by t name n =
-  match t.metrics with
-  | None -> ()
-  | Some m -> if n > 0 then Metrics.incr ~by:n (Metrics.counter m name)
+let bump ?(by = 1) t name = Metrics.add_counters t.metrics [ (name, None, by) ]
 
 (** Appends one record to the volatile tail and returns its LSN (0 when
     the log is disabled).  Site [wal.append]: a crash here loses the
@@ -241,7 +232,7 @@ let flush t : unit =
       t.n_flushes <- t.n_flushes + 1;
       t.n_flushed_records <- t.n_flushed_records + n;
       bump t "sb_wal_flushes_total";
-      bump_by t "sb_wal_records_flushed_total" n;
+      bump ~by:n t "sb_wal_records_flushed_total";
       t.sink
     end
   in

@@ -33,15 +33,14 @@ type record =
 
 type t
 
-(** A fresh, enabled, empty log. *)
-val create : unit -> t
-
-val set_faults : t -> Sb_resil.Faults.t -> unit
-
-(** Counters land as [sb_wal_appends_total], [sb_wal_flushes_total],
+(** A fresh, enabled, empty log.  Its counters land in [metrics] (the
+    database's registry, handed over by {!Catalog.create}) as
+    [sb_wal_appends_total], [sb_wal_flushes_total],
     [sb_wal_records_flushed_total], [sb_wal_checkpoints_total],
     [sb_wal_commits_total], [sb_wal_aborts_total]. *)
-val set_metrics : t -> Sb_obs.Metrics.t -> unit
+val create : metrics:Sb_obs.Metrics.t -> t
+
+val set_faults : t -> Sb_resil.Faults.t -> unit
 
 (** Persistence hook, called after every successful flush or checkpoint
     (outside the log's lock); the TCP server points it at

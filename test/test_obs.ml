@@ -100,7 +100,7 @@ let test_histogram_bucketing () =
   Alcotest.(check int) "1025 -> bucket 11" 11 (Metrics.bucket_index h 1025.0);
   Alcotest.(check int) "huge clamps to last" 31
     (Metrics.bucket_index h 1e30);
-  List.iter (fun v -> Metrics.observe h v) [ 1.0; 2.0; 3.0; 1024.0; 1e30 ];
+  List.iter (fun v -> Metrics.observe_named m "lat_ns" v) [ 1.0; 2.0; 3.0; 1024.0; 1e30 ];
   Alcotest.(check int) "count" 5 (Metrics.histogram_count h);
   Alcotest.(check bool) "sum" true (Metrics.histogram_sum h > 1e29);
   let buckets = Metrics.histogram_buckets h in
@@ -272,6 +272,22 @@ let test_explain_analyze_matches_rows () =
       (st.Starburst.Corona.Exec.os_ns >= 0L)
   | None -> Alcotest.fail "no stats for root operator")
 
+let test_stage_histograms_untraced () =
+  let db = sample_db () in
+  Alcotest.(check bool) "tracing is off" false
+    (Trace.enabled (Starburst.tracer db));
+  ignore (q db "SELECT partno FROM quotations");
+  let dump = Starburst.metrics_dump db in
+  let contains sub =
+    let rec mem i =
+      i + String.length sub <= String.length dump
+      && (String.sub dump i (String.length sub) = sub || mem (i + 1))
+    in
+    mem 0
+  in
+  Alcotest.(check bool) "stage histogram without tracing" true
+    (contains "sb_stage_duration_ns_bucket{stage=\"execute\"")
+
 let suite =
   ( "observability",
     [
@@ -287,4 +303,6 @@ let suite =
       Alcotest.test_case "pipeline stage spans" `Quick test_pipeline_spans;
       Alcotest.test_case "EXPLAIN ANALYZE matches Rows" `Quick
         test_explain_analyze_matches_rows;
+      Alcotest.test_case "stage histograms without tracing" `Quick
+        test_stage_histograms_untraced;
     ] )

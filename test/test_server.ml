@@ -398,8 +398,9 @@ let test_load_shedding () =
   Alcotest.(check bool) "statements past the threshold were shed" true
     ((Server.stats server).Server.st_shed >= 3);
   Alcotest.(check bool) "shedding is exported as a metric" true
-    (contains "sb_server_shed_total"
-       (Sb_obs.Metrics.dump (Server.metrics server)));
+    (match Server.meta server s "\\metrics" with
+    | Some dump -> contains "sb_server_shed_total" dump
+    | None -> false);
   Server.shutdown server
 
 (* --- faults and lifecycle ------------------------------------------ *)
@@ -503,6 +504,102 @@ let test_explain_insert_writes () =
   Server.close_session server boot;
   Server.shutdown server
 
+(* --- one registry, one meta-command table ---------------------------- *)
+
+let test_zero_workers_admit () =
+  let server = Server.create ~config:(Server.default_config ~workers:0 ()) () in
+  let s = Server.session server in
+  ignore (ok_exn (Server.submit server s "CREATE TABLE t (x INT)"));
+  ignore (ok_exn (Server.submit server s "INSERT INTO t VALUES (1), (2)"));
+  check_bag "a zero-worker server answers on the caller's domain"
+    [ row [ i 1 ]; row [ i 2 ] ]
+    (rows_exn (Server.submit server s "SELECT x FROM t"));
+  Server.shutdown server
+
+(* the value of the unlabelled sample [name] in a Prometheus dump *)
+let sample dump name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' dump)
+  |> Option.value ~default:0
+
+let meta_exn server s cmd =
+  match Server.meta server s cmd with
+  | Some text -> text
+  | None -> Alcotest.failf "%s was not taken as a meta-command" cmd
+
+let test_one_registry_counts_commits () =
+  let server = Server.create ~config:(Server.default_config ~workers:0 ()) () in
+  let s1 = Server.session server in
+  ignore (ok_exn (Server.submit server s1 "CREATE TABLE t (x INT)"));
+  ignore (ok_exn (Server.submit server s1 "INSERT INTO t VALUES (1)"));
+  let s2 = Server.session server in
+  ignore (ok_exn (Server.submit server s1 "INSERT INTO t VALUES (2)"));
+  ignore (ok_exn (Server.submit server s1 "INSERT INTO t VALUES (3)"));
+  let commits = (Server.wal_stats server).Sb_storage.Wal.s_commits in
+  Alcotest.(check bool) "the inserts committed" true (commits >= 3);
+  Alcotest.(check int) "the registry counts every commit once" commits
+    (sample
+       (Sb_obs.Metrics.dump (Server.catalog server).Catalog.metrics)
+       "sb_wal_commits_total");
+  Alcotest.(check string) "both sessions read the one registry"
+    (Starburst.metrics_dump (Server.session_db s1))
+    (Starburst.metrics_dump (Server.session_db s2));
+  Server.shutdown server
+
+let test_meta_table () =
+  let server = fresh_server ~config:(Server.default_config ~workers:0 ()) () in
+  let s1 = Server.session server in
+  let s2 = Server.session server in
+  let output () = sample (meta_exn server s1 "\\metrics") "sb_exec_output_total" in
+  let before = output () in
+  Alcotest.(check int) "five quotations" 5
+    (List.length (rows_exn (Server.submit server s1 "SELECT partno FROM quotations")));
+  Alcotest.(check int) "four parts" 4
+    (List.length (rows_exn (Server.submit server s2 "SELECT partno FROM inventory")));
+  Alcotest.(check bool) "\\stats shows the asking session's statement" true
+    (contains "output=5" (meta_exn server s1 "\\stats")
+    && contains "output=4" (meta_exn server s2 "\\stats"));
+  Alcotest.(check int) "\\metrics sums both sessions" 9 (output () - before);
+  List.iter
+    (fun (cmd, needle) ->
+      Alcotest.(check bool) (cmd ^ " answers") true
+        (contains needle (meta_exn server s1 cmd)))
+    [
+      ("\\limits", "session limits");
+      ("\\cache", "epoch");
+      ("\\sessions", "(this session)");
+      ("\\sessions", "admitted");
+      ("\\wal", "commits");
+      ("\\metrics", "sb_stage_duration_ns_bucket{stage=\"execute\"");
+      ("\\locks", "");
+      ("\\trace", "tracing is off");
+      ("\\check", "catalog");
+      ("\\rules", "fires/attempts");
+      ("\\check SELECT partno FROM inventory;", "== VERIFY ==");
+      ("\\infer SELECT partno FROM inventory", "== ANALYSIS");
+      ("\\infer", "usage");
+    ];
+  Alcotest.(check string) "an unknown command is named"
+    "unknown meta-command \\nope" (meta_exn server s1 "\\nope");
+  Alcotest.(check bool) "a statement is not a meta-command" true
+    (Server.meta server s1 "SELECT partno FROM inventory;" = None);
+  List.iter
+    (fun cmd ->
+      Alcotest.(check bool) (cmd ^ " is refused") true
+        (contains "error: parse" (meta_exn server s1 cmd)))
+    [
+      "\\check DELETE FROM inventory;";
+      "\\infer DROP TABLE inventory";
+      "\\check SELECT partno FROM inventory; DELETE FROM inventory;";
+    ];
+  Alcotest.(check int) "\\check and \\infer leave the table whole" 4
+    (List.length (rows_exn (Server.submit server s1 "SELECT partno FROM inventory")));
+  Server.shutdown server
+
 let suite =
   ( "server",
     [
@@ -529,4 +626,8 @@ let suite =
       case "EXPLAIN of DML is a writer" test_read_only_predicate;
       case "concurrent EXPLAIN INSERT keeps the index whole"
         test_explain_insert_writes;
+      case "a zero-worker default config admits" test_zero_workers_admit;
+      case "one registry counts WAL commits across sessions"
+        test_one_registry_counts_commits;
+      case "one meta-command table" test_meta_table;
     ] )
