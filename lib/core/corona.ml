@@ -59,18 +59,18 @@ type prepared = {
 }
 
 type t = {
+  (* -- the database: every {!session} shares these by reference -- *)
   catalog : Catalog.t;
   plan_cache : prepared Plan_cache.t;
-      (** shared when several sessions are created over one catalog *)
   functions : Functions.t;
-  builder_cfg : Builder.config;
-  rules : Rule.set;
-  rule_stats : (string, int * int) Hashtbl.t;
-      (** cumulative per-rule (fires, attempts) across the session *)
-  mutable dsl_statuses : (string * Rule_verify.status) list;
+  builder_cfg : Builder.config;  (** holds the enabled operations *)
+  rules : Rule.set;  (** with each rule's fire and attempt counts *)
+  dsl_statuses : (string, Rule_verify.status) Hashtbl.t;
       (** verification status of every DSL-compiled rule, by name *)
+  exec_db : Exec.db;  (** holds the join kinds *)
+  (* -- the session -- *)
   optimizer : Generator.t;
-  exec_db : Exec.db;
+      (** the session's search state over the database's STARs *)
   mutable rewrite_enabled : bool;
   mutable rewrite_budget : int option;
   mutable paranoid : bool;
@@ -96,9 +96,6 @@ type t = {
       (** recovery replay in progress: suppress logging and the
           needs-recovery gate *)
   mutable last_txn : int;  (** id of the last committed transaction *)
-  mutable wal_checkpoint_every : int;
-      (** take a fuzzy checkpoint every N commits; 0 disables *)
-  mutable commits_since_checkpoint : int;
 }
 
 type result =
@@ -106,19 +103,12 @@ type result =
   | Affected of int
   | Message of string
 
-let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
-  let catalog =
-    match catalog with
-    | Some c -> c
-    | None -> Catalog.create ~pool_capacity ()
-  in
+let default_limits () = Limits.apply_env (Limits.default ())
+
+let create ?(limits = default_limits ()) ?catalog ?plan_cache () : t =
+  let catalog = match catalog with Some c -> c | None -> Catalog.create () in
   let functions = Functions.create () in
   let builder_cfg = Builder.make_config ~catalog ~functions in
-  let limits =
-    match limits with
-    | Some l -> l
-    | None -> Limits.apply_env (Limits.default ())
-  in
   let plan_cache =
     match plan_cache with
     | Some pc -> pc
@@ -130,10 +120,9 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     functions;
     builder_cfg;
     rules = Base_rules.default_set ~catalog;
-    rule_stats = Hashtbl.create 32;
-    dsl_statuses = Base_rules.builtin_statuses;
-    optimizer = Generator.create ~catalog ~functions ();
+    dsl_statuses = Hashtbl.of_seq (List.to_seq Base_rules.builtin_statuses);
     exec_db = Exec.make_db ~catalog ~functions;
+    optimizer = Generator.create ~catalog ~functions ();
     rewrite_enabled = true;
     rewrite_budget = None;
     paranoid = Rule_audit.paranoid_env ();
@@ -149,9 +138,15 @@ let create ?(pool_capacity = 256) ?limits ?catalog ?plan_cache () : t =
     txn_undo = [];
     txn_replaying = false;
     last_txn = 0;
-    wal_checkpoint_every = 0;
-    commits_since_checkpoint = 0;
   }
+
+let session ?(limits = default_limits ()) t : t =
+  { t with optimizer = Generator.session t.optimizer; rewrite_enabled = true;
+    rewrite_budget = None; paranoid = Rule_audit.paranoid_env (); hosts = [];
+    last_counters = Exec.fresh_counters (); last_rewrite = None;
+    tracer = Trace.noop; stage_ns = Hashtbl.create 8; limits;
+    last_gov = Limits.start limits; last_degraded = None; txn_current = 0;
+    txn_undo = []; txn_replaying = false; last_txn = 0 }
 
 let bind_host t name value =
   t.hosts <- (name, value) :: List.remove_assoc name t.hosts
@@ -244,27 +239,7 @@ let record_exec_counters t (c : Exec.counters) =
       ("sb_exec_output_total", None, c.Exec.c_output);
     ]
 
-let record_rewrite_stats t (stats : Engine.stats) =
-  (* cumulative per-rule accounting backs EXPLAIN RULES, the shell's
-     [\rules] and the dead-rule lint *)
-  let bump fires attempts name =
-    let f0, a0 =
-      Option.value ~default:(0, 0) (Hashtbl.find_opt t.rule_stats name)
-    in
-    Hashtbl.replace t.rule_stats name (f0 + fires, a0 + attempts)
-  in
-  List.iter (fun (rule, n) -> bump 0 n rule) stats.Engine.attempts;
-  List.iter (fun (rule, n) -> bump n 0 rule) stats.Engine.firings;
-  Metrics.add_counters (metrics t)
-    (List.map
-       (fun (rule, n) -> ("sb_rewrite_rule_fires_total", Some ("rule", rule), n))
-       stats.Engine.firings)
-
-(** Cumulative per-rule [(name, (fires, attempts))] rows, sorted by
-    name. *)
-let rule_stats t : (string * (int * int)) list =
-  Hashtbl.fold (fun name fa acc -> (name, fa) :: acc) t.rule_stats []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let rule_stats t : (string * (int * int)) list = Rule.counts t.rules
 
 (* ------------------------------------------------------------------ *)
 (* The rule DSL                                                        *)
@@ -287,9 +262,7 @@ let register_dsl_rule t (r : Rule_dsl.rule) : Rule_verify.status =
                (Rule_verify.status_to_string status))))
   | Ok (rule, status) ->
     Rule.add t.rules rule;
-    t.dsl_statuses <-
-      (r.Rule_dsl.name, status)
-      :: List.remove_assoc r.Rule_dsl.name t.dsl_statuses;
+    Hashtbl.replace t.dsl_statuses r.Rule_dsl.name status;
     status
 
 (** The EXPLAIN RULES / [\rules] report: every registered rule with its
@@ -301,17 +274,17 @@ let rules_report t : string =
   Buffer.add_string buf
     (Fmt.str "%-28s %-10s %4s  %-6s  %-24s %10s\n" "rule" "class" "prio"
        "origin" "verification" "fires/attempts");
+  let counts = rule_stats t in
   List.iter
     (fun (r : Rule.t) ->
       let fires, attempts =
-        Option.value ~default:(0, 0)
-          (Hashtbl.find_opt t.rule_stats r.Rule.rule_name)
+        Option.value ~default:(0, 0) (List.assoc_opt r.Rule.rule_name counts)
       in
       let verification =
         match r.Rule.rule_origin with
         | Rule.Native -> "-"
         | Rule.Dsl -> (
-          match List.assoc_opt r.Rule.rule_name t.dsl_statuses with
+          match Hashtbl.find_opt t.dsl_statuses r.Rule.rule_name with
           | Some s -> Rule_verify.status_to_string s
           | None -> "?")
       in
@@ -323,7 +296,7 @@ let rules_report t : string =
            | Rule.Dsl -> "dsl")
            verification fires attempts))
     (Rule.all t.rules);
-  (match Lint.lint_rules (rule_stats t) with
+  (match Lint.lint_rules counts with
   | [] -> ()
   | diags ->
     Buffer.add_string buf "== LINT ==\n";
@@ -332,9 +305,21 @@ let rules_report t : string =
       diags);
   Buffer.contents buf
 
-(** The Prometheus-style text dump of the database's metrics registry:
-    stage latencies, per-rule firings, and execution counters. *)
-let metrics_dump t = Metrics.dump (metrics t)
+(* counts kept outside the registry are mirrored into it here, at dump
+   time, so recording them costs a statement nothing *)
+let metrics_dump t =
+  let m = metrics t in
+  let mirror ?label name v = Metrics.set (Metrics.counter ?label m name) v in
+  List.iter
+    (fun (rule, (fires, _)) ->
+      if fires > 0 then mirror ~label:("rule", rule) "sb_rewrite_rule_fires_total" fires)
+    (rule_stats t);
+  let pool = Buffer_pool.stats t.catalog.Catalog.pool in
+  mirror "sb_pool_logical_reads_total" pool.Buffer_pool.logical_reads;
+  mirror "sb_pool_physical_reads_total" pool.Buffer_pool.physical_reads;
+  mirror "sb_pool_physical_writes_total" pool.Buffer_pool.physical_writes;
+  mirror "sb_pool_evictions_total" pool.Buffer_pool.evictions;
+  Metrics.dump m
 
 (* ------------------------------------------------------------------ *)
 (* The compilation pipeline                                            *)
@@ -366,7 +351,8 @@ let rewrite t (g : Qgm.t) : Engine.stats =
           ~tracer:t.tracer ~rules g)
   in
   t.last_rewrite <- Some stats;
-  record_rewrite_stats t stats;
+  Rule.record t.rules ~firings:stats.Engine.firings
+    ~attempts:stats.Engine.attempts;
   stats
 
 let parse t (text : string) : Ast.with_query =
@@ -738,15 +724,6 @@ let rollback_statement t =
           | None, None -> ()))
       undo
 
-let maybe_checkpoint t =
-  if t.wal_checkpoint_every > 0 then begin
-    t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
-    if t.commits_since_checkpoint >= t.wal_checkpoint_every then begin
-      t.commits_since_checkpoint <- 0;
-      Wal.checkpoint (wal t) ~tables:(Catalog.snapshot_tables t.catalog)
-    end
-  end
-
 (* Brackets one DML statement in an implicit transaction: Begin before,
    Commit + log force (group commit) on success, rollback + Abort on any
    error.  A simulated crash propagates untouched — the caller discards
@@ -769,7 +746,8 @@ let with_txn t (f : unit -> result) : result =
       t.last_txn <- txn;
       if Buffer_pool.force_policy t.catalog.Catalog.pool then
         ignore (Buffer_pool.flush_all t.catalog.Catalog.pool : int);
-      maybe_checkpoint t;
+      if Wal.checkpoint_due w then
+        Wal.checkpoint w ~tables:(Catalog.snapshot_tables t.catalog);
       res
     | exception Faults.Crashed site ->
       t.txn_current <- 0;
@@ -945,7 +923,7 @@ let do_set t key value : result =
   | "paranoid" -> t.paranoid <- on_off value
   | "wal" -> Wal.set_enabled t.catalog.Catalog.wal (on_off value)
   | "wal_checkpoint" ->
-    t.wal_checkpoint_every <-
+    Wal.set_checkpoint_every (wal t)
       (match int_of_string_opt value with
       | Some n when n >= 0 -> n
       | _ -> error "wal_checkpoint expects a commit count (0 = off)")
@@ -1159,8 +1137,10 @@ let explain t mode (wq : Ast.with_query) : string =
 
 (** Does [stmt] leave shared state alone?  A query, EXPLAIN of a query
     (ANALYZE included), EXPLAIN RULES and SET do — SET changes the
-    handle, apart from the [wal] and [wal_force_pages] flags, which only
-    writers read.  EXPLAIN of DML or DDL runs it, so it writes. *)
+    session, apart from [wal], [wal_checkpoint] and [wal_force_pages],
+    which set the database's log and pool under their own locks and
+    which only writers read.  EXPLAIN of DML or DDL runs it, so it
+    writes. *)
 let read_only (stmt : Ast.statement) : bool =
   match stmt with
   | Ast.Stmt_query _ | Ast.Stmt_set _
@@ -1360,10 +1340,8 @@ let recover t : Recovery.stats =
   t.txn_replaying <- true;
   Fun.protect ~finally:(fun () -> t.txn_replaying <- false) @@ fun () ->
   try
-    Recovery.run ~metrics:(metrics t) ~catalog:t.catalog
-      ~replay_ddl:(fun text ->
+    Recovery.run ~catalog:t.catalog ~replay_ddl:(fun text ->
         ignore (run_statement t (Parser.statement text)))
-      ()
   with Err.Error e -> raise (Error e)
 
 (** Renders a [Rows] result as an aligned table. *)

@@ -49,21 +49,21 @@ type prepared = {
   prep_plan : Plan.plan;
 }
 
-(** One database instance.  Fields are exposed for extensions, tests and
+(** One session of a database.  The fields up to [exec_db] are the
+    database's, shared by reference by every {!session}; the rest are
+    the session's own.  Fields are exposed for extensions, tests and
     instrumentation; ordinary use goes through the functions below. *)
 type t = {
   catalog : Catalog.t;
   plan_cache : prepared Plan_cache.t;
-      (** shared when several sessions are created over one catalog *)
   functions : Functions.t;
-  builder_cfg : Builder.config;
-  rules : Rule.set;
-  rule_stats : (string, int * int) Hashtbl.t;
-      (** cumulative per-rule (fires, attempts) across the session *)
-  mutable dsl_statuses : (string * Rule_verify.status) list;
+  builder_cfg : Builder.config;  (** holds the enabled operations *)
+  rules : Rule.set;  (** with each rule's fire and attempt counts *)
+  dsl_statuses : (string, Rule_verify.status) Hashtbl.t;
       (** verification status of every DSL-compiled rule, by name *)
+  exec_db : Exec.db;  (** holds the join kinds *)
   optimizer : Generator.t;
-  exec_db : Exec.db;
+      (** the session's search state over the database's STARs *)
   mutable rewrite_enabled : bool;
   mutable rewrite_budget : int option;
   mutable paranoid : bool;
@@ -91,10 +91,6 @@ type t = {
       (** recovery replay in progress: suppress logging and the
           needs-recovery gate *)
   mutable last_txn : int;  (** id of the last committed transaction *)
-  mutable wal_checkpoint_every : int;
-      (** take a fuzzy checkpoint every N commits ([SET wal_checkpoint]);
-          0 disables *)
-  mutable commits_since_checkpoint : int;
 }
 
 (** Execution outcome of one statement. *)
@@ -107,16 +103,20 @@ type result =
     built-in storage managers, access methods and functions installed.
     [limits] seeds the per-query resource governor; when omitted,
     {!Limits.default} with [STARBURST_LIMITS] applied on top.
-    [catalog] and [plan_cache] let a multi-session server share one
-    database and one compiled-plan cache among per-session handles
-    (when omitted, each handle gets its own). *)
+    [catalog] and [plan_cache] let a multi-session server size them
+    (when omitted, the handle makes its own). *)
 val create :
-  ?pool_capacity:int ->
   ?limits:Limits.t ->
   ?catalog:Catalog.t ->
   ?plan_cache:prepared Plan_cache.t ->
   unit ->
   t
+
+(** A new session of [t]'s database: it shares the database's fields
+    and the optimizer's STAR array, probe matchers and select handlers
+    with [t], so extensions installed once reach it.  The session's
+    fields start as in {!create}, with [limits]. *)
+val session : ?limits:Limits.t -> t -> t
 
 (** Binds a host-language variable for subsequent executions. *)
 val bind_host : t -> string -> Value.t -> unit
@@ -142,13 +142,13 @@ val last_rewrite : t -> Engine.stats option
     message names the failed obligation and the counterexample sketch. *)
 val register_dsl_rule : t -> Rule_dsl.rule -> Rule_verify.status
 
-(** Cumulative per-rule [(name, (fires, attempts))] rows, sorted by
+(** The database's per-rule [(name, (fires, attempts))] rows, sorted by
     name — the input to {!Sb_verify.Lint.lint_rules}. *)
 val rule_stats : t -> (string * (int * int)) list
 
 (** The [EXPLAIN RULES] / shell [\rules] report: every registered rule
-    with class, priority, origin, verification status and cumulative
-    fire/attempt counts, plus dead-rule lints. *)
+    with class, priority, origin, verification status and the
+    database's fire/attempt counts, plus dead-rule lints. *)
 val rules_report : t -> string
 
 (** {1 Resilience}
@@ -201,7 +201,9 @@ val set_tracer : t -> Trace.t -> unit
     counters, the WAL and the plan cache). *)
 val metrics : t -> Metrics.t
 
-(** Prometheus-style text dump of {!metrics}. *)
+(** Prometheus-style text dump of {!metrics}, after mirroring into it
+    the rule fires ([sb_rewrite_rule_fires_total{rule}]) and the buffer
+    pool's counters ([sb_pool_*_total]). *)
 val metrics_dump : t -> string
 
 (** {1 Pipeline stages (exposed for instrumentation and extensions)} *)
@@ -289,9 +291,10 @@ val explain_verify : t -> Ast.with_query -> string
 val run_statement : t -> Ast.statement -> result
 
 (** Does the statement leave shared state alone?  True for a query,
-    EXPLAIN of a query (ANALYZE included), EXPLAIN RULES and SET; false
-    for DML, DDL, ANALYZE and EXPLAIN of any of them (which runs the
-    inner statement).  The multi-session server picks its reader or
+    EXPLAIN of a query (ANALYZE included), EXPLAIN RULES and SET (the
+    database-wide [wal*] options take the log's or pool's own lock);
+    false for DML, DDL, ANALYZE and EXPLAIN of any of them (which runs
+    the inner statement).  The multi-session server picks its reader or
     writer lock with it. *)
 val read_only : Ast.statement -> bool
 
@@ -318,9 +321,10 @@ val run_script : t -> string -> result list
     rollback + Abort on failure.  DDL auto-commits as logged statement
     text.  A simulated crash ({!Faults.Crashed} escaping a statement)
     atomically discards all volatile state; {!recover} rebuilds exactly
-    the committed prefix.  [SET wal = off] disables logging,
-    [SET wal_checkpoint = n] checkpoints every n commits,
-    [SET wal_force_pages = on] flushes dirty pages at commit. *)
+    the committed prefix.  For every session of the database,
+    [SET wal = off] disables logging, [SET wal_checkpoint = n]
+    checkpoints every n commits, [SET wal_force_pages = on] flushes
+    dirty pages at commit. *)
 
 (** The WAL's counters and state, backing the shell's [\wal]. *)
 val wal_stats : t -> Wal.stats

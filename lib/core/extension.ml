@@ -22,15 +22,8 @@ type t = Corona.t
 
 (* --- language extensions --- *)
 
-(* Catalog-level registries are shared by every session of a
-   multi-session server, and each session runs the same extension
-   installer — so catalog registrations are idempotent: re-registering
-   an already-present name is a no-op rather than a duplicate error. *)
-
 let register_datatype (db : t) ops =
-  let reg = db.Corona.catalog.Catalog.datatypes in
-  if Datatype.find reg ops.Datatype.ext_name = None then
-    Datatype.register reg ops
+  Datatype.register db.Corona.catalog.Catalog.datatypes ops
 
 let register_scalar_function (db : t) f =
   Functions.register_scalar db.Corona.functions f
@@ -54,14 +47,10 @@ let enable_operation (db : t) name =
 (* --- data management extensions (Core attachments) --- *)
 
 let register_storage_manager (db : t) factory =
-  let reg = db.Corona.catalog.Catalog.storage_managers in
-  if Storage_manager.find reg factory.Storage_manager.factory_name = None then
-    Storage_manager.register reg factory
+  Storage_manager.register db.Corona.catalog.Catalog.storage_managers factory
 
 let register_access_method (db : t) kind =
-  let reg = db.Corona.catalog.Catalog.access_methods in
-  if Access_method.find reg kind.Access_method.kind_name = None then
-    Access_method.register reg kind
+  Access_method.register db.Corona.catalog.Catalog.access_methods kind
 
 (** Assigns tables to (simulated) sites; the optimizer inserts SHIP
     operators and charges network cost for cross-site access. *)
@@ -84,13 +73,13 @@ let rewrite_rule_classes (db : t) = Rule.classes db.Corona.rules
 let register_star (db : t) name alternatives =
   Star.register db.Corona.optimizer.Generator.sctx name alternatives
 
+let append registry x = registry := !registry @ [ x ]
+
 let register_probe_matcher (db : t) matcher =
-  let sctx = db.Corona.optimizer.Generator.sctx in
-  sctx.Star.probe_matchers <- sctx.Star.probe_matchers @ [ matcher ]
+  append db.Corona.optimizer.Generator.sctx.Star.probe_matchers matcher
 
 let register_select_handler (db : t) handler =
-  db.Corona.optimizer.Generator.select_handlers <-
-    db.Corona.optimizer.Generator.select_handlers @ [ handler ]
+  append db.Corona.optimizer.Generator.select_handlers handler
 
 (* --- QES extensions --- *)
 

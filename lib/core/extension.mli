@@ -6,7 +6,11 @@
     storage managers and access-method kinds (Core attachments,
     including integrity constraints); query-rewrite rules; optimizer
     STAR alternatives and index probe matchers; QES join kinds and
-    SELECT-box plan handlers; and new table operations in the language. *)
+    SELECT-box plan handlers; and new table operations in the language.
+    Each registry is the database's: a registration through any
+    {!Corona.session} reaches every session, and a duplicate name
+    raises the registry's error.  Register before statements are
+    served; sessions then read the registries without a lock. *)
 
 open Sb_storage
 module Functions = Sb_hydrogen.Functions

@@ -97,7 +97,7 @@ let table_access_index : alternative =
       (fun ctx pl ->
         List.concat_map
           (fun am ->
-            let matchers = ctx.probe_matchers @ [ btree_matcher ] in
+            let matchers = !(ctx.probe_matchers) @ [ btree_matcher ] in
             match List.find_map (fun m -> m am pl.pl_preds) matchers with
             | None -> []
             | Some (probe, sel, absorbed) ->
@@ -140,7 +140,7 @@ let table_access_index : alternative =
     sets before fetching. *)
 let table_access_index_and : alternative =
   let matches ctx pl =
-    let matchers = ctx.probe_matchers @ [ btree_matcher ] in
+    let matchers = !(ctx.probe_matchers) @ [ btree_matcher ] in
     List.filter_map
       (fun am ->
         match List.find_map (fun m -> m am pl.pl_preds) matchers with

@@ -22,7 +22,7 @@ type t = {
   sctx : Star.ctx;
   mutable allow_bushy : bool;  (** composite inners ("bushy trees") *)
   mutable allow_cartesian : bool;
-  mutable select_handlers : (t -> env -> Qgm.t -> Qgm.box -> Plan.plan option) list;
+  select_handlers : (t -> env -> Qgm.t -> Qgm.box -> Plan.plan option) list ref;
       (** extension hooks for SELECT boxes with extension setformers
           (e.g. the outer-join extension's PF handler) *)
   mutable use_analysis : bool;
@@ -30,11 +30,9 @@ type t = {
           cardinality estimates (key-covered joins, row bounds) *)
   mutable analysis : Sb_analysis.Infer.t option;
       (** inferred properties of the graph being optimized *)
-  mutable analysis_secs : float;  (** time spent in inference, last query *)
   (* join-enumerator accounting, read by the bench harness *)
   mutable enum_subsets : int;
   mutable enum_pairs : int;
-  mutable enum_plans_kept : int;
 }
 
 (** One parameter-collection environment; a fresh one is opened at every
@@ -45,11 +43,9 @@ and env = {
   e_rec : (int * int) list;  (** recursive boxes under compilation: box id -> quant for deltas *)
 }
 
-let create ?(strategy = Star.default_strategy) ~catalog ~functions () : t =
+let create ~catalog ~functions () : t =
   let sctx =
-    Star.create ~strategy ~catalog
-      ~site_of:(fun table -> catalog.Catalog.site_of table)
-      ()
+    Star.create ~catalog ~site_of:(fun table -> catalog.Catalog.site_of table) ()
   in
   Base_stars.install sctx;
   {
@@ -58,14 +54,17 @@ let create ?(strategy = Star.default_strategy) ~catalog ~functions () : t =
     sctx;
     allow_bushy = false;
     allow_cartesian = false;
-    select_handlers = [];
+    select_handlers = ref [];
     use_analysis = true;
     analysis = None;
-    analysis_secs = 0.0;
     enum_subsets = 0;
     enum_pairs = 0;
-    enum_plans_kept = 0;
   }
+
+let session t =
+  { t with sctx = Star.session t.sctx; allow_bushy = false;
+    allow_cartesian = false; use_analysis = true; analysis = None;
+    enum_subsets = 0; enum_pairs = 0 }
 
 let fresh_env ?(rec_ctx = []) () =
   { e_params = Hashtbl.create 4; e_nparams = 0; e_rec = rec_ctx }
@@ -494,9 +493,7 @@ and enumerate_joins t ~g ~env ~(quants : Qgm.quant list)
             end
           in
           submasks m;
-          let kept = t.sctx.Star.strategy.Star.st_prune !plans in
-          t.enum_plans_kept <- t.enum_plans_kept + List.length kept;
-          Hashtbl.replace memo m kept
+          Hashtbl.replace memo m (t.sctx.Star.strategy.Star.st_prune !plans)
         end
       done
     done;
@@ -661,7 +658,7 @@ and compile_box t ~(g : Qgm.t) ?(rec_ctx = []) (box_id : int) :
           ~quant:(-1) ~cols ~preds:[] ~info:Cost.no_info ()
       | Qgm.Ext_op name ->
         (match
-           List.find_map (fun h -> h t env g b) t.select_handlers
+           List.find_map (fun h -> h t env g b) !(t.select_handlers)
          with
         | Some p -> p
         | None -> unsupported "extension operation %s has no plan handler" name)
@@ -679,7 +676,7 @@ and compile_select t ~g ~env (b : Qgm.box) : plan =
   in
   let base =
     if has_ext_setformer then
-      match List.find_map (fun h -> h t env g b) t.select_handlers with
+      match List.find_map (fun h -> h t env g b) !(t.select_handlers) with
       | Some p -> p
       | None ->
         unsupported
@@ -1178,19 +1175,14 @@ let optimize t (g : Qgm.t) : plan =
      estimate may be wrong, unlike a rewrite, and analyzed intervals
      sharpen range bounds considerably.  Advisory only: any inference
      failure falls back to uninformed costing. *)
-  if t.use_analysis then begin
-    let t0 = Sys.time () in
-    (try t.analysis <- Some (Infer.analyze ~trust_stats:true ~catalog:t.cat g)
-     with exn ->
-       Logs.debug (fun m ->
-           m "optimizer: property inference failed: %s" (Printexc.to_string exn));
-       t.analysis <- None);
-    t.analysis_secs <- Sys.time () -. t0
-  end
-  else begin
-    t.analysis <- None;
-    t.analysis_secs <- 0.0
-  end;
+  t.analysis <-
+    (if not t.use_analysis then None
+     else
+       try Some (Infer.analyze ~trust_stats:true ~catalog:t.cat g)
+       with exn ->
+         Logs.debug (fun m ->
+             m "optimizer: property inference failed: %s" (Printexc.to_string exn));
+         None);
   let compile () =
     let plan, params = compile_box t ~g g.Qgm.top in
     if Array.length params > 0 then

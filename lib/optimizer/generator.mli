@@ -20,7 +20,7 @@ type t = {
   sctx : Star.ctx;
   mutable allow_bushy : bool;  (** composite inners ("bushy trees") *)
   mutable allow_cartesian : bool;
-  mutable select_handlers : (t -> env -> Qgm.t -> Qgm.box -> Plan.plan option) list;
+  select_handlers : (t -> env -> Qgm.t -> Qgm.box -> Plan.plan option) list ref;
       (** extension hooks for SELECT boxes with extension setformers
           (e.g. the outer-join extension's PF handler) *)
   mutable use_analysis : bool;
@@ -29,11 +29,9 @@ type t = {
           default *)
   mutable analysis : Sb_analysis.Infer.t option;
       (** inferred properties of the graph last optimized *)
-  mutable analysis_secs : float;  (** time spent in inference, last query *)
   (* join-enumerator accounting, read by the bench harness *)
   mutable enum_subsets : int;
   mutable enum_pairs : int;
-  mutable enum_plans_kept : int;
 }
 
 (** One parameter-collection environment; a fresh one is opened at every
@@ -41,8 +39,11 @@ type t = {
 and env
 
 (** A generator over [catalog] with the base STAR array installed. *)
-val create :
-  ?strategy:Star.strategy -> catalog:Catalog.t -> functions:Functions.t -> unit -> t
+val create : catalog:Catalog.t -> functions:Functions.t -> unit -> t
+
+(** Another session's generator: the select handlers and
+    {!Star.session} shared, the rest as {!create} starts it. *)
+val session : t -> t
 
 (** Selectivity info for a plan, resolving slot provenance to base-table
     statistics through the QGM graph. *)

@@ -75,8 +75,8 @@ type probe_matcher =
 type ctx = {
   catalog : Catalog.t;
   stars : (string, star) Hashtbl.t;  (** the STAR array *)
+  probe_matchers : probe_matcher list ref;
   mutable strategy : strategy;
-  mutable probe_matchers : probe_matcher list;
   site_of : string -> string;
   mutable invocations : int;  (** STAR invocations (bench accounting) *)
   mutable plans_generated : int;  (** plans produced before pruning *)
@@ -241,12 +241,12 @@ let greedy_strategy =
     st_prune = interesting_prune ~max_plans:1;
   }
 
-let create ?(strategy = default_strategy) ~catalog ~site_of () : ctx =
+let create ~catalog ~site_of () : ctx =
   {
     catalog;
     stars = Hashtbl.create 16;
-    strategy;
-    probe_matchers = [];
+    strategy = default_strategy;
+    probe_matchers = ref [];
     site_of;
     invocations = 0;
     plans_generated = 0;
@@ -254,3 +254,7 @@ let create ?(strategy = default_strategy) ~catalog ~site_of () : ctx =
     tracer = Sb_obs.Trace.noop;
     governor = None;
   }
+
+let session ctx =
+  { (create ~catalog:ctx.catalog ~site_of:ctx.site_of ()) with
+    stars = ctx.stars; probe_matchers = ctx.probe_matchers }

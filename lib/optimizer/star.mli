@@ -69,8 +69,8 @@ type probe_matcher =
 type ctx = {
   catalog : Catalog.t;
   stars : (string, star) Hashtbl.t;  (** the STAR array *)
+  probe_matchers : probe_matcher list ref;
   mutable strategy : strategy;
-  mutable probe_matchers : probe_matcher list;
   site_of : string -> string;
   mutable invocations : int;  (** STAR invocations (bench accounting) *)
   mutable plans_generated : int;  (** plans produced before pruning *)
@@ -131,5 +131,8 @@ val default_strategy : strategy
 (** First applicable rank-0 alternative only. *)
 val greedy_strategy : strategy
 
-val create :
-  ?strategy:strategy -> catalog:Catalog.t -> site_of:(string -> string) -> unit -> ctx
+val create : catalog:Catalog.t -> site_of:(string -> string) -> unit -> ctx
+
+(** Another session's context: the STAR array and probe matchers
+    shared, the rest as {!create} starts it. *)
+val session : ctx -> ctx

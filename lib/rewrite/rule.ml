@@ -44,12 +44,34 @@ let make ?(priority = 0) ?(origin = Native) ~name ~rule_class ~condition
 
 let origin_tag r = match r.rule_origin with Native -> "" | Dsl -> " [dsl]"
 
-(** A rule set with class-based filtering. *)
-type set = { mutable rules : t list }
+(* atomics: concurrent rewrites count without a lock *)
+type counts = { fires : int Atomic.t; attempts : int Atomic.t }
 
-let empty_set () = { rules = [] }
+(** A rule set with class-based filtering and per-rule counts. *)
+type set = { mutable rules : t list; counts : (string, counts) Hashtbl.t }
 
-let add set rule = set.rules <- set.rules @ [ rule ]
+let empty_set () = { rules = []; counts = Hashtbl.create 16 }
+
+let add set rule =
+  set.rules <- set.rules @ [ rule ];
+  if not (Hashtbl.mem set.counts rule.rule_name) then
+    Hashtbl.replace set.counts rule.rule_name
+      { fires = Atomic.make 0; attempts = Atomic.make 0 }
+
+let record set ~firings ~attempts =
+  let bump field (name, n) =
+    match Hashtbl.find_opt set.counts name with
+    | Some c -> ignore (Atomic.fetch_and_add (field c) n : int)
+    | None -> ()
+  in
+  List.iter (bump (fun c -> c.attempts)) attempts;
+  List.iter (bump (fun c -> c.fires)) firings
+
+let counts set =
+  Hashtbl.fold
+    (fun name c acc -> (name, (Atomic.get c.fires, Atomic.get c.attempts)) :: acc)
+    set.counts []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let add_all set rules = List.iter (add set) rules
 

@@ -44,12 +44,23 @@ val make :
     to rule names in audit messages and reports. *)
 val origin_tag : t -> string
 
-(** A mutable rule set with class-based filtering. *)
-type set = { mutable rules : t list }
+(** How often a rule fired and had its condition tested. *)
+type counts = { fires : int Atomic.t; attempts : int Atomic.t }
+
+(** A mutable rule set with class-based filtering and per-rule counts.
+    Only {!add} writes the counts table; {!record} is lock-free. *)
+type set = { mutable rules : t list; counts : (string, counts) Hashtbl.t }
 
 val empty_set : unit -> set
 val add : set -> t -> unit
 val add_all : set -> t list -> unit
+
+(** Adds one rewrite's per-rule [(name, n)] firings and attempts. *)
+val record :
+  set -> firings:(string * int) list -> attempts:(string * int) list -> unit
+
+(** Every rule's [(name, (fires, attempts))], sorted by name. *)
+val counts : set -> (string * (int * int)) list
 
 (** Distinct class names, sorted. *)
 val classes : set -> string list

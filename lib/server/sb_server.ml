@@ -1,12 +1,13 @@
 (** The multi-session concurrent front end.
 
     Starburst's pipeline lives in a {e session}: a per-client
-    {!Starburst.Corona.t} handle carrying SET options, host-variable
-    bindings and resource limits.  Every session of one server shares a
-    single {!Sb_storage.Catalog} (tables, views, extension registries)
-    and a single {!Starburst.Plan_cache} — the paper's point that "the
-    result of the compilation stage can be stored for future use" pays
-    off across clients, not just across calls.
+    {!Starburst.Corona.session} of the server's one database handle,
+    carrying SET options, host-variable bindings and resource limits.
+    Every session of one server shares the database's catalog, its
+    extension registries (installed once) and a single
+    {!Starburst.Plan_cache} — the paper's point that "the result of the
+    compilation stage can be stored for future use" pays off across
+    clients, not just across calls.
 
     Statements run on a pool of OCaml domains.  An admission controller
     in front of the pool keeps the server deterministic under overload:
@@ -192,12 +193,10 @@ type session = {
 }
 
 type t = {
-  catalog : Catalog.t;
-  cache : Corona.prepared Plan_cache.t;
+  base : Corona.t;
+      (** the database, extended once; each session is a {!Corona.session}
+          of it, with a copy of its limits *)
   config : config;
-  limits_template : Limits.t;  (** copied into each new session *)
-  install : (Corona.t -> unit) option;
-      (** per-session extension installer (runs on every new session) *)
   lock : Lock.t;  (** guards sessions, counters, admission decisions *)
   sessions : (int, session) Hashtbl.t;
   mutable next_session : int;
@@ -225,18 +224,18 @@ let locked t f = Lock.with_lock t.lock f
 
 let create ?config ?limits ?install () =
   let config = match config with Some c -> c | None -> default_config () in
-  let limits_template =
-    match limits with Some l -> l | None -> Limits.apply_env (Limits.default ())
-  in
   let catalog = Catalog.create () in
+  let base =
+    Corona.create ?limits ~catalog
+      ~plan_cache:
+        (Plan_cache.create ~shards:config.cache_shards
+           ~capacity:config.cache_capacity ~metrics:catalog.Catalog.metrics ())
+      ()
+  in
+  Option.iter (fun install -> install base) install;
   {
-    catalog;
-    cache =
-      Plan_cache.create ~shards:config.cache_shards
-        ~capacity:config.cache_capacity ~metrics:catalog.Catalog.metrics ();
+    base;
     config;
-    limits_template;
-    install;
     lock =
       Lock.create ~name:"server.admission"
         ~level:Sb_conc.Level.server_admission;
@@ -254,20 +253,18 @@ let create ?config ?limits ?install () =
     pool = pool_create config.workers;
   }
 
-let catalog t = t.catalog
+let catalog t = t.base.Corona.catalog
 let set_cache_enabled t on =
   locked t (fun () ->
       watch_state ~site:"Sb_server.set_cache_enabled" ~write:true;
       t.cache_enabled <- on)
-let cache_stats t = Plan_cache.stats t.cache
-let clear_cache t = Plan_cache.clear t.cache
+let cache_stats t = Plan_cache.stats t.base.Corona.plan_cache
+let clear_cache t = Plan_cache.clear t.base.Corona.plan_cache
+
+let new_session_db t =
+  Corona.session ~limits:(Limits.copy (Corona.limits t.base)) t.base
 
 let session t =
-  let db =
-    Corona.create ~catalog:t.catalog ~plan_cache:t.cache
-      ~limits:(Limits.copy t.limits_template) ()
-  in
-  Option.iter (fun f -> f db) t.install;
   locked t (fun () ->
       watch_state ~site:"Sb_server.session" ~write:true;
       if t.closed then failwith "Sb_server.session: server is shut down";
@@ -276,7 +273,7 @@ let session t =
       let s =
         {
           s_id = id;
-          s_db = db;
+          s_db = new_session_db t;
           s_lock =
             Lock.create ~name:"server.session"
               ~level:Sb_conc.Level.server_session;
@@ -314,7 +311,7 @@ let stats t =
     st_admitted = admitted;
     st_shed = shed;
     st_rejected = rejected;
-    st_epoch = Catalog.epoch t.catalog;
+    st_epoch = Catalog.epoch (catalog t);
     st_cache = cache_stats t;
   }
 
@@ -376,7 +373,7 @@ let with_shed db f =
       db.Corona.rewrite_enabled <- saved_rewrite)
     f
 
-let bump t name = Metrics.add_counters t.catalog.Catalog.metrics [ (name, None, 1) ]
+let bump t name = Metrics.add_counters (catalog t).Catalog.metrics [ (name, None, 1) ]
 
 let execute t s ~shed ~use_cache text : (Corona.result, Err.t) result =
   let kind = classify text in
@@ -487,7 +484,7 @@ let shutdown t =
 (* Durability                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let wal t = t.catalog.Catalog.wal
+let wal t = (catalog t).Catalog.wal
 let wal_stats t = Sb_storage.Wal.stats (wal t)
 
 (** Forces the shared log: everything any session has queued becomes
@@ -497,36 +494,10 @@ let flush_wal t = Sb_storage.Wal.flush (wal t)
 
 (** Runs crash recovery under the writer lock — no session can observe
     the half-rebuilt database.  A scratch session replays the logged
-    DDL, so extensions installed by [install] are available to it.
+    DDL; it sees the extensions installed on the database.
     @raise Corona.Error (stage [Storage]) when the WAL is disabled. *)
 let recover t : Sb_storage.Recovery.stats =
-  Rwlock.with_write t.rw @@ fun () ->
-  let db =
-    Corona.create ~catalog:t.catalog ~plan_cache:t.cache
-      ~limits:(Limits.copy t.limits_template) ()
-  in
-  Option.iter (fun f -> f db) t.install;
-  Corona.recover db
-
-(* ------------------------------------------------------------------ *)
-(* Lock discipline                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** Mirrors the discipline checker's counters ([sb_lock_*] /
-    [sb_race_*]) into the database's metrics registry, so [\metrics]
-    and the Prometheus dump include them. *)
-let sync_lock_metrics t =
-  List.iter
-    (fun (name, v) ->
-      Metrics.set (Metrics.counter t.catalog.Catalog.metrics name) v)
-    (Sb_conc.Discipline.metric_counters ())
-
-(** The deterministic lock-discipline report (hierarchy, acquisition
-    graph, cycles, instrumented fields, diagnoses) — [\locks].  Also syncs the checker's counters into the metrics
-    registry. *)
-let lock_report t =
-  sync_lock_metrics t;
-  Sb_conc.Discipline.report_text ()
+  Rwlock.with_write t.rw @@ fun () -> Corona.recover (new_session_db t)
 
 (* ------------------------------------------------------------------ *)
 (* Meta-commands                                                       *)
@@ -582,7 +553,7 @@ let cache_lines t =
     Fmt.str "  evictions     %d" c.Plan_cache.evictions;
     Fmt.str "  invalidations %d" c.Plan_cache.invalidations;
     Fmt.str "  resident      %d" c.Plan_cache.resident;
-    Fmt.str "  epoch         %d" (Catalog.epoch t.catalog);
+    Fmt.str "  epoch         %d" (Catalog.epoch (catalog t));
   ]
 
 let sessions_lines t s =
@@ -629,7 +600,7 @@ let trace_text db arg =
 
 let check_catalog_lines t =
   let module Lint = Corona.Lint in
-  match Rwlock.with_read t.rw (fun () -> Lint.lint_catalog t.catalog) with
+  match Rwlock.with_read t.rw (fun () -> Lint.lint_catalog (catalog t)) with
   | [] -> [ "catalog: no lint findings" ]
   | diags -> List.map Lint.diag_to_string diags
 
@@ -637,7 +608,7 @@ let check_catalog_lines t =
    errors are classified like any other *)
 let submitted t s text =
   match submit t s text with
-  | Ok r -> Corona.render_result ~registry:t.catalog.Catalog.datatypes r
+  | Ok r -> Corona.render_result ~registry:(catalog t).Catalog.datatypes r
   | Error e -> "error: " ^ Err.to_string e
 
 (* [\check Q] and [\infer Q] explain a query; the argument must parse as
@@ -679,10 +650,14 @@ let meta t s line =
       | "\\sessions" -> lines (sessions_lines t s)
       | "\\wal" -> lines (wal_lines t)
       | "\\metrics" ->
-        sync_lock_metrics t;
-        Metrics.dump t.catalog.Catalog.metrics
+        (* the lock checker's counters are the process's, so only the
+           server's dump mirrors them *)
+        List.iter
+          (fun (name, v) -> Metrics.set (Metrics.counter (Corona.metrics t.base) name) v)
+          (Sb_conc.Discipline.metric_counters ());
+        Corona.metrics_dump t.base
       | "\\locks" ->
-        lock_report t
+        Sb_conc.Discipline.report_text ()
         ^
         if Sb_conc.Discipline.armed () then ""
         else "  (checker disarmed; arm with STARBURST_LOCKCHECK=1)"

@@ -1,9 +1,9 @@
 (** Multi-session concurrent front end over one Starburst database.
 
-    Each {!session} is an isolated {!Starburst.Corona.t} handle — its own
-    SET options, host-variable bindings and resource limits — while all
-    sessions of a server share one catalog, one compiled-plan cache and
-    the catalog's one metrics registry.
+    Each {!session} is a {!Starburst.Corona.session} of the server's
+    database handle — its own SET options, host-variable bindings and
+    resource limits — while all sessions share the database: catalog,
+    extension registries, rule counts, plan cache, WAL and metrics.
     Statements run on a pool of OCaml domains behind an admission
     controller: under load, compilation degrades to greedy plans before
     anything queues without bound, and past the high-water mark
@@ -51,10 +51,11 @@ type config = {
     statements. *)
 val default_config : ?workers:int -> unit -> config
 
-(** A fresh server (own catalog, shared plan cache, worker pool).
+(** A fresh server (own database, shared plan cache, worker pool).
     [limits] is the template copied into each new session's governor.
-    [install] runs once per new session — the place to register
-    extensions (datatypes, functions, rules) on every session handle. *)
+    [install] runs once, on the database handle, before any statement
+    is served — the place to register extensions; every session and
+    {!recover} see them, reading the registries without a lock. *)
 val create :
   ?config:config ->
   ?limits:Sb_resil.Limits.t ->
@@ -143,15 +144,8 @@ val recover : t -> Sb_storage.Recovery.stats
     --races]) it enforces level ordering, flags re-entrancy and
     unlock-without-lock, runs Eraser-style lockset race detection over
     the instrumented shared fields, and reports cycles in the observed
-    lock-acquisition graph. *)
-
-(** Mirrors the checker's [sb_lock_*]/[sb_race_*] counters into the
-    database's metrics registry. *)
-val sync_lock_metrics : t -> unit
-
-(** The deterministic discipline report ([\locks]); also syncs the
-    checker's counters into the metrics registry. *)
-val lock_report : t -> string
+    lock-acquisition graph.  [\locks] prints its deterministic report,
+    and [\metrics] its [sb_lock_*]/[sb_race_*] counters. *)
 
 (** {1 Meta-commands} *)
 
@@ -160,8 +154,8 @@ val lock_report : t -> string
     last statement: execution counters and rewrite firings), [\limits]
     (the session's limits and last consumption), [\cache] (plan cache
     and epoch), [\sessions] (open sessions with their in-flight counts;
-    admitted, shed, rejected, epoch), [\wal], [\metrics] (the
-    database's one registry, lock counters synced first), [\locks],
+    admitted, shed, rejected, epoch), [\wal], [\metrics]
+    ({!Starburst.Corona.metrics_dump}, lock counters mirrored too), [\locks],
     [\trace [json|clear]] (the session's tracer), [\check] (catalog
     lints).  [\rules], [\check QUERY] and [\infer QUERY] are
     submitted as [EXPLAIN RULES], [EXPLAIN VERIFY QUERY] and

@@ -75,8 +75,7 @@ let redo_update ~catalog ~table ~before ~after =
     @raise Sb_resil.Err.Error (stage [Storage]) when the WAL is
     disabled — recovery without a log is impossible, and saying so
     beats silently serving an empty database. *)
-let run ?metrics ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) () :
-    stats =
+let run ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) : stats =
   let wal = catalog.Catalog.wal in
   if not (Wal.enabled wal) then
     Err.fail Err.Storage
@@ -160,14 +159,11 @@ let run ?metrics ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) () :
       r_from_checkpoint = from_checkpoint;
     }
   in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.add_counters m
-      [
-        ("sb_recovery_runs_total", None, 1);
-        ("sb_recovery_records_scanned_total", None, stats.r_records);
-        ("sb_recovery_records_redone_total", None, stats.r_redone);
-        ("sb_recovery_torn_records_total", None, stats.r_truncated);
-      ]);
+  Metrics.add_counters catalog.Catalog.metrics
+    [
+      ("sb_recovery_runs_total", None, 1);
+      ("sb_recovery_records_scanned_total", None, stats.r_records);
+      ("sb_recovery_records_redone_total", None, stats.r_redone);
+      ("sb_recovery_torn_records_total", None, stats.r_truncated);
+    ];
   stats

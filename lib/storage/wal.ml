@@ -85,6 +85,8 @@ type t = {
   mutable stable : logged list;  (** newest first *)
   mutable volatile : logged list;  (** newest first *)
   mutable needs_recovery : bool;
+  mutable checkpoint_every : int;  (** commits per checkpoint; 0 = off *)
+  mutable commits_since_checkpoint : int;
   mutable ddl_history : string list;  (** newest first *)
   mutable faults : Faults.t;
   metrics : Metrics.t;
@@ -108,6 +110,8 @@ let create ~metrics =
     stable = [];
     volatile = [];
     needs_recovery = false;
+    checkpoint_every = 0;
+    commits_since_checkpoint = 0;
     ddl_history = [];
     faults = Faults.none;
     metrics;
@@ -148,6 +152,22 @@ let set_needs_recovery t v =
   locked t (fun () ->
       watch ~site:"Wal.set_needs_recovery" ~write:true;
       t.needs_recovery <- v)
+
+let set_checkpoint_every t n =
+  locked t (fun () ->
+      watch ~site:"Wal.set_checkpoint_every" ~write:true;
+      t.checkpoint_every <- n)
+
+let checkpoint_due t =
+  locked t @@ fun () ->
+  watch ~site:"Wal.checkpoint_due" ~write:true;
+  if t.checkpoint_every <= 0 then false
+  else begin
+    t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
+    let due = t.commits_since_checkpoint >= t.checkpoint_every in
+    if due then t.commits_since_checkpoint <- 0;
+    due
+  end
 
 let current_lsn t =
   locked t (fun () ->

@@ -60,6 +60,14 @@ val needs_recovery : t -> bool
 
 val set_needs_recovery : t -> bool -> unit
 
+(** [SET wal_checkpoint = n]: a checkpoint every [n] commits of any
+    session sharing the log; 0 (the default) disables. *)
+val set_checkpoint_every : t -> int -> unit
+
+(** Counts one commit: true when it completes the cadence (the count
+    restarts).  A {!crash} keeps the count. *)
+val checkpoint_due : t -> bool
+
 (** Highest LSN assigned so far (page LSN stamping reads this). *)
 val current_lsn : t -> int
 

@@ -446,8 +446,6 @@ let test_optimizer_tighter_estimates () =
     ignore g;
     Alcotest.(check bool) "inference ran" true (Infer.fact_count inf > 0)
   | None -> Alcotest.fail "optimizer retained no analysis");
-  Alcotest.(check bool) "inference time was recorded" true
-    (opt.Generator.analysis_secs >= 0.0);
   (* EXPLAIN ANALYSIS surfaces the inferred key and the tightened plan *)
   match Starburst.run db ("EXPLAIN ANALYSIS " ^ text) with
   | Starburst.Corona.Message s ->

@@ -606,7 +606,11 @@ let test_dead_rule_lint () =
   | ds -> Alcotest.failf "expected exactly one diag, got %d" (List.length ds));
   (* and the report surfaces it *)
   let db = Starburst.create () in
-  Hashtbl.replace db.Starburst.rule_stats "my_dead_rule" (0, 100);
+  let rules = db.Starburst.rules in
+  Sb_rewrite.Rule.add rules
+    (Sb_rewrite.Rule.make ~name:"my_dead_rule" ~rule_class:"merge"
+       ~condition:(fun _ -> false) ~action:ignore ());
+  Sb_rewrite.Rule.record rules ~firings:[] ~attempts:[ ("my_dead_rule", 100) ];
   let report = Starburst.rules_report db in
   Alcotest.(check bool) "report flags it" true (contains report "dead-rule")
 

@@ -600,6 +600,80 @@ let test_meta_table () =
     (List.length (rows_exn (Server.submit server s1 "SELECT partno FROM inventory")));
   Server.shutdown server
 
+(* --- one database, many sessions ----------------------------------- *)
+
+let zero_workers () = Server.default_config ~workers:0 ()
+
+let test_install_runs_once () =
+  let runs = ref 0 in
+  let server = Server.create ~config:(zero_workers ()) ~install:(fun _ -> incr runs) () in
+  let s = Server.session server in
+  for _ = 1 to 2 do ignore (Server.session server) done;
+  ignore (ok_exn (Server.submit server s "CREATE TABLE t (x INT)"));
+  Sb_storage.Recovery.crash ~catalog:(Server.catalog server);
+  ignore (Server.recover server : Sb_storage.Recovery.stats);
+  Alcotest.(check int) "one run for three sessions and a recovery" 1 !runs;
+  Server.shutdown server
+
+let test_registration_reaches_sessions () =
+  let server = Server.create ~config:(zero_workers ()) () in
+  let s1 = Server.session server and s2 = Server.session server in
+  Starburst.Extension.register_scalar_function (Server.session_db s1)
+    {
+      Functions.sf_name = "twice";
+      sf_arity = Some 1;
+      sf_type = (fun _ -> Ok (Some Datatype.Int));
+      sf_eval = (function [ Value.Int n ] -> Value.Int (2 * n) | _ -> Value.Null);
+    };
+  ignore (ok_exn (Server.submit server s1 "CREATE TABLE t (x INT)"));
+  ignore (ok_exn (Server.submit server s1 "INSERT INTO t VALUES (21)"));
+  check_rows "session 2 calls session 1's function" [ row [ i 42 ] ]
+    (rows_exn (Server.submit server s2 "SELECT twice(x) FROM t"));
+  Server.shutdown server
+
+let test_checkpoint_cadence_per_database () =
+  let server = Server.create ~config:(zero_workers ()) () in
+  let a = Server.session server and b = Server.session server in
+  ignore (ok_exn (Server.submit server a "SET wal_checkpoint = 2"));
+  ignore (ok_exn (Server.submit server b "CREATE TABLE t (x INT)"));
+  for k = 1 to 6 do
+    ignore (ok_exn (Server.submit server b (Printf.sprintf "INSERT INTO t VALUES (%d)" k)))
+  done;
+  Alcotest.(check int) "six commits of B at A's cadence of 2" 3
+    (Server.wal_stats server).Sb_storage.Wal.s_checkpoints;
+  Server.shutdown server
+
+let test_rule_counts_per_database () =
+  let server = fresh_server ~config:(zero_workers ()) () in
+  let a = Server.session server and b = Server.session server in
+  ignore (rows_exn (Server.submit server a "SELECT v.partno FROM (SELECT partno FROM inventory) v"));
+  let fires =
+    sample (meta_exn server b "\\metrics")
+      "sb_rewrite_rule_fires_total{rule=\"merge_select\"}"
+  in
+  Alcotest.(check bool) "session A's SELECT fired merge_select" true (fires >= 1);
+  let line =
+    List.find
+      (String.starts_with ~prefix:"merge_select ")
+      (String.split_on_char '\n' (meta_exn server b "\\rules"))
+  in
+  Alcotest.(check bool) "EXPLAIN RULES on session B shows the same fires" true
+    (contains (Printf.sprintf " %d/" fires) line);
+  Server.shutdown server
+
+let test_pool_counters_in_metrics () =
+  let server = fresh_server ~config:(zero_workers ()) () in
+  let s = Server.session server in
+  ignore (rows_exn (Server.submit server s "SELECT partno FROM inventory"));
+  let reads =
+    (Sb_storage.Buffer_pool.stats (Server.catalog server).Catalog.pool)
+      .Sb_storage.Buffer_pool.logical_reads
+  in
+  Alcotest.(check bool) "the scan read pages" true (reads > 0);
+  Alcotest.(check int) "\\metrics mirrors the pool's logical reads" reads
+    (sample (meta_exn server s "\\metrics") "sb_pool_logical_reads_total");
+  Server.shutdown server
+
 let suite =
   ( "server",
     [
@@ -630,4 +704,11 @@ let suite =
       case "one registry counts WAL commits across sessions"
         test_one_registry_counts_commits;
       case "one meta-command table" test_meta_table;
+      case "the installer runs once per server" test_install_runs_once;
+      case "a registration reaches every session"
+        test_registration_reaches_sessions;
+      case "the checkpoint cadence is the database's"
+        test_checkpoint_cadence_per_database;
+      case "rule counts are the database's" test_rule_counts_per_database;
+      case "pool counters in \\metrics" test_pool_counters_in_metrics;
     ] )
