@@ -64,15 +64,9 @@ let load_workload db =
            (k mod 17)));
   ignore (Starburst.run db "ANALYZE")
 
-let fresh_server ~workers ~cache =
+let fresh_server ~cache =
   let config =
-    {
-      (Server.default_config ()) with
-      Server.workers;
-      max_inflight = 64;
-      degrade_inflight = 48;
-      session_inflight = 8;
-    }
+    { Server.max_inflight = 64; degrade_inflight = 48; session_inflight = 8 }
   in
   let server = Server.create ~config () in
   Server.set_cache_enabled server cache;
@@ -115,11 +109,10 @@ type point = {
   pt_errors : int;
 }
 
-(* clients are systhreads, like the TCP front end's per-connection
-   threads: they spend their lives blocked in [submit], and execution
-   parallelism comes from the server's pool plus help-first callers *)
-let run_point ~workers ~clients ~cache ~stmts =
-  let server = fresh_server ~workers ~cache in
+(* clients are systhreads of one domain, like the TCP front end's
+   per-connection threads: each runs its own statements in [submit] *)
+let run_point ~clients ~cache ~stmts =
+  let server = fresh_server ~cache in
   let t0 = Unix.gettimeofday () in
   let results = Array.make clients 0 in
   let threads =
@@ -182,17 +175,10 @@ let single_caller_reference ~stmts =
   let cached = loop Starburst.cached_query in
   (uncached, cached)
 
-let run ?(out = "BENCH_server.json") ?(stmts = 250) ?workers () =
-  let workers =
-    match workers with
-    | Some w -> w
-    | None -> (Server.default_config ()).Server.workers
-  in
+let run ?(out = "BENCH_server.json") ?(stmts = 250) () =
   Bench_util.header
     (Printf.sprintf
-       "Server sweep: clients x shared-plan-cache, %d worker domain(s), %d \
-        statements/client"
-       workers stmts);
+       "Server sweep: clients x shared-plan-cache, %d statements/client" stmts);
   (* single-session baseline first: it doubles as process warmup, so no
      sweep point is charged for heap growth *)
   let ref_uncached, ref_cached = single_caller_reference ~stmts in
@@ -204,7 +190,7 @@ let run ?(out = "BENCH_server.json") ?(stmts = 250) ?workers () =
     List.concat_map
       (fun cache ->
         List.map
-          (fun clients -> run_point ~workers ~clients ~cache ~stmts)
+          (fun clients -> run_point ~clients ~cache ~stmts)
           sweep_clients)
       [ true; false ]
   in
@@ -248,7 +234,6 @@ let run ?(out = "BENCH_server.json") ?(stmts = 250) ?workers () =
   Printf.fprintf oc
     "{\n\
     \  \"bench\": \"server\",\n\
-    \  \"workers\": %d,\n\
     \  \"statements_per_client\": %d,\n\
     \  \"queries_in_mix\": %d,\n\
     \  \"single_caller\": {\"compile_every_time_stmts_per_s\": %.1f, \
@@ -262,7 +247,7 @@ let run ?(out = "BENCH_server.json") ?(stmts = 250) ?workers () =
     \    \"no_errors\": %b\n\
     \  }\n\
      }\n"
-    workers stmts (Array.length queries) ref_uncached ref_cached
+    stmts (Array.length queries) ref_uncached ref_cached
     (String.concat ",\n" (List.map json_of_point points))
     concurrent.pt_hit_rate hit_rate_ok
     (concurrent.pt_throughput /. ref_uncached)

@@ -156,7 +156,7 @@ let banner = "Starburst experiment harness (paper: SIGMOD 1989, pp. 377-388)"
 
 (* Standalone modes, independent of the experiment list: the first flag
    present (in this order) runs alone, then the harness exits.
-   [--server [--server-stmts N] [--server-workers N]] is the concurrent
+   [--server [--server-stmts N]] is the concurrent
    multi-session sweep, [--qes] the executor sweep against hand-written
    floors. *)
 let standalone_modes =
@@ -168,10 +168,7 @@ let standalone_modes =
   [
     ( "--server",
       fun argv ->
-        Bench_server.run
-          ?stmts:(intflag_of "--server-stmts" argv)
-          ?workers:(intflag_of "--server-workers" argv)
-          () );
+        Bench_server.run ?stmts:(intflag_of "--server-stmts" argv) () );
     ("--qes", fun _ -> Bench_qes.run ());
   ]
 

@@ -158,7 +158,6 @@ let server_differential ~sessions ~cases ~seed =
      LIMIT subset, which the bag comparison would misread as a bug *)
   let config =
     {
-      (Server.default_config ()) with
       Server.max_inflight = max 16 (2 * sessions);
       degrade_inflight = max 16 (2 * sessions);
       session_inflight = 4;
@@ -264,7 +263,6 @@ let races_sweep ~sessions ~cases ~seed ~graph =
      would just thin the interleavings the detector is meant to see *)
   let config =
     {
-      (Server.default_config ()) with
       Server.max_inflight = max 32 (4 * sessions);
       degrade_inflight = max 32 (4 * sessions);
       session_inflight = 4;

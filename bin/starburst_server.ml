@@ -7,7 +7,9 @@
    \sessions lists sessions and the admission counters, \metrics dumps
    the database's one registry) — except \quit, which closes the
    connection.  Every session has the bundled extensions
-   (Sb_extensions.Bundled), as the shell's do.
+   (Sb_extensions.Bundled), as the shell's do.  Each connection is a
+   thread of one domain and runs its own statements: Sb_server.submit
+   executes on the caller.
 
    With --wal-file the stable log persists across restarts: the server
    loads it on boot, runs crash recovery when it holds records, and
@@ -82,9 +84,8 @@ let drain_inflight server =
   in
   wait ()
 
-let serve ~host ~port ~workers ~once ~wal_file =
-  let config = Server.default_config ?workers () in
-  let server = Server.create ~config ~install:Sb_extensions.Bundled.install () in
+let serve ~host ~port ~once ~wal_file =
+  let server = Server.create ~install:Sb_extensions.Bundled.install () in
   (* durable log: load + recover on boot, save after every flush *)
   (match wal_file with
   | None -> ()
@@ -96,10 +97,12 @@ let serve ~host ~port ~workers ~once ~wal_file =
         let st = Server.recover server in
         Fmt.pr
           "recovered from %s: %d records (%d truncated), %d committed txns, %d \
-           redone, %d ddl@."
+           redone, %d ddl%s@."
           path n st.Sb_storage.Recovery.r_truncated
           st.Sb_storage.Recovery.r_winners st.Sb_storage.Recovery.r_redone
           st.Sb_storage.Recovery.r_ddl
+          (if st.Sb_storage.Recovery.r_from_checkpoint then ", from checkpoint"
+           else "")
       end
     end;
     Wal.set_sink wal (Some (fun () -> Wal.save_file wal path)));
@@ -112,8 +115,7 @@ let serve ~host ~port ~workers ~once ~wal_file =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  Fmt.pr "starburst-server listening on %s:%d (%d workers)@." host actual_port
-    config.Server.workers;
+  Fmt.pr "starburst-server listening on %s:%d@." host actual_port;
   if once then begin
     (* single-connection mode, used by tests and scripted clients *)
     let fd, _ = Unix.accept sock in
@@ -156,12 +158,6 @@ let host =
 let port =
   Arg.(value & opt int 5447 & info [ "port"; "p" ] ~doc:"TCP port (0 = ephemeral).")
 
-let workers =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "workers"; "w" ] ~doc:"Worker-pool domains (default: sized from cores).")
-
 let once =
   Arg.(
     value & flag
@@ -182,8 +178,7 @@ let cmd =
   Cmd.v
     (Cmd.info "starburst-server" ~doc)
     Term.(
-      const (fun host port workers once wal_file ->
-          serve ~host ~port ~workers ~once ~wal_file)
-      $ host $ port $ workers $ once $ wal_file)
+      const (fun host port once wal_file -> serve ~host ~port ~once ~wal_file)
+      $ host $ port $ once $ wal_file)
 
 let () = exit (Cmd.eval cmd)

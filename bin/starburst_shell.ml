@@ -10,14 +10,12 @@
     spatial, sampling, MAJORITY, statistics aggregates) are installed
     unless [--bare] is given, as [starburst-server] installs them.
 
-    Every statement runs through an embedded {!Sb_server}: with
-    [--server N] its pool has [N] worker domains, otherwise none (the
-    shell's own domain runs each statement).  Meta-commands ([\stats],
-    [\rules], [\limits], [\metrics], [\trace], [\check], [\infer],
-    [\cache], [\sessions], [\wal], [\locks]) are answered by
-    {!Sb_server.meta}, the same table [starburst-server] serves; [\q]
-    quits.  [--connect HOST:PORT] talks to a running [starburst-server]
-    over its line protocol instead. *)
+    Every statement runs through an embedded {!Sb_server}, on the
+    shell's own domain.  Meta-commands ([\stats], [\rules], [\limits],
+    [\metrics], [\trace], [\check], [\infer], [\cache], [\sessions],
+    [\wal], [\locks]) are answered by {!Sb_server.meta}, the same table
+    [starburst-server] serves; [\q] quits.  [--connect HOST:PORT] talks
+    to a running [starburst-server] over its line protocol instead. *)
 
 (* the commands Sb_server.meta answers, for both banners *)
 let meta_help =
@@ -138,19 +136,8 @@ let () =
       prerr_endline "usage: starburst_shell --connect HOST:PORT";
       exit 2)
   | None ->
-    (* --server N — embedded multi-session server with N worker domains *)
-    let rec extract_server acc = function
-      | "--server" :: n :: rest -> (int_of_string_opt n, List.rev acc @ rest)
-      | a :: rest -> extract_server (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    let server_workers, args = extract_server [] args in
     let server =
       Sb_server.create
-        ~config:
-          (Sb_server.default_config
-             ~workers:(Option.value server_workers ~default:0)
-             ())
         ~install:(if bare then fun _ -> () else Sb_extensions.Bundled.install)
         ()
     in
@@ -166,6 +153,6 @@ let () =
       run_script server session text
     | _ ->
       prerr_endline
-        "usage: starburst_shell [--bare] [--server N | --connect HOST:PORT] [script.sql | -e STATEMENT]";
+        "usage: starburst_shell [--bare] [--connect HOST:PORT] [script.sql | -e STATEMENT]";
       exit 2);
     Sb_server.shutdown server

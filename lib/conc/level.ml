@@ -14,7 +14,6 @@
 
     {v
     10  server.admission    admission counters, session table
-    15  server.pool         the worker pool's job queue
     20  server.statements   the statement rwlock (readers | one writer)
     30  server.session      one session's statement ordering
     40  storage.catalog     table/view maps, the epoch counter
@@ -30,7 +29,6 @@
     between existing layers without renumbering. *)
 
 let server_admission = 10
-let server_pool = 15
 let server_statements = 20
 let server_session = 30
 let catalog = 40

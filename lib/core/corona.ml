@@ -72,7 +72,6 @@ type t = {
   optimizer : Generator.t;
       (** the session's search state over the database's STARs *)
   mutable rewrite_enabled : bool;
-  mutable rewrite_budget : int option;
   mutable paranoid : bool;
       (** sanitizer mode ([STARBURST_PARANOID=1] / [SET paranoid = on]):
           per-firing rule audits, plan validation after optimization,
@@ -105,18 +104,13 @@ type result =
 
 let default_limits () = Limits.apply_env (Limits.default ())
 
-let create ?(limits = default_limits ()) ?catalog ?plan_cache () : t =
-  let catalog = match catalog with Some c -> c | None -> Catalog.create () in
+let create ?(limits = default_limits ()) () : t =
+  let catalog = Catalog.create () in
   let functions = Functions.create () in
   let builder_cfg = Builder.make_config ~catalog ~functions in
-  let plan_cache =
-    match plan_cache with
-    | Some pc -> pc
-    | None -> Plan_cache.create ~metrics:catalog.Catalog.metrics ()
-  in
   {
     catalog;
-    plan_cache;
+    plan_cache = Plan_cache.create ~metrics:catalog.Catalog.metrics ();
     functions;
     builder_cfg;
     rules = Base_rules.default_set ~catalog;
@@ -124,7 +118,6 @@ let create ?(limits = default_limits ()) ?catalog ?plan_cache () : t =
     exec_db = Exec.make_db ~catalog ~functions;
     optimizer = Generator.create ~catalog ~functions ();
     rewrite_enabled = true;
-    rewrite_budget = None;
     paranoid = Rule_audit.paranoid_env ();
     hosts = [];
     last_counters = Exec.fresh_counters ();
@@ -142,7 +135,7 @@ let create ?(limits = default_limits ()) ?catalog ?plan_cache () : t =
 
 let session ?(limits = default_limits ()) t : t =
   { t with optimizer = Generator.session t.optimizer; rewrite_enabled = true;
-    rewrite_budget = None; paranoid = Rule_audit.paranoid_env (); hosts = [];
+    paranoid = Rule_audit.paranoid_env (); hosts = [];
     last_counters = Exec.fresh_counters (); last_rewrite = None;
     tracer = Trace.noop; stage_ns = Hashtbl.create 8; limits;
     last_gov = Limits.start limits; last_degraded = None; txn_current = 0;
@@ -347,7 +340,7 @@ let rewrite t (g : Qgm.t) : Engine.stats =
   in
   let stats =
     stage t "rewrite" (fun () ->
-        Engine.run ?budget:t.rewrite_budget ~check_each:t.paranoid
+        Engine.run ~check_each:t.paranoid
           ~tracer:t.tracer ~rules g)
   in
   t.last_rewrite <- Some stats;
@@ -585,8 +578,7 @@ let execute_prepared t (p : prepared) : Tuple.t list = run_plan t p.prep_plan
    a shed (greedy-strategy) compilation from being served to sessions
    running at full optimization, and vice versa. *)
 let settings_fingerprint t : string =
-  Fmt.str "rw=%b,%s;opt=%s,%b,%b" t.rewrite_enabled
-    (match t.rewrite_budget with None -> "-" | Some n -> string_of_int n)
+  Fmt.str "rw=%b;opt=%s,%b,%b" t.rewrite_enabled
     t.optimizer.Generator.sctx.Star.strategy.Star.st_name
     t.optimizer.Generator.allow_bushy t.optimizer.Generator.allow_cartesian
 
@@ -1035,7 +1027,7 @@ let explain_verify t (wq : Ast.with_query) : string =
      let audited = Rule_audit.instrument (Rule.all t.rules) in
      match
        stage t "rewrite" (fun () ->
-           Engine.run ?budget:t.rewrite_budget ~check_each:true
+           Engine.run ~check_each:true
              ~tracer:t.tracer ~rules:audited g)
      with
      | stats ->

@@ -65,7 +65,6 @@ type t = {
   optimizer : Generator.t;
       (** the session's search state over the database's STARs *)
   mutable rewrite_enabled : bool;
-  mutable rewrite_budget : int option;
   mutable paranoid : bool;
       (** sanitizer mode ([STARBURST_PARANOID=1] / [SET paranoid = on]):
           per-firing rule audits ({!Rule_audit.instrument}), plan
@@ -102,15 +101,8 @@ type result =
 (** A fresh database with the base rule set, the base STAR array, the
     built-in storage managers, access methods and functions installed.
     [limits] seeds the per-query resource governor; when omitted,
-    {!Limits.default} with [STARBURST_LIMITS] applied on top.
-    [catalog] and [plan_cache] let a multi-session server size them
-    (when omitted, the handle makes its own). *)
-val create :
-  ?limits:Limits.t ->
-  ?catalog:Catalog.t ->
-  ?plan_cache:prepared Plan_cache.t ->
-  unit ->
-  t
+    {!Limits.default} with [STARBURST_LIMITS] applied on top. *)
+val create : ?limits:Limits.t -> unit -> t
 
 (** A new session of [t]'s database: it shares the database's fields
     and the optimizer's STAR array, probe matchers and select handlers

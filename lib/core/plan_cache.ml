@@ -56,7 +56,7 @@ type stats = {
   resident : int;
 }
 
-let create ?(shards = 8) ?(capacity = 256) ?metrics () : 'a t =
+let create ?(shards = 8) ?(capacity = 1024) ?metrics () : 'a t =
   if shards <= 0 then invalid_arg "Plan_cache.create: shards must be positive";
   if capacity < shards then invalid_arg "Plan_cache.create: capacity < shards";
   let per_shard = max 1 (capacity / shards) in

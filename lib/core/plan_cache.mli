@@ -16,9 +16,9 @@ type stats = {
   resident : int;  (** entries currently cached, across all shards *)
 }
 
-(** [create ()] is an empty cache of [capacity] total entries spread
-    over [shards] independently locked shards.  When [metrics] is given,
-    lookups and evictions also drive the
+(** [create ()] is an empty cache of [capacity] total entries (default
+    1024) spread over [shards] independently locked shards (default 8).
+    When [metrics] is given, lookups and evictions also drive the
     [sb_plan_cache_{hits,misses,evictions,invalidations}_total]
     counters.
     @raise Invalid_argument if [shards <= 0] or [capacity < shards]. *)

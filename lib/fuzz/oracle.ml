@@ -40,7 +40,7 @@ let fresh_db ?inject ~(ddl : string list) (config : config) : Starburst.t =
   | Unrewritten ->
     (* the canonical QGM straight to the optimizer: a divergence from
        the reference is an optimizer or executor bug, not a rewrite one *)
-    db.Starburst.rewrite_budget <- Some 0
+    db.Starburst.rewrite_enabled <- false
   | Greedy ->
     db.Starburst.optimizer.Generator.sctx.Star.strategy <-
       Star.greedy_strategy

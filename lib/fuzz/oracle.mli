@@ -19,7 +19,7 @@
     - {e chaos}: a seeded fault-injection plan on storage; the run must
       either match the reference or fail with a structured, retryable
       {!Sb_resil.Err.t} — never a wrong answer, never a raw exception;
-    - {e unrewritten}: rewrite budget 0 — the canonical QGM goes
+    - {e unrewritten}: rewrite off — the canonical QGM goes
       straight to the optimizer, so a divergence (row bags, NULL
       semantics, the metamorphic checks below) is an optimizer or
       executor bug.
@@ -50,7 +50,7 @@ type config =
   | Greedy  (** full rewrite, forced degraded greedy strategy *)
   | Paranoid  (** sanitizer mode: audits + plan checks + differential *)
   | Chaos of int  (** fault injection at the given seed *)
-  | Unrewritten  (** rewrite budget 0 *)
+  | Unrewritten  (** rewrite off ([rewrite_enabled = false]) *)
 
 val config_name : config -> string
 

@@ -9,9 +9,10 @@
     compilation stage can be stored for future use" pays off across
     clients, not just across calls.
 
-    Statements run on a pool of OCaml domains.  An admission controller
-    in front of the pool keeps the server deterministic under overload:
-    up to [degrade_inflight] concurrent statements compile at full
+    Every statement runs on the caller that submits it — a client
+    domain, or a TCP connection's thread — behind an admission
+    controller that keeps the server deterministic under overload: up
+    to [degrade_inflight] concurrent statements compile at full
     optimization; past that, new statements are {e shed} — compiled with
     the greedy STAR strategy, rewrite off (a cheap plan always exists) —
     and past [max_inflight] they are rejected with a structured,
@@ -32,126 +33,18 @@ module Catalog = Sb_storage.Catalog
 module Err = Sb_resil.Err
 module Limits = Sb_resil.Limits
 module Metrics = Sb_obs.Metrics
-
-(* ------------------------------------------------------------------ *)
-(* Promises and the statement rwlock (now in lib/conc)                 *)
-(* ------------------------------------------------------------------ *)
-
-module Promise = Sb_conc.Promise
 module Rwlock = Sb_conc.Rwlock
 module Lock = Sb_conc.Lock
-
-type 'a promise = 'a Promise.t
-
-let promise = Promise.create
-let resolve = Promise.resolve
-let resolved = Promise.resolved
-let await = Promise.await
 
 (* the race detector's view of the admission counters + session table *)
 let watch_state ~site ~write =
   Sb_conc.Discipline.access ~field:"server.state" ~site ~write
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type pool = {
-  q_lock : Lock.t;
-  q_cond : Lock.Cond.cond;
-  jobs : (unit -> unit) Queue.t;
-  mutable q_stop : bool;
-  mutable domains : unit Domain.t array;
-}
-
-let worker_loop pool () =
-  let rec next () =
-    Lock.lock pool.q_lock;
-    while Queue.is_empty pool.jobs && not pool.q_stop do
-      Lock.Cond.wait pool.q_cond pool.q_lock
-    done;
-    if Queue.is_empty pool.jobs then (
-      (* stopping, queue drained *)
-      Lock.unlock pool.q_lock)
-    else begin
-      let job = Queue.pop pool.jobs in
-      Lock.unlock pool.q_lock;
-      (try job () with _ -> () (* jobs resolve their own promises *));
-      next ()
-    end
-  in
-  next ()
-
-let pool_create n =
-  let pool =
-    {
-      q_lock =
-        Lock.create ~name:"server.pool" ~level:Sb_conc.Level.server_pool;
-      q_cond = Lock.Cond.create ();
-      jobs = Queue.create ();
-      q_stop = false;
-      domains = [||];
-    }
-  in
-  pool.domains <- Array.init n (fun _ -> Domain.spawn (worker_loop pool));
-  pool
-
-(* [quiet] skips waking a worker: only safe when the pusher is about to
-   help-drain the queue itself (see [await_helping] — helpers never
-   sleep while jobs are queued, so quiet jobs cannot be stranded). *)
-let pool_push ?(quiet = false) pool job =
-  if (not quiet) && Array.length pool.domains = 0 then
-    (* empty pool (single-core box): the async path degenerates to
-       running the statement on the submitting domain *)
-    try job () with _ -> () (* jobs resolve their own promises *)
-  else begin
-    Lock.lock pool.q_lock;
-    Queue.push job pool.jobs;
-    if not quiet then Lock.Cond.signal pool.q_cond;
-    Lock.unlock pool.q_lock
-  end
-
-let pool_try_pop pool =
-  Lock.lock pool.q_lock;
-  let job =
-    if Queue.is_empty pool.jobs then None else Some (Queue.pop pool.jobs)
-  in
-  Lock.unlock pool.q_lock;
-  job
-
-(* Help-first await: while the promise is unresolved, the blocking
-   caller pops queued jobs and runs them on its own domain instead of
-   sleeping.  Jobs never block on other promises, so helping cannot
-   deadlock.  On a small machine this turns the client/worker handoff
-   into a plain call; on a big one it adds the caller's core to the
-   pool for exactly as long as it would otherwise idle. *)
-let await_helping pool p =
-  let rec loop () =
-    match Promise.peek p with
-    | Some v -> v
-    | None -> (
-      match pool_try_pop pool with
-      | Some job ->
-        (try job () with _ -> () (* jobs resolve their own promises *));
-        loop ()
-      | None -> await p)
-  in
-  loop ()
-
-let pool_shutdown pool =
-  Lock.lock pool.q_lock;
-  pool.q_stop <- true;
-  Lock.Cond.broadcast pool.q_cond;
-  Lock.unlock pool.q_lock;
-  Array.iter Domain.join pool.domains;
-  pool.domains <- [||]
-
-(* ------------------------------------------------------------------ *)
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
 
 type config = {
-  workers : int;  (** domains in the worker pool *)
   max_inflight : int;
       (** admission high-water mark: statements admitted while this many
           are already in flight are rejected with a retryable error *)
@@ -159,29 +52,16 @@ type config = {
       (** load-shedding threshold: statements admitted past this point
           compile greedily (rewrite off, greedy STAR strategy) *)
   session_inflight : int;  (** per-session concurrent-statement cap *)
-  cache_shards : int;
-  cache_capacity : int;
 }
 
-(* Sized to the hardware unless [workers] is given: every extra domain
-   makes the stop-the-world minor-GC barrier wider, so on a single-core
-   box the pool is empty and help-first callers do all the driving. *)
-let default_config ?workers () =
-  let workers =
-    max 0
-      (match workers with
-      | Some w -> w
-      | None -> min 8 (Domain.recommended_domain_count () - 1))
-  in
+(* Scaled with the cores beyond the first, up to 8; the floors keep a
+   one-core box admitting. *)
+let default_config () =
+  let w = min 8 (Domain.recommended_domain_count () - 1) in
   {
-    workers;
-    (* floors keep an empty pool admitting: help-first callers still
-       execute, so capacity never drops to zero *)
-    max_inflight = max 8 (4 * workers);
-    degrade_inflight = max 6 (2 * workers);
+    max_inflight = max 8 (4 * w);
+    degrade_inflight = max 6 (2 * w);
     session_inflight = 4;
-    cache_shards = 8;
-    cache_capacity = 1024;
   }
 
 type session = {
@@ -207,7 +87,6 @@ type t = {
   mutable cache_enabled : bool;
   mutable closed : bool;
   rw : Rwlock.t;
-  pool : pool;
 }
 
 type stats = {
@@ -224,14 +103,7 @@ let locked t f = Lock.with_lock t.lock f
 
 let create ?config ?limits ?install () =
   let config = match config with Some c -> c | None -> default_config () in
-  let catalog = Catalog.create () in
-  let base =
-    Corona.create ?limits ~catalog
-      ~plan_cache:
-        (Plan_cache.create ~shards:config.cache_shards
-           ~capacity:config.cache_capacity ~metrics:catalog.Catalog.metrics ())
-      ()
-  in
+  let base = Corona.create ?limits () in
   Option.iter (fun install -> install base) install;
   {
     base;
@@ -250,7 +122,6 @@ let create ?config ?limits ?install () =
     rw =
       Rwlock.create ~name:"server.statements"
         ~level:Sb_conc.Level.server_statements;
-    pool = pool_create config.workers;
   }
 
 let catalog t = t.base.Corona.catalog
@@ -375,7 +246,7 @@ let with_shed db f =
 
 let bump t name = Metrics.add_counters (catalog t).Catalog.metrics [ (name, None, 1) ]
 
-let execute t s ~shed ~use_cache text : (Corona.result, Err.t) result =
+let execute t s ~shed ~use_cache text : Corona.result =
   let kind = classify text in
   let run () =
     Lock.with_lock s.s_lock (fun () ->
@@ -388,14 +259,9 @@ let execute t s ~shed ~use_cache text : (Corona.result, Err.t) result =
         in
         if shed then with_shed s.s_db go else go ())
   in
-  match
-    match kind with
-    | `Query | `Read -> Rwlock.with_read t.rw run
-    | `Write -> Rwlock.with_write t.rw run
-  with
-  | result -> Ok result
-  | exception ((Stack_overflow | Out_of_memory) as exn) -> raise exn
-  | exception exn -> Error (classify_error text exn)
+  match kind with
+  | `Query | `Read -> Rwlock.with_read t.rw run
+  | `Write -> Rwlock.with_write t.rw run
 
 (* ------------------------------------------------------------------ *)
 (* Admission + submission                                              *)
@@ -409,9 +275,8 @@ let reject t ~msg text =
   Error (Err.make ~query:text ~retryable:true Err.Resource msg)
 
 (* The admission decision and the counters move together under the
-   server lock; the statement itself runs on a pool domain. *)
-let submit_with ~quiet t s (text : string) :
-    (Corona.result, Err.t) result promise =
+   server lock; the admitted statement runs on the caller's own thread. *)
+let submit t s (text : string) : (Corona.result, Err.t) result =
   let decision =
     locked t (fun () ->
         watch_state ~site:"Sb_server.submit" ~write:true;
@@ -423,9 +288,9 @@ let submit_with ~quiet t s (text : string) :
           t.inflight <- t.inflight + 1;
           s.s_inflight <- s.s_inflight + 1;
           t.admitted <- t.admitted + 1;
-          (* the cache flag is sampled here, under the lock, not in the
-             job closure — a concurrent [set_cache_enabled] must not
-             race the statement's own read of it *)
+          (* the cache flag is sampled here, under the lock — a
+             concurrent [set_cache_enabled] must not race the
+             statement's own read of it *)
           let use_cache = t.cache_enabled in
           if t.inflight > t.config.degrade_inflight then begin
             t.shed <- t.shed + 1;
@@ -435,50 +300,36 @@ let submit_with ~quiet t s (text : string) :
         end)
   in
   match decision with
-  | `Closed ->
-    resolved (Error (Err.make ~query:text Err.Resource "server is shut down"))
-  | `Session_closed ->
-    resolved (Error (Err.make ~query:text Err.Resource "session is closed"))
+  | `Closed -> Error (Err.make ~query:text Err.Resource "server is shut down")
+  | `Session_closed -> Error (Err.make ~query:text Err.Resource "session is closed")
   | `Reject ->
-    resolved
-      (reject t text
-         ~msg:
-           (Fmt.str "server over capacity (%d statements in flight); retry"
-              t.config.max_inflight))
+    reject t text
+      ~msg:
+        (Fmt.str "server over capacity (%d statements in flight); retry"
+           t.config.max_inflight)
   | `Session_cap ->
-    resolved
-      (reject t text
-         ~msg:
-           (Fmt.str "session over its concurrency limit (%d); retry"
-              t.config.session_inflight))
+    reject t text
+      ~msg:
+        (Fmt.str "session over its concurrency limit (%d); retry"
+           t.config.session_inflight)
   | `Admit (shed, use_cache) ->
     bump t "sb_server_admitted_total";
     if shed then bump t "sb_server_shed_total";
-    let p = promise () in
-    pool_push ~quiet t.pool (fun () ->
-        let outcome =
-          try execute t s ~shed ~use_cache text
-          with exn -> Error (classify_error text exn)
-        in
+    Fun.protect
+      ~finally:(fun () ->
         locked t (fun () ->
             watch_state ~site:"Sb_server.statement_done" ~write:true;
             t.inflight <- t.inflight - 1;
-            s.s_inflight <- s.s_inflight - 1);
-        resolve p outcome);
-    p
-
-let submit_async t s text = submit_with ~quiet:false t s text
-
-(* the blocking path pushes quietly and helps drain the queue itself:
-   on a loaded box the statement usually runs as a plain call on the
-   caller's domain, with the pool as overflow *)
-let submit t s text = await_helping t.pool (submit_with ~quiet:true t s text)
+            s.s_inflight <- s.s_inflight - 1))
+      (fun () ->
+        match execute t s ~shed ~use_cache text with
+        | result -> Ok result
+        | exception exn -> Error (classify_error text exn))
 
 let shutdown t =
   locked t (fun () ->
       watch_state ~site:"Sb_server.shutdown" ~write:true;
-      t.closed <- true);
-  pool_shutdown t.pool
+      t.closed <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Durability                                                          *)

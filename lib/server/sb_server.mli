@@ -4,11 +4,11 @@
     database handle — its own SET options, host-variable bindings and
     resource limits — while all sessions share the database: catalog,
     extension registries, rule counts, plan cache, WAL and metrics.
-    Statements run on a pool of OCaml domains behind an admission
-    controller: under load, compilation degrades to greedy plans before
-    anything queues without bound, and past the high-water mark
-    statements are rejected with a structured, retryable [Resource]
-    error.
+    Every statement runs on the caller that submits it, behind an
+    admission controller: under load, compilation degrades to greedy
+    plans before anything queues without bound, and past the high-water
+    mark statements are rejected with a structured, retryable
+    [Resource] error.
 
     Within a session, statements execute in submission order.  Across
     sessions, queries, EXPLAIN of a query, EXPLAIN RULES and SET run
@@ -26,13 +26,7 @@
 type t
 type session
 
-(** A blocking future; {!submit_async} returns one per statement. *)
-type 'a promise
-
-val await : 'a promise -> 'a
-
 type config = {
-  workers : int;  (** domains in the worker pool *)
   max_inflight : int;
       (** admission high-water mark: statements arriving while this many
           are in flight are rejected (retryable) *)
@@ -40,18 +34,15 @@ type config = {
       (** load-shedding threshold: statements admitted past this point
           compile greedily (rewrite off, greedy STAR strategy) *)
   session_inflight : int;  (** per-session concurrent-statement cap *)
-  cache_shards : int;
-  cache_capacity : int;
 }
 
-(** [workers] pool domains (default: sized from
-    [Domain.recommended_domain_count]), shedding past [max 6 (2*workers)]
-    in flight and rejecting past [max 8 (4*workers)] — the floors keep a
-    zero-worker server admitting, since blocking callers run their own
-    statements. *)
-val default_config : ?workers:int -> unit -> config
+(** Sheds past [max 6 (2*w)] statements in flight and rejects past
+    [max 8 (4*w)], where [w] is [min 8 (Domain.recommended_domain_count
+    () - 1)]; the floors keep a one-core machine admitting.  Four
+    statements per session. *)
+val default_config : unit -> config
 
-(** A fresh server (own database, shared plan cache, worker pool).
+(** A fresh server (own database, shared plan cache).
     [limits] is the template copied into each new session's governor.
     [install] runs once, on the database handle, before any statement
     is served — the place to register extensions; every session and
@@ -78,19 +69,12 @@ val close_session : t -> session -> unit
 (** [(session id, statements in flight)] for every open session. *)
 val list_sessions : t -> (int * int) list
 
-(** Submits one statement and blocks for its outcome.  [Error e] carries
-    the same structured classification as {!Starburst.Corona.run};
+(** Runs one statement on the calling thread and returns its outcome.
+    [Error e] carries the same structured classification as
+    {!Starburst.Corona.run}, also for an exception the statement raises;
     admission rejections are [Resource] errors with [retryable = true]. *)
 val submit :
   t -> session -> string -> (Starburst.Corona.result, Sb_resil.Err.t) result
-
-(** Like {!submit} but returns immediately; rejections resolve the
-    promise without touching the worker pool. *)
-val submit_async :
-  t ->
-  session ->
-  string ->
-  (Starburst.Corona.result, Sb_resil.Err.t) result promise
 
 type stats = {
   st_sessions : int;
@@ -112,7 +96,8 @@ val set_cache_enabled : t -> bool -> unit
 
 val catalog : t -> Sb_storage.Catalog.t
 
-(** Stops accepting work and joins the worker domains. *)
+(** Stops accepting work: later submissions answer a [Resource] error.
+    Statements already running finish. *)
 val shutdown : t -> unit
 
 (** {1 Durability}

@@ -1,13 +1,12 @@
-(** lib/conc tests: the Promise and Rwlock primitives extracted from
-    the server, and the lock-discipline checker itself — strict-mode
-    re-entrancy and unlock-without-lock, a seeded lock-order inversion
-    (with the resulting acquisition-graph cycle), a seeded
-    unprotected-field lockset race, and armed two-domain interleavings
-    over the real Plan_cache and Catalog that must stay silent. *)
+(** lib/conc tests: the Lock and Rwlock primitives, and the
+    lock-discipline checker itself — strict-mode re-entrancy and
+    unlock-without-lock, a seeded lock-order inversion (with the
+    resulting acquisition-graph cycle), a seeded unprotected-field
+    lockset race, and armed two-domain interleavings over the real
+    Plan_cache and Catalog that must stay silent. *)
 
 module Lock = Sb_conc.Lock
 module Rwlock = Sb_conc.Rwlock
-module Promise = Sb_conc.Promise
 module D = Sb_conc.Discipline
 module Catalog = Sb_storage.Catalog
 module Schema = Sb_storage.Schema
@@ -30,25 +29,6 @@ let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
-
-(* --- promises ------------------------------------------------------ *)
-
-let test_promise_basic () =
-  let p = Promise.create () in
-  Alcotest.(check bool) "unresolved peeks None" true (Promise.peek p = None);
-  Promise.resolve p 42;
-  Promise.resolve p 43;
-  Alcotest.(check int) "first writer wins" 42 (Promise.await p);
-  Alcotest.(check bool) "peek after resolve" true (Promise.peek p = Some 42);
-  Alcotest.(check int) "pre-resolved" 7 (Promise.await (Promise.resolved 7))
-
-(* a domain parked in [await] must be woken by a resolve from another
-   domain (not just find the value on a later poll) *)
-let test_promise_await_wakeup () =
-  let p = Promise.create () in
-  let waiter = Domain.spawn (fun () -> Promise.await p + 1) in
-  Promise.resolve p 41;
-  Alcotest.(check int) "woken with the resolved value" 42 (Domain.join waiter)
 
 (* --- locks release on raise ---------------------------------------- *)
 
@@ -236,9 +216,6 @@ let test_catalog_epoch_two_domains () =
 let suite =
   ( "conc",
     [
-      Alcotest.test_case "promise basic" `Quick test_promise_basic;
-      Alcotest.test_case "promise await wakeup" `Quick
-        test_promise_await_wakeup;
       Alcotest.test_case "locks released on raise" `Quick
         test_lock_released_on_raise;
       Alcotest.test_case "rwlock writer preference" `Quick

@@ -100,7 +100,7 @@ let test_broken_rule_caught () =
 (* --- NULL semantics at the QES boundary ----------------------------- *)
 
 (* Each fixture runs once through the un-rewritten reference pipeline
-   (rewrite budget 0) and once through the full pipeline (rewrite +
+   (rewrite off) and once through the full pipeline (rewrite +
    cost-based optimization); the result bags must agree.  The fixtures
    concentrate on three-valued logic: comparisons with NULL, IS [NOT]
    NULL, NOT IN over a NULL-containing list, outer-join padding,
@@ -140,13 +140,11 @@ let null_fixtures =
      5)";
   ]
 
-let null_db budget =
+let null_db ~rewrite =
   let db = Starburst.create () in
   Sb_extensions.Outer_join.install db;
   ignore (Starburst.run_script db null_ddl);
-  (match budget with
-  | Some _ -> db.Starburst.rewrite_budget <- budget
-  | None -> ());
+  db.Starburst.rewrite_enabled <- rewrite;
   db
 
 let agree text a b =
@@ -155,8 +153,8 @@ let agree text a b =
   | Error msg -> Alcotest.failf "%s\n  %s" text msg
 
 let test_null_semantics () =
-  let reference = null_db (Some 0) in
-  let optimized = null_db None in
+  let reference = null_db ~rewrite:false in
+  let optimized = null_db ~rewrite:true in
   List.iter
     (fun text ->
       let a = q reference text and b = q optimized text in

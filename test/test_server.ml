@@ -5,7 +5,9 @@
     sessions sharing one cache, DDL/ANALYZE epoch invalidation under
     concurrency, and the admission controller's reject, session-cap and
     load-shed paths (made deterministic with a latch function and
-    seeded [Sb_resil.Faults]). *)
+    seeded [Sb_resil.Faults]), and the one execution path: a statement
+    runs on the submitting domain, and one that raises frees its
+    admission slot. *)
 
 open Test_util
 module Server = Sb_server
@@ -317,13 +319,7 @@ let test_admission_rejects_at_high_water () =
     }
   in
   let config =
-    {
-      (Server.default_config ()) with
-      Server.workers = 1;
-      max_inflight = 1;
-      degrade_inflight = 1;
-      session_inflight = 2;
-    }
+    { Server.max_inflight = 1; degrade_inflight = 1; session_inflight = 2 }
   in
   let server =
     Server.create ~config
@@ -335,7 +331,9 @@ let test_admission_rejects_at_high_water () =
   ignore (ok_exn (Server.submit server boot "CREATE TABLE one (x INT)"));
   ignore (ok_exn (Server.submit server boot "INSERT INTO one VALUES (1)"));
   let s1 = Server.session server and s2 = Server.session server in
-  let p = Server.submit_async server s1 "SELECT latch(x) FROM one" in
+  let parked =
+    Domain.spawn (fun () -> Server.submit server s1 "SELECT latch(x) FROM one")
+  in
   Lock.with_lock gate (fun () ->
       while not !entered do
         Lock.Cond.wait turn gate
@@ -351,7 +349,7 @@ let test_admission_rejects_at_high_water () =
       released := true;
       Lock.Cond.broadcast turn);
   Alcotest.(check int) "the parked statement completes" 1
-    (List.length (rows_exn (Server.await p)));
+    (List.length (rows_exn (Domain.join parked)));
   (* capacity freed: the bounced statement is admitted on retry *)
   Alcotest.(check int) "re-admitted after the flight drains" 1
     (List.length (rows_exn (Server.submit server s2 "SELECT x FROM one")));
@@ -361,13 +359,7 @@ let test_admission_rejects_at_high_water () =
 
 let test_session_cap () =
   let config =
-    {
-      (Server.default_config ()) with
-      Server.workers = 0;
-      max_inflight = 8;
-      degrade_inflight = 8;
-      session_inflight = 0;
-    }
+    { Server.max_inflight = 8; degrade_inflight = 8; session_inflight = 0 }
   in
   let server = Server.create ~config () in
   let s = Server.session server in
@@ -380,13 +372,7 @@ let test_session_cap () =
 
 let test_load_shedding () =
   let config =
-    {
-      (Server.default_config ()) with
-      Server.workers = 0;
-      max_inflight = 8;
-      degrade_inflight = 0;
-      session_inflight = 4;
-    }
+    { Server.max_inflight = 8; degrade_inflight = 0; session_inflight = 4 }
   in
   let server = Server.create ~config () in
   let s = Server.session server in
@@ -506,12 +492,12 @@ let test_explain_insert_writes () =
 
 (* --- one registry, one meta-command table ---------------------------- *)
 
-let test_zero_workers_admit () =
-  let server = Server.create ~config:(Server.default_config ~workers:0 ()) () in
+let test_default_config_admits () =
+  let server = Server.create ~config:(Server.default_config ()) () in
   let s = Server.session server in
   ignore (ok_exn (Server.submit server s "CREATE TABLE t (x INT)"));
   ignore (ok_exn (Server.submit server s "INSERT INTO t VALUES (1), (2)"));
-  check_bag "a zero-worker server answers on the caller's domain"
+  check_bag "a default-config server answers"
     [ row [ i 1 ]; row [ i 2 ] ]
     (rows_exn (Server.submit server s "SELECT x FROM t"));
   Server.shutdown server
@@ -532,7 +518,7 @@ let meta_exn server s cmd =
   | None -> Alcotest.failf "%s was not taken as a meta-command" cmd
 
 let test_one_registry_counts_commits () =
-  let server = Server.create ~config:(Server.default_config ~workers:0 ()) () in
+  let server = Server.create () in
   let s1 = Server.session server in
   ignore (ok_exn (Server.submit server s1 "CREATE TABLE t (x INT)"));
   ignore (ok_exn (Server.submit server s1 "INSERT INTO t VALUES (1)"));
@@ -551,7 +537,7 @@ let test_one_registry_counts_commits () =
   Server.shutdown server
 
 let test_meta_table () =
-  let server = fresh_server ~config:(Server.default_config ~workers:0 ()) () in
+  let server = fresh_server () in
   let s1 = Server.session server in
   let s2 = Server.session server in
   let output () = sample (meta_exn server s1 "\\metrics") "sb_exec_output_total" in
@@ -602,11 +588,9 @@ let test_meta_table () =
 
 (* --- one database, many sessions ----------------------------------- *)
 
-let zero_workers () = Server.default_config ~workers:0 ()
-
 let test_install_runs_once () =
   let runs = ref 0 in
-  let server = Server.create ~config:(zero_workers ()) ~install:(fun _ -> incr runs) () in
+  let server = Server.create ~install:(fun _ -> incr runs) () in
   let s = Server.session server in
   for _ = 1 to 2 do ignore (Server.session server) done;
   ignore (ok_exn (Server.submit server s "CREATE TABLE t (x INT)"));
@@ -616,7 +600,7 @@ let test_install_runs_once () =
   Server.shutdown server
 
 let test_registration_reaches_sessions () =
-  let server = Server.create ~config:(zero_workers ()) () in
+  let server = Server.create () in
   let s1 = Server.session server and s2 = Server.session server in
   Starburst.Extension.register_scalar_function (Server.session_db s1)
     {
@@ -632,7 +616,7 @@ let test_registration_reaches_sessions () =
   Server.shutdown server
 
 let test_checkpoint_cadence_per_database () =
-  let server = Server.create ~config:(zero_workers ()) () in
+  let server = Server.create () in
   let a = Server.session server and b = Server.session server in
   ignore (ok_exn (Server.submit server a "SET wal_checkpoint = 2"));
   ignore (ok_exn (Server.submit server b "CREATE TABLE t (x INT)"));
@@ -644,7 +628,7 @@ let test_checkpoint_cadence_per_database () =
   Server.shutdown server
 
 let test_rule_counts_per_database () =
-  let server = fresh_server ~config:(zero_workers ()) () in
+  let server = fresh_server () in
   let a = Server.session server and b = Server.session server in
   ignore (rows_exn (Server.submit server a "SELECT v.partno FROM (SELECT partno FROM inventory) v"));
   let fires =
@@ -662,7 +646,7 @@ let test_rule_counts_per_database () =
   Server.shutdown server
 
 let test_pool_counters_in_metrics () =
-  let server = fresh_server ~config:(zero_workers ()) () in
+  let server = fresh_server () in
   let s = Server.session server in
   ignore (rows_exn (Server.submit server s "SELECT partno FROM inventory"));
   let reads =
@@ -672,6 +656,88 @@ let test_pool_counters_in_metrics () =
   Alcotest.(check bool) "the scan read pages" true (reads > 0);
   Alcotest.(check int) "\\metrics mirrors the pool's logical reads" reads
     (sample (meta_exn server s "\\metrics") "sb_pool_logical_reads_total");
+  Server.shutdown server
+
+(* --- one execution path: the caller runs its statement --------------- *)
+
+(* the server spawns no domain of its own: a statement submitted from a
+   spawned domain evaluates its functions on that domain *)
+let test_statement_runs_on_submitter () =
+  let seen = ref [] in
+  let whoami =
+    {
+      Functions.sf_name = "whoami";
+      sf_arity = Some 1;
+      sf_type = (fun _ -> Ok (Some Datatype.Int));
+      sf_eval =
+        (fun args ->
+          seen := (Domain.self () :> int) :: !seen;
+          List.hd args);
+    }
+  in
+  let server =
+    Server.create
+      ~install:(fun db -> Functions.register_scalar db.Starburst.Corona.functions whoami)
+      ()
+  in
+  let s = Server.session server in
+  ignore (ok_exn (Server.submit server s "CREATE TABLE t (x INT)"));
+  ignore (ok_exn (Server.submit server s "INSERT INTO t VALUES (1), (2)"));
+  let client =
+    Domain.spawn (fun () ->
+        let rows = rows_exn (Server.submit server s "SELECT whoami(x) FROM t") in
+        ((Domain.self () :> int), List.length rows))
+  in
+  let id, n = Domain.join client in
+  Alcotest.(check int) "both rows answered" 2 n;
+  Alcotest.(check bool) "the function ran" true (!seen <> []);
+  Alcotest.(check (list int)) "every call ran on the submitting domain"
+    (List.map (fun _ -> id) !seen) !seen;
+  Alcotest.(check bool) "not on the main domain" true
+    (id <> (Domain.self () :> int));
+  Server.shutdown server
+
+exception Udf_boom
+
+(* an exception escaping a statement becomes a structured error, and the
+   admission slots it took are given back; Corona classifies neither
+   [Udf_boom] nor [Stack_overflow], so both reach [submit] raw *)
+let test_raising_statement_releases_admission () =
+  let raised = ref Udf_boom in
+  let boom =
+    {
+      Functions.sf_name = "boom";
+      sf_arity = Some 1;
+      sf_type = (fun _ -> Ok (Some Datatype.Int));
+      sf_eval = (fun _ -> raise !raised);
+    }
+  in
+  let server =
+    Server.create
+      ~install:(fun db -> Functions.register_scalar db.Starburst.Corona.functions boom)
+      ()
+  in
+  let s = Server.session server in
+  ignore (ok_exn (Server.submit server s "CREATE TABLE t (x INT)"));
+  ignore (ok_exn (Server.submit server s "INSERT INTO t VALUES (1)"));
+  let text = "SELECT boom(x) FROM t" in
+  List.iter
+    (fun (exn, name) ->
+      raised := exn;
+      (match Server.submit server s text with
+      | Error e ->
+        Alcotest.(check (option string)) (name ^ ": the error names the statement")
+          (Some text) e.Err.err_query;
+        Alcotest.(check bool) (name ^ ": the error names the exception") true
+          (contains name e.Err.err_msg)
+      | Ok _ -> Alcotest.fail "a raising function must fail its statement");
+      Alcotest.(check int) (name ^ ": nothing in flight on the server") 0
+        (Server.stats server).Server.st_inflight;
+      Alcotest.(check (list (pair int int))) (name ^ ": nothing in flight in the session")
+        [ (Server.session_id s, 0) ] (Server.list_sessions server);
+      check_rows (name ^ ": the session answers its next statement") [ row [ i 1 ] ]
+        (rows_exn (Server.submit server s "SELECT x FROM t")))
+    [ (Udf_boom, "Udf_boom"); (Stack_overflow, "Stack overflow") ];
   Server.shutdown server
 
 let suite =
@@ -700,7 +766,7 @@ let suite =
       case "EXPLAIN of DML is a writer" test_read_only_predicate;
       case "concurrent EXPLAIN INSERT keeps the index whole"
         test_explain_insert_writes;
-      case "a zero-worker default config admits" test_zero_workers_admit;
+      case "the default config admits" test_default_config_admits;
       case "one registry counts WAL commits across sessions"
         test_one_registry_counts_commits;
       case "one meta-command table" test_meta_table;
@@ -711,4 +777,8 @@ let suite =
         test_checkpoint_cadence_per_database;
       case "rule counts are the database's" test_rule_counts_per_database;
       case "pool counters in \\metrics" test_pool_counters_in_metrics;
+      case "a statement runs on the domain that submits it"
+        test_statement_runs_on_submitter;
+      case "a raising statement is a structured error and frees its slot"
+        test_raising_statement_releases_admission;
     ] )

@@ -2,11 +2,11 @@
 # Source-level lock-discipline lint.
 #
 # Every lock in the tree must be a named, leveled Sb_conc.Lock /
-# Sb_conc.Rwlock (or the Promise leaf), so the discipline checker can
-# see it.  A bare Mutex or Condition anywhere else is invisible to the
-# level-ordering, race and deadlock analyses — this script fails the
-# build on any such use outside lib/conc, where the primitives are
-# wrapped (and where the checker's own leaf mutex lives).
+# Sb_conc.Rwlock, so the discipline checker can see it.  A bare Mutex
+# or Condition anywhere else is invisible to the level-ordering, race
+# and deadlock analyses — this script fails the build on any such use
+# outside lib/conc, where the primitives are wrapped (and where the
+# checker's own leaf mutex lives).
 #
 # Usage: tools/check_lock_discipline.sh   (from the repository root)
 
