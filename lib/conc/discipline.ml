@@ -222,6 +222,11 @@ let released ~id ~name =
     tests). *)
 let held_locks () = List.map (fun h -> h.h_name) !(Domain.DLS.get dls)
 
+(* One id space for every {!Lock} and {!Rwlock}: re-entrancy is
+   detected by id, so a lock and an rwlock must never share one. *)
+let next_lock_id = Atomic.make 0
+let fresh_lock_id () = Atomic.fetch_and_add next_lock_id 1
+
 (* ------------------------------------------------------------------ *)
 (* Eraser lockset refinement                                           *)
 (* ------------------------------------------------------------------ *)
@@ -289,6 +294,14 @@ let access ~field ~site ~write =
            site dom prev_site prev_dom
            (String.concat ", " (List.map string_of_int doms)))
   end
+
+(** [access_of ~owner ~field] is {!access} to the field [field#owner]:
+    an object with instrumented fields names them after one of its own
+    locks' id, so that two instances — two databases' buffer pools,
+    each touched by its own domain under its own lock — are two fields,
+    not one.  The name is built only when armed. *)
+let access_of ~owner ~field ~site ~write =
+  if armed () then access ~field:(Printf.sprintf "%s#%d" field owner) ~site ~write
 
 (* ------------------------------------------------------------------ *)
 (* Graph queries                                                       *)

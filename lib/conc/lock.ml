@@ -18,16 +18,15 @@ type t = {
   l_mutex : Mutex.t;
 }
 
-let next_id = Atomic.make 0
-
 let create ~name ~level =
   {
-    l_id = Atomic.fetch_and_add next_id 1;
+    l_id = Discipline.fresh_lock_id ();
     l_name = name;
     l_level = level;
     l_mutex = Mutex.create ();
   }
 
+let id t = t.l_id
 let name t = t.l_name
 let level t = t.l_level
 

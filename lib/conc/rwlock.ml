@@ -25,11 +25,9 @@ type t = {
   mutable waiting_writers : int;
 }
 
-let next_id = Atomic.make 0
-
 let create ~name ~level =
   {
-    r_id = Atomic.fetch_and_add next_id 1;
+    r_id = Discipline.fresh_lock_id ();
     r_name = name;
     r_level = level;
     m = Mutex.create ();

@@ -146,7 +146,8 @@ let push_front sh node =
 let locked sh f = Sb_conc.Lock.with_lock sh.s_lock f
 
 let watch sh ~site ~write =
-  Sb_conc.Discipline.access ~field:sh.s_field ~site ~write
+  Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id sh.s_lock) ~field:sh.s_field ~site
+    ~write
 
 let shard_of t key =
   t.shards.(Hashtbl.hash key mod Array.length t.shards)

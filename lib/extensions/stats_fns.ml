@@ -30,6 +30,7 @@ let stddev_fn : Functions.aggregate_fn =
         let n, _, m2, step = make_moments () in
         {
           Functions.agg_step = step;
+          agg_step_int = None;
           agg_result =
             (fun () ->
               if !n < 2 then Value.Null
@@ -46,6 +47,7 @@ let variance_fn : Functions.aggregate_fn =
         let n, _, m2, step = make_moments () in
         {
           Functions.agg_step = step;
+          agg_step_int = None;
           agg_result =
             (fun () ->
               if !n < 2 then Value.Null
@@ -62,6 +64,7 @@ let median_fn : Functions.aggregate_fn =
         let values = ref [] in
         {
           Functions.agg_step = (fun v -> values := Value.as_float v :: !values);
+          agg_step_int = None;
           agg_result =
             (fun () ->
               match List.sort Float.compare !values with

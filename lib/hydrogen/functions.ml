@@ -33,6 +33,10 @@ type scalar_fn = {
     by the executor). *)
 type agg_instance = {
   agg_step : Value.t -> unit;
+  agg_step_int : (int -> unit) option;
+      (** when present, [agg_step_int x] is [agg_step (Int x)] without
+          boxing [x] (the built-ins provide it; the executor uses it on
+          unboxed INT columns) *)
   agg_result : unit -> Value.t;
 }
 
@@ -361,19 +365,25 @@ type float_acc = { mutable fsum : float }
 let make_sum _registry =
   let seen = ref false and floating = ref false and isum = ref 0 in
   let facc = { fsum = 0.0 } in
+  let add_float x =
+    if !floating then facc.fsum <- facc.fsum +. x
+    else begin
+      floating := true;
+      facc.fsum <- (if !seen then float_of_int !isum +. x else x)
+    end
+  in
   {
     agg_step =
       (fun v ->
         (match v with
         | Value.Int b when not !floating -> isum := !isum + b
-        | v ->
-          let x = Value.as_float v in
-          if !floating then facc.fsum <- facc.fsum +. x
-          else begin
-            floating := true;
-            facc.fsum <- (if !seen then float_of_int !isum +. x else x)
-          end);
+        | v -> add_float (Value.as_float v));
         seen := true);
+    agg_step_int =
+      Some
+        (fun b ->
+          if !floating then add_float (float_of_int b) else isum := !isum + b;
+          seen := true);
     agg_result =
       (fun () ->
         if not !seen then Value.Null
@@ -388,6 +398,13 @@ let make_extreme registry better =
   let acc = ref Value.Null in
   {
     agg_step = (fun v -> if Value.is_null !acc || better (cmp v !acc) then acc := v);
+    agg_step_int =
+      Some
+        (fun x ->
+          match !acc with
+          | Value.Null -> acc := Value.Int x
+          | Value.Int y -> if better (Int.compare x y) then acc := Value.Int x
+          | v -> if better (cmp (Value.Int x) v) then acc := Value.Int x);
     agg_result = (fun () -> !acc);
   }
 
@@ -407,6 +424,7 @@ let builtin_aggregates =
           let n = ref 0 in
           {
             agg_step = (fun _ -> incr n);
+            agg_step_int = Some (fun _ -> incr n);
             agg_result = (fun () -> Value.Int !n);
           });
     };
@@ -425,6 +443,11 @@ let builtin_aggregates =
               (fun v ->
                 incr n;
                 s.fsum <- s.fsum +. Value.as_float v);
+            agg_step_int =
+              Some
+                (fun x ->
+                  incr n;
+                  s.fsum <- s.fsum +. float_of_int x);
             agg_result =
               (fun () ->
                 if !n = 0 then Value.Null else Value.Float (s.fsum /. float_of_int !n));

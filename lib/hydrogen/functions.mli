@@ -26,6 +26,10 @@ type scalar_fn = {
     handled by the executor). *)
 type agg_instance = {
   agg_step : Value.t -> unit;
+  agg_step_int : (int -> unit) option;
+      (** when present, [agg_step_int x] is [agg_step (Int x)] without
+          boxing [x] (the built-ins provide it; the executor uses it on
+          unboxed INT columns) *)
   agg_result : unit -> Value.t;
 }
 

@@ -1,11 +1,22 @@
 (** Columnar row batches with selection vectors — the one interface
     between QES operators.
 
-    A batch holds up to {!capacity} rows column-chunked ([width] arrays
-    of {!Sb_storage.Value.t}), plus a {e selection vector}: the physical
-    indices of the rows still live.  Filters refine the selection in
-    place instead of copying rows; materializing operators read through
-    it.
+    A batch holds up to {!capacity} rows column-chunked, plus a
+    {e selection vector}: the physical indices of the rows still live.
+    Filters refine the selection in place instead of copying rows;
+    materializing operators read through it.
+
+    {b Typed chunks.}  A column chunk is either an array of
+    {!Sb_storage.Value.t} or, for an INT column, an unboxed [int array]
+    whose NULL marks are allocated on its first NULL.  Only the scan
+    produces INT chunks ({!emitter} [~ints], {!push_sink}); every other
+    producer writes boxed chunks, through today's paths.  {!value},
+    {!get}, {!blit_row} and {!blit_slots} box an INT chunk's values on
+    read, so an operator that knows nothing of typed chunks works
+    unchanged; GROUP BY aggregates, DISTINCT and GROUP keys and the hash
+    join's probe read them unboxed through {!is_int}, {!null_at} and
+    {!int_at}.  A batch without INT chunks pays one test per read call,
+    not per value.
 
     {b Lifetime.}  A producer owns the batches it emits and refills them:
     a batch is valid until its consumer pulls the next one,
@@ -40,7 +51,7 @@ val append_init : t -> (int -> Value.t) -> unit
 
 (** [select b cols] is the column-only projection of [b] onto its
     [cols] columns, without copying: the result shares [b]'s column
-    chunks and selection vector, so it takes [b] over — the caller must
+    chunks (typed ones included) and selection vector, so it takes [b] over — the caller must
     not use [b] again. *)
 val select : t -> int array -> t
 
@@ -50,6 +61,18 @@ val pad : t -> int -> unit
 
 (** [value b ~col i] reads column [col] of the [i]th {e live} row. *)
 val value : t -> col:int -> int -> Value.t
+
+(** [is_int b ~col]: column [col] of [b] is an unboxed INT chunk. *)
+val is_int : t -> col:int -> bool
+
+(** [null_at b ~col i]: column [col] of the [i]th live row is NULL
+    (for any chunk). *)
+val null_at : t -> col:int -> int -> bool
+
+(** [int_at b ~col i] reads an INT chunk's [i]th live row unboxed; the
+    result means nothing when the row's value is NULL.  [col] must be an
+    INT chunk ({!is_int}). *)
+val int_at : t -> col:int -> int -> int
 
 (** Materializes the [i]th live row as a fresh tuple. *)
 val get : t -> int -> Tuple.t
@@ -79,18 +102,35 @@ val truncate : t -> int -> unit
     producer may push any number of rows per step. *)
 type emitter
 
-val emitter : int -> emitter
+(** [emitter ?ints w]: batches of width [w]; column [k] is an INT chunk
+    when [ints.(k)] (no column when [ints] is absent). *)
+val emitter : ?ints:bool array -> int -> emitter
 
 val push : emitter -> Tuple.t -> unit
 
 (** [push_cols em row cols] pushes the projection
-    [row.(cols.(0)) .. row.(cols.(k-1))] (the scan's base-column
-    projection) without a per-row closure. *)
+    [row.(cols.(0)) .. row.(cols.(k-1))] (an index fetch's base-column
+    projection) without a per-row closure.  [em]'s batches must be
+    boxed. *)
 val push_cols : emitter -> Tuple.t -> int array -> unit
 
-(** [push_concat em a c] pushes the row [a @ c] (a join's outer and
-    inner halves) without materializing the concatenation. *)
-val push_concat : emitter -> Tuple.t -> Tuple.t -> unit
+(** [push_sink em s cols] pushes the sink's fields [cols.(0) ..
+    cols.(k-1)] (the scan's projection): into an INT chunk from
+    [s.ints] and [s.nulls], into a boxed chunk from [s.row].  Each INT
+    chunk's field must have been decoded [Unboxed], each boxed one
+    [Boxed]. *)
+val push_sink : emitter -> Row_codec.sink -> int array -> unit
+
+(** [reshape em ints]: the batches [em] opens have an INT chunk at
+    column [k] when [ints.(k)].
+    @raise Invalid_argument once [em] has opened a batch. *)
+val reshape : emitter -> bool array -> unit
+
+(** [push_from em b i c] pushes live row [i] of [b] followed by [c] (a
+    join's outer and inner halves): an INT chunk of [b] moves unboxed
+    into an INT chunk of [em]'s batch.  A value an INT chunk cannot hold
+    (neither Int nor NULL) turns that chunk boxed. *)
+val push_from : emitter -> t -> int -> Tuple.t -> unit
 
 (** [filled em]: [em] holds a full batch, so the next pull will not
     step again; a step that can stop between rows stops here. *)

@@ -121,6 +121,10 @@ type analysis = (Sb_optimizer.Plan.plan * op_stats) list ref
    passes, a fixed number of allocations, no per-key boxing. *)
 type hash_side = {
   hs_rows : Tuple.t array;  (* inner rows, build order *)
+  hs_ints : int array option Lazy.t;
+      (* when every key column of every row is Int or NULL: row [i]'s
+         key [k] unboxed at [i * nkeys + k] (0 for NULL); built on the
+         first probe by INT key chunks *)
   hs_hashes : int array;  (* prehashed keys; -1 = NULL key, never matches *)
   hs_next : int array;  (* bucket chain links (reverse build order) *)
   hs_heads : int array;  (* partition directory *)
@@ -189,6 +193,33 @@ let same_key cmp (a : Value.t array) (b : Value.t array) =
   done;
   !k = Array.length a
 
+(* opens entry [d.kd_count] for [key] (owned by the directory) with
+   hash [h], and returns it *)
+let add_entry d h (key : Value.t array) =
+  let e = d.kd_count in
+  if e = Array.length d.kd_keys then begin
+    d.kd_keys <- grown d.kd_keys [||];
+    d.kd_hashes <- grown d.kd_hashes 0;
+    d.kd_next <- grown d.kd_next (-1)
+  end;
+  if e >= Array.length d.kd_heads then begin
+    (* load factor 1: double the directory and rethread the chains *)
+    d.kd_heads <- Array.make (2 * Array.length d.kd_heads) (-1);
+    let mask = Array.length d.kd_heads - 1 in
+    for i = 0 to e - 1 do
+      let b = d.kd_hashes.(i) land mask in
+      d.kd_next.(i) <- d.kd_heads.(b);
+      d.kd_heads.(b) <- i
+    done
+  end;
+  let b = h land (Array.length d.kd_heads - 1) in
+  d.kd_keys.(e) <- key;
+  d.kd_hashes.(e) <- h;
+  d.kd_next.(e) <- d.kd_heads.(b);
+  d.kd_heads.(b) <- e;
+  d.kd_count <- e + 1;
+  e
+
 (* the entry of [key]; a new one (numbered [kd_count] before the call)
    if [key] is absent *)
 let find_or_add d (key : Value.t array) =
@@ -203,31 +234,53 @@ let find_or_add d (key : Value.t array) =
   do
     idx := d.kd_next.(!idx)
   done;
+  if !idx >= 0 then !idx else add_entry d h (Array.copy key)
+
+(* [Value.hash] of column [col] of live row [i], an INT chunk's unboxed *)
+let[@inline] cell_hash b ~col i =
+  if not (Batch.is_int b ~col) then Value.hash (Batch.value b ~col i)
+  else if Batch.null_at b ~col i then Value.hash Value.Null
+  else Value.hash_int (Batch.int_at b ~col i)
+
+(* [v] equals column [col] of live row [i]; an INT chunk's value is
+   boxed only to meet a stored key that is neither Int nor NULL *)
+let[@inline] same_cell cmp (v : Value.t) b ~col i =
+  if not (Batch.is_int b ~col) then same_value cmp v (Batch.value b ~col i)
+  else if Batch.null_at b ~col i then Value.is_null v
+  else
+    match v with
+    | Value.Int y -> y = Batch.int_at b ~col i
+    | Value.Null -> false
+    | v -> cmp v (Value.Int (Batch.int_at b ~col i)) = 0
+
+let same_row cmp (key : Value.t array) b i (slots : int array) =
+  let k = ref 0 in
+  while !k < Array.length slots && same_cell cmp key.(!k) b ~col:slots.(!k) i do
+    incr k
+  done;
+  !k = Array.length slots
+
+(* [find_or_add] of the key [slots] of live row [i] of [b], read in
+   place: the key is boxed (through [scratch], of the key's length) only
+   when it opens an entry *)
+let find_or_add_row d b i (slots : int array) (scratch : Value.t array) =
+  let acc = ref 0x331 in
+  for k = 0 to Array.length slots - 1 do
+    acc := (!acc * 0x01000193) lxor cell_hash b ~col:slots.(k) i
+  done;
+  let h = mix !acc in
+  let idx = ref d.kd_heads.(h land (Array.length d.kd_heads - 1)) in
+  while
+    !idx >= 0 && not (d.kd_hashes.(!idx) = h && same_row d.kd_cmp d.kd_keys.(!idx) b i slots)
+  do
+    idx := d.kd_next.(!idx)
+  done;
   if !idx >= 0 then !idx
   else begin
-    let e = d.kd_count in
-    if e = Array.length d.kd_keys then begin
-      d.kd_keys <- grown d.kd_keys [||];
-      d.kd_hashes <- grown d.kd_hashes 0;
-      d.kd_next <- grown d.kd_next (-1)
-    end;
-    if e >= Array.length d.kd_heads then begin
-      (* load factor 1: double the directory and rethread the chains *)
-      d.kd_heads <- Array.make (2 * Array.length d.kd_heads) (-1);
-      let mask = Array.length d.kd_heads - 1 in
-      for i = 0 to e - 1 do
-        let b = d.kd_hashes.(i) land mask in
-        d.kd_next.(i) <- d.kd_heads.(b);
-        d.kd_heads.(b) <- i
-      done
-    end;
-    let b = h land (Array.length d.kd_heads - 1) in
-    d.kd_keys.(e) <- Array.copy key;
-    d.kd_hashes.(e) <- h;
-    d.kd_next.(e) <- d.kd_heads.(b);
-    d.kd_heads.(b) <- e;
-    d.kd_count <- e + 1;
-    e
+    for k = 0 to Array.length slots - 1 do
+      scratch.(k) <- Batch.value b ~col:slots.(k) i
+    done;
+    add_entry d h (Array.copy scratch)
   end
 
 (* whether [key] opened a new entry (it is in the directory either way) *)
@@ -262,6 +315,48 @@ let probe_side s ~cmp (oslots : int array) (islots : int array) mbuf
         end
       end;
       idx := s.hs_next.(i)
+    done;
+    !cnt
+  end
+
+(* every column [slots] of [b] is an INT chunk *)
+let int_keys b (slots : int array) =
+  let k = ref 0 in
+  while !k < Array.length slots && Batch.is_int b ~col:slots.(!k) do
+    incr k
+  done;
+  !k = Array.length slots
+
+(* [probe_side] for an outer row whose key columns [oslots] are INT
+   chunks of [b], against a side with unboxed keys: no boxing, no
+   [Value.compare] *)
+let probe_ints s keys (oslots : int array) mbuf b i =
+  let nk = Array.length oslots in
+  let acc = ref 0x331 and null = ref false in
+  for k = 0 to nk - 1 do
+    let col = oslots.(k) in
+    if Batch.null_at b ~col i then null := true
+    else acc := (!acc * 0x01000193) lxor Value.hash_int (Batch.int_at b ~col i)
+  done;
+  if !null then 0
+  else begin
+    let h = mix !acc in
+    let cnt = ref 0 in
+    let idx = ref s.hs_heads.(h land s.hs_mask) in
+    while !idx >= 0 do
+      let e = !idx in
+      if s.hs_hashes.(e) = h then begin
+        let k = ref 0 in
+        while !k < nk && keys.((e * nk) + !k) = Batch.int_at b ~col:oslots.(!k) i do
+          incr k
+        done;
+        if !k = nk then begin
+          if !cnt >= Array.length !mbuf then mbuf := grown !mbuf 0;
+          (!mbuf).(!cnt) <- e;
+          incr cnt
+        end
+      end;
+      idx := s.hs_next.(e)
     done;
     !cnt
   end
@@ -337,6 +432,26 @@ let like_match ~pattern s =
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* [RCol c <cmp> k] with [k] a literal, host variable or parameter: the
+   comparison the compiled predicates test without {!eval} *)
+let const_compare = function
+  | RBin
+      ( ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
+        RCol c,
+        ((RLit _ | RHost _ | RParam _) as k) ) ->
+    Some (op, c, k)
+  | _ -> None
+
+(* whether [op] holds of a comparison's result [c] *)
+let holds op c =
+  match op with
+  | Ast.Eq -> c = 0
+  | Ast.Neq -> c <> 0
+  | Ast.Lt -> c < 0
+  | Ast.Le -> c <= 0
+  | Ast.Gt -> c > 0
+  | _ -> c >= 0
 
 let rec eval ectx ~(row : Value.t array) ~(params : Value.t array) (e : rexpr) :
     Value.t =
@@ -578,38 +693,86 @@ and probe_search ectx am probe =
    String/String — and NULL on either side fails; every other predicate,
    and every other pair of tags, goes through {!eval}. *)
 and compile_preds ectx ~params (preds : rexpr list) : Tuple.t -> bool =
-  let generic e row = bool3 (eval ectx ~row ~params e) = Some true in
-  let compile e =
-    match e with
-    | RBin
-        ( ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
-          RCol c,
-          ((RLit _ | RHost _ | RParam _) as k) ) ->
-      let k = lazy (eval ectx ~row:[||] ~params k) in
-      let holds c =
-        match op with
-        | Ast.Eq -> c = 0
-        | Ast.Neq -> c <> 0
-        | Ast.Lt -> c < 0
-        | Ast.Le -> c <= 0
-        | Ast.Gt -> c > 0
-        | _ -> c >= 0
-      in
-      fun row ->
-        if c >= Array.length row then generic e row
-        else (
-          match (row.(c), Lazy.force k) with
-          | Value.Int a, Value.Int b -> holds (Int.compare a b)
-          | Value.Float a, Value.Float b -> holds (Float.compare a b)
-          | Value.String a, Value.String b -> holds (String.compare a b)
-          | Value.Null, _ | _, Value.Null -> false
-          | _ -> generic e row)
-    | e -> generic e
-  in
-  match List.map compile preds with
+  match List.map (compile_pred ectx ~params) preds with
   | [] -> fun _ -> true
   | [ test ] -> test
   | tests -> fun row -> List.for_all (fun test -> test row) tests
+
+and compile_pred ectx ~params e : Tuple.t -> bool =
+  let generic row = bool3 (eval ectx ~row ~params e) = Some true in
+  match const_compare e with
+  | Some (op, c, k) ->
+    let k = lazy (eval ectx ~row:[||] ~params k) in
+    fun row ->
+      if c >= Array.length row then generic row
+      else (
+        match (row.(c), Lazy.force k) with
+        | Value.Int a, Value.Int b -> holds op (Int.compare a b)
+        | Value.Float a, Value.Float b -> holds op (Float.compare a b)
+        | Value.String a, Value.String b -> holds op (String.compare a b)
+        | Value.Null, _ | _, Value.Null -> false
+        | _ -> generic row)
+  | None -> generic
+
+(* The Scan's predicates over its sink (see {!scan_fields}): a constant
+   comparison of an [Unboxed] INT column tests the unboxed value, so a
+   rejected row allocates nothing; its constant is still resolved on
+   the first row, and a constant other than Int or NULL goes through
+   {!eval} on the boxed value.  Every other predicate is
+   {!compile_pred}'s test of the sink's boxed row. *)
+and compile_scan_preds ectx ~params (s : Row_codec.sink) preds : unit -> bool =
+  let compile e =
+    match const_compare e with
+    | Some (op, c, k)
+      when c < Array.length s.Row_codec.fields && s.Row_codec.fields.(c) = Row_codec.Unboxed ->
+      let k = lazy (eval ectx ~row:[||] ~params k) in
+      fun () ->
+        let kv = Lazy.force k in
+        if s.Row_codec.nulls.(c) then false
+        else (
+          match kv with
+          | Value.Int b -> holds op (Int.compare s.Row_codec.ints.(c) b)
+          | Value.Null -> false
+          | _ ->
+            s.Row_codec.row.(c) <- Value.Int s.Row_codec.ints.(c);
+            bool3 (eval ectx ~row:s.Row_codec.row ~params e) = Some true)
+    | _ ->
+      let test = compile_pred ectx ~params e in
+      fun () -> test s.Row_codec.row
+  in
+  match List.map compile preds with
+  | [] -> fun () -> true
+  | [ test ] -> test
+  | tests -> fun () -> List.for_all (fun test -> test ()) tests
+
+(* The Scan's field modes.  A column read by a predicate other than a
+   constant comparison is [Boxed]; an INT column that is projected or
+   only compared with constants is [Unboxed], unless the table holds
+   fewer rows than a batch (its one batch saves little, and every
+   downstream read would box again) or a predicate has a subquery (its
+   rows are held past the page); every other column is [Boxed] if read
+   and [Skip]ped if not. *)
+and scan_fields tab ~defer (cols : int list) preds =
+  let schema = tab.Table_store.schema in
+  let n = Array.length schema in
+  let fields = Array.make n Row_codec.Skip in
+  let typed = (not defer) && Table_store.tuple_count tab >= Batch.capacity in
+  let box c = if c < n then fields.(c) <- Row_codec.Boxed in
+  let want c =
+    if c < n && fields.(c) = Row_codec.Skip then
+      fields.(c) <-
+        (match schema.(c).Schema.col_type with
+        | Datatype.Int when typed -> Row_codec.Unboxed
+        | _ -> Row_codec.Boxed)
+  in
+  List.iter
+    (fun e -> if Option.is_none (const_compare e) then List.iter box (slots_used e))
+    preds;
+  List.iter
+    (fun e -> Option.iter (fun (_, c, _) -> want c) (const_compare e))
+    preds;
+  List.iter want cols;
+  fields
 
 (* ------------------------------------------------------------------ *)
 (* Operator bodies                                                     *)
@@ -625,32 +788,37 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
   match p.op with
   | Scan { sc_table; sc_cols; sc_preds } ->
     (* page at a time through the storage manager's scan primitive,
-       decoding only the projected and predicate columns *)
+       decoding only the projected and predicate columns, INT columns
+       unboxed where [scan_fields] says so *)
     let tab = find_table ectx sc_table in
     let cols = Array.of_list sc_cols in
-    let ncols = Array.length tab.Table_store.schema in
-    let needed = Array.make ncols false in
-    List.iter
-      (fun c -> if c < ncols then needed.(c) <- true)
-      (sc_cols @ List.concat_map slots_used sc_preds);
-    let row = Array.make ncols Value.Null in
-    let test = compile_preds ectx ~params sc_preds in
-    let em = Batch.emitter (Array.length cols) in
-    let take r =
-      ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
-      if test r then Batch.push_cols em r cols
-    in
     (* a subquery predicate runs after its page is unpinned, as the
        inner plan may itself scan *)
     let defer = List.exists rexpr_has_sub sc_preds in
+    let sink = Row_codec.sink (scan_fields tab ~defer sc_cols sc_preds) in
+    let test = compile_scan_preds ectx ~params sink sc_preds in
+    let ints =
+      Array.map
+        (fun c -> c < Array.length sink.fields && sink.fields.(c) = Row_codec.Unboxed)
+        cols
+    in
+    let em = Batch.emitter ~ints (Array.length cols) in
+    let take _slot =
+      ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
+      if test () then Batch.push_sink em sink cols
+    in
     let held = ref [] in
-    let on_row _ = if defer then held := Array.copy row :: !held else take row in
+    let on_row = if defer then fun _ -> held := Array.copy sink.row :: !held else take in
     let npages = Table_store.page_count tab and next_page = ref 0 in
     Batch.produce em (fun () ->
         if !next_page >= npages then false
         else begin
-          tab.Table_store.storage.Storage_manager.scan_page !next_page ~needed ~row on_row;
-          List.iter take (List.rev !held);
+          tab.Table_store.storage.Storage_manager.scan_page !next_page sink on_row;
+          List.iter
+            (fun r ->
+              Array.blit r 0 sink.row 0 (Array.length r);
+              take 0)
+            (List.rev !held);
           held := [];
           incr next_page;
           true
@@ -739,13 +907,14 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
   | Distinct_op ->
     (* a row survives iff it opens a new directory entry *)
     let seen = key_dir (registry ectx) in
+    let slots = Array.init (width p) Fun.id in
     let key = Array.make (width p) Value.Null in
     nonempty
       (Seq.map
          (fun b ->
            Batch.keep b (fun i ->
-               Batch.blit_row b i key;
-               is_new seen key);
+               let fresh = seen.kd_count in
+               find_or_add_row seen b i slots key = fresh);
            b)
          (input_batches ectx ~params p 0))
   | Union_all ->
@@ -999,11 +1168,11 @@ and sort_batches ectx ~params (p : plan) keys : Batch.t Seq.t =
       end)
 
 (* Aggregation.  Each row's aggregate arguments are read straight from
-   the batch.  Hash aggregation copies a row's key columns into one
-   scratch key for a single directory lookup; a group's key is copied
-   only when the group opens.  Over key-ordered input ([g_sorted])
-   one group is open at a time: a row with a new key closes it, so
-   output keeps the input's order and O(1) groups are held. *)
+   the batch.  Hash aggregation looks a row's key up in place
+   ({!find_or_add_row}); a group's key is boxed and copied only when the
+   group opens.  Over key-ordered input ([g_sorted]) one group is open
+   at a time: a row with a new key closes it, so output keeps the
+   input's order and O(1) groups are held. *)
 and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
   let g_keys, g_aggs, g_sorted =
     match p.op with
@@ -1011,10 +1180,17 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
     | _ -> assert false
   in
   let aslots = agg_slots g_aggs in
+  (* an INT chunk's argument steps unboxed where the aggregate can *)
   let step_aggs bank b i =
     for j = 0 to Array.length bank - 1 do
       let s = aslots.(j) in
       if s < 0 then bank.(j).Functions.agg_step Value.Null
+      else if Batch.is_int b ~col:s then begin
+        if not (Batch.null_at b ~col:s i) then
+          match bank.(j).Functions.agg_step_int with
+          | Some step -> step (Batch.int_at b ~col:s i)
+          | None -> bank.(j).Functions.agg_step (Value.Int (Batch.int_at b ~col:s i))
+      end
       else
         let v = Batch.value b ~col:s i in
         if not (Value.is_null v) then bank.(j).Functions.agg_step v
@@ -1022,11 +1198,6 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
   in
   let kslots = Array.of_list g_keys in
   let key = Array.make (Array.length kslots) Value.Null in
-  let read_key b i =
-    for k = 0 to Array.length kslots - 1 do
-      key.(k) <- Batch.value b ~col:kslots.(k) i
-    done
-  in
   if g_keys = [] then begin
     (* keyless aggregation: one bank, no group lookup *)
     let bank = make_agg_bank ectx g_aggs in
@@ -1055,15 +1226,14 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
           false
         | Some b ->
           for i = 0 to Batch.count b - 1 do
-            read_key b i;
             match !current with
-            | Some (k, bank) when Array.for_all2 (fun a v -> cmp a v = 0) k key ->
-              step_aggs bank b i
+            | Some (k, bank) when same_row cmp k b i kslots -> step_aggs bank b i
             | _ ->
               close ();
               let bank = make_agg_bank ectx g_aggs in
               step_aggs bank b i;
-              current := Some (Array.copy key, bank)
+              current := Some (Array.init (Array.length kslots) (fun k ->
+                  Batch.value b ~col:kslots.(k) i), bank)
           done;
           true)
   end
@@ -1073,9 +1243,8 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
     Seq.iter
       (fun b ->
         for i = 0 to Batch.count b - 1 do
-          read_key b i;
           let fresh = groups.kd_count in
-          let g = find_or_add groups key in
+          let g = find_or_add_row groups b i kslots key in
           if g = fresh then begin
             if g = Array.length !banks then banks := grown !banks [||];
             (!banks).(g) <- make_agg_bank ectx g_aggs
@@ -1101,6 +1270,17 @@ and join_build ectx ~params inner (islots : int array) : hash_side =
   let next = Array.make (max n 1) (-1) in
   let heads = Array.make nbuckets (-1) in
   let mask = nbuckets - 1 in
+  let nk = Array.length islots in
+  (* unboxed only once an outer row with INT key chunks probes *)
+  let ints =
+    lazy
+      (let int_or_null row s = match row.(s) with Value.Int _ | Value.Null -> true | _ -> false in
+       if Array.for_all (fun row -> Array.for_all (int_or_null row) islots) rows then
+         Some
+           (Array.init (n * nk) (fun j ->
+                match rows.(j / nk).(islots.(j mod nk)) with Value.Int x -> x | _ -> 0))
+       else None)
+  in
   for idx = 0 to n - 1 do
     let h = join_key_hash rows.(idx) islots in
     hashes.(idx) <- h;
@@ -1112,6 +1292,7 @@ and join_build ectx ~params inner (islots : int array) : hash_side =
   done;
   {
     hs_rows = rows;
+    hs_ints = ints;
     hs_hashes = hashes;
     hs_next = next;
     hs_heads = heads;
@@ -1136,12 +1317,19 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
   let inner_width = Array.length inner.props.p_slots in
   (* partial application shares one [Some reg] across all probes *)
   let cmp = Value.compare ~registry:(registry ectx) in
-  (* [iter_matches o f] calls [f] on the inner rows whose equi-columns
-     match [o]'s, in emission (build) order *)
+  (* reused per-probe outer row: every consumer below copies its values
+     out before the next probe overwrites it *)
+  let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
+  (* [iter_matches b i ~row f] calls [f] on the inner rows whose
+     equi-columns match live row [i] of the outer batch [b], in emission
+     (build) order; with [row], [scratch] holds the outer row whenever
+     [f] is called *)
   let iter_matches =
     match j_method with
     | Nested_loop ->
-      fun (o : Tuple.t) f ->
+      fun b i ~row:_ f ->
+        Batch.blit_row b i scratch;
+        let o = scratch in
         (* a parameter-bound inner owns its parameter space: bind its
            params positionally from the correlation sources; an unbound
            inner shares the enclosing parameter space *)
@@ -1170,18 +1358,25 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
       (* per-probe match buffer, reused across rows; holds build indices
          in chain (reverse build) order *)
       let mbuf = ref (Array.make 64 0) in
-      fun o f ->
+      fun b i ~row f ->
         let s = Lazy.force side in
-        let m = probe_side s ~cmp oslots islots mbuf o in
+        let m =
+          match if int_keys b oslots then Lazy.force s.hs_ints else None with
+          | Some keys ->
+            (* INT outer keys probe the unboxed build keys; the outer
+               row is boxed only when it matches and [row] asks *)
+            let m = probe_ints s keys oslots mbuf b i in
+            if m > 0 && row then Batch.blit_row b i scratch;
+            m
+          | _ ->
+            Batch.blit_row b i scratch;
+            probe_side s ~cmp oslots islots mbuf scratch
+        in
         for k = m - 1 downto 0 do
           f s.hs_rows.((!mbuf).(k))
         done
   in
   let em = Batch.emitter (width p) in
-  (* reused per-probe outer row: every consumer below copies its values
-     out before the next probe overwrites it *)
-  let scratch = Array.make (width (List.nth p.inputs 0)) Value.Null in
-  let concat i = Batch.push_concat em scratch i in
   let inners = ref [] in
   let gather i = inners := i :: !inners in
   let pred_true row =
@@ -1199,20 +1394,26 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
     let row = Array.append scratch i in
     if pred_true row && kind_truth row = Some true then Batch.push em row
   in
+  (* the outer batch and its row being probed *)
+  let cur = ref None and pos = ref 0 in
+  (* one closure per join, not one per probed row *)
+  let emit inner =
+    match !cur with Some b -> Batch.push_from em b !pos inner | None -> ()
+  in
   let probe_row b i =
-    Batch.blit_row b i scratch;
     match j_kind with
     | J_regular when no_preds ->
-      (* the hot path: no residual predicate, so the concatenated row
-         goes straight into the output columns *)
-      iter_matches scratch concat
-    | J_regular -> iter_matches scratch filtered
+      (* the hot path: no residual predicate, so the outer row and its
+         match go straight from the batch into the output columns, INT
+         chunks unboxed *)
+      iter_matches b i ~row:false emit
+    | J_regular -> iter_matches b i ~row:true filtered
     | _ ->
       (* the kind sees materialized tuples, and quantified/extension
          kinds may emit the outer tuple itself: hand them one they can
          own *)
       inners := [];
-      iter_matches scratch gather;
+      iter_matches b i ~row:true gather;
       List.iter (Batch.push em)
         (join_emit ectx ~j_kind ~pred_true ~kind_truth ~inner_width
            (Batch.get b i) (List.rev !inners))
@@ -1221,7 +1422,6 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
      outer row's matches are buffered past it and the governor's
      per-batch charge bounds a fan-out join *)
   let src = Seq.to_dispenser (input_batches ectx ~params p 0) in
-  let cur = ref None and pos = ref 0 in
   let rec step () =
     match !cur with
     | Some b when !pos < Batch.count b ->
@@ -1235,6 +1435,13 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
       match src () with
       | None -> false
       | Some b ->
+        (* the hot path's output takes the first outer batch's INT
+           chunks *)
+        (match (!cur, j_kind) with
+        | None, J_regular when no_preds ->
+          let wa = Array.length scratch in
+          Batch.reshape em (Array.init (width p) (fun k -> k < wa && Batch.is_int b ~col:k))
+        | _ -> ());
         cur := Some b;
         pos := 0;
         step ())
@@ -1310,6 +1517,7 @@ and make_agg_bank ectx g_aggs : Functions.agg_instance array =
                  (fun v ->
                    key.(0) <- v;
                    if is_new seen key then inst.Functions.agg_step v);
+               agg_step_int = None;
              })
        g_aggs)
 

@@ -36,9 +36,6 @@ module Metrics = Sb_obs.Metrics
 module Rwlock = Sb_conc.Rwlock
 module Lock = Sb_conc.Lock
 
-(* the race detector's view of the admission counters + session table *)
-let watch_state ~site ~write =
-  Sb_conc.Discipline.access ~field:"server.state" ~site ~write
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -89,6 +86,11 @@ type t = {
   rw : Rwlock.t;
 }
 
+(* the race detector's view of the admission counters + session table,
+   named per server *)
+let watch_state t ~site ~write =
+  Sb_conc.Discipline.access_of ~owner:(Lock.id t.lock) ~field:"server.state" ~site ~write
+
 type stats = {
   st_sessions : int;
   st_inflight : int;
@@ -127,7 +129,7 @@ let create ?config ?limits ?install () =
 let catalog t = t.base.Corona.catalog
 let set_cache_enabled t on =
   locked t (fun () ->
-      watch_state ~site:"Sb_server.set_cache_enabled" ~write:true;
+      watch_state t ~site:"Sb_server.set_cache_enabled" ~write:true;
       t.cache_enabled <- on)
 let cache_stats t = Plan_cache.stats t.base.Corona.plan_cache
 let clear_cache t = Plan_cache.clear t.base.Corona.plan_cache
@@ -137,7 +139,7 @@ let new_session_db t =
 
 let session t =
   locked t (fun () ->
-      watch_state ~site:"Sb_server.session" ~write:true;
+      watch_state t ~site:"Sb_server.session" ~write:true;
       if t.closed then failwith "Sb_server.session: server is shut down";
       let id = t.next_session in
       t.next_session <- id + 1;
@@ -160,20 +162,20 @@ let session_db s = s.s_db
 
 let close_session t s =
   locked t (fun () ->
-      watch_state ~site:"Sb_server.close_session" ~write:true;
+      watch_state t ~site:"Sb_server.close_session" ~write:true;
       s.s_closed <- true;
       Hashtbl.remove t.sessions s.s_id)
 
 let list_sessions t =
   locked t (fun () ->
-      watch_state ~site:"Sb_server.list_sessions" ~write:false;
+      watch_state t ~site:"Sb_server.list_sessions" ~write:false;
       Hashtbl.fold (fun id s acc -> (id, s.s_inflight) :: acc) t.sessions [])
   |> List.sort compare
 
 let stats t =
   let sessions, inflight, admitted, shed, rejected =
     locked t (fun () ->
-        watch_state ~site:"Sb_server.stats" ~write:false;
+        watch_state t ~site:"Sb_server.stats" ~write:false;
         (Hashtbl.length t.sessions, t.inflight, t.admitted, t.shed, t.rejected))
   in
   {
@@ -269,7 +271,7 @@ let execute t s ~shed ~use_cache text : Corona.result =
 
 let reject t ~msg text =
   locked t (fun () ->
-      watch_state ~site:"Sb_server.reject" ~write:true;
+      watch_state t ~site:"Sb_server.reject" ~write:true;
       t.rejected <- t.rejected + 1);
   bump t "sb_server_rejected_total";
   Error (Err.make ~query:text ~retryable:true Err.Resource msg)
@@ -279,7 +281,7 @@ let reject t ~msg text =
 let submit t s (text : string) : (Corona.result, Err.t) result =
   let decision =
     locked t (fun () ->
-        watch_state ~site:"Sb_server.submit" ~write:true;
+        watch_state t ~site:"Sb_server.submit" ~write:true;
         if t.closed then `Closed
         else if s.s_closed then `Session_closed
         else if t.inflight >= t.config.max_inflight then `Reject
@@ -318,7 +320,7 @@ let submit t s (text : string) : (Corona.result, Err.t) result =
     Fun.protect
       ~finally:(fun () ->
         locked t (fun () ->
-            watch_state ~site:"Sb_server.statement_done" ~write:true;
+            watch_state t ~site:"Sb_server.statement_done" ~write:true;
             t.inflight <- t.inflight - 1;
             s.s_inflight <- s.s_inflight - 1))
       (fun () ->
@@ -328,7 +330,7 @@ let submit t s (text : string) : (Corona.result, Err.t) result =
 
 let shutdown t =
   locked t (fun () ->
-      watch_state ~site:"Sb_server.shutdown" ~write:true;
+      watch_state t ~site:"Sb_server.shutdown" ~write:true;
       t.closed <- true)
 
 (* ------------------------------------------------------------------ *)

@@ -108,12 +108,14 @@ let create ?(capacity = 256) () =
 
 let locked t f = Sb_conc.Lock.with_lock t.lock f
 
-(* the pool's instrumented shared fields *)
-let watch_frames ~site ~write =
-  Sb_conc.Discipline.access ~field:"buffer_pool.frames" ~site ~write
+(* the pool's instrumented shared fields, named per pool *)
+let watch_frames t ~site ~write =
+  Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id t.lock) ~field:"buffer_pool.frames"
+    ~site ~write
 
-let watch_stats ~site ~write =
-  Sb_conc.Discipline.access ~field:"buffer_pool.stats" ~site ~write
+let watch_stats t ~site ~write =
+  Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id t.lock) ~field:"buffer_pool.stats"
+    ~site ~write
 
 let set_faults t f = locked t (fun () -> t.faults <- f)
 let faults t = locked t (fun () -> t.faults)
@@ -126,7 +128,7 @@ let stats t = t.stats
 
 let reset_stats t =
   locked t @@ fun () ->
-  watch_stats ~site:"Buffer_pool.reset_stats" ~write:true;
+  watch_stats t ~site:"Buffer_pool.reset_stats" ~write:true;
   t.stats.logical_reads <- 0;
   t.stats.physical_reads <- 0;
   t.stats.physical_writes <- 0;
@@ -134,7 +136,7 @@ let reset_stats t =
 
 let create_file ?(page_size = Page.default_size) t =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.create_file" ~write:true;
+  watch_frames t ~site:"Buffer_pool.create_file" ~write:true;
   let id = t.next_file in
   t.next_file <- id + 1;
   Hashtbl.replace t.files id { pages = [||]; npages = 0; page_size };
@@ -142,7 +144,7 @@ let create_file ?(page_size = Page.default_size) t =
 
 let drop_file t id =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.drop_file" ~write:true;
+  watch_frames t ~site:"Buffer_pool.drop_file" ~write:true;
   Hashtbl.remove t.files id;
   Hashtbl.filter_map_inplace
     (fun _ frame ->
@@ -162,7 +164,7 @@ let get_file t id =
 
 let page_count t id =
   locked t (fun () ->
-      watch_frames ~site:"Buffer_pool.page_count" ~write:false;
+      watch_frames t ~site:"Buffer_pool.page_count" ~write:false;
       (get_file t id).npages)
 
 (* Evict the least-recently-used unpinned frame while the pool is over
@@ -200,8 +202,8 @@ let new_frame t page file_id page_no ~pins =
 
 let pin_raw t file_id page_no =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.pin" ~write:true;
-  watch_stats ~site:"Buffer_pool.pin" ~write:true;
+  watch_frames t ~site:"Buffer_pool.pin" ~write:true;
+  watch_stats t ~site:"Buffer_pool.pin" ~write:true;
   t.stats.logical_reads <- t.stats.logical_reads + 1;
   match Hashtbl.find_opt t.cache (file_id, page_no) with
   | Some frame ->
@@ -225,7 +227,7 @@ let pin t file_id page_no =
 
 let unpin t file_id page_no =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.unpin" ~write:true;
+  watch_frames t ~site:"Buffer_pool.unpin" ~write:true;
   match Hashtbl.find_opt t.cache (file_id, page_no) with
   | Some frame when frame.pins > 0 ->
     frame.pins <- frame.pins - 1;
@@ -241,7 +243,7 @@ let with_page t file_id page_no f =
 
 let resident t =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.resident" ~write:false;
+  watch_frames t ~site:"Buffer_pool.resident" ~write:false;
   let rec walk f acc =
     if f == t.lru then acc else walk f.older ((f.f_file, f.f_page_no) :: acc)
   in
@@ -254,8 +256,8 @@ let resident t =
 let flush_all t =
   Sb_resil.Faults.guard t.faults ~site:"buffer.flush" (fun () -> ());
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.flush_all" ~write:true;
-  watch_stats ~site:"Buffer_pool.flush_all" ~write:true;
+  watch_frames t ~site:"Buffer_pool.flush_all" ~write:true;
+  watch_stats t ~site:"Buffer_pool.flush_all" ~write:true;
   let stable = t.stable_lsn () in
   let written = ref 0 in
   Hashtbl.iter
@@ -273,7 +275,7 @@ let flush_all t =
 
 let dirty_pages t =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.dirty_pages" ~write:false;
+  watch_frames t ~site:"Buffer_pool.dirty_pages" ~write:false;
   let n = ref 0 in
   Hashtbl.iter
     (fun _ f ->
@@ -289,7 +291,7 @@ let dirty_pages t =
     file. *)
 let discard_all t =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.discard_all" ~write:true;
+  watch_frames t ~site:"Buffer_pool.discard_all" ~write:true;
   Hashtbl.reset t.files;
   Hashtbl.reset t.cache;
   t.lru.older <- t.lru;
@@ -298,7 +300,7 @@ let discard_all t =
 (** Appends a fresh page to [file_id] and returns its page number. *)
 let alloc_page t file_id =
   locked t @@ fun () ->
-  watch_frames ~site:"Buffer_pool.alloc_page" ~write:true;
+  watch_frames t ~site:"Buffer_pool.alloc_page" ~write:true;
   let f = get_file t file_id in
   let page_no = f.npages in
   let page = Page.create ~size:f.page_size page_no in

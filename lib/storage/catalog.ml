@@ -76,21 +76,23 @@ let create ?(pool_capacity = 256) () =
 
 let locked t f = Sb_conc.Lock.with_lock t.lock f
 
-(* the two instrumented shared fields of the catalog *)
-let watch_epoch ~site ~write =
-  Sb_conc.Discipline.access ~field:"catalog.epoch" ~site ~write
+(* the two instrumented shared fields of the catalog, named per catalog *)
+let watch_epoch t ~site ~write =
+  Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id t.lock) ~field:"catalog.epoch" ~site
+    ~write
 
-let watch_defs ~site ~write =
-  Sb_conc.Discipline.access ~field:"catalog.defs" ~site ~write
+let watch_defs t ~site ~write =
+  Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id t.lock) ~field:"catalog.defs" ~site
+    ~write
 
 let epoch t =
   locked t (fun () ->
-      watch_epoch ~site:"Catalog.epoch" ~write:false;
+      watch_epoch t ~site:"Catalog.epoch" ~write:false;
       t.epoch)
 
 let bump_epoch t =
   locked t (fun () ->
-      watch_epoch ~site:"Catalog.bump_epoch" ~write:true;
+      watch_epoch t ~site:"Catalog.bump_epoch" ~write:true;
       t.epoch <- t.epoch + 1)
 
 let set_faults t f =
@@ -109,33 +111,33 @@ let view_exists_u t name = Hashtbl.mem t.views (norm name)
 let find_table t name =
   Sb_resil.Faults.guard t.faults ~site:"catalog.lookup" (fun () ->
       locked t (fun () ->
-          watch_defs ~site:"Catalog.find_table" ~write:false;
+          watch_defs t ~site:"Catalog.find_table" ~write:false;
           find_table_u t name))
 
 let find_view t name =
   locked t (fun () ->
-      watch_defs ~site:"Catalog.find_view" ~write:false;
+      watch_defs t ~site:"Catalog.find_view" ~write:false;
       find_view_u t name)
 
 let table_exists t name =
   locked t (fun () ->
-      watch_defs ~site:"Catalog.table_exists" ~write:false;
+      watch_defs t ~site:"Catalog.table_exists" ~write:false;
       table_exists_u t name)
 
 let view_exists t name =
   locked t (fun () ->
-      watch_defs ~site:"Catalog.view_exists" ~write:false;
+      watch_defs t ~site:"Catalog.view_exists" ~write:false;
       view_exists_u t name)
 
 let table_names t =
   locked t (fun () ->
-      watch_defs ~site:"Catalog.table_names" ~write:false;
+      watch_defs t ~site:"Catalog.table_names" ~write:false;
       Hashtbl.fold (fun _ tab acc -> tab.Table_store.name :: acc) t.tables [])
   |> List.sort String.compare
 
 let view_names t =
   locked t (fun () ->
-      watch_defs ~site:"Catalog.view_names" ~write:false;
+      watch_defs t ~site:"Catalog.view_names" ~write:false;
       Hashtbl.fold (fun _ v acc -> v.view_name :: acc) t.views [])
   |> List.sort String.compare
 
@@ -147,8 +149,8 @@ let error fmt = Fmt.kstr (fun s -> raise (Catalog_error s)) fmt
     (default ["heap"]). *)
 let create_table t ?(storage = "heap") ~name ~(schema : Schema.t) () =
   locked t @@ fun () ->
-  watch_defs ~site:"Catalog.create_table" ~write:true;
-  watch_epoch ~site:"Catalog.create_table" ~write:true;
+  watch_defs t ~site:"Catalog.create_table" ~write:true;
+  watch_epoch t ~site:"Catalog.create_table" ~write:true;
   if table_exists_u t name || view_exists_u t name then
     error "table or view %s already exists" name;
   let factory =
@@ -182,8 +184,8 @@ let create_table t ?(storage = "heap") ~name ~(schema : Schema.t) () =
 
 let drop_table t name =
   locked t @@ fun () ->
-  watch_defs ~site:"Catalog.drop_table" ~write:true;
-  watch_epoch ~site:"Catalog.drop_table" ~write:true;
+  watch_defs t ~site:"Catalog.drop_table" ~write:true;
+  watch_epoch t ~site:"Catalog.drop_table" ~write:true;
   match find_table_u t name with
   | None -> error "no such table %s" name
   | Some _ ->
@@ -192,8 +194,8 @@ let drop_table t name =
 
 let create_view t ~name ~text ?columns () =
   locked t @@ fun () ->
-  watch_defs ~site:"Catalog.create_view" ~write:true;
-  watch_epoch ~site:"Catalog.create_view" ~write:true;
+  watch_defs t ~site:"Catalog.create_view" ~write:true;
+  watch_epoch t ~site:"Catalog.create_view" ~write:true;
   if table_exists_u t name || view_exists_u t name then
     error "table or view %s already exists" name;
   Hashtbl.replace t.views (norm name)
@@ -202,8 +204,8 @@ let create_view t ~name ~text ?columns () =
 
 let drop_view t name =
   locked t @@ fun () ->
-  watch_defs ~site:"Catalog.drop_view" ~write:true;
-  watch_epoch ~site:"Catalog.drop_view" ~write:true;
+  watch_defs t ~site:"Catalog.drop_view" ~write:true;
+  watch_epoch t ~site:"Catalog.drop_view" ~write:true;
   if not (view_exists_u t name) then error "no such view %s" name;
   Hashtbl.remove t.views (norm name);
   t.epoch <- t.epoch + 1
@@ -211,8 +213,8 @@ let drop_view t name =
 (** Creates an index (attachment) of a registered [kind] on [table]. *)
 let create_index t ~name ~table ~kind ~columns =
   locked t @@ fun () ->
-  watch_defs ~site:"Catalog.create_index" ~write:true;
-  watch_epoch ~site:"Catalog.create_index" ~write:true;
+  watch_defs t ~site:"Catalog.create_index" ~write:true;
+  watch_epoch t ~site:"Catalog.create_index" ~write:true;
   let tab =
     match find_table_u t table with
     | Some tab -> tab
@@ -252,8 +254,8 @@ let create_index t ~name ~table ~kind ~columns =
 
 let drop_index t ~table ~name =
   locked t @@ fun () ->
-  watch_defs ~site:"Catalog.drop_index" ~write:true;
-  watch_epoch ~site:"Catalog.drop_index" ~write:true;
+  watch_defs t ~site:"Catalog.drop_index" ~write:true;
+  watch_epoch t ~site:"Catalog.drop_index" ~write:true;
   match find_table_u t table with
   | None -> error "no such table %s" table
   | Some tab ->
@@ -262,8 +264,8 @@ let drop_index t ~table ~name =
 
 let analyze_all t =
   locked t (fun () ->
-      watch_defs ~site:"Catalog.analyze_all" ~write:false;
-      watch_epoch ~site:"Catalog.analyze_all" ~write:true;
+      watch_defs t ~site:"Catalog.analyze_all" ~write:false;
+      watch_epoch t ~site:"Catalog.analyze_all" ~write:true;
       Hashtbl.iter (fun _ tab -> ignore (Table_store.analyze tab)) t.tables;
       t.epoch <- t.epoch + 1)
 
@@ -271,7 +273,7 @@ let analyze_all t =
     the payload of a fuzzy checkpoint. *)
 let snapshot_tables t : (string * Tuple.t list) list =
   locked t (fun () ->
-      watch_defs ~site:"Catalog.snapshot_tables" ~write:false;
+      watch_defs t ~site:"Catalog.snapshot_tables" ~write:false;
       Hashtbl.fold
         (fun _ tab acc ->
           let rows = Table_store.scan tab |> Seq.map snd |> List.of_seq in
@@ -284,8 +286,8 @@ let snapshot_tables t : (string * Tuple.t list) list =
     rebuilds the instance from it. *)
 let reset_storage t =
   locked t @@ fun () ->
-  watch_defs ~site:"Catalog.reset_storage" ~write:true;
-  watch_epoch ~site:"Catalog.reset_storage" ~write:true;
+  watch_defs t ~site:"Catalog.reset_storage" ~write:true;
+  watch_epoch t ~site:"Catalog.reset_storage" ~write:true;
   Hashtbl.reset t.tables;
   Hashtbl.reset t.views;
   Buffer_pool.discard_all t.pool;

@@ -16,6 +16,7 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
       Sb_resil.Err.fail Sb_resil.Err.Storage
         "fixed: schema has variable-length columns"
   in
+  let layout = Row_codec.fixed_layout schema in
   let cell = width + 1 (* liveness byte *) in
   let per_page = (Page.default_size - 64) / cell in
   if per_page < 1 then
@@ -94,7 +95,7 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
   in
   (* one pin per page, amortized over all its cells; cells at or past
      the cursor were never written since the last truncate *)
-  let scan_page page ~needed ~row k =
+  let scan_page page sink k =
     let base = page * per_page and total = !next_free in
     if base < total then
       Buffer_pool.with_page pool file page (fun p ->
@@ -102,7 +103,7 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
               for cell_no = 0 to min per_page (total - base) - 1 do
                 let at = off + (cell_no * cell) in
                 if Bytes.get data at = '\001' then begin
-                  Row_codec.decode_fixed_into ~schema ~needed data (at + 1) row;
+                  Row_codec.decode_fixed_into layout sink data (at + 1);
                   k cell_no
                 end
               done))

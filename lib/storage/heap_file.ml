@@ -73,11 +73,11 @@ let make ~(pool : Buffer_pool.t) ~(schema : Schema.t) : instance =
               Page.update p rid.rid_slot record)
   in
   (* decodes straight from the pinned page's bytes *)
-  let scan_page page_no ~needed ~row k =
+  let scan_page page_no sink k =
     Sb_resil.Faults.guard (Buffer_pool.faults pool) ~site:"heap.page" (fun () ->
         Buffer_pool.with_page pool file page_no (fun p ->
             Page.iter_in_place p (fun slot data off len ->
-                Row_codec.decode_into ~needed data ~off ~len row;
+                Row_codec.decode_into sink data ~off ~len;
                 k slot)))
   in
   let truncate () =

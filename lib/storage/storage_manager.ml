@@ -23,7 +23,7 @@ type instance = {
   delete : rid -> bool;
   update : rid -> Tuple.t -> bool;
   fetch : rid -> Tuple.t option;
-  scan_page : int -> needed:bool array -> row:Tuple.t -> (int -> unit) -> unit;
+  scan_page : int -> Row_codec.sink -> (int -> unit) -> unit;
   tuple_count : unit -> int;
   page_count : unit -> int;
   truncate : unit -> unit;

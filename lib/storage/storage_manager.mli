@@ -21,14 +21,18 @@ type instance = {
       (** [false] when the record could not be updated in place (the
           caller deletes and reinserts) or does not exist *)
   fetch : rid -> Tuple.t option;
-  scan_page : int -> needed:bool array -> row:Tuple.t -> (int -> unit) -> unit;
-      (** [scan_page i ~needed ~row k] is the one scan primitive: for
-          each live record of page [i] (in [0, page_count ())), in slot
-          order, decode the columns [c] with [needed.(c)] straight from
-          the page's bytes into [row] and call [k slot].  Other slots of
-          [row] are left untouched; [row] is overwritten by the next
+  scan_page : int -> Row_codec.sink -> (int -> unit) -> unit;
+      (** [scan_page i s k] is the one scan primitive: for each live
+          record of page [i] (in [0, page_count ())), in slot order,
+          decode the record straight from the page's bytes into [s] as
+          its field modes ask ({!Row_codec.field}: skipped, boxed into
+          [s.row], or an INT column unboxed into [s.ints] with its NULL
+          mark in [s.nulls]) and call [k slot].  Slots of a skipped
+          field are left untouched; [s] is overwritten by the next
           record, so [k] copies what it keeps.  [k] runs while the page
-          is pinned and must not modify the table. *)
+          is pinned and must not modify the table.
+          @raise Sb_resil.Err.Error (stage [Storage]) on a corrupt
+          record, or an [Unboxed] field that is not an INT column. *)
   tuple_count : unit -> int;
   page_count : unit -> int;
   truncate : unit -> unit;

@@ -76,15 +76,15 @@ let page_count t = t.storage.Storage_manager.page_count ()
    are copied out before its successor is pinned *)
 let scan t =
   let width = Array.length t.schema in
-  let needed = Array.make width true and row = Array.make width Value.Null in
+  let sink = Row_codec.sink (Array.make width Row_codec.Boxed) in
   let npages = page_count t in
   let rec page_seq i () =
     if i >= npages then Seq.Nil
     else begin
       let rows = ref [] in
-      t.storage.Storage_manager.scan_page i ~needed ~row (fun slot ->
+      t.storage.Storage_manager.scan_page i sink (fun slot ->
           rows :=
-            ({ Storage_manager.rid_page = i; rid_slot = slot }, Array.copy row)
+            ({ Storage_manager.rid_page = i; rid_slot = slot }, Array.copy sink.row)
             :: !rows);
       Seq.append (List.to_seq (List.rev !rows)) (page_seq (i + 1)) ()
     end

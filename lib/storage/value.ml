@@ -64,13 +64,15 @@ let hash_float x =
   if Float.is_integer x && x >= -0x1p62 && x < 0x1p62 then int_of_float x
   else Hashtbl.hash x
 
+(* ints and floats that are [equal] must hash alike: an Int hashes as
+   the float it compares as, which up to 2^53 is the int itself *)
+let hash_int x =
+  if x >= -0x20_0000_0000_0000 && x <= 0x20_0000_0000_0000 then x
+  else hash_float (float_of_int x)
+
 let hash = function
   | Null -> 0
-  (* ints and floats that are [equal] must hash alike: an Int hashes as
-     the float it compares as, which up to 2^53 is the int itself *)
-  | Int x ->
-    if x >= -0x20_0000_0000_0000 && x <= 0x20_0000_0000_0000 then x
-    else hash_float (float_of_int x)
+  | Int x -> hash_int x
   | Float x -> hash_float x
   | Bool b -> Hashtbl.hash b
   | String s -> Hashtbl.hash s

@@ -36,6 +36,9 @@ val equal : ?registry:Datatype.registry -> t -> t -> bool
     [ext_compare], which may equate different payloads. *)
 val hash : t -> int
 
+(** [hash_int x] is [hash (Int x)], without boxing [x]. *)
+val hash_int : int -> int
+
 val to_string : ?registry:Datatype.registry -> t -> string
 
 (** Literal display form: strings are quoted and escaped. *)

@@ -129,38 +129,39 @@ let locked t f = Sb_conc.Lock.with_lock t.lock f
 (* The race detector watches the log state as one instrumented field:
    every read or write of the LSN counters / regions records the locks
    held at the access site. *)
-let watch ~site ~write = Sb_conc.Discipline.access ~field:"wal.log" ~site ~write
+let watch t ~site ~write =
+  Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id t.lock) ~field:"wal.log" ~site ~write
 let set_faults t f = locked t (fun () -> t.faults <- f)
 let set_sink t sink = locked t (fun () -> t.sink <- sink)
 
 let enabled t =
   locked t (fun () ->
-      watch ~site:"Wal.enabled" ~write:false;
+      watch t ~site:"Wal.enabled" ~write:false;
       t.enabled)
 
 let set_enabled t on =
   locked t (fun () ->
-      watch ~site:"Wal.set_enabled" ~write:true;
+      watch t ~site:"Wal.set_enabled" ~write:true;
       t.enabled <- on)
 
 let needs_recovery t =
   locked t (fun () ->
-      watch ~site:"Wal.needs_recovery" ~write:false;
+      watch t ~site:"Wal.needs_recovery" ~write:false;
       t.needs_recovery)
 
 let set_needs_recovery t v =
   locked t (fun () ->
-      watch ~site:"Wal.set_needs_recovery" ~write:true;
+      watch t ~site:"Wal.set_needs_recovery" ~write:true;
       t.needs_recovery <- v)
 
 let set_checkpoint_every t n =
   locked t (fun () ->
-      watch ~site:"Wal.set_checkpoint_every" ~write:true;
+      watch t ~site:"Wal.set_checkpoint_every" ~write:true;
       t.checkpoint_every <- n)
 
 let checkpoint_due t =
   locked t @@ fun () ->
-  watch ~site:"Wal.checkpoint_due" ~write:true;
+  watch t ~site:"Wal.checkpoint_due" ~write:true;
   if t.checkpoint_every <= 0 then false
   else begin
     t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
@@ -171,7 +172,7 @@ let checkpoint_due t =
 
 let current_lsn t =
   locked t (fun () ->
-      watch ~site:"Wal.current_lsn" ~write:false;
+      watch t ~site:"Wal.current_lsn" ~write:false;
       t.next_lsn - 1)
 
 (** Highest LSN in the stable region — the buffer pool's WAL-rule bound
@@ -179,7 +180,7 @@ let current_lsn t =
     [max_int] when the log is disabled: no rule to honor. *)
 let stable_lsn t =
   locked t @@ fun () ->
-  watch ~site:"Wal.stable_lsn" ~write:false;
+  watch t ~site:"Wal.stable_lsn" ~write:false;
   if not t.enabled then max_int
   else List.fold_left (fun m l -> max m l.l_lsn) 0 t.stable
 
@@ -190,7 +191,7 @@ let bump ?(by = 1) t name = Metrics.add_counters t.metrics [ (name, None, by) ]
     record — it was never serialized. *)
 let append t (r : record) : int =
   locked t @@ fun () ->
-  watch ~site:"Wal.append" ~write:true;
+  watch t ~site:"Wal.append" ~write:true;
   if not t.enabled then 0
   else begin
     Faults.guard t.faults ~site:"wal.append" (fun () -> ());
@@ -217,7 +218,7 @@ let append t (r : record) : int =
 let begin_txn t : int =
   let txn =
     locked t (fun () ->
-        watch ~site:"Wal.begin_txn" ~write:true;
+        watch t ~site:"Wal.begin_txn" ~write:true;
         let txn = t.next_txn in
         t.next_txn <- txn + 1;
         txn)
@@ -236,7 +237,7 @@ let torn l = { l with l_crc = Int32.lognot l.l_crc }
 let flush t : unit =
   let sink =
     locked t @@ fun () ->
-    watch ~site:"Wal.flush" ~write:true;
+    watch t ~site:"Wal.flush" ~write:true;
     if (not t.enabled) || t.volatile = [] then None
     else begin
       (match Faults.guard t.faults ~site:"wal.flush" (fun () -> ()) with
@@ -263,7 +264,7 @@ let flush t : unit =
     all that survives.  Recovery is required before further use. *)
 let crash t : unit =
   locked t @@ fun () ->
-  watch ~site:"Wal.crash" ~write:true;
+  watch t ~site:"Wal.crash" ~write:true;
   t.volatile <- [];
   t.needs_recovery <- true
 
@@ -272,7 +273,7 @@ let crash t : unit =
     records and the number of truncated entries. *)
 let stable_records t : (int * record) list * int =
   locked t @@ fun () ->
-  watch ~site:"Wal.stable_records" ~write:false;
+  watch t ~site:"Wal.stable_records" ~write:false;
   let all = List.rev t.stable in
   let rec go acc = function
     | [] -> (List.rev acc, 0)
@@ -303,7 +304,7 @@ let checkpoint t ~(tables : (string * Tuple.t list) list) : unit =
     flush t;
     let sink =
       locked t (fun () ->
-          watch ~site:"Wal.checkpoint" ~write:true;
+          watch t ~site:"Wal.checkpoint" ~write:true;
           t.stable <- List.filter (fun l -> l.l_lsn >= lsn) t.stable;
           t.n_checkpoints <- t.n_checkpoints + 1;
           bump t "sb_wal_checkpoints_total";
@@ -331,7 +332,7 @@ type stats = {
 
 let stats t : stats =
   locked t @@ fun () ->
-  watch ~site:"Wal.stats" ~write:false;
+  watch t ~site:"Wal.stats" ~write:false;
   {
     s_enabled = t.enabled;
     s_lsn = t.next_lsn - 1;

@@ -553,6 +553,119 @@ let test_index_access_batched () =
   | [ line ] -> Alcotest.(check bool) ("batches on " ^ line) true (contains line "batches=1")
   | _ -> Alcotest.failf "expected one IXSCAN(account...) line in\n%s" report
 
+
+(* --- typed INT chunks --- *)
+
+module Batch = Sb_qes.Batch
+module Row_codec = Sb_storage.Row_codec
+
+(* rows of (a INT, b STRING, c INT) with NULLs and the extreme ints *)
+let typed_rows =
+  List.init 2500 (fun k ->
+      row
+        [ (if k mod 7 = 3 then nul else if k mod 11 = 0 then i max_int
+           else if k mod 13 = 0 then i min_int else i (k - 1250));
+          s (Printf.sprintf "s%d" (k mod 5));
+          (if k mod 5 = 0 then nul else i (k * 3)) ])
+
+(* [f] on each batch a scan's emitter makes of [rows] (columns a and c
+   INT chunks, b boxed, decoded through a sink as the scan does), while
+   the batch is valid *)
+let iter_typed_batches rows f =
+  let sink = Row_codec.sink [| Row_codec.Unboxed; Row_codec.Boxed; Row_codec.Unboxed |] in
+  let em = Batch.emitter ~ints:[| true; false; true |] 3 in
+  let src = ref rows in
+  Seq.iter f
+    (Batch.produce em (fun () ->
+         match !src with
+         | [] -> false
+         | r :: rest ->
+           let record = Bytes.of_string (Row_codec.encode r) in
+           Row_codec.decode_into sink record ~off:0 ~len:(Bytes.length record);
+           Batch.push_sink em sink [| 0; 1; 2 |];
+           src := rest;
+           true))
+
+(* every reader of an INT chunk agrees with the boxed rows, NULLs and
+   the extreme ints included; batches cut at the capacity *)
+let test_typed_chunk_reads () =
+  let expected = Array.of_list typed_rows in
+  let scratch = Array.make 3 nul and slots = Array.make 3 nul in
+  let n = ref 0 and sizes = ref [] in
+  iter_typed_batches typed_rows (fun b ->
+      sizes := Batch.count b :: !sizes;
+      Alcotest.(check (list bool)) "INT chunks" [ true; false; true ]
+        (List.init 3 (fun col -> Batch.is_int b ~col));
+      for j = 0 to Batch.count b - 1 do
+        let want = expected.(!n) in
+        incr n;
+        check_rows "get" [ want ] [ Batch.get b j ];
+        Batch.blit_row b j scratch;
+        check_rows "blit_row" [ want ] [ Array.copy scratch ];
+        Array.fill slots 0 3 nul;
+        Batch.blit_slots b j slots [| 2 |];
+        check_rows "blit_slots" [ row [ nul; nul; want.(2) ] ] [ Array.copy slots ];
+        for col = 0 to 2 do
+          Alcotest.check value_testable "value" want.(col) (Batch.value b ~col j);
+          Alcotest.(check bool) "null_at" (want.(col) = nul) (Batch.null_at b ~col j);
+          match want.(col) with
+          | Sb_storage.Value.Int x when col <> 1 ->
+            Alcotest.(check int) "int_at" x (Batch.int_at b ~col j)
+          | _ -> ()
+        done
+      done);
+  Alcotest.(check int) "every row" (List.length typed_rows) !n;
+  Alcotest.(check (list int)) "cut at the capacity" [ 1024; 1024; 452 ] (List.rev !sizes)
+
+(* [select] shares INT chunks; [keep] and [truncate] refine a typed
+   batch's selection *)
+let test_typed_chunk_select_keep () =
+  let rows = List.filteri (fun k _ -> k < 1000) typed_rows in
+  iter_typed_batches rows (fun b ->
+      Alcotest.(check int) "one batch" 1000 (Batch.count b);
+      Batch.keep b (fun j -> j mod 3 <> 1);
+      let kept = List.filteri (fun k _ -> k mod 3 <> 1) rows in
+      Alcotest.(check int) "kept" (List.length kept) (Batch.count b);
+      List.iteri (fun j r -> check_rows "kept row" [ r ] [ Batch.get b j ]) kept;
+      Batch.truncate b 10;
+      Alcotest.(check int) "truncated" 10 (Batch.count b);
+      let v = Batch.select b [| 2; 0 |] in
+      Alcotest.(check (list bool)) "select keeps INT chunks" [ true; true ]
+        (List.init 2 (fun col -> Batch.is_int v ~col));
+      List.iteri
+        (fun j r ->
+          if j < 10 then check_rows "selected row" [ row [ r.(2); r.(0) ] ] [ Batch.get v j ])
+        kept)
+
+(* the join's emission moves INT chunks unboxed, and an INT chunk that
+   meets a value it cannot hold turns boxed without losing a row *)
+let test_typed_chunk_push_from () =
+  let rows = List.filteri (fun k _ -> k < 600) typed_rows in
+  iter_typed_batches rows @@ fun b ->
+  let em = Batch.emitter 5 in
+  Batch.reshape em [| true; false; true; true; false |];
+  let inner k = if k = 300 then row [ f 2.5; s "x" ] else row [ i k; nul ] in
+  let out = ref [] in
+  let k = ref 0 in
+  Seq.iter
+    (fun ob ->
+      for j = 0 to Batch.count ob - 1 do
+        out := Batch.get ob j :: !out
+      done)
+    (Batch.produce em (fun () ->
+         if !k >= Batch.count b then false
+         else begin
+           Batch.push_from em b !k (inner !k);
+           incr k;
+           true
+         end));
+  check_rows "rows through push_from"
+    (List.mapi (fun k r -> Array.append r (inner k)) rows)
+    (List.rev !out);
+  match Batch.reshape em [| true |] with
+  | () -> Alcotest.fail "reshape after a push"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   ( "batch-engine",
     [
@@ -576,4 +689,7 @@ let suite =
       case "cyclic recursive UNION ALL hits the governor" test_cyclic_union_all_is_bounded;
       case "produce: rows in order through k + 1 batches" test_produce;
       case "index access yields batches" test_index_access_batched;
+      case "INT chunks read as the boxed rows" test_typed_chunk_reads;
+      case "INT chunks under select, keep and truncate" test_typed_chunk_select_keep;
+      case "INT chunks through the join's emission" test_typed_chunk_push_from;
     ] )

@@ -12,6 +12,7 @@ module Catalog = Sb_storage.Catalog
 module Schema = Sb_storage.Schema
 module Datatype = Sb_storage.Datatype
 module Plan_cache = Starburst.Plan_cache
+module Buffer_pool = Sb_storage.Buffer_pool
 
 (* The checker's state is global.  Each discipline test runs inside
    [checked], which resets and arms the detector, then restores the
@@ -213,6 +214,50 @@ let test_catalog_epoch_two_domains () =
     (List.length (D.diags ()));
   Alcotest.(check bool) "epoch advanced" true (Catalog.epoch cat >= 100)
 
+
+(* --- one lock-id space ----------------------------------------------- *)
+
+(* Re-entrancy is detected by id.  An rwlock whose id equals a held
+   lock's (as when each kind counted its own ids) read as re-acquiring
+   that lock: this creates rwlocks until one's id reaches a fresh
+   lock's, then nests them. *)
+let test_lock_ids_distinct () =
+  checked ~strict:true @@ fun () ->
+  let l = Lock.create ~name:"test.ids_lock" ~level:90 in
+  let rec reach () =
+    let rw = Rwlock.create ~name:"test.ids_rw" ~level:20 in
+    if rw.Rwlock.r_id >= l.Lock.l_id then rw else reach ()
+  in
+  let rw = reach () in
+  Alcotest.(check bool) "distinct ids" true (rw.Rwlock.r_id <> l.Lock.l_id);
+  Rwlock.with_read rw (fun () -> Lock.with_lock l (fun () -> ()));
+  Rwlock.with_write rw (fun () -> Lock.with_lock l (fun () -> ()));
+  Alcotest.(check (list string)) "no diagnosis" []
+    (List.map (fun d -> d.D.d_msg) (D.diags ()))
+
+(* --- per-instance fields ------------------------------------------- *)
+
+(* Two buffer pools, each driven by its own domain under its own lock:
+   two pools' frames and statistics are different fields, so there is
+   no race to report. *)
+let test_two_pools_no_race () =
+  checked @@ fun () ->
+  let drive () =
+    let pool = Buffer_pool.create ~capacity:4 () in
+    let file = Buffer_pool.create_file pool in
+    for k = 0 to 63 do
+      if k < 16 then ignore (Buffer_pool.alloc_page pool file);
+      Buffer_pool.with_page pool file (k mod 16) ignore;
+      ignore (Buffer_pool.page_count pool file)
+    done
+  in
+  let doms = Array.init 2 (fun _ -> Domain.spawn drive) in
+  Array.iter Domain.join doms;
+  Alcotest.(check (list string)) "no race" []
+    (List.map (fun d -> d.D.d_msg) (D.diags ()));
+  Alcotest.(check bool) "pool fields were instrumented" true
+    (contains "buffer_pool.stats#" (D.report_text ()))
+
 let suite =
   ( "conc",
     [
@@ -232,4 +277,8 @@ let suite =
         test_plan_cache_two_domains;
       Alcotest.test_case "catalog epoch, two domains, armed" `Quick
         test_catalog_epoch_two_domains;
+      Alcotest.test_case "a lock and an rwlock never share an id" `Quick
+        test_lock_ids_distinct;
+      Alcotest.test_case "two pools, two domains, no race" `Quick
+        test_two_pools_no_race;
     ] )

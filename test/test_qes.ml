@@ -189,6 +189,93 @@ let test_nl_fanout_hits_ceiling () =
     true
     (probes >= 1 && probes <= (5000 / 1100) + 1)
 
+
+(* --- unboxed INT columns: heap and fixed tables against the reference --- *)
+
+(* Two tables of one schema and rows, [h] on the heap manager and [x]
+   USING fixed, big enough (1500 rows) that their INT columns are
+   decoded unboxed; a is NULL on every fifth row, b holds max_int and
+   -max_int.  A small dimension [d] joins on a. *)
+let typed_db () =
+  let db = Starburst.create () in
+  let run s = ignore (Starburst.run db s) in
+  run "CREATE TABLE h (k INT NOT NULL, a INT, b INT)";
+  run "CREATE TABLE x (k INT NOT NULL, a INT, b INT) USING fixed";
+  run "CREATE TABLE d (a INT, w INT)";
+  let rows =
+    List.init 1500 (fun k ->
+        let a = if k mod 5 = 0 then "NULL" else string_of_int (k mod 23) in
+        let b =
+          if k = 7 then string_of_int max_int
+          else if k = 8 then string_of_int (-max_int)
+          else string_of_int ((k * 37) mod 2000)
+        in
+        Printf.sprintf "(%d, %s, %s)" k a b)
+  in
+  let rec chunks = function
+    | [] -> ()
+    | l ->
+      let now = List.filteri (fun j _ -> j < 300) l
+      and rest = List.filteri (fun j _ -> j >= 300) l in
+      let vals = String.concat ", " now in
+      run ("INSERT INTO h VALUES " ^ vals);
+      run ("INSERT INTO x VALUES " ^ vals);
+      chunks rest
+  in
+  chunks rows;
+  run "INSERT INTO d VALUES (1, 10), (2, 20), (NULL, 30), (3, 40), (3, 41), (4, NULL)";
+  run "ANALYZE";
+  db
+
+let test_unboxed_columns_match_reference () =
+  let db = typed_db () in
+  let one text =
+    List.iter
+      (fun t ->
+        let text = Printf.sprintf text t in
+        check_bag text (reference_rows db text) (q db text))
+      [ "h"; "x" ]
+  in
+  List.iter one
+    [
+      "SELECT k, a FROM %s WHERE a = 3";
+      "SELECT k FROM %s WHERE a < 2";
+      "SELECT k, b FROM %s WHERE b >= 1990";
+      "SELECT k FROM %s WHERE a <> 4";
+      "SELECT k FROM %s WHERE a < 2.5";
+      "SELECT k, b FROM %s WHERE b > 4611686018427387902 OR b < -4611686018427387902";
+      "SELECT a, count(*), count(a), sum(b), min(b), max(b), avg(a) FROM %s GROUP BY a";
+      "SELECT count(*), count(a), sum(a), min(a), max(a) FROM %s";
+      "SELECT DISTINCT a FROM %s";
+      "SELECT DISTINCT a, b FROM %s WHERE k < 40";
+      "SELECT t.k, d.w FROM %s t, d WHERE t.a = d.a";
+      "SELECT d.w, count(*), sum(t.b) FROM %s t, d WHERE t.a = d.a GROUP BY d.w";
+    ];
+  (* heap against fixed: the hash join probes INT chunks of both *)
+  let text = "SELECT h.k, x.k FROM h, x WHERE h.a = x.a AND h.k < 30 AND x.k < 60" in
+  check_bag text (reference_rows db text) (q db text);
+  (* host variables: Int, Float and NULL constants *)
+  List.iter
+    (fun v ->
+      Starburst.bind_host db "v" v;
+      one "SELECT k FROM %s WHERE a = :v")
+    [ i 3; f 3.0; f 3.5; nul ]
+
+(* the constant of an unboxed comparison is resolved on the first row
+   compared: a big table whose rows all fail the other conjunct answers
+   without ever reading the unbound host variable *)
+let test_unboxed_unbound_host () =
+  let db = typed_db () in
+  Alcotest.(check int) "no row reaches :missing" 0
+    (List.length (q db "SELECT k FROM h WHERE k < 0 AND a = :missing"));
+  ignore (Starburst.run db "DELETE FROM x");
+  Alcotest.(check int) "emptied fixed table" 0
+    (List.length (q db "SELECT k FROM x WHERE a = :missing"));
+  match Starburst.run db "SELECT k FROM h WHERE a = :missing" with
+  | _ -> Alcotest.fail "expected an unbound host variable error"
+  | exception Starburst.Error e ->
+    Alcotest.(check string) "stage" "exec" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+
 let suite =
   ( "qes",
     [
@@ -205,4 +292,7 @@ let suite =
       case "nested-loop EXISTS join past one batch" test_nl_exists_spans_batches;
       case "nested-loop join with a residual predicate" test_nl_residual_predicate;
       case "nested-loop fan-out stops at the row ceiling" test_nl_fanout_hits_ceiling;
+      case "unboxed INT columns, heap and fixed, match the reference"
+        test_unboxed_columns_match_reference;
+      case "unboxed comparison with an unbound host variable" test_unboxed_unbound_host;
     ] )

@@ -123,8 +123,11 @@ let prop_fixed_codec =
 
 (* Partial decode: for every [needed] mask over a 5-column schema, the
    needed slots of [decode_into] / [decode_fixed_into] equal the full
-   decoders' and the others are left untouched.  Each record is decoded
-   at an offset inside a larger buffer, as it sits in a page. *)
+   decoders' and the others are left untouched.  Each mask runs twice:
+   with every needed field [Boxed], and with the needed INT fields
+   [Unboxed], whose value and NULL mark must then equal the full
+   decoder's.  Each record is decoded at an offset inside a larger
+   buffer, as it sits in a page. *)
 
 (* same constructor and, for floats, the same bits (NaN, -0.0) *)
 let same_value a b =
@@ -133,6 +136,7 @@ let same_value a b =
   | _ -> Value.compare a b = 0 && Value.type_of a = Value.type_of b
 
 let untouched = Value.String "untouched"
+let untouched_int = 0x5eed
 
 let in_page record =
   let pad = 13 in
@@ -140,22 +144,65 @@ let in_page record =
   Bytes.blit_string record 0 b pad (String.length record);
   (b, pad)
 
-let check_partial ~name ~full ~into record =
+(* the field modes of [mask]: a needed field is [Unboxed] when [unboxed]
+   and [int_col] holds of it, else [Boxed] *)
+let modes ~mask ~unboxed ~int_col =
+  Array.init 5 (fun c ->
+      if mask land (1 lsl c) = 0 then Row_codec.Skip
+      else if unboxed && int_col c then Row_codec.Unboxed
+      else Row_codec.Boxed)
+
+(* a sink for [fields], every slot marked so that a write shows *)
+let marked_sink fields =
+  let s = Row_codec.sink fields in
+  Array.fill s.Row_codec.row 0 5 untouched;
+  Array.fill s.Row_codec.ints 0 (Array.length s.Row_codec.ints) untouched_int;
+  Array.fill s.Row_codec.nulls 0 (Array.length s.Row_codec.nulls) true;
+  s
+
+let check_partial ~name ~full ~into ~int_col record =
   let expected = full record in
   let b, off = in_page record in
   for mask = 0 to 31 do
-    let needed = Array.init 5 (fun c -> mask land (1 lsl c) <> 0) in
-    let got = Array.make 5 untouched in
-    into ~needed b ~off ~len:(String.length record) got;
-    Array.iteri
-      (fun c want ->
-        let ok = if want then same_value got.(c) expected.(c) else got.(c) == untouched in
-        if not ok then
-          Alcotest.failf "%s mask %d col %d: got %s, expected %s" name mask c
-            (Value.to_string got.(c))
-            (if want then Value.to_string expected.(c) else "untouched"))
-      needed
+    List.iter
+      (fun unboxed ->
+        let fields = modes ~mask ~unboxed ~int_col in
+        let s = marked_sink fields in
+        into s b ~off ~len:(String.length record);
+        let fail c got want =
+          Alcotest.failf "%s mask %d%s col %d: got %s, expected %s" name mask
+            (if unboxed then " unboxed" else "") c got want
+        in
+        Array.iteri
+          (fun c field ->
+            let got = s.Row_codec.row.(c) in
+            match field with
+            | Row_codec.Skip ->
+              if got != untouched || (Array.length s.Row_codec.ints > 0 && s.Row_codec.ints.(c) <> untouched_int) then
+                fail c (Value.to_string got) "untouched"
+            | Row_codec.Boxed ->
+              if not (same_value got expected.(c)) then
+                fail c (Value.to_string got) (Value.to_string expected.(c))
+            | Row_codec.Unboxed -> (
+              if got != untouched then fail c (Value.to_string got) "row untouched";
+              match expected.(c) with
+              | Value.Null ->
+                if not s.Row_codec.nulls.(c) then fail c "not NULL" "NULL"
+              | Value.Int x ->
+                if s.Row_codec.nulls.(c) || s.Row_codec.ints.(c) <> x then
+                  fail c (string_of_int s.Row_codec.ints.(c)) (string_of_int x)
+              | v -> fail c "unboxed" (Value.to_string v)))
+          fields)
+      [ false; true ]
   done
+
+(* fields holding an INT or NULL: an unboxed decode accepts them *)
+let int_or_null t c = match t.(c) with Value.Int _ | Value.Null -> true | _ -> false
+
+let fixed_schema5 =
+  [| Schema.column "a" Datatype.Int; Schema.column "b" Datatype.Float;
+     Schema.column "c" Datatype.Bool; Schema.column "d" Datatype.Float;
+     Schema.column "e" Datatype.Int |]
 
 let test_partial_decode () =
   let long = String.init 200 (fun k -> Char.chr (65 + (k mod 26))) in
@@ -167,18 +214,16 @@ let test_partial_decode () =
       row [ s "x"; ext; nul; f infinity; b false ];
       row [ i max_int; i min_int; f 1.5; s ""; Value.Ext ("T", "") ];
       row [ b false; nul; nul; nul; s long ];
+      row [ i min_int; nul; i max_int; i 0; i (-1) ];
     ]
   in
   List.iteri
     (fun k t ->
       check_partial ~name:(Printf.sprintf "var row %d" k) ~full:Row_codec.decode
-        ~into:Row_codec.decode_into (Row_codec.encode t))
+        ~into:Row_codec.decode_into ~int_col:(int_or_null t) (Row_codec.encode t))
     var_rows;
-  let schema =
-    [| Schema.column "a" Datatype.Int; Schema.column "b" Datatype.Float;
-       Schema.column "c" Datatype.Bool; Schema.column "d" Datatype.Float;
-       Schema.column "e" Datatype.Int |]
-  in
+  let schema = fixed_schema5 in
+  let layout = Row_codec.fixed_layout schema in
   let fixed_rows =
     [
       row [ i 1; f nan; b true; f (-0.0); nul ];
@@ -191,59 +236,126 @@ let test_partial_decode () =
     (fun k t ->
       check_partial ~name:(Printf.sprintf "fixed row %d" k)
         ~full:(Row_codec.decode_fixed ~schema)
-        ~into:(fun ~needed b ~off ~len:_ row ->
-          Row_codec.decode_fixed_into ~schema ~needed b off row)
+        ~into:(fun s b ~off ~len:_ -> Row_codec.decode_fixed_into layout s b off)
+        ~int_col:(fun c -> c = 0 || c = 4)
         (Row_codec.encode_fixed ~schema t))
     fixed_rows;
   (* a corrupt record is a structured Storage error whether or not the
-     corrupt field is needed *)
-  let corrupt_case what record ~len =
+     corrupt field is needed, boxed or unboxed *)
+  let corrupt_case what record ~len ~int_col =
     for mask = 0 to 31 do
-      let needed = Array.init 5 (fun c -> mask land (1 lsl c) <> 0) in
-      match Row_codec.decode_into ~needed record ~off:0 ~len (Array.make 5 nul) with
-      | () -> Alcotest.failf "%s, mask %d: decoded" what mask
-      | exception Sb_resil.Err.Error e ->
-        Alcotest.(check string) what "storage" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+      List.iter
+        (fun unboxed ->
+          let s = Row_codec.sink (modes ~mask ~unboxed ~int_col) in
+          match Row_codec.decode_into s record ~off:0 ~len with
+          | () -> Alcotest.failf "%s, mask %d: decoded" what mask
+          | exception Sb_resil.Err.Error e ->
+            Alcotest.(check string) what "storage" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage))
+        [ false; true ]
     done
   in
-  let record = Bytes.of_string (Row_codec.encode (row [ i 1; i 2; i 3; i 4; i 5 ])) in
+  let ints = row [ i 1; i 2; i 3; i 4; i 5 ] in
+  let record = Bytes.of_string (Row_codec.encode ints) in
   (* varint field count, then tag + 8 bytes per INT: the third tag *)
   Bytes.set record (1 + (2 * 9)) '\042';
-  corrupt_case "bad tag" record ~len:(Bytes.length record);
+  corrupt_case "bad tag" record ~len:(Bytes.length record) ~int_col:(int_or_null ints);
   (* a record cut short anywhere: the bytes past [len] still hold the
      whole record, so only the length check can catch it *)
   List.iter
     (fun t ->
       let record = Bytes.of_string (Row_codec.encode t) in
       for len = 0 to Bytes.length record - 1 do
-        corrupt_case (Printf.sprintf "truncated to %d" len) record ~len
+        corrupt_case (Printf.sprintf "truncated to %d" len) record ~len ~int_col:(int_or_null t)
       done)
-    [ row [ i 1; f 2.5; s long; ext; b true ]; row [ s ""; nul; ext; s "xy"; i 3 ] ];
+    [ row [ i 1; f 2.5; s long; ext; b true ]; row [ s ""; nul; ext; s "xy"; i 3 ];
+      row [ i min_int; nul; i max_int; nul; i 7 ] ];
   (* more fields than the schema's five *)
   let wide = Bytes.of_string (Row_codec.encode (row [ i 1; i 2; i 3; i 4; i 5; i 6 ])) in
-  corrupt_case "six fields" wide ~len:(Bytes.length wide)
+  corrupt_case "six fields" wide ~len:(Bytes.length wide) ~int_col:(fun _ -> true);
+  (* a record that does not lie inside its buffer *)
+  corrupt_case "past the buffer" wide ~len:(Bytes.length wide + 1) ~int_col:(fun _ -> true);
+  (* an unboxed field must hold an INT or NULL *)
+  let not_int what decode =
+    match decode () with
+    | () -> Alcotest.failf "%s: decoded" what
+    | exception Sb_resil.Err.Error e ->
+      Alcotest.(check string) what "storage" (Sb_resil.Err.stage_name e.Sb_resil.Err.err_stage)
+  in
+  let all_unboxed = Array.make 5 Row_codec.Unboxed in
+  let mixed = Bytes.of_string (Row_codec.encode (row [ i 1; s "x"; nul; i 2; i 3 ])) in
+  not_int "unboxed STRING field" (fun () ->
+      Row_codec.decode_into (Row_codec.sink all_unboxed) mixed ~off:0 ~len:(Bytes.length mixed));
+  let fixed = Bytes.of_string (Row_codec.encode_fixed ~schema (row [ i 1; f 2.0; b true; f 1.0; i 2 ])) in
+  not_int "unboxed FLOAT column" (fun () ->
+      Row_codec.decode_fixed_into layout (Row_codec.sink all_unboxed) fixed 0);
+  not_int "fixed record past its buffer" (fun () ->
+      Row_codec.decode_fixed_into layout (Row_codec.sink (Array.make 5 Row_codec.Boxed)) fixed 1)
 
-(* skipping an unneeded STRING field reads its length in place: a
-   decode that materializes nothing allocates nothing *)
+(* A boxed STRING field shares the value of an equal short string the
+   sink boxed lately, once its cache has opened; strings that collide
+   in the cache ("abc" and "axc": same length, first and last byte), a
+   long string and the empty string still decode to their own bytes. *)
+let test_string_sharing () =
+  let strs = [| "abc"; "axc"; ""; "A"; String.make 40 'q'; "abc" |] in
+  let sink = Row_codec.sink [| Row_codec.Boxed; Row_codec.Boxed |] in
+  let last = Hashtbl.create 8 in
+  let shared = ref 0 in
+  for k = 0 to 299 do
+    let str = strs.(k mod Array.length strs) in
+    let record = Bytes.of_string (Row_codec.encode (row [ s str; i k ])) in
+    Row_codec.decode_into sink record ~off:0 ~len:(Bytes.length record);
+    check_rows "decoded" [ row [ s str; i k ] ] [ Array.copy sink.Row_codec.row ];
+    let v = sink.Row_codec.row.(0) in
+    (match Hashtbl.find_opt last str with Some w when w == v -> incr shared | _ -> ());
+    Hashtbl.replace last str v
+  done;
+  (* "abc" and "axc" evict each other; "" and "A" stay cached *)
+  Alcotest.(check bool) "short strings shared once the cache opens" true (!shared > 60)
+
+(* skipping an unneeded STRING field reads its length in place, and an
+   INT field decoded unboxed is not boxed: a decode that writes no boxed
+   field allocates nothing, on heap and fixed records *)
 let test_partial_decode_allocation () =
-  let record = Bytes.of_string (Row_codec.encode (row [ b true; s "skipped"; nul ])) in
-  let len = Bytes.length record in
-  let needed = [| true; false; true |] in
-  let into = Array.make 3 nul in
   let words f =
     let before = Gc.minor_words () in
     f ();
     Gc.minor_words () -. before
   in
   let overhead = words ignore in
-  let decoding =
-    words (fun () ->
-        for _ = 1 to 1000 do
-          Row_codec.decode_into ~needed record ~off:0 ~len into
-        done)
+  let check_none what decode =
+    let w = words (fun () -> for _ = 1 to 1000 do decode () done) in
+    Alcotest.(check (float 0.0)) (what ^ ": minor words per 1000 decodes") 0.0 (w -. overhead)
   in
-  Alcotest.(check (float 0.0)) "minor words per 1000 decodes" 0.0 (decoding -. overhead);
-  check_rows "decoded" [ row [ b true; nul; nul ] ] [ into ]
+  let record = Bytes.of_string (Row_codec.encode (row [ b true; s "skipped"; nul ])) in
+  let len = Bytes.length record in
+  let into = Row_codec.sink [| Row_codec.Boxed; Row_codec.Skip; Row_codec.Boxed |] in
+  check_none "boxed BOOL and NULL" (fun () -> Row_codec.decode_into into record ~off:0 ~len);
+  check_rows "decoded" [ row [ b true; nul; nul ] ] [ into.Row_codec.row ];
+  let record =
+    Bytes.of_string (Row_codec.encode (row [ i max_int; s "skipped"; nul; i min_int ]))
+  in
+  let len = Bytes.length record in
+  let ints =
+    Row_codec.sink [| Row_codec.Unboxed; Row_codec.Skip; Row_codec.Unboxed; Row_codec.Unboxed |]
+  in
+  check_none "unboxed INT" (fun () -> Row_codec.decode_into ints record ~off:0 ~len);
+  Alcotest.(check (array int)) "unboxed values" [| max_int; 0; 0; min_int |]
+    [| ints.Row_codec.ints.(0); 0; 0; ints.Row_codec.ints.(3) |];
+  Alcotest.(check (array bool)) "NULL marks" [| false; false; true; false |]
+    ints.Row_codec.nulls;
+  let layout = Row_codec.fixed_layout fixed_schema5 in
+  let fixed =
+    Bytes.of_string
+      (Row_codec.encode_fixed ~schema:fixed_schema5 (row [ i min_int; f 1.0; b true; nul; nul ]))
+  in
+  let fints =
+    Row_codec.sink
+      [| Row_codec.Unboxed; Row_codec.Skip; Row_codec.Skip; Row_codec.Skip; Row_codec.Unboxed |]
+  in
+  check_none "fixed unboxed INT" (fun () -> Row_codec.decode_fixed_into layout fints fixed 0);
+  Alcotest.(check int) "fixed min_int" min_int fints.Row_codec.ints.(0);
+  Alcotest.(check (array bool)) "fixed NULL marks" [| false; false; false; false; true |]
+    fints.Row_codec.nulls
 
 (* ------------------------------------------------------------------ *)
 (* Pages                                                               *)
@@ -488,12 +600,14 @@ let test_buffer_pool_lru_model () =
 
 (* every live record through the scan primitive, as (rid, row) *)
 let sm_scan (sm : Storage_manager.instance) ~width =
-  let needed = Array.make width true and row = Array.make width Value.Null in
+  let sink = Row_codec.sink (Array.make width Row_codec.Boxed) in
   List.concat_map
     (fun page ->
       let rows = ref [] in
-      sm.Storage_manager.scan_page page ~needed ~row (fun slot ->
-          rows := ({ Storage_manager.rid_page = page; rid_slot = slot }, Array.copy row) :: !rows);
+      sm.Storage_manager.scan_page page sink (fun slot ->
+          rows :=
+            ({ Storage_manager.rid_page = page; rid_slot = slot }, Array.copy sink.Row_codec.row)
+            :: !rows);
       List.rev !rows)
     (List.init (sm.Storage_manager.page_count ()) Fun.id)
 
@@ -1029,4 +1143,5 @@ let suite =
       case "statement atomicity" test_statement_atomicity;
       case "buffer pool wal rule" test_buffer_pool_wal_rule;
       case "truncate maintains attachments" test_truncate_maintains_attachments;
+      case "boxed short strings share values" test_string_sharing;
     ] )
