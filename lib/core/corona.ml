@@ -58,6 +58,17 @@ type prepared = {
   prep_plan : Plan.plan;
 }
 
+(** How to roll back one change of the in-flight statement.  [page] and
+    [slot] are the rid the change left its row at, kept unboxed: a
+    statement keeps one record per changed row until it ends. *)
+type undo =
+  | Inserted of { table : string; page : int; slot : int }
+      (** delete the row back out *)
+  | Deleted of { table : string; before : Tuple.t }
+      (** reinsert the before image *)
+  | Updated of { table : string; page : int; slot : int; before : Tuple.t }
+      (** restore the before image *)
+
 type t = {
   (* -- the database: every {!session} shares these by reference -- *)
   catalog : Catalog.t;
@@ -89,7 +100,7 @@ type t = {
   (* -- durability: every DML statement is an implicit transaction -- *)
   mutable txn_current : int;
       (** transaction id of the in-flight statement; 0 when none *)
-  mutable txn_undo : (string * Tuple.t option * Tuple.t option) list;
+  mutable txn_undo : undo list;
       (** the statement's logged changes, newest first, for rollback *)
   mutable txn_replaying : bool;
       (** recovery replay in progress: suppress logging and the
@@ -668,11 +679,11 @@ let wal_stats t = Wal.stats (wal t)
 let last_txn t = t.last_txn
 
 (* Logs one value-based change of the in-flight transaction and keeps
-   its inverse for rollback.  No-op outside a transaction (WAL off or
+   its [undo] for rollback.  No-op outside a transaction (WAL off or
    recovery replay). *)
-let log_update t ~table ~before ~after =
+let log_update t ~table ~undo ~before ~after =
   if t.txn_current <> 0 then begin
-    t.txn_undo <- (table, before, after) :: t.txn_undo;
+    t.txn_undo <- undo :: t.txn_undo;
     ignore
       (Wal.append (wal t)
          (Wal.Update
@@ -680,10 +691,13 @@ let log_update t ~table ~before ~after =
   end
 
 (* Undoes the statement's logged changes, newest first, through
-   Table_store (so indexes stay consistent).  Compensations are not
-   logged — recovery simply never replays a transaction without a
-   Commit record.  Fault injection is suspended: a rollback must not
-   itself be failed. *)
+   Table_store (so indexes stay consistent), each at the rid it left
+   its row at.  A statement changes a row at most once, and undoing a
+   change only frees rids or fills free ones, so every older change's
+   row is still where it was logged: rollback never scans.
+   Compensations are not logged — recovery simply never replays a
+   transaction without a Commit record.  Fault injection is suspended:
+   a rollback must not itself be failed. *)
 let rollback_statement t =
   match t.txn_undo with
   | [] -> ()
@@ -693,27 +707,16 @@ let rollback_statement t =
     Catalog.set_faults t.catalog Faults.none;
     Fun.protect ~finally:(fun () -> Catalog.set_faults t.catalog saved)
     @@ fun () ->
+    let rid page slot = { Storage_manager.rid_page = page; rid_slot = slot } in
     List.iter
-      (fun (table, before, after) ->
-        match Catalog.find_table t.catalog table with
-        | None -> ()
-        | Some tab ->
-          let find_rid = Table_store.find_rid tab in
-          (match (before, after) with
-          | None, Some row -> (
-            (* inserted: delete it back out *)
-            match find_rid row with
-            | Some rid -> ignore (Table_store.delete tab rid)
-            | None -> ())
-          | Some row, None ->
-            (* deleted: reinsert the before image *)
-            ignore (Table_store.insert tab row)
-          | Some b, Some a -> (
-            (* updated: restore the before image *)
-            match find_rid a with
-            | Some rid -> ignore (Table_store.update tab rid b)
-            | None -> ())
-          | None, None -> ()))
+      (fun undo ->
+        let (Inserted { table; _ } | Deleted { table; _ } | Updated { table; _ }) = undo in
+        match (Catalog.find_table t.catalog table, undo) with
+        | None, _ -> ()
+        | Some tab, Inserted { page; slot; _ } -> ignore (Table_store.delete tab (rid page slot))
+        | Some tab, Deleted { before; _ } -> ignore (Table_store.insert tab before)
+        | Some tab, Updated { page; slot; before; _ } ->
+          ignore (Table_store.update tab (rid page slot) before))
       undo
 
 (* Brackets one DML statement in an implicit transaction: Begin before,
@@ -795,13 +798,17 @@ let do_insert t ~table ~columns (wq : Ast.with_query) : result =
           (Array.length row) (List.length positions);
       let tuple = Array.make (Array.length schema) Value.Null in
       List.iteri (fun i pos -> tuple.(pos) <- row.(i)) positions;
-      (try ignore (Table_store.insert tab tuple) with
-      | Invalid_argument msg -> error "%s" msg
-      (* a constraint violation is a runtime (Exec-stage) failure, like
-         the boundary classifier stamps it when it escapes raw *)
-      | Table_store.Constraint_violation msg ->
-        raise (Error (Err.make Err.Exec msg)));
-      log_update t ~table ~before:None ~after:(Some tuple);
+      let rid =
+        try Table_store.insert tab tuple with
+        | Invalid_argument msg -> error "%s" msg
+        (* a constraint violation is a runtime (Exec-stage) failure, like
+           the boundary classifier stamps it when it escapes raw *)
+        | Table_store.Constraint_violation msg ->
+          raise (Error (Err.make Err.Exec msg))
+      in
+      log_update t ~table
+        ~undo:(Inserted { table; page = rid.rid_page; slot = rid.rid_slot })
+        ~before:None ~after:(Some tuple);
       incr n)
     rows;
   Affected !n
@@ -826,7 +833,9 @@ let do_delete t ~table ~alias ~where : result =
   List.iter
     (fun (rid, row) ->
       if Table_store.delete tab rid then
-        log_update t ~table ~before:(Some (Array.copy row)) ~after:None)
+        let before = Array.copy row in
+        log_update t ~table ~undo:(Deleted { table; before }) ~before:(Some before)
+          ~after:None)
     victims;
   Affected (List.length victims)
 
@@ -864,13 +873,19 @@ let do_update t ~table ~alias ~sets ~where : result =
   in
   List.iter
     (fun (rid, before, row) ->
-      (try ignore (Table_store.update tab rid row) with
-      | Invalid_argument msg -> error "%s" msg
-      (* a constraint violation is a runtime (Exec-stage) failure, like
-         the boundary classifier stamps it when it escapes raw *)
-      | Table_store.Constraint_violation msg ->
-        raise (Error (Err.make Err.Exec msg)));
-      log_update t ~table ~before:(Some before) ~after:(Some row))
+      match
+        try Table_store.update tab rid row with
+        | Invalid_argument msg -> error "%s" msg
+        (* a constraint violation is a runtime (Exec-stage) failure, like
+           the boundary classifier stamps it when it escapes raw *)
+        | Table_store.Constraint_violation msg ->
+          raise (Error (Err.make Err.Exec msg))
+      with
+      | Some rid ->
+        log_update t ~table
+          ~undo:(Updated { table; page = rid.rid_page; slot = rid.rid_slot; before })
+          ~before:(Some before) ~after:(Some row)
+      | None -> ())
     updates;
   Affected (List.length updates)
 

@@ -49,6 +49,17 @@ type prepared = {
   prep_plan : Plan.plan;
 }
 
+(** How to roll back one change of the in-flight statement.  [page] and
+    [slot] are the rid the change left its row at, kept unboxed: a
+    statement keeps one record per changed row until it ends. *)
+type undo =
+  | Inserted of { table : string; page : int; slot : int }
+      (** delete the row back out *)
+  | Deleted of { table : string; before : Tuple.t }
+      (** reinsert the before image *)
+  | Updated of { table : string; page : int; slot : int; before : Tuple.t }
+      (** restore the before image *)
+
 (** One session of a database.  The fields up to [exec_db] are the
     database's, shared by reference by every {!session}; the rest are
     the session's own.  Fields are exposed for extensions, tests and
@@ -84,7 +95,7 @@ type t = {
   (* -- durability: every DML statement is an implicit transaction -- *)
   mutable txn_current : int;
       (** transaction id of the in-flight statement; 0 when none *)
-  mutable txn_undo : (string * Tuple.t option * Tuple.t option) list;
+  mutable txn_undo : undo list;
       (** the statement's logged changes, newest first, for rollback *)
   mutable txn_replaying : bool;
       (** recovery replay in progress: suppress logging and the

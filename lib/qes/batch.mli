@@ -28,8 +28,9 @@
     several; see {!produce}), not one per batch.
 
     Rows leave batches ({!to_seq}) only where they are materialized:
-    at the plan root, in subquery and build-side materializations, and
-    as table-function arguments. *)
+    at the plan root, in subquery materializations, and as
+    table-function arguments.  The join build copies its rows with
+    {!get}. *)
 
 open Sb_storage
 

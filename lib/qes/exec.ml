@@ -7,14 +7,16 @@
     {!Batch}), charged to the governor and accounted at batch
     granularity.  Producers that emit rows one at a time (index access,
     joins, SORT, streaming aggregation, table functions) fill their
-    batches through a {!Batch.emitter}.  Rows leave batches only where
-    they are materialized: the plan root, evaluate-on-demand and hash
-    build sides, and table-function arguments.
+    batches through a {!Batch.emitter}.  Rows leave batches as tuples
+    only where they are materialized: the plan root, evaluate-on-demand,
+    the hash join's build side (one copy per inner row) and
+    table-function arguments.
 
     Every keyed structure (hash joins, GROUP BY, DISTINCT, DISTINCT
-    aggregates, set operations and fixpoints) decides key equality by
-    [Value.compare] under the catalog's datatype registry, so [1] and
-    [1.0] are one key, as they are one value to a comparison.
+    aggregates, set operations and fixpoints) is one key directory,
+    which decides key equality by [Value.compare] under the catalog's
+    datatype registry, so [1] and [1.0] are one key, as they are one
+    value to a comparison.
 
     Join {e methods} (nested-loop, sort-merge, hash) are control
     structures; join {e kinds} (regular, exists, op-ALL, scalar,
@@ -96,12 +98,6 @@ let make_db ~catalog ~functions =
 
 let register_join_kind db name impl = Hashtbl.replace db.x_kinds name impl
 
-(* physical-identity keyed caches for subquery / TEMP materializations *)
-type cache_entry = {
-  ce_key : Obj.t;
-  ce_table : (Value.t list, Obj.t) Hashtbl.t;
-}
-
 (** Per-operator runtime accounting for EXPLAIN ANALYZE: rows produced
     and batches emitted (across all re-evaluations, e.g. of a join's
     inner), and inclusive elapsed time. *)
@@ -115,41 +111,11 @@ type op_stats = {
    demand so subplans embedded in expressions are covered too *)
 type analysis = (Sb_optimizer.Plan.plan * op_stats) list ref
 
-(* The build side of a hash/merge join: every inner row in
-   build order, its key prehashed into a flat int array, and bucket
-   chains threaded through a power-of-two partition directory.  Two
-   passes, a fixed number of allocations, no per-key boxing. *)
-type hash_side = {
-  hs_rows : Tuple.t array;  (* inner rows, build order *)
-  hs_ints : int array option Lazy.t;
-      (* when every key column of every row is Int or NULL: row [i]'s
-         key [k] unboxed at [i * nkeys + k] (0 for NULL); built on the
-         first probe by INT key chunks *)
-  hs_hashes : int array;  (* prehashed keys; -1 = NULL key, never matches *)
-  hs_next : int array;  (* bucket chain links (reverse build order) *)
-  hs_heads : int array;  (* partition directory *)
-  hs_mask : int;
-}
-
 (* a combined key hash, scrambled so that the low bits the bucket masks
    keep depend on every bit ([Value.hash] of an int is the int) *)
 let mix h =
   let h = h * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
-
-(* combined hash of one row's key columns; -1 when any column is NULL
-   (SQL: NULL never joins).  Equal ints and floats hash alike, matching
-   [Value.compare] equality on the probe. *)
-let join_key_hash (row : Tuple.t) (slots : int array) =
-  let acc = ref 0x331 and ok = ref true in
-  for k = 0 to Array.length slots - 1 do
-    let v = row.(slots.(k)) in
-    if Value.is_null v then ok := false
-    else
-      (* FNV-style mix: no tuple allocation per combine step *)
-      acc := (!acc * 0x01000193) lxor Value.hash v
-  done;
-  if !ok then mix !acc else -1
 
 (* [arr] at twice its length (at least 16), new slots [fill] *)
 let grown arr fill =
@@ -157,15 +123,15 @@ let grown arr fill =
   Array.blit arr 0 bigger 0 (Array.length arr);
   bigger
 
-(* The key directory of every keyed QES structure but the join build
-   (GROUP BY, DISTINCT, DISTINCT aggregates, set operations, fixpoints):
-   one entry per distinct key, numbered in arrival order, found or added
-   in a single chained lookup.  The probe key is a caller's scratch
-   array, copied only when it opens an entry.  Two keys are equal when
-   every column is equal under [Value.compare] with the catalog's
-   datatype registry — the equality of comparisons and of the hash join
-   — with unboxed fast paths for Int/Int, Float/Float and String/String;
-   [Value.hash] agrees with it. *)
+(* The key directory of every keyed QES structure (the hash/merge join's
+   build side, GROUP BY, DISTINCT, DISTINCT aggregates, set operations,
+   fixpoints): one entry per distinct key, numbered in arrival order,
+   found or added in a single chained lookup.  The probe key is a
+   caller's scratch array or a batch row read in place, copied only when
+   it opens an entry.  Two keys are equal when every column is equal
+   under [Value.compare] with the catalog's datatype registry — the
+   equality of comparisons — with unboxed fast paths for Int/Int,
+   Float/Float and String/String; [Value.hash] agrees with it. *)
 type key_dir = {
   kd_cmp : Value.t -> Value.t -> int;
   mutable kd_keys : Value.t array array;  (* entry -> its key *)
@@ -175,9 +141,12 @@ type key_dir = {
   mutable kd_count : int;
 }
 
-let key_dir registry =
-  { kd_cmp = Value.compare ~registry; kd_keys = [||]; kd_hashes = [||];
-    kd_next = [||]; kd_heads = Array.make 16 (-1); kd_count = 0 }
+(* an empty directory with room for [size] entries *)
+let key_dir ?(size = 0) registry =
+  let rec pow2 b = if b >= size then b else pow2 (2 * b) in
+  { kd_cmp = Value.compare ~registry; kd_keys = Array.make size [||];
+    kd_hashes = Array.make size 0; kd_next = Array.make size (-1);
+    kd_heads = Array.make (pow2 16) (-1); kd_count = 0 }
 
 let same_value cmp (a : Value.t) (b : Value.t) =
   match a, b with
@@ -260,22 +229,36 @@ let same_row cmp (key : Value.t array) b i (slots : int array) =
   done;
   !k = Array.length slots
 
-(* [find_or_add] of the key [slots] of live row [i] of [b], read in
-   place: the key is boxed (through [scratch], of the key's length) only
-   when it opens an entry *)
-let find_or_add_row d b i (slots : int array) (scratch : Value.t array) =
+(* combined [cell_hash] of the key [slots] of live row [i] of [b] *)
+let row_hash b i (slots : int array) =
   let acc = ref 0x331 in
   for k = 0 to Array.length slots - 1 do
     acc := (!acc * 0x01000193) lxor cell_hash b ~col:slots.(k) i
   done;
-  let h = mix !acc in
+  mix !acc
+
+(* the entry whose key equals the key [slots] (of hash [h]) of live row
+   [i] of [b], or -1: the one hash-and-compare loop of the join probe,
+   GROUP BY and DISTINCT *)
+let lookup_row d h b i (slots : int array) =
   let idx = ref d.kd_heads.(h land (Array.length d.kd_heads - 1)) in
   while
     !idx >= 0 && not (d.kd_hashes.(!idx) = h && same_row d.kd_cmp d.kd_keys.(!idx) b i slots)
   do
     idx := d.kd_next.(!idx)
   done;
-  if !idx >= 0 then !idx
+  !idx
+
+(* [lookup_row] without adding: a join probe *)
+let find_row d b i (slots : int array) = lookup_row d (row_hash b i slots) b i slots
+
+(* [find_or_add] of the key [slots] of live row [i] of [b], read in
+   place: the key is boxed (through [scratch], of the key's length) only
+   when it opens an entry *)
+let find_or_add_row d b i (slots : int array) (scratch : Value.t array) =
+  let h = row_hash b i slots in
+  let e = lookup_row d h b i slots in
+  if e >= 0 then e
   else begin
     for k = 0 to Array.length slots - 1 do
       scratch.(k) <- Batch.value b ~col:slots.(k) i
@@ -288,85 +271,26 @@ let is_new d key =
   let fresh = d.kd_count in
   find_or_add d key = fresh
 
-(* A built hash side's probe: the build indices of the inner rows whose
-   key columns [islots] equal the probe row's [oslots] under [cmp], in
-   chain (reverse build) order, into [mbuf] (grown as needed); returns
-   their count. *)
-let probe_side s ~cmp (oslots : int array) (islots : int array) mbuf
-    (o : Tuple.t) =
-  let h = join_key_hash o oslots in
-  if h < 0 then 0
-  else begin
-    let nk = Array.length oslots in
-    let cnt = ref 0 in
-    let idx = ref s.hs_heads.(h land s.hs_mask) in
-    while !idx >= 0 do
-      let i = !idx in
-      if s.hs_hashes.(i) = h then begin
-        let irow = s.hs_rows.(i) in
-        let k = ref 0 in
-        while !k < nk && cmp o.(oslots.(!k)) irow.(islots.(!k)) = 0 do
-          incr k
-        done;
-        if !k = nk then begin
-          if !cnt >= Array.length !mbuf then mbuf := grown !mbuf 0;
-          (!mbuf).(!cnt) <- i;
-          incr cnt
-        end
-      end;
-      idx := s.hs_next.(i)
-    done;
-    !cnt
-  end
-
-(* every column [slots] of [b] is an INT chunk *)
-let int_keys b (slots : int array) =
+(* some column [slots] of live row [i] of [b] is NULL *)
+let null_key b i (slots : int array) =
   let k = ref 0 in
-  while !k < Array.length slots && Batch.is_int b ~col:slots.(!k) do
+  while !k < Array.length slots && not (Batch.null_at b ~col:slots.(!k) i) do
     incr k
   done;
-  !k = Array.length slots
+  !k < Array.length slots
 
-(* [probe_side] for an outer row whose key columns [oslots] are INT
-   chunks of [b], against a side with unboxed keys: no boxing, no
-   [Value.compare] *)
-let probe_ints s keys (oslots : int array) mbuf b i =
-  let nk = Array.length oslots in
-  let acc = ref 0x331 and null = ref false in
-  for k = 0 to nk - 1 do
-    let col = oslots.(k) in
-    if Batch.null_at b ~col i then null := true
-    else acc := (!acc * 0x01000193) lxor Value.hash_int (Batch.int_at b ~col i)
-  done;
-  if !null then 0
-  else begin
-    let h = mix !acc in
-    let cnt = ref 0 in
-    let idx = ref s.hs_heads.(h land s.hs_mask) in
-    while !idx >= 0 do
-      let e = !idx in
-      if s.hs_hashes.(e) = h then begin
-        let k = ref 0 in
-        while !k < nk && keys.((e * nk) + !k) = Batch.int_at b ~col:oslots.(!k) i do
-          incr k
-        done;
-        if !k = nk then begin
-          if !cnt >= Array.length !mbuf then mbuf := grown !mbuf 0;
-          (!mbuf).(!cnt) <- e;
-          incr cnt
-        end
-      end;
-      idx := s.hs_next.(e)
-    done;
-    !cnt
-  end
+(* A hash/merge join's build side: a key directory over the inner's
+   equi-columns, and per entry its inner rows in build order. *)
+type join_side = { js_dir : key_dir; js_chains : Tuple.t list array }
 
 type ectx = {
   db : db;
   hosts : (string * Value.t) list;
   counters : counters;
   gov : Sb_resil.Limits.gov;  (** per-query resource governor *)
-  mutable caches : cache_entry list;
+  mutable caches : (plan * (Value.t list, Tuple.t list) Hashtbl.t) list;
+      (** evaluate-on-demand results per materialized plan (by physical
+          identity), keyed by its bound parameter values *)
   mutable deltas : Tuple.t list list;  (** fixpoint delta stack *)
   instr : analysis option;  (** per-operator accounting when analyzing *)
 }
@@ -379,13 +303,13 @@ let stats_for (tbl : analysis) p =
     tbl := (p, st) :: !tbl;
     st
 
-let cache_for ectx (key : Obj.t) : (Value.t list, Obj.t) Hashtbl.t =
-  match List.find_opt (fun ce -> ce.ce_key == key) ectx.caches with
-  | Some ce -> ce.ce_table
+let cache_for ectx (p : plan) =
+  match List.find_opt (fun (q, _) -> q == p) ectx.caches with
+  | Some (_, table) -> table
   | None ->
-    let ce = { ce_key = key; ce_table = Hashtbl.create 8 } in
-    ectx.caches <- ce :: ectx.caches;
-    ce.ce_table
+    let table = Hashtbl.create 8 in
+    ectx.caches <- (p, table) :: ectx.caches;
+    table
 
 (* ------------------------------------------------------------------ *)
 (* Three-valued logic helpers                                          *)
@@ -555,7 +479,7 @@ and eval_sub ectx ~row ~params (spec : sub_spec) : Value.t =
   let bound =
     List.map (fun p -> eval ectx ~row ~params p) spec.sub_params
   in
-  let rows = demand_rows ectx (Obj.repr spec) spec.sub_plan bound in
+  let rows = demand_rows ectx spec.sub_plan bound in
   let inner_params = Array.of_list bound in
   let truth inner =
     bool3 (eval ectx ~row:inner ~params:inner_params spec.sub_pred)
@@ -591,29 +515,31 @@ and eval_sub ectx ~row ~params (spec : sub_spec) : Value.t =
 
 and eval_scalar_sub ectx ~row ~params (spec : scalar_sub_spec) : Value.t =
   let bound = List.map (fun p -> eval ectx ~row ~params p) spec.ssub_params in
-  let rows = demand_rows ectx (Obj.repr spec) spec.ssub_plan bound in
+  let rows = demand_rows ectx spec.ssub_plan bound in
   match rows with
   | [] -> Value.Null
   | [ r ] -> r.(0)
   | _ :: _ :: _ -> error "scalar subquery returned more than one row"
 
-(** The uniform demand-driven materialization with correlation caching. *)
-and demand_rows ectx (key : Obj.t) (plan : plan) (bound : Value.t list) :
-    Tuple.t list =
+(** The uniform demand-driven materialization with correlation caching:
+    [plan]'s rows are a function of [plan] and its [bound] parameters,
+    so the cache is keyed by the plan's physical identity, then by the
+    parameter values. *)
+and demand_rows ectx (plan : plan) (bound : Value.t list) : Tuple.t list =
   if not ectx.db.x_demand_cache then begin
     ectx.counters.c_sub_evals <- ectx.counters.c_sub_evals + 1;
     collect ectx ~params:(Array.of_list bound) plan
   end
   else
-  let table = cache_for ectx key in
+  let table = cache_for ectx plan in
   match Hashtbl.find_opt table bound with
   | Some rows ->
     ectx.counters.c_sub_cache_hits <- ectx.counters.c_sub_cache_hits + 1;
-    (Obj.obj rows : Tuple.t list)
+    rows
   | None ->
     ectx.counters.c_sub_evals <- ectx.counters.c_sub_evals + 1;
     let rows = collect ectx ~params:(Array.of_list bound) plan in
-    Hashtbl.replace table bound (Obj.repr rows);
+    Hashtbl.replace table bound rows;
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -923,8 +849,7 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
   | Except_op all -> setop_batches ectx ~params p ~all ~intersect:false
   | Temp ->
     let rows =
-      demand_rows ectx (Obj.repr p) (List.nth p.inputs 0)
-        (Array.to_list params)
+      demand_rows ectx (List.nth p.inputs 0) (Array.to_list params)
     in
     Batch.of_rows ~width:(width p) rows
   | Ship _ ->
@@ -1259,53 +1184,47 @@ and group_batches ectx ~params (p : plan) : Batch.t Seq.t =
 
 (* --- joins --- *)
 
-and join_build ectx ~params inner (islots : int array) : hash_side =
-  let rows = Array.of_list (collect ectx ~params inner) in
-  let n = Array.length rows in
-  let nbuckets =
-    let rec grow b = if b >= n || b >= 1 lsl 22 then b else grow (b * 2) in
-    grow 16
-  in
-  let hashes = Array.make (max n 1) (-1) in
-  let next = Array.make (max n 1) (-1) in
-  let heads = Array.make nbuckets (-1) in
-  let mask = nbuckets - 1 in
-  let nk = Array.length islots in
-  (* unboxed only once an outer row with INT key chunks probes *)
-  let ints =
-    lazy
-      (let int_or_null row s = match row.(s) with Value.Int _ | Value.Null -> true | _ -> false in
-       if Array.for_all (fun row -> Array.for_all (int_or_null row) islots) rows then
-         Some
-           (Array.init (n * nk) (fun j ->
-                match rows.(j / nk).(islots.(j mod nk)) with Value.Int x -> x | _ -> 0))
-       else None)
-  in
-  for idx = 0 to n - 1 do
-    let h = join_key_hash rows.(idx) islots in
-    hashes.(idx) <- h;
-    if h >= 0 then begin
-      let b = h land mask in
-      next.(idx) <- heads.(b);
-      heads.(b) <- idx
-    end
-  done;
-  {
-    hs_rows = rows;
-    hs_ints = ints;
-    hs_hashes = hashes;
-    hs_next = next;
-    hs_heads = heads;
-    hs_mask = mask;
-  }
+(* The build side of a hash/merge join, read from the inner's batches.
+   A row whose key holds a NULL is skipped (SQL: NULL never joins); any
+   other is copied once.  Only then, with the row count known, is the
+   directory made at its final size, and each row's key (its own
+   values, not boxed again) entered: a directory that grew while the
+   inner streamed would reallocate its arrays as it doubled.  Rows are
+   entered newest first and prepended to their entry's chain, so each
+   chain lists its rows in build order. *)
+and join_build ectx ~params inner (islots : int array) : join_side =
+  let rows = ref [] and n = ref 0 in
+  Seq.iter
+    (fun b ->
+      for i = 0 to Batch.count b - 1 do
+        if not (null_key b i islots) then begin
+          rows := Batch.get b i :: !rows;
+          incr n
+        end
+      done)
+    (batches ectx ~params inner);
+  let dir = key_dir ~size:!n (registry ectx) in
+  let chains = Array.make !n [] in
+  let key = Array.make (Array.length islots) Value.Null in
+  List.iter
+    (fun row ->
+      for k = 0 to Array.length islots - 1 do
+        key.(k) <- row.(islots.(k))
+      done;
+      let e = find_or_add dir key in
+      chains.(e) <- row :: chains.(e))
+    !rows;
+  { js_dir = dir; js_chains = chains }
 
 (* The join: the outer a batch at a time, and per outer row the
    method's equi-matching inner rows, handed to the kind.  Hash and
-   sort-merge probe one prebuilt hash side (sort-merge executes as a
-   keyed lookup over the grouped inner, so the two methods agree on
-   semantics and differ only in the optimizer's cost model); nested
+   sort-merge look the outer row's key up, in place, in one key
+   directory built over the inner ({!join_build}; sort-merge executes
+   as a keyed lookup over the grouped inner, so the two methods agree
+   on semantics and differ only in the optimizer's cost model); nested
    loop filters the inner's demand-driven materialization, re-evaluated
-   per outer binding when the inner is parameter-bound. *)
+   per outer binding when the inner is parameter-bound, under the
+   directory's equality. *)
 and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
   let j_method, j_kind, j_equi, j_pred, j_corr, j_bound, j_kind_pred =
     match p.op with
@@ -1339,15 +1258,15 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
         in
         List.iter
           (fun i ->
+            (* the directory's equality; [same_value] never equates
+               NULL with a value, so a NULL outer key matches nothing *)
             if
               List.for_all
                 (fun (oslot, islot) ->
-                  (not (Value.is_null o.(oslot)))
-                  && (not (Value.is_null i.(islot)))
-                  && cmp o.(oslot) i.(islot) = 0)
+                  (not (Value.is_null o.(oslot))) && same_value cmp o.(oslot) i.(islot))
                 j_equi
             then f i)
-          (demand_rows ectx (Obj.repr p) inner bound)
+          (demand_rows ectx inner bound)
     | Hash_join | Sort_merge ->
       let oslots = Array.of_list (List.map fst j_equi) in
       let islots = Array.of_list (List.map snd j_equi) in
@@ -1355,26 +1274,16 @@ and join_batches ectx ~params (p : plan) : Batch.t Seq.t =
          the inner.  A parameter-bound inner (STAR offers these methods
          only for an uncorrelated one) is built once too. *)
       let side = lazy (join_build ectx ~params inner islots) in
-      (* per-probe match buffer, reused across rows; holds build indices
-         in chain (reverse build) order *)
-      let mbuf = ref (Array.make 64 0) in
       fun b i ~row f ->
         let s = Lazy.force side in
-        let m =
-          match if int_keys b oslots then Lazy.force s.hs_ints else None with
-          | Some keys ->
-            (* INT outer keys probe the unboxed build keys; the outer
-               row is boxed only when it matches and [row] asks *)
-            let m = probe_ints s keys oslots mbuf b i in
-            if m > 0 && row then Batch.blit_row b i scratch;
-            m
-          | _ ->
-            Batch.blit_row b i scratch;
-            probe_side s ~cmp oslots islots mbuf scratch
-        in
-        for k = m - 1 downto 0 do
-          f s.hs_rows.((!mbuf).(k))
-        done
+        (* the outer key is read in place, and the outer row is boxed
+           only when it matches and [row] asks.  No entry holds a NULL,
+           so an outer NULL key matches nothing. *)
+        let e = find_row s.js_dir b i oslots in
+        if e >= 0 then begin
+          if row then Batch.blit_row b i scratch;
+          List.iter f s.js_chains.(e)
+        end
   in
   let em = Batch.emitter (width p) in
   let inners = ref [] in

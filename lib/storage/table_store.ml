@@ -51,7 +51,7 @@ let update t rid (tuple : Tuple.t) =
   | Error msg -> Sb_resil.Err.fail Sb_resil.Err.Storage "%s: %s" t.name msg);
   run_checks t tuple ~exclude:(Some rid);
   match t.storage.Storage_manager.fetch rid with
-  | None -> false
+  | None -> None
   | Some old_tuple ->
     if t.storage.Storage_manager.update rid tuple then begin
       List.iter
@@ -59,13 +59,12 @@ let update t rid (tuple : Tuple.t) =
           am.Access_method.am_delete old_tuple rid;
           am.Access_method.am_insert tuple rid)
         t.attachments;
-      true
+      Some rid
     end
     else begin
       (* record moved: delete + reinsert *)
       ignore (delete t rid);
-      ignore (insert t tuple);
-      true
+      Some (insert t tuple)
     end
 
 let fetch t rid = t.storage.Storage_manager.fetch rid

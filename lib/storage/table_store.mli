@@ -32,8 +32,10 @@ val insert : t -> Tuple.t -> Storage_manager.rid
 val delete : t -> Storage_manager.rid -> bool
 
 (** Updates in place when possible, else deletes and reinserts;
-    attachments are maintained either way. *)
-val update : t -> Storage_manager.rid -> Tuple.t -> bool
+    attachments are maintained either way.  Returns the rid the row
+    lives at afterwards (a grown record moves), or [None] when no record
+    is at the rid. *)
+val update : t -> Storage_manager.rid -> Tuple.t -> Storage_manager.rid option
 
 val fetch : t -> Storage_manager.rid -> Tuple.t option
 val tuple_count : t -> int
@@ -44,7 +46,8 @@ val page_count : t -> int
     the scan starts. *)
 val scan : t -> (Storage_manager.rid * Tuple.t) Seq.t
 
-(** The first record equal to [row] under the table's type registry. *)
+(** The first record equal to [row] under the table's type registry: a
+    full scan, used by value-based recovery redo. *)
 val find_rid : t -> Tuple.t -> Storage_manager.rid option
 val truncate : t -> unit
 

@@ -195,13 +195,15 @@ let test_nl_fanout_hits_ceiling () =
 (* Two tables of one schema and rows, [h] on the heap manager and [x]
    USING fixed, big enough (1500 rows) that their INT columns are
    decoded unboxed; a is NULL on every fifth row, b holds max_int and
-   -max_int.  A small dimension [d] joins on a. *)
+   -max_int.  A small dimension [d] joins on a, and so does [e], keyed
+   by a FLOAT column. *)
 let typed_db () =
   let db = Starburst.create () in
   let run s = ignore (Starburst.run db s) in
   run "CREATE TABLE h (k INT NOT NULL, a INT, b INT)";
   run "CREATE TABLE x (k INT NOT NULL, a INT, b INT) USING fixed";
   run "CREATE TABLE d (a INT, w INT)";
+  run "CREATE TABLE e (a FLOAT, w INT)";
   let rows =
     List.init 1500 (fun k ->
         let a = if k mod 5 = 0 then "NULL" else string_of_int (k mod 23) in
@@ -224,8 +226,21 @@ let typed_db () =
   in
   chunks rows;
   run "INSERT INTO d VALUES (1, 10), (2, 20), (NULL, 30), (3, 40), (3, 41), (4, NULL)";
+  run "INSERT INTO e VALUES (2.0, 50), (2.5, 60), (NULL, 70)";
   run "ANALYZE";
   db
+
+(* some hash join's inner scans [inner] *)
+let rec hash_join_over inner (p : Sb_optimizer.Plan.plan) =
+  let rec scans (p : Sb_optimizer.Plan.plan) =
+    match p.op with
+    | Sb_optimizer.Plan.Scan { sc_table; _ } -> sc_table = inner
+    | _ -> List.exists scans p.inputs
+  in
+  match p.op, p.inputs with
+  | Sb_optimizer.Plan.Join { j_method = Sb_optimizer.Plan.Hash_join; _ }, [ _; i ] when scans i ->
+    true
+  | _ -> List.exists (hash_join_over inner) p.inputs
 
 let test_unboxed_columns_match_reference () =
   let db = typed_db () in
@@ -251,6 +266,15 @@ let test_unboxed_columns_match_reference () =
       "SELECT t.k, d.w FROM %s t, d WHERE t.a = d.a";
       "SELECT d.w, count(*), sum(t.b) FROM %s t, d WHERE t.a = d.a GROUP BY d.w";
     ];
+  (* an INT-chunk outer of more than a batch probes a build side keyed
+     by FLOAT 2.0, 2.5 and NULL *)
+  List.iter
+    (fun t ->
+      let text = Printf.sprintf "SELECT t.k, e.w FROM %s t, e WHERE t.a = e.a" t in
+      Alcotest.(check bool) (text ^ ": hash join builds on e") true
+        (hash_join_over "e" (Starburst.compile_text db text));
+      check_bag text (reference_rows db text) (q db text))
+    [ "h"; "x" ];
   (* heap against fixed: the hash join probes INT chunks of both *)
   let text = "SELECT h.k, x.k FROM h, x WHERE h.a = x.a AND h.k < 30 AND x.k < 60" in
   check_bag text (reference_rows db text) (q db text);

@@ -1067,6 +1067,57 @@ let test_statement_atomicity () =
     [ row [ i 1 ]; row [ i 2 ] ]
     (q db "SELECT a FROM t")
 
+(* A failing UPDATE of every row of a 4,000-row UNIQUE-indexed table
+   (its last row collides) rolls back each change at the rid it left
+   the row at.  The table and an index probe read as before, and the
+   rollback scans nothing: the failing UPDATE costs at most twice the
+   buffer pool's logical reads of the same UPDATE when it commits. *)
+let test_rollback_by_rid () =
+  let n = 4000 in
+  let setup () =
+    let db = Starburst.create () in
+    let run s = ignore (Starburst.run db s) in
+    run "CREATE TABLE r (k INT NOT NULL UNIQUE, v STRING)";
+    List.iter
+      (fun c ->
+        run
+          ("INSERT INTO r VALUES "
+          ^ String.concat ", "
+              (List.init 500 (fun j ->
+                   let k = (c * 500) + j in
+                   Printf.sprintf "(%d, 'v%d')" k k))))
+      (List.init (n / 500) Fun.id);
+    run "CREATE INDEX r_k ON r (k)";
+    db
+  in
+  let reads db stmt ~fails =
+    let st = Buffer_pool.stats db.Starburst.catalog.Catalog.pool in
+    let before = st.Buffer_pool.logical_reads in
+    (match Starburst.run db stmt with
+    | _ -> if fails then Alcotest.fail "expected a unique violation"
+    | exception Starburst.Error _ -> if not fails then Alcotest.fail "unexpected error");
+    st.Buffer_pool.logical_reads - before
+  in
+  let probe db k =
+    let rows = q db (Printf.sprintf "SELECT v FROM r WHERE k = %d" k) in
+    Alcotest.(check bool) "the probe reads the index" true
+      ((Starburst.counters db).Sb_qes.Exec.c_index_probes > 0);
+    rows
+  in
+  let db = setup () in
+  let table = q db "SELECT k, v FROM r" in
+  let failed =
+    reads db ~fails:true
+      (Printf.sprintf "UPDATE r SET k = CASE WHEN k = %d THEN %d ELSE k + %d END"
+         (n - 1) n n)
+  in
+  check_bag "the table reads as before" table (q db "SELECT k, v FROM r");
+  check_rows "an index probe reads as before" [ row [ s "v1234" ] ] (probe db 1234);
+  check_rows "no updated key is left" [] (probe db (n + 1234));
+  let committed = reads (setup ()) ~fails:false (Printf.sprintf "UPDATE r SET k = k + %d" n) in
+  if failed > 2 * committed then
+    Alcotest.failf "rollback logical reads: failing %d > 2 x committing %d" failed committed
+
 let test_buffer_pool_wal_rule () =
   let pool = Buffer_pool.create ~capacity:8 () in
   let lsn = ref 10 in
@@ -1144,4 +1195,5 @@ let suite =
       case "buffer pool wal rule" test_buffer_pool_wal_rule;
       case "truncate maintains attachments" test_truncate_maintains_attachments;
       case "boxed short strings share values" test_string_sharing;
+      case "statement rollback by rid" test_rollback_by_rid;
     ] )
