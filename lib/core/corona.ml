@@ -121,7 +121,7 @@ let create ?(limits = default_limits ()) () : t =
   let builder_cfg = Builder.make_config ~catalog ~functions in
   {
     catalog;
-    plan_cache = Plan_cache.create ~metrics:catalog.Catalog.metrics ();
+    plan_cache = Plan_cache.create ();
     functions;
     builder_cfg;
     rules = Base_rules.default_set ~catalog;
@@ -309,8 +309,9 @@ let rules_report t : string =
       diags);
   Buffer.contents buf
 
-(* counts kept outside the registry are mirrored into it here, at dump
-   time, so recording them costs a statement nothing *)
+(* A count a subsystem keeps for its own stats has that one home: it is
+   copied into the registry here, at dump time, so recording it costs a
+   statement nothing and the registry cannot drift from the stats *)
 let metrics_dump t =
   let m = metrics t in
   let mirror ?label name v = Metrics.set (Metrics.counter ?label m name) v in
@@ -323,6 +324,18 @@ let metrics_dump t =
   mirror "sb_pool_physical_reads_total" pool.Buffer_pool.physical_reads;
   mirror "sb_pool_physical_writes_total" pool.Buffer_pool.physical_writes;
   mirror "sb_pool_evictions_total" pool.Buffer_pool.evictions;
+  let wal = Wal.stats t.catalog.Catalog.wal in
+  mirror "sb_wal_appends_total" wal.Wal.s_appends;
+  mirror "sb_wal_flushes_total" wal.Wal.s_flushes;
+  mirror "sb_wal_records_flushed_total" wal.Wal.s_flushed_records;
+  mirror "sb_wal_checkpoints_total" wal.Wal.s_checkpoints;
+  mirror "sb_wal_commits_total" wal.Wal.s_commits;
+  mirror "sb_wal_aborts_total" wal.Wal.s_aborts;
+  let cache = Plan_cache.stats t.plan_cache in
+  mirror "sb_plan_cache_hits_total" cache.Plan_cache.hits;
+  mirror "sb_plan_cache_misses_total" cache.Plan_cache.misses;
+  mirror "sb_plan_cache_evictions_total" cache.Plan_cache.evictions;
+  mirror "sb_plan_cache_invalidations_total" cache.Plan_cache.invalidations;
   Metrics.dump m
 
 (* ------------------------------------------------------------------ *)
@@ -1346,10 +1359,20 @@ let recover t : Recovery.stats =
   t.txn_undo <- [];
   t.txn_replaying <- true;
   Fun.protect ~finally:(fun () -> t.txn_replaying <- false) @@ fun () ->
-  try
+  match
     Recovery.run ~catalog:t.catalog ~replay_ddl:(fun text ->
         ignore (run_statement t (Parser.statement text)))
-  with Err.Error e -> raise (Error e)
+  with
+  | stats ->
+    Metrics.add_counters (metrics t)
+      [
+        ("sb_recovery_runs_total", None, 1);
+        ("sb_recovery_records_scanned_total", None, stats.Recovery.r_records);
+        ("sb_recovery_records_redone_total", None, stats.Recovery.r_redone);
+        ("sb_recovery_torn_records_total", None, stats.Recovery.r_truncated);
+      ];
+    stats
+  | exception Err.Error e -> raise (Error e)
 
 (** Renders a [Rows] result as an aligned table. *)
 let render_result ?registry (r : result) : string =

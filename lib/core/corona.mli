@@ -200,13 +200,19 @@ val tracer : t -> Trace.t
 val set_tracer : t -> Trace.t -> unit
 
 (** The database's metrics registry — the catalog's, shared by every
-    session over it (stage latencies, per-rule firings, execution
-    counters, the WAL and the plan cache). *)
+    session over it.  Counts with no other home are written to it as
+    they happen: stage latencies, execution counters, degradations,
+    paranoid-mode analysis regressions, simulated crashes, fault sites
+    and recovery runs. *)
 val metrics : t -> Metrics.t
 
-(** Prometheus-style text dump of {!metrics}, after mirroring into it
-    the rule fires ([sb_rewrite_rule_fires_total{rule}]) and the buffer
-    pool's counters ([sb_pool_*_total]). *)
+(** Prometheus-style text dump of {!metrics}, after copying into it
+    (with {!Metrics.set}) the counts other subsystems keep for their
+    own stats: the rule fires ([sb_rewrite_rule_fires_total{rule}]),
+    the buffer pool's ([sb_pool_*_total]), the WAL's
+    ([sb_wal_{appends,flushes,records_flushed,checkpoints,commits,aborts}_total])
+    and the plan cache's
+    ([sb_plan_cache_{hits,misses,evictions,invalidations}_total]). *)
 val metrics_dump : t -> string
 
 (** {1 Pipeline stages (exposed for instrumentation and extensions)} *)
@@ -337,7 +343,9 @@ val last_txn : t -> int
 
 (** Rebuilds the database from the stable log (analysis + redo of
     committed transactions), refreshes statistics, bumps the catalog
-    epoch and clears the needs-recovery flag.
+    epoch and clears the needs-recovery flag.  A run that completes is
+    counted in {!metrics} from the stats it returns
+    ([sb_recovery_{runs,records_scanned,records_redone,torn_records}_total]).
     @raise Error (stage [Storage]) when the WAL is disabled. *)
 val recover : t -> Recovery.stats
 

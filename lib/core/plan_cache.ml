@@ -23,8 +23,6 @@
     candidate set the first time two shards are touched under their
     own (different) locks. *)
 
-module Metrics = Sb_obs.Metrics
-
 type 'a node = {
   n_key : string;
   mutable n_value : 'a;
@@ -46,7 +44,7 @@ type 'a shard = {
   mutable s_invalidations : int;
 }
 
-type 'a t = { shards : 'a shard array; metrics : Metrics.t option }
+type 'a t = { shards : 'a shard array }
 
 type stats = {
   hits : int;
@@ -56,7 +54,7 @@ type stats = {
   resident : int;
 }
 
-let create ?(shards = 8) ?(capacity = 1024) ?metrics () : 'a t =
+let create ?(shards = 8) ?(capacity = 1024) () : 'a t =
   if shards <= 0 then invalid_arg "Plan_cache.create: shards must be positive";
   if capacity < shards then invalid_arg "Plan_cache.create: capacity < shards";
   let per_shard = max 1 (capacity / shards) in
@@ -77,7 +75,6 @@ let create ?(shards = 8) ?(capacity = 1024) ?metrics () : 'a t =
             s_evictions = 0;
             s_invalidations = 0;
           });
-    metrics;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -152,11 +149,6 @@ let watch sh ~site ~write =
 let shard_of t key =
   t.shards.(Hashtbl.hash key mod Array.length t.shards)
 
-let count t name =
-  match t.metrics with
-  | None -> ()
-  | Some m -> Metrics.add_counters m [ (name, None, 1) ]
-
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -166,72 +158,50 @@ let count t name =
     invalidation (the lookup reports a miss). *)
 let find (t : 'a t) ~(epoch : int) (key : string) : 'a option =
   let sh = shard_of t key in
-  let outcome =
-    locked sh (fun () ->
-        watch sh ~site:"Plan_cache.find" ~write:true;
-        match Hashtbl.find_opt sh.s_tbl key with
-        | Some node when node.n_epoch = epoch ->
-          unlink sh node;
-          push_front sh node;
-          sh.s_hits <- sh.s_hits + 1;
-          `Hit node.n_value
-        | Some node ->
-          unlink sh node;
-          Hashtbl.remove sh.s_tbl key;
-          sh.s_invalidations <- sh.s_invalidations + 1;
-          sh.s_misses <- sh.s_misses + 1;
-          `Invalidated
-        | None ->
-          sh.s_misses <- sh.s_misses + 1;
-          `Miss)
-  in
-  match outcome with
-  | `Hit v ->
-    count t "sb_plan_cache_hits_total";
-    Some v
-  | `Invalidated ->
-    count t "sb_plan_cache_invalidations_total";
-    count t "sb_plan_cache_misses_total";
+  locked sh @@ fun () ->
+  watch sh ~site:"Plan_cache.find" ~write:true;
+  match Hashtbl.find_opt sh.s_tbl key with
+  | Some node when node.n_epoch = epoch ->
+    unlink sh node;
+    push_front sh node;
+    sh.s_hits <- sh.s_hits + 1;
+    Some node.n_value
+  | Some node ->
+    unlink sh node;
+    Hashtbl.remove sh.s_tbl key;
+    sh.s_invalidations <- sh.s_invalidations + 1;
+    sh.s_misses <- sh.s_misses + 1;
     None
-  | `Miss ->
-    count t "sb_plan_cache_misses_total";
+  | None ->
+    sh.s_misses <- sh.s_misses + 1;
     None
 
 (** Inserts (or refreshes) [key], evicting the shard's LRU entry when
     over capacity. *)
 let add (t : 'a t) ~(epoch : int) (key : string) (value : 'a) : unit =
   let sh = shard_of t key in
-  let evicted =
-    locked sh (fun () ->
-        watch sh ~site:"Plan_cache.add" ~write:true;
-        (match Hashtbl.find_opt sh.s_tbl key with
-        | Some node ->
-          (* a concurrent compiler won the race: keep one entry *)
-          node.n_value <- value;
-          node.n_epoch <- epoch;
-          unlink sh node;
-          push_front sh node
-        | None ->
-          let node =
-            { n_key = key; n_value = value; n_epoch = epoch;
-              n_prev = None; n_next = None }
-          in
-          Hashtbl.replace sh.s_tbl key node;
-          push_front sh node);
-        let evicted = ref 0 in
-        while Hashtbl.length sh.s_tbl > sh.s_capacity do
-          match sh.s_lru with
-          | None -> Hashtbl.reset sh.s_tbl (* unreachable *)
-          | Some victim ->
-            unlink sh victim;
-            Hashtbl.remove sh.s_tbl victim.n_key;
-            sh.s_evictions <- sh.s_evictions + 1;
-            incr evicted
-        done;
-        !evicted)
-  in
-  for _ = 1 to evicted do
-    count t "sb_plan_cache_evictions_total"
+  locked sh @@ fun () ->
+  watch sh ~site:"Plan_cache.add" ~write:true;
+  (match Hashtbl.find_opt sh.s_tbl key with
+  | Some node ->
+    (* a concurrent compiler won the race: keep one entry *)
+    node.n_value <- value;
+    node.n_epoch <- epoch;
+    unlink sh node;
+    push_front sh node
+  | None ->
+    let node =
+      { n_key = key; n_value = value; n_epoch = epoch; n_prev = None; n_next = None }
+    in
+    Hashtbl.replace sh.s_tbl key node;
+    push_front sh node);
+  while Hashtbl.length sh.s_tbl > sh.s_capacity do
+    match sh.s_lru with
+    | None -> Hashtbl.reset sh.s_tbl (* unreachable *)
+    | Some victim ->
+      unlink sh victim;
+      Hashtbl.remove sh.s_tbl victim.n_key;
+      sh.s_evictions <- sh.s_evictions + 1
   done
 
 let clear (t : 'a t) =

@@ -18,11 +18,11 @@ type stats = {
 
 (** [create ()] is an empty cache of [capacity] total entries (default
     1024) spread over [shards] independently locked shards (default 8).
-    When [metrics] is given, lookups and evictions also drive the
-    [sb_plan_cache_{hits,misses,evictions,invalidations}_total]
-    counters.
+    Its counts live only in {!stats}; the language processor copies
+    them into the database's registry when it dumps it
+    ([sb_plan_cache_{hits,misses,evictions,invalidations}_total]).
     @raise Invalid_argument if [shards <= 0] or [capacity < shards]. *)
-val create : ?shards:int -> ?capacity:int -> ?metrics:Sb_obs.Metrics.t -> unit -> 'a t
+val create : ?shards:int -> ?capacity:int -> unit -> 'a t
 
 (** Normalizes query text so lexically equivalent statements share one
     cache entry: whitespace runs collapse to one space, characters

@@ -589,9 +589,6 @@ and instr_batches ectx ~params (p : plan) : Batch.t Seq.t =
     in
     timed s
 
-and conj ectx ~row ~params preds =
-  List.for_all (fun e -> bool3 (eval ectx ~row ~params e) = Some true) preds
-
 and find_table ectx name =
   match Catalog.find_table ectx.db.x_cat name with
   | Some tab -> tab
@@ -899,14 +896,21 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
                (index_probe ectx ~params probe)))
         ia_probes
     in
+    (* the smallest probe's rids, in its order, that every other
+       probe also returned: one hash set per other probe *)
     let intersection =
       match List.sort (fun a b -> compare (List.length a) (List.length b)) rid_sets with
       | [] -> []
       | smallest :: rest ->
-        let member set rid =
-          List.exists (fun r -> Storage_manager.compare_rid r rid = 0) set
+        let sets =
+          List.map
+            (fun rids ->
+              let set = Hashtbl.create (List.length rids) in
+              List.iter (fun rid -> Hashtbl.replace set rid ()) rids;
+              set)
+            rest
         in
-        List.filter (fun rid -> List.for_all (fun set -> member set rid) rest) smallest
+        List.filter (fun rid -> List.for_all (fun set -> Hashtbl.mem set rid) sets) smallest
     in
     fetch_batches ectx ~params tab ia_cols ia_preds (List.to_seq intersection)
   | Table_fn_scan { tf_name; tf_args } -> (
@@ -969,8 +973,10 @@ and attachment tab table index =
   | None -> error "index %s on %s disappeared" index table
 
 (* Idx_access and Idx_and: fetch each rid's row, test the residual
-   predicates and project the [cols] *)
+   predicates (compiled once, as Scan and Filter do) and project the
+   [cols] *)
 and fetch_batches ectx ~params tab cols preds (rids : Storage_manager.rid Seq.t) =
+  let test = compile_preds ectx ~params preds in
   let cols = Array.of_list cols in
   let em = Batch.emitter (Array.length cols) in
   let next = Seq.to_dispenser rids in
@@ -982,7 +988,7 @@ and fetch_batches ectx ~params tab cols preds (rids : Storage_manager.rid Seq.t)
         | None -> ()
         | Some row ->
           ectx.counters.c_scanned <- ectx.counters.c_scanned + 1;
-          if conj ectx ~row ~params preds then Batch.push_cols em row cols);
+          if test row then Batch.push_cols em row cols);
         true)
 
 and setop_batches ectx ~params (p : plan) ~all ~intersect : Batch.t Seq.t =

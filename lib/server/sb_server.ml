@@ -246,8 +246,6 @@ let with_shed db f =
       db.Corona.rewrite_enabled <- saved_rewrite)
     f
 
-let bump t name = Metrics.add_counters (catalog t).Catalog.metrics [ (name, None, 1) ]
-
 let execute t s ~shed ~use_cache text : Corona.result =
   let kind = classify text in
   let run () =
@@ -273,7 +271,6 @@ let reject t ~msg text =
   locked t (fun () ->
       watch_state t ~site:"Sb_server.reject" ~write:true;
       t.rejected <- t.rejected + 1);
-  bump t "sb_server_rejected_total";
   Error (Err.make ~query:text ~retryable:true Err.Resource msg)
 
 (* The admission decision and the counters move together under the
@@ -315,8 +312,6 @@ let submit t s (text : string) : (Corona.result, Err.t) result =
         (Fmt.str "session over its concurrency limit (%d); retry"
            t.config.session_inflight)
   | `Admit (shed, use_cache) ->
-    bump t "sb_server_admitted_total";
-    if shed then bump t "sb_server_shed_total";
     Fun.protect
       ~finally:(fun () ->
         locked t (fun () ->
@@ -503,11 +498,16 @@ let meta t s line =
       | "\\sessions" -> lines (sessions_lines t s)
       | "\\wal" -> lines (wal_lines t)
       | "\\metrics" ->
-        (* the lock checker's counters are the process's, so only the
-           server's dump mirrors them *)
+        (* the lock checker's counters are the process's and the
+           admission counters the server's, so only the server's dump
+           mirrors them *)
+        let st = stats t in
         List.iter
           (fun (name, v) -> Metrics.set (Metrics.counter (Corona.metrics t.base) name) v)
-          (Sb_conc.Discipline.metric_counters ());
+          (("sb_server_admitted_total", st.st_admitted)
+          :: ("sb_server_shed_total", st.st_shed)
+          :: ("sb_server_rejected_total", st.st_rejected)
+          :: Sb_conc.Discipline.metric_counters ());
         Corona.metrics_dump t.base
       | "\\locks" ->
         Sb_conc.Discipline.report_text ()

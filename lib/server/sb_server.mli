@@ -140,7 +140,10 @@ val recover : t -> Sb_storage.Recovery.stats
     (the session's limits and last consumption), [\cache] (plan cache
     and epoch), [\sessions] (open sessions with their in-flight counts;
     admitted, shed, rejected, epoch), [\wal], [\metrics]
-    ({!Starburst.Corona.metrics_dump}, lock counters mirrored too), [\locks],
+    ({!Starburst.Corona.metrics_dump}, with the admission counters of
+    {!stats} and the lock counters copied in as
+    [sb_server_{admitted,shed,rejected}_total] and
+    [sb_lock_*]/[sb_race_*]), [\locks],
     [\trace [json|clear]] (the session's tracer), [\check] (catalog
     lints).  [\rules], [\check QUERY] and [\infer QUERY] are
     submitted as [EXPLAIN RULES], [EXPLAIN VERIFY QUERY] and

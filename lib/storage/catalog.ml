@@ -45,8 +45,10 @@ type t = {
 
 let norm = String.lowercase_ascii
 
-let create ?(pool_capacity = 256) () =
-  let metrics = Sb_obs.Metrics.create () in
+(* buffer-pool pages of every database *)
+let pool_capacity = 256
+
+let create () =
   let t =
     {
       pool = Buffer_pool.create ~capacity:pool_capacity ();
@@ -59,8 +61,8 @@ let create ?(pool_capacity = 256) () =
       epoch = 0;
       site_of = (fun _ -> "local");
       faults = Sb_resil.Faults.none;
-      wal = Wal.create ~metrics;
-      metrics;
+      wal = Wal.create ();
+      metrics = Sb_obs.Metrics.create ();
     }
   in
   Storage_manager.register t.storage_managers Heap_file.factory;

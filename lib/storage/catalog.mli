@@ -33,15 +33,17 @@ type t = {
       (** the instance's write-ahead log; sessions sharing a catalog
           share the log (group commit) *)
   metrics : Sb_obs.Metrics.t;
-      (** the database's one metrics registry: the WAL, every session
-          sharing the catalog and a server over it all record here *)
+      (** the database's one metrics registry: every session sharing
+          the catalog and a server over it record here; the counts the
+          WAL and the buffer pool keep are copied in when it is dumped *)
 }
 
 exception Catalog_error of string
 
 (** A fresh database instance with the built-in storage managers (heap,
-    fixed) and access-method kinds (btree) registered. *)
-val create : ?pool_capacity:int -> unit -> t
+    fixed) and access-method kinds (btree) registered, over a buffer
+    pool of 256 pages. *)
+val create : unit -> t
 
 (** The catalog/statistics epoch: changes whenever a definition or its
     statistics may have changed, so a plan compiled at epoch [e] is

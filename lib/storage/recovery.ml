@@ -26,7 +26,6 @@
 
 module Faults = Sb_resil.Faults
 module Err = Sb_resil.Err
-module Metrics = Sb_obs.Metrics
 
 type stats = {
   r_records : int;  (** readable stable records *)
@@ -148,22 +147,12 @@ let run ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) : stats =
      epoch, invalidating any plan cached before the crash) *)
   Catalog.analyze_all catalog;
   Wal.set_needs_recovery wal false;
-  let stats =
-    {
-      r_records = List.length records;
-      r_truncated = truncated;
-      r_winners = !commits;
-      r_losers = losers;
-      r_redone = !redone;
-      r_ddl = !ddl;
-      r_from_checkpoint = from_checkpoint;
-    }
-  in
-  Metrics.add_counters catalog.Catalog.metrics
-    [
-      ("sb_recovery_runs_total", None, 1);
-      ("sb_recovery_records_scanned_total", None, stats.r_records);
-      ("sb_recovery_records_redone_total", None, stats.r_redone);
-      ("sb_recovery_torn_records_total", None, stats.r_truncated);
-    ];
-  stats
+  {
+    r_records = List.length records;
+    r_truncated = truncated;
+    r_winners = !commits;
+    r_losers = losers;
+    r_redone = !redone;
+    r_ddl = !ddl;
+    r_from_checkpoint = from_checkpoint;
+  }

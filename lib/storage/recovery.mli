@@ -26,8 +26,9 @@ val crash : catalog:Catalog.t -> unit
 
 (** Rebuilds the instance from the stable log; fault injection is
     suspended for the duration.  [replay_ddl] executes one DDL
-    statement (Hydrogen text) with logging suppressed.  The run is
-    counted in the catalog's registry ([sb_recovery_*_total]).
+    statement (Hydrogen text) with logging suppressed.  The run
+    writes no registry: its caller counts it from the returned
+    {!stats}.
     @raise Sb_resil.Err.Error (stage [Storage]) when the WAL is
     disabled. *)
 val run : catalog:Catalog.t -> replay_ddl:(string -> unit) -> stats

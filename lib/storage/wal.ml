@@ -23,7 +23,6 @@
 
 module Faults = Sb_resil.Faults
 module Err = Sb_resil.Err
-module Metrics = Sb_obs.Metrics
 
 type record =
   | Begin of int
@@ -78,7 +77,9 @@ type t = {
   lock : Sb_conc.Lock.t;
       (** level {!Sb_conc.Level.wal}: taken from under the buffer pool's
           lock (the WAL-rule bound in {!Buffer_pool.unpin}) and never
-          the other way around; only the metrics lock nests inside *)
+          the other way around; only an installed fault plan's lock
+          (and, on an injected fault, the registry it counts into)
+          nests inside *)
   mutable enabled : bool;
   mutable next_lsn : int;
   mutable next_txn : int;
@@ -89,7 +90,6 @@ type t = {
   mutable commits_since_checkpoint : int;
   mutable ddl_history : string list;  (** newest first *)
   mutable faults : Faults.t;
-  metrics : Metrics.t;
   mutable sink : (unit -> unit) option;
       (** called after every successful flush/checkpoint, outside the
           log's lock — the server's file-persistence hook *)
@@ -101,7 +101,7 @@ type t = {
   mutable n_aborts : int;
 }
 
-let create ~metrics =
+let create () =
   {
     lock = Sb_conc.Lock.create ~name:"storage.wal" ~level:Sb_conc.Level.wal;
     enabled = true;
@@ -114,7 +114,6 @@ let create ~metrics =
     commits_since_checkpoint = 0;
     ddl_history = [];
     faults = Faults.none;
-    metrics;
     sink = None;
     n_appends = 0;
     n_flushes = 0;
@@ -184,8 +183,6 @@ let stable_lsn t =
   if not t.enabled then max_int
   else List.fold_left (fun m l -> max m l.l_lsn) 0 t.stable
 
-let bump ?(by = 1) t name = Metrics.add_counters t.metrics [ (name, None, by) ]
-
 (** Appends one record to the volatile tail and returns its LSN (0 when
     the log is disabled).  Site [wal.append]: a crash here loses the
     record — it was never serialized. *)
@@ -200,14 +197,9 @@ let append t (r : record) : int =
     t.next_lsn <- lsn + 1;
     t.volatile <- { l_lsn = lsn; l_crc = crc32 bytes; l_bytes = bytes } :: t.volatile;
     t.n_appends <- t.n_appends + 1;
-    bump t "sb_wal_appends_total";
     (match r with
-    | Commit _ ->
-      t.n_commits <- t.n_commits + 1;
-      bump t "sb_wal_commits_total"
-    | Abort _ ->
-      t.n_aborts <- t.n_aborts + 1;
-      bump t "sb_wal_aborts_total"
+    | Commit _ -> t.n_commits <- t.n_commits + 1
+    | Abort _ -> t.n_aborts <- t.n_aborts + 1
     | Ddl text -> t.ddl_history <- text :: t.ddl_history
     | Checkpoint { ck_ddl; _ } -> t.ddl_history <- List.rev ck_ddl
     | Begin _ | Update _ -> ());
@@ -252,8 +244,6 @@ let flush t : unit =
       t.volatile <- [];
       t.n_flushes <- t.n_flushes + 1;
       t.n_flushed_records <- t.n_flushed_records + n;
-      bump t "sb_wal_flushes_total";
-      bump ~by:n t "sb_wal_records_flushed_total";
       t.sink
     end
   in
@@ -307,7 +297,6 @@ let checkpoint t ~(tables : (string * Tuple.t list) list) : unit =
           watch t ~site:"Wal.checkpoint" ~write:true;
           t.stable <- List.filter (fun l -> l.l_lsn >= lsn) t.stable;
           t.n_checkpoints <- t.n_checkpoints + 1;
-          bump t "sb_wal_checkpoints_total";
           t.sink)
     in
     Option.iter (fun sink -> sink ()) sink

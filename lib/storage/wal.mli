@@ -33,12 +33,12 @@ type record =
 
 type t
 
-(** A fresh, enabled, empty log.  Its counters land in [metrics] (the
-    database's registry, handed over by {!Catalog.create}) as
-    [sb_wal_appends_total], [sb_wal_flushes_total],
+(** A fresh, enabled, empty log.  Its counts live only in {!stats};
+    the language processor copies them into the database's registry
+    when it dumps it ([sb_wal_appends_total], [sb_wal_flushes_total],
     [sb_wal_records_flushed_total], [sb_wal_checkpoints_total],
-    [sb_wal_commits_total], [sb_wal_aborts_total]. *)
-val create : metrics:Sb_obs.Metrics.t -> t
+    [sb_wal_commits_total], [sb_wal_aborts_total]). *)
+val create : unit -> t
 
 val set_faults : t -> Sb_resil.Faults.t -> unit
 

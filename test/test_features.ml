@@ -309,6 +309,17 @@ let test_index_anding () =
                 Printf.sprintf "(%d, %d, %d)" (k mod 80) (k / 50) k))));
   let query = "SELECT pay FROM wide WHERE a = 7 AND b = 13" in
   let baseline = q db query in
+  (* [b = 13] is k 650-699, and k = 660 is the one with [a = 20]; the
+     residual on [pay] keeps it or drops it *)
+  let matching =
+    List.map
+      (fun (text, n) -> (text, n, q db text))
+      [
+        ("SELECT pay FROM wide WHERE a = 20 AND b = 13", 1);
+        ("SELECT pay FROM wide WHERE a = 20 AND b = 13 AND pay < 700", 1);
+        ("SELECT pay FROM wide WHERE a = 20 AND b = 13 AND pay > 700", 0);
+      ]
+  in
   ignore (Starburst.run db "CREATE INDEX wide_a ON wide (a)");
   ignore (Starburst.run db "CREATE INDEX wide_b ON wide (b)");
   ignore (Starburst.run db "ANALYZE");
@@ -320,6 +331,15 @@ let test_index_anding () =
   (* probes are counted per index *)
   let c = Starburst.counters db in
   Alcotest.(check bool) "two probes" true (c.Exec.c_index_probes >= 2);
+  List.iter
+    (fun (text, n, before) ->
+      Alcotest.(check int) ("rows before the indexes: " ^ text) n (List.length before);
+      Alcotest.(check bool) ("index ANDing chosen: " ^ text) true
+        (List.exists
+           (function Plan.Idx_and _ -> true | _ -> false)
+           (ops (Starburst.compile_text db text)));
+      check_bag ("same rows as scan: " ^ text) before (q db text))
+    matching;
   (* with only one index the single-probe plan is used instead *)
   ignore (Starburst.run db "DROP INDEX wide_b ON wide");
   let p2 = Starburst.compile_text db query in

@@ -71,17 +71,21 @@ let test_epoch_invalidation () =
     (Plan_cache.find c ~epoch:1 "k" = Some 2)
 
 let test_cache_metrics () =
-  let m = Sb_obs.Metrics.create () in
-  let c : int Plan_cache.t =
-    Plan_cache.create ~shards:1 ~capacity:1 ~metrics:m ()
+  (* a database whose cache holds one plan *)
+  let db =
+    {
+      (Starburst.create ()) with
+      Starburst.Corona.plan_cache = Plan_cache.create ~shards:1 ~capacity:1 ();
+    }
   in
-  ignore (Plan_cache.find c ~epoch:0 "k");
-  Plan_cache.add c ~epoch:0 "k" 1;
-  ignore (Plan_cache.find c ~epoch:0 "k");
-  ignore (Plan_cache.find c ~epoch:1 "k");
-  Plan_cache.add c ~epoch:1 "k" 1;
-  Plan_cache.add c ~epoch:1 "other" 2 (* capacity 1: evicts [k] *);
-  let dump = Sb_obs.Metrics.dump m in
+  ignore (Starburst.run db "CREATE TABLE t (x INT)");
+  let query text = ignore (Starburst.Corona.cached_query db text) in
+  query "SELECT x FROM t";
+  query "SELECT x FROM t";
+  ignore (Starburst.run db "CREATE TABLE u (y INT)") (* a new epoch *);
+  query "SELECT x FROM t";
+  query "SELECT x + 1 FROM t" (* capacity 1: evicts the first *);
+  let dump = Starburst.metrics_dump db in
   List.iter
     (fun needle ->
       Alcotest.(check bool) needle true (contains needle dump))
@@ -293,10 +297,11 @@ let test_concurrent_invalidation () =
 
 (* --- admission control --------------------------------------------- *)
 
-(* a scalar function that parks the executing statement on a latch, so
-   the test can observe the server with a statement genuinely in
-   flight *)
-let test_admission_rejects_at_high_water () =
+(* A scalar [latch(x)] that parks the statement calling it until
+   [release ()], so a test can observe the server with a statement
+   genuinely in flight; [wait_entered ()] returns once one has entered
+   it. *)
+let latch () =
   (* level 95: the latch is taken from inside statement evaluation,
      below every product lock in the hierarchy *)
   let gate = Lock.create ~name:"test.gate" ~level:95 in
@@ -318,6 +323,21 @@ let test_admission_rejects_at_high_water () =
           List.hd args);
     }
   in
+  let wait_entered () =
+    Lock.with_lock gate (fun () ->
+        while not !entered do
+          Lock.Cond.wait turn gate
+        done)
+  in
+  let release () =
+    Lock.with_lock gate (fun () ->
+        released := true;
+        Lock.Cond.broadcast turn)
+  in
+  (latch_fn, wait_entered, release)
+
+let test_admission_rejects_at_high_water () =
+  let latch_fn, wait_entered, release = latch () in
   let config =
     { Server.max_inflight = 1; degrade_inflight = 1; session_inflight = 2 }
   in
@@ -334,10 +354,7 @@ let test_admission_rejects_at_high_water () =
   let parked =
     Domain.spawn (fun () -> Server.submit server s1 "SELECT latch(x) FROM one")
   in
-  Lock.with_lock gate (fun () ->
-      while not !entered do
-        Lock.Cond.wait turn gate
-      done);
+  wait_entered ();
   (* one statement is parked in flight: the next must bounce *)
   (match Server.submit server s2 "SELECT x FROM one" with
   | Error e ->
@@ -345,9 +362,7 @@ let test_admission_rejects_at_high_water () =
     Alcotest.(check string) "rejection is a resource error" "resource"
       (Err.stage_name e.Err.err_stage)
   | Ok _ -> Alcotest.fail "expected a rejection at the high-water mark");
-  Lock.with_lock gate (fun () ->
-      released := true;
-      Lock.Cond.broadcast turn);
+  release ();
   Alcotest.(check int) "the parked statement completes" 1
     (List.length (rows_exn (Domain.join parked)));
   (* capacity freed: the bounced statement is admitted on retry *)
@@ -528,9 +543,7 @@ let test_one_registry_counts_commits () =
   let commits = (Server.wal_stats server).Sb_storage.Wal.s_commits in
   Alcotest.(check bool) "the inserts committed" true (commits >= 3);
   Alcotest.(check int) "the registry counts every commit once" commits
-    (sample
-       (Sb_obs.Metrics.dump (Server.catalog server).Catalog.metrics)
-       "sb_wal_commits_total");
+    (sample (Starburst.metrics_dump (Server.session_db s1)) "sb_wal_commits_total");
   Alcotest.(check string) "both sessions read the one registry"
     (Starburst.metrics_dump (Server.session_db s1))
     (Starburst.metrics_dump (Server.session_db s2));
@@ -740,6 +753,77 @@ let test_raising_statement_releases_admission () =
     [ (Udf_boom, "Udf_boom"); (Stack_overflow, "Stack overflow") ];
   Server.shutdown server
 
+(* Every count a subsystem keeps for its own stats reaches [\metrics]
+   with the value of those stats: the WAL's, the plan cache's and the
+   admission controller's, after commits, an abort, a checkpoint, cache
+   hits, misses and an invalidation, shed and rejected statements and a
+   recovery. *)
+let test_registry_agrees_with_stats () =
+  let latch_fn, wait_entered, release = latch () in
+  (* one statement in flight fills the server, and every admitted
+     statement is shed *)
+  let config =
+    { Server.max_inflight = 1; degrade_inflight = 0; session_inflight = 1 }
+  in
+  let server =
+    Server.create ~config
+      ~install:(fun db -> Functions.register_scalar db.Starburst.Corona.functions latch_fn)
+      ()
+  in
+  let s = Server.session server in
+  let submit text = ignore (ok_exn (Server.submit server s text)) in
+  submit "CREATE TABLE t (k INT NOT NULL UNIQUE)";
+  submit "INSERT INTO t VALUES (1)";
+  (match Server.submit server s "INSERT INTO t VALUES (1)" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a UNIQUE collision must fail");
+  submit "SET wal_checkpoint = 1";
+  submit "INSERT INTO t VALUES (2)";
+  submit "SELECT k FROM t";
+  submit "SELECT k FROM t";
+  submit "CREATE TABLE u (x INT)";
+  submit "SELECT k FROM t";
+  let s2 = Server.session server in
+  let parked =
+    Domain.spawn (fun () -> Server.submit server s2 "SELECT latch(k) FROM t")
+  in
+  wait_entered ();
+  (match Server.submit server s "SELECT k FROM t" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a full server must reject");
+  release ();
+  Alcotest.(check int) "the parked statement completes" 2
+    (List.length (rows_exn (Domain.join parked)));
+  Sb_storage.Recovery.crash ~catalog:(Server.catalog server);
+  ignore (Server.recover server : Sb_storage.Recovery.stats);
+  let dump = meta_exn server s "\\metrics" in
+  let wal = Server.wal_stats server in
+  let cache = Server.cache_stats server in
+  let st = Server.stats server in
+  let module Wal = Sb_storage.Wal in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check int) name v (sample dump name);
+      if name <> "sb_plan_cache_evictions_total" then
+        Alcotest.(check bool) (name ^ " was exercised") true (v > 0))
+    [
+      ("sb_wal_appends_total", wal.Wal.s_appends);
+      ("sb_wal_flushes_total", wal.Wal.s_flushes);
+      ("sb_wal_records_flushed_total", wal.Wal.s_flushed_records);
+      ("sb_wal_checkpoints_total", wal.Wal.s_checkpoints);
+      ("sb_wal_commits_total", wal.Wal.s_commits);
+      ("sb_wal_aborts_total", wal.Wal.s_aborts);
+      ("sb_plan_cache_hits_total", cache.Plan_cache.hits);
+      ("sb_plan_cache_misses_total", cache.Plan_cache.misses);
+      ("sb_plan_cache_evictions_total", cache.Plan_cache.evictions);
+      ("sb_plan_cache_invalidations_total", cache.Plan_cache.invalidations);
+      ("sb_server_admitted_total", st.Server.st_admitted);
+      ("sb_server_shed_total", st.Server.st_shed);
+      ("sb_server_rejected_total", st.Server.st_rejected);
+    ];
+  Alcotest.(check int) "one recovery run" 1 (sample dump "sb_recovery_runs_total");
+  Server.shutdown server
+
 let suite =
   ( "server",
     [
@@ -781,4 +865,6 @@ let suite =
         test_statement_runs_on_submitter;
       case "a raising statement is a structured error and frees its slot"
         test_raising_statement_releases_admission;
+      case "the registry agrees with every stats record"
+        test_registry_agrees_with_stats;
     ] )

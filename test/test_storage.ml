@@ -893,7 +893,7 @@ let test_stats () =
 (* ------------------------------------------------------------------ *)
 
 let test_wal_basics () =
-  let w = Wal.create ~metrics:(Sb_obs.Metrics.create ()) in
+  let w = Wal.create () in
   let txn = Wal.begin_txn w in
   let l1 =
     Wal.append w
@@ -921,7 +921,7 @@ let test_wal_basics () =
   Alcotest.(check (list int)) "tail lost" [ txn ] (Wal.committed_txns w)
 
 let test_wal_torn_record () =
-  let w = Wal.create ~metrics:(Sb_obs.Metrics.create ()) in
+  let w = Wal.create () in
   let faults = Sb_resil.Faults.create ~seed:1 () in
   Sb_resil.Faults.fail_nth faults ~outcome:Sb_resil.Faults.Crash
     ~site:"wal.flush" [ 2 ];
@@ -944,7 +944,7 @@ let test_wal_torn_record () =
   Alcotest.(check (list int)) "only txn1" [ txn ] (Wal.committed_txns w)
 
 let test_wal_checkpoint_compaction () =
-  let w = Wal.create ~metrics:(Sb_obs.Metrics.create ()) in
+  let w = Wal.create () in
   for _ = 1 to 5 do
     let txn = Wal.begin_txn w in
     ignore (Wal.append w (Wal.Commit txn));
@@ -960,7 +960,7 @@ let test_wal_checkpoint_compaction () =
   Alcotest.(check int) "tail grows past it" 3 (Wal.stats w).Wal.s_stable
 
 let test_wal_save_load () =
-  let w = Wal.create ~metrics:(Sb_obs.Metrics.create ()) in
+  let w = Wal.create () in
   let txn = Wal.begin_txn w in
   ignore
     (Wal.append w
@@ -973,7 +973,7 @@ let test_wal_save_load () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Wal.save_file w path;
-      let w2 = Wal.create ~metrics:(Sb_obs.Metrics.create ()) in
+      let w2 = Wal.create () in
       Alcotest.(check int) "records read" 3 (Wal.load_file w2 path);
       Alcotest.(check bool) "recovery flagged" true (Wal.needs_recovery w2);
       let a, _ = Wal.stable_records w and b, _ = Wal.stable_records w2 in
