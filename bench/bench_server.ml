@@ -1,9 +1,10 @@
 (** The concurrent-client server sweep ([bench --server]).
 
-    Measures the multi-session front end (lib/server): N client domains,
+    Measures the multi-session front end (lib/server): N client threads
+    (systhreads of one domain, like starburst_server's connections),
     each with its own session, hammer a shared parts/supply database
-    with a fixed mix of read queries, with the shared plan cache on and
-    off.  Reports per-point throughput, the cache hit rate, and
+    with a fixed mix of read queries through the shared plan cache.
+    Reports per-point throughput, the cache hit rate, and
     admission-controller activity, writes [BENCH_server.json], and
     checks the two headline claims — with ≥ 8 clients the shared cache
     hit rate exceeds 90%, and concurrent throughput beats the
@@ -13,7 +14,7 @@
 module Server = Sb_server
 module Err = Sb_resil.Err
 
-(* the read mix: distinct enough to exercise several cache shards,
+(* the read mix: distinct enough to fill several cache entries,
    repeated enough that a shared cache pays off *)
 let queries =
   [|
@@ -64,18 +65,15 @@ let load_workload db =
            (k mod 17)));
   ignore (Starburst.run db "ANALYZE")
 
-let fresh_server ~cache =
+let fresh_server () =
   let config =
     { Server.max_inflight = 64; degrade_inflight = 48; session_inflight = 8 }
   in
   let server = Server.create ~config () in
-  Server.set_cache_enabled server cache;
   (* load through a bootstrap session so DDL takes the normal path *)
   let boot = Server.session server in
   load_workload (Server.session_db boot);
   Server.close_session server boot;
-  (* the loading misses stay out of the measured counters *)
-  Server.clear_cache server;
   server
 
 (* one client: its own session, [stmts] statements round-robin through
@@ -98,7 +96,6 @@ let client server ~stmts ~offset () =
 
 type point = {
   pt_clients : int;
-  pt_cache : bool;
   pt_ms : float;
   pt_throughput : float;  (** statements / second *)
   pt_hit_rate : float;
@@ -111,8 +108,8 @@ type point = {
 
 (* clients are systhreads of one domain, like the TCP front end's
    per-connection threads: each runs its own statements in [submit] *)
-let run_point ~clients ~cache ~stmts =
-  let server = fresh_server ~cache in
+let run_point ~clients ~stmts =
+  let server = fresh_server () in
   let t0 = Unix.gettimeofday () in
   let results = Array.make clients 0 in
   let threads =
@@ -131,7 +128,6 @@ let run_point ~clients ~cache ~stmts =
   let lookups = c.Starburst.Plan_cache.hits + c.Starburst.Plan_cache.misses in
   {
     pt_clients = clients;
-    pt_cache = cache;
     pt_ms = ms;
     pt_throughput = float_of_int total /. (ms /. 1000.0);
     pt_hit_rate =
@@ -146,10 +142,10 @@ let run_point ~clients ~cache ~stmts =
 
 let json_of_point p =
   Printf.sprintf
-    "    {\"clients\": %d, \"cache\": %b, \"ms\": %.1f, \
+    "    {\"clients\": %d, \"ms\": %.1f, \
      \"throughput_stmts_per_s\": %.1f, \"hit_rate\": %.4f, \"hits\": %d, \
      \"misses\": %d, \"shed\": %d, \"rejected\": %d, \"errors\": %d}"
-    p.pt_clients p.pt_cache p.pt_ms p.pt_throughput p.pt_hit_rate p.pt_hits
+    p.pt_clients p.pt_ms p.pt_throughput p.pt_hit_rate p.pt_hits
     p.pt_misses p.pt_shed p.pt_rejected p.pt_errors
 
 (* the single-caller reference: one plain Corona handle, no server, no
@@ -178,7 +174,8 @@ let single_caller_reference ~stmts =
 let run ?(out = "BENCH_server.json") ?(stmts = 250) () =
   Bench_util.header
     (Printf.sprintf
-       "Server sweep: clients x shared-plan-cache, %d statements/client" stmts);
+       "Server sweep: clients through the shared plan cache, %d statements/client"
+       stmts);
   (* single-session baseline first: it doubles as process warmup, so no
      sweep point is charged for heap growth *)
   let ref_uncached, ref_cached = single_caller_reference ~stmts in
@@ -186,35 +183,23 @@ let run ?(out = "BENCH_server.json") ?(stmts = 250) () =
     "  single caller: %.0f stmts/s compile-every-time, %.0f stmts/s cached\n"
     ref_uncached ref_cached;
   let sweep_clients = [ 1; 2; 4; 8 ] in
-  let points =
-    List.concat_map
-      (fun cache ->
-        List.map
-          (fun clients -> run_point ~clients ~cache ~stmts)
-          sweep_clients)
-      [ true; false ]
-  in
+  let points = List.map (fun clients -> run_point ~clients ~stmts) sweep_clients in
   Bench_util.table
     ~cols:
-      [ "clients"; "cache"; "ms"; "stmts/s"; "hit rate"; "shed"; "rejected"; "errors" ]
+      [ "clients"; "ms"; "stmts/s"; "hit rate"; "shed"; "rejected"; "errors" ]
     (List.map
        (fun p ->
          [
            string_of_int p.pt_clients;
-           (if p.pt_cache then "on" else "off");
            Printf.sprintf "%.0f" p.pt_ms;
            Printf.sprintf "%.0f" p.pt_throughput;
-           (if p.pt_cache then Printf.sprintf "%.1f%%" (100.0 *. p.pt_hit_rate)
-            else "-");
+           Printf.sprintf "%.1f%%" (100.0 *. p.pt_hit_rate);
            string_of_int p.pt_shed;
            string_of_int p.pt_rejected;
            string_of_int p.pt_errors;
          ])
        points);
-  let find clients cache =
-    List.find (fun p -> p.pt_clients = clients && p.pt_cache = cache) points
-  in
-  let concurrent = find 8 true in
+  let concurrent = List.find (fun p -> p.pt_clients = 8) points in
   let hit_rate_ok = concurrent.pt_hit_rate > 0.90 in
   (* the single-session baseline is one caller compiling every statement
      (the pre-server story: no shared cache, no sessions) *)

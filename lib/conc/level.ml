@@ -19,7 +19,7 @@
     40  storage.catalog     table/view maps, the epoch counter
     50  storage.buffer_pool frame cache, file table, I/O accounting
     60  storage.wal         the log's stable/volatile regions
-    70  core.plan_cache     one shard's hash table + LRU list
+    70  core.plan_cache     the plan cache's hash table + LRU list
     80  obs.trace           a tracer's ring buffer and span stack
     85  resil.faults        a fault plan's ordinals and PRNG
     90  obs.metrics         the global metrics registry

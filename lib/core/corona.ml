@@ -632,8 +632,6 @@ let cached_query t (text : string) : string list * Tuple.t list =
   if t.paranoid then check_paranoid t (parse t text) rows;
   (p.prep_columns, rows)
 
-let plan_cache_stats t = Plan_cache.stats t.plan_cache
-
 (* ------------------------------------------------------------------ *)
 (* DML                                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -248,16 +248,15 @@ val query : t -> string -> Tuple.t list
 val prepare : t -> string -> prepared
 val execute_prepared : t -> prepared -> Tuple.t list
 
-(** The compile options that qualify a cached plan's reusability —
-    appended to the normalized text to form the plan-cache key. *)
-val settings_fingerprint : t -> string
-
 (** The plan-cache key for [text] under the session's current options:
-    [Plan_cache.normalize text] plus {!settings_fingerprint}. *)
+    [Plan_cache.normalize text] plus the compile options that qualify a
+    cached plan's reusability (rewrite on/off, the STAR strategy, the
+    bushy and Cartesian flags). *)
 val plan_cache_key : t -> string -> string
 
 (** Like {!query}, but caches the compiled plan, keyed on normalized
-    query text plus {!settings_fingerprint}.  Entries remember the
+    query text plus the session's compile options (see
+    {!plan_cache_key}).  Entries remember the
     catalog/statistics epoch they were compiled at, so DDL and ANALYZE —
     from this session or any other sharing the catalog — invalidate them
     lazily; eviction is LRU.  A degraded compilation runs but is never
@@ -266,10 +265,6 @@ val plan_cache_key : t -> string -> string
     afterwards; a hit executes the cached plan alone.  Returns the
     plan's column names with its rows. *)
 val cached_query : t -> string -> string list * Tuple.t list
-
-(** Hit/miss/eviction/invalidation counters and resident-entry count of
-    the session's (possibly shared) plan cache. *)
-val plan_cache_stats : t -> Plan_cache.stats
 
 (** {1 Statements} *)
 

@@ -1,4 +1,4 @@
-(** The shared prepared-plan cache: sharded, LRU, epoch-invalidated.
+(** The shared prepared-plan cache: one LRU table, epoch-invalidated.
 
     Section 3's economic argument — compilation is microseconds while
     execution is milliseconds, "the result of the compilation stage can
@@ -10,18 +10,10 @@
     epoch is a miss that also drops the entry, so DDL and ANALYZE
     invalidate lazily without the catalog knowing the cache exists.
 
-    The table is split into shards, each with its own lock and LRU list,
-    so concurrent sessions on different domains rarely contend.  Within
-    a shard, eviction is strict LRU — no wholesale reset.
-
-    Every shard lock is a leveled {!Sb_conc.Lock} at
-    {!Sb_conc.Level.plan_cache} (all sharing one name — the hierarchy
-    cares about the class, not the instance; shard locks never nest).
-    Each shard's table + LRU list is its own instrumented field
-    ([plan_cache.shard<i>]) so the race detector's lockset refinement
-    is per shard — one field for the whole cache would empty its
-    candidate set the first time two shards are touched under their
-    own (different) locks. *)
+    One table and one LRU list sit under one leveled {!Sb_conc.Lock} at
+    {!Sb_conc.Level.plan_cache}; eviction is strict LRU over the whole
+    capacity — no wholesale reset.  The table, list and counters are one
+    instrumented field ([plan_cache]) for the race detector. *)
 
 type 'a node = {
   n_key : string;
@@ -31,20 +23,17 @@ type 'a node = {
   mutable n_next : 'a node option;  (** toward least-recently-used *)
 }
 
-type 'a shard = {
-  s_lock : Sb_conc.Lock.t;
-  s_field : string;  (** this shard's race-detector field name *)
-  s_tbl : (string, 'a node) Hashtbl.t;
-  mutable s_mru : 'a node option;
-  mutable s_lru : 'a node option;
-  s_capacity : int;  (** max resident entries in this shard *)
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
-  mutable s_invalidations : int;
+type 'a t = {
+  lock : Sb_conc.Lock.t;
+  tbl : (string, 'a node) Hashtbl.t;
+  mutable mru : 'a node option;
+  mutable lru : 'a node option;
+  capacity : int;  (** max resident entries *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable invalidations : int;
 }
-
-type 'a t = { shards : 'a shard array }
 
 type stats = {
   hits : int;
@@ -54,27 +43,18 @@ type stats = {
   resident : int;
 }
 
-let create ?(shards = 8) ?(capacity = 1024) () : 'a t =
-  if shards <= 0 then invalid_arg "Plan_cache.create: shards must be positive";
-  if capacity < shards then invalid_arg "Plan_cache.create: capacity < shards";
-  let per_shard = max 1 (capacity / shards) in
+let create ?(capacity = 1024) () : 'a t =
+  if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";
   {
-    shards =
-      Array.init shards (fun i ->
-          {
-            s_lock =
-              Sb_conc.Lock.create ~name:"core.plan_cache"
-                ~level:Sb_conc.Level.plan_cache;
-            s_field = Printf.sprintf "plan_cache.shard%d" i;
-            s_tbl = Hashtbl.create (2 * per_shard);
-            s_mru = None;
-            s_lru = None;
-            s_capacity = per_shard;
-            s_hits = 0;
-            s_misses = 0;
-            s_evictions = 0;
-            s_invalidations = 0;
-          });
+    lock = Sb_conc.Lock.create ~name:"core.plan_cache" ~level:Sb_conc.Level.plan_cache;
+    tbl = Hashtbl.create (2 * capacity);
+    mru = None;
+    lru = None;
+    capacity;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    invalidations = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -117,37 +97,34 @@ let normalize (text : string) : string =
   else s
 
 (* ------------------------------------------------------------------ *)
-(* Intra-shard LRU list                                                *)
+(* LRU list                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* all list surgery runs under the shard lock *)
+(* all list surgery runs under the lock *)
 
-let unlink sh node =
+let unlink (t : 'a t) node =
   (match node.n_prev with
   | Some p -> p.n_next <- node.n_next
-  | None -> sh.s_mru <- node.n_next);
+  | None -> t.mru <- node.n_next);
   (match node.n_next with
   | Some nx -> nx.n_prev <- node.n_prev
-  | None -> sh.s_lru <- node.n_prev);
+  | None -> t.lru <- node.n_prev);
   node.n_prev <- None;
   node.n_next <- None
 
-let push_front sh node =
+let push_front (t : 'a t) node =
   node.n_prev <- None;
-  node.n_next <- sh.s_mru;
-  (match sh.s_mru with
+  node.n_next <- t.mru;
+  (match t.mru with
   | Some old -> old.n_prev <- Some node
-  | None -> sh.s_lru <- Some node);
-  sh.s_mru <- Some node
+  | None -> t.lru <- Some node);
+  t.mru <- Some node
 
-let locked sh f = Sb_conc.Lock.with_lock sh.s_lock f
-
-let watch sh ~site ~write =
-  Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id sh.s_lock) ~field:sh.s_field ~site
-    ~write
-
-let shard_of t key =
-  t.shards.(Hashtbl.hash key mod Array.length t.shards)
+let locked (t : 'a t) ~site ~write f =
+  Sb_conc.Lock.with_lock t.lock (fun () ->
+      Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id t.lock) ~field:"plan_cache"
+        ~site ~write;
+      f ())
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
@@ -157,74 +134,55 @@ let shard_of t key =
     any.  An entry from an older epoch is dropped and counted as an
     invalidation (the lookup reports a miss). *)
 let find (t : 'a t) ~(epoch : int) (key : string) : 'a option =
-  let sh = shard_of t key in
-  locked sh @@ fun () ->
-  watch sh ~site:"Plan_cache.find" ~write:true;
-  match Hashtbl.find_opt sh.s_tbl key with
+  locked t ~site:"Plan_cache.find" ~write:true @@ fun () ->
+  match Hashtbl.find_opt t.tbl key with
   | Some node when node.n_epoch = epoch ->
-    unlink sh node;
-    push_front sh node;
-    sh.s_hits <- sh.s_hits + 1;
+    unlink t node;
+    push_front t node;
+    t.hits <- t.hits + 1;
     Some node.n_value
   | Some node ->
-    unlink sh node;
-    Hashtbl.remove sh.s_tbl key;
-    sh.s_invalidations <- sh.s_invalidations + 1;
-    sh.s_misses <- sh.s_misses + 1;
+    unlink t node;
+    Hashtbl.remove t.tbl key;
+    t.invalidations <- t.invalidations + 1;
+    t.misses <- t.misses + 1;
     None
   | None ->
-    sh.s_misses <- sh.s_misses + 1;
+    t.misses <- t.misses + 1;
     None
 
-(** Inserts (or refreshes) [key], evicting the shard's LRU entry when
-    over capacity. *)
+(** Inserts (or refreshes) [key], evicting the LRU entry when over
+    capacity. *)
 let add (t : 'a t) ~(epoch : int) (key : string) (value : 'a) : unit =
-  let sh = shard_of t key in
-  locked sh @@ fun () ->
-  watch sh ~site:"Plan_cache.add" ~write:true;
-  (match Hashtbl.find_opt sh.s_tbl key with
+  locked t ~site:"Plan_cache.add" ~write:true @@ fun () ->
+  (match Hashtbl.find_opt t.tbl key with
   | Some node ->
     (* a concurrent compiler won the race: keep one entry *)
     node.n_value <- value;
     node.n_epoch <- epoch;
-    unlink sh node;
-    push_front sh node
+    unlink t node;
+    push_front t node
   | None ->
     let node =
       { n_key = key; n_value = value; n_epoch = epoch; n_prev = None; n_next = None }
     in
-    Hashtbl.replace sh.s_tbl key node;
-    push_front sh node);
-  while Hashtbl.length sh.s_tbl > sh.s_capacity do
-    match sh.s_lru with
-    | None -> Hashtbl.reset sh.s_tbl (* unreachable *)
+    Hashtbl.replace t.tbl key node;
+    push_front t node);
+  while Hashtbl.length t.tbl > t.capacity do
+    match t.lru with
+    | None -> Hashtbl.reset t.tbl (* unreachable *)
     | Some victim ->
-      unlink sh victim;
-      Hashtbl.remove sh.s_tbl victim.n_key;
-      sh.s_evictions <- sh.s_evictions + 1
+      unlink t victim;
+      Hashtbl.remove t.tbl victim.n_key;
+      t.evictions <- t.evictions + 1
   done
 
-let clear (t : 'a t) =
-  Array.iter
-    (fun sh ->
-      locked sh (fun () ->
-          watch sh ~site:"Plan_cache.clear" ~write:true;
-          Hashtbl.reset sh.s_tbl;
-          sh.s_mru <- None;
-          sh.s_lru <- None))
-    t.shards
-
 let stats (t : 'a t) : stats =
-  Array.fold_left
-    (fun acc sh ->
-      locked sh (fun () ->
-          watch sh ~site:"Plan_cache.stats" ~write:false;
-          {
-            hits = acc.hits + sh.s_hits;
-            misses = acc.misses + sh.s_misses;
-            evictions = acc.evictions + sh.s_evictions;
-            invalidations = acc.invalidations + sh.s_invalidations;
-            resident = acc.resident + Hashtbl.length sh.s_tbl;
-          }))
-    { hits = 0; misses = 0; evictions = 0; invalidations = 0; resident = 0 }
-    t.shards
+  locked t ~site:"Plan_cache.stats" ~write:false @@ fun () ->
+  {
+    hits = t.hits;
+    misses = t.misses;
+    evictions = t.evictions;
+    invalidations = t.invalidations;
+    resident = Hashtbl.length t.tbl;
+  }

@@ -1,10 +1,11 @@
-(** Shared prepared-plan cache: sharded, LRU, epoch-invalidated.
+(** Shared prepared-plan cache: one LRU table, epoch-invalidated.
 
     Keys are normalized query text (callers may append a settings
     fingerprint); values are prepared plans.  Entries remember the
     catalog/statistics epoch they were compiled at and are dropped on
-    mismatch, so DDL and ANALYZE invalidate lazily.  Each shard has its
-    own lock, so sessions on different domains rarely contend. *)
+    mismatch, so DDL and ANALYZE invalidate lazily.  One table and one
+    LRU list sit under one lock; eviction is strict LRU over the whole
+    capacity. *)
 
 type 'a t
 
@@ -13,16 +14,15 @@ type stats = {
   misses : int;
   evictions : int;
   invalidations : int;
-  resident : int;  (** entries currently cached, across all shards *)
+  resident : int;  (** entries currently cached *)
 }
 
-(** [create ()] is an empty cache of [capacity] total entries (default
-    1024) spread over [shards] independently locked shards (default 8).
+(** [create ()] is an empty cache of [capacity] entries (default 1024).
     Its counts live only in {!stats}; the language processor copies
     them into the database's registry when it dumps it
     ([sb_plan_cache_{hits,misses,evictions,invalidations}_total]).
-    @raise Invalid_argument if [shards <= 0] or [capacity < shards]. *)
-val create : ?shards:int -> ?capacity:int -> unit -> 'a t
+    @raise Invalid_argument if [capacity <= 0]. *)
+val create : ?capacity:int -> unit -> 'a t
 
 (** Normalizes query text so lexically equivalent statements share one
     cache entry: whitespace runs collapse to one space, characters
@@ -37,8 +37,5 @@ val find : 'a t -> epoch:int -> string -> 'a option
 
 (** Inserts (or refreshes) [key], evicting LRU entries over capacity. *)
 val add : 'a t -> epoch:int -> string -> 'a -> unit
-
-(** Drops every entry (counters are kept). *)
-val clear : 'a t -> unit
 
 val stats : 'a t -> stats

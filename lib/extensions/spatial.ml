@@ -52,7 +52,7 @@ let make_box_fn : Functions.scalar_fn =
         then Ok (Some (Datatype.Ext type_name))
         else Error "make_box expects four numbers");
     sf_eval =
-      (function
+      (fun _ -> function
       | [ a; b; c; d ] when not (List.exists Value.is_null [ a; b; c; d ]) ->
         let r =
           Rtree.rect ~x0:(Value.as_float a) ~y0:(Value.as_float b)
@@ -76,7 +76,7 @@ let overlaps_fn : Functions.scalar_fn =
     sf_arity = Some 2;
     sf_type = binary_box_type "overlaps";
     sf_eval =
-      (function
+      (fun _ -> function
       | [ a; b ] -> (
         match as_rect a, as_rect b with
         | Some ra, Some rb -> Value.Bool (Rtree.overlaps ra rb)
@@ -90,7 +90,7 @@ let contains_fn : Functions.scalar_fn =
     sf_arity = Some 2;
     sf_type = binary_box_type "contains";
     sf_eval =
-      (function
+      (fun _ -> function
       | [ a; b ] -> (
         match as_rect a, as_rect b with
         | Some ra, Some rb -> Value.Bool (Rtree.contains ra rb)
@@ -108,7 +108,7 @@ let area_fn : Functions.scalar_fn =
       | [ None ] -> Ok (Some Datatype.Float)
       | _ -> Error "area expects a BOX");
     sf_eval =
-      (function
+      (fun _ -> function
       | [ v ] -> (
         match as_rect v with
         | Some r -> Value.Float (Rtree.area r)

@@ -210,7 +210,8 @@ let rec eval ctx (env : env) ?group (e : Qgm.expr) : Value.t =
   | Qgm.Un (Ast.Not, a) -> of_truth (Option.map not (truth (ev a)))
   | Qgm.Fun (name, args) -> (
     match Functions.find_scalar ctx.db.Starburst.functions name with
-    | Some f -> f.Functions.sf_eval (List.map ev args)
+    | Some f ->
+      f.Functions.sf_eval ctx.db.Starburst.catalog.Catalog.datatypes (List.map ev args)
     | None -> error "unknown function %s" name)
   | Qgm.Agg (name, distinct, arg) -> aggregate ctx env group name distinct arg
   | Qgm.Case (arms, els) -> (

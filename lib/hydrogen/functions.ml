@@ -23,7 +23,8 @@ type scalar_fn = {
   sf_arity : int option;  (** [None] = variadic *)
   sf_type : Datatype.t option list -> (Datatype.t option, string) result;
       (** result type given argument types ([None] = untyped/null) *)
-  sf_eval : Value.t list -> Value.t;
+  sf_eval : Datatype.registry -> Value.t list -> Value.t;
+      (** the catalog's datatype registry orders extension values *)
 }
 
 (* --- aggregate functions --- *)
@@ -114,12 +115,12 @@ let numeric_result = function
   | [ None; _ ] | [ _; None ] -> Ok None
   | _ -> Error "expected numeric arguments"
 
-let null_safe1 f = function
+let null_safe1 f _registry = function
   | [ Value.Null ] -> Value.Null
   | [ v ] -> f v
   | args -> error "expected 1 argument, got %d" (List.length args)
 
-let null_safe2 f = function
+let null_safe2 f _registry = function
   | [ Value.Null; _ ] | [ _; Value.Null ] -> Value.Null
   | [ a; b ] -> f a b
   | args -> error "expected 2 arguments, got %d" (List.length args)
@@ -193,7 +194,7 @@ let builtin_scalars =
           Ok (Some Datatype.String)
         | _ -> Error "substr expects (string, int, int)");
       sf_eval =
-        (function
+        (fun _ -> function
         | [ Value.Null; _; _ ] -> Value.Null
         | [ s; from; len ] ->
           let s = Value.as_string s in
@@ -210,7 +211,7 @@ let builtin_scalars =
         (fun tys ->
           Ok (List.fold_left (fun acc t -> if acc = None then t else acc) None tys));
       sf_eval =
-        (fun args ->
+        (fun _ args ->
           match List.find_opt (fun v -> not (Value.is_null v)) args with
           | Some v -> v
           | None -> Value.Null);
@@ -289,7 +290,7 @@ let builtin_scalars =
           Ok (Some Datatype.String)
         | _ -> Error "replace expects three strings");
       sf_eval =
-        (function
+        (fun _ -> function
         | [ Value.Null; _; _ ] -> Value.Null
         | [ src; pat; repl ] ->
           let src = Value.as_string src
@@ -321,30 +322,34 @@ let builtin_scalars =
       sf_arity = None;
       sf_type = (fun tys -> Ok (List.find_opt Option.is_some tys |> Option.join));
       sf_eval =
-        (fun args ->
+        (fun registry args ->
           match List.filter (fun v -> not (Value.is_null v)) args with
           | [] -> Value.Null
           | v :: rest ->
-            List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest);
+            List.fold_left
+              (fun a b -> if Value.compare ~registry b a > 0 then b else a)
+              v rest);
     };
     {
       sf_name = "least";
       sf_arity = None;
       sf_type = (fun tys -> Ok (List.find_opt Option.is_some tys |> Option.join));
       sf_eval =
-        (fun args ->
+        (fun registry args ->
           match List.filter (fun v -> not (Value.is_null v)) args with
           | [] -> Value.Null
           | v :: rest ->
-            List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest);
+            List.fold_left
+              (fun a b -> if Value.compare ~registry b a < 0 then b else a)
+              v rest);
     };
     {
       sf_name = "nullif";
       sf_arity = Some 2;
       sf_type = (fun tys -> Ok (List.find_opt Option.is_some tys |> Option.join));
       sf_eval =
-        (function
-        | [ a; b ] -> if Value.compare a b = 0 then Value.Null else a
+        (fun registry -> function
+        | [ a; b ] -> if Value.compare ~registry a b = 0 then Value.Null else a
         | args -> error "nullif expects 2 arguments, got %d" (List.length args));
     };
     {

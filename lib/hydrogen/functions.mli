@@ -18,7 +18,8 @@ type scalar_fn = {
   sf_arity : int option;  (** [None] = variadic *)
   sf_type : Datatype.t option list -> (Datatype.t option, string) result;
       (** result type given argument types ([None] = untyped/null) *)
-  sf_eval : Value.t list -> Value.t;
+  sf_eval : Datatype.registry -> Value.t list -> Value.t;
+      (** the catalog's datatype registry orders extension values *)
 }
 
 (** A fresh accumulator per group; [agg_step] sees non-null argument

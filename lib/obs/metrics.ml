@@ -21,11 +21,13 @@ type histogram = {
   mutable h_sum : float;
 }
 
+(* both tables are keyed by (name, label) *)
 type t = {
-  mutable counters : counter list;
-  mutable histograms : histogram list;
-  n_buckets : int;
+  counters : (string * (string * string) option, counter) Hashtbl.t;
+  histograms : (string * (string * string) option, histogram) Hashtbl.t;
 }
+
+let n_buckets = 32
 
 (* One registry is shared by every pipeline layer and, under the
    multi-session server, by statements running on several domains at
@@ -37,21 +39,15 @@ type t = {
 let lock = Sb_conc.Lock.create ~name:"obs.metrics" ~level:Sb_conc.Level.metrics
 let locked f = Sb_conc.Lock.with_lock lock f
 
-let create ?(n_buckets = 32) () =
-  if n_buckets < 2 then invalid_arg "Metrics.create: need at least 2 buckets";
-  { counters = []; histograms = []; n_buckets }
-
-let same_key name label (n, l) = String.equal name n && label = l
+let create () = { counters = Hashtbl.create 64; histograms = Hashtbl.create 16 }
 
 (* get-or-create; the caller holds [lock] *)
 let counter_unlocked t name label =
-  match
-    List.find_opt (fun c -> same_key name label (c.c_name, c.c_label)) t.counters
-  with
+  match Hashtbl.find_opt t.counters (name, label) with
   | Some c -> c
   | None ->
     let c = { c_name = name; c_label = label; c_value = 0 } in
-    t.counters <- c :: t.counters;
+    Hashtbl.replace t.counters (name, label) c;
     c
 
 let counter ?label t name : counter =
@@ -76,23 +72,19 @@ let counter_value c = c.c_value
 
 (* get-or-create; the caller holds [lock] *)
 let histogram_unlocked t name label =
-  match
-    List.find_opt
-      (fun h -> same_key name label (h.h_name, h.h_label))
-      t.histograms
-  with
+  match Hashtbl.find_opt t.histograms (name, label) with
   | Some h -> h
   | None ->
     let h =
       {
         h_name = name;
         h_label = label;
-        h_buckets = Array.make t.n_buckets 0;
+        h_buckets = Array.make n_buckets 0;
         h_count = 0;
         h_sum = 0.0;
       }
     in
-    t.histograms <- h :: t.histograms;
+    Hashtbl.replace t.histograms (name, label) h;
     h
 
 let histogram ?label t name : histogram =
@@ -133,9 +125,9 @@ let histogram_buckets h =
 
 let clear t =
   locked @@ fun () ->
-  List.iter (fun c -> c.c_value <- 0) t.counters;
-  List.iter
-    (fun h ->
+  Hashtbl.iter (fun _ c -> c.c_value <- 0) t.counters;
+  Hashtbl.iter
+    (fun _ h ->
       Array.fill h.h_buckets 0 (Array.length h.h_buckets) 0;
       h.h_count <- 0;
       h.h_sum <- 0.0)
@@ -165,8 +157,10 @@ let float_bound ub =
 let dump t =
   locked @@ fun () ->
   let buf = Buffer.create 1024 in
-  let by_name proj xs =
-    List.sort (fun a b -> compare (proj a) (proj b)) xs
+  let by_key tbl =
+    Hashtbl.fold (fun k x acc -> (k, x) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
   in
   let seen_type = Hashtbl.create 8 in
   let type_line name kind =
@@ -180,7 +174,7 @@ let dump t =
       type_line c.c_name "counter";
       Buffer.add_string buf
         (Printf.sprintf "%s%s %d\n" c.c_name (render_label c.c_label) c.c_value))
-    (by_name (fun c -> (c.c_name, c.c_label)) t.counters);
+    (by_key t.counters);
   List.iter
     (fun h ->
       type_line h.h_name "histogram";
@@ -200,5 +194,5 @@ let dump t =
       Buffer.add_string buf
         (Printf.sprintf "%s_count%s %d\n" h.h_name (render_label h.h_label)
            h.h_count))
-    (by_name (fun h -> (h.h_name, h.h_label)) t.histograms);
+    (by_key t.histograms);
   Buffer.contents buf

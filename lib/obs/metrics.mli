@@ -9,7 +9,8 @@ type counter
 type histogram
 type t
 
-val create : ?n_buckets:int -> unit -> t
+(** An empty registry; every histogram has 32 buckets. *)
+val create : unit -> t
 
 (** Get-or-create a counter, registering it at 0 so the dump lists it
     before anything is added.  [label] renders as [name{key="value"}]. *)

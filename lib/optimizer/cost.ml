@@ -45,10 +45,10 @@ let rec selectivity (info : slot_info) (e : rexpr) : float =
     let sa = selectivity info a and sb = selectivity info b in
     clamp (sa +. sb -. (sa *. sb))
   | RUn (Ast.Not, a) -> clamp (1.0 -. selectivity info a)
-  | RBin (Ast.Eq, RCol i, (RLit v | RUn (Ast.Neg, RLit v)))
-  | RBin (Ast.Eq, (RLit v | RUn (Ast.Neg, RLit v)), RCol i) -> (
+  | RBin (Ast.Eq, RCol i, (RLit _ | RUn (Ast.Neg, RLit _)))
+  | RBin (Ast.Eq, (RLit _ | RUn (Ast.Neg, RLit _)), RCol i) -> (
     match info i with
-    | Some (stats, col) -> clamp (Stats.eq_selectivity stats col v)
+    | Some (stats, col) -> clamp (Stats.eq_selectivity stats col)
     | None -> Stats.default_eq_selectivity)
   | RBin (Ast.Eq, RCol _, (RHost _ | RParam _))
   | RBin (Ast.Eq, (RHost _ | RParam _), RCol _) ->

@@ -173,17 +173,7 @@ let needed_cols (g : Qgm.t) qid : int list =
   let note e =
     List.iter (fun (q, i) -> if q = qid then cols := i :: !cols) (Qgm.col_refs e)
   in
-  Hashtbl.iter
-    (fun _ (b : Qgm.box) ->
-      List.iter (fun hc -> Option.iter note hc.Qgm.hc_expr) b.Qgm.b_head;
-      List.iter (fun (p : Qgm.pred) -> note p.Qgm.p_expr) b.Qgm.b_preds;
-      List.iter (fun (e, _) -> note e) b.Qgm.b_order;
-      match b.Qgm.b_kind with
-      | Qgm.Group_by keys -> List.iter note keys
-      | Qgm.Values_box rows -> List.iter (List.iter note) rows
-      | Qgm.Table_fn (_, args) -> List.iter note args
-      | _ -> ())
-    g.Qgm.boxes;
+  Hashtbl.iter (fun _ b -> Qgm.iter_box_exprs note b) g.Qgm.boxes;
   List.sort_uniq Int.compare !cols
 
 (** Quantifiers referenced inside the subtree rooted at [box_id] that do
@@ -199,14 +189,7 @@ let free_quant_refs (g : Qgm.t) box_id : int list =
       Hashtbl.replace seen id ();
       let b = Qgm.box g id in
       List.iter (fun q -> Hashtbl.replace owned q.Qgm.q_id ()) b.Qgm.b_quants;
-      List.iter (fun hc -> Option.iter note hc.Qgm.hc_expr) b.Qgm.b_head;
-      List.iter (fun (p : Qgm.pred) -> note p.Qgm.p_expr) b.Qgm.b_preds;
-      List.iter (fun (e, _) -> note e) b.Qgm.b_order;
-      (match b.Qgm.b_kind with
-      | Qgm.Group_by keys -> List.iter note keys
-      | Qgm.Values_box rows -> List.iter (List.iter note) rows
-      | Qgm.Table_fn (_, args) -> List.iter note args
-      | _ -> ());
+      Qgm.iter_box_exprs note b;
       List.iter (fun q -> visit q.Qgm.q_input) b.Qgm.b_quants
     end
   in

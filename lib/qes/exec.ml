@@ -283,12 +283,30 @@ let null_key b i (slots : int array) =
    equi-columns, and per entry its inner rows in build order. *)
 type join_side = { js_dir : key_dir; js_chains : Tuple.t list array }
 
+(* An evaluate-on-demand plan's results, keyed by the exact
+   representation of its bound parameter values.  Not by the key
+   directory's [Value.compare]: a subquery can tell values apart that
+   compare equal, such as [Int 1] from [Float 1.0] (1 / 2 against
+   1.0 / 2), [Float (-0.0)] from [Float 0.0] (power(x, -1)), or two
+   BOX payloads of -0 and 0 (when it returns the value). *)
+module Demand_key = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let same (a : Value.t) (b : Value.t) =
+    match (a, b) with
+    | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> a = b
+
+  let equal = List.equal same
+  let hash = Hashtbl.hash
+end)
+
 type ectx = {
   db : db;
   hosts : (string * Value.t) list;
   counters : counters;
   gov : Sb_resil.Limits.gov;  (** per-query resource governor *)
-  mutable caches : (plan * (Value.t list, Tuple.t list) Hashtbl.t) list;
+  mutable caches : (plan * Tuple.t list Demand_key.t) list;
       (** evaluate-on-demand results per materialized plan (by physical
           identity), keyed by its bound parameter values *)
   mutable deltas : Tuple.t list list;  (** fixpoint delta stack *)
@@ -307,7 +325,7 @@ let cache_for ectx (p : plan) =
   match List.find_opt (fun (q, _) -> q == p) ectx.caches with
   | Some (_, table) -> table
   | None ->
-    let table = Hashtbl.create 8 in
+    let table = Demand_key.create 8 in
     ectx.caches <- (p, table) :: ectx.caches;
     table
 
@@ -401,7 +419,7 @@ let rec eval ectx ~(row : Value.t array) ~(params : Value.t array) (e : rexpr) :
   | RUn (Ast.Not, a) -> of_bool3 (not3 (bool3 (eval ectx ~row ~params a)))
   | RFun (name, args) -> (
     match Functions.find_scalar ectx.db.x_fns name with
-    | Some f -> f.Functions.sf_eval (List.map (eval ectx ~row ~params) args)
+    | Some f -> f.Functions.sf_eval (registry ectx) (List.map (eval ectx ~row ~params) args)
     | None -> error "unknown function %s" name)
   | RCase (arms, els) -> (
     let rec go = function
@@ -524,7 +542,7 @@ and eval_scalar_sub ectx ~row ~params (spec : scalar_sub_spec) : Value.t =
 (** The uniform demand-driven materialization with correlation caching:
     [plan]'s rows are a function of [plan] and its [bound] parameters,
     so the cache is keyed by the plan's physical identity, then by the
-    parameter values. *)
+    parameter values' exact representation ({!Demand_key}). *)
 and demand_rows ectx (plan : plan) (bound : Value.t list) : Tuple.t list =
   if not ectx.db.x_demand_cache then begin
     ectx.counters.c_sub_evals <- ectx.counters.c_sub_evals + 1;
@@ -532,14 +550,14 @@ and demand_rows ectx (plan : plan) (bound : Value.t list) : Tuple.t list =
   end
   else
   let table = cache_for ectx plan in
-  match Hashtbl.find_opt table bound with
+  match Demand_key.find_opt table bound with
   | Some rows ->
     ectx.counters.c_sub_cache_hits <- ectx.counters.c_sub_cache_hits + 1;
     rows
   | None ->
     ectx.counters.c_sub_evals <- ectx.counters.c_sub_evals + 1;
     let rows = collect ectx ~params:(Array.of_list bound) plan in
-    Hashtbl.replace table bound rows;
+    Demand_key.replace table bound rows;
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -239,6 +239,18 @@ let col_refs e =
     [] e
   |> List.sort_uniq compare
 
+(** Applies [f] to every expression of box [b]: head, predicates,
+    ORDER BY, GROUP BY keys, VALUES rows and table-function arguments. *)
+let iter_box_exprs f (b : box) =
+  List.iter (fun hc -> Option.iter f hc.hc_expr) b.b_head;
+  List.iter (fun p -> f p.p_expr) b.b_preds;
+  List.iter (fun (e, _) -> f e) b.b_order;
+  match b.b_kind with
+  | Group_by keys -> List.iter f keys
+  | Values_box rows -> List.iter (List.iter f) rows
+  | Table_fn (_, args) -> List.iter f args
+  | _ -> ()
+
 let contains_agg e =
   fold_expr (fun acc e -> acc || match e with Agg _ -> true | _ -> false) false e
 

@@ -134,6 +134,11 @@ val quant_refs : expr -> quant_id list
 (** Column references [(quant, col)]. *)
 val col_refs : expr -> (quant_id * int) list
 
+(** Applies the function to every expression of a box: head,
+    predicates, ORDER BY, GROUP BY keys, VALUES rows and table-function
+    arguments. *)
+val iter_box_exprs : (expr -> unit) -> box -> unit
+
 val contains_agg : expr -> bool
 val contains_quantified : expr -> bool
 val contains_host : expr -> bool

@@ -74,19 +74,7 @@ let col_used_anywhere g qid i =
   let check e =
     List.iter (fun (q, j) -> if q = qid && j = i then used := true) (Qgm.col_refs e)
   in
-  Hashtbl.iter
-    (fun _ (b : Qgm.box) ->
-      List.iter
-        (fun hc -> Option.iter check hc.Qgm.hc_expr)
-        b.Qgm.b_head;
-      List.iter (fun p -> check p.Qgm.p_expr) b.Qgm.b_preds;
-      List.iter (fun (e, _) -> check e) b.Qgm.b_order;
-      match b.Qgm.b_kind with
-      | Qgm.Group_by keys -> List.iter check keys
-      | Qgm.Values_box rows -> List.iter (List.iter check) rows
-      | Qgm.Table_fn (_, args) -> List.iter check args
-      | _ -> ())
-    g.Qgm.boxes;
+  Hashtbl.iter (fun _ b -> Qgm.iter_box_exprs check b) g.Qgm.boxes;
   !used
 
 (** Is quantifier [qid] referenced by any [Quantified] node other than

@@ -81,7 +81,6 @@ type t = {
   mutable admitted : int;
   mutable shed : int;
   mutable rejected : int;
-  mutable cache_enabled : bool;
   mutable closed : bool;
   rw : Rwlock.t;
 }
@@ -119,7 +118,6 @@ let create ?config ?limits ?install () =
     admitted = 0;
     shed = 0;
     rejected = 0;
-    cache_enabled = true;
     closed = false;
     rw =
       Rwlock.create ~name:"server.statements"
@@ -127,12 +125,6 @@ let create ?config ?limits ?install () =
   }
 
 let catalog t = t.base.Corona.catalog
-let set_cache_enabled t on =
-  locked t (fun () ->
-      watch_state t ~site:"Sb_server.set_cache_enabled" ~write:true;
-      t.cache_enabled <- on)
-let cache_stats t = Plan_cache.stats t.base.Corona.plan_cache
-let clear_cache t = Plan_cache.clear t.base.Corona.plan_cache
 
 let new_session_db t =
   Corona.session ~limits:(Limits.copy (Corona.limits t.base)) t.base
@@ -185,7 +177,7 @@ let stats t =
     st_shed = shed;
     st_rejected = rejected;
     st_epoch = Catalog.epoch (catalog t);
-    st_cache = cache_stats t;
+    st_cache = Plan_cache.stats t.base.Corona.plan_cache;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -246,13 +238,13 @@ let with_shed db f =
       db.Corona.rewrite_enabled <- saved_rewrite)
     f
 
-let execute t s ~shed ~use_cache text : Corona.result =
+let execute t s ~shed text : Corona.result =
   let kind = classify text in
   let run () =
     Lock.with_lock s.s_lock (fun () ->
         let go () =
           match kind with
-          | `Query when use_cache ->
+          | `Query ->
             let columns, rows = Corona.cached_query s.s_db text in
             Corona.Rows { columns; rows }
           | _ -> Corona.run s.s_db text
@@ -287,15 +279,11 @@ let submit t s (text : string) : (Corona.result, Err.t) result =
           t.inflight <- t.inflight + 1;
           s.s_inflight <- s.s_inflight + 1;
           t.admitted <- t.admitted + 1;
-          (* the cache flag is sampled here, under the lock — a
-             concurrent [set_cache_enabled] must not race the
-             statement's own read of it *)
-          let use_cache = t.cache_enabled in
           if t.inflight > t.config.degrade_inflight then begin
             t.shed <- t.shed + 1;
-            `Admit (true, use_cache)
+            `Admit true
           end
-          else `Admit (false, use_cache)
+          else `Admit false
         end)
   in
   match decision with
@@ -311,7 +299,7 @@ let submit t s (text : string) : (Corona.result, Err.t) result =
       ~msg:
         (Fmt.str "session over its concurrency limit (%d); retry"
            t.config.session_inflight)
-  | `Admit (shed, use_cache) ->
+  | `Admit shed ->
     Fun.protect
       ~finally:(fun () ->
         locked t (fun () ->
@@ -319,7 +307,7 @@ let submit t s (text : string) : (Corona.result, Err.t) result =
             t.inflight <- t.inflight - 1;
             s.s_inflight <- s.s_inflight - 1))
       (fun () ->
-        match execute t s ~shed ~use_cache text with
+        match execute t s ~shed text with
         | result -> Ok result
         | exception exn -> Error (classify_error text exn))
 
@@ -393,7 +381,7 @@ let limits_lines db =
   | Some reason -> [ "degraded: " ^ reason ]
 
 let cache_lines t =
-  let c = cache_stats t in
+  let c = Plan_cache.stats t.base.Corona.plan_cache in
   [
     "plan cache:";
     Fmt.str "  hits          %d" c.Plan_cache.hits;

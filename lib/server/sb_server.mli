@@ -3,7 +3,8 @@
     Each {!session} is a {!Starburst.Corona.session} of the server's
     database handle — its own SET options, host-variable bindings and
     resource limits — while all sessions share the database: catalog,
-    extension registries, rule counts, plan cache, WAL and metrics.
+    extension registries, rule counts, WAL, metrics and the plan cache
+    (one LRU table under one lock), through which every query runs.
     Every statement runs on the caller that submits it, behind an
     admission controller: under load, compilation degrades to greedy
     plans before anything queues without bound, and past the high-water
@@ -87,12 +88,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val cache_stats : t -> Starburst.Plan_cache.stats
-val clear_cache : t -> unit
-
-(** When off, queries compile per call and the shared cache is neither
-    read nor written (the bench's cache-off arm). *)
-val set_cache_enabled : t -> bool -> unit
 
 val catalog : t -> Sb_storage.Catalog.t
 

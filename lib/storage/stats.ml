@@ -72,10 +72,8 @@ let analyze ?registry ~(schema : Schema.t) ~pages (rows : Tuple.t Seq.t) : t =
 let default_eq_selectivity = 0.05
 let default_range_selectivity = 0.33
 
-(** Fraction of rows whose column [i] equals [v]. *)
-let eq_selectivity ?registry (t : t) i v =
-  ignore registry;
-  ignore v;
+(** Fraction of rows whose column [i] equals a value. *)
+let eq_selectivity (t : t) i =
   if t.ts_cardinality = 0 || i >= Array.length t.ts_columns then
     default_eq_selectivity
   else
@@ -100,7 +98,7 @@ let range_selectivity ?registry (t : t) i ~op v =
         (fun ub -> if Value.compare ?registry ub v < 0 then incr below)
         c.cs_histogram;
       let frac_lt = float_of_int !below /. float_of_int n in
-      let frac_eq = eq_selectivity ?registry t i v in
+      let frac_eq = eq_selectivity t i in
       match op with
       | `Lt -> max 0.0 (min 1.0 frac_lt)
       | `Le -> max 0.0 (min 1.0 (frac_lt +. frac_eq))

@@ -30,8 +30,8 @@ val default_eq_selectivity : float
 
 val default_range_selectivity : float
 
-(** Fraction of rows whose column [i] equals the value (1/distinct). *)
-val eq_selectivity : ?registry:Datatype.registry -> t -> int -> Value.t -> float
+(** Fraction of rows whose column [i] equals a value (1/distinct). *)
+val eq_selectivity : t -> int -> float
 
 (** Fraction of rows with column [i] related to the bound, from the
     equi-depth histogram. *)

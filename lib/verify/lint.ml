@@ -70,17 +70,7 @@ let lint_qgm ?catalog (g : Qgm.t) : diag list =
      group keys, order, values) — correlation makes this global *)
   let all_refs = Hashtbl.create 32 in
   let note e = List.iter (fun q -> Hashtbl.replace all_refs q ()) (Qgm.quant_refs e) in
-  List.iter
-    (fun (b : Qgm.box) ->
-      List.iter (fun hc -> Option.iter note hc.Qgm.hc_expr) b.b_head;
-      List.iter (fun (p : Qgm.pred) -> note p.p_expr) b.b_preds;
-      List.iter (fun (e, _) -> note e) b.b_order;
-      match b.b_kind with
-      | Qgm.Group_by keys -> List.iter note keys
-      | Qgm.Values_box rows -> List.iter (List.iter note) rows
-      | Qgm.Table_fn (_, args) -> List.iter note args
-      | _ -> ())
-    boxes;
+  List.iter (Qgm.iter_box_exprs note) boxes;
   List.iter
     (fun (b : Qgm.box) ->
       (* dead setformers: a SELECT-box iterator no expression ever

@@ -175,9 +175,9 @@ let test_box_literal_validation () =
      make_box with NULL yields NULL, filtered by NOT NULL check *)
   check_bag "null box" [ row [ nul ] ] (q db "SELECT make_box(NULL, 1, 2, 3) FROM places WHERE name = 'a'")
 
-(* MIN and MAX order extension values by the type's [ext_compare], as
-   ORDER BY does.  The payloads' string order would make (9,0,10,1) the
-   maximum and (10,0,11,1) the minimum. *)
+(* MIN, MAX, GREATEST and LEAST order extension values by the type's
+   [ext_compare], as ORDER BY does.  The payloads' string order would
+   make (9,0,10,1) the maximum and (10,0,11,1) the minimum. *)
 let test_extremes_use_ext_compare () =
   let db = sample_db ~extensions:true () in
   List.iter
@@ -201,13 +201,18 @@ let test_extremes_use_ext_compare () =
       check_rows (engine ^ ": min and max") [ row [ least; greatest ] ]
         (run "SELECT min(fp), max(fp) FROM fps");
       check_rows (engine ^ ": grouped min and max") [ row [ i 1; least; greatest ] ]
-        (run "SELECT g, min(fp), max(fp) FROM fps GROUP BY g"))
+        (run "SELECT g, min(fp), max(fp) FROM fps GROUP BY g");
+      check_rows (engine ^ ": greatest and least") [ row [ greatest; least ] ]
+        (run
+           "SELECT DISTINCT greatest(make_box(9,0,10,1), make_box(10,0,11,1)), \
+            least(make_box(9,0,10,1), make_box(10,0,11,1), make_box(2,0,3,1)) \
+            FROM fps"))
     [ ("engine", q db); ("reference", reference_rows db) ]
 
 (* Hashing agrees with the type's [ext_compare]: BOX compares parsed
    floats, so (-0,0,1,1) equals (0,0,1,1) although the payloads differ.
-   Hash join, DISTINCT and GROUP BY must then treat the two as one key,
-   as the comparison-based join does. *)
+   Hash join, DISTINCT, GROUP BY and NULLIF must then treat the two as
+   one key, as the comparison-based join does. *)
 let test_ext_hash_agrees_with_compare () =
   let db = sample_db ~extensions:true () in
   List.iter
@@ -225,8 +230,52 @@ let test_ext_hash_agrees_with_compare () =
       Alcotest.(check int) (engine ^ ": DISTINCT BOX") 1
         (List.length (run "SELECT DISTINCT loc FROM p"));
       check_rows (engine ^ ": GROUP BY BOX") [ row [ i 2 ] ]
-        (run "SELECT count(*) FROM p GROUP BY loc"))
+        (run "SELECT count(*) FROM p GROUP BY loc");
+      check_rows (engine ^ ": NULLIF of equal BOXes") [ row [ nul ]; row [ nul ] ]
+        (run "SELECT nullif(make_box(-0.0,0,1,1), make_box(0,0,1,1)) FROM p"))
     [ ("engine", q db); ("reference", reference_rows db) ]
+
+(* The evaluate-on-demand cache keys a subquery's results by the exact
+   representation of its correlation values, since the subquery can
+   tell apart values that compare equal: Int 1 from Float 1.0 (1 / 2 is
+   0, 1.0 / 2 is 0.5), Float -0.0 from 0.0 (power(x, -1) is -inf
+   against inf), and BOX (-0,0,1,1) from (0,0,1,1) when it returns the
+   value. *)
+let test_demand_cache_keeps_representation () =
+  let db = sample_db ~extensions:true () in
+  List.iter
+    (fun stmt -> ignore (Starburst.run db stmt))
+    [ "CREATE TABLE p (name STRING, loc BOX)";
+      "INSERT INTO p VALUES ('neg', make_box(-0.0,0,1,1)), \
+       ('pos', make_box(0,0,1,1))";
+      "CREATE TABLE k (n INT)";
+      "INSERT INTO k VALUES (0), (1), (2)";
+      "CREATE TABLE z (name STRING, x FLOAT)";
+      "INSERT INTO z VALUES ('pos', 0.0), ('neg', -0.0)" ];
+  let on_demand text =
+    has_op
+      (function
+        | Plan.Project es ->
+          List.exists
+            (function Plan.RScalar_sub { ssub_params = _ :: _; _ } -> true | _ -> false)
+            es
+        | _ -> false)
+      (Starburst.compile_text db text)
+  in
+  let box x0 = Sb_extensions.Spatial.box_value ~x0 ~y0:0. ~x1:1. ~y1:1. in
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check bool) (text ^ ": evaluates on demand") true (on_demand text);
+      check_bag (text ^ ": engine") expected (q db text);
+      check_bag (text ^ ": reference") expected (reference_rows db text))
+    [ ( "SELECT u.x, (SELECT count(*) FROM k WHERE k.n < u.x / 2) \
+         FROM (SELECT 1 AS x FROM k WHERE n = 0 \
+               UNION ALL SELECT 1.0 AS x FROM k WHERE n = 0) u",
+        [ row [ i 1; i 0 ]; row [ f 1.0; i 1 ] ] );
+      ( "SELECT a.name, (SELECT count(*) FROM k WHERE power(a.x, -1) < 0) FROM z a",
+        [ row [ s "pos"; i 0 ]; row [ s "neg"; i 3 ] ] );
+      ( "SELECT a.name, (SELECT a.loc FROM p b WHERE b.name = 'pos') FROM p a",
+        [ row [ s "neg"; box (-0.0) ]; row [ s "pos"; box 0. ] ] ) ]
 
 (* --- sampling --- *)
 
@@ -306,6 +355,7 @@ let suite =
       case "box null handling" test_box_literal_validation;
       case "min/max use the type's ext_compare" test_extremes_use_ext_compare;
       case "BOX hash agrees with ext_compare" test_ext_hash_agrees_with_compare;
+      case "demand cache keeps representation" test_demand_cache_keeps_representation;
       case "sampling table function" test_sample;
       case "majority semantics" test_majority_semantics;
       case "statistics aggregates" test_stats_aggregates;

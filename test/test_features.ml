@@ -24,19 +24,20 @@ let test_prepare_execute () =
 let test_plan_cache () =
   let db = sample_db () in
   let text = "SELECT count(*) FROM quotations" in
-  let resident () = (Starburst.plan_cache_stats db).Starburst.Plan_cache.resident in
+  let stats () = Starburst.Plan_cache.stats db.Starburst.Corona.plan_cache in
+  let resident () = (stats ()).Starburst.Plan_cache.resident in
   check_bag "first" [ row [ i 5 ] ] (snd (Starburst.cached_query db text));
-  let hits0 = (Starburst.plan_cache_stats db).Starburst.Plan_cache.hits in
+  let hits0 = (stats ()).Starburst.Plan_cache.hits in
   check_bag "cached" [ row [ i 5 ] ] (snd (Starburst.cached_query db text));
   Alcotest.(check bool) "cache populated" true (resident () > 0);
   Alcotest.(check int) "second run hits" (hits0 + 1)
-    (Starburst.plan_cache_stats db).Starburst.Plan_cache.hits;
+    (stats ()).Starburst.Plan_cache.hits;
   (* DDL invalidates (epoch bump; the stale entry is dropped lazily) *)
   ignore (Starburst.run db "CREATE TABLE zz (a INT)");
-  let inv0 = (Starburst.plan_cache_stats db).Starburst.Plan_cache.invalidations in
+  let inv0 = (stats ()).Starburst.Plan_cache.invalidations in
   check_bag "repopulate" [ row [ i 5 ] ] (snd (Starburst.cached_query db text));
   Alcotest.(check int) "DDL invalidated the entry" (inv0 + 1)
-    (Starburst.plan_cache_stats db).Starburst.Plan_cache.invalidations;
+    (stats ()).Starburst.Plan_cache.invalidations;
   (* data changes are visible without invalidation (plans re-read) *)
   ignore (Starburst.run db "INSERT INTO quotations VALUES (9, 1.0, 1, 'x')");
   check_bag "sees new data" [ row [ i 6 ] ] (snd (Starburst.cached_query db text))

@@ -220,7 +220,7 @@ let test_builtin_scalars () =
   let fns = Functions.create () in
   let eval name args =
     match Functions.find_scalar fns name with
-    | Some f -> f.Functions.sf_eval args
+    | Some f -> f.Functions.sf_eval (Sb_storage.Datatype.create_registry ()) args
     | None -> Alcotest.failf "missing builtin %s" name
   in
   Alcotest.check value_testable "abs" (i 5) (eval "abs" [ i (-5) ]);

@@ -1,4 +1,4 @@
-(** Server tests: the sharded LRU plan cache (key normalization,
+(** Server tests: the one-table LRU plan cache (key normalization,
     eviction, epoch invalidation, exported counters) and the
     multi-session front end — concurrent sessions checked against a
     single-caller oracle, SET and host-variable isolation across
@@ -40,7 +40,7 @@ let test_normalize () =
     (n "SELECT 'a' FROM t" <> n "SELECT 'A' FROM t")
 
 let test_lru_eviction () =
-  let c : int Plan_cache.t = Plan_cache.create ~shards:1 ~capacity:2 () in
+  let c : int Plan_cache.t = Plan_cache.create ~capacity:2 () in
   Plan_cache.add c ~epoch:0 "a" 1;
   Plan_cache.add c ~epoch:0 "b" 2;
   ignore (Plan_cache.find c ~epoch:0 "a");
@@ -57,7 +57,7 @@ let test_lru_eviction () =
     (Plan_cache.find c ~epoch:0 "c" = Some 3)
 
 let test_epoch_invalidation () =
-  let c : int Plan_cache.t = Plan_cache.create ~shards:2 ~capacity:8 () in
+  let c : int Plan_cache.t = Plan_cache.create ~capacity:8 () in
   Plan_cache.add c ~epoch:0 "k" 1;
   Alcotest.(check bool) "hit at its compile epoch" true
     (Plan_cache.find c ~epoch:0 "k" = Some 1);
@@ -75,7 +75,7 @@ let test_cache_metrics () =
   let db =
     {
       (Starburst.create ()) with
-      Starburst.Corona.plan_cache = Plan_cache.create ~shards:1 ~capacity:1 ();
+      Starburst.Corona.plan_cache = Plan_cache.create ~capacity:1 ();
     }
   in
   ignore (Starburst.run db "CREATE TABLE t (x INT)");
@@ -161,14 +161,14 @@ let test_sessions_match_single_caller () =
         [ s1; s2 ])
     mix;
   (* a second pass is all cache hits and still correct *)
-  let before = (Server.cache_stats server).Plan_cache.hits in
+  let before = (Server.stats server).Server.st_cache.Plan_cache.hits in
   Array.iter
     (fun qtext ->
       check_bag qtext (Starburst.query odb qtext)
         (rows_exn (Server.submit server s1 qtext)))
     mix;
   Alcotest.(check bool) "second pass hit the shared cache" true
-    ((Server.cache_stats server).Plan_cache.hits >= before + Array.length mix);
+    ((Server.stats server).Server.st_cache.Plan_cache.hits >= before + Array.length mix);
   Server.shutdown server
 
 let test_concurrent_domains_match () =
@@ -196,7 +196,7 @@ let test_concurrent_domains_match () =
   let st = Server.stats server in
   Alcotest.(check int) "all statements admitted" (4 * rounds)
     (st.Server.st_admitted - adm0);
-  let c = Server.cache_stats server in
+  let c = (Server.stats server).Server.st_cache in
   Alcotest.(check bool) "the shared cache amortized compilation" true
     (c.Plan_cache.hits > c.Plan_cache.misses);
   Server.shutdown server
@@ -229,7 +229,7 @@ let test_host_var_isolation () =
   check_bag "session 2 shares the plan, not the binding" [ row [ i 3 ] ]
     (rows_exn (Server.submit server s2 qtext));
   Alcotest.(check bool) "the second execution was a cache hit" true
-    ((Server.cache_stats server).Plan_cache.hits >= 1);
+    ((Server.stats server).Server.st_cache.Plan_cache.hits >= 1);
   Server.shutdown server
 
 (* --- epoch invalidation -------------------------------------------- *)
@@ -244,14 +244,14 @@ let test_ddl_invalidates () =
     (rows_exn (Server.submit server s1 qtext));
   check_bag "cached" [ row [ i 1 ]; row [ i 2 ] ]
     (rows_exn (Server.submit server s1 qtext));
-  let inv0 = (Server.cache_stats server).Plan_cache.invalidations in
+  let inv0 = (Server.stats server).Server.st_cache.Plan_cache.invalidations in
   ignore (ok_exn (Server.submit server s2 "DROP TABLE parts"));
   ignore (ok_exn (Server.submit server s2 "CREATE TABLE parts (partno INT)"));
   ignore (ok_exn (Server.submit server s2 "INSERT INTO parts VALUES (7)"));
   check_bag "no stale plan served after drop/recreate" [ row [ i 7 ] ]
     (rows_exn (Server.submit server s1 qtext));
   Alcotest.(check bool) "invalidation counted" true
-    ((Server.cache_stats server).Plan_cache.invalidations > inv0);
+    ((Server.stats server).Server.st_cache.Plan_cache.invalidations > inv0);
   let e0 = (Server.stats server).Server.st_epoch in
   ignore (ok_exn (Server.submit server s2 "ANALYZE"));
   Alcotest.(check bool) "ANALYZE bumps the statistics epoch" true
@@ -313,7 +313,7 @@ let latch () =
       sf_arity = Some 1;
       sf_type = (fun _ -> Ok (Some Datatype.Int));
       sf_eval =
-        (fun args ->
+        (fun _ args ->
           Lock.with_lock gate (fun () ->
               entered := true;
               Lock.Cond.broadcast turn;
@@ -620,7 +620,7 @@ let test_registration_reaches_sessions () =
       Functions.sf_name = "twice";
       sf_arity = Some 1;
       sf_type = (fun _ -> Ok (Some Datatype.Int));
-      sf_eval = (function [ Value.Int n ] -> Value.Int (2 * n) | _ -> Value.Null);
+      sf_eval = (fun _ -> function [ Value.Int n ] -> Value.Int (2 * n) | _ -> Value.Null);
     };
   ignore (ok_exn (Server.submit server s1 "CREATE TABLE t (x INT)"));
   ignore (ok_exn (Server.submit server s1 "INSERT INTO t VALUES (21)"));
@@ -683,7 +683,7 @@ let test_statement_runs_on_submitter () =
       sf_arity = Some 1;
       sf_type = (fun _ -> Ok (Some Datatype.Int));
       sf_eval =
-        (fun args ->
+        (fun _ args ->
           seen := (Domain.self () :> int) :: !seen;
           List.hd args);
     }
@@ -722,7 +722,7 @@ let test_raising_statement_releases_admission () =
       Functions.sf_name = "boom";
       sf_arity = Some 1;
       sf_type = (fun _ -> Ok (Some Datatype.Int));
-      sf_eval = (fun _ -> raise !raised);
+      sf_eval = (fun _ _ -> raise !raised);
     }
   in
   let server =
@@ -798,7 +798,7 @@ let test_registry_agrees_with_stats () =
   ignore (Server.recover server : Sb_storage.Recovery.stats);
   let dump = meta_exn server s "\\metrics" in
   let wal = Server.wal_stats server in
-  let cache = Server.cache_stats server in
+  let cache = (Server.stats server).Server.st_cache in
   let st = Server.stats server in
   let module Wal = Sb_storage.Wal in
   List.iter

@@ -883,7 +883,7 @@ let test_stats () =
   Alcotest.(check int) "nulls b" 25 st.Stats.ts_columns.(1).Stats.cs_nulls;
   Alcotest.(check (option value_testable)) "min" (Some (i 0)) st.Stats.ts_columns.(0).Stats.cs_min;
   Alcotest.(check (option value_testable)) "max" (Some (i 9)) st.Stats.ts_columns.(0).Stats.cs_max;
-  let sel = Stats.eq_selectivity st 0 (i 3) in
+  let sel = Stats.eq_selectivity st 0 in
   Alcotest.(check bool) "eq sel" true (Float.abs (sel -. 0.1) < 0.001);
   let lt5 = Stats.range_selectivity st 0 ~op:`Lt (i 5) in
   Alcotest.(check bool) "range sel" true (lt5 > 0.3 && lt5 < 0.7)
