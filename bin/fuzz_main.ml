@@ -323,7 +323,7 @@ let crash_sweep ~cases ~seed ~out ~metrics:want_metrics =
       mismatches
   end;
   if want_metrics then print_string (Sb_obs.Metrics.dump metrics);
-  List.length mismatches + if stats.Sb_fuzz.Crash.cs_wal_off_ok then 0 else 1
+  Sb_fuzz.Crash.failures stats
 
 let () =
   (* STARBURST_LOCKCHECK=1 arms the lock-discipline checker for any

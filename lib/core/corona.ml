@@ -750,8 +750,6 @@ let with_txn t (f : unit -> result) : result =
          queued before it — becomes durable here *)
       Wal.flush w;
       t.last_txn <- txn;
-      if Buffer_pool.force_policy t.catalog.Catalog.pool then
-        ignore (Buffer_pool.flush_all t.catalog.Catalog.pool : int);
       if Wal.checkpoint_due w then
         Wal.checkpoint w ~tables:(Catalog.snapshot_tables t.catalog);
       res
@@ -945,8 +943,6 @@ let do_set t key value : result =
       (match int_of_string_opt value with
       | Some n when n >= 0 -> n
       | _ -> error "wal_checkpoint expects a commit count (0 = off)")
-  | "wal_force_pages" ->
-    Buffer_pool.set_force_policy t.catalog.Catalog.pool (on_off value)
   | k when String.length k > 6 && String.sub k 0 6 = "limit_" -> (
     match int_of_string_opt value with
     | None -> error "%s expects an integer (0 = unlimited)" k
@@ -1155,10 +1151,9 @@ let explain t mode (wq : Ast.with_query) : string =
 
 (** Does [stmt] leave shared state alone?  A query, EXPLAIN of a query
     (ANALYZE included), EXPLAIN RULES and SET do — SET changes the
-    session, apart from [wal], [wal_checkpoint] and [wal_force_pages],
-    which set the database's log and pool under their own locks and
-    which only writers read.  EXPLAIN of DML or DDL runs it, so it
-    writes. *)
+    session, apart from [wal] and [wal_checkpoint], which set the
+    database's log under its own lock and which only writers read.
+    EXPLAIN of DML or DDL runs it, so it writes. *)
 let read_only (stmt : Ast.statement) : bool =
   match stmt with
   | Ast.Stmt_query _ | Ast.Stmt_set _

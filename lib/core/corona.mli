@@ -326,9 +326,8 @@ val run_script : t -> string -> result list
     text.  A simulated crash ({!Faults.Crashed} escaping a statement)
     atomically discards all volatile state; {!recover} rebuilds exactly
     the committed prefix.  For every session of the database,
-    [SET wal = off] disables logging, [SET wal_checkpoint = n]
-    checkpoints every n commits, [SET wal_force_pages = on] flushes
-    dirty pages at commit. *)
+    [SET wal = off] disables logging and [SET wal_checkpoint = n]
+    checkpoints every n commits. *)
 
 (** The WAL's counters and state, backing the shell's [\wal]. *)
 val wal_stats : t -> Wal.stats

@@ -233,28 +233,10 @@ let plan_handler (t : Generator.t) env (g : Qgm.t) (b : Qgm.box) :
       in
       let ow = Array.length outer_plan.Plan.props.Plan.p_slots in
       (* equi conjuncts (preserved col = inner col) enable hash/merge *)
-      let equi = ref [] and rest = ref [] in
-      List.iter
-        (fun (pr : Qgm.pred) ->
-          match pr.Qgm.p_expr with
-          | Qgm.Bin (Ast.Eq, Qgm.Col (q1, c1), Qgm.Col (q2, c2))
-            when q1 = p.Qgm.q_id && q2 = f.Qgm.q_id -> (
-            match
-              ( Plan.slot_of outer_plan (q1, c1),
-                Plan.slot_of inner_plan (q2, c2) )
-            with
-            | Some o, Some i -> equi := (o, i) :: !equi
-            | _ -> rest := pr.Qgm.p_expr :: !rest)
-          | Qgm.Bin (Ast.Eq, Qgm.Col (q2, c2), Qgm.Col (q1, c1))
-            when q1 = p.Qgm.q_id && q2 = f.Qgm.q_id -> (
-            match
-              ( Plan.slot_of outer_plan (q1, c1),
-                Plan.slot_of inner_plan (q2, c2) )
-            with
-            | Some o, Some i -> equi := (o, i) :: !equi
-            | _ -> rest := pr.Qgm.p_expr :: !rest)
-          | e -> rest := e :: !rest)
-        join_preds;
+      let equi, rest =
+        Generator.split_equi ~outer:outer_plan ~inner:inner_plan
+          (List.map (fun (pr : Qgm.pred) -> pr.Qgm.p_expr) join_preds)
+      in
       let slotmap (qid, c) =
         if qid = p.Qgm.q_id then Plan.slot_of outer_plan (qid, c)
         else
@@ -262,7 +244,7 @@ let plan_handler (t : Generator.t) env (g : Qgm.t) (b : Qgm.box) :
       in
       let kind_pred =
         match
-          List.map (Generator.compile_expr t ~g ~env ~slotmap) !rest
+          List.map (Generator.compile_expr t ~g ~env ~slotmap) rest
         with
         | [] -> None
         | e :: tl ->
@@ -270,7 +252,7 @@ let plan_handler (t : Generator.t) env (g : Qgm.t) (b : Qgm.box) :
       in
       let payload =
         Star.make_payload ~outer:outer_plan ~inner:inner_plan
-          ~kind:(Plan.J_ext "left_outer") ~equi:!equi ?kind_pred
+          ~kind:(Plan.J_ext "left_outer") ~equi ?kind_pred
           ~info:(Generator.plan_info t g outer_plan) ()
       in
       (match Star.invoke t.Generator.sctx "JoinRoot" payload with

@@ -6,12 +6,11 @@ module Faults = Sb_resil.Faults
 module Rule_audit = Sb_verify.Rule_audit
 module Metrics = Sb_obs.Metrics
 
-let sites = [ "wal.append"; "wal.flush"; "buffer.flush"; "checkpoint" ]
+let sites = [ "wal.append"; "wal.flush"; "checkpoint" ]
 
-(* knobs every database under test runs with: force dirty pages at
-   commit and checkpoint every few transactions, so the buffer.flush
-   and checkpoint crash sites are actually reachable *)
-let knobs = [ "SET wal_force_pages = on"; "SET wal_checkpoint = 4" ]
+(* the knob every database under test runs with: checkpoint every few
+   transactions, so the checkpoint crash site is actually reachable *)
+let knobs = [ "SET wal_checkpoint = 4" ]
 
 type mismatch = {
   m_round : int;
@@ -245,9 +244,8 @@ let run ?metrics ?(log = fun _ -> ()) ~seed ~n () : stats =
       cs_unfired = !unfired;
       cs_committed = !committed;
       cs_by_site =
-        List.filter_map
-          (fun s ->
-            Option.map (fun n -> (s, n)) (Hashtbl.find_opt by_site s))
+        List.map
+          (fun s -> (s, Option.value ~default:0 (Hashtbl.find_opt by_site s)))
           sites;
       cs_mismatches = List.rev !mismatches;
       cs_wal_off_ok = wal_off_ok;
@@ -264,6 +262,12 @@ let run ?metrics ?(log = fun _ -> ()) ~seed ~n () : stats =
         ("sb_crash_mismatches_total", None, List.length stats.cs_mismatches);
       ]);
   stats
+
+let failures (s : stats) : int =
+  List.length s.cs_mismatches
+  + List.length (List.filter (fun (_, n) -> n = 0) s.cs_by_site)
+  + s.cs_unfired
+  + if s.cs_wal_off_ok then 0 else 1
 
 let report (s : stats) : string =
   let b = Buffer.create 256 in

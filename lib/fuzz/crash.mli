@@ -4,9 +4,8 @@
     workload (one implicit transaction per statement).  An oracle run
     with no faults snapshots every table after each statement prefix.
     A scout run with an armed-but-ruleless fault plan counts how many
-    times each crash site ([wal.append], [wal.flush], [buffer.flush],
-    [checkpoint]) is consulted — enumerating every reachable crash
-    ordinal.  Then, for each (site, ordinal) pair, a fresh database
+    times each crash site ([wal.append], [wal.flush], [checkpoint]) is
+    consulted — enumerating every reachable crash ordinal.  Then, for each (site, ordinal) pair, a fresh database
     runs the same workload with a {!Sb_resil.Faults.Crash} armed at
     exactly that consult, loses its volatile state, recovers from the
     stable log, and is compared against the oracle:
@@ -45,6 +44,8 @@ type stats = {
       (** cases whose in-flight statement had already committed, i.e.
           where the strict must-equal-with check applied *)
   cs_by_site : (string * int) list;
+      (** cases per site, one entry for every site in {!sites} — 0 when
+          the sweep never reached it *)
   cs_mismatches : mismatch list;
   cs_wal_off_ok : bool;
 }
@@ -60,6 +61,11 @@ val run :
   n:int ->
   unit ->
   stats
+
+(** How many things went wrong: each mismatch, each site with no
+    cases, each unfired case, and a WAL-off recovery that was not a
+    structured error.  [fuzz_main --crash] exits with it. *)
+val failures : stats -> int
 
 (** Deterministic multi-line summary (no timestamps, no durations). *)
 val report : stats -> string

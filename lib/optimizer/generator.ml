@@ -197,6 +197,24 @@ let free_quant_refs (g : Qgm.t) box_id : int list =
   List.sort_uniq Int.compare !refs
   |> List.filter (fun r -> not (Hashtbl.mem owned r))
 
+(* Splits join conjuncts into equi slot pairs [(outer slot, inner slot)]
+   (a column equality with one side in each input, either way round) and
+   the rest.  Both lists come out in reverse order of [exprs]. *)
+let split_equi ~(outer : plan) ~(inner : plan) (exprs : Qgm.expr list) :
+    (int * int) list * Qgm.expr list =
+  List.fold_left
+    (fun (equi, rest) e ->
+      match e with
+      | Qgm.Bin (Ast.Eq, Qgm.Col (q1, c1), Qgm.Col (q2, c2)) -> (
+        match (slot_of outer (q1, c1), slot_of inner (q2, c2)) with
+        | Some o, Some i -> ((o, i) :: equi, rest)
+        | _ -> (
+          match (slot_of outer (q2, c2), slot_of inner (q1, c1)) with
+          | Some o, Some i -> ((o, i) :: equi, rest)
+          | _ -> (equi, e :: rest)))
+      | e -> (equi, e :: rest))
+    ([], []) exprs
+
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
@@ -402,26 +420,14 @@ and enumerate_joins t ~g ~env ~(quants : Qgm.quant list)
       t.enum_pairs <- t.enum_pairs + 1;
       let outers = try Hashtbl.find memo m1 with Not_found -> [] in
       let inners = try Hashtbl.find memo m2 with Not_found -> [] in
+      let preds = List.map snd applicable in
       List.fold_left
         (fun acc outer ->
           List.fold_left
             (fun acc inner ->
-              (* split applicable predicates into equi pairs and the rest *)
-              let equi = ref [] and rest = ref [] in
-              List.iter
-                (fun (_, p) ->
-                  match p with
-                  | Qgm.Bin (Ast.Eq, Qgm.Col (q1, c1), Qgm.Col (q2, c2)) -> (
-                    match slot_of outer (q1, c1), slot_of inner (q2, c2) with
-                    | Some o, Some i -> equi := (o, i) :: !equi
-                    | _ -> (
-                      match slot_of outer (q2, c2), slot_of inner (q1, c1) with
-                      | Some o, Some i -> equi := (o, i) :: !equi
-                      | _ -> rest := p :: !rest))
-                  | p -> rest := p :: !rest)
-                applicable;
+              let equi, rest = split_equi ~outer ~inner preds in
               let pred =
-                match !rest with
+                match rest with
                 | [] -> None
                 | es ->
                   let compiled =
@@ -436,11 +442,11 @@ and enumerate_joins t ~g ~env ~(quants : Qgm.quant list)
                     | [] -> assert false)
               in
               let payload =
-                Star.make_payload ~outer ~inner ~kind:J_regular ~equi:!equi
+                Star.make_payload ~outer ~inner ~kind:J_regular ~equi
                   ?pred ~info:(plan_info t g outer) ()
               in
               List.map
-                (key_join_cap t g ~outer ~inner ~equi:!equi)
+                (key_join_cap t g ~outer ~inner ~equi)
                 (Star.invoke t.sctx "JoinRoot" payload)
               @ acc)
             acc outers)

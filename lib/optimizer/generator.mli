@@ -60,6 +60,13 @@ val compile_expr :
   Qgm.expr ->
   Plan.rexpr
 
+(** Splits join conjuncts into equi slot pairs [(outer slot, inner
+    slot)] — a column equality with one side in each input, either way
+    round — and the rest, each list in reverse order of the input.  The
+    equi pairs enable hash and merge joins. *)
+val split_equi :
+  outer:Plan.plan -> inner:Plan.plan -> Qgm.expr list -> (int * int) list * Qgm.expr list
+
 (** Plans for iterating one quantifier, with [preds] pushed as close to
     the data as possible (used by extension plan handlers). *)
 val access_plans :

@@ -11,13 +11,12 @@
     operation that touches the frame cache, the file table or the stats
     runs under the pool lock — a leveled {!Sb_conc.Lock} at
     {!Sb_conc.Level.buffer_pool}, checked by the discipline layer: it
-    may be taken under the catalog lock (DDL), and the WAL lock may be
-    taken under it ({!unpin} consults the log's LSN), never the
-    reverse.  The frame cache and the stats are instrumented shared
-    fields ([buffer_pool.frames] / [buffer_pool.stats]) for lockset
-    race detection.  Page {e contents} are not protected here — writers
-    must be serialized above (the server takes its writer lock around
-    DML/DDL statements). *)
+    may be taken under the catalog lock (DDL), and the pool takes no
+    other lock under it.  The frame cache and the stats are
+    instrumented shared fields ([buffer_pool.frames] /
+    [buffer_pool.stats]) for lockset race detection.  Page {e contents}
+    are not protected here — writers must be serialized above (the
+    server takes its writer lock around DML/DDL statements). *)
 
 type file_id = int
 
@@ -57,15 +56,6 @@ type t = {
   mutable next_file : file_id;
   stats : stats;
   mutable faults : Sb_resil.Faults.t;
-  mutable lsn_source : unit -> int;
-      (** current WAL LSN; stamped onto dirty pages at unpin time *)
-  mutable stable_lsn : unit -> int;
-      (** highest LSN known stable; {!flush_all} honors the WAL rule
-          (never write a page whose LSN is ahead of the stable log) *)
-  mutable force_policy : bool;
-      (** force-on-commit: when set, the language processor flushes all
-          dirty pages at each commit; the default is no-force (pages
-          are written back at eviction and at checkpoints) *)
 }
 
 let sentinel () =
@@ -101,9 +91,6 @@ let create ?(capacity = 256) () =
     next_file = 0;
     stats = { logical_reads = 0; physical_reads = 0; physical_writes = 0; evictions = 0 };
     faults = Sb_resil.Faults.none;
-    lsn_source = (fun () -> 0);
-    stable_lsn = (fun () -> max_int);
-    force_policy = false;
   }
 
 let locked t f = Sb_conc.Lock.with_lock t.lock f
@@ -119,10 +106,6 @@ let watch_stats t ~site ~write =
 
 let set_faults t f = locked t (fun () -> t.faults <- f)
 let faults t = locked t (fun () -> t.faults)
-let set_lsn_source t f = locked t (fun () -> t.lsn_source <- f)
-let set_stable_lsn t f = locked t (fun () -> t.stable_lsn <- f)
-let force_policy t = locked t (fun () -> t.force_policy)
-let set_force_policy t b = locked t (fun () -> t.force_policy <- b)
 
 let stats t = t.stats
 
@@ -229,12 +212,7 @@ let unpin t file_id page_no =
   locked t @@ fun () ->
   watch_frames t ~site:"Buffer_pool.unpin" ~write:true;
   match Hashtbl.find_opt t.cache (file_id, page_no) with
-  | Some frame when frame.pins > 0 ->
-    frame.pins <- frame.pins - 1;
-    (* WAL honesty: a page released dirty carries the LSN of the log
-       record covering its latest change, so a flush can refuse to
-       write it ahead of the stable log. *)
-    if frame.page.Page.dirty then frame.page.Page.lsn <- t.lsn_source ()
+  | Some frame when frame.pins > 0 -> frame.pins <- frame.pins - 1
   | _ -> ()
 
 let with_page t file_id page_no f =
@@ -248,42 +226,6 @@ let resident t =
     if f == t.lru then acc else walk f.older ((f.f_file, f.f_page_no) :: acc)
   in
   walk t.lru.older []
-
-(** Writes back every dirty page whose LSN does not run ahead of the
-    stable log (the WAL rule); returns how many pages were written.
-    Consults fault site [buffer.flush] once, before any write, so a
-    crash there loses the entire write-back. *)
-let flush_all t =
-  Sb_resil.Faults.guard t.faults ~site:"buffer.flush" (fun () -> ());
-  locked t @@ fun () ->
-  watch_frames t ~site:"Buffer_pool.flush_all" ~write:true;
-  watch_stats t ~site:"Buffer_pool.flush_all" ~write:true;
-  let stable = t.stable_lsn () in
-  let written = ref 0 in
-  Hashtbl.iter
-    (fun _ f ->
-      for i = 0 to f.npages - 1 do
-        let page = f.pages.(i) in
-        if page.Page.dirty && page.Page.lsn <= stable then begin
-          t.stats.physical_writes <- t.stats.physical_writes + 1;
-          page.Page.dirty <- false;
-          incr written
-        end
-      done)
-    t.files;
-  !written
-
-let dirty_pages t =
-  locked t @@ fun () ->
-  watch_frames t ~site:"Buffer_pool.dirty_pages" ~write:false;
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ f ->
-      for i = 0 to f.npages - 1 do
-        if f.pages.(i).Page.dirty then incr n
-      done)
-    t.files;
-  !n
 
 (** Simulated process death: every file and cached frame vanishes (the
     "disk" here is volatile memory — durability comes from the WAL).

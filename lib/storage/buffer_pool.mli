@@ -50,27 +50,5 @@ val resident : t -> (file_id * int) list
 (** Appends a fresh page to the file and returns its page number. *)
 val alloc_page : t -> file_id -> int
 
-(** Source of the current WAL LSN, stamped onto dirty pages when they
-    are unpinned; defaults to [fun () -> 0] (no WAL). *)
-val set_lsn_source : t -> (unit -> int) -> unit
-
-(** Highest LSN known stable, consulted by {!flush_all} to honor the
-    WAL rule (never write a page ahead of the stable log); defaults to
-    [fun () -> max_int]. *)
-val set_stable_lsn : t -> (unit -> int) -> unit
-
-(** Force-on-commit flush policy ([SET wal_force_pages]); read by the
-    language processor at commit time.  Default [false] (no-force). *)
-val force_policy : t -> bool
-
-val set_force_policy : t -> bool -> unit
-
-(** Writes back every dirty page whose LSN does not run ahead of the
-    stable log; returns how many pages were written.  Consults fault
-    site ["buffer.flush"] once, before any write. *)
-val flush_all : t -> int
-
-val dirty_pages : t -> int
-
 (** Simulated process death: every file and cached frame vanishes. *)
 val discard_all : t -> unit

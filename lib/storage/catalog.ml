@@ -9,9 +9,10 @@
     Concurrency contract: lookups and DDL both run under the catalog
     lock — a leveled {!Sb_conc.Lock} at {!Sb_conc.Level.catalog}, which
     the discipline checker enforces: the buffer pool ({!Sb_conc.Level.buffer_pool})
-    and the WAL ({!Sb_conc.Level.wal}) may be acquired {e under} it
-    (DDL touches storage while holding the catalog), never the other
-    way around.  Every definition change (and every statistics refresh)
+    may be acquired {e under} it (DDL touches storage while holding the
+    catalog), never the other way around.  The WAL's level also sits
+    below the catalog's, but the log is written only after the catalog
+    lock is released.  Every definition change (and every statistics refresh)
     bumps the {e epoch} counter; the plan cache compares a cached plan's
     compile-time epoch against the current one, so DDL invalidates
     shared plans without the catalog knowing the cache exists.  The
@@ -69,11 +70,6 @@ let create () =
   Storage_manager.register t.storage_managers Fixed_file.factory;
   Access_method.register t.access_methods Access_method.btree_kind;
   Access_method.register t.access_methods Access_method.unique_constraint_kind;
-  (* page-LSN honesty: dirty pages are stamped with the current log LSN
-     at unpin, and a flush never writes a page ahead of the stable log *)
-  Buffer_pool.set_lsn_source t.pool (fun () ->
-      if Wal.enabled t.wal then Wal.current_lsn t.wal else 0);
-  Buffer_pool.set_stable_lsn t.pool (fun () -> Wal.stable_lsn t.wal);
   t
 
 let locked t f = Sb_conc.Lock.with_lock t.lock f

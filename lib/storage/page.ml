@@ -17,10 +17,6 @@ type t = {
   mutable free_low : int;  (** lowest byte offset used by record data *)
   mutable data : Bytes.t;
   mutable dirty : bool;
-  mutable lsn : int;
-      (** LSN of the last WAL record covering a change to this page;
-          the buffer pool stamps it at unpin and honors the WAL rule
-          (never write a page ahead of the stable log) when flushing *)
 }
 
 let create ?(size = default_size) page_id =
@@ -32,7 +28,6 @@ let create ?(size = default_size) page_id =
     free_low = size;
     data = Bytes.create size;
     dirty = false;
-    lsn = 0;
   }
 
 (* Each slot costs a fixed overhead when estimating free space; the

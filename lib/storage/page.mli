@@ -13,9 +13,6 @@ type t = {
   mutable free_low : int;
   mutable data : Bytes.t;
   mutable dirty : bool;
-  mutable lsn : int;
-      (** LSN of the last WAL record covering a change to this page;
-          stamped by the buffer pool at unpin time *)
 }
 
 and slot = { mutable off : int; mutable len : int; mutable live : bool }

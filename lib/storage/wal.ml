@@ -75,11 +75,10 @@ let decode (bytes : string) : record = Marshal.from_string bytes 0
 
 type t = {
   lock : Sb_conc.Lock.t;
-      (** level {!Sb_conc.Level.wal}: taken from under the buffer pool's
-          lock (the WAL-rule bound in {!Buffer_pool.unpin}) and never
-          the other way around; only an installed fault plan's lock
-          (and, on an injected fault, the registry it counts into)
-          nests inside *)
+      (** level {!Sb_conc.Level.wal}: no storage lock is held when it is
+          taken (the buffer pool never calls into the log); only an
+          installed fault plan's lock (and, on an injected fault, the
+          registry it counts into) nests inside *)
   mutable enabled : bool;
   mutable next_lsn : int;
   mutable next_txn : int;
@@ -173,15 +172,6 @@ let current_lsn t =
   locked t (fun () ->
       watch t ~site:"Wal.current_lsn" ~write:false;
       t.next_lsn - 1)
-
-(** Highest LSN in the stable region — the buffer pool's WAL-rule bound
-    (a page may only be written once its covering record is stable).
-    [max_int] when the log is disabled: no rule to honor. *)
-let stable_lsn t =
-  locked t @@ fun () ->
-  watch t ~site:"Wal.stable_lsn" ~write:false;
-  if not t.enabled then max_int
-  else List.fold_left (fun m l -> max m l.l_lsn) 0 t.stable
 
 (** Appends one record to the volatile tail and returns its LSN (0 when
     the log is disabled).  Site [wal.append]: a crash here loses the

@@ -68,12 +68,8 @@ val set_checkpoint_every : t -> int -> unit
     restarts).  A {!crash} keeps the count. *)
 val checkpoint_due : t -> bool
 
-(** Highest LSN assigned so far (page LSN stamping reads this). *)
+(** Highest LSN assigned so far (EXPLAIN of DML prints it). *)
 val current_lsn : t -> int
-
-(** Highest LSN in the stable region ([max_int] when disabled) — the
-    buffer pool's WAL-rule bound. *)
-val stable_lsn : t -> int
 
 (** Appends one record, returning its LSN (0 when disabled).
     Consults site [wal.append]. *)

@@ -197,14 +197,6 @@ let test_mid_statement_error_rolls_back () =
 
 (* --- EXPLAIN ANALYZE actual rows under the batch engine --- *)
 
-(* [sub] occurs in [s] *)
-let contains s sub =
-  let rec mem i =
-    i + String.length sub <= String.length s
-    && (String.sub s i (String.length sub) = sub || mem (i + 1))
-  in
-  mem 0
-
 let test_explain_analyze_rows_batched () =
   let db = batch_db () in
   let text = "SELECT a.k FROM bt a, bt b WHERE a.v = b.v AND a.k < 50" in
@@ -216,8 +208,8 @@ let test_explain_analyze_rows_batched () =
     | _ -> Alcotest.fail "expected explain output"
   in
   Alcotest.(check bool) "root actual rows exact" true
-    (contains report (Printf.sprintf "rows=%d" n));
-  Alcotest.(check bool) "batch counts reported" true (contains report "batches=")
+    (contains ~sub:(Printf.sprintf "rows=%d" n) report);
+  Alcotest.(check bool) "batch counts reported" true (contains ~sub:"batches=" report)
 
 (* --- the batch lifetime contract --- *)
 
@@ -549,8 +541,8 @@ let test_index_access_batched () =
     | Starburst.Message m -> m
     | _ -> Alcotest.fail "expected explain output"
   in
-  match List.filter (fun l -> contains l "IXSCAN(account") (String.split_on_char '\n' report) with
-  | [ line ] -> Alcotest.(check bool) ("batches on " ^ line) true (contains line "batches=1")
+  match List.filter (fun l -> contains ~sub:"IXSCAN(account" l) (String.split_on_char '\n' report) with
+  | [ line ] -> Alcotest.(check bool) ("batches on " ^ line) true (contains ~sub:"batches=1" line)
   | _ -> Alcotest.failf "expected one IXSCAN(account...) line in\n%s" report
 
 

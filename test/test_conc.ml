@@ -2,8 +2,9 @@
     lock-discipline checker itself — strict-mode re-entrancy and
     unlock-without-lock, a seeded lock-order inversion (with the
     resulting acquisition-graph cycle), a seeded unprotected-field
-    lockset race, and armed two-domain interleavings over the real
-    Plan_cache and Catalog that must stay silent. *)
+    lockset race, armed two-domain interleavings over the real
+    Plan_cache and Catalog that must stay silent, and DDL and DML that
+    must never take the WAL lock under the buffer pool's. *)
 
 module Lock = Sb_conc.Lock
 module Rwlock = Sb_conc.Rwlock
@@ -13,6 +14,7 @@ module Schema = Sb_storage.Schema
 module Datatype = Sb_storage.Datatype
 module Plan_cache = Starburst.Plan_cache
 module Buffer_pool = Sb_storage.Buffer_pool
+open Test_util
 
 (* The checker's state is global.  Each discipline test runs inside
    [checked], which resets and arms the detector, then restores the
@@ -25,11 +27,6 @@ let checked ?(strict = false) f =
   Fun.protect f ~finally:(fun () ->
       D.reset ();
       if was then D.arm () else D.disarm ())
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 (* --- locks release on raise ---------------------------------------- *)
 
@@ -116,9 +113,9 @@ let test_seeded_order_inversion () =
   | [ d ] ->
     Alcotest.(check bool) "kind" true (d.D.d_kind = D.Order);
     Alcotest.(check bool) "names the acquired lock" true
-      (contains "test.inv_inner (level 40)" d.D.d_msg);
+      (contains ~sub:"test.inv_inner (level 40)" d.D.d_msg);
     Alcotest.(check bool) "names the held lock" true
-      (contains "test.inv_outer (level 50)" d.D.d_msg)
+      (contains ~sub:"test.inv_outer (level 50)" d.D.d_msg)
   | ds -> Alcotest.fail (Printf.sprintf "expected 1 diagnosis, got %d"
                            (List.length ds)));
   (match D.cycles () with
@@ -129,7 +126,7 @@ let test_seeded_order_inversion () =
   | cys -> Alcotest.fail (Printf.sprintf "expected 1 cycle, got %d"
                             (List.length cys)));
   Alcotest.(check bool) "report renders the inversion" true
-    (contains "lock-order inversion reports: 1" (D.report_text ()))
+    (contains ~sub:"lock-order inversion reports: 1" (D.report_text ()))
 
 (* --- seeded lockset race (negative test) ---------------------------- *)
 
@@ -146,7 +143,7 @@ let test_seeded_field_race () =
     Alcotest.(check bool) "kind" true (d.D.d_kind = D.Race);
     Alcotest.(check string) "subject is the field" field d.D.d_subject;
     Alcotest.(check bool) "names both sites" true
-      (contains "seeded.ml:1" d.D.d_msg && contains "seeded.ml:2" d.D.d_msg)
+      (contains ~sub:"seeded.ml:1" d.D.d_msg && contains ~sub:"seeded.ml:2" d.D.d_msg)
   | ds ->
     Alcotest.fail (Printf.sprintf "expected 1 diagnosis, got %d"
                      (List.length ds))
@@ -184,7 +181,7 @@ let test_plan_cache_two_domains () =
   Alcotest.(check int) "LRU/epoch churn is race-free" 0
     (List.length (D.diags ()));
   Alcotest.(check bool) "the cache field was instrumented" true
-    (contains "plan_cache#" (D.report_text ()))
+    (contains ~sub:"plan_cache#" (D.report_text ()))
 
 let test_catalog_epoch_two_domains () =
   checked @@ fun () ->
@@ -253,7 +250,30 @@ let test_two_pools_no_race () =
   Alcotest.(check (list string)) "no race" []
     (List.map (fun d -> d.D.d_msg) (D.diags ()));
   Alcotest.(check bool) "pool fields were instrumented" true
-    (contains "buffer_pool.stats#" (D.report_text ()))
+    (contains ~sub:"buffer_pool.stats#" (D.report_text ()))
+
+(* --- the pool never takes the WAL lock ------------------------------ *)
+
+(* Durability is the log's alone: the buffer pool reads nothing from the
+   WAL, so no DDL or DML path acquires the WAL lock while holding the
+   pool's. *)
+let test_pool_never_takes_wal_lock () =
+  checked @@ fun () ->
+  let db = Starburst.create () in
+  List.iter
+    (fun text -> ignore (Starburst.run db text))
+    [
+      "SET wal_checkpoint = 1";
+      "CREATE TABLE acct (k INT UNIQUE, v INT)";
+      "CREATE INDEX acct_v ON acct (v)";
+      "INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30)";
+      "UPDATE acct SET v = v + 1 WHERE k < 3";
+      "DELETE FROM acct WHERE k = 2";
+    ];
+  Alcotest.(check int) "the statements ran" 2
+    (List.length (q db "SELECT k FROM acct"));
+  Alcotest.(check bool) "no buffer_pool -> wal edge" false
+    (List.mem ("storage.buffer_pool", "storage.wal") (D.edges ()))
 
 let suite =
   ( "conc",
@@ -278,4 +298,6 @@ let suite =
         test_lock_ids_distinct;
       Alcotest.test_case "two pools, two domains, no race" `Quick
         test_two_pools_no_race;
+      Alcotest.test_case "the buffer pool never takes the WAL lock" `Quick
+        test_pool_never_takes_wal_lock;
     ] )

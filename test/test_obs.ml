@@ -108,38 +108,24 @@ let test_histogram_bucketing () =
   Alcotest.(check (float 0.0)) "last bound is +Inf" infinity
     (fst (List.nth buckets 31));
   let dump = Metrics.dump m in
-  let contains sub =
-    let rec mem i =
-      i + String.length sub <= String.length dump
-      && (String.sub dump i (String.length sub) = sub || mem (i + 1))
-    in
-    mem 0
-  in
   Alcotest.(check bool) "dump has TYPE line" true
-    (contains "# TYPE lat_ns histogram");
+    (contains ~sub:"# TYPE lat_ns histogram" dump);
   Alcotest.(check bool) "dump has le buckets" true
-    (contains "lat_ns_bucket{le=\"1\"} 1");
+    (contains ~sub:"lat_ns_bucket{le=\"1\"} 1" dump);
   Alcotest.(check bool) "dump has +Inf bucket" true
-    (contains "lat_ns_bucket{le=\"+Inf\"} 5");
-  Alcotest.(check bool) "dump has count" true (contains "lat_ns_count 5")
+    (contains ~sub:"lat_ns_bucket{le=\"+Inf\"} 5" dump);
+  Alcotest.(check bool) "dump has count" true (contains ~sub:"lat_ns_count 5" dump)
 
 let test_counters_shared_output_path () =
   let db = sample_db () in
   ignore (q db "SELECT partno FROM quotations");
   let dump = Starburst.metrics_dump db in
-  let contains sub =
-    let rec mem i =
-      i + String.length sub <= String.length dump
-      && (String.sub dump i (String.length sub) = sub || mem (i + 1))
-    in
-    mem 0
-  in
   (* the executor's c_* counters flow into the same dump; scanned comes
      only from the final SELECT (the INSERTs use VALUES scans) *)
   Alcotest.(check bool) "scanned counter in dump" true
-    (contains "sb_exec_scanned_total 5");
+    (contains ~sub:"sb_exec_scanned_total 5" dump);
   Alcotest.(check bool) "output counter in dump" true
-    (contains "sb_exec_output_total")
+    (contains ~sub:"sb_exec_output_total" dump)
 
 let test_per_rule_stats () =
   let db = sample_db () in
@@ -197,17 +183,10 @@ let test_pipeline_spans () =
     (List.mem_assoc "boxes_before" fire.Trace.sp_attrs);
   (* stage latencies landed in the metrics histograms *)
   let dump = Starburst.metrics_dump db in
-  let contains sub =
-    let rec mem i =
-      i + String.length sub <= String.length dump
-      && (String.sub dump i (String.length sub) = sub || mem (i + 1))
-    in
-    mem 0
-  in
   Alcotest.(check bool) "stage histogram in dump" true
-    (contains "sb_stage_duration_ns_bucket{stage=\"execute\"");
+    (contains ~sub:"sb_stage_duration_ns_bucket{stage=\"execute\"" dump);
   Alcotest.(check bool) "per-rule counter in dump" true
-    (contains "sb_rewrite_rule_fires_total{rule=")
+    (contains ~sub:"sb_rewrite_rule_fires_total{rule=" dump)
 
 (* --- EXPLAIN ANALYZE integration --- *)
 
@@ -242,23 +221,16 @@ let test_explain_analyze_matches_rows () =
     | Starburst.Message m -> m
     | _ -> Alcotest.fail "expected explain output"
   in
-  let contains sub =
-    let rec mem i =
-      i + String.length sub <= String.length report
-      && (String.sub report i (String.length sub) = sub || mem (i + 1))
-    in
-    mem 0
-  in
   (* the root operator's actual row count equals the result cardinality,
      and the report carries estimates, timings and the row summary *)
   Alcotest.(check bool) "root actual rows match result" true
-    (contains (Printf.sprintf "actual rows=%d" n));
-  Alcotest.(check bool) "estimates printed" true (contains "est_rows=");
+    (contains ~sub:(Printf.sprintf "actual rows=%d" n) report);
+  Alcotest.(check bool) "estimates printed" true (contains ~sub:"est_rows=" report);
   Alcotest.(check bool) "stage timings printed" true
-    (contains "== STAGE TIMINGS ==");
-  Alcotest.(check bool) "execute stage timed" true (contains "execute");
+    (contains ~sub:"== STAGE TIMINGS ==" report);
+  Alcotest.(check bool) "execute stage timed" true (contains ~sub:"execute" report);
   Alcotest.(check bool) "row summary" true
-    (contains (Printf.sprintf "%d row(s)" n));
+    (contains ~sub:(Printf.sprintf "%d row(s)" n) report);
   (* direct API agreement: run_analyzed's root stats equal the rows *)
   let plan = Starburst.compile_text db query in
   let rows', lookup =
@@ -278,15 +250,8 @@ let test_stage_histograms_untraced () =
     (Trace.enabled (Starburst.tracer db));
   ignore (q db "SELECT partno FROM quotations");
   let dump = Starburst.metrics_dump db in
-  let contains sub =
-    let rec mem i =
-      i + String.length sub <= String.length dump
-      && (String.sub dump i (String.length sub) = sub || mem (i + 1))
-    in
-    mem 0
-  in
   Alcotest.(check bool) "stage histogram without tracing" true
-    (contains "sb_stage_duration_ns_bucket{stage=\"execute\"")
+    (contains ~sub:"sb_stage_duration_ns_bucket{stage=\"execute\"" dump)
 
 let suite =
   ( "observability",

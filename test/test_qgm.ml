@@ -193,12 +193,7 @@ let test_dot_output () =
   let dot = Sb_qgm.Print.to_dot g in
   Alcotest.(check bool) "digraph" true
     (String.length dot > 20 && String.sub dot 0 7 = "digraph");
-  let contains hay needle =
-    let n = String.length needle in
-    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions table" true (contains dot "quotations")
+  Alcotest.(check bool) "mentions table" true (contains ~sub:"quotations" dot)
 
 let suite =
   ( "qgm",

@@ -183,15 +183,10 @@ let test_fault_metrics () =
   Faults.fail_nth faults ~site:"m" [ 1 ];
   Faults.guard faults ~site:"m" (fun () -> ());
   let dump = Sb_obs.Metrics.dump metrics in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "injection counter in dump" true
-    (contains "sb_faults_injected_total" dump);
+    (contains ~sub:"sb_faults_injected_total" dump);
   Alcotest.(check bool) "retry counter in dump" true
-    (contains "sb_fault_retries_total" dump)
+    (contains ~sub:"sb_fault_retries_total" dump)
 
 let test_storage_fault_recovered () =
   let db = sample_db () in
@@ -206,11 +201,6 @@ let test_storage_fault_recovered () =
   Starburst.Corona.set_faults db Faults.none
 
 (* --- graceful degradation ----------------------------------------- *)
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let test_rewrite_degradation () =
   let db = sample_db () in
@@ -229,12 +219,12 @@ let test_rewrite_degradation () =
   (match Starburst.Corona.last_degraded db with
   | Some reason ->
     Alcotest.(check bool) "reason names the rewrite failure" true
-      (contains "rewrite failed" reason && contains "boom" reason)
+      (contains ~sub:"rewrite failed" reason && contains ~sub:"boom" reason)
   | None -> Alcotest.fail "expected a degradation record");
   match Starburst.run db "EXPLAIN SELECT partno FROM inventory WHERE type = 'CPU'" with
   | Starburst.Message s ->
     Alcotest.(check bool) "EXPLAIN shows the degradation" true
-      (contains "degraded: rewrite failed" s)
+      (contains ~sub:"degraded: rewrite failed" s)
   | _ -> Alcotest.fail "EXPLAIN should return a message"
 
 let test_plan_budget_degradation () =
@@ -250,7 +240,7 @@ let test_plan_budget_degradation () =
   match Starburst.Corona.last_degraded db with
   | Some reason ->
     Alcotest.(check bool) "reason names the blown plan budget" true
-      (contains "optimize failed" reason && contains "max_plan_nodes" reason)
+      (contains ~sub:"optimize failed" reason && contains ~sub:"max_plan_nodes" reason)
   | None -> Alcotest.fail "expected a degradation record"
 
 (* --- chaos table --------------------------------------------------- *)

@@ -508,13 +508,6 @@ let test_dsl_rules_fire () =
 
 (* --- the Corona surface: registration, EXPLAIN RULES, dead-rule --- *)
 
-let contains hay sub =
-  let ns = String.length sub in
-  let rec go i =
-    i + ns <= String.length hay && (String.sub hay i ns = sub || go (i + 1))
-  in
-  go 0
-
 let test_corona_registration () =
   let db = Starburst.create () in
   (* a Rejected rule is refused with a structured semantic error naming
@@ -536,7 +529,7 @@ let test_corona_registration () =
       (e.Sb_resil.Err.err_stage = Sb_resil.Err.Semantic);
     Alcotest.(check bool)
       "names the obligation" true
-      (contains e.Sb_resil.Err.err_msg "always-true"));
+      (contains ~sub:"always-true" e.Sb_resil.Err.err_msg));
   Alcotest.(check bool)
     "rejected rule absent from the set" false
     (List.exists
@@ -575,11 +568,11 @@ let test_corona_explain_rules () =
   in
   Alcotest.(check bool)
     "lists the conditional builtin" true
-    (contains report "eliminate_redundant_join");
+    (contains ~sub:"eliminate_redundant_join" report);
   Alcotest.(check bool)
     "shows its discharge state" true
-    (contains report "Conditional(key,strict)");
-  Alcotest.(check bool) "shows DSL origin" true (contains report "dsl");
+    (contains ~sub:"Conditional(key,strict)" report);
+  Alcotest.(check bool) "shows DSL origin" true (contains ~sub:"dsl" report);
   (* cumulative fire/attempt accounting backs the report *)
   let fires, attempts =
     List.assoc "eliminate_redundant_join" (Starburst.rule_stats db)
@@ -612,7 +605,7 @@ let test_dead_rule_lint () =
        ~condition:(fun _ -> false) ~action:ignore ());
   Sb_rewrite.Rule.record rules ~firings:[] ~attempts:[ ("my_dead_rule", 100) ];
   let report = Starburst.rules_report db in
-  Alcotest.(check bool) "report flags it" true (contains report "dead-rule")
+  Alcotest.(check bool) "report flags it" true (contains ~sub:"dead-rule" report)
 
 let suite =
   ( "ruledsl",

@@ -20,11 +20,6 @@ module Catalog = Sb_storage.Catalog
 module Datatype = Sb_storage.Datatype
 module Value = Sb_storage.Value
 
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* --- plan cache --------------------------------------------------- *)
 
 let test_normalize () =
@@ -88,7 +83,7 @@ let test_cache_metrics () =
   let dump = Starburst.metrics_dump db in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) needle true (contains needle dump))
+      Alcotest.(check bool) needle true (contains ~sub:needle dump))
     [
       "sb_plan_cache_hits_total";
       "sb_plan_cache_misses_total";
@@ -400,7 +395,7 @@ let test_load_shedding () =
     ((Server.stats server).Server.st_shed >= 3);
   Alcotest.(check bool) "shedding is exported as a metric" true
     (match Server.meta server s "\\metrics" with
-    | Some dump -> contains "sb_server_shed_total" dump
+    | Some dump -> contains ~sub:"sb_server_shed_total" dump
     | None -> false);
   Server.shutdown server
 
@@ -493,7 +488,7 @@ let test_explain_insert_writes () =
   let db = Server.session_db boot in
   let p = Starburst.prepare db "SELECT v FROM t WHERE k = :k" in
   Alcotest.(check bool) "the probe uses the index" true
-    (contains "IXSCAN" (Starburst.Plan.to_string p.Starburst.prep_plan));
+    (contains ~sub:"IXSCAN" (Starburst.Plan.to_string p.Starburst.prep_plan));
   let found = ref 0 in
   for k = 0 to total - 1 do
     Starburst.bind_host db "k" (Value.Int k);
@@ -560,13 +555,13 @@ let test_meta_table () =
   Alcotest.(check int) "four parts" 4
     (List.length (rows_exn (Server.submit server s2 "SELECT partno FROM inventory")));
   Alcotest.(check bool) "\\stats shows the asking session's statement" true
-    (contains "output=5" (meta_exn server s1 "\\stats")
-    && contains "output=4" (meta_exn server s2 "\\stats"));
+    (contains ~sub:"output=5" (meta_exn server s1 "\\stats")
+    && contains ~sub:"output=4" (meta_exn server s2 "\\stats"));
   Alcotest.(check int) "\\metrics sums both sessions" 9 (output () - before);
   List.iter
     (fun (cmd, needle) ->
       Alcotest.(check bool) (cmd ^ " answers") true
-        (contains needle (meta_exn server s1 cmd)))
+        (contains ~sub:needle (meta_exn server s1 cmd)))
     [
       ("\\limits", "session limits");
       ("\\cache", "epoch");
@@ -589,7 +584,7 @@ let test_meta_table () =
   List.iter
     (fun cmd ->
       Alcotest.(check bool) (cmd ^ " is refused") true
-        (contains "error: parse" (meta_exn server s1 cmd)))
+        (contains ~sub:"error: parse" (meta_exn server s1 cmd)))
     [
       "\\check DELETE FROM inventory;";
       "\\infer DROP TABLE inventory";
@@ -655,7 +650,7 @@ let test_rule_counts_per_database () =
       (String.split_on_char '\n' (meta_exn server b "\\rules"))
   in
   Alcotest.(check bool) "EXPLAIN RULES on session B shows the same fires" true
-    (contains (Printf.sprintf " %d/" fires) line);
+    (contains ~sub:(Printf.sprintf " %d/" fires) line);
   Server.shutdown server
 
 let test_pool_counters_in_metrics () =
@@ -742,7 +737,7 @@ let test_raising_statement_releases_admission () =
         Alcotest.(check (option string)) (name ^ ": the error names the statement")
           (Some text) e.Err.err_query;
         Alcotest.(check bool) (name ^ ": the error names the exception") true
-          (contains name e.Err.err_msg)
+          (contains ~sub:name e.Err.err_msg)
       | Ok _ -> Alcotest.fail "a raising function must fail its statement");
       Alcotest.(check int) (name ^ ": nothing in flight on the server") 0
         (Server.stats server).Server.st_inflight;

@@ -983,9 +983,8 @@ let test_wal_save_load () =
    The first three statements committed before the crash, so recovery
    must rebuild them; the in-flight DELETE survives only when its
    Commit record reached the stable log before the crash fired
-   (post-commit sites: buffer.flush, checkpoint). *)
-let crash_matrix =
-  [ ("wal.append", 3); ("wal.flush", 3); ("buffer.flush", 2); ("checkpoint", 2) ]
+   (the post-commit site: checkpoint). *)
+let crash_matrix = [ ("wal.append", 3); ("wal.flush", 3); ("checkpoint", 2) ]
 
 let test_crash_matrix () =
   List.iter
@@ -993,7 +992,6 @@ let test_crash_matrix () =
       let db = Starburst.create () in
       let run t = ignore (Starburst.run db t) in
       run "CREATE TABLE acct (k INT UNIQUE, v INT)";
-      run "SET wal_force_pages = on";
       run "SET wal_checkpoint = 1";
       run "INSERT INTO acct VALUES (1, 10), (2, 20)";
       run "UPDATE acct SET v = 11 WHERE k = 1";
@@ -1118,26 +1116,6 @@ let test_rollback_by_rid () =
   if failed > 2 * committed then
     Alcotest.failf "rollback logical reads: failing %d > 2 x committing %d" failed committed
 
-let test_buffer_pool_wal_rule () =
-  let pool = Buffer_pool.create ~capacity:8 () in
-  let lsn = ref 10 in
-  let stable = ref 0 in
-  Buffer_pool.set_lsn_source pool (fun () -> !lsn);
-  Buffer_pool.set_stable_lsn pool (fun () -> !stable);
-  let file = Buffer_pool.create_file pool in
-  ignore (Buffer_pool.alloc_page pool file);
-  ignore (Buffer_pool.alloc_page pool file);
-  Buffer_pool.with_page pool file 0 (fun page -> ignore (Page.insert page "a"));
-  Buffer_pool.with_page pool file 1 (fun page -> ignore (Page.insert page "b"));
-  Alcotest.(check int) "dirty pages tracked" 2 (Buffer_pool.dirty_pages pool);
-  (* WAL rule: a dirty page may not reach disk ahead of its log tail *)
-  Alcotest.(check int) "nothing stable, nothing written" 0
-    (Buffer_pool.flush_all pool);
-  stable := 10;
-  Alcotest.(check int) "stable log unlocks the flush" 2
-    (Buffer_pool.flush_all pool);
-  Alcotest.(check int) "all clean" 0 (Buffer_pool.dirty_pages pool)
-
 let test_truncate_maintains_attachments () =
   let cat = Catalog.create () in
   let schema =
@@ -1192,7 +1170,6 @@ let suite =
       case "crash matrix" test_crash_matrix;
       case "recovery requires the wal" test_recovery_requires_wal;
       case "statement atomicity" test_statement_atomicity;
-      case "buffer pool wal rule" test_buffer_pool_wal_rule;
       case "truncate maintains attachments" test_truncate_maintains_attachments;
       case "boxed short strings share values" test_string_sharing;
       case "statement rollback by rid" test_rollback_by_rid;

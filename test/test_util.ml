@@ -22,6 +22,12 @@ let check_bag msg expected actual =
 let check_rows msg expected actual =
   Alcotest.(check (list tuple_testable)) msg expected actual
 
+(** [contains ~sub s]: [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* row constructors *)
 let i x = Value.Int x
 let f x = Value.Float x

@@ -16,11 +16,6 @@ module Rule_audit = Sb_verify.Rule_audit
 module Lint = Sb_verify.Lint
 open Test_util
 
-let contains sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* ------------------------------------------------------------------ *)
 (* Plan_check                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -190,7 +185,7 @@ let build_g db text = Starburst.build_qgm db (Sb_hydrogen.Parser.query_text text
 
 let expect_violation name sub g =
   let vs = Check.check g in
-  if not (List.exists (contains sub) vs) then
+  if not (List.exists (contains ~sub) vs) then
     Alcotest.failf "%s: expected a violation mentioning %S, got [%s]" name sub
       (String.concat "; " vs)
 
@@ -246,13 +241,13 @@ let test_violations_name_the_box () =
       Alcotest.(check bool)
         (Fmt.str "violation names its box: %s" v)
         true
-        (contains (Fmt.str "box %d" top.Qgm.b_id) v))
+        (contains ~sub:(Fmt.str "box %d" top.Qgm.b_id) v))
     (Check.check g);
   (* dot rendering carries the numeric box id *)
   let g = build_g db "SELECT partno FROM quotations" in
   Alcotest.(check bool) "dot labels carry box ids" true
     (contains
-       (Fmt.str "{%d: " (Qgm.top_box g).Qgm.b_id)
+       ~sub:(Fmt.str "{%d: " (Qgm.top_box g).Qgm.b_id)
        (Sb_qgm.Print.to_dot g))
 
 (* ------------------------------------------------------------------ *)
@@ -266,16 +261,16 @@ let test_compare_results () =
     (Rule_audit.compare_results a shuffled = Ok ());
   (match Rule_audit.compare_results a [ row [ i 1; s "x" ] ] with
   | Error msg ->
-    Alcotest.(check bool) "reports the lost row" true (contains "lost" msg)
+    Alcotest.(check bool) "reports the lost row" true (contains ~sub:"lost" msg)
   | Ok () -> Alcotest.fail "missing row not detected");
   (match Rule_audit.compare_results ~ordered:true a shuffled with
   | Error msg ->
     Alcotest.(check bool) "ordered compare reports position" true
-      (contains "row 0" msg)
+      (contains ~sub:"row 0" msg)
   | Ok () -> Alcotest.fail "ordered divergence not detected");
   match Rule_audit.compare_results a (a @ [ row [ i 3; s "z" ] ]) with
   | Error msg ->
-    Alcotest.(check bool) "reports the gained row" true (contains "gained" msg)
+    Alcotest.(check bool) "reports the gained row" true (contains ~sub:"gained" msg)
   | Ok () -> Alcotest.fail "extra row not detected"
 
 (** A rule whose action breaks QGM consistency is caught mid-rewrite and
@@ -300,8 +295,8 @@ let test_instrument_catches_bad_rule () =
   match Engine.run ~rules:(Rule_audit.instrument [ bad ]) g with
   | _ -> Alcotest.fail "inconsistent firing not detected"
   | exception Rule_audit.Unsound msg ->
-    Alcotest.(check bool) "names the rule" true (contains "graph_smasher" msg);
-    Alcotest.(check bool) "after the firing" true (contains "after" msg)
+    Alcotest.(check bool) "names the rule" true (contains ~sub:"graph_smasher" msg);
+    Alcotest.(check bool) "after the firing" true (contains ~sub:"after" msg)
 
 (* keeps QGM consistent but changes semantics *)
 let predicate_dropper () =
@@ -320,7 +315,7 @@ let test_differential_catches_unsound_rule () =
   (match q db "SELECT partno FROM quotations WHERE price < 20" with
   | _ -> Alcotest.fail "semantic divergence not detected"
   | exception Rule_audit.Unsound msg ->
-    Alcotest.(check bool) "divergence reported" true (contains "diverge" msg));
+    Alcotest.(check bool) "divergence reported" true (contains ~sub:"diverge" msg));
   db.Starburst.Corona.paranoid <- false
 
 (** Paranoid mode is transparent for sound rewrites: same rows, rule
@@ -406,17 +401,17 @@ let test_explain_verify () =
     List.iter
       (fun sub ->
         Alcotest.(check bool) (Fmt.str "report mentions %S" sub) true
-          (contains sub s))
+          (contains ~sub s))
       [ "== VERIFY =="; "qgm (built)"; "rule audit"; "plan (optimized)"; "differential" ];
-    Alcotest.(check bool) "no divergence" false (contains "DIVERGED" s);
-    Alcotest.(check bool) "no unsoundness" false (contains "UNSOUND" s)
+    Alcotest.(check bool) "no divergence" false (contains ~sub:"DIVERGED" s);
+    Alcotest.(check bool) "no unsoundness" false (contains ~sub:"UNSOUND" s)
   | _ -> Alcotest.fail "expected a Message result"
 
 let test_parser_roundtrip () =
   match Sb_hydrogen.Parser.statement "EXPLAIN VERIFY SELECT src FROM edges" with
   | Ast.Stmt_explain (Ast.Explain_verify, _) as stmt ->
     Alcotest.(check bool) "pretty-prints back" true
-      (contains "EXPLAIN VERIFY" (Sb_hydrogen.Pretty.statement_to_string stmt))
+      (contains ~sub:"EXPLAIN VERIFY" (Sb_hydrogen.Pretty.statement_to_string stmt))
   | _ -> Alcotest.fail "EXPLAIN VERIFY did not parse"
 
 (** The oracle also guards the plan-cached path every server SELECT
@@ -432,7 +427,7 @@ let test_cached_query_paranoid () =
       | _ -> Alcotest.failf "%s: semantic divergence not detected" what
       | exception Rule_audit.Unsound msg ->
         Alcotest.(check bool) (what ^ ": divergence reported") true
-          (contains "changed query results" msg))
+          (contains ~sub:"changed query results" msg))
     [ "cache miss"; "cache hit" ];
   db.Starburst.Corona.paranoid <- false
 
