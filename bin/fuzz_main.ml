@@ -5,11 +5,11 @@
     repro under a directory; [--server N] replays a generated workload
     through N concurrent server sessions and differentially compares
     every result against a single-caller oracle; [--crash] injects a
-    simulated crash at every reachable ordinal of every durability
-    fault site, recovers, and compares against a committed-prefix
-    oracle; [--races N] hammers N concurrent sessions with a mixed
-    DML / DDL / ANALYZE workload under the armed lock-discipline
-    checker and fails on any diagnosis.  Exit status is the number of
+    simulated crash at up to eight spread ordinals per round of each
+    durability fault site, recovers, and compares against a
+    committed-prefix oracle; [--races N] hammers N concurrent sessions
+    with a mixed DML / DDL / ANALYZE workload under the armed
+    lock-discipline checker and fails on any diagnosis.  Exit status is the number of
     discrepancies (capped at 125), so CI can gate on it directly. *)
 
 let usage () =

@@ -14,9 +14,11 @@
    With --wal-file the stable log persists across restarts: the server
    loads it on boot, runs crash recovery when it holds records, and
    saves it after every flush/checkpoint — so kill -9 loses nothing
-   that was committed.  SIGINT/SIGTERM shut down gracefully: stop
-   accepting connections, drain in-flight statements, force the log,
-   exit 0. *)
+   that was committed.  A file it cannot load or recover from (one
+   without an SBWAL2 header, say) stops the boot with the structured
+   error and exit code 1, and stays as it was.  SIGINT/SIGTERM shut
+   down gracefully: stop accepting connections, drain in-flight
+   statements, force the log, exit 0. *)
 
 module Server = Sb_server
 module Corona = Starburst.Corona
@@ -91,20 +93,25 @@ let serve ~host ~port ~once ~wal_file =
   | None -> ()
   | Some path ->
     let wal = Server.wal server in
-    if Sys.file_exists path then begin
-      let n = Wal.load_file wal path in
-      if n > 0 then begin
-        let st = Server.recover server in
-        Fmt.pr
-          "recovered from %s: %d records (%d truncated), %d committed txns, %d \
-           redone, %d ddl%s@."
-          path n st.Sb_storage.Recovery.r_truncated
-          st.Sb_storage.Recovery.r_winners st.Sb_storage.Recovery.r_redone
-          st.Sb_storage.Recovery.r_ddl
-          (if st.Sb_storage.Recovery.r_from_checkpoint then ", from checkpoint"
-           else "")
-      end
-    end;
+    (* no sink is set yet, so a refused file is never overwritten *)
+    (try
+       if Sys.file_exists path then begin
+         let n = Wal.load_file wal path in
+         if n > 0 then begin
+           let st = Server.recover server in
+           Fmt.pr
+             "recovered from %s: %d records (%d truncated), %d committed txns, \
+              %d redone, %d ddl%s@."
+             path n st.Sb_storage.Recovery.r_truncated
+             st.Sb_storage.Recovery.r_winners st.Sb_storage.Recovery.r_redone
+             st.Sb_storage.Recovery.r_ddl
+             (if st.Sb_storage.Recovery.r_from_checkpoint then ", from checkpoint"
+              else "")
+         end
+       end
+     with Err.Error e | Corona.Error e ->
+       Fmt.epr "starburst-server: %s@." (Err.to_string e);
+       exit 1);
     Wal.set_sink wal (Some (fun () -> Wal.save_file wal path)));
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;

@@ -690,8 +690,8 @@ let wal_stats t = Wal.stats (wal t)
 let last_txn t = t.last_txn
 
 (* Logs one value-based change of the in-flight transaction and keeps
-   its [undo] for rollback.  No-op outside a transaction (WAL off or
-   recovery replay). *)
+   its [undo] for rollback.  No-op outside a transaction (recovery
+   replay). *)
 let log_update t ~table ~undo ~before ~after =
   if t.txn_current <> 0 then begin
     t.txn_undo <- undo :: t.txn_undo;
@@ -736,7 +736,7 @@ let rollback_statement t =
    all volatile state, so there is nothing to roll back. *)
 let with_txn t (f : unit -> result) : result =
   let w = wal t in
-  if t.txn_replaying || (not (Wal.enabled w)) || t.txn_current <> 0 then f ()
+  if t.txn_replaying || t.txn_current <> 0 then f ()
   else begin
     let txn = Wal.begin_txn w in
     t.txn_current <- txn;
@@ -772,11 +772,8 @@ let with_txn t (f : unit -> result) : result =
    replay a statement whose success the client never saw. *)
 let log_ddl t (text : string) =
   if not t.txn_replaying then begin
-    let w = wal t in
-    if Wal.enabled w then begin
-      ignore (Wal.append w (Wal.Ddl text));
-      Wal.flush w
-    end
+    ignore (Wal.append (wal t) (Wal.Ddl text));
+    Wal.flush (wal t)
   end
 
 let find_table t name =
@@ -937,7 +934,6 @@ let do_set t key value : result =
          if Trace.enabled t.tracer then t.tracer else Trace.create ()
        else Trace.noop)
   | "paranoid" -> t.paranoid <- on_off value
-  | "wal" -> Wal.set_enabled t.catalog.Catalog.wal (on_off value)
   | "wal_checkpoint" ->
     Wal.set_checkpoint_every (wal t)
       (match int_of_string_opt value with
@@ -1271,11 +1267,9 @@ let rec run_statement t (stmt : Ast.statement) : result =
     (* DML under EXPLAIN runs as usual but reports its transaction *)
     let res = run_statement t inner in
     let n = match res with Affected n -> n | _ -> 0 in
-    let w = wal t in
     Message
-      (Fmt.str "txn %d: %d row(s) affected (wal %s, lsn %d)" t.last_txn n
-         (if Wal.enabled w then "on" else "off")
-         (Wal.current_lsn w))
+      (Fmt.str "txn %d: %d row(s) affected (lsn %d)" t.last_txn n
+         (Wal.current_lsn (wal t)))
   | Ast.Stmt_explain (_, inner) -> run_statement t inner
 
 (* exception classification at the pipeline boundary: every failure
@@ -1345,8 +1339,8 @@ let run_script t (text : string) : result list =
     updates, and a final ANALYZE refreshes statistics and bumps the
     epoch (cached plans cannot survive a crash).  Logging is suppressed
     for the duration — recovery must not write the history it reads.
-    @raise Error (stage [Storage]) when the WAL is disabled: recovery
-    without a log is reported, never guessed at. *)
+    @raise Error (stage [Storage]) when a readable log record cannot be
+    replayed: a broken log is reported, never guessed at. *)
 let recover t : Recovery.stats =
   t.txn_current <- 0;
   t.txn_undo <- [];
@@ -1366,6 +1360,12 @@ let recover t : Recovery.stats =
       ];
     stats
   | exception Err.Error e -> raise (Error e)
+  | exception exn -> (
+    (* a replayed record that trips the parser or a constraint means
+       the log is broken: a Storage error, whatever the stage *)
+    match classify_exn "" exn with
+    | Some (Error e) -> raise (Error (Err.make Err.Storage ("recovery: " ^ Err.to_string e)))
+    | _ -> raise exn)
 
 (** Renders a [Rows] result as an aligned table. *)
 let render_result ?registry (r : result) : string =

@@ -340,7 +340,8 @@ val last_txn : t -> int
     epoch and clears the needs-recovery flag.  A run that completes is
     counted in {!metrics} from the stats it returns
     ([sb_recovery_{runs,records_scanned,records_redone,torn_records}_total]).
-    @raise Error (stage [Storage]) when the WAL is disabled. *)
+    @raise Error (stage [Storage]) when a readable log record cannot be
+    replayed. *)
 val recover : t -> Recovery.stats
 
 (** Renders a result as an aligned text table. *)

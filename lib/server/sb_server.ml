@@ -331,7 +331,8 @@ let flush_wal t = Sb_storage.Wal.flush (wal t)
 (** Runs crash recovery under the writer lock — no session can observe
     the half-rebuilt database.  A scratch session replays the logged
     DDL; it sees the extensions installed on the database.
-    @raise Corona.Error (stage [Storage]) when the WAL is disabled. *)
+    @raise Corona.Error (stage [Storage]) when a readable log record
+    cannot be replayed. *)
 let recover t : Sb_storage.Recovery.stats =
   Rwlock.with_write t.rw @@ fun () -> Corona.recover (new_session_db t)
 
@@ -409,7 +410,6 @@ let wal_lines t =
   let w = wal_stats t in
   [
     "write-ahead log:";
-    Fmt.str "  enabled          %b" w.Wal.s_enabled;
     Fmt.str "  needs_recovery   %b" w.Wal.s_needs_recovery;
     Fmt.str "  lsn              %d" w.Wal.s_lsn;
     Fmt.str "  stable records   %d" w.Wal.s_stable;

@@ -112,8 +112,8 @@ val flush_wal : t -> unit
 
 (** Runs crash recovery under the writer lock — no session observes the
     half-rebuilt database.
-    @raise Starburst.Corona.Error (stage [Storage]) when the WAL is
-    disabled. *)
+    @raise Starburst.Corona.Error (stage [Storage]) when a readable log
+    record cannot be replayed. *)
 val recover : t -> Sb_storage.Recovery.stats
 
 (** {1 Lock discipline}

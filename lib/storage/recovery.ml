@@ -71,14 +71,10 @@ let redo_update ~catalog ~table ~before ~after =
     language processor passes its own statement runner, with logging
     suppressed.  Fault injection is suspended for the duration: a
     recovering process does not inject its own faults.
-    @raise Sb_resil.Err.Error (stage [Storage]) when the WAL is
-    disabled — recovery without a log is impossible, and saying so
-    beats silently serving an empty database. *)
+    @raise Sb_resil.Err.Error (stage [Storage]) when a readable record
+    cannot be replayed (a table or row image it names is missing). *)
 let run ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) : stats =
   let wal = catalog.Catalog.wal in
-  if not (Wal.enabled wal) then
-    Err.fail Err.Storage
-      "recovery requires the WAL, which is disabled (SET wal = on)";
   let saved_faults = Catalog.faults catalog in
   Catalog.set_faults catalog Faults.none;
   Fun.protect ~finally:(fun () -> Catalog.set_faults catalog saved_faults)

@@ -29,6 +29,6 @@ val crash : catalog:Catalog.t -> unit
     statement (Hydrogen text) with logging suppressed.  The run
     writes no registry: its caller counts it from the returned
     {!stats}.
-    @raise Sb_resil.Err.Error (stage [Storage]) when the WAL is
-    disabled. *)
+    @raise Sb_resil.Err.Error (stage [Storage]) when a readable record
+    cannot be replayed (a table or row image it names is missing). *)
 val run : catalog:Catalog.t -> replay_ddl:(string -> unit) -> stats

@@ -302,7 +302,9 @@ let decode (str : string) : Tuple.t =
   let b = Bytes.unsafe_of_string str in
   let len = String.length str in
   let n = match varint_end b 0 len with _ -> varint_value b 0 | exception Overrun -> 0 in
-  let s = sink (Array.make n Boxed) in
+  (* a count no record of [len] bytes can hold is left to [decode_into]
+     to report *)
+  let s = sink (Array.make (if n < 0 || n > len then 0 else n) Boxed) in
   decode_into s b ~off:0 ~len;
   s.row
 

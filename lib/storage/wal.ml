@@ -42,36 +42,85 @@ type record =
 
 (* one stable-or-volatile log entry: the payload is serialized at append
    time so the CRC covers exactly the bytes a real log would write *)
-type logged = { l_lsn : int; l_crc : int32; l_bytes : string }
+type logged = { l_lsn : int; l_crc : int; l_bytes : string }
 
-(* --- CRC-32 (IEEE 802.3 polynomial, table-driven) --- *)
+(* --- CRC-32 (IEEE 802.3 polynomial, table-driven, in a native int) --- *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 (s : string) : int32 =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+let crc32 (s : string) : int =
+  let c = ref 0xFFFFFFFF in
+  for k = 0 to String.length s - 1 do
+    c := crc_table.((!c lxor Char.code (String.unsafe_get s k)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
 
-let encode (r : record) : string = Marshal.to_string r []
-let decode (bytes : string) : record = Marshal.from_string bytes 0
+(* --- the byte format: each record is one Row_codec tuple whose first
+   field is an INT tag; tuple images nest as Row_codec strings --- *)
+
+let image = function None -> Value.Null | Some row -> Value.String (Row_codec.encode row)
+
+let encode (r : record) : string =
+  let str s = Value.String s in
+  let counted l = Value.Int (List.length l) :: List.map str l in
+  Row_codec.encode
+    (match r with
+    | Begin txn -> [| Int 0; Int txn |]
+    | Commit txn -> [| Int 1; Int txn |]
+    | Abort txn -> [| Int 2; Int txn |]
+    | Update u -> [| Int 3; Int u.u_txn; String u.u_table; image u.u_before; image u.u_after |]
+    | Ddl text -> [| Int 4; String text |]
+    | Checkpoint { ck_ddl; ck_tables } ->
+      Array.of_list
+        (Value.Int 5 :: counted ck_ddl
+        @ List.concat_map
+            (fun (name, rows) -> str name :: counted (List.map Row_codec.encode rows))
+            ck_tables))
+
+(* [None] for bytes that are not a record: corrupt Row_codec bytes or a
+   tuple of the wrong shape (which raises [Exit] here) *)
+let decode (bytes : string) : record option =
+  let image : Value.t -> _ =
+    function Null -> None | String s -> Some (Row_codec.decode s) | _ -> raise Exit
+  in
+  let rec strings n acc : Value.t list -> _ = function
+    | rest when n = 0 -> (List.rev acc, rest)
+    | String s :: rest -> strings (n - 1) (s :: acc) rest
+    | _ -> raise Exit
+  in
+  let counted : Value.t list -> _ = function Int n :: rest -> strings n [] rest | _ -> raise Exit in
+  let rec tables : Value.t list -> _ = function
+    | [] -> []
+    | String name :: rest ->
+      let rows, rest = counted rest in
+      (name, List.map Row_codec.decode rows) :: tables rest
+    | _ -> raise Exit
+  in
+  try
+    match Array.to_list (Row_codec.decode bytes) with
+    | [ Int 0; Int txn ] -> Some (Begin txn)
+    | [ Int 1; Int txn ] -> Some (Commit txn)
+    | [ Int 2; Int txn ] -> Some (Abort txn)
+    | [ Int 3; Int u_txn; String u_table; b; a ] ->
+      Some (Update { u_txn; u_table; u_before = image b; u_after = image a })
+    | [ Int 4; String text ] -> Some (Ddl text)
+    | Int 5 :: fields ->
+      let ck_ddl, rest = counted fields in
+      Some (Checkpoint { ck_ddl; ck_tables = tables rest })
+    | _ -> None
+  with Exit | Err.Error _ -> None
+
+(* the DDL history after [r] *)
+let history h = function
+  | Ddl text -> text :: h
+  | Checkpoint { ck_ddl; _ } -> List.rev ck_ddl
+  | Begin _ | Commit _ | Abort _ | Update _ -> h
 
 type t = {
   lock : Sb_conc.Lock.t;
@@ -79,7 +128,6 @@ type t = {
           taken (the buffer pool never calls into the log); only an
           installed fault plan's lock (and, on an injected fault, the
           registry it counts into) nests inside *)
-  mutable enabled : bool;
   mutable next_lsn : int;
   mutable next_txn : int;
   mutable stable : logged list;  (** newest first *)
@@ -103,7 +151,6 @@ type t = {
 let create () =
   {
     lock = Sb_conc.Lock.create ~name:"storage.wal" ~level:Sb_conc.Level.wal;
-    enabled = true;
     next_lsn = 1;
     next_txn = 1;
     stable = [];
@@ -131,16 +178,6 @@ let watch t ~site ~write =
   Sb_conc.Discipline.access_of ~owner:(Sb_conc.Lock.id t.lock) ~field:"wal.log" ~site ~write
 let set_faults t f = locked t (fun () -> t.faults <- f)
 let set_sink t sink = locked t (fun () -> t.sink <- sink)
-
-let enabled t =
-  locked t (fun () ->
-      watch t ~site:"Wal.enabled" ~write:false;
-      t.enabled)
-
-let set_enabled t on =
-  locked t (fun () ->
-      watch t ~site:"Wal.set_enabled" ~write:true;
-      t.enabled <- on)
 
 let needs_recovery t =
   locked t (fun () ->
@@ -173,28 +210,24 @@ let current_lsn t =
       watch t ~site:"Wal.current_lsn" ~write:false;
       t.next_lsn - 1)
 
-(** Appends one record to the volatile tail and returns its LSN (0 when
-    the log is disabled).  Site [wal.append]: a crash here loses the
-    record — it was never serialized. *)
+(** Appends one record to the volatile tail and returns its LSN.  Site
+    [wal.append]: a crash here loses the record — it was never
+    serialized. *)
 let append t (r : record) : int =
   locked t @@ fun () ->
   watch t ~site:"Wal.append" ~write:true;
-  if not t.enabled then 0
-  else begin
-    Faults.guard t.faults ~site:"wal.append" (fun () -> ());
-    let bytes = encode r in
-    let lsn = t.next_lsn in
-    t.next_lsn <- lsn + 1;
-    t.volatile <- { l_lsn = lsn; l_crc = crc32 bytes; l_bytes = bytes } :: t.volatile;
-    t.n_appends <- t.n_appends + 1;
-    (match r with
-    | Commit _ -> t.n_commits <- t.n_commits + 1
-    | Abort _ -> t.n_aborts <- t.n_aborts + 1
-    | Ddl text -> t.ddl_history <- text :: t.ddl_history
-    | Checkpoint { ck_ddl; _ } -> t.ddl_history <- List.rev ck_ddl
-    | Begin _ | Update _ -> ());
-    lsn
-  end
+  Faults.guard t.faults ~site:"wal.append" (fun () -> ());
+  let bytes = encode r in
+  let lsn = t.next_lsn in
+  t.next_lsn <- lsn + 1;
+  t.volatile <- { l_lsn = lsn; l_crc = crc32 bytes; l_bytes = bytes } :: t.volatile;
+  t.n_appends <- t.n_appends + 1;
+  (match r with
+  | Commit _ -> t.n_commits <- t.n_commits + 1
+  | Abort _ -> t.n_aborts <- t.n_aborts + 1
+  | Begin _ | Update _ -> ()
+  | Ddl _ | Checkpoint _ -> t.ddl_history <- history t.ddl_history r);
+  lsn
 
 (** A fresh transaction id (its [Begin] record is appended). *)
 let begin_txn t : int =
@@ -209,7 +242,7 @@ let begin_txn t : int =
   txn
 
 (* corrupt a CRC so the torn record is detected, never misread *)
-let torn l = { l with l_crc = Int32.lognot l.l_crc }
+let torn l = { l with l_crc = l.l_crc lxor 0xFFFFFFFF }
 
 (** Forces the volatile tail to the stable region (one consult of site
     [wal.flush] covers every pending record — group commit).  A crash
@@ -220,7 +253,7 @@ let flush t : unit =
   let sink =
     locked t @@ fun () ->
     watch t ~site:"Wal.flush" ~write:true;
-    if (not t.enabled) || t.volatile = [] then None
+    if t.volatile = [] then None
     else begin
       (match Faults.guard t.faults ~site:"wal.flush" (fun () -> ()) with
       | () -> ()
@@ -248,20 +281,25 @@ let crash t : unit =
   t.volatile <- [];
   t.needs_recovery <- true
 
-(** The stable region, oldest first, truncated at the first record whose
-    CRC does not match its bytes (a torn write).  Returns the readable
-    records and the number of truncated entries. *)
+(* the readable prefix of [entries] (oldest first) and the number of
+   entries cut: it ends at the first torn entry or non-record *)
+let readable entries : (int * record) list * int =
+  let rec go acc = function
+    | [] -> (List.rev acc, 0)
+    | l :: rest -> (
+      match if crc32 l.l_bytes = l.l_crc then decode l.l_bytes else None with
+      | Some r -> go ((l.l_lsn, r) :: acc) rest
+      | None -> (List.rev acc, 1 + List.length rest))
+  in
+  go [] entries
+
+(** The stable region, oldest first, truncated at the first record that
+    is torn or does not decode.  Returns the readable records and the
+    number of truncated entries. *)
 let stable_records t : (int * record) list * int =
   locked t @@ fun () ->
   watch t ~site:"Wal.stable_records" ~write:false;
-  let all = List.rev t.stable in
-  let rec go acc = function
-    | [] -> (List.rev acc, 0)
-    | l :: rest ->
-      if crc32 l.l_bytes = l.l_crc then go ((l.l_lsn, decode l.l_bytes) :: acc) rest
-      else (List.rev acc, 1 + List.length rest)
-  in
-  go [] all
+  readable (List.rev t.stable)
 
 (** Transactions whose [Commit] record made it to the readable stable
     prefix — the set recovery must restore exactly. *)
@@ -276,26 +314,22 @@ let committed_txns t : int list =
     before anything durable happens, so a crash there leaves the old
     log fully intact. *)
 let checkpoint t ~(tables : (string * Tuple.t list) list) : unit =
-  if not (enabled t) then ()
-  else begin
-    locked t (fun () -> Faults.guard t.faults ~site:"checkpoint" (fun () -> ()));
-    let ck_ddl = locked t (fun () -> List.rev t.ddl_history) in
-    let lsn = append t (Checkpoint { ck_ddl; ck_tables = tables }) in
-    flush t;
-    let sink =
-      locked t (fun () ->
-          watch t ~site:"Wal.checkpoint" ~write:true;
-          t.stable <- List.filter (fun l -> l.l_lsn >= lsn) t.stable;
-          t.n_checkpoints <- t.n_checkpoints + 1;
-          t.sink)
-    in
-    Option.iter (fun sink -> sink ()) sink
-  end
+  locked t (fun () -> Faults.guard t.faults ~site:"checkpoint" (fun () -> ()));
+  let ck_ddl = locked t (fun () -> List.rev t.ddl_history) in
+  let lsn = append t (Checkpoint { ck_ddl; ck_tables = tables }) in
+  flush t;
+  let sink =
+    locked t (fun () ->
+        watch t ~site:"Wal.checkpoint" ~write:true;
+        t.stable <- List.filter (fun l -> l.l_lsn >= lsn) t.stable;
+        t.n_checkpoints <- t.n_checkpoints + 1;
+        t.sink)
+  in
+  Option.iter (fun sink -> sink ()) sink
 
 (* --- introspection (the shell's \wal, tests, metrics) --- *)
 
 type stats = {
-  s_enabled : bool;
   s_lsn : int;  (** highest LSN assigned *)
   s_stable : int;  (** records in the stable region *)
   s_pending : int;  (** records in the volatile tail *)
@@ -313,7 +347,6 @@ let stats t : stats =
   locked t @@ fun () ->
   watch t ~site:"Wal.stats" ~write:false;
   {
-    s_enabled = t.enabled;
     s_lsn = t.next_lsn - 1;
     s_stable = List.length t.stable;
     s_pending = List.length t.volatile;
@@ -349,9 +382,9 @@ let of_hex (s : string) : string option =
 let save_file t (path : string) : unit =
   let header, lines =
     locked t (fun () ->
-        ( Printf.sprintf "SBWAL1 %d %d" t.next_lsn t.next_txn,
+        ( Printf.sprintf "SBWAL2 %d %d" t.next_lsn t.next_txn,
           List.rev_map
-            (fun l -> Printf.sprintf "%d %ld %s" l.l_lsn l.l_crc (to_hex l.l_bytes))
+            (fun l -> Printf.sprintf "%d %d %s" l.l_lsn l.l_crc (to_hex l.l_bytes))
             t.stable ))
   in
   let tmp = path ^ ".tmp" in
@@ -368,7 +401,9 @@ let save_file t (path : string) : unit =
 (** Loads a previously saved log into [t]'s stable region (replacing
     it) and flags recovery as required when any records were read.
     Unreadable lines end the load — everything after a torn line is
-    gone, exactly as with an in-memory torn write. *)
+    gone, exactly as with an in-memory torn write — and the DDL history
+    is rebuilt from the readable prefix.  A file without an [SBWAL2]
+    header is a structured [Storage] error that leaves [t] as it was. *)
 let load_file t (path : string) : int =
   let ic = open_in path in
   let lines = ref [] in
@@ -377,22 +412,18 @@ let load_file t (path : string) : int =
        lines := input_line ic :: !lines
      done
    with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  let next_lsn, next_txn, body =
-    match lines with
-    | header :: body -> (
-      match String.split_on_char ' ' header with
-      | [ "SBWAL1"; lsn; txn ] ->
-        ( Option.value ~default:1 (int_of_string_opt lsn),
-          Option.value ~default:1 (int_of_string_opt txn),
-          body )
-      | _ -> (1, 1, []))
-    | [] -> (1, 1, [])
+  let header, body =
+    match List.rev !lines with header :: body -> (header, body) | [] -> ("", [])
+  in
+  let next_lsn, next_txn =
+    match Scanf.sscanf_opt header "SBWAL2 %d %d%!" (fun lsn txn -> (lsn, txn)) with
+    | Some header -> header
+    | None -> Err.fail Err.Storage "%s is not an SBWAL2 log (header %S)" path header
   in
   let parse line =
     match String.split_on_char ' ' line with
     | [ lsn; crc; hex ] -> (
-      match (int_of_string_opt lsn, Int32.of_string_opt crc, of_hex hex) with
+      match (int_of_string_opt lsn, int_of_string_opt crc, of_hex hex) with
       | Some lsn, Some crc, Some bytes -> Some { l_lsn = lsn; l_crc = crc; l_bytes = bytes }
       | _ -> None)
     | _ -> None
@@ -405,20 +436,12 @@ let load_file t (path : string) : int =
       | None -> List.rev acc)
   in
   let records = take [] body in
+  let ddl = List.fold_left (fun h (_, r) -> history h r) [] (fst (readable records)) in
   locked t (fun () ->
       t.stable <- List.rev records;
       t.volatile <- [];
       t.next_lsn <- max next_lsn (1 + List.fold_left (fun m l -> max m l.l_lsn) 0 records);
       t.next_txn <- max next_txn t.next_txn;
-      (* rebuild the DDL history from the readable prefix *)
-      t.ddl_history <- [];
-      List.iter
-        (fun l ->
-          if crc32 l.l_bytes = l.l_crc then
-            match decode l.l_bytes with
-            | Ddl text -> t.ddl_history <- text :: t.ddl_history
-            | Checkpoint { ck_ddl; _ } -> t.ddl_history <- List.rev ck_ddl
-            | _ -> ())
-        (List.rev t.stable);
+      t.ddl_history <- ddl;
       t.needs_recovery <- t.stable <> [];
       List.length records)

@@ -13,7 +13,12 @@
     with {!set_faults}): [wal.append] (the in-flight record is lost),
     [wal.flush] (a {e torn write} — the oldest pending record reaches
     stable storage with a corrupted CRC), and [checkpoint] (consulted
-    before anything durable happens). *)
+    before anything durable happens).
+
+    Every record is one {!Row_codec} tuple whose first field is an INT
+    tag, and tuple images nest inside it as [Row_codec] strings, so the
+    log has no byte format of its own: bytes that pass their CRC but do
+    not decode to a record end the readable prefix like a torn write. *)
 
 type record =
   | Begin of int  (** transaction id *)
@@ -33,7 +38,7 @@ type record =
 
 type t
 
-(** A fresh, enabled, empty log.  Its counts live only in {!stats};
+(** A fresh, empty log.  Its counts live only in {!stats};
     the language processor copies them into the database's registry
     when it dumps it ([sb_wal_appends_total], [sb_wal_flushes_total],
     [sb_wal_records_flushed_total], [sb_wal_checkpoints_total],
@@ -46,12 +51,6 @@ val set_faults : t -> Sb_resil.Faults.t -> unit
     (outside the log's lock); the TCP server points it at
     {!save_file}. *)
 val set_sink : t -> (unit -> unit) option -> unit
-
-(** [SET wal = off] disables logging: appends and flushes become no-ops
-    and recovery refuses to run (a structured [Storage] error). *)
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
 
 (** True between a {!crash} (or a {!load_file} that read records) and a
     successful recovery; the language processor refuses statements while
@@ -71,8 +70,8 @@ val checkpoint_due : t -> bool
 (** Highest LSN assigned so far (EXPLAIN of DML prints it). *)
 val current_lsn : t -> int
 
-(** Appends one record, returning its LSN (0 when disabled).
-    Consults site [wal.append]. *)
+(** Appends one record, returning its LSN.  Consults site
+    [wal.append]. *)
 val append : t -> record -> int
 
 (** A fresh transaction id; its [Begin] record is appended. *)
@@ -86,8 +85,9 @@ val flush : t -> unit
     recovery as required. *)
 val crash : t -> unit
 
-(** The stable region, oldest first, truncated at the first CRC
-    mismatch; also returns how many records were truncated. *)
+(** The stable region, oldest first, truncated at the first record
+    that fails its CRC or does not decode; also returns how many
+    records were truncated. *)
 val stable_records : t -> (int * record) list * int
 
 (** Transactions whose [Commit] reached the readable stable prefix. *)
@@ -99,7 +99,6 @@ val committed_txns : t -> int list
 val checkpoint : t -> tables:(string * Tuple.t list) list -> unit
 
 type stats = {
-  s_enabled : bool;
   s_lsn : int;  (** highest LSN assigned *)
   s_stable : int;  (** records in the stable region *)
   s_pending : int;  (** records in the volatile tail *)
@@ -121,5 +120,10 @@ val save_file : t -> string -> unit
 
 (** Replaces the stable region with a previously saved log; returns the
     number of records read and flags recovery as required when
-    non-zero. *)
+    non-zero.
+    @raise Sb_resil.Err.Error (stage [Storage]) when the file does not
+    start with an [SBWAL2] header; the log is left as it was. *)
 val load_file : t -> string -> int
+
+(** The CRC-32 (IEEE 802.3) each record carries over its bytes. *)
+val crc32 : string -> int

@@ -979,6 +979,159 @@ let test_wal_save_load () =
       let a, _ = Wal.stable_records w and b, _ = Wal.stable_records w2 in
       Alcotest.(check bool) "round-trip" true (a = b))
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let with_temp f =
+  let path = Filename.temp_file "sbwal" ".log" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let is_storage (e : Sb_resil.Err.t) = e.Sb_resil.Err.err_stage = Sb_resil.Err.Storage
+
+(* A file that is not an SBWAL2 log (an SBWAL1 log, garbage) is refused
+   with a structured error: by [load_file], which leaves the log as it
+   was, and by the server, which exits 1 before it could save over the
+   file. *)
+let test_wal_foreign_header () =
+  let server =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/starburst_server.exe"
+  in
+  List.iter
+    (fun (what, text) ->
+      with_temp @@ fun path ->
+      write_file path text;
+      let w = Wal.create () in
+      (match Wal.load_file w path with
+      | _ -> Alcotest.failf "%s: expected a refusal" what
+      | exception Sb_resil.Err.Error e ->
+        Alcotest.(check bool) (what ^ ": storage error") true (is_storage e));
+      Alcotest.(check bool) (what ^ ": log untouched") false (Wal.needs_recovery w);
+      with_temp @@ fun err ->
+      let code =
+        Sys.command
+          (Filename.quote_command "timeout"
+             [ "20"; server; "-p"; "0"; "--once"; "--wal-file"; path ]
+             ~stdout:Filename.null ~stderr:err)
+      in
+      Alcotest.(check int) (what ^ ": server exit code") 1 code;
+      Alcotest.(check bool) (what ^ ": error printed") true (contains ~sub:"SBWAL2" (read_file err));
+      Alcotest.(check string) (what ^ ": bytes unchanged") text (read_file path))
+    [
+      ("SBWAL1 log", "SBWAL1 4 2\n1 2768625435 84950000000000000000\n");
+      ("garbage", "\000\255 not a log\n");
+    ]
+
+let hex_of str = String.concat "" (List.init (String.length str) (fun k -> Printf.sprintf "%02x" (Char.code str.[k])))
+
+(* Each line of a saved log in turn gets a payload that is no record,
+   under a recomputed CRC: recovery reads the log up to that line and
+   no further.  Truncated and bit-flipped copies of every real record
+   either decode or end the log the same way; recovery then succeeds
+   or fails with a structured Storage error, never anything else. *)
+let test_wal_corrupt_record () =
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Wal.crc32 "123456789");
+  let db = Starburst.create () in
+  List.iter
+    (fun t -> ignore (Starburst.run db t))
+    [
+      "CREATE TABLE t (a INT UNIQUE, b STRING)";
+      "INSERT INTO t VALUES (1, 'x'), (2, 'y')";
+      "SET wal_checkpoint = 3";
+      "UPDATE t SET b = 'z' WHERE a = 1";
+      "DELETE FROM t WHERE a = 2";
+      "INSERT INTO t VALUES (3, 'w')";
+      "CREATE INDEX t_b ON t (b)";
+    ];
+  with_temp @@ fun path ->
+  Wal.save_file db.Starburst.Corona.catalog.Catalog.wal path;
+  let header, lines =
+    match String.split_on_char '\n' (String.trim (read_file path)) with
+    | header :: lines -> (header, Array.of_list lines)
+    | [] -> Alcotest.fail "empty log file"
+  in
+  let n = Array.length lines in
+  let payload k =
+    match String.split_on_char ' ' lines.(k) with
+    | [ _; _; hex ] -> String.init (String.length hex / 2) (fun j -> Char.chr (int_of_string ("0x" ^ String.sub hex (2 * j) 2)))
+    | _ -> Alcotest.failf "line %d is not 'lsn crc hex'" k
+  in
+  let recover_with k bytes =
+    let lsn = List.hd (String.split_on_char ' ' lines.(k)) in
+    let lines = Array.copy lines in
+    lines.(k) <- Printf.sprintf "%s %d %s" lsn (Wal.crc32 bytes) (hex_of bytes);
+    write_file path (String.concat "\n" (header :: Array.to_list lines) ^ "\n");
+    let db = Starburst.create () in
+    Alcotest.(check int) "every line read" n (Wal.load_file db.Starburst.Corona.catalog.Catalog.wal path);
+    match Starburst.Corona.recover db with
+    | st -> Ok st
+    | exception (Starburst.Error e | Sb_resil.Err.Error e) ->
+      if is_storage e then Error e
+      else Alcotest.failf "line %d: not a Storage error: %s" k (Sb_resil.Err.to_string e)
+  in
+  let enc l = Row_codec.encode (row l) in
+  let not_records =
+    [
+      ("unknown tag", enc [ i 9; i 1 ]);
+      ("update with two fields", enc [ i 3; i 1 ]);
+      ("update image not a record", enc [ i 3; i 1; s "t"; nul; s "\255" ]);
+      ("checkpoint short of its ddl", enc [ i 5; i 1000 ]);
+      ("field count past the record", "\255\255\255\255\255\255\255\255\127");
+      ("no bytes", "");
+    ]
+  in
+  for k = 0 to n - 1 do
+    List.iter
+      (fun (what, bytes) ->
+        match recover_with k bytes with
+        | Ok st ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "line %d, %s: read, truncated" k what)
+            (k, n - k)
+            (st.Recovery.r_records, st.Recovery.r_truncated)
+        | Error e -> Alcotest.failf "line %d, %s: %s" k what (Sb_resil.Err.to_string e))
+      not_records;
+    let p = payload k in
+    ignore (recover_with k (String.sub p 0 (String.length p - 1)));
+    String.iteri
+      (fun j c ->
+        let flipped = Bytes.of_string p in
+        Bytes.set flipped j (Char.chr (Char.code c lxor 0x80));
+        ignore (recover_with k (Bytes.to_string flipped)))
+      p
+  done
+
+(* Rollback is not logged, and it can leave a row at a new rid: the
+   failing UPDATE grows row 1 off its full page before the collision
+   on a = 3, and the rollback puts it back elsewhere.  Recovery replays
+   the committed statements only, so row 1 is rebuilt where the INSERT
+   put it, and the later UPDATE that names row 1 must still find it:
+   this is why redo goes by value, not by rid. *)
+let test_recovery_after_moving_rollback () =
+  let db = Starburst.create () in
+  let run t = ignore (Starburst.run db t) in
+  run "CREATE TABLE t (a INT UNIQUE, b STRING)";
+  let pad = String.make 50 'x' in
+  run
+    ("INSERT INTO t VALUES "
+    ^ String.concat ", " (List.init 60 (fun k -> Printf.sprintf "(%d, '%s')" (k + 1) pad)));
+  let tab = Option.get (Catalog.find_table db.Starburst.Corona.catalog "t") in
+  let rid () = Table_store.find_rid tab (row [ i 1; s pad ]) in
+  let placed = rid () in
+  (match
+     Starburst.run db
+       (Printf.sprintf
+          "UPDATE t SET b = '%s', a = CASE WHEN a = 2 THEN 3 ELSE a END WHERE a <= 2"
+          (String.make 2000 'y'))
+   with
+  | _ -> Alcotest.fail "expected a unique violation"
+  | exception Starburst.Error _ -> ());
+  Alcotest.(check bool) "rollback moved row 1" true (rid () <> placed);
+  run "UPDATE t SET b = 'q' WHERE a = 1";
+  let rows = q db "SELECT a, b FROM t" in
+  Recovery.crash ~catalog:db.Starburst.Corona.catalog;
+  ignore (Starburst.Corona.recover db);
+  check_bag "recovered rows" rows (q db "SELECT a, b FROM t")
+
 (* a crash during one DML statement, at each injection site in turn.
    The first three statements committed before the crash, so recovery
    must rebuild them; the in-flight DELETE survives only when its
@@ -1036,18 +1189,13 @@ let test_crash_matrix () =
         (List.length (q db "SELECT k FROM acct")))
     crash_matrix
 
-let test_recovery_requires_wal () =
-  let db = Starburst.create () in
-  ignore (Starburst.run db "CREATE TABLE t (a INT)");
-  ignore (Starburst.run db "SET wal = off");
-  match Starburst.Corona.recover db with
-  | _ -> Alcotest.fail "recovery with the WAL off must be an error"
-  | exception Starburst.Error e ->
-    Alcotest.(check bool) "storage stage" true
-      (e.Sb_resil.Err.err_stage = Sb_resil.Err.Storage)
-
 let test_statement_atomicity () =
   let db = Starburst.create () in
+  (* the log that rollback rides on has no off switch *)
+  (match Starburst.run db "SET wal = off" with
+  | _ -> Alcotest.fail "SET wal must be an unknown option"
+  | exception Starburst.Error e ->
+    Alcotest.(check string) "unknown option" "unknown option wal" e.Sb_resil.Err.err_msg);
   ignore (Starburst.run db "CREATE TABLE t (a INT UNIQUE, b STRING)");
   ignore (Starburst.run db "INSERT INTO t VALUES (1, 'x'), (2, 'y')");
   (* the third row violates UNIQUE: the whole statement must roll back *)
@@ -1168,9 +1316,11 @@ let suite =
       case "wal checkpoint compaction" test_wal_checkpoint_compaction;
       case "wal save/load round-trip" test_wal_save_load;
       case "crash matrix" test_crash_matrix;
-      case "recovery requires the wal" test_recovery_requires_wal;
       case "statement atomicity" test_statement_atomicity;
       case "truncate maintains attachments" test_truncate_maintains_attachments;
       case "boxed short strings share values" test_string_sharing;
       case "statement rollback by rid" test_rollback_by_rid;
+      case "wal refuses a file without an SBWAL2 header" test_wal_foreign_header;
+      case "wal record that is no record ends the log" test_wal_corrupt_record;
+      case "recovery after a rollback that moved a row" test_recovery_after_moving_rollback;
     ] )
