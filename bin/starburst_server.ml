@@ -15,7 +15,7 @@
    loads it on boot, runs crash recovery when it holds records, and
    saves it after every flush/checkpoint — so kill -9 loses nothing
    that was committed.  A file it cannot load or recover from (one
-   without an SBWAL2 header, say) stops the boot with the structured
+   without an SBWAL3 header, or a directory, say) stops the boot with the structured
    error and exit code 1, and stays as it was.  SIGINT/SIGTERM shut
    down gracefully: stop accepting connections, drain in-flight
    statements, force the log, exit 0. *)
@@ -103,7 +103,7 @@ let serve ~host ~port ~once ~wal_file =
              "recovered from %s: %d records (%d truncated), %d committed txns, \
               %d redone, %d ddl%s@."
              path n st.Sb_storage.Recovery.r_truncated
-             st.Sb_storage.Recovery.r_winners st.Sb_storage.Recovery.r_redone
+             st.Sb_storage.Recovery.r_commits st.Sb_storage.Recovery.r_redone
              st.Sb_storage.Recovery.r_ddl
              (if st.Sb_storage.Recovery.r_from_checkpoint then ", from checkpoint"
               else "")

@@ -58,16 +58,10 @@ type prepared = {
   prep_plan : Plan.plan;
 }
 
-(** How to roll back one change of the in-flight statement.  [page] and
-    [slot] are the rid the change left its row at, kept unboxed: a
-    statement keeps one record per changed row until it ends. *)
-type undo =
-  | Inserted of { table : string; page : int; slot : int }
-      (** delete the row back out *)
-  | Deleted of { table : string; before : Tuple.t }
-      (** reinsert the before image *)
-  | Updated of { table : string; page : int; slot : int; before : Tuple.t }
-      (** restore the before image *)
+(** One change of the in-flight statement: what its [Commit] record
+    will log, and the rid the change left its row at (a delete's is the
+    rid it freed), kept unboxed for rollback. *)
+type change = { page : int; slot : int; logged : Wal.change }
 
 type t = {
   (* -- the database: every {!session} shares these by reference -- *)
@@ -98,14 +92,14 @@ type t = {
   mutable last_degraded : string option;
       (** why the last statement fell back to a degraded compilation *)
   (* -- durability: every DML statement is an implicit transaction -- *)
-  mutable txn_current : int;
-      (** transaction id of the in-flight statement; 0 when none *)
-  mutable txn_undo : undo list;
-      (** the statement's logged changes, newest first, for rollback *)
+  mutable txn_changes : change list;
+      (** the in-flight statement's changes, newest first: its [Commit]
+          record when it succeeds, its rollback when it fails *)
   mutable txn_replaying : bool;
       (** recovery replay in progress: suppress logging and the
           needs-recovery gate *)
-  mutable last_txn : int;  (** id of the last committed transaction *)
+  mutable last_txn : int;
+      (** the last committed transaction, named by its [Commit] LSN *)
 }
 
 type result =
@@ -138,8 +132,7 @@ let create ?(limits = default_limits ()) () : t =
     limits;
     last_gov = Limits.start limits;
     last_degraded = None;
-    txn_current = 0;
-    txn_undo = [];
+    txn_changes = [];
     txn_replaying = false;
     last_txn = 0;
   }
@@ -149,8 +142,8 @@ let session ?(limits = default_limits ()) t : t =
     paranoid = Rule_audit.paranoid_env (); hosts = [];
     last_counters = Exec.fresh_counters (); last_rewrite = None;
     tracer = Trace.noop; stage_ns = Hashtbl.create 8; limits;
-    last_gov = Limits.start limits; last_degraded = None; txn_current = 0;
-    txn_undo = []; txn_replaying = false; last_txn = 0 }
+    last_gov = Limits.start limits; last_degraded = None;
+    txn_changes = []; txn_replaying = false; last_txn = 0 }
 
 let bind_host t name value =
   t.hosts <- (name, value) :: List.remove_assoc name t.hosts
@@ -330,7 +323,8 @@ let metrics_dump t =
   mirror "sb_wal_records_flushed_total" wal.Wal.s_flushed_records;
   mirror "sb_wal_checkpoints_total" wal.Wal.s_checkpoints;
   mirror "sb_wal_commits_total" wal.Wal.s_commits;
-  mirror "sb_wal_aborts_total" wal.Wal.s_aborts;
+  (* counted at rollback; listed before the first one *)
+  ignore (Metrics.counter m "sb_wal_aborts_total");
   let cache = Plan_cache.stats t.plan_cache in
   mirror "sb_plan_cache_hits_total" cache.Plan_cache.hits;
   mirror "sb_plan_cache_misses_total" cache.Plan_cache.misses;
@@ -689,81 +683,69 @@ let wal t = t.catalog.Catalog.wal
 let wal_stats t = Wal.stats (wal t)
 let last_txn t = t.last_txn
 
-(* Logs one value-based change of the in-flight transaction and keeps
-   its [undo] for rollback.  No-op outside a transaction (recovery
-   replay). *)
-let log_update t ~table ~undo ~before ~after =
-  if t.txn_current <> 0 then begin
-    t.txn_undo <- undo :: t.txn_undo;
-    ignore
-      (Wal.append (wal t)
-         (Wal.Update
-            { u_txn = t.txn_current; u_table = table; u_before = before; u_after = after }))
-  end
+(* Keeps one value-based change of the in-flight statement, with the
+   rid it left its row at. *)
+let log_change t ~table (rid : Storage_manager.rid) ~before ~after =
+  t.txn_changes <-
+    { page = rid.rid_page; slot = rid.rid_slot;
+      logged = { Wal.c_table = table; c_before = before; c_after = after } }
+    :: t.txn_changes
 
-(* Undoes the statement's logged changes, newest first, through
-   Table_store (so indexes stay consistent), each at the rid it left
-   its row at.  A statement changes a row at most once, and undoing a
-   change only frees rids or fills free ones, so every older change's
-   row is still where it was logged: rollback never scans.
-   Compensations are not logged — recovery simply never replays a
-   transaction without a Commit record.  Fault injection is suspended:
-   a rollback must not itself be failed. *)
+(* Undoes the statement's changes, newest first, through Table_store
+   (so indexes stay consistent), each at the rid it left its row at.  A
+   statement changes a row at most once, and undoing a change only
+   frees rids or fills free ones, so every older change's row is still
+   where it was kept: rollback never scans.  Nothing is logged — the
+   statement never reached the log.  Fault injection is suspended: a
+   rollback must not itself be failed. *)
 let rollback_statement t =
-  match t.txn_undo with
-  | [] -> ()
-  | undo ->
-    t.txn_undo <- [];
+  let changes = t.txn_changes in
+  t.txn_changes <- [];
+  if changes <> [] then begin
     let saved = Catalog.faults t.catalog in
     Catalog.set_faults t.catalog Faults.none;
     Fun.protect ~finally:(fun () -> Catalog.set_faults t.catalog saved)
     @@ fun () ->
-    let rid page slot = { Storage_manager.rid_page = page; rid_slot = slot } in
     List.iter
-      (fun undo ->
-        let (Inserted { table; _ } | Deleted { table; _ } | Updated { table; _ }) = undo in
-        match (Catalog.find_table t.catalog table, undo) with
-        | None, _ -> ()
-        | Some tab, Inserted { page; slot; _ } -> ignore (Table_store.delete tab (rid page slot))
-        | Some tab, Deleted { before; _ } -> ignore (Table_store.insert tab before)
-        | Some tab, Updated { page; slot; before; _ } ->
-          ignore (Table_store.update tab (rid page slot) before))
-      undo
+      (fun { page; slot; logged = { Wal.c_table; c_before; c_after } } ->
+        let rid = { Storage_manager.rid_page = page; rid_slot = slot } in
+        match (Catalog.find_table t.catalog c_table, c_before, c_after) with
+        | None, _, _ -> ()
+        | Some tab, None, _ -> ignore (Table_store.delete tab rid)
+        | Some tab, Some before, None -> ignore (Table_store.insert tab before)
+        | Some tab, Some before, Some _ -> ignore (Table_store.update tab rid before))
+      changes
+  end
 
-(* Brackets one DML statement in an implicit transaction: Begin before,
-   Commit + log force (group commit) on success, rollback + Abort on any
-   error.  A simulated crash propagates untouched — the caller discards
-   all volatile state, so there is nothing to roll back. *)
+(* Runs one DML statement as an implicit transaction.  On success its
+   changes become one Commit record and the log is forced (group
+   commit); the record's LSN names the transaction.  On any error the
+   statement rolls back and the log is left alone.  A simulated crash
+   propagates untouched — the caller discards all volatile state, so
+   there is nothing to roll back. *)
 let with_txn t (f : unit -> result) : result =
-  let w = wal t in
-  if t.txn_replaying || t.txn_current <> 0 then f ()
+  if t.txn_replaying then f ()
   else begin
-    let txn = Wal.begin_txn w in
-    t.txn_current <- txn;
-    t.txn_undo <- [];
+    t.txn_changes <- [];
     match f () with
     | res ->
-      ignore (Wal.append w (Wal.Commit txn));
-      t.txn_current <- 0;
-      t.txn_undo <- [];
+      let w = wal t in
+      let changes = List.rev_map (fun c -> c.logged) t.txn_changes in
+      t.txn_changes <- [];
+      let lsn = Wal.append w (Wal.Commit changes) in
       (* force the log: the commit — and by group commit everything
          queued before it — becomes durable here *)
       Wal.flush w;
-      t.last_txn <- txn;
+      t.last_txn <- lsn;
       if Wal.checkpoint_due w then
         Wal.checkpoint w ~tables:(Catalog.snapshot_tables t.catalog);
       res
-    | exception Faults.Crashed site ->
-      t.txn_current <- 0;
-      t.txn_undo <- [];
-      raise (Faults.Crashed site)
+    | exception (Faults.Crashed _ as crash) ->
+      t.txn_changes <- [];
+      raise crash
     | exception exn ->
-      t.txn_current <- 0;
-      (try rollback_statement t
-       with Faults.Crashed _ as c ->
-         t.txn_undo <- [];
-         raise c);
-      ignore (Wal.append w (Wal.Abort txn));
+      rollback_statement t;
+      Metrics.add_counters (metrics t) [ ("sb_wal_aborts_total", None, 1) ];
       raise exn
   end
 
@@ -812,9 +794,7 @@ let do_insert t ~table ~columns (wq : Ast.with_query) : result =
         | Table_store.Constraint_violation msg ->
           raise (Error (Err.make Err.Exec msg))
       in
-      log_update t ~table
-        ~undo:(Inserted { table; page = rid.rid_page; slot = rid.rid_slot })
-        ~before:None ~after:(Some tuple);
+      log_change t ~table rid ~before:None ~after:(Some tuple);
       incr n)
     rows;
   Affected !n
@@ -839,9 +819,7 @@ let do_delete t ~table ~alias ~where : result =
   List.iter
     (fun (rid, row) ->
       if Table_store.delete tab rid then
-        let before = Array.copy row in
-        log_update t ~table ~undo:(Deleted { table; before }) ~before:(Some before)
-          ~after:None)
+        log_change t ~table rid ~before:(Some (Array.copy row)) ~after:None)
     victims;
   Affected (List.length victims)
 
@@ -887,10 +865,7 @@ let do_update t ~table ~alias ~sets ~where : result =
         | Table_store.Constraint_violation msg ->
           raise (Error (Err.make Err.Exec msg))
       with
-      | Some rid ->
-        log_update t ~table
-          ~undo:(Updated { table; page = rid.rid_page; slot = rid.rid_slot; before })
-          ~before:(Some before) ~after:(Some row)
+      | Some rid -> log_change t ~table rid ~before:(Some before) ~after:(Some row)
       | None -> ())
     updates;
   Affected (List.length updates)
@@ -1147,7 +1122,7 @@ let explain t mode (wq : Ast.with_query) : string =
 
 (** Does [stmt] leave shared state alone?  A query, EXPLAIN of a query
     (ANALYZE included), EXPLAIN RULES and SET do — SET changes the
-    session, apart from [wal] and [wal_checkpoint], which set the
+    session, apart from [wal_checkpoint], which sets the
     database's log under its own lock and which only writers read.
     EXPLAIN of DML or DDL runs it, so it writes. *)
 let read_only (stmt : Ast.statement) : bool =
@@ -1268,8 +1243,7 @@ let rec run_statement t (stmt : Ast.statement) : result =
     let res = run_statement t inner in
     let n = match res with Affected n -> n | _ -> 0 in
     Message
-      (Fmt.str "txn %d: %d row(s) affected (lsn %d)" t.last_txn n
-         (Wal.current_lsn (wal t)))
+      (Fmt.str "txn %d: %d row(s) affected" t.last_txn n)
   | Ast.Stmt_explain (_, inner) -> run_statement t inner
 
 (* exception classification at the pipeline boundary: every failure
@@ -1306,8 +1280,7 @@ let classify_exn (text : string) (exn : exn) : exn option =
 let at_boundary t (text : string) f =
   try f () with
   | Faults.Crashed site ->
-    t.txn_current <- 0;
-    t.txn_undo <- [];
+    t.txn_changes <- [];
     Recovery.crash ~catalog:t.catalog;
     Metrics.add_counters (metrics t) [ ("sb_wal_crashes_total", None, 1) ];
     raise
@@ -1334,16 +1307,15 @@ let run_script t (text : string) : result list =
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Rebuilds the database from the stable log: analysis finds the
-    committed transactions, redo replays the checkpoint + DDL + their
-    updates, and a final ANALYZE refreshes statistics and bumps the
+(** Rebuilds the database from the stable log: one redo pass replays
+    the last checkpoint and the DDL and Commit records after it, and a
+    final ANALYZE refreshes statistics and bumps the
     epoch (cached plans cannot survive a crash).  Logging is suppressed
     for the duration — recovery must not write the history it reads.
     @raise Error (stage [Storage]) when a readable log record cannot be
     replayed: a broken log is reported, never guessed at. *)
 let recover t : Recovery.stats =
-  t.txn_current <- 0;
-  t.txn_undo <- [];
+  t.txn_changes <- [];
   t.txn_replaying <- true;
   Fun.protect ~finally:(fun () -> t.txn_replaying <- false) @@ fun () ->
   match

@@ -49,16 +49,10 @@ type prepared = {
   prep_plan : Plan.plan;
 }
 
-(** How to roll back one change of the in-flight statement.  [page] and
-    [slot] are the rid the change left its row at, kept unboxed: a
-    statement keeps one record per changed row until it ends. *)
-type undo =
-  | Inserted of { table : string; page : int; slot : int }
-      (** delete the row back out *)
-  | Deleted of { table : string; before : Tuple.t }
-      (** reinsert the before image *)
-  | Updated of { table : string; page : int; slot : int; before : Tuple.t }
-      (** restore the before image *)
+(** One change of the in-flight statement: what its [Commit] record
+    will log, and the rid the change left its row at (a delete's is the
+    rid it freed), kept unboxed for rollback. *)
+type change = { page : int; slot : int; logged : Wal.change }
 
 (** One session of a database.  The fields up to [exec_db] are the
     database's, shared by reference by every {!session}; the rest are
@@ -93,14 +87,14 @@ type t = {
   mutable last_degraded : string option;
       (** why the last statement fell back to a degraded compilation *)
   (* -- durability: every DML statement is an implicit transaction -- *)
-  mutable txn_current : int;
-      (** transaction id of the in-flight statement; 0 when none *)
-  mutable txn_undo : undo list;
-      (** the statement's logged changes, newest first, for rollback *)
+  mutable txn_changes : change list;
+      (** the in-flight statement's changes, newest first: its [Commit]
+          record when it succeeds, its rollback when it fails *)
   mutable txn_replaying : bool;
       (** recovery replay in progress: suppress logging and the
           needs-recovery gate *)
-  mutable last_txn : int;  (** id of the last committed transaction *)
+  mutable last_txn : int;
+      (** the last committed transaction, named by its [Commit] LSN *)
 }
 
 (** Execution outcome of one statement. *)
@@ -202,15 +196,15 @@ val set_tracer : t -> Trace.t -> unit
 (** The database's metrics registry — the catalog's, shared by every
     session over it.  Counts with no other home are written to it as
     they happen: stage latencies, execution counters, degradations,
-    paranoid-mode analysis regressions, simulated crashes, fault sites
-    and recovery runs. *)
+    paranoid-mode analysis regressions, rolled-back statements,
+    simulated crashes, fault sites and recovery runs. *)
 val metrics : t -> Metrics.t
 
 (** Prometheus-style text dump of {!metrics}, after copying into it
     (with {!Metrics.set}) the counts other subsystems keep for their
     own stats: the rule fires ([sb_rewrite_rule_fires_total{rule}]),
     the buffer pool's ([sb_pool_*_total]), the WAL's
-    ([sb_wal_{appends,flushes,records_flushed,checkpoints,commits,aborts}_total])
+    ([sb_wal_{appends,flushes,records_flushed,checkpoints,commits}_total])
     and the plan cache's
     ([sb_plan_cache_{hits,misses,evictions,invalidations}_total]). *)
 val metrics_dump : t -> string
@@ -296,7 +290,7 @@ val run_statement : t -> Ast.statement -> result
 
 (** Does the statement leave shared state alone?  True for a query,
     EXPLAIN of a query (ANALYZE included), EXPLAIN RULES and SET (the
-    database-wide [wal*] options take the log's or pool's own lock);
+    database-wide [wal_checkpoint] takes the log's own lock);
     false for DML, DDL, ANALYZE and EXPLAIN of any of them (which runs
     the inner statement).  The multi-session server picks its reader or
     writer lock with it. *)
@@ -319,24 +313,26 @@ val run_script : t -> string -> result list
 (** {1 Durability}
 
     Every DML statement runs as an implicit transaction over the
-    instance's write-ahead log ({!Catalog.t.wal}): value-based
-    before/after images per changed row, Commit + log force on success
-    (group commit — one force covers everything queued before it),
-    rollback + Abort on failure.  DDL auto-commits as logged statement
-    text.  A simulated crash ({!Faults.Crashed} escaping a statement)
-    atomically discards all volatile state; {!recover} rebuilds exactly
-    the committed prefix.  For every session of the database,
-    [SET wal = off] disables logging and [SET wal_checkpoint = n]
-    checkpoints every n commits. *)
+    instance's write-ahead log ({!Catalog.t.wal}): its value-based
+    before/after images per changed row are kept in memory until it
+    ends, then logged as one [Commit] record + log force on success
+    (group commit — one force covers everything queued before it), or
+    rolled back with nothing logged on failure.  DDL auto-commits as
+    logged statement text.  A simulated crash ({!Faults.Crashed}
+    escaping a statement) atomically discards all volatile state;
+    {!recover} rebuilds exactly the committed prefix.  For every
+    session of the database, [SET wal_checkpoint = n] checkpoints
+    every n commits. *)
 
 (** The WAL's counters and state, backing the shell's [\wal]. *)
 val wal_stats : t -> Wal.stats
 
-(** Id of the most recently committed transaction (0 if none). *)
+(** The most recently committed transaction, named by its [Commit]
+    record's LSN (0 if none). *)
 val last_txn : t -> int
 
-(** Rebuilds the database from the stable log (analysis + redo of
-    committed transactions), refreshes statistics, bumps the catalog
+(** Rebuilds the database from the stable log (one redo pass over the
+    last checkpoint and the records after it), refreshes statistics, bumps the catalog
     epoch and clears the needs-recovery flag.  A run that completes is
     counted in {!metrics} from the stats it returns
     ([sb_recovery_{runs,records_scanned,records_redone,torn_records}_total]).

@@ -47,13 +47,11 @@ let snapshot (db : Starburst.t) =
 
 let wal_of (db : Starburst.t) = db.Starburst.Corona.catalog.Catalog.wal
 
-(* attempt one statement; [Ok ()] means it ran — and, for DML, that
-   its implicit transaction committed (even when 0 rows changed) *)
+(* runs one statement; a failure (or a crash, which leaves the database
+   needing recovery) is the case's to judge, not an error of the sweep *)
 let attempt db text =
-  match Starburst.run db text with
-  | Starburst.Affected _ | Starburst.Rows _ | Starburst.Message _ -> Ok ()
-  | exception Starburst.Error e -> Error e
-  | exception Err.Error e -> Error e
+  try ignore (Starburst.run db text : Starburst.result)
+  with Starburst.Error _ | Err.Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* State comparison                                                    *)
@@ -93,19 +91,17 @@ let run_case ~round ~seed ~(ddl : string list) ~(dml : string list)
     =
   let db = fresh_db ~ddl in
   let wal = wal_of db in
-  let base_commits = List.length (Wal.committed_txns wal) in
   let faults = Faults.create ~seed () in
   Faults.fail_nth faults ~outcome:Faults.Crash ~site [ ordinal ];
   Starburst.set_faults db faults;
   (* run the workload until the crash fires *)
   let crashed_at = ref (-1) in
-  let prefix_commits = ref 0 in
+  let lsn_before = ref 0 in
   List.iteri
     (fun i text ->
       if !crashed_at < 0 then begin
-        (match attempt db text with
-        | Ok () -> incr prefix_commits
-        | Error _ -> ());
+        lsn_before := (Wal.stats wal).Wal.s_lsn;
+        attempt db text;
         if Wal.needs_recovery wal then crashed_at := i
       end)
     dml;
@@ -113,9 +109,9 @@ let run_case ~round ~seed ~(ddl : string list) ~(dml : string list)
   else begin
     let i = !crashed_at in
     (* everything stable before recovery: did the in-flight statement's
-       Commit record make it to the stable log? *)
-    let stable_commits = List.length (Wal.committed_txns wal) in
-    let committed = stable_commits > base_commits + !prefix_commits in
+       Commit record, the one past every LSN before it, make it to the
+       stable log? *)
+    let committed = List.exists (fun lsn -> lsn > !lsn_before) (Wal.commits wal) in
     Starburst.set_faults db Faults.none;
     match Starburst.Corona.recover db with
     | exception (Starburst.Error e | Err.Error e) ->
@@ -170,7 +166,7 @@ let oracle_states ~ddl ~dml =
   let states = Array.make (n + 1) (snapshot db) in
   List.iteri
     (fun i text ->
-      ignore (attempt db text);
+      attempt db text;
       states.(i + 1) <- snapshot db)
     dml;
   states
@@ -181,7 +177,7 @@ let scout ~seed ~ddl ~dml =
   let db = fresh_db ~ddl in
   let faults = Faults.create ~seed () in
   Starburst.set_faults db faults;
-  List.iter (fun text -> ignore (attempt db text)) dml;
+  List.iter (fun text -> attempt db text) dml;
   List.filter_map
     (fun site ->
       match Faults.calls faults site with

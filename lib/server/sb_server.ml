@@ -419,8 +419,6 @@ let wal_lines t =
     Fmt.str "  flushed records  %d" w.Wal.s_flushed_records;
     Fmt.str "  checkpoints      %d" w.Wal.s_checkpoints;
     Fmt.str "  commits          %d" w.Wal.s_commits;
-    Fmt.str "  aborts           %d" w.Wal.s_aborts;
-    Fmt.str "  next txn         %d" w.Wal.s_next_txn;
   ]
 
 let trace_text db arg =

@@ -1,21 +1,17 @@
 (** Crash recovery: rebuilds a database instance from its write-ahead
     log.
 
-    The scheme is ARIES-shaped but adapted to this storage engine's
-    simplifications.  Statements run as serial, single-statement
-    transactions, updates are logged as value-based before/after tuple
-    images, and runtime rollback compensates through {!Table_store}
-    without logging CLRs.  That makes recovery a two-pass affair:
-
-    - {e analysis}: read the stable log (truncating at the first torn
-      record), find the last checkpoint, and compute the {e winners} —
-      transactions whose [Commit] record reached the stable prefix.
-    - {e redo}: replay the log forward from the checkpoint.  DDL records
-      replay through a caller-supplied callback (the language processor
-      owns the parser); [Update] records replay through {!Table_store}
-      — but only for winners.  Losers (in-flight at the crash) and
-      explicitly aborted transactions are skipped entirely, which is
-      exactly the no-CLR undo: their effects simply never reappear.
+    Statements run as serial, single-statement transactions, and a
+    transaction reaches the log only when it commits, as one [Commit]
+    record of value-based before/after tuple images; a statement that
+    fails rolls back in memory and logs nothing.  So every readable
+    record is committed work, and recovery is one forward pass: read the
+    stable log (truncating at the first torn record), start from the
+    last checkpoint's snapshot, and replay each later [Ddl] record
+    through a caller-supplied callback (the language processor owns the
+    parser) and each [Commit] record's changes through {!Table_store}.
+    There is nothing to undo: an uncommitted statement's effects never
+    reach the log.
 
     Replaying through {!Table_store} (rather than pages) means indexes,
     unique constraints and statistics rebuild themselves: attachments
@@ -30,9 +26,8 @@ module Err = Sb_resil.Err
 type stats = {
   r_records : int;  (** readable stable records *)
   r_truncated : int;  (** torn records dropped from the tail *)
-  r_winners : int;  (** committed transactions restored *)
-  r_losers : int;  (** in-flight or aborted transactions discarded *)
-  r_redone : int;  (** update records replayed *)
+  r_commits : int;  (** committed transactions replayed *)
+  r_redone : int;  (** row changes replayed *)
   r_ddl : int;  (** DDL statements replayed *)
   r_from_checkpoint : bool;
 }
@@ -44,14 +39,14 @@ let crash ~(catalog : Catalog.t) : unit =
   Catalog.reset_storage catalog;
   Wal.crash catalog.Catalog.wal
 
-let redo_update ~catalog ~table ~before ~after =
+let redo_change ~catalog { Wal.c_table = table; c_before; c_after } =
   let tab =
     match Catalog.find_table catalog table with
     | Some tab -> tab
     | None ->
-      Err.fail Err.Storage "recovery: update record for unknown table %s" table
+      Err.fail Err.Storage "recovery: change to unknown table %s" table
   in
-  match (before, after) with
+  match (c_before, c_after) with
   | None, Some row -> ignore (Table_store.insert tab row)
   | Some row, None -> (
     match Table_store.find_rid tab row with
@@ -64,7 +59,7 @@ let redo_update ~catalog ~table ~before ~after =
     | None ->
       Err.fail Err.Storage "recovery: update image not found in %s" table)
   | None, None ->
-    Err.fail Err.Storage "recovery: empty update record for %s" table
+    Err.fail Err.Storage "recovery: empty change to %s" table
 
 (** Rebuilds the instance from the stable log.  [replay_ddl] executes
     one DDL statement (Hydrogen text) against the catalog — the
@@ -79,48 +74,26 @@ let run ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) : stats =
   Catalog.set_faults catalog Faults.none;
   Fun.protect ~finally:(fun () -> Catalog.set_faults catalog saved_faults)
   @@ fun () ->
-  (* analysis: readable prefix, winners, last checkpoint *)
   let records, truncated = Wal.stable_records wal in
-  let winners = Hashtbl.create 64 and commits = ref 0 in
-  List.iter
-    (function
-      | _, Wal.Commit txn ->
-        Hashtbl.replace winners txn ();
-        incr commits
-      | _ -> ())
-    records;
-  let won txn = Hashtbl.mem winners txn in
-  let losers =
+  (* replay from the LAST readable checkpoint; everything before it is
+     already folded into its snapshots *)
+  let replayed =
     List.fold_left
-      (fun n -> function _, Wal.Begin txn when not (won txn) -> n + 1 | _ -> n)
-      0 records
-  in
-  let after_checkpoint =
-    (* replay from the LAST readable checkpoint; everything before it
-       is already folded into its snapshots *)
-    List.fold_left
-      (fun acc (lsn, r) ->
-        match r with Wal.Checkpoint _ -> [ (lsn, r) ] | _ -> (lsn, r) :: acc)
+      (fun acc r -> match r with _, Wal.Checkpoint _ -> [ r ] | _ -> r :: acc)
       [] records
     |> List.rev
   in
-  let from_checkpoint =
-    match after_checkpoint with
-    | (_, Wal.Checkpoint _) :: _ -> true
-    | _ -> false
-  in
-  (* redo: start from an empty instance, replay forward *)
   Catalog.reset_storage catalog;
-  let redone = ref 0 and ddl = ref 0 in
+  let commits = ref 0 and redone = ref 0 and ddl = ref 0 in
+  let replay text =
+    replay_ddl text;
+    incr ddl
+  in
   List.iter
     (fun (_lsn, r) ->
       match r with
       | Wal.Checkpoint { ck_ddl; ck_tables } ->
-        List.iter
-          (fun text ->
-            replay_ddl text;
-            incr ddl)
-          ck_ddl;
+        List.iter replay ck_ddl;
         List.iter
           (fun (name, rows) ->
             match Catalog.find_table catalog name with
@@ -130,15 +103,12 @@ let run ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) : stats =
               Err.fail Err.Storage
                 "recovery: checkpoint snapshot for unknown table %s" name)
           ck_tables
-      | Wal.Ddl text ->
-        replay_ddl text;
-        incr ddl
-      | Wal.Update { u_txn; u_table; u_before; u_after }
-        when won u_txn ->
-        redo_update ~catalog ~table:u_table ~before:u_before ~after:u_after;
-        incr redone
-      | Wal.Update _ | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ -> ())
-    after_checkpoint;
+      | Wal.Ddl text -> replay text
+      | Wal.Commit changes ->
+        List.iter (redo_change ~catalog) changes;
+        incr commits;
+        redone := !redone + List.length changes)
+    replayed;
   (* statistics are not logged: rebuild them (this also bumps the
      epoch, invalidating any plan cached before the crash) *)
   Catalog.analyze_all catalog;
@@ -146,9 +116,9 @@ let run ~(catalog : Catalog.t) ~(replay_ddl : string -> unit) : stats =
   {
     r_records = List.length records;
     r_truncated = truncated;
-    r_winners = !commits;
-    r_losers = losers;
+    r_commits = !commits;
     r_redone = !redone;
     r_ddl = !ddl;
-    r_from_checkpoint = from_checkpoint;
+    r_from_checkpoint =
+      (match replayed with (_, Wal.Checkpoint _) :: _ -> true | _ -> false);
   }

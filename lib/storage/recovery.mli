@@ -1,21 +1,19 @@
 (** Crash recovery: rebuilds a database instance from its write-ahead
-    log.
+    log in one forward pass.
 
-    Analysis reads the stable log (truncating at the first torn
-    record), finds the last checkpoint, and computes the {e winners} —
-    transactions whose [Commit] reached the stable prefix.  Redo then
-    replays forward from the checkpoint: DDL through the caller's
-    callback, winner [Update] records through {!Table_store} (so
-    indexes and constraints rebuild themselves).  Losers and aborted
-    transactions are skipped entirely — runtime rollback does not log
-    compensation records, so their effects simply never reappear. *)
+    Every readable record is committed work: a transaction reaches the
+    log only as its [Commit] record.  Recovery reads the stable log
+    (truncating at the first torn record), restores the last
+    checkpoint's snapshot, then replays each later [Ddl] record through
+    the caller's callback and each [Commit] record's changes through
+    {!Table_store} (so indexes and constraints rebuild themselves).
+    There is no undo: an uncommitted statement never reaches the log. *)
 
 type stats = {
   r_records : int;  (** readable stable records *)
   r_truncated : int;  (** torn records dropped from the tail *)
-  r_winners : int;  (** committed transactions restored *)
-  r_losers : int;  (** in-flight or aborted transactions discarded *)
-  r_redone : int;  (** update records replayed *)
+  r_commits : int;  (** committed transactions replayed *)
+  r_redone : int;  (** row changes replayed *)
   r_ddl : int;  (** DDL statements replayed *)
   r_from_checkpoint : bool;
 }

@@ -27,31 +27,33 @@ let buf_add_varint buf (x : int) =
 
 (* --- variable-length codec --- *)
 
+let add_field buf (v : Value.t) =
+  match v with
+  | Null -> Buffer.add_char buf '\000'
+  | Int x ->
+    Buffer.add_char buf '\001';
+    buf_add_int64 buf (Int64.of_int x)
+  | Float x ->
+    Buffer.add_char buf '\002';
+    buf_add_int64 buf (Int64.bits_of_float x)
+  | Bool b -> Buffer.add_char buf (if b then '\004' else '\003')
+  | String s ->
+    Buffer.add_char buf '\005';
+    buf_add_varint buf (String.length s);
+    Buffer.add_string buf s
+  | Ext (n, p) ->
+    Buffer.add_char buf '\006';
+    buf_add_varint buf (String.length n);
+    Buffer.add_string buf n;
+    buf_add_varint buf (String.length p);
+    Buffer.add_string buf p
+
+let add_count = buf_add_varint
+
 let encode (t : Tuple.t) : string =
   let buf = Buffer.create 64 in
-  buf_add_varint buf (Array.length t);
-  Array.iter
-    (fun v ->
-      match (v : Value.t) with
-      | Null -> Buffer.add_char buf '\000'
-      | Int x ->
-        Buffer.add_char buf '\001';
-        buf_add_int64 buf (Int64.of_int x)
-      | Float x ->
-        Buffer.add_char buf '\002';
-        buf_add_int64 buf (Int64.bits_of_float x)
-      | Bool b -> Buffer.add_char buf (if b then '\004' else '\003')
-      | String s ->
-        Buffer.add_char buf '\005';
-        buf_add_varint buf (String.length s);
-        Buffer.add_string buf s
-      | Ext (n, p) ->
-        Buffer.add_char buf '\006';
-        buf_add_varint buf (String.length n);
-        Buffer.add_string buf n;
-        buf_add_varint buf (String.length p);
-        Buffer.add_string buf p)
-    t;
+  add_count buf (Array.length t);
+  Array.iter (add_field buf) t;
   Buffer.contents buf
 
 (* --- decoding into a sink --- *)

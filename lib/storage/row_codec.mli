@@ -22,6 +22,13 @@ val encode : Tuple.t -> string
 
 val decode : string -> Tuple.t
 
+(** A record written a field at a time, for one too large to build as a
+    tuple first: its field count, then each field — the bytes {!encode}
+    writes for a tuple of those fields. *)
+val add_count : Buffer.t -> int -> unit
+
+val add_field : Buffer.t -> Value.t -> unit
+
 (** What a decode does with one field. *)
 type field =
   | Skip  (** skipped by tag and length; its sink slots are untouched *)

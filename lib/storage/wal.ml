@@ -1,14 +1,15 @@
 (** The write-ahead log.
 
-    An append-only log of value-based (logical) records — begin / update
-    / commit / abort / ddl / checkpoint — each stamped with a
-    monotonically increasing LSN and a CRC-32 over its serialized
-    payload.  The log has two regions: a {e volatile tail} (records
-    appended but not yet forced) and a {e stable prefix} (records that
-    survive a crash).  {!flush} moves the whole tail to the stable
-    region in one step, so a commit that forces the log also forces
-    every record queued before it — group commit for free when several
-    sessions share one log.
+    An append-only log of value-based (logical) records — commit / ddl /
+    checkpoint — each stamped with a monotonically increasing LSN and a
+    CRC-32 over its serialized payload.  A statement is a transaction,
+    and it reaches the log only when it commits: one [Commit] record
+    holding every row change it made.  The log has two regions: a
+    {e volatile tail} (records appended but not yet forced) and a
+    {e stable prefix} (records that survive a crash).  {!flush} moves
+    the whole tail to the stable region in one step, so a commit that
+    forces the log also forces every record queued before it — group
+    commit for free when several sessions share one log.
 
     Crash simulation is driven by {!Sb_resil.Faults}: {!append} consults
     site [wal.append] (a crash there loses the in-flight record
@@ -24,16 +25,14 @@
 module Faults = Sb_resil.Faults
 module Err = Sb_resil.Err
 
+type change = {
+  c_table : string;
+  c_before : Tuple.t option;  (** [None] for an insert *)
+  c_after : Tuple.t option;  (** [None] for a delete *)
+}
+
 type record =
-  | Begin of int
-  | Commit of int
-  | Abort of int
-  | Update of {
-      u_txn : int;
-      u_table : string;
-      u_before : Tuple.t option;  (** [None] for an insert *)
-      u_after : Tuple.t option;  (** [None] for a delete *)
-    }
+  | Commit of change list  (** oldest first *)
   | Ddl of string  (** an auto-committed DDL statement, as Hydrogen text *)
   | Checkpoint of {
       ck_ddl : string list;  (** full DDL history, in execution order *)
@@ -61,66 +60,111 @@ let crc32 (s : string) : int =
   done;
   !c lxor 0xFFFFFFFF
 
-(* --- the byte format: each record is one Row_codec tuple whose first
-   field is an INT tag; tuple images nest as Row_codec strings --- *)
+(* --- the byte format: each record is one Row_codec record, written a
+   field at a time.  Its first field is an INT tag, and row images are
+   inline fields, never nested records:
+   - Commit: 0, then per change its table and two images, each either
+     NULL (no row) or the row's width followed by its fields;
+   - Ddl: 1 and the text;
+   - Checkpoint: 2, the DDL count and texts, then per table its name,
+     width, row count and every row's fields. --- *)
 
-let image = function None -> Value.Null | Some row -> Value.String (Row_codec.encode row)
+let image_fields = function None -> 1 | Some row -> 1 + Array.length row
+let width = function [] -> 0 | row :: _ -> Array.length row
 
 let encode (r : record) : string =
-  let str s = Value.String s in
-  let counted l = Value.Int (List.length l) :: List.map str l in
-  Row_codec.encode
-    (match r with
-    | Begin txn -> [| Int 0; Int txn |]
-    | Commit txn -> [| Int 1; Int txn |]
-    | Abort txn -> [| Int 2; Int txn |]
-    | Update u -> [| Int 3; Int u.u_txn; String u.u_table; image u.u_before; image u.u_after |]
-    | Ddl text -> [| Int 4; String text |]
-    | Checkpoint { ck_ddl; ck_tables } ->
-      Array.of_list
-        (Value.Int 5 :: counted ck_ddl
-        @ List.concat_map
-            (fun (name, rows) -> str name :: counted (List.map Row_codec.encode rows))
-            ck_tables))
+  let buf = Buffer.create 64 in
+  let field = Row_codec.add_field buf in
+  let fields row = Array.iter field row in
+  let image = function None -> field Null | Some row -> field (Int (Array.length row)); fields row in
+  (match r with
+  | Commit changes ->
+    Row_codec.add_count buf
+      (List.fold_left (fun n c -> n + 1 + image_fields c.c_before + image_fields c.c_after) 1 changes);
+    field (Int 0);
+    List.iter
+      (fun c ->
+        field (String c.c_table);
+        image c.c_before;
+        image c.c_after)
+      changes
+  | Ddl text ->
+    Row_codec.add_count buf 2;
+    field (Int 1);
+    field (String text)
+  | Checkpoint { ck_ddl; ck_tables } ->
+    Row_codec.add_count buf
+      (List.fold_left
+         (fun n (_, rows) -> n + 3 + (width rows * List.length rows))
+         (2 + List.length ck_ddl) ck_tables);
+    field (Int 2);
+    field (Int (List.length ck_ddl));
+    List.iter (fun text -> field (String text)) ck_ddl;
+    List.iter
+      (fun (name, rows) ->
+        let w = width rows in
+        field (String name);
+        field (Int w);
+        field (Int (List.length rows));
+        List.iter
+          (fun row ->
+            if Array.length row <> w then invalid_arg "Wal.checkpoint: rows of unequal width";
+            fields row)
+          rows)
+      ck_tables);
+  Buffer.contents buf
 
-(* [None] for bytes that are not a record: corrupt Row_codec bytes or a
-   tuple of the wrong shape (which raises [Exit] here) *)
+(* [None] for bytes that are not a record: corrupt Row_codec bytes or
+   fields of the wrong shape (which raise [Exit] here) *)
 let decode (bytes : string) : record option =
-  let image : Value.t -> _ =
-    function Null -> None | String s -> Some (Row_codec.decode s) | _ -> raise Exit
-  in
-  let rec strings n acc : Value.t list -> _ = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | String s :: rest -> strings (n - 1) (s :: acc) rest
-    | _ -> raise Exit
-  in
-  let counted : Value.t list -> _ = function Int n :: rest -> strings n [] rest | _ -> raise Exit in
-  let rec tables : Value.t list -> _ = function
-    | [] -> []
-    | String name :: rest ->
-      let rows, rest = counted rest in
-      (name, List.map Row_codec.decode rows) :: tables rest
-    | _ -> raise Exit
-  in
   try
-    match Array.to_list (Row_codec.decode bytes) with
-    | [ Int 0; Int txn ] -> Some (Begin txn)
-    | [ Int 1; Int txn ] -> Some (Commit txn)
-    | [ Int 2; Int txn ] -> Some (Abort txn)
-    | [ Int 3; Int u_txn; String u_table; b; a ] ->
-      Some (Update { u_txn; u_table; u_before = image b; u_after = image a })
-    | [ Int 4; String text ] -> Some (Ddl text)
-    | Int 5 :: fields ->
-      let ck_ddl, rest = counted fields in
-      Some (Checkpoint { ck_ddl; ck_tables = tables rest })
-    | _ -> None
+    let a = Row_codec.decode bytes in
+    let pos = ref 0 in
+    let left () = Array.length a - !pos in
+    let next () =
+      if left () = 0 then raise Exit;
+      incr pos;
+      a.(!pos - 1)
+    in
+    let str () = match next () with String s -> s | _ -> raise Exit in
+    (* a count or width no more than the fields left *)
+    let count () = match next () with Int n when n >= 0 && n <= left () -> n | _ -> raise Exit in
+    let row w =
+      if w > left () then raise Exit;
+      pos := !pos + w;
+      Array.sub a (!pos - w) w
+    in
+    let image () = match next () with Null -> None | Int w when w >= 0 -> Some (row w) | _ -> raise Exit in
+    let rec until_end acc f = if left () = 0 then List.rev acc else until_end (f () :: acc) f in
+    let record =
+      match next () with
+      | Int 0 ->
+        Commit
+          (until_end [] (fun () ->
+               let c_table = str () in
+               let c_before = image () in
+               let c_after = image () in
+               { c_table; c_before; c_after }))
+      | Int 1 -> Ddl (str ())
+      | Int 2 ->
+        let ck_ddl = List.init (count ()) (fun _ -> str ()) in
+        let ck_tables =
+          until_end [] (fun () ->
+              let name = str () in
+              let w = count () in
+              (name, List.init (count ()) (fun _ -> row w)))
+        in
+        Checkpoint { ck_ddl; ck_tables }
+      | _ -> raise Exit
+    in
+    if left () = 0 then Some record else None
   with Exit | Err.Error _ -> None
 
 (* the DDL history after [r] *)
 let history h = function
   | Ddl text -> text :: h
   | Checkpoint { ck_ddl; _ } -> List.rev ck_ddl
-  | Begin _ | Commit _ | Abort _ | Update _ -> h
+  | Commit _ -> h
 
 type t = {
   lock : Sb_conc.Lock.t;
@@ -129,7 +173,6 @@ type t = {
           installed fault plan's lock (and, on an injected fault, the
           registry it counts into) nests inside *)
   mutable next_lsn : int;
-  mutable next_txn : int;
   mutable stable : logged list;  (** newest first *)
   mutable volatile : logged list;  (** newest first *)
   mutable needs_recovery : bool;
@@ -145,14 +188,12 @@ type t = {
   mutable n_flushed_records : int;
   mutable n_checkpoints : int;
   mutable n_commits : int;
-  mutable n_aborts : int;
 }
 
 let create () =
   {
     lock = Sb_conc.Lock.create ~name:"storage.wal" ~level:Sb_conc.Level.wal;
     next_lsn = 1;
-    next_txn = 1;
     stable = [];
     volatile = [];
     needs_recovery = false;
@@ -166,7 +207,6 @@ let create () =
     n_flushed_records = 0;
     n_checkpoints = 0;
     n_commits = 0;
-    n_aborts = 0;
   }
 
 let locked t f = Sb_conc.Lock.with_lock t.lock f
@@ -205,11 +245,6 @@ let checkpoint_due t =
     due
   end
 
-let current_lsn t =
-  locked t (fun () ->
-      watch t ~site:"Wal.current_lsn" ~write:false;
-      t.next_lsn - 1)
-
 (** Appends one record to the volatile tail and returns its LSN.  Site
     [wal.append]: a crash here loses the record — it was never
     serialized. *)
@@ -224,22 +259,8 @@ let append t (r : record) : int =
   t.n_appends <- t.n_appends + 1;
   (match r with
   | Commit _ -> t.n_commits <- t.n_commits + 1
-  | Abort _ -> t.n_aborts <- t.n_aborts + 1
-  | Begin _ | Update _ -> ()
   | Ddl _ | Checkpoint _ -> t.ddl_history <- history t.ddl_history r);
   lsn
-
-(** A fresh transaction id (its [Begin] record is appended). *)
-let begin_txn t : int =
-  let txn =
-    locked t (fun () ->
-        watch t ~site:"Wal.begin_txn" ~write:true;
-        let txn = t.next_txn in
-        t.next_txn <- txn + 1;
-        txn)
-  in
-  ignore (append t (Begin txn));
-  txn
 
 (* corrupt a CRC so the torn record is detected, never misread *)
 let torn l = { l with l_crc = l.l_crc lxor 0xFFFFFFFF }
@@ -301,11 +322,11 @@ let stable_records t : (int * record) list * int =
   watch t ~site:"Wal.stable_records" ~write:false;
   readable (List.rev t.stable)
 
-(** Transactions whose [Commit] record made it to the readable stable
-    prefix — the set recovery must restore exactly. *)
-let committed_txns t : int list =
+(** The LSNs of the [Commit] records in the readable stable prefix —
+    the transactions recovery must restore exactly. *)
+let commits t : int list =
   let records, _ = stable_records t in
-  List.filter_map (function _, Commit txn -> Some txn | _ -> None) records
+  List.filter_map (function lsn, Commit _ -> Some lsn | _ -> None) records
 
 (** Takes a checkpoint: the full DDL history plus the caller's table
     snapshots become one record, the log is forced, and on success the
@@ -338,9 +359,7 @@ type stats = {
   s_flushed_records : int;
   s_checkpoints : int;
   s_commits : int;
-  s_aborts : int;
   s_needs_recovery : bool;
-  s_next_txn : int;
 }
 
 let stats t : stats =
@@ -355,9 +374,7 @@ let stats t : stats =
     s_flushed_records = t.n_flushed_records;
     s_checkpoints = t.n_checkpoints;
     s_commits = t.n_commits;
-    s_aborts = t.n_aborts;
     s_needs_recovery = t.needs_recovery;
-    s_next_txn = t.next_txn;
   }
 
 (* --- file persistence (the TCP server's --wal-file) --- *)
@@ -382,7 +399,7 @@ let of_hex (s : string) : string option =
 let save_file t (path : string) : unit =
   let header, lines =
     locked t (fun () ->
-        ( Printf.sprintf "SBWAL2 %d %d" t.next_lsn t.next_txn,
+        ( Printf.sprintf "SBWAL3 %d" t.next_lsn,
           List.rev_map
             (fun l -> Printf.sprintf "%d %d %s" l.l_lsn l.l_crc (to_hex l.l_bytes))
             t.stable ))
@@ -402,23 +419,21 @@ let save_file t (path : string) : unit =
     it) and flags recovery as required when any records were read.
     Unreadable lines end the load — everything after a torn line is
     gone, exactly as with an in-memory torn write — and the DDL history
-    is rebuilt from the readable prefix.  A file without an [SBWAL2]
-    header is a structured [Storage] error that leaves [t] as it was. *)
+    is rebuilt from the readable prefix.  A file that cannot be read or
+    has no [SBWAL3] header is a structured [Storage] error that leaves
+    [t] as it was. *)
 let load_file t (path : string) : int =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let header, body =
-    match List.rev !lines with header :: body -> (header, body) | [] -> ("", [])
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> Err.fail Err.Storage "cannot read the log %s (%s)" path msg
   in
-  let next_lsn, next_txn =
-    match Scanf.sscanf_opt header "SBWAL2 %d %d%!" (fun lsn txn -> (lsn, txn)) with
-    | Some header -> header
-    | None -> Err.fail Err.Storage "%s is not an SBWAL2 log (header %S)" path header
+  let header, body =
+    match String.split_on_char '\n' text with header :: body -> (header, body) | [] -> ("", [])
+  in
+  let next_lsn =
+    match Scanf.sscanf_opt header "SBWAL3 %d%!" Fun.id with
+    | Some lsn -> lsn
+    | None -> Err.fail Err.Storage "%s is not an SBWAL3 log (header %S)" path header
   in
   let parse line =
     match String.split_on_char ' ' line with
@@ -441,7 +456,6 @@ let load_file t (path : string) : int =
       t.stable <- List.rev records;
       t.volatile <- [];
       t.next_lsn <- max next_lsn (1 + List.fold_left (fun m l -> max m l.l_lsn) 0 records);
-      t.next_txn <- max next_txn t.next_txn;
       t.ddl_history <- ddl;
       t.needs_recovery <- t.stable <> [];
       List.length records)

@@ -2,6 +2,10 @@
     value-based records with a volatile tail and a stable (crash-
     surviving) prefix.
 
+    A transaction reaches the log only when it commits, as one
+    {!Commit} record holding all its row changes; it is named by that
+    record's LSN.  A statement that fails appends nothing.
+
     {!append} queues a record in the volatile tail; {!flush} forces the
     whole tail to the stable region in one step (group commit: a commit
     that forces the log also forces every record queued before it by
@@ -15,25 +19,25 @@
     stable storage with a corrupted CRC), and [checkpoint] (consulted
     before anything durable happens).
 
-    Every record is one {!Row_codec} tuple whose first field is an INT
-    tag, and tuple images nest inside it as [Row_codec] strings, so the
-    log has no byte format of its own: bytes that pass their CRC but do
-    not decode to a record end the readable prefix like a torn write. *)
+    Every record is one {!Row_codec} record whose first field is an INT
+    tag, with row images as inline fields, so the log has no byte
+    format of its own: bytes that pass their CRC but do not decode to a
+    record end the readable prefix like a torn write. *)
+
+(** One row change, as value images. *)
+type change = {
+  c_table : string;
+  c_before : Tuple.t option;  (** [None] for an insert *)
+  c_after : Tuple.t option;  (** [None] for a delete *)
+}
 
 type record =
-  | Begin of int  (** transaction id *)
-  | Commit of int
-  | Abort of int
-  | Update of {
-      u_txn : int;
-      u_table : string;
-      u_before : Tuple.t option;  (** [None] for an insert *)
-      u_after : Tuple.t option;  (** [None] for a delete *)
-    }
+  | Commit of change list  (** a transaction's changes, oldest first *)
   | Ddl of string  (** an auto-committed DDL statement, as Hydrogen text *)
   | Checkpoint of {
       ck_ddl : string list;  (** full DDL history, in execution order *)
-      ck_tables : (string * Tuple.t list) list;  (** table snapshots *)
+      ck_tables : (string * Tuple.t list) list;
+          (** table snapshots; a table's rows have one width *)
     }
 
 type t
@@ -42,7 +46,7 @@ type t
     the language processor copies them into the database's registry
     when it dumps it ([sb_wal_appends_total], [sb_wal_flushes_total],
     [sb_wal_records_flushed_total], [sb_wal_checkpoints_total],
-    [sb_wal_commits_total], [sb_wal_aborts_total]). *)
+    [sb_wal_commits_total]). *)
 val create : unit -> t
 
 val set_faults : t -> Sb_resil.Faults.t -> unit
@@ -67,15 +71,9 @@ val set_checkpoint_every : t -> int -> unit
     restarts).  A {!crash} keeps the count. *)
 val checkpoint_due : t -> bool
 
-(** Highest LSN assigned so far (EXPLAIN of DML prints it). *)
-val current_lsn : t -> int
-
 (** Appends one record, returning its LSN.  Consults site
     [wal.append]. *)
 val append : t -> record -> int
-
-(** A fresh transaction id; its [Begin] record is appended. *)
-val begin_txn : t -> int
 
 (** Forces the volatile tail to the stable region.  Consults site
     [wal.flush]; a crash there leaves a torn (CRC-corrupt) record. *)
@@ -90,8 +88,8 @@ val crash : t -> unit
     records were truncated. *)
 val stable_records : t -> (int * record) list * int
 
-(** Transactions whose [Commit] reached the readable stable prefix. *)
-val committed_txns : t -> int list
+(** The LSNs of the [Commit] records in the readable stable prefix. *)
+val commits : t -> int list
 
 (** Takes a checkpoint (DDL history + the caller's table snapshots),
     forces the log, then compacts the stable region down to the
@@ -107,9 +105,7 @@ type stats = {
   s_flushed_records : int;
   s_checkpoints : int;
   s_commits : int;
-  s_aborts : int;
   s_needs_recovery : bool;
-  s_next_txn : int;
 }
 
 val stats : t -> stats
@@ -121,8 +117,9 @@ val save_file : t -> string -> unit
 (** Replaces the stable region with a previously saved log; returns the
     number of records read and flags recovery as required when
     non-zero.
-    @raise Sb_resil.Err.Error (stage [Storage]) when the file does not
-    start with an [SBWAL2] header; the log is left as it was. *)
+    @raise Sb_resil.Err.Error (stage [Storage]) when the file cannot be
+    read or does not start with an [SBWAL3] header; the log is left as
+    it was. *)
 val load_file : t -> string -> int
 
 (** The CRC-32 (IEEE 802.3) each record carries over its bytes. *)

@@ -892,33 +892,29 @@ let test_stats () =
 (* Write-ahead log and crash recovery                                  *)
 (* ------------------------------------------------------------------ *)
 
+let insert r = { Wal.c_table = "t"; c_before = None; c_after = Some r }
+
 let test_wal_basics () =
   let w = Wal.create () in
-  let txn = Wal.begin_txn w in
-  let l1 =
-    Wal.append w
-      (Wal.Update { u_txn = txn; u_table = "t"; u_before = None;
-                    u_after = Some (row [ i 1 ]) })
-  in
-  let l2 = Wal.append w (Wal.Commit txn) in
+  let l1 = Wal.append w (Wal.Commit [ insert (row [ i 1 ]) ]) in
+  let l2 = Wal.append w (Wal.Commit []) in
   Alcotest.(check bool) "LSNs monotonic" true (0 < l1 && l1 < l2);
   let st = Wal.stats w in
-  Alcotest.(check int) "pending tail" 3 st.Wal.s_pending;
+  Alcotest.(check int) "pending tail" 2 st.Wal.s_pending;
   Alcotest.(check int) "nothing stable yet" 0 st.Wal.s_stable;
   Wal.flush w;
   let st = Wal.stats w in
   Alcotest.(check int) "tail drained" 0 st.Wal.s_pending;
-  Alcotest.(check int) "stable" 3 st.Wal.s_stable;
+  Alcotest.(check int) "stable" 2 st.Wal.s_stable;
   let records, truncated = Wal.stable_records w in
-  Alcotest.(check int) "readable" 3 (List.length records);
+  Alcotest.(check int) "readable" 2 (List.length records);
   Alcotest.(check int) "no torn records" 0 truncated;
-  Alcotest.(check (list int)) "committed" [ txn ] (Wal.committed_txns w);
+  Alcotest.(check (list int)) "committed" [ l1; l2 ] (Wal.commits w);
   (* volatile tail vanishes at a crash; the stable prefix survives *)
-  let txn2 = Wal.begin_txn w in
-  ignore (Wal.append w (Wal.Commit txn2));
+  ignore (Wal.append w (Wal.Commit [ insert (row [ i 2 ]) ]));
   Wal.crash w;
   Alcotest.(check bool) "needs recovery" true (Wal.needs_recovery w);
-  Alcotest.(check (list int)) "tail lost" [ txn ] (Wal.committed_txns w)
+  Alcotest.(check (list int)) "tail lost" [ l1; l2 ] (Wal.commits w)
 
 let test_wal_torn_record () =
   let w = Wal.create () in
@@ -926,47 +922,52 @@ let test_wal_torn_record () =
   Sb_resil.Faults.fail_nth faults ~outcome:Sb_resil.Faults.Crash
     ~site:"wal.flush" [ 2 ];
   Wal.set_faults w faults;
-  let txn = Wal.begin_txn w in
-  ignore (Wal.append w (Wal.Commit txn));
+  let l1 = Wal.append w (Wal.Commit [ insert (row [ i 1 ]) ]) in
   Wal.flush w;
-  let txn2 = Wal.begin_txn w in
-  ignore (Wal.append w (Wal.Commit txn2));
+  ignore (Wal.append w (Wal.Commit [ insert (row [ i 2 ]) ]));
   (match Wal.flush w with
   | () -> Alcotest.fail "expected a crash at wal.flush"
   | exception Sb_resil.Faults.Crashed site ->
     Alcotest.(check string) "site" "wal.flush" site);
   Wal.crash w;
-  (* the torn write left txn2's Begin with a corrupt CRC: the readable
-     prefix stops before it, so txn2 never committed *)
+  (* the torn write left the second Commit with a corrupt CRC: the
+     readable prefix stops before it, so it never committed *)
   let records, truncated = Wal.stable_records w in
   Alcotest.(check int) "torn" 1 truncated;
-  Alcotest.(check int) "prefix readable" 2 (List.length records);
-  Alcotest.(check (list int)) "only txn1" [ txn ] (Wal.committed_txns w)
+  Alcotest.(check int) "prefix readable" 1 (List.length records);
+  Alcotest.(check (list int)) "only the first" [ l1 ] (Wal.commits w)
 
 let test_wal_checkpoint_compaction () =
   let w = Wal.create () in
-  for _ = 1 to 5 do
-    let txn = Wal.begin_txn w in
-    ignore (Wal.append w (Wal.Commit txn));
+  for k = 1 to 5 do
+    ignore (Wal.append w (Wal.Commit [ insert (row [ i k ]) ]));
     Wal.flush w
   done;
-  Alcotest.(check int) "before" 10 (Wal.stats w).Wal.s_stable;
+  Alcotest.(check int) "before" 5 (Wal.stats w).Wal.s_stable;
   Wal.checkpoint w ~tables:[ ("t", [ row [ i 1 ] ]) ];
   Alcotest.(check int) "compacted to the checkpoint" 1
     (Wal.stats w).Wal.s_stable;
-  let txn = Wal.begin_txn w in
-  ignore (Wal.append w (Wal.Commit txn));
+  ignore (Wal.append w (Wal.Commit []));
   Wal.flush w;
-  Alcotest.(check int) "tail grows past it" 3 (Wal.stats w).Wal.s_stable
+  Alcotest.(check int) "tail grows past it" 2 (Wal.stats w).Wal.s_stable
 
+(* every record shape survives save_file/load_file: a Commit with an
+   insert, an update and a delete, a DDL record and a checkpoint *)
 let test_wal_save_load () =
   let w = Wal.create () in
-  let txn = Wal.begin_txn w in
+  let r1 = row [ i 7; s "x"; nul ] and r2 = row [ i 8; s ""; f 2.5 ] in
+  ignore (Wal.append w (Wal.Ddl "CREATE TABLE t (a INT, b STRING, c FLOAT)"));
   ignore
     (Wal.append w
-       (Wal.Update { u_txn = txn; u_table = "t"; u_before = None;
-                     u_after = Some (row [ i 7; s "x"; nul ]) }));
-  ignore (Wal.append w (Wal.Commit txn));
+       (Wal.Commit
+          [
+            insert r1;
+            { Wal.c_table = "t"; c_before = Some r1; c_after = Some r2 };
+            { Wal.c_table = "t"; c_before = Some r2; c_after = None };
+          ]));
+  Wal.flush w;
+  Wal.checkpoint w ~tables:[ ("t", [ r1; r2 ]); ("u", []) ];
+  ignore (Wal.append w (Wal.Commit [ insert r2 ]));
   Wal.flush w;
   let path = Filename.temp_file "sbwal" ".log" in
   Fun.protect
@@ -974,10 +975,12 @@ let test_wal_save_load () =
     (fun () ->
       Wal.save_file w path;
       let w2 = Wal.create () in
-      Alcotest.(check int) "records read" 3 (Wal.load_file w2 path);
+      Alcotest.(check int) "records read" 2 (Wal.load_file w2 path);
       Alcotest.(check bool) "recovery flagged" true (Wal.needs_recovery w2);
       let a, _ = Wal.stable_records w and b, _ = Wal.stable_records w2 in
-      Alcotest.(check bool) "round-trip" true (a = b))
+      Alcotest.(check bool) "round-trip" true (a = b);
+      Alcotest.(check int) "the next LSN carries over" (Wal.stats w).Wal.s_lsn
+        (Wal.stats w2).Wal.s_lsn)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
@@ -988,38 +991,50 @@ let with_temp f =
 
 let is_storage (e : Sb_resil.Err.t) = e.Sb_resil.Err.err_stage = Sb_resil.Err.Storage
 
-(* A file that is not an SBWAL2 log (an SBWAL1 log, garbage) is refused
-   with a structured error: by [load_file], which leaves the log as it
-   was, and by the server, which exits 1 before it could save over the
-   file. *)
+(* A file that is not an SBWAL3 log (an SBWAL1 or SBWAL2 log, garbage)
+   or a path that is a directory is refused with a structured error:
+   by [load_file], which leaves the log as it was, and by the server,
+   which exits 1 before it could save over the path. *)
 let test_wal_foreign_header () =
   let server =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/starburst_server.exe"
+  in
+  let refused what path ~mentions =
+    let w = Wal.create () in
+    (match Wal.load_file w path with
+    | _ -> Alcotest.failf "%s: expected a refusal" what
+    | exception Sb_resil.Err.Error e ->
+      Alcotest.(check bool) (what ^ ": storage error") true (is_storage e));
+    Alcotest.(check bool) (what ^ ": log untouched") false (Wal.needs_recovery w);
+    with_temp @@ fun err ->
+    let code =
+      Sys.command
+        (Filename.quote_command "timeout"
+           [ "20"; server; "-p"; "0"; "--once"; "--wal-file"; path ]
+           ~stdout:Filename.null ~stderr:err)
+    in
+    Alcotest.(check int) (what ^ ": server exit code") 1 code;
+    List.iter
+      (fun sub ->
+        Alcotest.(check bool) (what ^ ": error mentions " ^ sub) true (contains ~sub (read_file err)))
+      ("storage:" :: mentions)
   in
   List.iter
     (fun (what, text) ->
       with_temp @@ fun path ->
       write_file path text;
-      let w = Wal.create () in
-      (match Wal.load_file w path with
-      | _ -> Alcotest.failf "%s: expected a refusal" what
-      | exception Sb_resil.Err.Error e ->
-        Alcotest.(check bool) (what ^ ": storage error") true (is_storage e));
-      Alcotest.(check bool) (what ^ ": log untouched") false (Wal.needs_recovery w);
-      with_temp @@ fun err ->
-      let code =
-        Sys.command
-          (Filename.quote_command "timeout"
-             [ "20"; server; "-p"; "0"; "--once"; "--wal-file"; path ]
-             ~stdout:Filename.null ~stderr:err)
-      in
-      Alcotest.(check int) (what ^ ": server exit code") 1 code;
-      Alcotest.(check bool) (what ^ ": error printed") true (contains ~sub:"SBWAL2" (read_file err));
+      refused what path ~mentions:[ "SBWAL3" ];
       Alcotest.(check string) (what ^ ": bytes unchanged") text (read_file path))
     [
       ("SBWAL1 log", "SBWAL1 4 2\n1 2768625435 84950000000000000000\n");
+      ("SBWAL2 log", "SBWAL2 3 2\n1 1874150585 0201000000000000000000000000000000\n");
       ("garbage", "\000\255 not a log\n");
-    ]
+    ];
+  let dir = Filename.temp_dir "sbwal" ".dir" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  refused "directory" dir ~mentions:[ dir ];
+  Alcotest.(check bool) "directory: still an empty directory" true
+    (Sys.is_directory dir && Sys.readdir dir = [||])
 
 let hex_of str = String.concat "" (List.init (String.length str) (fun k -> Printf.sprintf "%02x" (Char.code str.[k])))
 
@@ -1072,9 +1087,12 @@ let test_wal_corrupt_record () =
   let not_records =
     [
       ("unknown tag", enc [ i 9; i 1 ]);
-      ("update with two fields", enc [ i 3; i 1 ]);
-      ("update image not a record", enc [ i 3; i 1; s "t"; nul; s "\255" ]);
-      ("checkpoint short of its ddl", enc [ i 5; i 1000 ]);
+      ("commit change with one field", enc [ i 0; s "t" ]);
+      ("commit image past the record", enc [ i 0; s "t"; nul; i 5; i 1 ]);
+      ("commit image of negative width", enc [ i 0; s "t"; nul; i (-1) ]);
+      ("ddl with two texts", enc [ i 1; s "x"; s "y" ]);
+      ("checkpoint short of its ddl", enc [ i 2; i 1000 ]);
+      ("checkpoint rows past the record", enc [ i 2; i 0; s "t"; i 2; i 1; i 1 ]);
       ("field count past the record", "\255\255\255\255\255\255\255\255\127");
       ("no bytes", "");
     ]
@@ -1197,14 +1215,25 @@ let test_statement_atomicity () =
   | exception Starburst.Error e ->
     Alcotest.(check string) "unknown option" "unknown option wal" e.Sb_resil.Err.err_msg);
   ignore (Starburst.run db "CREATE TABLE t (a INT UNIQUE, b STRING)");
+  let wal = db.Starburst.Corona.catalog.Catalog.wal in
+  let appends = (Wal.stats wal).Wal.s_appends in
   ignore (Starburst.run db "INSERT INTO t VALUES (1, 'x'), (2, 'y')");
+  (* a committed statement is one record *)
+  Alcotest.(check int) "one append" (appends + 1) (Wal.stats wal).Wal.s_appends;
+  let appends = appends + 1 and stable = Wal.stable_records wal in
   (* the third row violates UNIQUE: the whole statement must roll back *)
-  (match Starburst.run db "INSERT INTO t VALUES (3, 'z'), (1, 'dup')" with
+  (match Starburst.run db "INSERT INTO t VALUES (3, 'z'), (4, 'w'), (1, 'dup')" with
   | _ -> Alcotest.fail "expected a unique violation"
   | exception Starburst.Error _ -> ());
   check_bag "no partial insert"
     [ row [ i 1; s "x" ]; row [ i 2; s "y" ] ]
     (q db "SELECT a, b FROM t");
+  (* it never reached the log: only the registry counts the abort *)
+  Alcotest.(check int) "no append" appends (Wal.stats wal).Wal.s_appends;
+  Alcotest.(check bool) "stable region unchanged" true (stable = Wal.stable_records wal);
+  Alcotest.(check int) "one abort" 1
+    (Sb_obs.Metrics.counter_value
+       (Sb_obs.Metrics.counter (Starburst.metrics db) "sb_wal_aborts_total"));
   (* same for a multi-row UPDATE that collides mid-way *)
   (match Starburst.run db "UPDATE t SET a = 5 WHERE a >= 1" with
   | _ -> Alcotest.fail "expected a unique violation"
@@ -1320,7 +1349,7 @@ let suite =
       case "truncate maintains attachments" test_truncate_maintains_attachments;
       case "boxed short strings share values" test_string_sharing;
       case "statement rollback by rid" test_rollback_by_rid;
-      case "wal refuses a file without an SBWAL2 header" test_wal_foreign_header;
+      case "wal refuses a file without an SBWAL3 header" test_wal_foreign_header;
       case "wal record that is no record ends the log" test_wal_corrupt_record;
       case "recovery after a rollback that moved a row" test_recovery_after_moving_rollback;
     ] )
