@@ -10,10 +10,21 @@
     epoch is a miss that also drops the entry, so DDL and ANALYZE
     invalidate lazily without the catalog knowing the cache exists.
 
-    One table and one LRU list sit under one leveled {!Sb_conc.Lock} at
-    {!Sb_conc.Level.plan_cache}; eviction is strict LRU over the whole
-    capacity — no wholesale reset.  The table, list and counters are one
-    instrumented field ([plan_cache]) for the race detector. *)
+    A plan is admitted on second sight: the first [add] of a key only
+    records the key's hash in a {e doorkeeper} (TinyLFU's; SQL Server's
+    "optimize for ad hoc workloads"), a fixed direct-mapped array of
+    {!doorkeeper_slots} hashes, and the plan goes in when the key's hash
+    is already there.  A statement run once — every ad hoc statement
+    with a fresh literal — never takes a slot of the LRU list, so it is
+    never promoted and then evicted.  A key whose entry a stale epoch
+    drops is recorded at once, so its recompile is admitted on its first
+    [add]: the statement has already proved its reuse.
+
+    One table, one LRU list and the doorkeeper sit under one leveled
+    {!Sb_conc.Lock} at {!Sb_conc.Level.plan_cache}; eviction is strict
+    LRU over the whole capacity — no wholesale reset.  The table, list,
+    doorkeeper and counters are one instrumented field ([plan_cache])
+    for the race detector. *)
 
 type 'a node = {
   n_key : string;
@@ -29,6 +40,9 @@ type 'a t = {
   mutable mru : 'a node option;
   mutable lru : 'a node option;
   capacity : int;  (** max resident entries *)
+  seen : int array;
+      (** the doorkeeper: slot [h mod doorkeeper_slots] holds the last
+          key hash [h] recorded there, [-1] when none *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -43,6 +57,8 @@ type stats = {
   resident : int;
 }
 
+let doorkeeper_slots = 4096
+
 let create ?(capacity = 1024) () : 'a t =
   if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";
   {
@@ -51,6 +67,7 @@ let create ?(capacity = 1024) () : 'a t =
     mru = None;
     lru = None;
     capacity;
+    seen = Array.make doorkeeper_slots (-1);
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -126,13 +143,18 @@ let locked (t : 'a t) ~site ~write f =
         ~site ~write;
       f ())
 
+(* [Hashtbl.hash] is never negative, so [-1] marks an empty slot *)
+let slot h = h land (doorkeeper_slots - 1)
+let record (t : 'a t) h = t.seen.(slot h) <- h
+
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (** [find t ~epoch key] is the cached value compiled at [epoch], if
     any.  An entry from an older epoch is dropped and counted as an
-    invalidation (the lookup reports a miss). *)
+    invalidation (the lookup reports a miss), and its key is recorded in
+    the doorkeeper. *)
 let find (t : 'a t) ~(epoch : int) (key : string) : 'a option =
   locked t ~site:"Plan_cache.find" ~write:true @@ fun () ->
   match Hashtbl.find_opt t.tbl key with
@@ -144,6 +166,7 @@ let find (t : 'a t) ~(epoch : int) (key : string) : 'a option =
   | Some node ->
     unlink t node;
     Hashtbl.remove t.tbl key;
+    record t (Hashtbl.hash key);
     t.invalidations <- t.invalidations + 1;
     t.misses <- t.misses + 1;
     None
@@ -151,8 +174,9 @@ let find (t : 'a t) ~(epoch : int) (key : string) : 'a option =
     t.misses <- t.misses + 1;
     None
 
-(** Inserts (or refreshes) [key], evicting the LRU entry when over
-    capacity. *)
+(** Refreshes a resident [key]; inserts a new one only when the
+    doorkeeper holds its hash, and records the hash otherwise.  Evicts
+    the LRU entry when over capacity. *)
 let add (t : 'a t) ~(epoch : int) (key : string) (value : 'a) : unit =
   locked t ~site:"Plan_cache.add" ~write:true @@ fun () ->
   (match Hashtbl.find_opt t.tbl key with
@@ -163,11 +187,15 @@ let add (t : 'a t) ~(epoch : int) (key : string) (value : 'a) : unit =
     unlink t node;
     push_front t node
   | None ->
-    let node =
-      { n_key = key; n_value = value; n_epoch = epoch; n_prev = None; n_next = None }
-    in
-    Hashtbl.replace t.tbl key node;
-    push_front t node);
+    let h = Hashtbl.hash key in
+    if t.seen.(slot h) <> h then record t h
+    else begin
+      let node =
+        { n_key = key; n_value = value; n_epoch = epoch; n_prev = None; n_next = None }
+      in
+      Hashtbl.replace t.tbl key node;
+      push_front t node
+    end);
   while Hashtbl.length t.tbl > t.capacity do
     match t.lru with
     | None -> Hashtbl.reset t.tbl (* unreachable *)

@@ -3,18 +3,25 @@ open Sb_storage
 type t = {
   b_width : int;
   b_cols : Value.t array array;
-      (* b_width column chunks of length cap; [typed] for an INT chunk *)
+      (* b_width column chunks, each as long as [b_sel]; [typed] for an
+         INT chunk *)
   b_ints : int array array;
       (* the INT chunks, [no_ints] for a boxed column; [all_boxed] when
          the batch has no INT chunk *)
   b_nulls : bool array array;
       (* each INT chunk's NULL marks, [no_nulls] until its first NULL *)
-  b_sel : int array;  (* selection vector: physical indices of live rows *)
+  mutable b_sel : int array;
+      (* selection vector: physical indices of live rows; its length is
+         the batch's room, which doubles from [initial] to [capacity] *)
   mutable b_len : int;  (* physical rows appended *)
   mutable b_live : int;  (* live rows (used prefix of b_sel) *)
 }
 
 let capacity = 1024
+
+(* a fresh batch's room: small statements stay on the minor heap (an
+   array over 256 words is allocated on the major heap) *)
+let initial = 16
 
 (* shared sentinels, told apart by physical equality (each its own
    one-element array: every empty array is the same atom) *)
@@ -23,7 +30,7 @@ let no_ints : int array = Array.make 1 0
 let no_nulls : bool array = Array.make 1 false
 let all_boxed : int array array = Array.make 1 no_ints
 
-let create ?(cap = capacity) ?ints w =
+let create ?(cap = initial) ?ints w =
   match ints with
   | Some m when Array.exists Fun.id m ->
     {
@@ -50,20 +57,47 @@ let reset b =
   b.b_len <- 0;
   b.b_live <- 0
 
+(* [grow b n]: room for at least [n] rows, doubling; every chunk, the
+   NULL marks allocated so far and the selection vector keep their
+   contents *)
+let grow b n =
+  let room = Array.length b.b_sel in
+  let rec target r = if r >= n then r else target (2 * r) in
+  let room' = target (max room initial) in
+  let widen a fill =
+    let a' = Array.make room' fill in
+    Array.blit a 0 a' 0 room;
+    a'
+  in
+  for k = 0 to b.b_width - 1 do
+    let c = b.b_cols.(k) in
+    if c != typed then b.b_cols.(k) <- widen c Value.Null
+    else begin
+      b.b_ints.(k) <- widen b.b_ints.(k) 0;
+      let m = b.b_nulls.(k) in
+      if m != no_nulls then b.b_nulls.(k) <- widen m false
+    end
+  done;
+  b.b_sel <- widen b.b_sel 0
+
 let owner w =
   let own = ref None in
-  fun () ->
-    match !own with
-    | Some b ->
-      reset b;
-      b
-    | None ->
-      let b = create w in
-      own := Some b;
-      b
+  fun n ->
+    let b =
+      match !own with
+      | Some b ->
+        reset b;
+        b
+      | None ->
+        let b = create w in
+        own := Some b;
+        b
+    in
+    if n > Array.length b.b_sel then grow b n;
+    b
 
 let count b = b.b_live
-let full b = b.b_len >= Array.length b.b_sel
+let full b = b.b_len >= capacity
 
 (* Every writer below but [append_sink] writes boxed batches only: the
    scan's emitter is the one producer of INT chunks. *)
@@ -282,38 +316,45 @@ type emitter = {
   mutable e_lent : t option;
 }
 
-(* zero capacity: always full, so the first append opens a real batch *)
+(* no room, so the first push takes the slow path, which rolls it *)
 let idle = create ~cap:0 0
 
 let emitter ?ints w =
   { e_width = w; e_ints = ints; e_cur = idle; e_ready = Queue.create (); e_spare = [];
     e_lent = None }
 
-(* the current batch is full (or [idle]): queue it and open a spare
-   or new one *)
-let roll em =
-  if em.e_cur != idle then Queue.push em.e_cur em.e_ready;
-  em.e_cur <-
-    (match em.e_spare with
-    | b :: rest ->
-      em.e_spare <- rest;
-      b
-    | [] -> create ?ints:em.e_ints em.e_width)
+(* the push path's slow half, when the current batch has no room: a
+   full batch (or [idle]) queues and a spare or new one opens; a
+   batch short of [capacity] doubles (a spare keeps its grown room) *)
+let make_room em =
+  let b = em.e_cur in
+  if b != idle && not (full b) then grow b (b.b_len + 1)
+  else begin
+    if b != idle then Queue.push b em.e_ready;
+    em.e_cur <-
+      (match em.e_spare with
+      | b :: rest ->
+        em.e_spare <- rest;
+        b
+      | [] -> create ?ints:em.e_ints em.e_width)
+  end
+
+let[@inline] no_room b = b.b_len >= Array.length b.b_sel
 
 let push em row =
-  if full em.e_cur then roll em;
+  if no_room em.e_cur then make_room em;
   append em.e_cur row
 
 let push_cols em row cols =
-  if full em.e_cur then roll em;
+  if no_room em.e_cur then make_room em;
   append_cols em.e_cur row cols
 
 let push_sink em s cols =
-  if full em.e_cur then roll em;
+  if no_room em.e_cur then make_room em;
   append_sink em.e_cur s cols
 
 let push_from em src i c =
-  if full em.e_cur then roll em;
+  if no_room em.e_cur then make_room em;
   append_from em.e_cur src i c
 
 let reshape em ints =

@@ -4,7 +4,11 @@
     A batch holds up to {!capacity} rows column-chunked, plus a
     {e selection vector}: the physical indices of the rows still live.
     Filters refine the selection in place instead of copying rows;
-    materializing operators read through it.
+    materializing operators read through it.  A batch's room starts at
+    16 rows and doubles, as rows arrive, up to {!capacity}: a statement
+    over a few dozen rows allocates arrays of a few dozen slots, which
+    stay on the minor heap.  A batch keeps its grown room when its
+    producer refills it.
 
     {b Typed chunks.}  A column chunk is either an array of
     {!Sb_storage.Value.t} or, for an INT column, an unboxed [int array]
@@ -36,18 +40,22 @@ open Sb_storage
 
 type t
 
-(** Rows per batch (1024). *)
+(** Rows in a full batch (1024): producers cut their batches at this
+    size, and no batch holds more. *)
 val capacity : int
 
-(** [owner w] is a producer's one batch of width [w]: every call empties
-    and returns the same batch, created on the first call. *)
-val owner : int -> unit -> t
+(** [owner w] is a producer's one batch of width [w]: every call
+    [owner w n] empties and returns the same batch, created on the first
+    call, with room for [n] rows ([n <= capacity]) — so a producer
+    reserves once per batch, and {!append_init} and {!pad} check no
+    room per row. *)
+val owner : int -> int -> t
 
 (** Live rows (after selection refinement). *)
 val count : t -> int
 
 (** [append_init b f] appends the row [f 0 .. f (width-1)] without an
-    intermediate array. *)
+    intermediate array.  The row must fit the room {!owner} reserved. *)
 val append_init : t -> (int -> Value.t) -> unit
 
 (** [select b cols] is the column-only projection of [b] onto its
@@ -57,7 +65,8 @@ val append_init : t -> (int -> Value.t) -> unit
 val select : t -> int array -> t
 
 (** [pad b n] appends [n] blank rows (the width-0 projection: only the
-    row count carries information).  [n] must fit the batch. *)
+    row count carries information).  The rows must fit the room
+    {!owner} reserved. *)
 val pad : t -> int -> unit
 
 (** [value b ~col i] reads column [col] of the [i]th {e live} row. *)

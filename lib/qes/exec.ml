@@ -823,8 +823,9 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
       let next_out = Batch.owner 0 in
       Seq.map
         (fun b ->
-          let out = next_out () in
-          Batch.pad out (Batch.count b);
+          let n = Batch.count b in
+          let out = next_out n in
+          Batch.pad out n;
           out)
         (input_batches ectx ~params p 0)
     | Some cols ->
@@ -834,7 +835,7 @@ and op_batches ectx ~params (p : plan) : Batch.t Seq.t =
       let next_out = Batch.owner (Array.length exprs) in
       Seq.map
         (fun b ->
-          let out = next_out () in
+          let out = next_out (Batch.count b) in
           for i = 0 to Batch.count b - 1 do
             Batch.blit_row b i scratch;
             Batch.append_init out (fun k ->

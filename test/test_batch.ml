@@ -658,6 +658,124 @@ let test_typed_chunk_push_from () =
   | () -> Alcotest.fail "reshape after a push"
   | exception Invalid_argument _ -> ()
 
+(* --- growable batches --- *)
+
+(* (a INT, b STRING, c INT): a's first NULL is row 3, inside the first
+   16 rows, so its marks exist before the first doubling; c's first NULL
+   is row 40, after two; both have NULLs on either side of every
+   doubling and of the cut at 1024 *)
+let growth_rows =
+  let nulls_a = [ 3; 15; 16; 31; 32; 64; 200; 511; 512; 1023; 1024; 1030 ] in
+  let nulls_c = [ 40; 63; 64; 128; 700; 1023; 1025 ] in
+  List.init 1100 (fun k ->
+      row
+        [ (if List.mem k nulls_a then nul else i k);
+          s (Printf.sprintf "g%d" k);
+          (if List.mem k nulls_c then nul else i (-k)) ])
+
+let test_growth_keeps_null_marks () =
+  let expected = Array.of_list growth_rows in
+  let n = ref 0 and sizes = ref [] in
+  iter_typed_batches growth_rows (fun b ->
+      sizes := Batch.count b :: !sizes;
+      for j = 0 to Batch.count b - 1 do
+        let want = expected.(!n) in
+        incr n;
+        check_rows (Printf.sprintf "row %d" (!n - 1)) [ want ] [ Batch.get b j ];
+        for col = 0 to 2 do
+          Alcotest.(check bool) "null_at" (want.(col) = nul) (Batch.null_at b ~col j)
+        done
+      done);
+  Alcotest.(check int) "every row" 1100 !n;
+  Alcotest.(check (list int)) "cut at the capacity" [ 1024; 76 ] (List.rev !sizes)
+
+(* an INT chunk grown past its first 16 rows (NULL marks included) meets
+   a FLOAT: the whole chunk turns boxed, every earlier row intact *)
+let test_growth_then_box_chunk () =
+  let n = 200 and float_at = 100 in
+  let outer k = if k = 5 then row [ nul ] else row [ i k ] in
+  let inner k =
+    if k = float_at then row [ f 2.5 ] else if k = 7 || k = 150 then row [ nul ] else row [ i (k * 2) ]
+  in
+  let src = List.init n outer in
+  let out = ref [] in
+  Seq.iter
+    (fun b ->
+      let em = Batch.emitter 2 in
+      Batch.reshape em [| true; true |];
+      let k = ref 0 in
+      Seq.iter
+        (fun ob ->
+          Alcotest.(check (list bool)) "column 0 stays an INT chunk, column 1 turned boxed"
+            [ true; false ]
+            (List.init 2 (fun col -> Batch.is_int ob ~col));
+          for j = 0 to Batch.count ob - 1 do
+            out := Batch.get ob j :: !out
+          done)
+        (Batch.produce em (fun () ->
+             if !k >= Batch.count b then false
+             else begin
+               Batch.push_from em b !k (inner !k);
+               incr k;
+               true
+             end)))
+    (Batch.of_rows ~width:1 src);
+  check_rows "rows through growth and box_chunk"
+    (List.init n (fun k -> Array.append (outer k) (inner k)))
+    (List.rev !out)
+
+(* the owner batches of a computed PROJECT and of the width-0 PROJECT
+   under count( * ) reserve room per input batch: around the first
+   doubling and the cut at 1024 *)
+let test_growth_owner_batches () =
+  List.iter
+    (fun n ->
+      let db = Starburst.create () in
+      run db "CREATE TABLE g (x INT)";
+      run db
+        ("INSERT INTO g VALUES "
+        ^ String.concat ", " (List.init n (fun k -> Printf.sprintf "(%d)" k)));
+      let _, v = check_reference (Printf.sprintf "computed project, %d rows" n) db
+          "SELECT x + 1, x * 2 FROM g" in
+      Alcotest.(check int) (Printf.sprintf "%d projected rows" n) n (List.length v);
+      check_rows (Printf.sprintf "count(*) over %d rows" n) [ row [ i n ] ]
+        (q db "SELECT count(*) FROM g"))
+    [ 17; 1023; 1024; 1025 ]
+
+(* a batch that grew to the capacity and came back as a spare is refilled
+   without growing again: the later pulls allocate no column chunk *)
+let test_spare_keeps_grown_room () =
+  let cap = Batch.capacity and steps = 5 in
+  let rows = Array.init cap (fun k -> row [ i k; s "x" ]) in
+  let em = Batch.emitter 2 in
+  let calls = ref 0 in
+  let next =
+    Seq.to_dispenser
+      (Batch.produce em (fun () ->
+           if !calls = steps then false
+           else begin
+             incr calls;
+             Array.iter (Batch.push em) rows;
+             true
+           end))
+  in
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let pull () =
+    let w0 = words () in
+    match next () with
+    | Some b ->
+      Alcotest.(check int) "a full batch" cap (Batch.count b);
+      words () -. w0
+    | None -> Alcotest.fail "a batch per step"
+  in
+  let first = pull () in
+  Alcotest.(check bool) "the first pull grows its batch" true (first > float_of_int (2 * cap));
+  for _ = 2 to steps do
+    let w = pull () in
+    Alcotest.(check bool) (Printf.sprintf "a refill allocates %.0f words" w) true (w < 256.)
+  done;
+  Alcotest.(check bool) "exhausted" true (next () = None)
+
 let suite =
   ( "batch-engine",
     [
@@ -684,4 +802,8 @@ let suite =
       case "INT chunks read as the boxed rows" test_typed_chunk_reads;
       case "INT chunks under select, keep and truncate" test_typed_chunk_select_keep;
       case "INT chunks through the join's emission" test_typed_chunk_push_from;
+      case "growth keeps INT chunks' NULL marks" test_growth_keeps_null_marks;
+      case "growth, then a FLOAT boxes the INT chunk" test_growth_then_box_chunk;
+      case "owner batches of PROJECT around the capacity" test_growth_owner_batches;
+      case "a spare batch keeps its grown room" test_spare_keeps_grown_room;
     ] )

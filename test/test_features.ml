@@ -26,6 +26,9 @@ let test_plan_cache () =
   let text = "SELECT count(*) FROM quotations" in
   let stats () = Starburst.Plan_cache.stats db.Starburst.Corona.plan_cache in
   let resident () = (stats ()).Starburst.Plan_cache.resident in
+  let hits () = (stats ()).Starburst.Plan_cache.hits in
+  (* a plan is admitted on its key's second sight *)
+  ignore (Starburst.cached_query db text);
   check_bag "first" [ row [ i 5 ] ] (snd (Starburst.cached_query db text));
   let hits0 = (stats ()).Starburst.Plan_cache.hits in
   check_bag "cached" [ row [ i 5 ] ] (snd (Starburst.cached_query db text));
@@ -35,12 +38,16 @@ let test_plan_cache () =
   (* DDL invalidates (epoch bump; the stale entry is dropped lazily) *)
   ignore (Starburst.run db "CREATE TABLE zz (a INT)");
   let inv0 = (stats ()).Starburst.Plan_cache.invalidations in
+  let hits1 = hits () in
   check_bag "repopulate" [ row [ i 5 ] ] (snd (Starburst.cached_query db text));
   Alcotest.(check int) "DDL invalidated the entry" (inv0 + 1)
     (stats ()).Starburst.Plan_cache.invalidations;
+  Alcotest.(check int) "the run after DDL recompiles" hits1 (hits ());
   (* data changes are visible without invalidation (plans re-read) *)
   ignore (Starburst.run db "INSERT INTO quotations VALUES (9, 1.0, 1, 'x')");
-  check_bag "sees new data" [ row [ i 6 ] ] (snd (Starburst.cached_query db text))
+  check_bag "sees new data" [ row [ i 6 ] ] (snd (Starburst.cached_query db text));
+  Alcotest.(check int) "the recompiled plan was cached at once: the next run hits"
+    (hits1 + 1) (hits ())
 
 (* --- hidden ORDER BY columns --- *)
 

@@ -36,6 +36,8 @@ let test_normalize () =
 
 let test_lru_eviction () =
   let c : int Plan_cache.t = Plan_cache.create ~capacity:2 () in
+  (* first sight: each key's plan is admitted on its next [add] *)
+  List.iter (fun k -> Plan_cache.add c ~epoch:0 k 0) [ "a"; "b"; "c" ];
   Plan_cache.add c ~epoch:0 "a" 1;
   Plan_cache.add c ~epoch:0 "b" 2;
   ignore (Plan_cache.find c ~epoch:0 "a");
@@ -53,6 +55,7 @@ let test_lru_eviction () =
 
 let test_epoch_invalidation () =
   let c : int Plan_cache.t = Plan_cache.create ~capacity:8 () in
+  Plan_cache.add c ~epoch:0 "k" 1 (* first sight *);
   Plan_cache.add c ~epoch:0 "k" 1;
   Alcotest.(check bool) "hit at its compile epoch" true
     (Plan_cache.find c ~epoch:0 "k" = Some 1);
@@ -64,6 +67,97 @@ let test_epoch_invalidation () =
   Plan_cache.add c ~epoch:1 "k" 2;
   Alcotest.(check bool) "recompiled entry hits at the new epoch" true
     (Plan_cache.find c ~epoch:1 "k" = Some 2)
+
+(* a key's first [add] only records it; its second inserts the plan *)
+let test_admission_on_second_sight () =
+  let c : int Plan_cache.t = Plan_cache.create ~capacity:8 () in
+  Plan_cache.add c ~epoch:0 "k" 1;
+  Alcotest.(check int) "first add: not resident" 0 (Plan_cache.stats c).Plan_cache.resident;
+  Alcotest.(check bool) "first add: the lookup misses" true (Plan_cache.find c ~epoch:0 "k" = None);
+  Plan_cache.add c ~epoch:0 "k" 2;
+  Alcotest.(check int) "second add: resident" 1 (Plan_cache.stats c).Plan_cache.resident;
+  Alcotest.(check bool) "second add: the lookup hits" true
+    (Plan_cache.find c ~epoch:0 "k" = Some 2)
+
+(* two distinct keys of one [Hashtbl.hash], found by a birthday search *)
+let colliding_keys () =
+  let seen = Hashtbl.create 100_000 in
+  let rec go n =
+    let k = Printf.sprintf "select %d" n in
+    let h = Hashtbl.hash k in
+    match Hashtbl.find_opt seen h with
+    | Some k' -> (k', k)
+    | None ->
+      Hashtbl.add seen h k;
+      go (n + 1)
+  in
+  go 0
+
+(* a shared doorkeeper record admits the second key early, but the
+   table is keyed by the full key: no lookup returns the other's plan *)
+let test_doorkeeper_collision () =
+  let a, b = colliding_keys () in
+  let c : int Plan_cache.t = Plan_cache.create ~capacity:8 () in
+  Plan_cache.add c ~epoch:0 a 1;
+  Plan_cache.add c ~epoch:0 b 2;
+  Alcotest.(check bool) "the colliding key is admitted on its first add" true
+    (Plan_cache.find c ~epoch:0 b = Some 2);
+  Alcotest.(check bool) "the first key is not served the other's plan" true
+    (Plan_cache.find c ~epoch:0 a = None);
+  Plan_cache.add c ~epoch:0 a 1;
+  Alcotest.(check bool) "each key its own plan" true
+    (Plan_cache.find c ~epoch:0 a = Some 1 && Plan_cache.find c ~epoch:0 b = Some 2)
+
+(* a key of another hash than [k]'s whose doorkeeper slot is (or, when
+   not [same], is not) [k]'s; the slot is the hash mod the size *)
+let slot_of k = Hashtbl.hash k mod Plan_cache.doorkeeper_slots
+
+let key_in_slot ~same k =
+  let rec go n =
+    let k' = Printf.sprintf "select %d from t" n in
+    if (slot_of k' = slot_of k) = same && Hashtbl.hash k' <> Hashtbl.hash k then k'
+    else go (n + 1)
+  in
+  go 0
+
+(* the doorkeeper has [doorkeeper_slots] direct-mapped slots in a cache
+   of any capacity: a key recorded in another slot keeps [k]'s record,
+   one in [k]'s slot overwrites it *)
+let test_doorkeeper_size_is_constant () =
+  let (_ : ?capacity:int -> unit -> int Plan_cache.t) = Plan_cache.create in
+  let k = "select k from t" in
+  let other = key_in_slot ~same:false k and rival = key_in_slot ~same:true k in
+  List.iter
+    (fun capacity ->
+      let admitted between =
+        let c : int Plan_cache.t = Plan_cache.create ~capacity () in
+        Plan_cache.add c ~epoch:0 k 1;
+        Plan_cache.add c ~epoch:0 between 2;
+        Plan_cache.add c ~epoch:0 k 1;
+        Plan_cache.find c ~epoch:0 k = Some 1
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "capacity %d: another slot keeps the record" capacity)
+        true (admitted other);
+      Alcotest.(check bool)
+        (Printf.sprintf "capacity %d: the same slot overwrites it" capacity)
+        false (admitted rival))
+    [ 1; 8; 1024; 100_000 ]
+
+(* a key whose entry a stale epoch drops is recorded again, so its
+   recompile is admitted on the first add even when another key took
+   its doorkeeper slot meanwhile *)
+let test_invalidated_key_readmitted () =
+  let k = "select k from t" in
+  let rival = key_in_slot ~same:true k in
+  let c : int Plan_cache.t = Plan_cache.create ~capacity:8 () in
+  Plan_cache.add c ~epoch:0 k 1;
+  Plan_cache.add c ~epoch:0 k 1;
+  Plan_cache.add c ~epoch:0 rival 2 (* overwrites [k]'s record *);
+  Alcotest.(check bool) "stale epoch misses" true (Plan_cache.find c ~epoch:1 k = None);
+  Plan_cache.add c ~epoch:1 k 3;
+  Alcotest.(check bool) "the recompile is admitted at once" true
+    (Plan_cache.find c ~epoch:1 k = Some 3)
 
 let test_cache_metrics () =
   (* a database whose cache holds one plan *)
@@ -218,6 +312,8 @@ let test_host_var_isolation () =
   Starburst.bind_host (Server.session_db s1) "lim" (f 15.0);
   Starburst.bind_host (Server.session_db s2) "lim" (f 8.0);
   let qtext = "SELECT partno FROM quotations WHERE price < :lim" in
+  (* first sight: the plan is admitted on the next execution *)
+  ignore (rows_exn (Server.submit server s1 qtext));
   check_bag "session 1 binding"
     [ row [ i 1 ]; row [ i 1 ]; row [ i 3 ] ]
     (rows_exn (Server.submit server s1 qtext));
@@ -774,6 +870,7 @@ let test_registry_agrees_with_stats () =
   | Ok _ -> Alcotest.fail "a UNIQUE collision must fail");
   submit "SET wal_checkpoint = 1";
   submit "INSERT INTO t VALUES (2)";
+  submit "SELECT k FROM t" (* first sight *);
   submit "SELECT k FROM t";
   submit "SELECT k FROM t";
   submit "CREATE TABLE u (x INT)";
@@ -869,4 +966,11 @@ let suite =
         test_raising_statement_releases_admission;
       case "the registry agrees with every stats record"
         test_registry_agrees_with_stats;
+      case "plan cache: admission on second sight" test_admission_on_second_sight;
+      case "plan cache: a doorkeeper collision never serves another key"
+        test_doorkeeper_collision;
+      case "plan cache: the doorkeeper's size is a constant"
+        test_doorkeeper_size_is_constant;
+      case "plan cache: an invalidated key is readmitted at once"
+        test_invalidated_key_readmitted;
     ] )
